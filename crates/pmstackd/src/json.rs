@@ -128,16 +128,20 @@ impl<'a> Parser<'a> {
                         other => return Err(format!("bad escape \\{}", other as char)),
                     }
                 }
+                Some(b) if b < 0x20 => return Err("unescaped control character".into()),
                 Some(_) => {
-                    // Consume one UTF-8 scalar from the raw bytes.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "string is not UTF-8".to_string())?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
-                    if (ch as u32) < 0x20 {
-                        return Err("unescaped control character".into());
+                    // Consume one unescaped run, up to the next quote,
+                    // backslash or control byte, and validate it as UTF-8
+                    // once. Those delimiters are ASCII, so they never fall
+                    // inside a multi-byte scalar: a run that ends mid-scalar
+                    // is malformed and fails the validation.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
                     }
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| "string is not UTF-8".to_string())?;
+                    out.push_str(run);
                 }
             }
         }
@@ -297,6 +301,83 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{:?} should fail", bad);
         }
+    }
+
+    #[test]
+    fn multi_byte_scalars_and_escapes_interleave() {
+        // 2-, 3- and 4-byte scalars with every escape form between them.
+        let text = "é\"€\\😀\né/€\t😀\u{8}é\u{c}\r";
+        let doc = r#"{"s":"é\"€\\😀\né\/€\t😀\bé\f\r","k€":"\u00e9\u20ac"}"#;
+        let v = parse(doc.as_bytes()).unwrap();
+        assert_eq!(v.get("s").and_then(Value::as_str), Some(text));
+        assert_eq!(v.get("k€").and_then(Value::as_str), Some("é€"));
+    }
+
+    #[test]
+    fn malformed_utf8_is_rejected_at_any_offset() {
+        let good = "ab€é😀cd".as_bytes();
+        for cut in 0..good.len() {
+            for bad in [&b"\xFF"[..], b"\xE2\x82", b"\xC3", b"\xF0\x9F\x98", b"\x80"] {
+                let mut doc = b"{\"s\":\"".to_vec();
+                doc.extend_from_slice(&good[..cut]);
+                doc.extend_from_slice(bad);
+                // Splicing at a scalar boundary leaves a malformed sequence;
+                // splicing inside a scalar leaves a truncated one.
+                doc.extend_from_slice(b"\\n");
+                doc.extend_from_slice(&good[cut..]);
+                doc.extend_from_slice(b"\"}");
+                assert_eq!(
+                    parse(&doc),
+                    Err("string is not UTF-8".to_string()),
+                    "{bad:?} spliced at {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A megabyte of string-heavy JSON: per-character re-validation of
+        // the remaining input made this quadratic (minutes in a debug
+        // build); one validation per unescaped run makes it milliseconds.
+        let member = |i: usize| {
+            format!(
+                "\"key{i}\":\"value {i} é€😀 \\\"quoted\\\" \\n{}\"",
+                "x".repeat(40)
+            )
+        };
+        let mut doc = String::from("{");
+        let mut i = 0;
+        while doc.len() < 1 << 20 {
+            if i > 0 {
+                doc.push(',');
+            }
+            doc.push_str(&member(i));
+            i += 1;
+        }
+        doc.push('}');
+        let started = std::time::Instant::now();
+        let v = parse(doc.as_bytes()).unwrap();
+        let took = started.elapsed();
+        let Value::Obj(members) = &v else {
+            panic!("expected an object");
+        };
+        assert_eq!(members.len(), i);
+        let last = format!("value {} é€😀 \"quoted\" \n{}", i - 1, "x".repeat(40));
+        assert_eq!(members[i - 1].1.as_str(), Some(last.as_str()));
+        assert!(took.as_secs_f64() < 2.0, "1 MB took {took:?}");
+
+        // One 1 MB string of multi-byte scalars with an escape every few.
+        let unit = "é€😀\\t";
+        let body = unit.repeat((1 << 20) / unit.len());
+        let started = std::time::Instant::now();
+        let v = parse(format!("\"{body}\"").as_bytes()).unwrap();
+        let took = started.elapsed();
+        assert_eq!(
+            v.as_str().map(str::len),
+            Some(body.len() - body.len() / unit.len())
+        );
+        assert!(took.as_secs_f64() < 2.0, "1 MB string took {took:?}");
     }
 
     #[test]

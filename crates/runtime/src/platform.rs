@@ -11,7 +11,8 @@
 //! a `Vec<Node>`: one bulk-synchronous iteration is a single batched
 //! [`NodeBank::step_all`] over parallel slices instead of `n` virtual
 //! per-node steps, and per-step MSR decode/store traffic is hoisted into
-//! mirrors refreshed only on control writes. [`JobPlatform::run_iteration_into`]
+//! columns a control write updates in place (the `Node`'s registers are
+//! written back lazily). [`JobPlatform::run_iteration_into`]
 //! fills caller-owned double-buffered [`IterationBuffers`], so the
 //! steady-state loop allocates nothing.
 //!

@@ -10,9 +10,10 @@
 
 use pmstack_kernel::{Imbalance, KernelConfig, KernelLoad, VectorWidth, WaitingFraction};
 use pmstack_runtime::{IterationBuffers, JobPlatform};
+use pmstack_simhw::msr::address;
 use pmstack_simhw::{
     quartz_spec, ClassId, ClassedBank, FaultEvent, FaultKind, FaultPlan, Hertz, HostStep, Joules,
-    Node, NodeClass, NodeId, OperatingPoint, PowerModel, Seconds, Watts,
+    Node, NodeClass, NodeId, OperatingPoint, PowerModel, Seconds, SimHwError, Watts,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -199,6 +200,70 @@ struct ControlWrite {
     host: usize,
     limit: f64,
     cap_ghz: Option<f64>,
+    shape: WriteShape,
+}
+
+/// What else happens around a scheduled limit write, before the next step.
+#[derive(Debug, Clone, Copy)]
+enum WriteShape {
+    Single,
+    /// A second limit write to the same host straight after the first.
+    Twice(f64),
+    /// The limit goes to every host through `set_uniform_limit`.
+    Uniform,
+    /// The platform's `Node`s are inspected right after the write.
+    ThenView,
+}
+
+fn arb_shape() -> impl Strategy<Value = WriteShape> {
+    prop_oneof![
+        Just(WriteShape::Single),
+        (60.0f64..300.0).prop_map(WriteShape::Twice),
+        Just(WriteShape::Uniform),
+        Just(WriteShape::ThenView),
+    ]
+}
+
+/// `JobPlatform::set_uniform_limit` on the per-node reference: dead hosts
+/// are skipped, any other refusal stops the sweep.
+fn reference_uniform_limit(nodes: &mut [Node], limit: Watts) -> Result<(), SimHwError> {
+    for node in nodes {
+        match node.set_power_limit(limit) {
+            Ok(()) | Err(SimHwError::NodeFailed(_)) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// The `Node`s a platform hands out right after a control write — before
+/// any step has run — carry the registers the reference `Node`s were
+/// programmed with directly.
+fn assert_nodes_match(got: &[Node], want: &[Node]) {
+    for (h, (got, want)) in got.iter().zip(want).enumerate() {
+        for (k, (g, w)) in got.packages().iter().zip(want.packages()).enumerate() {
+            assert_eq!(g.limit(), w.limit(), "host {h} package {k} PL1 fields");
+            for addr in [address::PKG_POWER_LIMIT, address::PERF_CTL] {
+                assert_eq!(
+                    g.msrs().read(addr),
+                    w.msrs().read(addr),
+                    "host {h} package {k} MSR {addr:#x}"
+                );
+            }
+        }
+        let bits = |w: Watts| w.value().to_bits();
+        assert_eq!(
+            bits(got.power_limit()),
+            bits(want.power_limit()),
+            "host {h}"
+        );
+        assert_eq!(
+            bits(got.enforced_limit()),
+            bits(want.enforced_limit()),
+            "host {h}"
+        );
+        assert_eq!(got.freq_cap(), want.freq_cap(), "host {h}");
+    }
 }
 
 fn arb_kind() -> impl Strategy<Value = FaultKind> {
@@ -249,6 +314,7 @@ proptest! {
                 0usize..5,
                 120.0f64..260.0,
                 prop_oneof![Just(None), (1.2f64..2.6).prop_map(Some)],
+                arb_shape(),
             ),
             0..4,
         ),
@@ -266,11 +332,12 @@ proptest! {
         );
         let writes: Vec<ControlWrite> = writes
             .iter()
-            .map(|&(at, host, limit, cap_ghz)| ControlWrite {
+            .map(|&(at, host, limit, cap_ghz, shape)| ControlWrite {
                 at,
                 host: host % n,
                 limit,
                 cap_ghz,
+                shape,
             })
             .collect();
 
@@ -295,16 +362,34 @@ proptest! {
             prop_assert_eq!(&observe(&shard_bufs), &expected, "sharded path, iteration {}", iter);
 
             for w in writes.iter().filter(|w| w.at == iter) {
-                let _ = fast.set_host_limit(w.host, Watts(w.limit));
-                let _ = slow.set_host_limit(w.host, Watts(w.limit));
-                let _ = sharded.set_host_limit(w.host, Watts(w.limit));
-                let _ = reference.nodes[w.host].set_power_limit(Watts(w.limit));
+                let limit = Watts(w.limit);
+                let expected = match w.shape {
+                    WriteShape::Uniform => reference_uniform_limit(&mut reference.nodes, limit),
+                    _ => reference.nodes[w.host].set_power_limit(limit),
+                };
+                for p in [&mut fast, &mut slow, &mut sharded] {
+                    let got = match w.shape {
+                        WriteShape::Uniform => p.set_uniform_limit(limit),
+                        _ => p.set_host_limit(w.host, limit),
+                    };
+                    prop_assert_eq!(&got, &expected, "limit write {:?}", w);
+                }
+                if let WriteShape::Twice(second) = w.shape {
+                    let expected = reference.nodes[w.host].set_power_limit(Watts(second));
+                    for p in [&mut fast, &mut slow, &mut sharded] {
+                        prop_assert_eq!(&p.set_host_limit(w.host, Watts(second)), &expected);
+                    }
+                }
                 if let Some(ghz) = w.cap_ghz {
                     let cap = Some(Hertz(ghz * 1e9));
-                    let _ = fast.set_host_freq_cap(w.host, cap);
-                    let _ = slow.set_host_freq_cap(w.host, cap);
-                    let _ = sharded.set_host_freq_cap(w.host, cap);
-                    let _ = reference.nodes[w.host].set_freq_cap(cap);
+                    let expected = reference.nodes[w.host].set_freq_cap(cap);
+                    for p in [&mut fast, &mut slow, &mut sharded] {
+                        prop_assert_eq!(&p.set_host_freq_cap(w.host, cap), &expected);
+                    }
+                }
+                if let WriteShape::ThenView = w.shape {
+                    assert_nodes_match(fast.nodes(), &reference.nodes);
+                    assert_nodes_match(sharded.nodes(), &reference.nodes);
                 }
             }
         }
@@ -316,6 +401,8 @@ proptest! {
         prop_assert_eq!(&fast_energy, &expected_energy);
         prop_assert_eq!(&slow_energy, &expected_energy);
         prop_assert_eq!(&shard_energy, &expected_energy);
+        // Lease return: whatever write-back was still pending lands now.
+        assert_nodes_match(&fast.into_nodes(), &reference.nodes);
     }
 }
 
@@ -466,6 +553,7 @@ proptest! {
                 0usize..5,
                 120.0f64..260.0,
                 prop_oneof![Just(None), (1.2f64..2.6).prop_map(Some)],
+                arb_shape(),
             ),
             0..4,
         ),
@@ -483,11 +571,12 @@ proptest! {
         );
         let writes: Vec<ControlWrite> = writes
             .iter()
-            .map(|&(at, host, limit, cap_ghz)| ControlWrite {
+            .map(|&(at, host, limit, cap_ghz, shape)| ControlWrite {
                 at,
                 host: host % n,
                 limit,
                 cap_ghz,
+                shape,
             })
             .collect();
 
@@ -500,12 +589,30 @@ proptest! {
             prop_assert_eq!(&got, &expected, "classed one-class path, iteration {}", iter);
 
             for w in writes.iter().filter(|w| w.at == iter) {
-                let _ = classed.bank.set_power_limit(w.host, Watts(w.limit));
-                let _ = reference.nodes[w.host].set_power_limit(Watts(w.limit));
+                // The classed bank has no uniform entry point of its own:
+                // a uniform write is the per-host write on every host.
+                let hosts = match w.shape {
+                    WriteShape::Uniform => 0..n,
+                    _ => w.host..w.host + 1,
+                };
+                for h in hosts {
+                    prop_assert_eq!(
+                        classed.bank.set_power_limit(h, Watts(w.limit)),
+                        reference.nodes[h].set_power_limit(Watts(w.limit))
+                    );
+                }
+                if let WriteShape::Twice(second) = w.shape {
+                    prop_assert_eq!(
+                        classed.bank.set_power_limit(w.host, Watts(second)),
+                        reference.nodes[w.host].set_power_limit(Watts(second))
+                    );
+                }
                 if let Some(ghz) = w.cap_ghz {
                     let cap = Some(Hertz(ghz * 1e9));
-                    let _ = classed.bank.set_freq_cap(w.host, cap);
-                    let _ = reference.nodes[w.host].set_freq_cap(cap);
+                    prop_assert_eq!(
+                        classed.bank.set_freq_cap(w.host, cap),
+                        reference.nodes[w.host].set_freq_cap(cap)
+                    );
                 }
             }
         }

@@ -1,19 +1,39 @@
 //! Columnar (struct-of-arrays) hot-path storage for a fleet of [`Node`]s.
 //!
 //! The per-[`Node`] stepping path pays, on every node every iteration, a PL1
-//! register decode (two `HashMap` loads), an energy-counter store (a
-//! `HashMap` insert), and an `exp()` per package. None of that state changes
-//! between control writes, so [`NodeBank`] hoists it into parallel columns:
+//! register decode, an energy-counter store, and an `exp()` per package; the
+//! per-[`Node`] control path pays a register-file lookup, an encode and a
+//! decode per package. A control loop that re-caps every host every interval
+//! makes both of them hot, so [`NodeBank`] owns all of that state in
+//! parallel columns:
 //!
 //! * **hot columns** — energy, enforced limit, last frequency, telemetry
-//!   blackout countdown, MSR glitch flag. These are *authoritative* between
-//!   control operations; the backing `Node`s go stale and are lazily
-//!   re-synchronized by [`NodeBank::nodes`].
-//! * **control mirrors** — enforcement target/τ, programmed limit, frequency
-//!   cap, health, efficiency. Refreshed from the `Node` after every control
-//!   operation, which is routed flush → `Node` method → refresh so the
-//!   `Node` keeps full authority over fault semantics (stuck RAPL, glitch
-//!   consumption, dead-node rejection).
+//!   blackout countdown, MSR glitch flag, and the two control registers the
+//!   runtime reprograms: the raw `MSR_PKG_POWER_LIMIT` value of every
+//!   package (with the enforcement target/τ/enable and the programmed limit
+//!   decoded from it) and the `IA32_PERF_CTL` frequency cap. These are
+//!   *authoritative*: [`NodeBank::set_power_limit`] and
+//!   [`NodeBank::set_freq_cap`] resolve a request entirely in the columns —
+//!   through [`crate::rapl::resolve_pl1_request`] and
+//!   [`crate::node::resolve_freq_cap_request`], the same functions the
+//!   `Node` methods call, so dead-node rejection, glitch consumption,
+//!   stuck-RAPL latching, range clamping and the msr-safe write mask have
+//!   one implementation — and leave the backing `Node` stale.
+//! * **mirrors** — health, efficiency, the stuck-RAPL latch. Only faults and
+//!   sub-domain programming change them; those are routed flush → `Node`
+//!   method → refresh ([`NodeBank::inject`], `with_node`), so the `Node`
+//!   keeps authority over everything that is not a hot column.
+//!
+//! **Lazy write-back.** A stale `Node` is brought up to date — energy
+//! counter, enforcement filter, hot flags, and, when a control write is
+//! pending, the PL1 and `PERF_CTL` registers — by `flush_node`, which every
+//! path that exposes or mutates a `Node` runs first ([`NodeBank::nodes`],
+//! [`NodeBank::node`], [`NodeBank::into_nodes`], the fault/sub-domain
+//! routing). The invariant: *a `Node` view obtained through the bank is
+//! never staler than the last flush*, and a flush happens before any such
+//! view is handed out. `simhw.bank.control_writes` against
+//! `simhw.bank.pl1_writebacks` shows how many register writes the laziness
+//! saved.
 //!
 //! [`NodeBank::step_all`] replays exactly the arithmetic of
 //! [`RaplPackage::advance`] over the columns — same operand values, same
@@ -45,8 +65,13 @@
 
 use crate::error::Result;
 use crate::faults::{FaultKind, NodeHealth};
-use crate::node::Node;
+use crate::msr::{address, check_write};
+use crate::node::{perf_ctl_ratio, resolve_freq_cap_request, Node};
 use crate::power::{LoadModel, OperatingPoint, PowerModel};
+use crate::rapl::{
+    decode_power_limit, enforcement_params_of, resolve_pl1_request, Pl1Gate, RaplUnits,
+    DEFAULT_UNIT_REGISTER,
+};
 use crate::units::{Hertz, Joules, Seconds, Watts};
 use pmstack_obs::StaticCounter;
 
@@ -60,6 +85,12 @@ static SHARD_INVALIDATED: StaticCounter = StaticCounter::new("simhw.bank.shard.i
 /// Observability: segments advanced on the replay path (filter updates
 /// skipped) by [`NodeBank::step_all_partial`].
 static SHARD_REPLAYED: StaticCounter = StaticCounter::new("simhw.bank.shard.replayed");
+/// Observability: limit and frequency-cap requests resolved in the columns.
+/// Published in bulk at the next step or full flush, not per write.
+static CONTROL_WRITES: StaticCounter = StaticCounter::new("simhw.bank.control_writes");
+/// Observability: hosts whose pending control registers (PL1, `PERF_CTL`)
+/// were lazily written back into their `Node`.
+static PL1_WRITEBACKS: StaticCounter = StaticCounter::new("simhw.bank.pl1_writebacks");
 
 /// Default hosts per segment: big enough that per-segment bookkeeping is
 /// noise (one cache probe per 1024 hosts), small enough that a 100k-host
@@ -119,26 +150,42 @@ pub struct NodeBank {
     /// Per-segment settled-state cache, `len == len().div_ceil(segment_hosts)`.
     seg: Vec<SegCache>,
 
-    // Hot columns, per (host, socket): authoritative between control ops.
+    /// Control writes not yet added to `simhw.bank.control_writes`.
+    unpublished_writes: u64,
+    /// Fail-stop dead hosts; zero selects the branch-free energy replay.
+    dead_hosts: usize,
+
+    // Per bank: every package of a bank is the same part behind the same
+    // allowlist (one machine spec per bank, see `from_nodes`).
+    units: RaplUnits,
+    pl1_min: Watts,
+    pl1_max: Watts,
+    pl1_write_mask: u64,
+    perf_ctl_write_mask: u64,
+
+    // Hot columns, per (host, socket): authoritative.
     energy: Vec<Joules>,
     enforced: Vec<Watts>,
-
-    // Control mirrors, per (host, socket): refreshed after control ops.
+    /// Raw `MSR_PKG_POWER_LIMIT`; `target`/`tau`/`enabled` are decoded from
+    /// it on every write.
+    pl1_raw: Vec<u64>,
     target: Vec<Watts>,
     tau: Vec<f64>,
     enabled: Vec<bool>,
-    pkg_max: Vec<Watts>,
 
     // Hot columns, per host.
     last_freq: Vec<Hertz>,
     telemetry_down: Vec<u32>,
     msr_glitch: Vec<bool>,
-
-    // Control mirrors, per host.
-    eps: Vec<f64>,
-    health: Vec<NodeHealth>,
     freq_cap: Vec<Option<Hertz>>,
     programmed: Vec<Watts>,
+    /// The host's `Node` holds older control registers than the columns.
+    writeback_pending: Vec<bool>,
+
+    // Mirrors, per host: refreshed after operations routed through the `Node`.
+    eps: Vec<f64>,
+    health: Vec<NodeHealth>,
+    stuck: Vec<Option<Watts>>,
 }
 
 impl NodeBank {
@@ -150,6 +197,23 @@ impl NodeBank {
             nodes.iter().all(|n| n.packages().len() == sockets),
             "NodeBank requires a homogeneous socket count"
         );
+        let first = nodes.first().and_then(|n| n.packages().first());
+        let units = first.map_or(RaplUnits::decode(DEFAULT_UNIT_REGISTER), |p| p.units());
+        let pl1_min = first.map_or(Watts::ZERO, |p| p.min_limit());
+        let pl1_max = first.map_or(Watts::ZERO, |p| p.max_limit());
+        let write_mask = |addr| first.map_or(0, |p| p.msrs().write_mask(addr));
+        let pl1_write_mask = write_mask(address::PKG_POWER_LIMIT);
+        let perf_ctl_write_mask = write_mask(address::PERF_CTL);
+        debug_assert!(
+            nodes.iter().flat_map(|n| n.packages()).all(|p| {
+                p.units() == units
+                    && p.min_limit() == pl1_min
+                    && p.max_limit() == pl1_max
+                    && p.msrs().write_mask(address::PKG_POWER_LIMIT) == pl1_write_mask
+                    && p.msrs().write_mask(address::PERF_CTL) == perf_ctl_write_mask
+            }),
+            "NodeBank requires one part and one allowlist across its packages"
+        );
         let n = nodes.len();
         let mut bank = Self {
             nodes,
@@ -157,19 +221,28 @@ impl NodeBank {
             hot_synced: true,
             segment_hosts: DEFAULT_SEGMENT_HOSTS,
             seg: vec![SegCache::Invalid; n.div_ceil(DEFAULT_SEGMENT_HOSTS)],
+            unpublished_writes: 0,
+            dead_hosts: 0,
+            units,
+            pl1_min,
+            pl1_max,
+            pl1_write_mask,
+            perf_ctl_write_mask,
             energy: vec![Joules::ZERO; n * sockets],
             enforced: vec![Watts(0.0); n * sockets],
+            pl1_raw: vec![0; n * sockets],
             target: vec![Watts(0.0); n * sockets],
             tau: vec![1.0; n * sockets],
             enabled: vec![true; n * sockets],
-            pkg_max: vec![Watts(0.0); n * sockets],
             last_freq: vec![Hertz(0.0); n],
             telemetry_down: vec![0; n],
             msr_glitch: vec![false; n],
-            eps: vec![1.0; n],
-            health: vec![NodeHealth::Healthy; n],
             freq_cap: vec![None; n],
             programmed: vec![Watts(0.0); n],
+            writeback_pending: vec![false; n],
+            eps: vec![1.0; n],
+            health: vec![NodeHealth::Healthy; n],
+            stuck: vec![None; n],
         };
         for h in 0..n {
             bank.refresh_node(h);
@@ -270,7 +343,7 @@ impl NodeBank {
                 if self.enabled[i] {
                     self.enforced[i]
                 } else {
-                    self.pkg_max[i]
+                    self.pl1_max
                 }
             })
             .sum()
@@ -310,22 +383,80 @@ impl NodeBank {
         self.telemetry_down.iter().all(|&t| t == 0) && self.msr_glitch.iter().all(|&g| !g)
     }
 
-    /// Program a node-level power limit (routed through
-    /// [`Node::set_power_limit`], so stuck-RAPL latching, glitch consumption
-    /// and dead-node rejection behave exactly as on the per-node path).
+    /// Program a node-level power limit in the columns. The request is
+    /// resolved by [`resolve_pl1_request`] — the function
+    /// [`Node::set_power_limit`] calls — against the host's columns, each
+    /// package's raw register column is checked against the msr-safe write
+    /// mask and updated, and the enforcement inputs are re-decoded from it;
+    /// the `Node`'s own register goes stale until the next flush. Like every
+    /// control write this dirties the host's segment, whatever the outcome.
     pub fn set_power_limit(&mut self, h: usize, limit: Watts) -> Result<()> {
-        self.with_node_mut(h, |n| n.set_power_limit(limit))
+        self.unpublished_writes += 1;
+        self.dirty_segment(h);
+        let s = self.sockets;
+        let gate = Pl1Gate {
+            dead: self.health[h] == NodeHealth::Dead,
+            stuck: self.stuck[h],
+            sockets: s,
+            min: self.pl1_min,
+            max: self.pl1_max,
+            units: self.units,
+        };
+        let nodes = &self.nodes;
+        let write = resolve_pl1_request(&gate, &mut self.msr_glitch[h], || nodes[h].id().0, limit)?;
+        let (target, tau) = enforcement_params_of(&write.limit, self.pl1_max);
+        // Packages are written in order, as on the `Node`: one that refuses
+        // the write leaves the ones before it reprogrammed.
+        let outcome = (h * s..(h + 1) * s).try_for_each(|i| {
+            check_write(
+                address::PKG_POWER_LIMIT,
+                self.pl1_write_mask,
+                self.pl1_raw[i],
+                write.raw,
+            )?;
+            self.pl1_raw[i] = write.raw;
+            self.target[i] = target;
+            self.tau[i] = tau;
+            self.enabled[i] = write.limit.enabled;
+            Ok(())
+        });
+        self.programmed[h] = self.programmed_limit(h);
+        self.writeback_pending[h] = true;
+        self.hot_synced = false;
+        outcome
     }
 
-    /// Program or release a frequency cap (routed through
-    /// [`Node::set_freq_cap`]).
+    /// The programmed node-level limit decoded from the raw register column
+    /// (sum over sockets, in [`Node::power_limit`]'s order).
+    fn programmed_limit(&self, h: usize) -> Watts {
+        let s = self.sockets;
+        self.pl1_raw[h * s..(h + 1) * s]
+            .iter()
+            .map(|&raw| decode_power_limit(raw, &self.units).limit)
+            .sum()
+    }
+
+    /// Program or release a frequency cap in the columns, resolved by
+    /// [`resolve_freq_cap_request`] — the function [`Node::set_freq_cap`]
+    /// calls. `PERF_CTL` is only ever written through this path, so its
+    /// current value for the write-mask check follows from the cap column.
     pub fn set_freq_cap(&mut self, h: usize, cap: Option<Hertz>) -> Result<()> {
-        self.with_node_mut(h, |n| n.set_freq_cap(cap))
+        self.unpublished_writes += 1;
+        self.dirty_segment(h);
+        let nodes = &self.nodes;
+        let dead = self.health[h] == NodeHealth::Dead;
+        let raw = resolve_freq_cap_request(dead, || nodes[h].id().0, cap)?;
+        let current = perf_ctl_ratio(self.freq_cap[h]);
+        check_write(address::PERF_CTL, self.perf_ctl_write_mask, current, raw)?;
+        self.freq_cap[h] = cap;
+        self.writeback_pending[h] = true;
+        self.hot_synced = false;
+        Ok(())
     }
 
     /// Apply an injected fault (routed through [`Node::inject`]).
     pub fn inject(&mut self, h: usize, kind: FaultKind) {
-        self.with_node_mut(h, |n| n.inject(kind));
+        self.with_node(h, |n| n.inject(kind));
     }
 
     /// Mark the host suspect. Health is not hot state, so this bypasses the
@@ -401,6 +532,7 @@ impl NodeBank {
     ) -> StepReport {
         let _span = pmstack_obs::span!("simhw.step_all.secs");
         STEP_ALL_CALLS.inc();
+        self.publish_control_writes();
         let n = self.nodes.len();
         assert_eq!(ops.len(), n, "one operating point slot per host");
         assert_eq!(results.len(), n, "one result slot per host");
@@ -528,17 +660,17 @@ impl NodeBank {
     /// iteration (`per_socket_power * dt`, the exact product
     /// [`NodeBank::step_all`] would have added), so `k` calls are
     /// bit-identical to `k` stepped iterations of a settled fleet.
+    ///
+    /// This is the whole per-iteration cost of a fleet in steady state, so a
+    /// fleet with no dead host — the usual case — takes a loop with no
+    /// branch in it; dead hosts select the loop that skips them.
     pub fn replay_energy(&mut self, deltas: &[Joules]) {
-        debug_assert_eq!(deltas.len(), self.nodes.len());
+        assert_eq!(deltas.len(), self.nodes.len(), "one delta per host");
         self.hot_synced = false;
-        let s = self.sockets;
-        for (h, &delta) in deltas.iter().enumerate() {
-            if self.health[h] == NodeHealth::Dead {
-                continue;
-            }
-            for e in &mut self.energy[h * s..(h + 1) * s] {
-                *e += delta;
-            }
+        if self.dead_hosts == 0 {
+            add_per_host(&mut self.energy, deltas, self.sockets);
+        } else {
+            add_per_live_host(&mut self.energy, deltas, &self.health, self.sockets);
         }
     }
 
@@ -562,22 +694,14 @@ impl NodeBank {
         self.nodes
     }
 
-    /// Route a control operation that is *not* mirrored in the columns
-    /// (sub-domain programming) through the backing `Node`. Shares
-    /// [`NodeBank::with_node_mut`]'s flush → op → refresh → dirty routing,
-    /// so fault semantics and cache invalidation stay identical to the
-    /// mirrored control paths.
-    pub(crate) fn with_node<T>(&mut self, h: usize, f: impl FnOnce(&mut Node) -> T) -> T {
-        self.with_node_mut(h, f)
-    }
-
-    /// Route a control operation through the backing `Node`: flush the hot
-    /// columns into it, run the operation, then refresh every mirror. The
-    /// host's segment cache is dirtied — this is the invalidation point for
-    /// every control write and injected fault, and only for those: health
+    /// Route an operation the columns do not resolve themselves (faults,
+    /// sub-domain programming) through the backing `Node`: flush the hot
+    /// columns into it — pending control registers included — run the
+    /// operation, then refresh every column from the result. The host's
+    /// segment cache is dirtied, as by a column control write; health
     /// markings ([`NodeBank::mark_suspect`] / [`NodeBank::mark_healthy`])
     /// bypass this path because health never feeds the stepping arithmetic.
-    fn with_node_mut<T>(&mut self, h: usize, f: impl FnOnce(&mut Node) -> T) -> T {
+    pub(crate) fn with_node<T>(&mut self, h: usize, f: impl FnOnce(&mut Node) -> T) -> T {
         self.flush_node(h);
         let out = f(&mut self.nodes[h]);
         self.refresh_node(h);
@@ -594,31 +718,54 @@ impl NodeBank {
         self.seg[sidx] = SegCache::Invalid;
     }
 
+    fn publish_control_writes(&mut self) {
+        if self.unpublished_writes > 0 {
+            CONTROL_WRITES.add(std::mem::take(&mut self.unpublished_writes));
+        }
+    }
+
     fn flush_all(&mut self) {
+        self.publish_control_writes();
         if self.hot_synced {
             return;
         }
+        let mut written_back = 0;
         for h in 0..self.nodes.len() {
-            self.flush_node(h);
+            written_back += u64::from(self.write_node(h));
         }
+        PL1_WRITEBACKS.add(written_back);
         self.hot_synced = true;
     }
 
     fn flush_node(&mut self, h: usize) {
-        let s = self.sockets;
-        for k in 0..s {
-            let i = h * s + k;
-            let (e, f) = (self.energy[i], self.enforced[i]);
-            self.nodes[h].packages_mut()[k].set_hot_state(e, f);
+        if self.write_node(h) {
+            PL1_WRITEBACKS.inc();
         }
-        let (lf, td, mg) = (
+    }
+
+    /// Bring host `h`'s `Node` up to date with the columns: hot state
+    /// always, the control registers only when a column write is pending
+    /// (the return value says whether one was).
+    fn write_node(&mut self, h: usize) -> bool {
+        let s = self.sockets;
+        let node = &mut self.nodes[h];
+        for (k, pkg) in node.packages_mut().iter_mut().enumerate() {
+            let i = h * s + k;
+            pkg.set_hot_state(self.energy[i], self.enforced[i]);
+        }
+        node.set_hot_flags(
             self.last_freq[h],
             self.telemetry_down[h],
             self.msr_glitch[h],
         );
-        self.nodes[h].set_hot_flags(lf, td, mg);
+        let pending = std::mem::take(&mut self.writeback_pending[h]);
+        if pending {
+            node.restore_control(&self.pl1_raw[h * s..(h + 1) * s], self.freq_cap[h]);
+        }
+        pending
     }
 
+    /// Reload every column of host `h` from its `Node`.
     fn refresh_node(&mut self, h: usize) {
         let s = self.sockets;
         let node = &self.nodes[h];
@@ -627,20 +774,27 @@ impl NodeBank {
             let (e, f) = pkg.hot_state();
             self.energy[i] = e;
             self.enforced[i] = f;
-            let (target, tau) = pkg.enforcement_params();
+            let raw = pkg.pl1_raw();
+            let pl = decode_power_limit(raw, &self.units);
+            let (target, tau) = enforcement_params_of(&pl, self.pl1_max);
+            self.pl1_raw[i] = raw;
             self.target[i] = target;
             self.tau[i] = tau;
-            self.enabled[i] = pkg.limit_enabled();
-            self.pkg_max[i] = pkg.max_limit();
+            self.enabled[i] = pl.enabled;
         }
         let (lf, td, mg) = node.hot_flags();
         self.last_freq[h] = lf;
         self.telemetry_down[h] = td;
         self.msr_glitch[h] = mg;
-        self.eps[h] = node.eps();
-        self.health[h] = node.health();
         self.freq_cap[h] = node.freq_cap();
-        self.programmed[h] = node.power_limit();
+        self.eps[h] = node.eps();
+        self.stuck[h] = node.stuck_limit();
+        let was_dead = self.health[h] == NodeHealth::Dead;
+        self.health[h] = node.health();
+        self.dead_hosts += usize::from(node.is_dead());
+        self.dead_hosts -= usize::from(was_dead);
+        self.writeback_pending[h] = false;
+        self.programmed[h] = self.programmed_limit(h);
     }
 }
 
@@ -856,6 +1010,52 @@ fn replay_span(
     }
 }
 
+/// Add `deltas[h]` to each of host `h`'s `sockets` energy cells, for every
+/// host: [`NodeBank::replay_energy`] with no dead host. The common socket
+/// counts get a fixed-width inner loop.
+fn add_per_host(energy: &mut [Joules], deltas: &[Joules], sockets: usize) {
+    fn fixed<const S: usize>(energy: &mut [Joules], deltas: &[Joules]) {
+        for (cells, &delta) in energy.chunks_exact_mut(S).zip(deltas) {
+            for e in cells {
+                *e += delta;
+            }
+        }
+    }
+    match sockets {
+        0 => {}
+        1 => fixed::<1>(energy, deltas),
+        2 => fixed::<2>(energy, deltas),
+        _ => {
+            for (cells, &delta) in energy.chunks_exact_mut(sockets).zip(deltas) {
+                for e in cells {
+                    *e += delta;
+                }
+            }
+        }
+    }
+}
+
+/// [`add_per_host`], skipping fail-stop dead hosts.
+fn add_per_live_host(
+    energy: &mut [Joules],
+    deltas: &[Joules],
+    health: &[NodeHealth],
+    sockets: usize,
+) {
+    if sockets == 0 {
+        return;
+    }
+    let hosts = energy.chunks_exact_mut(sockets).zip(deltas).zip(health);
+    for ((cells, &delta), &health) in hosts {
+        if health == NodeHealth::Dead {
+            continue;
+        }
+        for e in cells {
+            *e += delta;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1041,6 +1241,104 @@ mod tests {
                 stepped.energy(h).value().to_bits(),
                 "fast-forwarded energy diverged on host {h}"
             );
+        }
+    }
+
+    /// The energy replay takes a fixed-width loop for 1 and 2 sockets, a
+    /// chunked one for any other count, and a skipping one when hosts are
+    /// dead; all of them must add exactly what the plain indexed loop adds.
+    #[test]
+    fn replay_energy_loops_agree_for_every_socket_count_and_dead_set() {
+        let load = FlatLoad { kappa: 2.6 };
+        for sockets in [1usize, 2, 3] {
+            let mut spec = quartz_spec();
+            spec.sockets_per_node = sockets;
+            spec.cores_used_per_node = spec
+                .cores_used_per_node
+                .min(sockets * spec.cores_per_socket);
+            let model = PowerModel::new(spec).unwrap();
+            let nodes: Vec<Node> = (0..37)
+                .map(|i| Node::new(NodeId(i), &model, 0.9 + 0.01 * (i % 13) as f64).unwrap())
+                .collect();
+            for dead in [vec![], vec![5], vec![0, 1, 2, 17, 35, 36]] {
+                let mut bank = NodeBank::from_nodes(nodes.clone());
+                assert_eq!(bank.sockets(), sockets);
+                let n = bank.len();
+                // Give every package its own non-trivial energy first.
+                let ops: Vec<_> = (0..n)
+                    .map(|h| Some(bank.operating_point(h, &model, &load)))
+                    .collect();
+                let mut results = vec![HostStep::Skipped; n];
+                for _ in 0..3 {
+                    bank.step_all(Seconds(0.21), &ops, &mut results, false);
+                }
+                for &h in &dead {
+                    bank.inject(h, FaultKind::NodeDeath);
+                }
+                assert_eq!(bank.dead_hosts, dead.len());
+
+                let deltas: Vec<Joules> = (0..n)
+                    .map(|h| Joules(0.37 + 1.0 / (h + 3) as f64))
+                    .collect();
+                let mut expected = bank.energy.clone();
+                for _ in 0..5 {
+                    bank.replay_energy(&deltas);
+                    for h in (0..n).filter(|h| !dead.contains(h)) {
+                        for k in 0..sockets {
+                            expected[h * sockets + k] += deltas[h];
+                        }
+                    }
+                }
+                let bits =
+                    |col: &[Joules]| col.iter().map(|e| e.value().to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&bank.energy),
+                    bits(&expected),
+                    "{sockets} sockets, dead hosts {dead:?}"
+                );
+            }
+        }
+    }
+
+    /// A lock bit preset through the hardware backdoor makes `msr-safe`
+    /// refuse the limit write. The bank checks its raw-register column, the
+    /// `Node` its device; both refuse the same package with the same error
+    /// and leave the packages before it reprogrammed.
+    #[test]
+    fn locked_pl1_register_refuses_the_write_on_both_sides() {
+        use crate::error::SimHwError;
+        const LOCK: u64 = 1 << 63;
+        for locked in [vec![0], vec![1], vec![0, 1]] {
+            let (_, mut reference) = fleet(2);
+            for &k in &locked {
+                let pkg = &mut reference[1].packages_mut()[k];
+                let raw = pkg.pl1_raw();
+                pkg.msrs_mut()
+                    .hw_store(address::PKG_POWER_LIMIT, raw | LOCK);
+            }
+            let mut bank = NodeBank::from_nodes(reference.clone());
+            for w in [150.0, 190.0] {
+                let got = bank.set_power_limit(1, Watts(w));
+                assert_eq!(got, reference[1].set_power_limit(Watts(w)));
+                assert_eq!(
+                    got,
+                    Err(SimHwError::MsrReadOnlyBits {
+                        address: address::PKG_POWER_LIMIT,
+                        offending: LOCK,
+                    })
+                );
+                assert_eq!(
+                    bank.power_limit(1).value().to_bits(),
+                    reference[1].power_limit().value().to_bits()
+                );
+                let node = bank.node(1);
+                for (got, want) in node.packages().iter().zip(reference[1].packages()) {
+                    assert_eq!(got.pl1_raw(), want.pl1_raw());
+                    assert_eq!(got.limit(), want.limit());
+                }
+            }
+            // The unlocked host next to it still takes writes.
+            bank.set_power_limit(0, Watts(150.0)).unwrap();
         }
     }
 

@@ -6,7 +6,6 @@
 //! against an allowlist, and writes may only touch writable bits.
 
 use crate::error::{Result, SimHwError};
-use std::collections::HashMap;
 
 /// Intel MSR addresses used by the stack (subset relevant to RAPL/p-states).
 pub mod address {
@@ -55,78 +54,164 @@ impl MsrPermission {
     };
 }
 
+/// The default RAPL/p-state allowlist used on the paper's testbed, in slot
+/// order: the registers the control and stepping paths touch come first, so
+/// the linear scan finds them in a compare or two.
+const DEFAULT_ALLOWLIST: [(u32, MsrPermission); 10] = [
+    (address::RAPL_POWER_UNIT, MsrPermission::READ_ONLY),
+    (
+        address::PKG_POWER_LIMIT,
+        MsrPermission {
+            read_mask: u64::MAX,
+            // PL1+PL2 fields, enable/clamp bits and time windows are
+            // writable; the lock bit (63) is not.
+            write_mask: 0x00FF_FFFF_00FF_FFFF,
+        },
+    ),
+    (address::PKG_ENERGY_STATUS, MsrPermission::READ_ONLY),
+    (address::PKG_POWER_INFO, MsrPermission::READ_ONLY),
+    // Sub-domain planes carry a single 24-bit limit field each (limit,
+    // enable, clamp, window); the lock bit (31) is not writable.
+    (
+        address::PP0_POWER_LIMIT,
+        MsrPermission {
+            read_mask: u64::MAX,
+            write_mask: 0x00FF_FFFF,
+        },
+    ),
+    (address::PP0_ENERGY_STATUS, MsrPermission::READ_ONLY),
+    (
+        address::DRAM_POWER_LIMIT,
+        MsrPermission {
+            read_mask: u64::MAX,
+            write_mask: 0x00FF_FFFF,
+        },
+    ),
+    (address::DRAM_ENERGY_STATUS, MsrPermission::READ_ONLY),
+    (address::PERF_STATUS, MsrPermission::READ_ONLY),
+    (address::PERF_CTL, MsrPermission::READ_WRITE),
+];
+
+/// One register of the file: its raw value plus its allowlist entry.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    addr: u32,
+    /// False for a register only the hardware backdoor has stored to: it
+    /// holds a value but stays invisible through the allowlist (`perm` is
+    /// then all-zero and unused).
+    allowed: bool,
+    value: u64,
+    perm: MsrPermission,
+}
+
+impl Slot {
+    fn write_mask(&self) -> u64 {
+        if self.allowed {
+            self.perm.write_mask
+        } else {
+            0
+        }
+    }
+}
+
+/// The msr-safe write rule: a register with no writable bits denies the
+/// write outright, and a write may not *change* bits outside the write mask
+/// (rewriting the current value of a read-only bit is tolerated — this is
+/// how real tooling writes back read-modify-write patterns). A `write_mask`
+/// of zero also stands for "not allowlisted". Shared by [`MsrDevice::write`]
+/// and the columnar bank, which validates against its own raw-register
+/// column instead of the device.
+pub(crate) fn check_write(addr: u32, write_mask: u64, current: u64, value: u64) -> Result<()> {
+    if write_mask == 0 {
+        return Err(SimHwError::MsrNotAllowed {
+            address: addr,
+            write: true,
+        });
+    }
+    let offending = (current ^ value) & !write_mask;
+    if offending != 0 {
+        return Err(SimHwError::MsrReadOnlyBits {
+            address: addr,
+            offending,
+        });
+    }
+    Ok(())
+}
+
 /// A simulated per-package MSR device.
 ///
 /// Registers hold raw `u64` values; semantics (encodings, counters) live in
-/// [`crate::rapl`].
+/// [`crate::rapl`]. The register file is a dense slot table found by linear
+/// scan: a package has about ten registers, so a scan beats hashing the
+/// address, and a fleet of 200 000 packages pays one small allocation each.
 #[derive(Debug, Clone)]
 pub struct MsrDevice {
-    registers: HashMap<u32, u64>,
-    allowlist: HashMap<u32, MsrPermission>,
+    slots: Vec<Slot>,
 }
 
 impl MsrDevice {
     /// An empty device with no allowlisted registers.
     pub fn new() -> Self {
-        Self {
-            registers: HashMap::new(),
-            allowlist: HashMap::new(),
-        }
+        Self { slots: Vec::new() }
     }
 
     /// A device with the default RAPL/p-state allowlist used on the
     /// paper's testbed.
     pub fn with_default_allowlist() -> Self {
-        let mut dev = Self::new();
-        dev.allow(address::RAPL_POWER_UNIT, MsrPermission::READ_ONLY);
-        dev.allow(
-            address::PKG_POWER_LIMIT,
-            MsrPermission {
-                read_mask: u64::MAX,
-                // PL1+PL2 fields, enable/clamp bits and time windows are
-                // writable; the lock bit (63) is not.
-                write_mask: 0x00FF_FFFF_00FF_FFFF,
-            },
-        );
-        dev.allow(address::PKG_ENERGY_STATUS, MsrPermission::READ_ONLY);
-        dev.allow(address::PKG_POWER_INFO, MsrPermission::READ_ONLY);
-        // Sub-domain planes carry a single 24-bit limit field each (limit,
-        // enable, clamp, window); the lock bit (31) is not writable.
-        dev.allow(
-            address::PP0_POWER_LIMIT,
-            MsrPermission {
-                read_mask: u64::MAX,
-                write_mask: 0x00FF_FFFF,
-            },
-        );
-        dev.allow(address::PP0_ENERGY_STATUS, MsrPermission::READ_ONLY);
-        dev.allow(
-            address::DRAM_POWER_LIMIT,
-            MsrPermission {
-                read_mask: u64::MAX,
-                write_mask: 0x00FF_FFFF,
-            },
-        );
-        dev.allow(address::DRAM_ENERGY_STATUS, MsrPermission::READ_ONLY);
-        dev.allow(address::PERF_STATUS, MsrPermission::READ_ONLY);
-        dev.allow(address::PERF_CTL, MsrPermission::READ_WRITE);
-        dev
+        Self {
+            slots: DEFAULT_ALLOWLIST
+                .iter()
+                .map(|&(addr, perm)| Slot {
+                    addr,
+                    allowed: true,
+                    value: 0,
+                    perm,
+                })
+                .collect(),
+        }
+    }
+
+    fn slot(&self, addr: u32) -> Option<&Slot> {
+        self.slots.iter().find(|s| s.addr == addr)
+    }
+
+    /// The slot for `addr`, appended (un-allowlisted, zero) when absent.
+    fn slot_mut(&mut self, addr: u32) -> &mut Slot {
+        let i = match self.slots.iter().position(|s| s.addr == addr) {
+            Some(i) => i,
+            None => {
+                self.slots.push(Slot {
+                    addr,
+                    allowed: false,
+                    value: 0,
+                    perm: MsrPermission {
+                        read_mask: 0,
+                        write_mask: 0,
+                    },
+                });
+                self.slots.len() - 1
+            }
+        };
+        &mut self.slots[i]
     }
 
     /// Add (or replace) an allowlist entry.
     pub fn allow(&mut self, addr: u32, perm: MsrPermission) {
-        self.allowlist.insert(addr, perm);
+        let slot = self.slot_mut(addr);
+        slot.allowed = true;
+        slot.perm = perm;
     }
 
     /// Read an MSR through the allowlist. Unknown or unreadable registers
     /// fault, as with msr-safe.
     pub fn read(&self, addr: u32) -> Result<u64> {
-        let perm = self.allowlist.get(&addr).ok_or(SimHwError::MsrNotAllowed {
-            address: addr,
-            write: false,
-        })?;
-        let raw = self.registers.get(&addr).copied().unwrap_or(0);
-        Ok(raw & perm.read_mask)
+        match self.slot(addr) {
+            Some(slot) if slot.allowed => Ok(slot.value & slot.perm.read_mask),
+            _ => Err(SimHwError::MsrNotAllowed {
+                address: addr,
+                write: false,
+            }),
+        }
     }
 
     /// Write an MSR through the allowlist, enforcing the write mask.
@@ -135,39 +220,33 @@ impl MsrDevice {
     /// writing the current value of a read-only bit is permitted (this is
     /// how real tooling writes back read-modify-write patterns).
     pub fn write(&mut self, addr: u32, value: u64) -> Result<()> {
-        let perm = self.allowlist.get(&addr).ok_or(SimHwError::MsrNotAllowed {
-            address: addr,
-            write: true,
-        })?;
-        if perm.write_mask == 0 {
-            return Err(SimHwError::MsrNotAllowed {
-                address: addr,
-                write: true,
-            });
+        match self.slots.iter_mut().find(|s| s.addr == addr) {
+            Some(slot) => {
+                check_write(addr, slot.write_mask(), slot.value, value)?;
+                slot.value = value;
+                Ok(())
+            }
+            // Not in the file at all, so not allowlisted either.
+            None => check_write(addr, 0, 0, value),
         }
-        let current = self.registers.get(&addr).copied().unwrap_or(0);
-        let changed = current ^ value;
-        let offending = changed & !perm.write_mask;
-        if offending != 0 {
-            return Err(SimHwError::MsrReadOnlyBits {
-                address: addr,
-                offending,
-            });
-        }
-        self.registers.insert(addr, value);
-        Ok(())
+    }
+
+    /// The bits of `addr` writable through the allowlist; zero when the
+    /// register is not allowlisted.
+    pub(crate) fn write_mask(&self, addr: u32) -> u64 {
+        self.slot(addr).map_or(0, Slot::write_mask)
     }
 
     /// Backdoor write used by the *hardware model itself* (e.g. energy
     /// counter updates). Not subject to the allowlist, like silicon updating
     /// its own registers.
     pub(crate) fn hw_store(&mut self, addr: u32, value: u64) {
-        self.registers.insert(addr, value);
+        self.slot_mut(addr).value = value;
     }
 
     /// Backdoor read for the hardware model.
     pub(crate) fn hw_load(&self, addr: u32) -> u64 {
-        self.registers.get(&addr).copied().unwrap_or(0)
+        self.slot(addr).map_or(0, |s| s.value)
     }
 }
 
@@ -230,6 +309,59 @@ mod tests {
         let mut dev = MsrDevice::with_default_allowlist();
         dev.hw_store(address::PKG_ENERGY_STATUS, 42);
         assert_eq!(dev.read(address::PKG_ENERGY_STATUS).unwrap(), 42);
+    }
+
+    #[test]
+    fn custom_allow_on_a_new_address() {
+        let mut dev = MsrDevice::with_default_allowlist();
+        assert!(dev.write(0x1A0, 7).is_err());
+        dev.allow(0x1A0, MsrPermission::READ_WRITE);
+        assert_eq!(dev.read(0x1A0).unwrap(), 0);
+        dev.write(0x1A0, 7).unwrap();
+        assert_eq!(dev.read(0x1A0).unwrap(), 7);
+    }
+
+    #[test]
+    fn allow_replaces_a_permission_and_keeps_the_value() {
+        let mut dev = MsrDevice::with_default_allowlist();
+        dev.write(address::PERF_CTL, 0x1200).unwrap();
+        dev.allow(
+            address::PERF_CTL,
+            MsrPermission {
+                read_mask: 0xFF00,
+                write_mask: 0,
+            },
+        );
+        assert_eq!(dev.read(address::PERF_CTL).unwrap(), 0x1200);
+        assert!(matches!(
+            dev.write(address::PERF_CTL, 0x1300),
+            Err(SimHwError::MsrNotAllowed { write: true, .. })
+        ));
+        dev.allow(address::PERF_CTL, MsrPermission::READ_WRITE);
+        dev.write(address::PERF_CTL, 0x1300).unwrap();
+        assert_eq!(dev.read(address::PERF_CTL).unwrap(), 0x1300);
+    }
+
+    #[test]
+    fn backdoor_store_to_an_unallowlisted_address_stays_hidden() {
+        let mut dev = MsrDevice::with_default_allowlist();
+        dev.hw_store(0xC001, 99);
+        assert_eq!(dev.hw_load(0xC001), 99);
+        assert!(matches!(
+            dev.read(0xC001),
+            Err(SimHwError::MsrNotAllowed {
+                address: 0xC001,
+                write: false
+            })
+        ));
+        assert!(matches!(
+            dev.write(0xC001, 1),
+            Err(SimHwError::MsrNotAllowed {
+                address: 0xC001,
+                write: true
+            })
+        ));
+        assert_eq!(dev.hw_load(0xC001), 99);
     }
 
     #[test]

@@ -5,14 +5,11 @@ use crate::classes::{ClassId, NodeClass};
 use crate::error::{Result, SimHwError};
 use crate::faults::{FaultKind, NodeHealth};
 use crate::power::{LoadModel, PowerModel};
-use crate::rapl::{PowerLimit, RaplDomain, RaplPackage};
+use crate::rapl::{resolve_pl1_request, Pl1Gate, RaplDomain, RaplPackage};
 use crate::units::{Hertz, Joules, Seconds, Watts};
 use pmstack_obs::{EventKind, StaticCounter};
 use serde::{Deserialize, Serialize};
 
-/// Observability: limit writes where the applied per-socket value differed
-/// from the request (range clamp or stuck-RAPL latch).
-static RAPL_CLAMPED: StaticCounter = StaticCounter::new("simhw.rapl.clamped");
 /// Observability: faults fired against nodes (any kind).
 static FAULTS_INJECTED: StaticCounter = StaticCounter::new("simhw.faults.injected");
 
@@ -71,17 +68,18 @@ impl Node {
             )));
         }
         let spec = model.spec();
-        let packages = (0..spec.sockets_per_node)
-            .map(|_| {
-                RaplPackage::new(
-                    spec.tdp_per_socket,
-                    spec.min_rapl_per_socket,
-                    // RAPL allows programming somewhat above TDP; we cap the
-                    // settable range at TDP since the policies never exceed it.
-                    spec.tdp_per_socket,
-                )
-            })
-            .collect::<Result<Vec<_>>>()?;
+        // Sized exactly: a fallible `collect` has no size hint and would
+        // round a two-package node up to a four-package allocation.
+        let mut packages = Vec::with_capacity(spec.sockets_per_node);
+        for _ in 0..spec.sockets_per_node {
+            packages.push(RaplPackage::new(
+                spec.tdp_per_socket,
+                spec.min_rapl_per_socket,
+                // RAPL allows programming somewhat above TDP; we cap the
+                // settable range at TDP since the policies never exceed it.
+                spec.tdp_per_socket,
+            )?);
+        }
         Ok(Self {
             id,
             eps,
@@ -221,6 +219,32 @@ impl Node {
         self.msr_glitch = glitch;
     }
 
+    /// Restore the control registers the columnar bank owns between
+    /// flushes: each package's validated PL1 register value and the
+    /// frequency cap with its `PERF_CTL` ratio (the lazy write-back).
+    pub(crate) fn restore_control(&mut self, pl1_raw: &[u64], freq_cap: Option<Hertz>) {
+        self.freq_cap = freq_cap;
+        let perf_ctl = perf_ctl_ratio(freq_cap);
+        for (pkg, &raw) in self.packages.iter_mut().zip(pl1_raw) {
+            pkg.restore_pl1(raw);
+            pkg.msrs_mut()
+                .hw_store(crate::msr::address::PERF_CTL, perf_ctl);
+        }
+    }
+
+    /// The node-level state a package-limit request is resolved against.
+    fn pl1_gate(&self) -> Pl1Gate {
+        let pkg = &self.packages[0];
+        Pl1Gate {
+            dead: self.health == NodeHealth::Dead,
+            stuck: self.stuck_limit,
+            sockets: self.packages.len(),
+            min: pkg.min_limit(),
+            max: pkg.max_limit(),
+            units: pkg.units(),
+        }
+    }
+
     /// Program a node-level power limit by splitting it evenly across
     /// sockets, clamped into each package's settable range. This is what the
     /// job runtime's platform layer does on the real system.
@@ -229,39 +253,13 @@ impl Node {
     /// pending transient MSR fault is consumed and surfaces as a one-shot
     /// `msr-safe` denial; a stuck-RAPL node *silently* latches the pinned
     /// value instead of the requested one and reports success — exactly the
-    /// failure that makes read-back verification necessary.
+    /// failure that makes read-back verification necessary. All of it is
+    /// decided by [`crate::rapl::resolve_pl1_request`].
     pub fn set_power_limit(&mut self, node_limit: Watts) -> Result<()> {
-        if self.health == NodeHealth::Dead {
-            return Err(SimHwError::NodeFailed(self.id.0));
-        }
-        if std::mem::take(&mut self.msr_glitch) {
-            return Err(SimHwError::MsrNotAllowed {
-                address: crate::msr::address::PKG_POWER_LIMIT,
-                write: true,
-            });
-        }
-        let requested = node_limit;
-        let node_limit = self.stuck_limit.unwrap_or(node_limit);
-        let raw = node_limit / self.packages.len() as f64;
-        let per_socket = raw.clamp(self.packages[0].min_limit(), self.packages[0].max_limit());
-        if pmstack_obs::enabled() && (self.stuck_limit.is_some() || per_socket != raw) {
-            RAPL_CLAMPED.inc();
-            pmstack_obs::event(
-                f64::NAN,
-                EventKind::RaplClamp {
-                    node: self.id.0 as u64,
-                    requested_w: requested.0,
-                    applied_w: (per_socket * self.packages.len() as f64).0,
-                },
-            );
-        }
+        let id = self.id.0;
+        let write = resolve_pl1_request(&self.pl1_gate(), &mut self.msr_glitch, || id, node_limit)?;
         for pkg in &mut self.packages {
-            pkg.set_limit(PowerLimit {
-                limit: per_socket,
-                enabled: true,
-                clamp: true,
-                time_window: Seconds(1.0),
-            })?;
+            pkg.program_pl1(write.raw)?;
         }
         Ok(())
     }
@@ -289,26 +287,15 @@ impl Node {
 
     /// Program a frequency cap through `IA32_PERF_CTL` (the DVFS path used
     /// by frequency-scaling tools like EAR, §VII-B). The ratio field is the
-    /// frequency in 100 MHz units. Pass `None` to release the cap.
+    /// frequency in 100 MHz units. Pass `None` to release the cap. A
+    /// rejected request leaves the cap and the register as they were.
     pub fn set_freq_cap(&mut self, cap: Option<Hertz>) -> Result<()> {
-        if self.health == NodeHealth::Dead {
-            return Err(SimHwError::NodeFailed(self.id.0));
-        }
-        self.freq_cap = cap;
-        let raw = match cap {
-            Some(f) => {
-                if !f.is_valid() || f.value() <= 0.0 {
-                    return Err(SimHwError::InvalidParameter(format!(
-                        "frequency cap must be positive, got {f}"
-                    )));
-                }
-                ((f.value() / 100e6).round() as u64 & 0xFF) << 8
-            }
-            None => 0,
-        };
+        let id = self.id.0;
+        let raw = resolve_freq_cap_request(self.health == NodeHealth::Dead, || id, cap)?;
         for pkg in &mut self.packages {
             pkg.msrs_mut().write(crate::msr::address::PERF_CTL, raw)?;
         }
+        self.freq_cap = cap;
         Ok(())
     }
 
@@ -500,6 +487,35 @@ impl Node {
     }
 }
 
+/// The `IA32_PERF_CTL` value of a frequency cap: the ratio field (bits
+/// 15:8) holds the frequency in 100 MHz units; zero releases the cap.
+pub(crate) fn perf_ctl_ratio(cap: Option<Hertz>) -> u64 {
+    cap.map_or(0, |f| ((f.value() / 100e6).round() as u64 & 0xFF) << 8)
+}
+
+/// Decide what a frequency-cap request writes to `IA32_PERF_CTL`, shared by
+/// [`Node::set_freq_cap`] and the columnar bank: a dead node fails with
+/// [`SimHwError::NodeFailed`], a cap that is not a positive frequency is
+/// rejected, anything else yields the register value (still subject to the
+/// register's write mask). `node` is only called on the error path.
+pub(crate) fn resolve_freq_cap_request(
+    dead: bool,
+    node: impl Fn() -> usize,
+    cap: Option<Hertz>,
+) -> Result<u64> {
+    if dead {
+        return Err(SimHwError::NodeFailed(node()));
+    }
+    if let Some(f) = cap {
+        if !f.is_valid() || f.value() <= 0.0 {
+            return Err(SimHwError::InvalidParameter(format!(
+                "frequency cap must be positive, got {f}"
+            )));
+        }
+    }
+    Ok(perf_ctl_ratio(cap))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,10 +660,31 @@ mod tests {
 
     #[test]
     fn invalid_freq_cap_rejected() {
-        let (model, mut node) = setup();
-        let _ = model;
-        assert!(node.set_freq_cap(Some(Hertz(-1.0))).is_err());
-        assert!(node.set_freq_cap(Some(Hertz(f64::NAN))).is_err());
+        let (_, mut node) = setup();
+        let perf_ctl = |n: &Node| {
+            n.packages()[0]
+                .msrs()
+                .read(crate::msr::address::PERF_CTL)
+                .unwrap()
+        };
+        // A rejected cap latches nothing, whether or not one was in force.
+        for held in [None, Some(Hertz::from_ghz(1.8))] {
+            node.set_freq_cap(held).unwrap();
+            let raw = perf_ctl(&node);
+            for bad in [Hertz(-1.0), Hertz(0.0), Hertz(f64::NAN)] {
+                assert!(node.set_freq_cap(Some(bad)).is_err());
+                assert_eq!(node.freq_cap(), held);
+                assert_eq!(perf_ctl(&node), raw);
+            }
+        }
+
+        let mut bank = crate::bank::NodeBank::from_nodes(vec![node]);
+        for bad in [Hertz(-1.0), Hertz(0.0), Hertz(f64::NAN)] {
+            assert!(bank.set_freq_cap(0, Some(bad)).is_err());
+            assert_eq!(bank.freq_cap(0), Some(Hertz::from_ghz(1.8)));
+            assert_eq!(bank.node(0).freq_cap(), Some(Hertz::from_ghz(1.8)));
+            assert_eq!((perf_ctl(bank.node(0)) >> 8) & 0xFF, 18);
+        }
     }
 
     #[test]

@@ -15,8 +15,11 @@
 use crate::error::{Result, SimHwError};
 use crate::msr::{address, MsrDevice};
 use crate::units::{Joules, Seconds, Watts};
-use pmstack_obs::StaticCounter;
+use pmstack_obs::{EventKind, StaticCounter};
 
+/// Observability: limit writes where the applied per-socket value differed
+/// from the request (range clamp or stuck-RAPL latch).
+static RAPL_CLAMPED: StaticCounter = StaticCounter::new("simhw.rapl.clamped");
 /// Observability: sub-domain energy/enforcement updates (one per advance of
 /// a package with sub-domains enabled; the classed bank's meter columns
 /// count through the same counter).
@@ -106,21 +109,138 @@ pub fn decode_power_limit(raw: u64, units: &RaplUnits) -> PowerLimit {
 }
 
 /// Encode a time window (in time units) as `(E, F)` with value
-/// `(1 + F/4) * 2^E`, picking the closest representable value.
+/// `(1 + F/4) * 2^E`, picking the closest representable value (the lower
+/// one on a tie; `(0, 0)` for anything that is not a finite window above
+/// one unit).
+///
+/// Closed form of a search over all 128 `(E, F)` pairs: the binary exponent
+/// of `units` names `E`, and the mantissa is rounded to the nearest quarter,
+/// which may carry into `(E + 1, 0)`. Every step is exact in `f64`
+/// (power-of-two scaling, differences of values within a factor of two), so
+/// the result equals the search's wherever the search's own arithmetic was
+/// exact — every input below 2^82 time units, pinned by
+/// `time_window_closed_form_matches_the_search`. Past that the search's
+/// error terms all rounded to the same value and it fell back on the
+/// *shortest* window; this saturates at the longest.
 fn encode_time_window(units: f64) -> (u32, u32) {
-    let mut best = (0u32, 0u32);
-    let mut best_err = f64::INFINITY;
-    for e in 0..32u32 {
-        for f in 0..4u32 {
-            let v = (1.0 + f64::from(f) / 4.0) * (1u64 << e) as f64;
-            let err = (v - units).abs();
-            if err < best_err {
-                best_err = err;
-                best = (e, f);
-            }
-        }
+    const LARGEST: f64 = 1.75 * (1u64 << 31) as f64;
+    if !(units > 1.0 && units.is_finite()) {
+        return (0, 0);
     }
-    best
+    if units >= LARGEST {
+        return (31, 3);
+    }
+    // 1 < units < 2^32, so the biased exponent field is 1023..=1054.
+    let e = ((units.to_bits() >> 52) & 0x7FF) as u32 - 1023;
+    let quarters = (units / (1u64 << e) as f64 - 1.0) * 4.0;
+    let f = quarters as u32;
+    let f = if quarters - f64::from(f) > 0.5 {
+        f + 1
+    } else {
+        f
+    };
+    if f == 4 {
+        (e + 1, 0)
+    } else {
+        (e, f)
+    }
+}
+
+/// The node-level state a package-limit request is resolved against: what
+/// [`crate::node::Node`] holds in fields and the columnar
+/// [`crate::bank::NodeBank`] holds in columns.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pl1Gate {
+    /// The node is fail-stop dead.
+    pub dead: bool,
+    /// A stuck-RAPL fault pinned the node-level limit.
+    pub stuck: Option<Watts>,
+    /// Packages the node-level limit is split across.
+    pub sockets: usize,
+    /// Per-package settable range.
+    pub min: Watts,
+    /// Per-package settable range.
+    pub max: Watts,
+    /// The packages' RAPL units.
+    pub units: RaplUnits,
+}
+
+/// What a package-limit request programs into every package of the node.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Pl1Write {
+    /// The `MSR_PKG_POWER_LIMIT` value to write (still subject to the
+    /// register's write mask, see [`crate::msr::check_write`]).
+    pub raw: u64,
+    /// `raw` decoded: the limit, in RAPL units, the package then reports and
+    /// enforces.
+    pub limit: PowerLimit,
+}
+
+/// Decide what a node-level power-limit request programs — the one place
+/// the control path's fault semantics live, shared by
+/// [`crate::node::Node::set_power_limit`] and
+/// [`crate::bank::NodeBank::set_power_limit`]:
+///
+/// * a dead node fails with [`SimHwError::NodeFailed`];
+/// * a pending transient MSR fault is consumed (`glitch` is cleared — the
+///   function's only effect on simulation state) and surfaces as a one-shot
+///   `msr-safe` denial;
+/// * a stuck-RAPL node silently latches its pinned value;
+/// * the per-socket share is clamped into the settable range, recorded as a
+///   `RaplClamp` event whenever the applied value differs from the request;
+/// * the result is quantised to RAPL units by an encode → decode round trip.
+///
+/// `node` names the node for errors and events; it is only called on those
+/// paths, so the bank does not touch its cold `Node` to learn an id.
+pub(crate) fn resolve_pl1_request(
+    gate: &Pl1Gate,
+    glitch: &mut bool,
+    node: impl Fn() -> usize,
+    requested: Watts,
+) -> Result<Pl1Write> {
+    if gate.dead {
+        return Err(SimHwError::NodeFailed(node()));
+    }
+    if std::mem::take(glitch) {
+        return Err(SimHwError::MsrNotAllowed {
+            address: address::PKG_POWER_LIMIT,
+            write: true,
+        });
+    }
+    let share = gate.stuck.unwrap_or(requested) / gate.sockets as f64;
+    let per_socket = share.clamp(gate.min, gate.max);
+    if pmstack_obs::enabled() && (gate.stuck.is_some() || per_socket != share) {
+        RAPL_CLAMPED.inc();
+        pmstack_obs::event(
+            f64::NAN,
+            EventKind::RaplClamp {
+                node: node() as u64,
+                requested_w: requested.0,
+                applied_w: (per_socket * gate.sockets as f64).0,
+            },
+        );
+    }
+    let raw = encode_power_limit(
+        &PowerLimit {
+            limit: per_socket,
+            enabled: true,
+            clamp: true,
+            time_window: Seconds(1.0),
+        },
+        &gate.units,
+    );
+    Ok(Pl1Write {
+        raw,
+        limit: decode_power_limit(raw, &gate.units),
+    })
+}
+
+/// The per-step enforcement inputs `(target, tau)` of a decoded PL1: the
+/// programmed limit when enabled (else the package maximum), and the time
+/// window floored at 1 ms.
+pub(crate) fn enforcement_params_of(pl: &PowerLimit, max_limit: Watts) -> (Watts, f64) {
+    let target = if pl.enabled { pl.limit } else { max_limit };
+    (target, pl.time_window.value().max(1e-3))
 }
 
 /// The RAPL domains modeled by the simulator: the package plane and the
@@ -572,15 +692,24 @@ impl RaplPackage {
     /// window. The columnar [`crate::bank::NodeBank`] caches these between
     /// limit writes instead of re-decoding the MSR every step.
     pub(crate) fn enforcement_params(&self) -> (Watts, f64) {
-        let pl = self.limit();
-        let target = if pl.enabled { pl.limit } else { self.max_limit };
-        (target, pl.time_window.value().max(1e-3))
+        enforcement_params_of(&self.limit(), self.max_limit)
     }
 
-    /// Whether PL1 is currently enabled (drives the disabled-limit fallback
-    /// of [`Self::enforced_limit`]).
-    pub(crate) fn limit_enabled(&self) -> bool {
-        self.limit().enabled
+    /// The raw `MSR_PKG_POWER_LIMIT` value, bypassing the allowlist (the
+    /// columnar bank mirrors it in a column).
+    pub(crate) fn pl1_raw(&self) -> u64 {
+        self.msrs.hw_load(address::PKG_POWER_LIMIT)
+    }
+
+    /// Write a resolved PL1 register value through the allowlist.
+    pub(crate) fn program_pl1(&mut self, raw: u64) -> Result<()> {
+        self.msrs.write(address::PKG_POWER_LIMIT, raw)
+    }
+
+    /// Store a PL1 register value the columnar bank already validated
+    /// against its raw-register column (the lazy write-back).
+    pub(crate) fn restore_pl1(&mut self, raw: u64) {
+        self.msrs.hw_store(address::PKG_POWER_LIMIT, raw);
     }
 
     /// Hot-state snapshot for the columnar bank: exact energy + the
@@ -684,6 +813,73 @@ mod tests {
         assert!(decoded.clamp);
         // Window is quantized to (1+F/4)*2^E time units.
         assert!((decoded.time_window.value() - 1.0).abs() < 0.1);
+    }
+
+    /// The exhaustive search the closed-form `encode_time_window` replaced,
+    /// kept as its reference.
+    fn encode_time_window_search(units: f64) -> (u32, u32) {
+        let mut best = (0u32, 0u32);
+        let mut best_err = f64::INFINITY;
+        for e in 0..32u32 {
+            for f in 0..4u32 {
+                let v = (1.0 + f64::from(f) / 4.0) * (1u64 << e) as f64;
+                let err = (v - units).abs();
+                if err < best_err {
+                    best_err = err;
+                    best = (e, f);
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn time_window_closed_form_matches_the_search() {
+        let next = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let prev = |x: f64| f64::from_bits(x.to_bits() - 1);
+        // Every representable window, ascending.
+        let windows: Vec<f64> = (0..32u32)
+            .flat_map(|e| (0..4u32).map(move |f| (1.0 + f64::from(f) / 4.0) * (1u64 << e) as f64))
+            .collect();
+        assert_eq!(windows.len(), 128);
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            -3.0,
+            1e-9,
+            0.5,
+            f64::MIN_POSITIVE,
+            2f64.powi(32),
+            1e12,
+            prev(2f64.powi(82)),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for (i, &w) in windows.iter().enumerate() {
+            assert_eq!(encode_time_window(w), ((i / 4) as u32, (i % 4) as u32));
+            inputs.extend([w, prev(w), next(w)]);
+            if let Some(&above) = windows.get(i + 1) {
+                // The midpoint is a tie (the lower window wins); one ulp
+                // either side of it is not.
+                let mid = (w + above) / 2.0;
+                inputs.extend([mid, prev(mid), next(mid), w + (above - w) / 3.0]);
+            }
+        }
+        for units in inputs {
+            assert_eq!(
+                encode_time_window(units),
+                encode_time_window_search(units),
+                "window of {units:e} time units"
+            );
+        }
+        // From 2^82 up the search cannot tell its candidates apart (their
+        // distances all round to the same f64) and returns the first one it
+        // tried; the closed form keeps saturating.
+        assert_eq!(encode_time_window_search(f64::MAX), (0, 0));
+        for huge in [2f64.powi(82), 1e200, f64::MAX] {
+            assert_eq!(encode_time_window(huge), (31, 3));
+        }
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! that straddle segment boundaries — while invalidating *only* the
 //! segments the writes actually touch.
 
+use pmstack_simhw::msr::address;
 use pmstack_simhw::power::CoreClass;
 use pmstack_simhw::{
-    quartz_spec, ClassId, ClassedBank, FaultKind, Hertz, HostStep, LoadModel, Node, NodeBank,
-    NodeClass, NodeId, PowerModel, Seconds, Watts,
+    quartz_spec, standard_classes, ClassId, ClassedBank, FaultKind, Hertz, HostStep, LoadModel,
+    Node, NodeBank, NodeClass, NodeId, PowerModel, RaplDomain, Seconds, SimHwError, Watts,
 };
 use proptest::prelude::*;
 
@@ -39,10 +40,15 @@ fn fleet(n: usize) -> (PowerModel, Vec<Node>) {
     (model, nodes)
 }
 
-/// One scheduled disturbance in the lockstep property below.
+/// One scheduled disturbance in the lockstep properties below.
 #[derive(Debug, Clone, Copy)]
 enum Disturb {
     Limit(f64),
+    /// Two limit writes to one host back to back, no step between: the
+    /// second lands on a host whose write-back is still pending.
+    LimitTwice(f64, f64),
+    /// The same limit written to every host.
+    UniformLimit(f64),
     Cap(f64),
     ClearCap,
     Dropout(u32),
@@ -54,6 +60,8 @@ enum Disturb {
 fn disturb_strategy() -> impl Strategy<Value = Disturb> {
     prop_oneof![
         (120.0f64..230.0).prop_map(Disturb::Limit),
+        (120.0f64..230.0, 60.0f64..300.0).prop_map(|(a, b)| Disturb::LimitTwice(a, b)),
+        (120.0f64..230.0).prop_map(Disturb::UniformLimit),
         (1.3f64..2.5).prop_map(Disturb::Cap),
         Just(Disturb::ClearCap),
         (1u32..4).prop_map(Disturb::Dropout),
@@ -63,35 +71,159 @@ fn disturb_strategy() -> impl Strategy<Value = Disturb> {
     ]
 }
 
-fn apply(bank: &mut NodeBank, node: &mut Node, host: usize, d: Disturb) {
+/// The control surface the three fleet representations share, so one
+/// function applies a disturbance to any of them.
+trait Fleet {
+    fn hosts(&self) -> usize;
+    fn limit(&mut self, h: usize, w: Watts) -> Result<(), SimHwError>;
+    fn cap(&mut self, h: usize, cap: Option<Hertz>) -> Result<(), SimHwError>;
+    fn fault(&mut self, h: usize, kind: FaultKind);
+}
+
+impl Fleet for NodeBank {
+    fn hosts(&self) -> usize {
+        self.len()
+    }
+    fn limit(&mut self, h: usize, w: Watts) -> Result<(), SimHwError> {
+        self.set_power_limit(h, w)
+    }
+    fn cap(&mut self, h: usize, cap: Option<Hertz>) -> Result<(), SimHwError> {
+        self.set_freq_cap(h, cap)
+    }
+    fn fault(&mut self, h: usize, kind: FaultKind) {
+        self.inject(h, kind);
+    }
+}
+
+impl Fleet for ClassedBank {
+    fn hosts(&self) -> usize {
+        self.len()
+    }
+    fn limit(&mut self, h: usize, w: Watts) -> Result<(), SimHwError> {
+        self.set_power_limit(h, w)
+    }
+    fn cap(&mut self, h: usize, cap: Option<Hertz>) -> Result<(), SimHwError> {
+        self.set_freq_cap(h, cap)
+    }
+    fn fault(&mut self, h: usize, kind: FaultKind) {
+        self.inject(h, kind);
+    }
+}
+
+/// The per-`Node` reference fleet.
+impl Fleet for Vec<Node> {
+    fn hosts(&self) -> usize {
+        self.len()
+    }
+    fn limit(&mut self, h: usize, w: Watts) -> Result<(), SimHwError> {
+        self[h].set_power_limit(w)
+    }
+    fn cap(&mut self, h: usize, cap: Option<Hertz>) -> Result<(), SimHwError> {
+        self[h].set_freq_cap(cap)
+    }
+    fn fault(&mut self, h: usize, kind: FaultKind) {
+        self[h].inject(kind);
+    }
+}
+
+/// Apply one disturbance; returns the outcome of every control write it
+/// made, which must be the same on every representation.
+fn disturb(fleet: &mut impl Fleet, host: usize, d: Disturb) -> Vec<Result<(), SimHwError>> {
     match d {
-        Disturb::Limit(w) => {
-            let _ = bank.set_power_limit(host, Watts(w));
-            let _ = node.set_power_limit(Watts(w));
+        Disturb::Limit(w) => vec![fleet.limit(host, Watts(w))],
+        Disturb::LimitTwice(a, b) => {
+            vec![fleet.limit(host, Watts(a)), fleet.limit(host, Watts(b))]
         }
-        Disturb::Cap(ghz) => {
-            let _ = bank.set_freq_cap(host, Some(Hertz::from_ghz(ghz)));
-            let _ = node.set_freq_cap(Some(Hertz::from_ghz(ghz)));
-        }
-        Disturb::ClearCap => {
-            let _ = bank.set_freq_cap(host, None);
-            let _ = node.set_freq_cap(None);
-        }
+        Disturb::UniformLimit(w) => (0..fleet.hosts())
+            .map(|h| fleet.limit(h, Watts(w)))
+            .collect(),
+        Disturb::Cap(ghz) => vec![fleet.cap(host, Some(Hertz::from_ghz(ghz)))],
+        Disturb::ClearCap => vec![fleet.cap(host, None)],
         Disturb::Dropout(iterations) => {
-            bank.inject(host, FaultKind::TelemetryDropout { iterations });
-            node.inject(FaultKind::TelemetryDropout { iterations });
+            fleet.fault(host, FaultKind::TelemetryDropout { iterations });
+            vec![]
         }
         Disturb::Glitch => {
-            bank.inject(host, FaultKind::TransientMsrFault);
-            node.inject(FaultKind::TransientMsrFault);
+            fleet.fault(host, FaultKind::TransientMsrFault);
+            vec![]
         }
         Disturb::Stuck(pinned_w) => {
-            bank.inject(host, FaultKind::StuckRapl { pinned_w });
-            node.inject(FaultKind::StuckRapl { pinned_w });
+            fleet.fault(host, FaultKind::StuckRapl { pinned_w });
+            vec![]
         }
         Disturb::Death => {
-            bank.inject(host, FaultKind::NodeDeath);
-            node.inject(FaultKind::NodeDeath);
+            fleet.fault(host, FaultKind::NodeDeath);
+            vec![]
+        }
+    }
+}
+
+/// How a test looks at a bank's backing `Node`s right after a write.
+#[derive(Debug, Clone, Copy)]
+enum View {
+    None,
+    Node,
+    Nodes,
+    IntoNodes,
+}
+
+fn view_strategy() -> impl Strategy<Value = View> {
+    prop_oneof![
+        Just(View::None),
+        Just(View::Node),
+        Just(View::Nodes),
+        Just(View::IntoNodes),
+    ]
+}
+
+/// A `Node` handed out by a bank must be indistinguishable from the
+/// reference `Node` that took the same operations directly: every register
+/// the control path programs, and everything derived from it.
+fn assert_node_matches(got: &Node, want: &Node) {
+    let bits = |w: Watts| w.value().to_bits();
+    for (k, (g, w)) in got.packages().iter().zip(want.packages()).enumerate() {
+        assert_eq!(g.limit(), w.limit(), "package {k} PL1 fields");
+        for addr in [
+            address::PKG_POWER_LIMIT,
+            address::PKG_ENERGY_STATUS,
+            address::PERF_CTL,
+        ] {
+            assert_eq!(
+                g.msrs().read(addr),
+                w.msrs().read(addr),
+                "package {k} MSR {addr:#x}"
+            );
+        }
+        assert_eq!(bits(g.enforced_limit()), bits(w.enforced_limit()));
+    }
+    assert_eq!(bits(got.power_limit()), bits(want.power_limit()));
+    assert_eq!(bits(got.enforced_limit()), bits(want.enforced_limit()));
+    assert_eq!(
+        got.energy().value().to_bits(),
+        want.energy().value().to_bits()
+    );
+    assert_eq!(got.freq_cap(), want.freq_cap());
+    assert_eq!(got.stuck_limit(), want.stuck_limit());
+    assert_eq!(got.health(), want.health());
+    assert_eq!(got.telemetry_down(), want.telemetry_down());
+}
+
+/// Look at `host` (or the whole fleet) through `view` and compare with the
+/// reference. No step has run since the last write, so any control register
+/// the bank still holds only in its columns must be written back first.
+fn assert_view_matches(bank: &mut NodeBank, reference: &[Node], host: usize, view: View) {
+    match view {
+        View::None => {}
+        View::Node => assert_node_matches(bank.node(host), &reference[host]),
+        View::Nodes => {
+            for (got, want) in bank.nodes().iter().zip(reference) {
+                assert_node_matches(got, want);
+            }
+        }
+        View::IntoNodes => {
+            for (got, want) in bank.clone().into_nodes().iter().zip(reference) {
+                assert_node_matches(got, want);
+            }
         }
     }
 }
@@ -102,14 +234,16 @@ proptest! {
     /// Sharded stepping with replay enabled is bit-identical to flat
     /// stepping and to the per-node reference under random control/fault
     /// schedules, for any fleet/segment geometry (segments of 1 host,
-    /// ragged final segments, fleets smaller than one segment).
+    /// ragged final segments, fleets smaller than one segment) — and the
+    /// lazily written-back `Node`s a bank hands out right after a write are
+    /// the reference `Node`s.
     #[test]
     fn sharded_replay_is_bit_identical_to_flat_and_reference(
         n in 1usize..34,
         seg in 1usize..10,
         parallel in (0u8..2).prop_map(|b| b == 1),
         schedule in prop::collection::vec(
-            (0usize..16, 0usize..34, disturb_strategy()),
+            (0usize..16, 0usize..34, disturb_strategy(), view_strategy()),
             0..12,
         ),
     ) {
@@ -124,37 +258,13 @@ proptest! {
         let mut res_flat = vec![HostStep::Skipped; n];
         let mut res_shard = vec![HostStep::Skipped; n];
         for iter in 0..16 {
-            for (at, host, d) in &schedule {
+            for (at, host, d, view) in &schedule {
                 if *at == iter {
                     let host = *host % n;
-                    apply(&mut flat, &mut reference[host], host, *d);
-                    // Same disturbance to the sharded bank; the reference
-                    // node was already updated above.
-                    match *d {
-                        Disturb::Limit(w) => {
-                            let _ = sharded.set_power_limit(host, Watts(w));
-                        }
-                        Disturb::Cap(ghz) => {
-                            let _ = sharded.set_freq_cap(host, Some(Hertz::from_ghz(ghz)));
-                        }
-                        Disturb::ClearCap => {
-                            let _ = sharded.set_freq_cap(host, None);
-                        }
-                        d @ (Disturb::Dropout(_)
-                        | Disturb::Glitch
-                        | Disturb::Stuck(_)
-                        | Disturb::Death) => {
-                            let kind = match d {
-                                Disturb::Dropout(iterations) => {
-                                    FaultKind::TelemetryDropout { iterations }
-                                }
-                                Disturb::Glitch => FaultKind::TransientMsrFault,
-                                Disturb::Stuck(pinned_w) => FaultKind::StuckRapl { pinned_w },
-                                _ => FaultKind::NodeDeath,
-                            };
-                            sharded.inject(host, kind);
-                        }
-                    }
+                    let expected = disturb(&mut reference, host, *d);
+                    prop_assert_eq!(&disturb(&mut flat, host, *d), &expected, "flat: {:?}", d);
+                    prop_assert_eq!(&disturb(&mut sharded, host, *d), &expected, "sharded: {:?}", d);
+                    assert_view_matches(&mut sharded, &reference, host, *view);
                 }
             }
             for (h, op) in ops.iter_mut().enumerate() {
@@ -187,11 +297,20 @@ proptest! {
                     "enforced limit diverged on host {}", h
                 );
                 prop_assert_eq!(
+                    sharded.power_limit(h).value().to_bits(),
+                    reference[h].power_limit().value().to_bits(),
+                    "programmed limit diverged on host {}", h
+                );
+                prop_assert_eq!(
                     sharded.last_freq(h).value().to_bits(),
                     flat.last_freq(h).value().to_bits(),
                     "last_freq diverged on host {}", h
                 );
             }
+        }
+        // Whatever is still pending at the end is written back on teardown.
+        for (got, want) in flat.into_nodes().iter().zip(&reference) {
+            assert_node_matches(got, want);
         }
     }
 }
@@ -234,36 +353,8 @@ proptest! {
             for (at, host, d) in &schedule {
                 if *at == iter {
                     let host = *host % n;
-                    match *d {
-                        Disturb::Limit(w) => {
-                            let _ = homo.set_power_limit(host, Watts(w));
-                            let _ = classed.set_power_limit(host, Watts(w));
-                        }
-                        Disturb::Cap(ghz) => {
-                            let _ = homo.set_freq_cap(host, Some(Hertz::from_ghz(ghz)));
-                            let _ = classed.set_freq_cap(host, Some(Hertz::from_ghz(ghz)));
-                        }
-                        Disturb::ClearCap => {
-                            let _ = homo.set_freq_cap(host, None);
-                            let _ = classed.set_freq_cap(host, None);
-                        }
-                        Disturb::Dropout(iterations) => {
-                            homo.inject(host, FaultKind::TelemetryDropout { iterations });
-                            classed.inject(host, FaultKind::TelemetryDropout { iterations });
-                        }
-                        Disturb::Glitch => {
-                            homo.inject(host, FaultKind::TransientMsrFault);
-                            classed.inject(host, FaultKind::TransientMsrFault);
-                        }
-                        Disturb::Stuck(pinned_w) => {
-                            homo.inject(host, FaultKind::StuckRapl { pinned_w });
-                            classed.inject(host, FaultKind::StuckRapl { pinned_w });
-                        }
-                        Disturb::Death => {
-                            homo.inject(host, FaultKind::NodeDeath);
-                            classed.inject(host, FaultKind::NodeDeath);
-                        }
-                    }
+                    let expected = disturb(&mut homo, host, *d);
+                    prop_assert_eq!(&disturb(&mut classed, host, *d), &expected, "{:?}", d);
                 }
             }
             // Jitter the step width through the supplied dt ladder.
@@ -346,6 +437,146 @@ fn step_once(
             .then(|| bank.operating_point(h, model, load));
     }
     bank.step_all_partial(dt, &ops, &mut results, false)
+}
+
+/// Limit writes against stuck, glitched and dead hosts, in every order
+/// relative to the fault and with or without a step in between: the bank
+/// resolves the write in its columns, the reference on the `Node`, and both
+/// must return the same result and leave the same `Node` behind.
+#[test]
+fn writes_and_faults_commute_like_on_the_node() {
+    #[derive(Clone, Copy)]
+    enum Op {
+        Write(f64),
+        Fault(FaultKind),
+    }
+    let load = FlatLoad { kappa: 2.6 };
+    let dt = Seconds(0.2);
+    let faults = [
+        FaultKind::StuckRapl { pinned_w: 140.0 },
+        FaultKind::TransientMsrFault,
+        FaultKind::NodeDeath,
+        FaultKind::TelemetryDropout { iterations: 2 },
+    ];
+    for fault in faults {
+        let (a, b, f) = (Op::Write(150.0), Op::Write(400.0), Op::Fault(fault));
+        let orders = [
+            [a, b, f],
+            [a, f, b],
+            [f, a, b],
+            [b, a, f],
+            [b, f, a],
+            [f, b, a],
+        ];
+        for order in orders {
+            for step_between in [false, true] {
+                let (model, mut reference) = fleet(3);
+                let mut bank = NodeBank::from_nodes(reference.clone());
+                bank.set_segment_hosts(2);
+                for op in order {
+                    match op {
+                        Op::Write(w) => assert_eq!(
+                            bank.set_power_limit(1, Watts(w)),
+                            reference[1].set_power_limit(Watts(w)),
+                            "write of {w} W around {fault:?}"
+                        ),
+                        Op::Fault(kind) => {
+                            bank.inject(1, kind);
+                            reference[1].inject(kind);
+                        }
+                    }
+                    assert_eq!(
+                        bank.power_limit(1).value().to_bits(),
+                        reference[1].power_limit().value().to_bits()
+                    );
+                    if step_between {
+                        step_once(&mut bank, &model, &load, dt);
+                        for node in reference.iter_mut() {
+                            let _ = node.try_step(&model, &load, dt);
+                        }
+                    }
+                    assert_view_matches(&mut bank, &reference, 1, View::Nodes);
+                }
+            }
+        }
+    }
+}
+
+/// A sub-domain write is routed through the backing `Node`. When the host's
+/// PL1 was just rewritten in the columns, that `Node` must receive the
+/// pending register first — and the PL1 must survive the round trip.
+#[test]
+fn domain_limit_on_a_host_with_pending_pl1_writeback() {
+    let classes = standard_classes();
+    let membership: Vec<ClassId> = (0..6).map(|h| ClassId(h % 3)).collect();
+    let eps: Vec<f64> = (0..6).map(|h| 0.95 + 0.01 * h as f64).collect();
+    let mut bank = ClassedBank::new(classes.clone(), &membership, &eps).unwrap();
+    let mut reference: Vec<Node> = (0..6)
+        .map(|h| {
+            let class = &classes[membership[h].0];
+            Node::with_class(
+                NodeId(h),
+                membership[h],
+                class,
+                bank.models().model(membership[h]),
+                eps[h],
+            )
+            .unwrap()
+        })
+        .collect();
+    let load = FlatLoad { kappa: 2.6 };
+    let dt = Seconds(0.2);
+
+    for (round, h) in [(0usize, 0usize), (1, 4), (2, 2), (3, 0)] {
+        let class = &classes[membership[h].0];
+        let pkg = class.spec.tdp_per_node() * (0.7 + 0.05 * round as f64);
+        let pp0 = pkg * 0.5;
+        // PL1 in the columns, then straight into the Node for the plane.
+        assert_eq!(
+            bank.set_power_limit(h, pkg),
+            reference[h].set_power_limit(pkg)
+        );
+        assert_eq!(
+            bank.set_domain_limit(h, RaplDomain::Pp0, pp0),
+            reference[h].set_domain_limit(RaplDomain::Pp0, pp0)
+        );
+        // And a second PL1 write on top of the refreshed columns.
+        assert_eq!(
+            bank.set_power_limit(h, pkg * 0.9),
+            reference[h].set_power_limit(pkg * 0.9)
+        );
+        assert_eq!(
+            bank.set_domain_limit(h, RaplDomain::Dram, Watts(11.0)),
+            reference[h].set_domain_limit(RaplDomain::Dram, Watts(11.0))
+        );
+        let n = bank.len();
+        let ops: Vec<_> = (0..n)
+            .map(|g| Some(bank.operating_point(g, &load)))
+            .collect();
+        let mut results = vec![HostStep::Skipped; n];
+        bank.step_all_partial(dt, &ops, &mut results, false);
+        for (g, node) in reference.iter_mut().enumerate() {
+            let model = bank.models().model(membership[g]).clone();
+            let _ = node.try_step(&model, &load, dt);
+        }
+        for (g, node) in reference.iter().enumerate() {
+            assert_eq!(
+                bank.power_limit(g).value().to_bits(),
+                node.power_limit().value().to_bits(),
+                "programmed limit on host {g}"
+            );
+            assert_eq!(
+                bank.enforced_limit(g).value().to_bits(),
+                node.enforced_limit().value().to_bits(),
+                "enforced limit on host {g}"
+            );
+            assert_eq!(
+                bank.energy(g).value().to_bits(),
+                node.energy().value().to_bits(),
+                "energy on host {g}"
+            );
+        }
+    }
 }
 
 #[test]
