@@ -86,7 +86,6 @@ static SHARD_INVALIDATED: StaticCounter = StaticCounter::new("simhw.bank.shard.i
 /// skipped) by [`NodeBank::step_all_partial`].
 static SHARD_REPLAYED: StaticCounter = StaticCounter::new("simhw.bank.shard.replayed");
 /// Observability: limit and frequency-cap requests resolved in the columns.
-/// Published in bulk at the next step or full flush, not per write.
 static CONTROL_WRITES: StaticCounter = StaticCounter::new("simhw.bank.control_writes");
 /// Observability: hosts whose pending control registers (PL1, `PERF_CTL`)
 /// were lazily written back into their `Node`.
@@ -150,8 +149,6 @@ pub struct NodeBank {
     /// Per-segment settled-state cache, `len == len().div_ceil(segment_hosts)`.
     seg: Vec<SegCache>,
 
-    /// Control writes not yet added to `simhw.bank.control_writes`.
-    unpublished_writes: u64,
     /// Fail-stop dead hosts; zero selects the branch-free energy replay.
     dead_hosts: usize,
 
@@ -190,10 +187,15 @@ pub struct NodeBank {
 
 impl NodeBank {
     /// Build a bank over `nodes`. All nodes must have the same socket count
-    /// (true of any cluster built from one machine spec).
+    /// and every package the same RAPL units, settable range and write
+    /// masks (true of any cluster built from one machine spec): the bank
+    /// keeps those once, not per host.
+    ///
+    /// # Panics
+    /// If the nodes are not built from one machine spec.
     pub fn from_nodes(nodes: Vec<Node>) -> Self {
         let sockets = nodes.first().map_or(0, |n| n.packages().len());
-        debug_assert!(
+        assert!(
             nodes.iter().all(|n| n.packages().len() == sockets),
             "NodeBank requires a homogeneous socket count"
         );
@@ -204,7 +206,7 @@ impl NodeBank {
         let write_mask = |addr| first.map_or(0, |p| p.msrs().write_mask(addr));
         let pl1_write_mask = write_mask(address::PKG_POWER_LIMIT);
         let perf_ctl_write_mask = write_mask(address::PERF_CTL);
-        debug_assert!(
+        assert!(
             nodes.iter().flat_map(|n| n.packages()).all(|p| {
                 p.units() == units
                     && p.min_limit() == pl1_min
@@ -221,7 +223,6 @@ impl NodeBank {
             hot_synced: true,
             segment_hosts: DEFAULT_SEGMENT_HOSTS,
             seg: vec![SegCache::Invalid; n.div_ceil(DEFAULT_SEGMENT_HOSTS)],
-            unpublished_writes: 0,
             dead_hosts: 0,
             units,
             pl1_min,
@@ -391,8 +392,11 @@ impl NodeBank {
     /// the `Node`'s own register goes stale until the next flush. Like every
     /// control write this dirties the host's segment, whatever the outcome.
     pub fn set_power_limit(&mut self, h: usize, limit: Watts) -> Result<()> {
-        self.unpublished_writes += 1;
+        CONTROL_WRITES.inc();
         self.dirty_segment(h);
+        // Before anything can fail: a refused request may already have
+        // consumed the host's glitch flag, which the `Node` still holds.
+        self.hot_synced = false;
         let s = self.sockets;
         let gate = Pl1Gate {
             dead: self.health[h] == NodeHealth::Dead,
@@ -405,25 +409,28 @@ impl NodeBank {
         let nodes = &self.nodes;
         let write = resolve_pl1_request(&gate, &mut self.msr_glitch[h], || nodes[h].id().0, limit)?;
         let (target, tau) = enforcement_params_of(&write.limit, self.pl1_max);
+        self.writeback_pending[h] = true;
         // Packages are written in order, as on the `Node`: one that refuses
         // the write leaves the ones before it reprogrammed.
-        let outcome = (h * s..(h + 1) * s).try_for_each(|i| {
-            check_write(
+        for i in h * s..(h + 1) * s {
+            if let Err(refused) = check_write(
                 address::PKG_POWER_LIMIT,
                 self.pl1_write_mask,
                 self.pl1_raw[i],
                 write.raw,
-            )?;
+            ) {
+                self.programmed[h] = self.programmed_limit(h);
+                return Err(refused);
+            }
             self.pl1_raw[i] = write.raw;
             self.target[i] = target;
             self.tau[i] = tau;
             self.enabled[i] = write.limit.enabled;
-            Ok(())
-        });
-        self.programmed[h] = self.programmed_limit(h);
-        self.writeback_pending[h] = true;
-        self.hot_synced = false;
-        outcome
+        }
+        // Every package now holds `write.limit`: summed as
+        // [`Node::power_limit`] sums it.
+        self.programmed[h] = (0..s).map(|_| write.limit.limit).sum();
+        Ok(())
     }
 
     /// The programmed node-level limit decoded from the raw register column
@@ -441,7 +448,7 @@ impl NodeBank {
     /// calls. `PERF_CTL` is only ever written through this path, so its
     /// current value for the write-mask check follows from the cap column.
     pub fn set_freq_cap(&mut self, h: usize, cap: Option<Hertz>) -> Result<()> {
-        self.unpublished_writes += 1;
+        CONTROL_WRITES.inc();
         self.dirty_segment(h);
         let nodes = &self.nodes;
         let dead = self.health[h] == NodeHealth::Dead;
@@ -532,7 +539,6 @@ impl NodeBank {
     ) -> StepReport {
         let _span = pmstack_obs::span!("simhw.step_all.secs");
         STEP_ALL_CALLS.inc();
-        self.publish_control_writes();
         let n = self.nodes.len();
         assert_eq!(ops.len(), n, "one operating point slot per host");
         assert_eq!(results.len(), n, "one result slot per host");
@@ -718,14 +724,7 @@ impl NodeBank {
         self.seg[sidx] = SegCache::Invalid;
     }
 
-    fn publish_control_writes(&mut self) {
-        if self.unpublished_writes > 0 {
-            CONTROL_WRITES.add(std::mem::take(&mut self.unpublished_writes));
-        }
-    }
-
     fn flush_all(&mut self) {
-        self.publish_control_writes();
         if self.hot_synced {
             return;
         }
@@ -1340,6 +1339,47 @@ mod tests {
             // The unlocked host next to it still takes writes.
             bank.set_power_limit(0, Watts(150.0)).unwrap();
         }
+    }
+
+    /// A refused write still changes hot state — it consumes the one-shot
+    /// glitch — so the bulk views must not take the "already synced"
+    /// shortcut after it, on a fresh bank or a just-flushed one.
+    #[test]
+    fn refused_write_on_a_synced_bank_reaches_the_node_views() {
+        use crate::error::SimHwError;
+        for flushed_first in [false, true] {
+            let (_, mut reference) = fleet(2);
+            reference[0].inject(FaultKind::TransientMsrFault);
+            let mut bank = NodeBank::from_nodes(reference.clone());
+            if flushed_first {
+                bank.set_power_limit(1, Watts(170.0)).unwrap();
+                reference[1].set_power_limit(Watts(170.0)).unwrap();
+                bank.nodes();
+            }
+            let refused = bank.set_power_limit(0, Watts(180.0));
+            assert!(matches!(refused, Err(SimHwError::MsrNotAllowed { .. })));
+            assert_eq!(refused, reference[0].set_power_limit(Watts(180.0)));
+            for (got, want) in bank.nodes().iter().zip(&reference) {
+                assert_eq!(got.hot_flags(), want.hot_flags());
+            }
+            // The fault was one-shot: the returned node takes the next write.
+            let mut nodes = bank.into_nodes();
+            assert_eq!(nodes[0].hot_flags(), reference[0].hot_flags());
+            assert_eq!(nodes[0].set_power_limit(Watts(180.0)), Ok(()));
+        }
+    }
+
+    /// The settable range is kept once per bank, so a bank over two parts
+    /// would clamp one of them to the other's range: refuse to build it.
+    #[test]
+    #[should_panic(expected = "one part and one allowlist")]
+    fn mixed_parts_do_not_share_a_bank() {
+        let (_, mut nodes) = fleet(1);
+        let mut spec = quartz_spec();
+        spec.tdp_per_socket = spec.tdp_per_socket * 1.5;
+        let other = PowerModel::new(spec).unwrap();
+        nodes.push(Node::new(NodeId(1), &other, 1.0).unwrap());
+        let _ = NodeBank::from_nodes(nodes);
     }
 
     #[test]

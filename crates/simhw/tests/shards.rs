@@ -206,6 +206,17 @@ fn assert_node_matches(got: &Node, want: &Node) {
     assert_eq!(got.stuck_limit(), want.stuck_limit());
     assert_eq!(got.health(), want.health());
     assert_eq!(got.telemetry_down(), want.telemetry_down());
+    assert_eq!(
+        got.current_freq().value().to_bits(),
+        want.current_freq().value().to_bits()
+    );
+    // A pending MSR glitch has no accessor; it shows as the next write being
+    // refused, once. Probe it on copies.
+    assert_eq!(
+        got.clone().set_power_limit(Watts(200.0)),
+        want.clone().set_power_limit(Watts(200.0)),
+        "one-shot MSR glitch"
+    );
 }
 
 /// Look at `host` (or the whole fleet) through `view` and compare with the
