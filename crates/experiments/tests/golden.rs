@@ -2,23 +2,29 @@
 //!
 //! Re-runs the paper-scale grid (2000-node screen, seed 6, 100 nodes/job,
 //! 100 iterations — exactly what `repro grid` runs) and diffs per-cell
-//! time, energy, and EDP against `results/golden_grid.json` at the same
-//! precision the CSV export prints. Any change to the physics, the
+//! time, energy, and EDP against the tracked `tests/golden/grid.json` at the
+//! same precision the CSV export prints. Any change to the physics, the
 //! policies, the placement, or the seeding shows up here as a cell-level
 //! diff; intentional changes re-bless with:
 //!
 //! ```text
 //! GOLDEN_BLESS=1 cargo test -p pmstack-experiments --test golden
 //! ```
+//!
+//! The same grid must also export, byte for byte, the tracked
+//! `results/grid.csv` that EXPERIMENTS.md quotes, so the published table
+//! and the pin cannot drift apart (a bless rewrites it too; `repro all
+//! --out results/` regenerates it together with the figures built on it).
 
+use pmstack_experiments::export::grid_to_csv;
 use pmstack_experiments::grid::{EvaluationGrid, GridParams};
 use pmstack_experiments::Testbed;
 use std::fmt::Write as _;
 
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../results/golden_grid.json"
-);
+#[path = "golden/mod.rs"]
+mod golden;
+
+const RESULTS_CSV: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/grid.csv");
 
 /// Render the grid cells as the golden JSON document. Values are stored
 /// as strings at the CSV export's printed precision so the comparison is
@@ -52,27 +58,6 @@ fn full_scale_grid_matches_golden_file() {
     let tb = Testbed::new(2000, 6);
     let grid = EvaluationGrid::run(&tb, GridParams::default());
     assert_eq!(grid.cells.len(), 90, "6 mixes x 3 budgets x 5 policies");
-    let actual = render(&grid);
-
-    if std::env::var_os("GOLDEN_BLESS").is_some() {
-        std::fs::write(GOLDEN_PATH, &actual).expect("bless golden file");
-        return;
-    }
-    let expected = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("results/golden_grid.json missing; bless with GOLDEN_BLESS=1");
-    if expected != actual {
-        for (line, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
-            assert_eq!(
-                e,
-                a,
-                "golden grid diverged at results/golden_grid.json:{}",
-                line + 1
-            );
-        }
-        panic!(
-            "golden grid line count changed: expected {}, got {}",
-            expected.lines().count(),
-            actual.lines().count()
-        );
-    }
+    golden::check(&golden::path("grid.json"), &render(&grid));
+    golden::check(RESULTS_CSV, &grid_to_csv(&grid));
 }

@@ -2,8 +2,8 @@
 //!
 //! Re-runs `repro hetero` at its default scale (6 hosts/job, 60 ticks,
 //! budget 72% of summed TDP — exactly what the CLI runs) and diffs every
-//! policy row on both fleets against `results/golden_hetero.json` at
-//! fixed printed precision. Any change to the class descriptors, the
+//! policy row on both fleets against the tracked
+//! `tests/golden/hetero.json` at fixed printed precision. Any change to the class descriptors, the
 //! domain split, the balancer, the per-class characterization, or the
 //! policies shows up here as a row-level diff; intentional changes
 //! re-bless with:
@@ -15,10 +15,8 @@
 use pmstack_experiments::hetero::{run_hetero, HeteroParams, HeteroReport};
 use std::fmt::Write as _;
 
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../results/golden_hetero.json"
-);
+#[path = "golden/mod.rs"]
+mod golden;
 
 /// Render the report as the golden JSON document. Values are stored as
 /// strings at fixed precision so the comparison is exact and the
@@ -66,27 +64,5 @@ fn hetero_scenario_matches_golden_file() {
     let report = run_hetero(&HeteroParams::default_scale());
     assert_eq!(report.fleets.len(), 2, "homogeneous + 3-class");
     assert_eq!(report.fleets[1].rows.len(), 5, "one row per policy");
-    let actual = render(&report);
-
-    if std::env::var_os("GOLDEN_BLESS").is_some() {
-        std::fs::write(GOLDEN_PATH, &actual).expect("bless golden file");
-        return;
-    }
-    let expected = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("results/golden_hetero.json missing; bless with GOLDEN_BLESS=1");
-    if expected != actual {
-        for (line, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
-            assert_eq!(
-                e,
-                a,
-                "golden hetero diverged at results/golden_hetero.json:{}",
-                line + 1
-            );
-        }
-        panic!(
-            "golden hetero line count changed: expected {}, got {}",
-            expected.lines().count(),
-            actual.lines().count()
-        );
-    }
+    golden::check(&golden::path("hetero.json"), &render(&report));
 }
