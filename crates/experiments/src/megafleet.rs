@@ -5,9 +5,9 @@
 //!
 //! 1. **full_resolve** — every segment cold: per-host operating-point
 //!    resolve plus full columnar stepping.
-//! 2. **balance** — the [`HierarchicalBalancerAgent`] live on every
-//!    interval, shards aligned with the bank's segments. Its write elision
-//!    lets segments settle while the agent still runs.
+//! 2. **balance** — the [`PowerBalancerAgent`] live on every interval, one
+//!    shard per bank segment. Its write elision lets segments settle while
+//!    the agent still runs.
 //! 3. **steady** — no agent: the whole fleet replays from the
 //!    steady-state cache at the flat ns/host the bank is built for.
 //! 4. **shard_churn** — a control write lands in segment 0 every
@@ -21,7 +21,7 @@
 //! replay fraction; `repro` turns it on for this artifact.
 
 use pmstack_kernel::KernelConfig;
-use pmstack_runtime::{Agent, HierarchicalBalancerAgent, IterationBuffers, JobPlatform};
+use pmstack_runtime::{Agent, IterationBuffers, JobPlatform, PowerBalancerAgent};
 use pmstack_simhw::{quartz_spec, Node, NodeId, PowerModel, Watts};
 use std::time::Instant;
 
@@ -171,9 +171,9 @@ pub fn run_megafleet(params: &MegafleetParams) -> MegafleetReport {
         },
     ));
 
-    // Phase 2: the hierarchical balancer, shards aligned with segments.
+    // Phase 2: the balancer; it shards itself by the platform's segments.
     let budget = Watts(params.budget_per_host_w * params.hosts as f64);
-    let mut agent = HierarchicalBalancerAgent::new(budget).with_shard_hosts(segment_hosts);
+    let mut agent = PowerBalancerAgent::new(budget);
     agent.init(&mut platform);
     phases.push(time_phase(
         "balance",

@@ -12,6 +12,7 @@ use pmstackd::json::{self, Value};
 use pmstackd::{Daemon, DaemonConfig};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::io::BufRead as _;
 use std::sync::Arc;
 
 const APPS: [&str; 5] = ["balanced", "compute", "memory", "wasteful", "imbalanced"];
@@ -220,19 +221,24 @@ fn full_connection_queue_is_refused_inline_with_503() {
     })
     .unwrap();
 
-    // Pin the single worker with a slow stream (long inter-frame sleep).
+    // Pin the single worker with a long stream. Its status line reaching
+    // us proves the worker has taken this connection off the queue (the
+    // read blocks until then, bounded by the socket's read timeout).
     let mut pinned = connect(daemon.addr());
     send(
         &mut pinned,
-        b"GET /stream?frames=10000&interval_ms=5000 HTTP/1.1\r\nHost: t\r\n\r\n",
+        b"GET /stream?frames=10000&interval_ms=20 HTTP/1.1\r\nHost: t\r\n\r\n",
     );
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    let mut status_line = String::new();
+    pinned.read_line(&mut status_line).expect("stream starts");
+    assert!(status_line.starts_with("HTTP/1.1 200"), "{status_line:?}");
 
-    // Fill the one queue slot; this connection just sits there unserved.
-    let _queued = connect(daemon.addr());
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    // The accept loop takes connections one at a time in arrival order:
+    // this one fills the single queue slot and sits there unserved ...
+    let queued = connect(daemon.addr());
 
-    // Overflow: the accept loop must answer 503 itself, without a worker.
+    // ... so the next overflows, and the accept loop must answer 503
+    // itself, without a worker.
     let mut overflow = connect(daemon.addr());
     send(&mut overflow, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
     let resp = read_response(&mut overflow);
@@ -240,7 +246,10 @@ fn full_connection_queue_is_refused_inline_with_503() {
     assert_eq!(resp.header("connection"), Some("close"));
     assert!(resp.body_str().contains("connection queue full"));
 
-    drop(pinned); // unblock the worker's next chunk write
+    // Closing both ends the stream at its next frame and gives the queued
+    // connection an EOF, so shutdown has nothing to wait out.
+    drop(pinned);
+    drop(queued);
     daemon.shutdown();
 }
 

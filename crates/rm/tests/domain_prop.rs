@@ -13,7 +13,7 @@
 //!
 //! which is the containment chain the issue demands at every step.
 
-use pmstack_rm::{DomainGrant, DomainLedger, JobId};
+use pmstack_rm::{DomainLedger, JobId};
 use pmstack_simhw::{RaplDomain, Watts};
 use proptest::prelude::*;
 use std::collections::HashMap;

@@ -35,7 +35,6 @@ use pmstack_simhw::{
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::sync::OnceLock;
 
 /// Observability: iterations served by steady-state replay instead of
 /// stepping — the fast-forward path actually engaging.
@@ -53,22 +52,8 @@ static SETTLED_MISS: StaticCounter = StaticCounter::new("runtime.settled.miss");
 
 /// Jobs with at least this many hosts fan node stepping out across the
 /// work-stealing pool; below it, the spawn overhead dwarfs the per-node
-/// stepping cost. Overridable at process start through the
-/// `PMSTACK_PAR_STEP_THRESHOLD` environment variable.
+/// stepping cost.
 const PAR_STEP_THRESHOLD: usize = 64;
-
-/// The effective parallel-stepping threshold: `PMSTACK_PAR_STEP_THRESHOLD`
-/// when set to a valid count, else [`PAR_STEP_THRESHOLD`]. Read once.
-fn par_step_threshold() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED
-        .get_or_init(|| threshold_from(std::env::var("PMSTACK_PAR_STEP_THRESHOLD").ok().as_deref()))
-}
-
-fn threshold_from(var: Option<&str>) -> usize {
-    var.and_then(|v| v.trim().parse().ok())
-        .unwrap_or(PAR_STEP_THRESHOLD)
-}
 
 /// A cheap, self-contained view of a live fleet for *other threads*: the
 /// serving plane's step loop captures one per tick and publishes it behind
@@ -730,7 +715,7 @@ impl JobPlatform {
         // of re-running the filter arithmetic.
         self.steps.clear();
         self.steps.resize(n, HostStep::Skipped);
-        let parallel = n >= par_step_threshold();
+        let parallel = n >= PAR_STEP_THRESHOLD;
         let report = if self.fast_forward {
             self.bank
                 .step_all_partial(elapsed, &self.ops, &mut self.steps, parallel)
@@ -1027,14 +1012,6 @@ mod tests {
             p.host_operating_point(2),
             Err(SimHwError::UnknownNode(2))
         ));
-    }
-
-    #[test]
-    fn par_threshold_env_parsing() {
-        assert_eq!(threshold_from(None), PAR_STEP_THRESHOLD);
-        assert_eq!(threshold_from(Some("16")), 16);
-        assert_eq!(threshold_from(Some(" 900 ")), 900);
-        assert_eq!(threshold_from(Some("bogus")), PAR_STEP_THRESHOLD);
     }
 
     /// The heart of the tentpole's correctness claim at the platform level:

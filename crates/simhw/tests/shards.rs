@@ -291,7 +291,7 @@ proptest! {
 
             prop_assert_eq!(settled_flat, report.all_settled, "settled flags diverged");
             prop_assert_eq!(&res_flat, &res_shard, "step outcomes diverged");
-            for h in 0..n {
+            for (h, node) in reference.iter().enumerate() {
                 prop_assert_eq!(
                     sharded.energy(h).value().to_bits(),
                     flat.energy(h).value().to_bits(),
@@ -299,17 +299,17 @@ proptest! {
                 );
                 prop_assert_eq!(
                     sharded.energy(h).value().to_bits(),
-                    reference[h].energy().value().to_bits(),
+                    node.energy().value().to_bits(),
                     "energy diverged from reference on host {}", h
                 );
                 prop_assert_eq!(
                     sharded.enforced_limit(h).value().to_bits(),
-                    reference[h].enforced_limit().value().to_bits(),
+                    node.enforced_limit().value().to_bits(),
                     "enforced limit diverged on host {}", h
                 );
                 prop_assert_eq!(
                     sharded.power_limit(h).value().to_bits(),
-                    reference[h].power_limit().value().to_bits(),
+                    node.power_limit().value().to_bits(),
                     "programmed limit diverged on host {}", h
                 );
                 prop_assert_eq!(
