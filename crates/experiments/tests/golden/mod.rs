@@ -7,8 +7,6 @@
 //! moved. Neither is ever skipped. Intentional changes re-bless with
 //! `GOLDEN_BLESS=1 cargo test -p pmstack-experiments --test <suite>`.
 
-use std::path::Path;
-
 /// `tests/golden/<file>` inside this crate.
 pub fn path(file: &str) -> String {
     format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"))
@@ -21,12 +19,12 @@ pub fn check(path: &str, actual: &str) {
         std::fs::write(path, actual).expect("bless golden file");
         return;
     }
-    assert!(
-        Path::new(path).is_file(),
-        "GOLDEN MISSING: {path} is not in this checkout — it must be tracked in git \
-         (bless with GOLDEN_BLESS=1 only for an intended change)"
-    );
-    let expected = std::fs::read_to_string(path).expect("read golden file");
+    let expected = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!(
+            "GOLDEN MISSING: {path} is not in this checkout ({e}) — it must be tracked in \
+             git (bless with GOLDEN_BLESS=1 only for an intended change)"
+        )
+    });
     if expected != actual {
         for (line, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
             assert_eq!(e, a, "GOLDEN DIVERGED at {path}:{}", line + 1);

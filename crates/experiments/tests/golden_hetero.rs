@@ -3,10 +3,10 @@
 //! Re-runs `repro hetero` at its default scale (6 hosts/job, 60 ticks,
 //! budget 72% of summed TDP — exactly what the CLI runs) and diffs every
 //! policy row on both fleets against the tracked
-//! `tests/golden/hetero.json` at fixed printed precision. Any change to the class descriptors, the
-//! domain split, the balancer, the per-class characterization, or the
-//! policies shows up here as a row-level diff; intentional changes
-//! re-bless with:
+//! `tests/golden/hetero.json` at fixed printed precision. Any change to
+//! the class descriptors, the domain split, the balancer, the per-class
+//! characterization, or the policies shows up here as a row-level diff;
+//! intentional changes re-bless with:
 //!
 //! ```text
 //! GOLDEN_BLESS=1 cargo test -p pmstack-experiments --test golden_hetero
