@@ -62,10 +62,10 @@ pub enum EventKind {
         /// Limit actually applied after clamping, in watts.
         applied_w: f64,
     },
-    /// The platform captured a steady-state snapshot for fast-forward
-    /// replay.
+    /// Every segment of a platform became clean: from the next iteration
+    /// the whole fleet fast-forwards instead of stepping.
     FfwdCaptured {
-        /// Number of hosts covered by the captured steady state.
+        /// Number of hosts in the fleet.
         hosts: u64,
     },
     /// The resource manager started a job.

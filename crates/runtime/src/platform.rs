@@ -5,45 +5,86 @@
 //! bulk-synchronous iterations against the RAPL-enforced limits, and exposes
 //! the signals and controls agents operate on.
 //!
-//! # The columnar hot loop
+//! # The columnar hot loop: an iteration costs what changed
 //!
 //! Host state lives in a [`NodeBank`] (struct-of-arrays columns) rather than
 //! a `Vec<Node>`: one bulk-synchronous iteration is a single batched
-//! [`NodeBank::step_all`] over parallel slices instead of `n` virtual
-//! per-node steps, and per-step MSR decode/store traffic is hoisted into
-//! columns a control write updates in place (the `Node`'s registers are
-//! written back lazily). [`JobPlatform::run_iteration_into`]
-//! fills caller-owned double-buffered [`IterationBuffers`], so the
-//! steady-state loop allocates nothing.
+//! [`NodeBank::step_all_partial`] over parallel slices instead of `n`
+//! virtual per-node steps, and per-step MSR decode/store traffic is hoisted
+//! into columns a control write updates in place (the `Node`'s registers are
+//! written back lazily). [`JobPlatform::run_iteration_into`] fills
+//! caller-owned double-buffered [`IterationBuffers`] whose vectors are sized
+//! once and written by index, so the loop allocates nothing after warm-up.
 //!
-//! # Steady-state fast-forward
+//! The bank is sharded into segments, and everything the platform caches is
+//! per segment. One iteration costs O(dirty segments · segment size + clean
+//! segments); the whole fleet fast-forwarding is simply the iteration in
+//! which no segment is dirty. A segment goes through three states:
 //!
-//! When jitter is off and an iteration leaves every enforcement filter at a
-//! bitwise fixed point with no pending fault state, the next iteration is
-//! provably identical except for energy accumulation. The platform captures
-//! that iteration's outcome and per-host energy deltas and *replays* them —
-//! same per-step additions, so results stay bit-identical to stepping — until
-//! a control write, fault event, or workload change invalidates the cache.
+//! * **dirty** — a control write, fault or workload change touched it, or
+//!   its enforcement filters are still moving. Its operating points are
+//!   resolved, the bank steps it, and its slices of the outcome are
+//!   rewritten.
+//! * **settled** — its last step left every filter at a bitwise fixed
+//!   point. The operating point is a pure function of bitwise-unchanged
+//!   inputs, so `ops`/`op_times` are reused and the PCU resolve is skipped.
+//!   This is the cache that also works under jitter.
+//! * **clean** — settled, jitter off, fast-forward on, and the bank will
+//!   replay it at this iteration's `dt` (it re-adds the energy delta its
+//!   settling step recorded; see `simhw::bank`). The bank only arms a replay
+//!   behind a step that repeating would reproduce exactly — filters at their
+//!   fixed point, no host read back `Stale` — so nothing about a clean
+//!   segment's outcome can differ from the previous iteration's.
+//!
+//! **Epoch rule.** Each segment carries an outcome epoch naming the content
+//! of its slices of the six outcome vectors, bumped on every iteration in
+//! which the segment is not clean; each side of the double buffer carries,
+//! per segment, the epoch it was last written at. A segment whose
+//! back-buffer stamp equals its epoch keeps its slices, its
+//! `last_power`/`last_lead` and its cached maximum compute time (the barrier
+//! is a max over S values) untouched; any other segment is rewritten and
+//! stamped. That is the double-buffer hazard handled: after a step the side
+//! that was *not* written still carries the older epoch, so the first clean
+//! iteration rewrites it — same values, no bump — and reuse starts with the
+//! second.
+//!
+//! **Owner rule.** A stamp means nothing outside the platform and sharding
+//! that wrote it, so the buffers also name their owner: a process-unique id
+//! a platform takes at construction and again when it is re-sharded (host
+//! count and sharding are fixed per id). Buffers that are fresh, or come
+//! from another platform, have every stamp cleared, are resized, and are
+//! fully rewritten.
+//!
+//! [`JobPlatform::set_fast_forward`]`(false)` turns the clean state off:
+//! every segment is resolved and stepped every iteration, which is the
+//! reference the determinism suites compare against.
 
 use pmstack_kernel::{KernelConfig, KernelLoad};
 use pmstack_obs::{EventKind, StaticCounter};
 use pmstack_simhw::power::OperatingPoint;
 use pmstack_simhw::{
     FaultPlan, Hertz, HostStep, Joules, Node, NodeBank, NodeHealth, PowerModel, Seconds,
-    SimHwError, StepReport, Watts,
+    SimHwError, Watts,
 };
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Observability: iterations served by steady-state replay instead of
-/// stepping — the fast-forward path actually engaging.
+/// Observability: iterations in which every segment was clean — the whole
+/// fleet fast-forwarding instead of stepping.
 static FFWD_ENGAGED: StaticCounter = StaticCounter::new("runtime.ffwd.engaged");
-/// Observability: steady-state captures armed (jitter off, settled, clean).
+/// Observability: transitions into "every segment clean" (jitter off,
+/// settled, quiescent).
 static FFWD_CAPTURED: StaticCounter = StaticCounter::new("runtime.ffwd.captured");
-/// Observability: invalidations that dropped an armed cache (control write,
-/// fault, or config change while steady/settled state was live).
+/// Observability: invalidations that dropped a live cache (control write,
+/// fault, or config change while any segment was settled).
 static FFWD_INVALIDATED: StaticCounter = StaticCounter::new("runtime.ffwd.invalidated");
+/// Observability: segment-iterations whose outcome slices were kept as they
+/// stood in the back buffer.
+static SEGMENTS_REUSED: StaticCounter = StaticCounter::new("runtime.outcome.segments_reused");
+/// Observability: segment-iterations whose outcome slices were rewritten.
+static SEGMENTS_REWRITTEN: StaticCounter = StaticCounter::new("runtime.outcome.segments_rewritten");
 /// Observability: iterations that reused settled operating points (skipping
 /// the PCU resolve — the cache that works under jitter).
 static SETTLED_HIT: StaticCounter = StaticCounter::new("runtime.settled.hit");
@@ -54,6 +95,15 @@ static SETTLED_MISS: StaticCounter = StaticCounter::new("runtime.settled.miss");
 /// work-stealing pool; below it, the spawn overhead dwarfs the per-node
 /// stepping cost.
 const PAR_STEP_THRESHOLD: usize = 64;
+
+/// Source of the ids that tie [`IterationBuffers`] stamps to their platform.
+/// Zero is never handed out: it marks buffers nobody owns yet.
+static NEXT_PLATFORM_ID: AtomicU64 = AtomicU64::new(1);
+
+fn next_platform_id() -> u64 {
+    // Relaxed: the id publishes nothing, it only has to be unique.
+    NEXT_PLATFORM_ID.fetch_add(1, Ordering::Relaxed)
+}
 
 /// A cheap, self-contained view of a live fleet for *other threads*: the
 /// serving plane's step loop captures one per tick and publishes it behind
@@ -69,7 +119,7 @@ pub struct FleetSnapshot {
     pub segments: usize,
     /// Simulated seconds elapsed.
     pub elapsed_s: f64,
-    /// Whether the whole fleet was on the steady-state replay path.
+    /// Whether every segment of the fleet was clean (fast-forwarding).
     pub steady: bool,
     /// Cumulative fleet energy, joules.
     pub energy_j: f64,
@@ -134,41 +184,37 @@ impl IterationOutcome {
         self.host_alive.iter().any(|&a| !a) || self.host_fresh.iter().any(|&f| !f)
     }
 
-    /// Copy `src` into `self`, reusing every vector's allocation.
-    fn assign_from(&mut self, src: &IterationOutcome) {
-        self.elapsed = src.elapsed;
-        self.host_compute_time.clone_from(&src.host_compute_time);
-        self.host_power.clone_from(&src.host_power);
-        self.host_lead.clone_from(&src.host_lead);
-        self.host_limit.clone_from(&src.host_limit);
-        self.host_alive.clone_from(&src.host_alive);
-        self.host_fresh.clone_from(&src.host_fresh);
-    }
-
-    fn clear(&mut self) {
-        self.elapsed = Seconds::ZERO;
-        self.host_compute_time.clear();
-        self.host_power.clear();
-        self.host_lead.clear();
-        self.host_limit.clear();
-        self.host_alive.clear();
-        self.host_fresh.clear();
+    /// Size every per-host vector to `hosts` entries; the values are
+    /// placeholders the caller overwrites by index.
+    fn resize(&mut self, hosts: usize) {
+        self.host_compute_time.resize(hosts, Seconds::ZERO);
+        self.host_power.resize(hosts, Watts::ZERO);
+        self.host_lead.resize(hosts, Hertz(0.0));
+        self.host_limit.resize(hosts, Watts::ZERO);
+        self.host_alive.resize(hosts, false);
+        self.host_fresh.resize(hosts, false);
     }
 }
 
+/// One side of the double buffer: an outcome and, per segment, the outcome
+/// epoch its slices were last written at (0 = never).
+#[derive(Debug, Default)]
+struct BufferSide {
+    outcome: IterationOutcome,
+    stamps: Vec<u64>,
+}
+
 /// Double-buffered iteration outcomes: [`JobPlatform::run_iteration_into`]
-/// fills the back buffer and swaps, so the hot loop reuses two outcomes'
-/// worth of vectors forever instead of allocating seven per iteration.
+/// writes the back side by index and swaps, so the hot loop reuses two
+/// outcomes' worth of vectors forever instead of allocating seven per
+/// iteration — and leaves alone the slices of segments whose stamp says they
+/// already hold this iteration's values (the module docs have the rule).
 #[derive(Debug, Default)]
 pub struct IterationBuffers {
-    front: IterationOutcome,
-    back: IterationOutcome,
-    /// Steady-state epoch stamps: a nonzero stamp means the buffer holds
-    /// exactly the captured steady outcome of that epoch, so a replay whose
-    /// epoch matches skips the outcome copy entirely — after two replays
-    /// the per-iteration cost is the energy adds plus one swap.
-    front_stamp: u64,
-    back_stamp: u64,
+    front: BufferSide,
+    back: BufferSide,
+    /// Id of the platform whose epochs the stamps count; 0 = nobody's yet.
+    owner: u64,
 }
 
 impl IterationBuffers {
@@ -179,29 +225,62 @@ impl IterationBuffers {
 
     /// The most recently completed iteration's outcome.
     pub fn outcome(&self) -> &IterationOutcome {
-        &self.front
+        &self.front.outcome
     }
 
     /// The outcome before that (the double-buffer's back side). Empty until
     /// two iterations have run.
     pub fn previous(&self) -> &IterationOutcome {
-        &self.back
+        &self.back.outcome
+    }
+
+    /// Make the back side writable by index for platform `owner`: stamps
+    /// another platform (or nobody) wrote are dropped on both sides, and a
+    /// side whose shape is not `hosts` × `segments` is resized with every
+    /// stamp cleared, so nothing foreign is ever taken for current.
+    fn claim(&mut self, owner: u64, hosts: usize, segments: usize) -> &mut BufferSide {
+        if self.owner != owner {
+            self.owner = owner;
+            self.front.stamps.clear();
+            self.back.stamps.clear();
+        }
+        let back = &mut self.back;
+        if back.stamps.len() != segments || back.outcome.host_power.len() != hosts {
+            back.outcome.resize(hosts);
+            back.stamps.clear();
+            back.stamps.resize(segments, 0);
+        }
+        back
     }
 
     fn swap(&mut self) {
         std::mem::swap(&mut self.front, &mut self.back);
-        std::mem::swap(&mut self.front_stamp, &mut self.back_stamp);
     }
 }
 
-/// The captured steady state the fast-forward path replays: one settled
-/// iteration's outcome plus each host's per-package energy delta.
-#[derive(Debug)]
-struct SteadyState {
-    outcome: IterationOutcome,
-    /// Per-host per-package energy of one settled iteration — the exact
-    /// `per_socket_power * dt` product [`NodeBank::step_all`] would add.
-    deltas: Vec<Joules>,
+/// The platform's per-segment cache state (one per bank segment).
+#[derive(Debug, Clone, Copy)]
+struct SegmentState {
+    /// `ops`/`op_times` of the segment's hosts are still exact: its
+    /// enforcement filters sat at a bitwise fixed point after the last step
+    /// and no control write, fault, or workload change has touched it since.
+    /// Segment-local so a control write on one host forces a re-resolve of
+    /// only its segment; also what accelerates *jittered* runs, where no
+    /// segment is ever clean.
+    ops_valid: bool,
+    /// Maximum compute time over the segment's hosts, as last written.
+    time: Seconds,
+    /// Names the content of the segment's outcome slices.
+    epoch: u64,
+}
+
+impl SegmentState {
+    /// Epochs start at 1 so a never-written stamp (0) matches none.
+    const COLD: Self = Self {
+        ops_valid: false,
+        time: Seconds::ZERO,
+        epoch: 1,
+    };
 }
 
 /// A job's hosts bound to its workload.
@@ -224,27 +303,20 @@ pub struct JobPlatform {
     last_power: Vec<Watts>,
     /// Last successfully read per-host lead frequency.
     last_lead: Vec<Hertz>,
-    /// Reusable per-iteration scratch: operating points and step results.
+    /// Per-host operating points, their un-jittered iteration times, and the
+    /// bank's step results; entries of a segment whose `ops_valid` holds are
+    /// carried from iteration to iteration.
     ops: Vec<Option<OperatingPoint>>,
-    steps: Vec<HostStep>,
-    /// Per-host un-jittered iteration time at `ops[h]` (cached alongside).
     op_times: Vec<f64>,
-    /// Per-segment: true while that segment's `ops`/`op_times` from the
-    /// previous iteration are still exact — its enforcement filters sat at a
-    /// bitwise fixed point and no control write, fault, or workload change
-    /// has touched the segment since. The operating point is a pure function
-    /// of bitwise-unchanged inputs, so reusing it skips the PCU resolve
-    /// without changing a single bit. Segment-local so a control write on
-    /// one host forces a re-resolve of only its segment; also what
-    /// accelerates *jittered* runs, where full fast-forward never engages.
-    seg_ops_valid: Vec<bool>,
-    /// Whether the steady-state fast-forward path may engage.
+    steps: Vec<HostStep>,
+    segments: Vec<SegmentState>,
+    /// Whether segments may be clean (the fast-forward path may engage).
     fast_forward: bool,
-    /// The captured steady state, if the fleet is at a bitwise fixed point.
-    steady: Option<SteadyState>,
-    /// Bumped on every steady-state capture; pairs with the buffer stamps to
-    /// skip redundant outcome copies across consecutive replays.
-    steady_epoch: u64,
+    /// Every segment was clean-eligible after the last iteration and nothing
+    /// has been invalidated since: the next iteration steps nothing.
+    steady: bool,
+    /// Ties the stamps in [`IterationBuffers`] to this platform and sharding.
+    id: u64,
     /// Buffers backing the allocating [`Self::run_iteration`] wrapper.
     scratch: IterationBuffers,
 }
@@ -270,13 +342,13 @@ impl JobPlatform {
             iteration: 0,
             last_power: vec![Watts::ZERO; n],
             last_lead: vec![Hertz(0.0); n],
-            ops: Vec::with_capacity(n),
-            steps: Vec::with_capacity(n),
-            op_times: Vec::with_capacity(n),
-            seg_ops_valid: vec![false; segments],
+            ops: vec![None; n],
+            op_times: vec![0.0; n],
+            steps: vec![HostStep::Skipped; n],
+            segments: vec![SegmentState::COLD; segments],
             fast_forward: true,
-            steady: None,
-            steady_epoch: 0,
+            steady: false,
+            id: next_platform_id(),
             scratch: IterationBuffers::new(),
         }
     }
@@ -284,12 +356,13 @@ impl JobPlatform {
     /// Re-shard the backing bank into segments of `hosts` hosts — the
     /// cache-invalidation granularity. Mostly a test hook: small fleets get
     /// multi-segment behavior without needing 100k hosts. Drops every cache
-    /// (the next iteration re-proves settledness).
+    /// (the next iteration re-proves settledness) and takes a new buffer
+    /// id: stamps written under the old sharding name other host ranges.
     pub fn with_segment_hosts(mut self, hosts: usize) -> Self {
         self.bank.set_segment_hosts(hosts);
-        self.seg_ops_valid.clear();
-        self.seg_ops_valid.resize(self.bank.num_segments(), false);
-        self.steady = None;
+        self.segments = vec![SegmentState::COLD; self.bank.num_segments()];
+        self.steady = false;
+        self.id = next_platform_id();
         self
     }
 
@@ -323,44 +396,44 @@ impl JobPlatform {
         self
     }
 
-    /// Drop every steady-state cache: the captured replay outcome and all
-    /// segments' settled operating points. Called on anything that could
-    /// change the next iteration fleet-wide — workload or jitter changes,
-    /// fault-plan swaps. (Suspect/healthy marks are deliberately exempt:
-    /// health marks never enter the operating point or the outcome.)
+    /// Drop every segment's settled operating points. Called on anything
+    /// that could change the next iteration fleet-wide — workload or jitter
+    /// changes, fault-plan swaps. (Suspect/healthy marks are deliberately
+    /// exempt: health marks never enter the operating point or the outcome.)
     fn invalidate_caches(&mut self) {
-        if self.steady.is_some() || self.seg_ops_valid.iter().any(|&v| v) {
+        if self.segments.iter().any(|s| s.ops_valid) {
             FFWD_INVALIDATED.inc();
         }
-        self.steady = None;
-        self.seg_ops_valid.iter_mut().for_each(|v| *v = false);
+        self.steady = false;
+        self.segments.iter_mut().for_each(|s| s.ops_valid = false);
     }
 
-    /// Drop the caches a single-host change actually dirties: the fleet-wide
-    /// replay outcome (it bakes in every host) plus only the touched host's
-    /// segment of settled operating points. The other segments keep their
-    /// caches — the partial-invalidation win that keeps a 100k-host fleet on
-    /// the replay path when one host takes a control write or fault.
+    /// Drop the cache a single-host change actually dirties: the touched
+    /// host's segment of settled operating points (the caller's bank write
+    /// dirties the bank's side). The other segments keep theirs — the
+    /// partial invalidation that keeps a 100k-host fleet replaying when one
+    /// host takes a control write or fault.
     fn invalidate_host_caches(&mut self, host: usize) {
-        let sidx = self.bank.segment_of(host);
-        if self.steady.is_some() || self.seg_ops_valid[sidx] {
+        let seg = &mut self.segments[self.bank.segment_of(host)];
+        if seg.ops_valid {
             FFWD_INVALIDATED.inc();
         }
-        self.steady = None;
-        self.seg_ops_valid[sidx] = false;
+        self.steady = false;
+        seg.ops_valid = false;
     }
 
-    /// Enable or disable the steady-state fast-forward path (on by
-    /// default). With it off, every iteration steps the full columnar loop —
-    /// the reference the determinism suite compares against.
+    /// Enable or disable the fast-forward path (on by default). With it
+    /// off no segment is ever settled or clean: every iteration resolves and
+    /// steps the full columnar loop — the reference the determinism suites
+    /// compare against.
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
     }
 
-    /// True while a captured steady state is armed (the next jitter-free,
-    /// event-free iteration will replay instead of stepping).
+    /// True while fast-forward is on, jitter is off and every segment is
+    /// clean: the next event-free iteration steps nothing.
     pub fn steady_state_active(&self) -> bool {
-        self.fast_forward && self.steady.is_some()
+        self.fast_forward && self.steady
     }
 
     /// Number of hosts.
@@ -392,6 +465,9 @@ impl JobPlatform {
     pub fn set_config(&mut self, config: KernelConfig) {
         self.load = KernelLoad::new(config, self.model.spec());
         self.invalidate_caches();
+        // The one change to the operating points the bank cannot see: the
+        // replay deltas it recorded were taken under the old workload.
+        self.bank.invalidate_segments();
     }
 
     /// Release the nodes back to the caller (lease return).
@@ -478,9 +554,7 @@ impl JobPlatform {
 
     /// Number of hosts still alive.
     pub fn alive_hosts(&self) -> usize {
-        (0..self.bank.len())
-            .filter(|&h| self.bank.is_alive(h))
-            .count()
+        self.bank.alive_count()
     }
 
     /// Mark a host suspect (stale telemetry, transient faults) without
@@ -546,16 +620,9 @@ impl JobPlatform {
     /// Capture a [`FleetSnapshot`] of this platform paired with the most
     /// recent iteration `outcome` it produced.
     pub fn fleet_snapshot(&self, outcome: &IterationOutcome) -> FleetSnapshot {
-        // Before the first iteration the outcome is empty; fall back to the
-        // platform's own liveness scan.
-        let alive = if outcome.host_alive.len() == self.bank.len() {
-            outcome.host_alive.iter().filter(|&&a| a).count()
-        } else {
-            self.alive_hosts()
-        };
         FleetSnapshot {
             hosts: self.bank.len(),
-            alive,
+            alive: self.alive_hosts(),
             segments: self.num_segments(),
             elapsed_s: self.elapsed().value(),
             steady: self.steady_state_active(),
@@ -592,7 +659,9 @@ impl JobPlatform {
     /// accumulates energy for the full elapsed time (waiting hosts poll at
     /// their operating-point power, which is the energy sink the paper's
     /// kernel deliberately models). The result lands in `bufs.outcome()`;
-    /// after the first two iterations the loop is allocation-free.
+    /// after the first two iterations the loop is allocation-free, and a
+    /// clean segment costs a stamp check plus the bank's energy adds (the
+    /// module docs have the rule).
     pub fn run_iteration_into(&mut self, bufs: &mut IterationBuffers) {
         // Fire the fault plan's events scheduled for this iteration before
         // anything computes — a node dying "during" an iteration is modeled
@@ -618,199 +687,163 @@ impl JobPlatform {
         }
         self.iteration += 1;
 
-        // Fast path: the fleet is at a bitwise fixed point and nothing can
-        // perturb this iteration — replay the captured outcome and energy.
-        // A buffer already stamped with this steady epoch holds exactly the
-        // captured outcome, so even the copy is skipped.
-        if self.fast_forward {
-            if let Some(steady) = &self.steady {
-                FFWD_ENGAGED.inc();
-                self.bank.replay_energy(&steady.deltas);
-                if bufs.back_stamp != self.steady_epoch {
-                    bufs.back.assign_from(&steady.outcome);
-                    bufs.back_stamp = self.steady_epoch;
-                }
-                bufs.swap();
-                self.elapsed += bufs.front.elapsed;
-                return;
-            }
-        }
-
         let n = self.bank.len();
-        let segs = self.bank.num_segments();
-        debug_assert_eq!(self.seg_ops_valid.len(), segs);
-        bufs.back_stamp = 0;
-        let back = &mut bufs.back;
-        back.clear();
-        if self.ops.len() != n {
-            self.ops.clear();
-            self.ops.resize(n, None);
-            self.op_times.clear();
-            self.op_times.resize(n, 0.0);
-            self.seg_ops_valid.iter_mut().for_each(|v| *v = false);
+        let segs = self.segments.len();
+        debug_assert_eq!(segs, self.bank.num_segments());
+        let BufferSide {
+            outcome: back,
+            stamps,
+        } = bufs.claim(self.id, n, segs);
+        // With jitter off no draw can move a compute time this iteration.
+        let calm = self.jitter_sigma == 0.0;
+
+        // Compute times, segment by segment, hosts in order — the jitter
+        // draw per live host happens in the same order whichever segments
+        // hit their cache, so the RNG stream is identical on every path.
+        let mut resolved = 0;
+        for (sidx, &stamp) in stamps.iter().enumerate() {
+            let seg = self.segments[sidx];
+            if seg.ops_valid && calm && stamp == seg.epoch {
+                // The slice already holds exactly these times, `seg.time`
+                // their maximum.
+                continue;
+            }
+            // A settled segment's filters sat at a bitwise fixed point last
+            // iteration and nothing touched it since: every input of the
+            // (pure) PCU resolve is bitwise unchanged, so its cached
+            // operating points and base iteration times are exact. Any other
+            // segment is resolved afresh.
+            let range = self.bank.segment_range(sidx);
+            if !seg.ops_valid {
+                for host in range.clone() {
+                    // Dead hosts drop out of the computation: the surviving
+                    // ranks redistribute (we charge no extra time) and the
+                    // dead host contributes nothing to the barrier.
+                    let op = self
+                        .bank
+                        .is_alive(host)
+                        .then(|| self.bank.operating_point(host, &self.model, &self.load));
+                    self.op_times[host] =
+                        op.map_or(0.0, |op| self.load.iteration_time(&op).value());
+                    self.ops[host] = op;
+                }
+            }
+            let mut time = Seconds::ZERO;
+            for host in range {
+                let t = match self.ops[host] {
+                    Some(_) => Seconds(self.op_times[host] * self.draw_jitter()),
+                    None => Seconds::ZERO,
+                };
+                back.host_compute_time[host] = t;
+                time = time.max(t);
+            }
+            resolved += usize::from(!seg.ops_valid);
+            self.segments[sidx].time = time;
         }
-        if self.seg_ops_valid.iter().all(|&v| v) {
+        if resolved == 0 {
             SETTLED_HIT.inc();
         } else {
             SETTLED_MISS.inc();
         }
-        // Resolve (or reuse) operating points segment by segment, hosts in
-        // order — the jitter draw per live host happens in the same order
-        // on both paths, so the RNG stream is identical regardless of which
-        // segments hit their cache.
-        for sidx in 0..segs {
-            let range = self.bank.segment_range(sidx);
-            if self.seg_ops_valid[sidx] {
-                // This segment's enforcement filters sat at a bitwise fixed
-                // point last iteration and nothing touched the segment
-                // since: every input of the (pure) PCU resolve is bitwise
-                // unchanged, so the cached operating points and base
-                // iteration times are exact.
-                for host in range {
-                    if self.ops[host].is_none() {
-                        back.host_compute_time.push(Seconds::ZERO);
-                        continue;
-                    }
-                    let jitter = self.draw_jitter();
-                    back.host_compute_time
-                        .push(Seconds(self.op_times[host] * jitter));
-                }
-            } else {
-                for host in range {
-                    if !self.bank.is_alive(host) {
-                        // Dead hosts drop out of the computation: the
-                        // surviving ranks redistribute (we charge no extra
-                        // time) and the dead host contributes nothing to
-                        // the barrier.
-                        self.ops[host] = None;
-                        self.op_times[host] = 0.0;
-                        back.host_compute_time.push(Seconds::ZERO);
-                        continue;
-                    }
-                    let op = self.bank.operating_point(host, &self.model, &self.load);
-                    let base = self.load.iteration_time(&op).value();
-                    let jitter = self.draw_jitter();
-                    self.ops[host] = Some(op);
-                    self.op_times[host] = base;
-                    back.host_compute_time.push(Seconds(base * jitter));
+        let elapsed = self
+            .segments
+            .iter()
+            .fold(Seconds::ZERO, |max, seg| max.max(seg.time));
+
+        // A segment that is not clean at this `dt` moves to a new epoch (the
+        // epoch rule, module docs); a segment whose stamp then differs is
+        // rewritten. Limits are observed at the iteration's start, before
+        // stepping advances the enforcement filters.
+        let mut clean_segments = 0;
+        for (sidx, (seg, &stamp)) in self.segments.iter_mut().zip(&*stamps).enumerate() {
+            let clean = self.fast_forward
+                && calm
+                && seg.ops_valid
+                && self.bank.segment_replayable(sidx, elapsed);
+            clean_segments += usize::from(clean);
+            seg.epoch += u64::from(!clean);
+            if stamp != seg.epoch {
+                for host in self.bank.segment_range(sidx) {
+                    back.host_limit[host] = self.bank.enforced_limit(host);
                 }
             }
         }
-        let elapsed = back
-            .host_compute_time
-            .iter()
-            .copied()
-            .fold(Seconds::ZERO, Seconds::max);
-
-        // Limits are observed at the iteration's start, before stepping
-        // advances the enforcement filters.
-        back.host_limit
-            .extend((0..n).map(|h| self.bank.enforced_limit(h)));
+        if clean_segments == segs {
+            FFWD_ENGAGED.inc();
+        }
 
         // Advance RAPL state (energy counters + enforcement filters) on
         // every live host through the iteration at its operating-point
         // power in one batched columnar pass; large jobs fan the column
-        // chunks out across the pool. With fast-forward enabled the partial
-        // path lets segments whose caches prove settledness replay instead
-        // of re-running the filter arithmetic.
-        self.steps.clear();
-        self.steps.resize(n, HostStep::Skipped);
+        // chunks out across the pool. With fast-forward on, the bank replays
+        // the segments its caches prove settled instead of re-running their
+        // filter arithmetic.
         let parallel = n >= PAR_STEP_THRESHOLD;
-        let report = if self.fast_forward {
+        if self.fast_forward {
             self.bank
-                .step_all_partial(elapsed, &self.ops, &mut self.steps, parallel)
+                .step_all_partial(elapsed, &self.ops, &mut self.steps, parallel);
         } else {
-            let all_settled = self
-                .bank
+            self.bank
                 .step_all(elapsed, &self.ops, &mut self.steps, parallel);
-            StepReport {
-                all_settled,
-                segments_replayed: 0,
-                segments_stepped: segs,
-            }
-        };
-        let settled = report.all_settled;
+        }
 
-        let mut all_fresh = true;
-        for host in 0..n {
-            match (&self.ops[host], self.steps[host]) {
-                (None, _) => {
-                    back.host_power.push(Watts::ZERO);
-                    back.host_lead.push(Hertz(0.0));
-                    back.host_alive.push(false);
-                    back.host_fresh.push(false);
-                }
-                (Some(op), HostStep::Fresh) => {
-                    self.last_power[host] = op.power;
-                    self.last_lead[host] = op.lead;
-                    back.host_power.push(op.power);
-                    back.host_lead.push(op.lead);
-                    back.host_alive.push(true);
-                    back.host_fresh.push(true);
-                }
-                (Some(_), HostStep::Stale) => {
+        // A segment whose filters are settled yields bit-identical operating
+        // points next iteration — arm its op cache (jitter-compatible). The
+        // fleet is steady when, jitter off, every segment would also replay.
+        let mut steady = self.fast_forward && calm;
+        let mut reused = 0;
+        for (sidx, (seg, stamp)) in self.segments.iter_mut().zip(stamps).enumerate() {
+            seg.ops_valid = self.fast_forward && self.bank.segment_settled(sidx);
+            steady &= self.bank.segment_replayable(sidx, elapsed);
+            if *stamp == seg.epoch {
+                reused += 1;
+                continue;
+            }
+            *stamp = seg.epoch;
+            for host in self.bank.segment_range(sidx) {
+                let (power, lead, alive, fresh) = match (&self.ops[host], self.steps[host]) {
+                    (None, _) => (Watts::ZERO, Hertz(0.0), false, false),
+                    (Some(op), HostStep::Fresh) => {
+                        self.last_power[host] = op.power;
+                        self.last_lead[host] = op.lead;
+                        (op.power, op.lead, true, true)
+                    }
                     // Telemetry out: the hardware advanced underneath, but
                     // the observer only has last-known readings.
-                    all_fresh = false;
-                    back.host_power.push(self.last_power[host]);
-                    back.host_lead.push(self.last_lead[host]);
-                    back.host_alive.push(true);
-                    back.host_fresh.push(false);
-                }
-                (Some(_), HostStep::Skipped) => unreachable!("live host was not stepped"),
+                    (Some(_), HostStep::Stale) => {
+                        (self.last_power[host], self.last_lead[host], true, false)
+                    }
+                    (Some(_), HostStep::Skipped) => unreachable!("live host was not stepped"),
+                };
+                back.host_power[host] = power;
+                back.host_lead[host] = lead;
+                back.host_alive[host] = alive;
+                back.host_fresh[host] = fresh;
             }
+        }
+        // Zero adds are skipped: under jitter nothing is ever reused, in
+        // steady state nothing rewritten, and a sweep's workers would only
+        // bounce the counter's cache line.
+        if reused > 0 {
+            SEGMENTS_REUSED.add(reused);
+        }
+        if reused < segs as u64 {
+            SEGMENTS_REWRITTEN.add(segs as u64 - reused);
         }
         back.elapsed = elapsed;
         self.elapsed += elapsed;
         bufs.swap();
 
-        // A segment whose filters are settled yields bit-identical operating
-        // points next iteration — arm its op cache (jitter-compatible). The
-        // full replay below additionally needs jitter off fleet-wide.
-        for (sidx, valid) in self.seg_ops_valid.iter_mut().enumerate() {
-            *valid = self.fast_forward && self.bank.segment_settled(sidx);
+        if steady && !self.steady {
+            FFWD_CAPTURED.inc();
+            pmstack_obs::event(
+                self.elapsed.value(),
+                EventKind::FfwdCaptured {
+                    hosts: self.bank.len() as u64,
+                },
+            );
         }
-
-        // Capture steady state: with jitter off, every filter at a bitwise
-        // fixed point, no pending one-shot fault state, and clean telemetry,
-        // the next event-free iteration is provably identical except for
-        // energy — which replays as the same per-step product.
-        if self.fast_forward
-            && self.jitter_sigma == 0.0
-            && settled
-            && all_fresh
-            && self.bank.quiescent()
-        {
-            if self.steady.is_none() {
-                let sockets = self.bank.sockets().max(1) as f64;
-                let deltas = self
-                    .ops
-                    .iter()
-                    .map(|op| match op {
-                        Some(op) => op.power / sockets * elapsed,
-                        None => Joules::ZERO,
-                    })
-                    .collect();
-                self.steady = Some(SteadyState {
-                    outcome: bufs.front.clone(),
-                    deltas,
-                });
-                self.steady_epoch += 1;
-                // The front buffer holds exactly the captured outcome, so
-                // stamp it: when it cycles back as the back buffer, the
-                // replay path skips the copy.
-                bufs.front_stamp = self.steady_epoch;
-                FFWD_CAPTURED.inc();
-                pmstack_obs::event(
-                    self.elapsed.value(),
-                    EventKind::FfwdCaptured {
-                        hosts: self.bank.len() as u64,
-                    },
-                );
-            }
-        } else {
-            self.steady = None;
-        }
+        self.steady = steady;
     }
 
     fn draw_jitter(&mut self) -> f64 {
@@ -879,8 +912,8 @@ mod tests {
     #[test]
     fn fleet_snapshot_reflects_live_state() {
         let mut p = platform(3, &[1.0, 1.0, 1.07]);
-        // Pre-iteration: the default outcome is empty, so liveness comes
-        // from the platform's own scan.
+        // Liveness is the bank's own tally, so it is there before the first
+        // iteration has filled an outcome.
         let snap = p.fleet_snapshot(&IterationOutcome::default());
         assert_eq!(snap.hosts, 3);
         assert_eq!(snap.alive, 3);
@@ -1105,5 +1138,55 @@ mod tests {
         p.run_iteration_into(&mut bufs);
         assert_eq!(bufs.previous(), &first);
         assert_eq!(bufs.outcome().host_power.len(), 2);
+    }
+
+    /// Stamps only mean something to the platform and sharding that wrote
+    /// them. Buffers that served platform A and are then handed to a
+    /// same-sized platform B — steady from its first iteration, as a fresh
+    /// platform is — or that stay with a platform across a re-shard, must be
+    /// rewritten, not trusted: every iteration equals the one the same
+    /// platform produces into buffers of its own.
+    #[test]
+    fn buffers_moved_between_platforms_are_rewritten() {
+        let a_eps = [0.95, 0.95, 0.95];
+        let b_eps = [1.07, 1.07, 1.07];
+        let mut bufs = IterationBuffers::new();
+        let mut a = platform(3, &a_eps);
+        for _ in 0..4 {
+            a.run_iteration_into(&mut bufs);
+        }
+        assert!(a.steady_state_active());
+
+        let mut b = platform(3, &b_eps);
+        let mut b_twin = platform(3, &b_eps);
+        let mut own = IterationBuffers::new();
+        for iter in 0..4 {
+            b.run_iteration_into(&mut bufs);
+            b_twin.run_iteration_into(&mut own);
+            assert_eq!(bufs.outcome(), own.outcome(), "iteration {iter}");
+        }
+        assert_ne!(bufs.outcome().host_power, a.run_iteration().host_power);
+
+        // 3 hosts as 1+1+1 and as 2+1: the same buffers across the re-shard.
+        let mut c = platform(3, &[0.95, 1.0, 1.07]).with_segment_hosts(1);
+        let mut c_twin = platform(3, &[0.95, 1.0, 1.07]).with_segment_hosts(1);
+        for _ in 0..4 {
+            c.run_iteration_into(&mut bufs);
+            c_twin.run_iteration_into(&mut own);
+        }
+        c.set_host_limit(2, Watts(150.0)).unwrap();
+        c_twin.set_host_limit(2, Watts(150.0)).unwrap();
+        let mut c = c.with_segment_hosts(2);
+        let mut c_twin = c_twin.with_segment_hosts(2);
+        let mut own = IterationBuffers::new();
+        for iter in 0..4 {
+            c.run_iteration_into(&mut bufs);
+            c_twin.run_iteration_into(&mut own);
+            assert_eq!(
+                bufs.outcome(),
+                own.outcome(),
+                "re-sharded, iteration {iter}"
+            );
+        }
     }
 }

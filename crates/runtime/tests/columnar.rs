@@ -9,7 +9,7 @@
 //! seeds, and limit/cap schedules.
 
 use pmstack_kernel::{Imbalance, KernelConfig, KernelLoad, VectorWidth, WaitingFraction};
-use pmstack_runtime::{IterationBuffers, JobPlatform};
+use pmstack_runtime::{IterationBuffers, IterationOutcome, JobPlatform};
 use pmstack_simhw::msr::address;
 use pmstack_simhw::{
     quartz_spec, ClassId, ClassedBank, FaultEvent, FaultKind, FaultPlan, Hertz, HostStep, Joules,
@@ -155,7 +155,10 @@ impl Reference {
 }
 
 fn observe(bufs: &IterationBuffers) -> Observed {
-    let o = bufs.outcome();
+    observe_outcome(bufs.outcome())
+}
+
+fn observe_outcome(o: &IterationOutcome) -> Observed {
     Observed {
         elapsed: o.elapsed.value().to_bits(),
         compute: o
@@ -410,6 +413,130 @@ proptest! {
         prop_assert_eq!(&shard_energy, &expected_energy);
         // Lease return: whatever write-back was still pending lands now.
         assert_nodes_match(&fast.into_nodes(), &reference.nodes);
+    }
+}
+
+/// One scheduled event of the slice-reuse property below.
+#[derive(Debug, Clone, Copy)]
+enum Churn {
+    Limit(f64),
+    Cap(Option<f64>),
+    UniformLimit(f64),
+    Death,
+    Dropout(u32),
+    Config(f64),
+    /// Both platforms continue into `IterationBuffers::new()`.
+    FreshBuffers,
+    /// Both platforms continue into buffers that last served another
+    /// platform of the same size.
+    ForeignBuffers,
+}
+
+fn arb_churn() -> impl Strategy<Value = Churn> {
+    prop_oneof![
+        (120.0f64..260.0).prop_map(Churn::Limit),
+        prop_oneof![Just(None), (1.2f64..2.6).prop_map(Some)].prop_map(Churn::Cap),
+        (120.0f64..260.0).prop_map(Churn::UniformLimit),
+        Just(Churn::Death),
+        (1u32..4).prop_map(Churn::Dropout),
+        (0.5f64..24.0).prop_map(Churn::Config),
+        Just(Churn::FreshBuffers),
+        Just(Churn::ForeignBuffers),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The hazard segment-granular outcomes create: a segment's slices of
+    /// the double buffer are left alone while its stamp says they are
+    /// current, so a wrong stamp serves an old iteration's values. Over
+    /// 4-host segments and random single-host writes, uniform writes,
+    /// deaths, telemetry dropouts that end mid-run, workload changes and
+    /// buffers swapped for fresh or another platform's, `outcome()` and
+    /// `previous()` must
+    /// equal — field for field, after every iteration — those of a twin
+    /// that steps everything, and per-host energy must be bit-identical.
+    /// Under jitter nothing may be reused and the RNG stream must not move;
+    /// the same comparison shows both.
+    #[test]
+    fn reused_outcome_slices_match_the_stepping_twin(
+        eps in prop::collection::vec(0.92f64..1.08, 1..14),
+        sigma in prop_oneof![Just(0.0), Just(0.0), 0.002f64..0.02],
+        seed in 0u64..u64::MAX,
+        schedule in prop::collection::vec((0u64..48, 0usize..14, arb_churn()), 0..10),
+    ) {
+        let n = eps.len();
+        let config = KernelConfig::balanced_ymm(8.0);
+        let mk = |fast_forward| {
+            build_platform(config, &eps, FaultPlan::none(), sigma, seed, fast_forward)
+                .with_segment_hosts(4)
+        };
+        let (mut fast, mut twin) = (mk(true), mk(false));
+        // What another platform of the same shape leaves in its buffers: a
+        // steady fleet's outcome, stamped by that platform.
+        let foreign = || {
+            let donor_eps: Vec<f64> = eps.iter().rev().map(|e| 2.0 - e).collect();
+            let mut donor =
+                build_platform(config, &donor_eps, FaultPlan::none(), 0.0, 0, true)
+                    .with_segment_hosts(4);
+            let mut bufs = IterationBuffers::new();
+            for _ in 0..3 {
+                donor.run_iteration_into(&mut bufs);
+            }
+            bufs
+        };
+        let mut fast_bufs = IterationBuffers::new();
+        let mut twin_bufs = IterationBuffers::new();
+        for iter in 0..64u64 {
+            for &(_, host, churn) in schedule.iter().filter(|(at, ..)| *at == iter) {
+                let host = host % n;
+                for p in [&mut fast, &mut twin] {
+                    // Refusals (a dead host) must agree too; the comparison
+                    // below would show a platform that applied one anyway.
+                    match churn {
+                        Churn::Limit(w) => drop(p.set_host_limit(host, Watts(w))),
+                        Churn::Cap(ghz) => {
+                            drop(p.set_host_freq_cap(host, ghz.map(|g| Hertz(g * 1e9))))
+                        }
+                        Churn::UniformLimit(w) => drop(p.set_uniform_limit(Watts(w))),
+                        Churn::Death => p.inject_fault(host, FaultKind::NodeDeath),
+                        Churn::Dropout(iterations) => {
+                            p.inject_fault(host, FaultKind::TelemetryDropout { iterations })
+                        }
+                        Churn::Config(intensity) => {
+                            p.set_config(KernelConfig::balanced_ymm(intensity))
+                        }
+                        Churn::FreshBuffers | Churn::ForeignBuffers => {}
+                    }
+                }
+                match churn {
+                    Churn::FreshBuffers => {
+                        fast_bufs = IterationBuffers::new();
+                        twin_bufs = IterationBuffers::new();
+                    }
+                    Churn::ForeignBuffers => {
+                        fast_bufs = foreign();
+                        twin_bufs = foreign();
+                    }
+                    _ => {}
+                }
+            }
+            fast.run_iteration_into(&mut fast_bufs);
+            twin.run_iteration_into(&mut twin_bufs);
+            prop_assert_eq!(
+                observe(&fast_bufs), observe(&twin_bufs),
+                "outcome, iteration {}", iter
+            );
+            prop_assert_eq!(
+                observe_outcome(fast_bufs.previous()), observe_outcome(twin_bufs.previous()),
+                "previous, iteration {}", iter
+            );
+            let energy = |p: &JobPlatform| -> Vec<u64> {
+                p.host_energy().iter().map(|e| e.value().to_bits()).collect()
+            };
+            prop_assert_eq!(energy(&fast), energy(&twin), "energy, iteration {}", iter);
+        }
     }
 }
 

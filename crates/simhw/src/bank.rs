@@ -51,17 +51,31 @@
 //! recording whether its enforcement filters sat at a bitwise fixed point
 //! after the last step — and at which `dt` — so a control write or fault on
 //! one host dirties only that host's segment.
-//! [`NodeBank::step_all_partial`] exploits this: segments whose slot proves
-//! "settled, quiescent, same `dt` bits" skip the filter updates entirely and
-//! *replay* (energy accumulates `op.power / sockets * dt` per package —
-//! exactly the product a real step would add — and `last_freq` latches
-//! `op.lead`), while dirty segments take the full stepping arithmetic. The
-//! replay is bit-identical to stepping a settled segment because a settled
-//! filter's update is a bitwise no-op and the skip is only taken when the
-//! `dt` bits match the settle-time `dt` (α depends on `dt`, so a different
-//! window would re-excite the filters). Per-(host,socket) columns are
-//! contiguous per segment, so both paths run over dense slabs the
-//! autovectorizer can chew on.
+//!
+//! Every step also records, per host, the per-package energy it added
+//! (`op.power / sockets * dt`, the exact product): the segment's **replay
+//! delta**. [`NodeBank::step_all_partial`] uses it: a segment whose slot
+//! proves "settled, quiescent, same `dt` bits" is *replayed* — one
+//! branch-free pass adding the recorded delta to its energy slab, and
+//! nothing else — while dirty segments take the full stepping arithmetic.
+//! The replay is bit-identical to stepping because
+//!
+//! * a settled filter's update is a bitwise no-op, and the skip is only
+//!   taken when the `dt` bits match the settle-time `dt` (α depends on `dt`,
+//!   so a different window would re-excite the filters);
+//! * `last_freq` already holds the lead the settling step latched;
+//! * a dead host's recorded delta is `+0.0`, which leaves a non-negative
+//!   energy cell bitwise alone;
+//! * *quiescent* means the settling step neither consumed nor left behind
+//!   any one-shot telemetry state, so one more step would report exactly
+//!   what that one reported. A step that read a host back `Stale` therefore
+//!   never arms a replay; the segment takes one more (no-op) step first.
+//!
+//! The bank owns the delta, so a replay reads nothing of the caller's `ops`
+//! and writes nothing to its `results`; the price is the contract on
+//! [`NodeBank::step_all_partial`]. Per-(host,socket) columns are contiguous
+//! per segment, so both paths run over dense slabs the autovectorizer can
+//! chew on.
 
 use crate::error::Result;
 use crate::faults::{FaultKind, NodeHealth};
@@ -91,6 +105,16 @@ static CONTROL_WRITES: StaticCounter = StaticCounter::new("simhw.bank.control_wr
 /// were lazily written back into their `Node`.
 static PL1_WRITEBACKS: StaticCounter = StaticCounter::new("simhw.bank.pl1_writebacks");
 
+/// A multi-segment step fans out across the pool only when at least this many
+/// segments take the stepping arithmetic. A fan-out spawns and joins one
+/// thread per worker (~70 µs for two, measured at 100 000 hosts); stepping a
+/// default-sized segment costs ~11 µs and replaying one ~0.6 µs, so an
+/// iteration that steps a few dirty segments and replays the rest is faster
+/// on the calling thread. Two workers break even near 14 evenly spread dirty
+/// segments. (Counted in segments, not hosts, so the tiny segments the test
+/// suites shard small fleets into still reach the fan-out.)
+const PAR_MIN_STEPPED_SEGMENTS: usize = 16;
+
 /// Default hosts per segment: big enough that per-segment bookkeeping is
 /// noise (one cache probe per 1024 hosts), small enough that a 100k-host
 /// fleet has ~98 independently invalidatable shards.
@@ -103,9 +127,10 @@ enum SegCache {
     /// filters were still moving after the last step.
     Invalid,
     /// Every enforcement filter in the segment was at its bitwise fixed
-    /// point after a step with these `dt` bits. `quiescent` records that no
-    /// host held one-shot telemetry state afterwards, which the replay path
-    /// additionally requires.
+    /// point after a step with these `dt` bits. `quiescent` records that the
+    /// step neither consumed one-shot telemetry state (no host read back
+    /// `Stale`) nor left any pending, so repeating it would report the same
+    /// — which the replay path additionally requires.
     Settled { dt_bits: u64, quiescent: bool },
 }
 
@@ -178,6 +203,10 @@ pub struct NodeBank {
     programmed: Vec<Watts>,
     /// The host's `Node` holds older control registers than the columns.
     writeback_pending: Vec<bool>,
+    /// What the last step added to each of the host's energy cells (`+0.0`
+    /// for a host it skipped): the segment's replay delta, meaningful while
+    /// its cache slot is `Settled` and quiescent.
+    replay_delta: Vec<Joules>,
 
     // Mirrors, per host: refreshed after operations routed through the `Node`.
     eps: Vec<f64>,
@@ -241,6 +270,7 @@ impl NodeBank {
             freq_cap: vec![None; n],
             programmed: vec![Watts(0.0); n],
             writeback_pending: vec![false; n],
+            replay_delta: vec![Joules::ZERO; n],
             eps: vec![1.0; n],
             health: vec![NodeHealth::Healthy; n],
             stuck: vec![None; n],
@@ -295,6 +325,25 @@ impl NodeBank {
         matches!(self.seg[sidx], SegCache::Settled { .. })
     }
 
+    /// True when [`NodeBank::step_all_partial`] at this `dt` would replay
+    /// segment `sidx` instead of stepping it.
+    pub fn segment_replayable(&self, sidx: usize, dt: Seconds) -> bool {
+        replayable(self.seg[sidx], dt.value().to_bits())
+    }
+
+    /// Drop every segment cache, for a change the bank cannot see: the
+    /// caller's operating points for settled segments are about to differ
+    /// from the ones the recorded replay deltas were taken from (a new load
+    /// model). The next step re-proves settledness and re-records.
+    pub fn invalidate_segments(&mut self) {
+        for cache in &mut self.seg {
+            if *cache != SegCache::Invalid {
+                SHARD_INVALIDATED.inc();
+            }
+            *cache = SegCache::Invalid;
+        }
+    }
+
     /// Re-shard the bank into segments of `hosts` hosts. Drops every
     /// segment cache (the next step re-proves settledness); the hot columns
     /// themselves are untouched, so this is callable at any point.
@@ -317,6 +366,11 @@ impl NodeBank {
     /// True unless the host is fail-stop dead.
     pub fn is_alive(&self, h: usize) -> bool {
         self.health[h] != NodeHealth::Dead
+    }
+
+    /// Hosts that are not fail-stop dead, from the bank's own tally.
+    pub fn alive_count(&self) -> usize {
+        self.nodes.len() - self.dead_hosts
     }
 
     /// The host's programmed frequency cap, if any.
@@ -514,11 +568,24 @@ impl NodeBank {
     /// fault or control write on one host therefore costs re-stepping only
     /// that host's segment; the rest of the fleet stays on the replay path.
     ///
-    /// `ops[h]` for a host in a replayable segment must be the operating
-    /// point the host settled on — guaranteed when ops are resolved from
-    /// the bank itself ([`NodeBank::operating_point`] is a pure function of
-    /// columns that any invalidating change dirties) or cached from the
-    /// settling iteration, which is how `JobPlatform` drives this.
+    /// For a replayed segment (see [`NodeBank::segment_replayable`]):
+    ///
+    /// * `ops` is **not read**. The segment re-adds the energy delta its
+    ///   settling step recorded, so the call is exact only while the
+    ///   caller's operating points for it are the ones it settled on. That
+    ///   holds by construction when they are resolved from the bank
+    ///   ([`NodeBank::operating_point`] is a pure function of columns that
+    ///   any invalidating change dirties) with the same model and load, or
+    ///   cached from the settling iteration, which is how `JobPlatform`
+    ///   drives this. A caller that swaps the load model must call
+    ///   [`NodeBank::invalidate_segments`] first.
+    /// * `results` is **not written**. One more step would report what the
+    ///   settling step reported ([`HostStep::Fresh`] for every host it
+    ///   advanced, [`HostStep::Skipped`] for the rest — a step that read a
+    ///   host back `Stale` does not arm a replay), and the slots still say
+    ///   so in a slice the caller hands back call after call. A caller that
+    ///   passes a different slice each time must keep its own copy, as
+    ///   [`crate::ClassedBank`] does.
     pub fn step_all_partial(
         &mut self,
         dt: Seconds,
@@ -563,6 +630,7 @@ impl NodeBank {
             last_freq: &mut self.last_freq,
             telemetry_down: &mut self.telemetry_down,
             msr_glitch: &mut self.msr_glitch,
+            replay_delta: &mut self.replay_delta,
             results,
         };
         let (target, tau) = (&self.target, &self.tau);
@@ -570,86 +638,77 @@ impl NodeBank {
         if segs <= 1 {
             // Sub-segment fleet: one cache slot, but keep the host-chunked
             // fan-out so jobs smaller than a segment retain full step
-            // parallelism. The replay/step decision is made once, up front.
-            let replay = allow_replay && replayable(self.seg[0], dt_bits);
-            if !parallel || workers <= 1 || n < 2 {
-                if replay {
-                    replay_span(&mut cols, 0, s, dt, ops);
-                } else {
-                    let (settled, quiescent) = step_span(&mut cols, 0, s, dt, ops, target, tau);
-                    self.seg[0] = cache_after_step(settled, quiescent, dt_bits);
-                    report.all_settled = settled;
-                }
-            } else {
-                let chunk_hosts = n.div_ceil(workers);
-                let mut chunks: Vec<HostChunk<'_>> = Vec::with_capacity(workers);
-                let mut base = 0;
-                while base < n {
-                    let take = chunk_hosts.min(n - base);
-                    chunks.push(HostChunk {
-                        base,
-                        cols: cols.split_off_front(take, s),
-                        settled: true,
-                        quiescent: true,
-                    });
-                    base += take;
-                }
-                pmstack_exec::par_for_each_mut(&mut chunks, |_, chunk| {
-                    if replay {
-                        replay_span(&mut chunk.cols, chunk.base, s, dt, ops);
-                    } else {
-                        let (settled, quiescent) =
-                            step_span(&mut chunk.cols, chunk.base, s, dt, ops, target, tau);
-                        chunk.settled = settled;
-                        chunk.quiescent = quiescent;
-                    }
-                });
-                if !replay {
-                    let settled = chunks.iter().all(|c| c.settled);
-                    let quiescent = chunks.iter().all(|c| c.quiescent);
-                    self.seg[0] = cache_after_step(settled, quiescent, dt_bits);
-                    report.all_settled = settled;
-                }
-            }
-            if replay {
+            // parallelism. The replay/step decision is made once, up front;
+            // a replay is one pass of adds and never worth a fan-out.
+            if allow_replay && replayable(self.seg[0], dt_bits) {
+                replay_span(&mut cols, s);
                 report.segments_replayed = 1;
             } else {
+                let (settled, quiescent) = if !parallel || workers <= 1 || n < 2 {
+                    step_span(&mut cols, 0, s, dt, ops, target, tau)
+                } else {
+                    let chunk_hosts = n.div_ceil(workers);
+                    let mut chunks: Vec<HostChunk<'_>> = Vec::with_capacity(workers);
+                    let mut base = 0;
+                    while base < n {
+                        let take = chunk_hosts.min(n - base);
+                        chunks.push(HostChunk {
+                            base,
+                            cols: cols.split_off_front(take, s),
+                            settled: true,
+                            quiescent: true,
+                        });
+                        base += take;
+                    }
+                    pmstack_exec::par_for_each_mut(&mut chunks, |_, chunk| {
+                        (chunk.settled, chunk.quiescent) =
+                            step_span(&mut chunk.cols, chunk.base, s, dt, ops, target, tau);
+                    });
+                    (
+                        chunks.iter().all(|c| c.settled),
+                        chunks.iter().all(|c| c.quiescent),
+                    )
+                };
+                self.seg[0] = cache_after_step(settled, quiescent, dt_bits);
+                report.all_settled = settled;
                 report.segments_stepped = 1;
             }
         } else {
             // Multi-segment fleet: chunk boundaries are segment boundaries,
             // so each worker owns its segments' cache slots outright and the
             // replay/step decision is local to the chunk.
-            let chunk_segs = if !parallel || workers <= 1 {
-                segs
-            } else {
-                segs.div_ceil(workers)
-            };
-            let mut chunks: Vec<SegChunk<'_>> = Vec::with_capacity(segs.div_ceil(chunk_segs));
-            let mut seg_rem = &mut self.seg[..];
-            let mut base = 0;
-            while !seg_rem.is_empty() {
-                let take_segs = chunk_segs.min(seg_rem.len());
-                let take_hosts = (take_segs * sh).min(n - base);
-                let (sa, st) = seg_rem.split_at_mut(take_segs);
-                seg_rem = st;
-                chunks.push(SegChunk {
-                    base,
-                    cols: cols.split_off_front(take_hosts, s),
-                    seg: sa,
-                    replayed: 0,
-                    stepped: 0,
-                    all_settled: true,
-                });
-                base += take_hosts;
-            }
-            pmstack_exec::par_for_each_mut(&mut chunks, |_, chunk| {
+            let steps = |c: &&SegCache| !(allow_replay && replayable(**c, dt_bits));
+            let dirty = self.seg.iter().filter(steps).count();
+            let fan_out = parallel && workers > 1 && dirty >= PAR_MIN_STEPPED_SEGMENTS;
+            let run = |chunk: &mut SegChunk<'_>| {
                 run_seg_chunk(chunk, s, sh, dt, dt_bits, ops, target, tau, allow_replay);
-            });
-            for chunk in &chunks {
+            };
+            let mut fold = |chunk: &SegChunk<'_>| {
                 report.all_settled &= chunk.all_settled;
                 report.segments_replayed += chunk.replayed;
                 report.segments_stepped += chunk.stepped;
+            };
+            if fan_out {
+                let chunk_segs = segs.div_ceil(workers);
+                let mut chunks: Vec<SegChunk<'_>> = Vec::with_capacity(workers);
+                let mut seg_rem = &mut self.seg[..];
+                let mut base = 0;
+                while !seg_rem.is_empty() {
+                    let take_segs = chunk_segs.min(seg_rem.len());
+                    let take_hosts = (take_segs * sh).min(n - base);
+                    let (sa, st) = seg_rem.split_at_mut(take_segs);
+                    seg_rem = st;
+                    chunks.push(SegChunk::new(base, cols.split_off_front(take_hosts, s), sa));
+                    base += take_hosts;
+                }
+                pmstack_exec::par_for_each_mut(&mut chunks, |_, chunk| run(chunk));
+                chunks.iter().for_each(&mut fold);
+            } else {
+                // The whole fleet is one chunk, built on the stack: the
+                // loop allocates nothing once the caller's vectors exist.
+                let mut chunk = SegChunk::new(0, cols, &mut self.seg);
+                run(&mut chunk);
+                fold(&chunk);
             }
         }
         if report.segments_replayed > 0 {
@@ -659,25 +718,6 @@ impl NodeBank {
             STEP_ALL_SETTLED.inc();
         }
         report
-    }
-
-    /// Fast-forward energy accumulation: add `deltas[h]` to every package of
-    /// every live host. `deltas[h]` must be the per-package energy of one
-    /// iteration (`per_socket_power * dt`, the exact product
-    /// [`NodeBank::step_all`] would have added), so `k` calls are
-    /// bit-identical to `k` stepped iterations of a settled fleet.
-    ///
-    /// This is the whole per-iteration cost of a fleet in steady state, so a
-    /// fleet with no dead host — the usual case — takes a loop with no
-    /// branch in it; dead hosts select the loop that skips them.
-    pub fn replay_energy(&mut self, deltas: &[Joules]) {
-        assert_eq!(deltas.len(), self.nodes.len(), "one delta per host");
-        self.hot_synced = false;
-        if self.dead_hosts == 0 {
-            add_per_host(&mut self.energy, deltas, self.sockets);
-        } else {
-            add_per_live_host(&mut self.energy, deltas, &self.health, self.sockets);
-        }
     }
 
     /// The backing nodes, re-synchronized from the hot columns first. Use
@@ -824,6 +864,7 @@ struct SpanCols<'a> {
     last_freq: &'a mut [Hertz],
     telemetry_down: &'a mut [u32],
     msr_glitch: &'a mut [bool],
+    replay_delta: &'a mut [Joules],
     results: &'a mut [HostStep],
 }
 
@@ -842,6 +883,7 @@ impl<'a> SpanCols<'a> {
             last_freq: take(&mut self.last_freq, hosts),
             telemetry_down: take(&mut self.telemetry_down, hosts),
             msr_glitch: take(&mut self.msr_glitch, hosts),
+            replay_delta: take(&mut self.replay_delta, hosts),
             results: take(&mut self.results, hosts),
         }
     }
@@ -854,6 +896,7 @@ impl<'a> SpanCols<'a> {
             last_freq: &mut self.last_freq[lo..lo + len],
             telemetry_down: &mut self.telemetry_down[lo..lo + len],
             msr_glitch: &mut self.msr_glitch[lo..lo + len],
+            replay_delta: &mut self.replay_delta[lo..lo + len],
             results: &mut self.results[lo..lo + len],
         }
     }
@@ -878,6 +921,19 @@ struct SegChunk<'a> {
     all_settled: bool,
 }
 
+impl<'a> SegChunk<'a> {
+    fn new(base: usize, cols: SpanCols<'a>, seg: &'a mut [SegCache]) -> Self {
+        Self {
+            base,
+            cols,
+            seg,
+            replayed: 0,
+            stepped: 0,
+            all_settled: true,
+        }
+    }
+}
+
 /// Replay or step each segment a chunk owns, refreshing its cache slot.
 #[allow(clippy::too_many_arguments)]
 fn run_seg_chunk(
@@ -897,7 +953,7 @@ fn run_seg_chunk(
         let len = segment_hosts.min(total - lo);
         let mut cols = chunk.cols.sub(lo, len, sockets);
         if allow_replay && replayable(chunk.seg[si], dt_bits) {
-            replay_span(&mut cols, chunk.base + lo, sockets, dt, ops);
+            replay_span(&mut cols, sockets);
             chunk.replayed += 1;
         } else {
             let (settled, quiescent) =
@@ -915,7 +971,8 @@ fn run_seg_chunk(
 /// window (the common case — all of them) reuses one `exp()` per span
 /// instead of paying one per package per host. Returns `(settled,
 /// quiescent)`: whether every filter update was a bitwise no-op, and
-/// whether the span holds no one-shot telemetry state afterwards.
+/// whether the span neither consumed one-shot telemetry state in this step
+/// nor holds any afterwards.
 ///
 /// [`RaplPackage::advance`]: crate::rapl::RaplPackage::advance
 fn step_span(
@@ -935,15 +992,17 @@ fn step_span(
         let h = base + i;
         let Some(op) = ops[h] else {
             cols.results[i] = HostStep::Skipped;
+            cols.replay_delta[i] = Joules::ZERO;
             quiescent &= cols.telemetry_down[i] == 0 && !cols.msr_glitch[i];
             continue;
         };
         cols.last_freq[i] = op.lead;
-        let per_socket = op.power / sockets as f64;
+        let delta = op.power / sockets as f64 * dt;
+        cols.replay_delta[i] = delta;
         for k in 0..sockets {
             let gi = h * sockets + k;
             let li = i * sockets + k;
-            cols.energy[li] += per_socket * dt;
+            cols.energy[li] += delta;
             let t = tau[gi];
             if t != memo_tau {
                 memo_alpha = 1.0 - (-dt.value() / t).exp();
@@ -956,13 +1015,14 @@ fn step_span(
             }
             cols.enforced[li] = next;
         }
+        // A host that reads back `Stale` consumed one-shot state: the next
+        // step reports something else, so this one cannot be replayed.
         cols.results[i] = if cols.telemetry_down[i] > 0 {
             cols.telemetry_down[i] -= 1;
-            // A glitch pending behind the blackout is not consumed this
-            // iteration, so it still blocks quiescence.
-            quiescent &= cols.telemetry_down[i] == 0 && !cols.msr_glitch[i];
+            quiescent = false;
             HostStep::Stale
         } else if std::mem::take(&mut cols.msr_glitch[i]) {
+            quiescent = false;
             HostStep::Stale
         } else {
             HostStep::Fresh
@@ -971,47 +1031,22 @@ fn step_span(
     (settled, quiescent)
 }
 
-/// Advance a settled, quiescent span without touching the filters: energy
-/// accumulates the same `op.power / sockets * dt` product a real step would
-/// add, `last_freq` latches `op.lead`, and every live host reads back
-/// [`HostStep::Fresh`] (quiescence proved no blackout/glitch was pending).
-/// The per-host delta is hoisted out of the package loop and the two-socket
-/// case unrolled so the energy column updates run as straight-line adds
-/// over a contiguous slab.
-fn replay_span(
-    cols: &mut SpanCols<'_>,
-    base: usize,
-    sockets: usize,
-    dt: Seconds,
-    ops: &[Option<OperatingPoint>],
-) {
-    for i in 0..cols.results.len() {
-        let h = base + i;
-        let Some(op) = ops[h] else {
-            cols.results[i] = HostStep::Skipped;
-            continue;
-        };
-        debug_assert!(
-            cols.telemetry_down[i] == 0 && !cols.msr_glitch[i],
-            "replayed a span holding one-shot telemetry state"
-        );
-        cols.last_freq[i] = op.lead;
-        let add = op.power / sockets as f64 * dt;
-        if sockets == 2 {
-            cols.energy[i * 2] += add;
-            cols.energy[i * 2 + 1] += add;
-        } else {
-            for e in &mut cols.energy[i * sockets..(i + 1) * sockets] {
-                *e += add;
-            }
-        }
-        cols.results[i] = HostStep::Fresh;
-    }
+/// Advance a settled, quiescent span without touching the filters, the
+/// caller's `ops` or its `results`: every energy cell takes the delta its
+/// host's last step recorded — the same `op.power / sockets * dt` product a
+/// real step would add, `+0.0` for a host that step skipped. `last_freq`
+/// already holds what that step latched, `results` what it reported.
+fn replay_span(cols: &mut SpanCols<'_>, sockets: usize) {
+    debug_assert!(
+        cols.telemetry_down.iter().all(|&t| t == 0) && cols.msr_glitch.iter().all(|&g| !g),
+        "replayed a span holding one-shot telemetry state"
+    );
+    add_per_host(cols.energy, cols.replay_delta, sockets);
 }
 
 /// Add `deltas[h]` to each of host `h`'s `sockets` energy cells, for every
-/// host: [`NodeBank::replay_energy`] with no dead host. The common socket
-/// counts get a fixed-width inner loop.
+/// host, with no branch in the loop. The common socket counts get a
+/// fixed-width inner loop (a dynamic chunk width measured 2x slower).
 fn add_per_host(energy: &mut [Joules], deltas: &[Joules], sockets: usize) {
     fn fixed<const S: usize>(energy: &mut [Joules], deltas: &[Joules]) {
         for (cells, &delta) in energy.chunks_exact_mut(S).zip(deltas) {
@@ -1030,27 +1065,6 @@ fn add_per_host(energy: &mut [Joules], deltas: &[Joules], sockets: usize) {
                     *e += delta;
                 }
             }
-        }
-    }
-}
-
-/// [`add_per_host`], skipping fail-stop dead hosts.
-fn add_per_live_host(
-    energy: &mut [Joules],
-    deltas: &[Joules],
-    health: &[NodeHealth],
-    sockets: usize,
-) {
-    if sockets == 0 {
-        return;
-    }
-    let hosts = energy.chunks_exact_mut(sockets).zip(deltas).zip(health);
-    for ((cells, &delta), &health) in hosts {
-        if health == NodeHealth::Dead {
-            continue;
-        }
-        for e in cells {
-            *e += delta;
         }
     }
 }
@@ -1077,6 +1091,10 @@ mod tests {
                 }],
             )
         }
+    }
+
+    fn bits_of(col: &[Hertz]) -> Vec<u64> {
+        col.iter().map(|f| f.value().to_bits()).collect()
     }
 
     fn fleet(n: usize) -> (PowerModel, Vec<Node>) {
@@ -1196,59 +1214,62 @@ mod tests {
         }
     }
 
+    /// The multi-segment fan-out only engages from `PAR_MIN_STEPPED_SEGMENTS`
+    /// dirty segments up, which the small proptest fleets rarely reach: pin
+    /// it here. 41 hosts in 2-host segments (21, the last one ragged), 17 of
+    /// them dirtied and 4 left replayable: chunked across the pool or run on
+    /// the calling thread, every bit and every report must agree.
     #[test]
-    fn settles_to_bitwise_fixed_point_and_replays_energy() {
-        let (model, nodes) = fleet(3);
-        let load = FlatLoad { kappa: 2.5 };
-        let mut bank = NodeBank::from_nodes(nodes);
-        for h in 0..bank.len() {
-            bank.set_power_limit(h, Watts(160.0)).unwrap();
-        }
-        let dt = Seconds(0.25);
-        let mut results = vec![HostStep::Skipped; bank.len()];
-        let mut ops = vec![None; bank.len()];
-        let mut settled = false;
-        for _ in 0..2000 {
+    fn fanned_out_segments_agree_with_the_calling_thread() {
+        let (model, nodes) = fleet(41);
+        let load = FlatLoad { kappa: 2.6 };
+        let dt = Seconds(0.2);
+        let mut seq = NodeBank::from_nodes(nodes);
+        seq.set_segment_hosts(2);
+        let n = seq.len();
+        let mut ops = vec![None; n];
+        let mut results = vec![HostStep::Skipped; n];
+        let resolve = |bank: &NodeBank, ops: &mut [Option<OperatingPoint>]| {
             for (h, op) in ops.iter_mut().enumerate() {
                 *op = Some(bank.operating_point(h, &model, &load));
             }
-            settled = bank.step_all(dt, &ops, &mut results, false);
-            if settled {
-                break;
-            }
+        };
+        for _ in 0..3 {
+            resolve(&seq, &mut ops);
+            seq.step_all_partial(dt, &ops, &mut results, false);
         }
-        assert!(settled, "enforcement must reach a bitwise fixed point");
-
-        // From steady state, replaying k energy deltas matches k real steps.
-        let mut stepped = bank.clone();
-        let deltas: Vec<Joules> = (0..bank.len())
-            .map(|h| {
-                let op = bank.operating_point(h, &model, &load);
-                op.power / bank.sockets() as f64 * dt
-            })
-            .collect();
-        for _ in 0..7 {
-            for (h, op) in ops.iter_mut().enumerate() {
-                *op = Some(stepped.operating_point(h, &model, &load));
-            }
-            stepped.step_all(dt, &ops, &mut results, false);
-            bank.replay_energy(&deltas);
+        assert!((0..seq.num_segments()).all(|s| seq.segment_replayable(s, dt)));
+        for s in 0..PAR_MIN_STEPPED_SEGMENTS + 1 {
+            let h = seq.segment_range(s).start;
+            seq.set_power_limit(h, Watts(150.0 + s as f64)).unwrap();
         }
-        for h in 0..bank.len() {
-            assert_eq!(
-                bank.energy(h).value().to_bits(),
-                stepped.energy(h).value().to_bits(),
-                "fast-forwarded energy diverged on host {h}"
-            );
+        seq.inject(40, FaultKind::TelemetryDropout { iterations: 2 });
+        let mut par = seq.clone();
+        let mut par_results = results.clone();
+        for _ in 0..6 {
+            resolve(&seq, &mut ops);
+            let a = seq.step_all_partial(dt, &ops, &mut results, false);
+            let b = par.step_all_partial(dt, &ops, &mut par_results, true);
+            assert_eq!(a, b);
+            assert!(a.segments_replayed >= 3 && a.segments_stepped >= 17);
+            assert_eq!(results, par_results);
+            let bits = |col: &[Joules]| col.iter().map(|e| e.value().to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&seq.energy), bits(&par.energy));
+            let bits = |col: &[Watts]| col.iter().map(|e| e.value().to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&seq.enforced), bits(&par.enforced));
+            assert_eq!(seq.seg, par.seg);
         }
     }
 
-    /// The energy replay takes a fixed-width loop for 1 and 2 sockets, a
-    /// chunked one for any other count, and a skipping one when hosts are
-    /// dead; all of them must add exactly what the plain indexed loop adds.
+    /// The replay adds the recorded delta through a fixed-width loop for 1
+    /// and 2 sockets and a chunked one for any other count, and a dead host
+    /// replays as `+0.0`. For every socket count and dead set, `k` replays
+    /// of a settled bank must leave exactly the bits `k` full steps leave,
+    /// without reading the `ops` or touching the `results` handed over.
     #[test]
-    fn replay_energy_loops_agree_for_every_socket_count_and_dead_set() {
+    fn replaying_a_settled_bank_is_bit_identical_to_stepping_it() {
         let load = FlatLoad { kappa: 2.6 };
+        let dt = Seconds(0.21);
         for sockets in [1usize, 2, 3] {
             let mut spec = quartz_spec();
             spec.sockets_per_node = sockets;
@@ -1261,40 +1282,60 @@ mod tests {
                 .collect();
             for dead in [vec![], vec![5], vec![0, 1, 2, 17, 35, 36]] {
                 let mut bank = NodeBank::from_nodes(nodes.clone());
+                bank.set_segment_hosts(8);
                 assert_eq!(bank.sockets(), sockets);
                 let n = bank.len();
-                // Give every package its own non-trivial energy first.
-                let ops: Vec<_> = (0..n)
-                    .map(|h| Some(bank.operating_point(h, &model, &load)))
-                    .collect();
-                let mut results = vec![HostStep::Skipped; n];
-                for _ in 0..3 {
-                    bank.step_all(Seconds(0.21), &ops, &mut results, false);
+                for h in 0..n {
+                    bank.set_power_limit(h, Watts(80.0 * sockets as f64))
+                        .unwrap();
                 }
                 for &h in &dead {
                     bank.inject(h, FaultKind::NodeDeath);
                 }
-                assert_eq!(bank.dead_hosts, dead.len());
-
-                let deltas: Vec<Joules> = (0..n)
-                    .map(|h| Joules(0.37 + 1.0 / (h + 3) as f64))
-                    .collect();
-                let mut expected = bank.energy.clone();
-                for _ in 0..5 {
-                    bank.replay_energy(&deltas);
-                    for h in (0..n).filter(|h| !dead.contains(h)) {
-                        for k in 0..sockets {
-                            expected[h * sockets + k] += deltas[h];
-                        }
+                assert_eq!(bank.alive_count(), n - dead.len());
+                let mut ops = vec![None; n];
+                let mut results = vec![HostStep::Skipped; n];
+                let mut settled = false;
+                for _ in 0..2000 {
+                    for (h, op) in ops.iter_mut().enumerate() {
+                        *op = bank
+                            .is_alive(h)
+                            .then(|| bank.operating_point(h, &model, &load));
                     }
+                    settled = bank.step_all(dt, &ops, &mut results, false);
+                    if settled {
+                        break;
+                    }
+                }
+                assert!(settled, "enforcement must reach a bitwise fixed point");
+                assert!((0..bank.num_segments()).all(|s| bank.segment_replayable(s, dt)));
+                assert!(!bank.segment_replayable(0, Seconds(0.2)), "other dt");
+
+                let mut stepped = bank.clone();
+                let expected = results.clone();
+                let junk = vec![None; n];
+                for _ in 0..7 {
+                    stepped.step_all(dt, &ops, &mut results, false);
+                    assert_eq!(results, expected);
+                    let mut untouched = vec![HostStep::Stale; n];
+                    let report = bank.step_all_partial(dt, &junk, &mut untouched, false);
+                    assert_eq!(report.segments_replayed, bank.num_segments());
+                    assert!(untouched.iter().all(|&r| r == HostStep::Stale));
                 }
                 let bits =
                     |col: &[Joules]| col.iter().map(|e| e.value().to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(&bank.energy),
-                    bits(&expected),
+                    bits(&stepped.energy),
                     "{sockets} sockets, dead hosts {dead:?}"
                 );
+                assert_eq!(bits_of(&bank.last_freq), bits_of(&stepped.last_freq));
+
+                // A load swap the bank cannot see: the caller invalidates,
+                // and the next call steps with the new operating points.
+                bank.invalidate_segments();
+                let report = bank.step_all_partial(dt, &ops, &mut results, false);
+                assert_eq!(report.segments_replayed, 0);
             }
         }
     }

@@ -175,6 +175,10 @@ pub struct ClassedBank {
     assign: Vec<(usize, usize)>,
     /// Class → global host ids, in local order.
     globals: Vec<Vec<usize>>,
+    /// Class → the class bank's step results, in local order. Kept across
+    /// calls: a replayed segment leaves its slots as the last step wrote
+    /// them ([`NodeBank::step_all_partial`]).
+    local_results: Vec<Vec<HostStep>>,
     /// Per-host node-level PP0 exact energy (zero for PKG-only classes).
     pp0_energy: Vec<Joules>,
     /// Per-host node-level DRAM exact energy (zero for PKG-only classes).
@@ -215,6 +219,10 @@ impl ClassedBank {
             globals[c].push(h);
         }
         let banks = per_class.into_iter().map(NodeBank::from_nodes).collect();
+        let local_results = globals
+            .iter()
+            .map(|g| vec![HostStep::Skipped; g.len()])
+            .collect();
         let n = membership.len();
         Ok(Self {
             classes,
@@ -222,6 +230,7 @@ impl ClassedBank {
             banks,
             assign,
             globals,
+            local_results,
             pp0_energy: vec![Joules::ZERO; n],
             dram_energy: vec![Joules::ZERO; n],
         })
@@ -438,11 +447,11 @@ impl ClassedBank {
             }
             let globals = &self.globals[c];
             let local_ops: Vec<Option<OperatingPoint>> = globals.iter().map(|&g| ops[g]).collect();
-            let mut local_results = vec![HostStep::Skipped; globals.len()];
+            let local_results = &mut self.local_results[c];
             let r = if partial {
-                bank.step_all_partial(dt, &local_ops, &mut local_results, parallel)
+                bank.step_all_partial(dt, &local_ops, local_results, parallel)
             } else {
-                let settled = bank.step_all(dt, &local_ops, &mut local_results, parallel);
+                let settled = bank.step_all(dt, &local_ops, local_results, parallel);
                 StepReport {
                     all_settled: settled,
                     segments_replayed: 0,
@@ -452,7 +461,7 @@ impl ClassedBank {
             report.all_settled &= r.all_settled;
             report.segments_replayed += r.segments_replayed;
             report.segments_stepped += r.segments_stepped;
-            for (&g, &res) in globals.iter().zip(&local_results) {
+            for (&g, &res) in globals.iter().zip(local_results.iter()) {
                 results[g] = res;
             }
             // Advance the sub-plane meters from the same per-host powers
@@ -473,38 +482,6 @@ impl ClassedBank {
             }
         }
         report
-    }
-
-    /// Fast-forward energy accumulation per class, delegating to each
-    /// bank's [`NodeBank::replay_energy`] with the class's slice of
-    /// `deltas` (per-package energy per host, global indexing), and
-    /// advancing the sub-plane meters by the same number of iterations'
-    /// worth of node-level draw (`node_powers[h] * dt` split by the class
-    /// split).
-    pub fn replay_energy(&mut self, deltas: &[Joules], node_powers: &[Watts], dt: Seconds) {
-        debug_assert_eq!(deltas.len(), self.assign.len());
-        debug_assert_eq!(node_powers.len(), self.assign.len());
-        for (c, bank) in self.banks.iter_mut().enumerate() {
-            if bank.is_empty() {
-                continue;
-            }
-            let globals = &self.globals[c];
-            let local: Vec<Joules> = globals.iter().map(|&g| deltas[g]).collect();
-            bank.replay_energy(&local);
-            if let Some(cfg) = self.classes[c].domains {
-                let sockets = bank.sockets() as f64;
-                for &g in globals {
-                    if !bank.is_alive(self.assign[g].1) {
-                        continue;
-                    }
-                    let p = node_powers[g];
-                    self.pp0_energy[g] += p * cfg.pp0_fraction * dt;
-                    if p.value() > 0.0 {
-                        self.dram_energy[g] += cfg.dram_power * sockets * dt;
-                    }
-                }
-            }
-        }
     }
 }
 
