@@ -179,12 +179,13 @@ pub fn run_sweep(mix: MixKind, params: ReplicateParams) -> ReplicateSweep {
         .map(|r| r.expect("every run executed"))
         .collect();
 
-    let per_policy = params.replicates + 1; // clean run first, then jittered
-                                            // The per-policy reductions are independent; fan them out as well.
-                                            // Their cost (a few means over <= replicates floats) is far below a
-                                            // worker wakeup, so on the forced single-core pool whichever worker
-                                            // wakes first drains its queue and steals the other's — this is what
-                                            // keeps `exec.tasks.stolen` live on hosts with no real parallelism.
+    // Clean run first, then the jittered ones.
+    let per_policy = params.replicates + 1;
+    // The per-policy reductions are independent; fan them out as well.
+    // Their cost (a few means over <= replicates floats) is far below a
+    // worker wakeup, so on the forced single-core pool whichever worker
+    // wakes first drains its queue and steals the other's — this is what
+    // keeps `exec.tasks.stolen` live on hosts with no real parallelism.
     let policies: Vec<PolicyKind> = PolicyKind::all().into_iter().collect();
     let rows: Vec<PolicyReplicates> =
         pmstack_exec::par_map_indexed_min_workers(&policies, 2, |p, &kind| {

@@ -18,7 +18,7 @@
 
 use crate::config::KernelConfig;
 use crate::perf::PerfModel;
-use pmstack_simhw::power::{CoreClass, OperatingPoint};
+use pmstack_simhw::power::{CapSpan, CoreClass, OperatingPoint, CAP_SLACK};
 use pmstack_simhw::{Hertz, Joules, LoadModel, MachineSpec, PowerModel, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
@@ -392,7 +392,7 @@ impl KernelLoad {
     /// fallback when tables don't apply and the oracle the table path is
     /// tested bit-identical against.
     fn operating_point_scan(&self, model: &PowerModel, eps: f64, cap: Watts) -> OperatingPoint {
-        let slack = Watts(1e-9);
+        let slack = CAP_SLACK;
         // Stage 1: everything at turbo.
         let p_uncapped = self.power(model, eps, self.f_turbo, self.f_turbo);
         if p_uncapped <= cap + slack {
@@ -459,51 +459,81 @@ impl LoadModel for KernelLoad {
         self.power(model, eps, lead, lead.min(self.poll_floor))
     }
 
+    fn operating_point(&self, model: &PowerModel, eps: f64, cap: Watts) -> OperatingPoint {
+        self.operating_point_span(model, eps, cap).0
+    }
+
     /// Table-driven PCU resolution: the same three stages as
     /// [`Self::operating_point_scan`], but each stage is one binary search
     /// over a precomputed monotone coefficient array. Power at every
     /// candidate is `static(ε) + D·ε` with D computed exactly once at table
     /// build, so the chosen point and its power are bit-identical to the
     /// scan's.
-    fn operating_point(&self, model: &PowerModel, eps: f64, cap: Watts) -> OperatingPoint {
-        let Some(t) = self.optabs(model) else {
-            return self.operating_point_scan(model, eps, cap);
+    ///
+    /// Read as one ascending list `stage3 ‖ stage2 ‖ d_used`, the search
+    /// picks the highest candidate whose power fits, so the point holds from
+    /// its own power up to the power of the next candidate. The span is
+    /// built from what the search itself evaluated — the chosen candidate
+    /// fits, and every stage it fell through showed a lowest candidate that
+    /// does not — so any cap inside it sends the search down the same path,
+    /// and (the list never descending, see `candidate_coefficients_ascend`)
+    /// any cap outside it ends on another candidate. Without tables the scan
+    /// answers and the span is empty.
+    fn operating_point_span(
+        &self,
+        model: &PowerModel,
+        eps: f64,
+        cap: Watts,
+    ) -> (OperatingPoint, CapSpan) {
+        // A degenerate ladder (f_min == f_turbo) has no stage-3 candidate.
+        let Some(t) = self.optabs(model).filter(|t| !t.stage3.is_empty()) else {
+            return (self.operating_point_scan(model, eps, cap), CapSpan::NEVER);
         };
-        if t.stage3.is_empty() {
-            // Degenerate ladder (f_min == f_turbo): scan handles it.
-            return self.operating_point_scan(model, eps, cap);
-        }
-        let slack = Watts(1e-9);
         let stat = model.static_power(eps);
-        let fits = |d: f64| stat + Watts(d * eps) <= cap + slack;
+        let power = |d: f64| stat + Watts(d * eps);
+        let budget = cap + CAP_SLACK;
+        let fits = |d: f64| power(d) <= budget;
         // Stage 1: everything at turbo.
-        if fits(t.d_used) {
-            return OperatingPoint {
+        let p_used = power(t.d_used);
+        if p_used <= budget {
+            let op = OperatingPoint {
                 lead: self.f_turbo,
                 trail: self.f_turbo,
-                power: stat + Watts(t.d_used * eps),
+                power: p_used,
             };
+            return (op, CapSpan::between(Some(p_used), None));
         }
+        let mut excluded = p_used;
         // Stage 2: highest fitting trail (D ascends with trail, so fitting
         // entries are a prefix).
         let c = t.stage2.partition_point(|&(_, d)| fits(d));
+        if let Some(&(_, d)) = t.stage2.get(c) {
+            excluded = excluded.min(power(d));
+        }
         if c > 0 {
             let (trail, d) = t.stage2[c - 1];
-            return OperatingPoint {
+            let op = OperatingPoint {
                 lead: self.f_turbo,
                 trail,
-                power: stat + Watts(d * eps),
+                power: power(d),
             };
+            return (op, CapSpan::between(Some(op.power), Some(excluded)));
         }
         // Stage 3: highest fitting lead, bottoming out at the minimum
-        // p-state when nothing fits.
-        let c = t.stage3.partition_point(|&(_, d)| fits(d));
-        let (lead, d) = t.stage3[c.max(1) - 1];
-        OperatingPoint {
+        // p-state when nothing fits — so the lowest candidate is the answer
+        // whether or not it fits, and its span has no lower edge.
+        let c = t.stage3.partition_point(|&(_, d)| fits(d)).max(1);
+        if let Some(&(_, d)) = t.stage3.get(c) {
+            excluded = excluded.min(power(d));
+        }
+        let (lead, d) = t.stage3[c - 1];
+        let op = OperatingPoint {
             lead,
             trail: lead.min(self.poll_floor),
-            power: stat + Watts(d * eps),
-        }
+            power: power(d),
+        };
+        let fitting = (c > 1).then_some(op.power);
+        (op, CapSpan::between(fitting, Some(excluded)))
     }
 }
 
@@ -660,6 +690,62 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// What `operating_point_span` rests on. Read as one list, `stage3 ‖
+    /// stage2 ‖ d_used` must never descend — then "the next candidate's
+    /// power" bounds the chosen one's span — and it ascends strictly except
+    /// where trailing cores draw nothing to demote (a balanced kernel's
+    /// stage-2 entries all equal `d_used`), candidates the search can never
+    /// pick because the one above them fits whenever they do. Without usable
+    /// tables the resolve bounds nothing.
+    #[test]
+    fn candidate_coefficients_ascend() {
+        let spec = quartz_spec();
+        let model = PowerModel::new(spec.clone()).unwrap();
+        let intensities = [0.0].into_iter().chain(KernelConfig::heatmap_intensities());
+        for intensity in intensities {
+            for vector in VectorWidth::all() {
+                for (w, k) in KernelConfig::heatmap_columns() {
+                    let config = KernelConfig::new(intensity, vector, w, k);
+                    let load = KernelLoad::new(config, &spec);
+                    let t = load.optabs(&model).expect("tables for the bound spec");
+                    let ds: Vec<f64> = (t.stage3.iter().chain(&t.stage2))
+                        .map(|&(_, d)| d)
+                        .chain([t.d_used])
+                        .collect();
+                    assert!(ds.windows(2).all(|p| p[0] <= p[1]), "{config}: {ds:?}");
+                    let demotable = w != WaitingFraction::P0;
+                    let strict = if demotable {
+                        ds.len()
+                    } else {
+                        t.stage3.len() + 1
+                    };
+                    assert!(
+                        ds[..strict].windows(2).all(|p| p[0] < p[1]),
+                        "{config}: {ds:?}"
+                    );
+                }
+            }
+        }
+
+        let load = KernelLoad::new(KernelConfig::balanced_ymm(8.0), &spec);
+        let mut foreign = spec.clone();
+        foreign.tdp_per_socket = foreign.tdp_per_socket * 1.5;
+        let mut flat = spec.clone();
+        flat.f_min = flat.f_turbo;
+        flat.f_base = flat.f_turbo;
+        flat.poll_freq_floor = flat.f_turbo;
+        let one_step = KernelLoad::build(KernelConfig::balanced_ymm(8.0), &flat);
+        for (load, spec) in [(&load, foreign), (&one_step, flat)] {
+            let model = PowerModel::new(spec).unwrap();
+            for cap in [0.0, 150.0, 400.0, f64::INFINITY] {
+                let (op, span) = load.operating_point_span(&model, 1.0, Watts(cap));
+                assert_eq!(op, load.operating_point_scan(&model, 1.0, Watts(cap)));
+                assert_eq!(span, CapSpan::NEVER);
+                assert!(!span.holds(Watts(cap)));
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Property-based tests of the kernel model invariants.
 
 use pmstack_kernel::{Imbalance, KernelConfig, KernelLoad, VectorWidth, WaitingFraction};
-use pmstack_simhw::{quartz_spec, Hertz, LoadModel, PowerModel, Watts};
+use pmstack_simhw::{quartz_spec, Hertz, LoadModel, OperatingPoint, PowerModel, Watts};
 use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = KernelConfig> {
@@ -25,6 +25,17 @@ fn arb_config() -> impl Strategy<Value = KernelConfig> {
         ],
     )
         .prop_map(|(i, v, w, k)| KernelConfig::new(i, v, w, k))
+}
+
+/// A node-level cap anywhere from nothing to twice the quartz TDP, or one of
+/// the values no enforcement loop should produce but a resolve must survive.
+fn arb_cap() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..480.0,
+        0.0f64..480.0,
+        0.0f64..480.0,
+        prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)],
+    ]
 }
 
 proptest! {
@@ -61,6 +72,60 @@ proptest! {
             // Trail never exceeds lead; both stay on the ladder's range.
             prop_assert!(op.trail <= op.lead);
             prop_assert!(op.lead >= spec.f_min && op.lead <= spec.f_turbo);
+        }
+    }
+
+    /// A span says exactly where its point is the answer: over every
+    /// configuration, ε and cached cap — NaN and ±∞ included — `holds(cap)`
+    /// is true if and only if resolving at `cap` returns the cached point
+    /// bit for bit (NaN alone never holds). Probed at random caps and within
+    /// a few ulps of every candidate's edge: a span that were merely safe
+    /// but narrow would pass every digest and silently re-search.
+    #[test]
+    fn span_holds_exactly_where_the_point_is_the_answer(
+        config in arb_config(),
+        eps in 0.9f64..1.1,
+        cached in arb_cap(),
+        probes in prop::collection::vec(arb_cap(), 8..9),
+    ) {
+        let spec = quartz_spec();
+        let model = PowerModel::new(spec.clone()).unwrap();
+        let load = KernelLoad::new(config, &spec);
+        let bits = |op: OperatingPoint| {
+            [op.lead.value(), op.trail.value(), op.power.value()].map(f64::to_bits)
+        };
+        let (op, span) = load.operating_point_span(&model, eps, Watts(cached));
+        prop_assert_eq!(bits(op), bits(load.operating_point(&model, eps, Watts(cached))));
+        prop_assert_eq!(span.holds(Watts(cached)), !cached.is_nan());
+
+        // Every candidate the PCU can pick, hence every edge a span can have:
+        // the lead throttled below turbo with the trail riding at the spin
+        // floor, the trail demoted under a turbo lead, everything at turbo.
+        let (turbo, floor) = (spec.f_turbo, spec.poll_freq_floor);
+        let mut caps = probes;
+        for &step in spec.pstates().steps() {
+            let mut points = vec![(step.min(turbo), step.min(floor))];
+            if step >= floor {
+                points.push((turbo, step));
+            }
+            for (lead, trail) in points {
+                let edge = load.power(&model, eps, lead, trail).value() - 1e-9;
+                let (mut below, mut above) = (edge, edge);
+                caps.push(edge);
+                for _ in 0..3 {
+                    below = below.next_down();
+                    above = above.next_up();
+                    caps.extend([below, above]);
+                }
+            }
+        }
+        for cap in caps {
+            let same = bits(load.operating_point(&model, eps, Watts(cap))) == bits(op);
+            prop_assert_eq!(
+                span.holds(Watts(cap)),
+                same && !cap.is_nan(),
+                "cached at {} W, probed at {} W ({:?}, eps {})", cached, cap, config, eps
+            );
         }
     }
 

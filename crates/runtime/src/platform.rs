@@ -23,8 +23,8 @@
 //!
 //! * **dirty** — a control write, fault or workload change touched it, or
 //!   its enforcement filters are still moving. Its operating points are
-//!   resolved, the bank steps it, and its slices of the outcome are
-//!   rewritten.
+//!   re-checked (the span rule below), the bank steps it, and its slices of
+//!   the outcome are rewritten.
 //! * **settled** — its last step left every filter at a bitwise fixed
 //!   point. The operating point is a pure function of bitwise-unchanged
 //!   inputs, so `ops`/`op_times` are reused and the PCU resolve is skipped.
@@ -35,6 +35,19 @@
 //!   behind a step that repeating would reproduce exactly — filters at their
 //!   fixed point, no host read back `Stale` — so nothing about a clean
 //!   segment's outcome can differ from the previous iteration's.
+//!
+//! **Span rule.** A dirty segment is mostly one whose limits are still
+//! creeping through their first-order filters: 15–95 iterations to a bitwise
+//! fixed point, while the PCU's answer — quantised onto the p-state ladder —
+//! stops changing after the first few. The resolve returns, with each point,
+//! the span of enforced limits it holds over, and the bank keeps that span
+//! per host. [`NodeBank::resolve_segment`] rewrites only the `ops` slots
+//! whose host's enforced limit has left its span (the platform refreshes
+//! `op_times` for exactly those); the rest cost two compares. The writes
+//! that change a point's *other* inputs — a frequency cap, a fault routed
+//! through the `Node` (ε, death, stuck plane), a workload swap — drop the
+//! span in the bank, where they are all visible; a limit write does not,
+//! because the limit is the span's argument.
 //!
 //! **Epoch rule.** Each segment carries an outcome epoch naming the content
 //! of its slices of the six outcome vectors, bumped on every iteration in
@@ -55,9 +68,10 @@
 //! from another platform, have every stamp cleared, are resized, and are
 //! fully rewritten.
 //!
-//! [`JobPlatform::set_fast_forward`]`(false)` turns the clean state off:
-//! every segment is resolved and stepped every iteration, which is the
-//! reference the determinism suites compare against.
+//! [`JobPlatform::set_fast_forward`]`(false)` turns all three caches off:
+//! every host goes through the PCU search ([`NodeBank::operating_point`],
+//! spans ignored) and is stepped every iteration, which is the reference the
+//! determinism suites compare against.
 
 use pmstack_kernel::{KernelConfig, KernelLoad};
 use pmstack_obs::{EventKind, StaticCounter};
@@ -90,11 +104,6 @@ static SEGMENTS_REWRITTEN: StaticCounter = StaticCounter::new("runtime.outcome.s
 static SETTLED_HIT: StaticCounter = StaticCounter::new("runtime.settled.hit");
 /// Observability: iterations that ran the full operating-point resolve.
 static SETTLED_MISS: StaticCounter = StaticCounter::new("runtime.settled.miss");
-
-/// Jobs with at least this many hosts fan node stepping out across the
-/// work-stealing pool; below it, the spawn overhead dwarfs the per-node
-/// stepping cost.
-const PAR_STEP_THRESHOLD: usize = 64;
 
 /// Source of the ids that tie [`IterationBuffers`] stamps to their platform.
 /// Zero is never handed out: it marks buffers nobody owns yet.
@@ -427,6 +436,11 @@ impl JobPlatform {
     /// steps the full columnar loop — the reference the determinism suites
     /// compare against.
     pub fn set_fast_forward(&mut self, on: bool) {
+        if self.fast_forward != on {
+            // With it off the platform writes `ops` itself, so the bank's
+            // spans stop describing the slots.
+            self.bank.invalidate_segments();
+        }
         self.fast_forward = on;
     }
 
@@ -715,17 +729,29 @@ impl JobPlatform {
             // segment is resolved afresh.
             let range = self.bank.segment_range(sidx);
             if !seg.ops_valid {
-                for host in range.clone() {
-                    // Dead hosts drop out of the computation: the surviving
-                    // ranks redistribute (we charge no extra time) and the
-                    // dead host contributes nothing to the barrier.
-                    let op = self
-                        .bank
-                        .is_alive(host)
-                        .then(|| self.bank.operating_point(host, &self.model, &self.load));
-                    self.op_times[host] =
-                        op.map_or(0.0, |op| self.load.iteration_time(&op).value());
-                    self.ops[host] = op;
+                // Dead hosts drop out of the computation: the surviving
+                // ranks redistribute (we charge no extra time) and the dead
+                // host contributes nothing to the barrier.
+                let (load, op_times) = (&self.load, &mut self.op_times);
+                let mut store = |host: usize, op: Option<&OperatingPoint>| {
+                    op_times[host] = op.map_or(0.0, |op| load.iteration_time(op).value());
+                };
+                if self.fast_forward {
+                    // The bank re-checks each host's enforced limit against
+                    // the span its cached point holds over and searches only
+                    // the hosts that left theirs.
+                    self.bank
+                        .resolve_segment(sidx, &self.model, load, &mut self.ops, store);
+                } else {
+                    // The oracle: every host through the PCU search.
+                    for host in range.clone() {
+                        let op = self
+                            .bank
+                            .is_alive(host)
+                            .then(|| self.bank.operating_point(host, &self.model, load));
+                        store(host, op.as_ref());
+                        self.ops[host] = op;
+                    }
                 }
             }
             let mut time = Seconds::ZERO;
@@ -774,17 +800,16 @@ impl JobPlatform {
 
         // Advance RAPL state (energy counters + enforcement filters) on
         // every live host through the iteration at its operating-point
-        // power in one batched columnar pass; large jobs fan the column
-        // chunks out across the pool. With fast-forward on, the bank replays
-        // the segments its caches prove settled instead of re-running their
-        // filter arithmetic.
-        let parallel = n >= PAR_STEP_THRESHOLD;
+        // power in one batched columnar pass; the bank fans out when enough
+        // segments need stepping to pay for it. With fast-forward on, it
+        // replays the segments its caches prove settled instead of
+        // re-running their filter arithmetic.
         if self.fast_forward {
             self.bank
-                .step_all_partial(elapsed, &self.ops, &mut self.steps, parallel);
+                .step_all_partial(elapsed, &self.ops, &mut self.steps, true);
         } else {
             self.bank
-                .step_all(elapsed, &self.ops, &mut self.steps, parallel);
+                .step_all(elapsed, &self.ops, &mut self.steps, true);
         }
 
         // A segment whose filters are settled yields bit-identical operating
@@ -1100,6 +1125,46 @@ mod tests {
                 se[h].value().to_bits(),
                 "energy diverged on host {h}"
             );
+        }
+    }
+
+    /// With fast-forward off the platform writes `ops` itself, so the spans
+    /// the bank recorded stop describing the slots. The hazard is a limit
+    /// that creeps back into a span recorded before the toggle on the very
+    /// step before fast-forward returns: the slot then holds the oracle's
+    /// point for the limit before that step. Turning it back on at every
+    /// iteration of such a descent must match the twin that never used a
+    /// span.
+    #[test]
+    fn toggling_fast_forward_mid_run_forgets_the_spans() {
+        for on_again_after in 0..25 {
+            let mk = || platform(3, &[0.95, 1.0, 1.07]);
+            let (mut toggled, mut twin) = (mk(), mk());
+            twin.set_fast_forward(false);
+            let (mut tb, mut wb) = (IterationBuffers::new(), IterationBuffers::new());
+            let mut run = |toggled: &mut JobPlatform, twin: &mut JobPlatform, iterations| {
+                for _ in 0..iterations {
+                    toggled.run_iteration_into(&mut tb);
+                    twin.run_iteration_into(&mut wb);
+                    assert_eq!(tb.outcome(), wb.outcome(), "back on after {on_again_after}");
+                }
+            };
+            let limit = |toggled: &mut JobPlatform, twin: &mut JobPlatform, w| {
+                toggled.set_uniform_limit(Watts(w)).unwrap();
+                twin.set_uniform_limit(Watts(w)).unwrap();
+            };
+            // Spans recorded part-way down a descent ...
+            limit(&mut toggled, &mut twin, 150.0);
+            run(&mut toggled, &mut twin, 4);
+            // ... then up and down again through them with the oracle writing.
+            toggled.set_fast_forward(false);
+            limit(&mut toggled, &mut twin, 240.0);
+            run(&mut toggled, &mut twin, 10);
+            limit(&mut toggled, &mut twin, 150.0);
+            run(&mut toggled, &mut twin, on_again_after);
+            toggled.set_fast_forward(true);
+            run(&mut toggled, &mut twin, 10);
+            assert_eq!(toggled.host_energy(), twin.host_energy());
         }
     }
 

@@ -201,9 +201,36 @@ fn build_platform(
 struct ControlWrite {
     at: u64,
     host: usize,
-    limit: f64,
+    limit: LimitArg,
     cap_ghz: Option<f64>,
     shape: WriteShape,
+}
+
+/// The limit a scheduled write programs: anywhere in the settable range and
+/// beyond, or a few watts off what the host is programmed to now. A p-state
+/// is 3-6 W wide here, so while the enforcement filter is still creeping the
+/// second kind lands inside the span of the host's cached operating point
+/// about as often as across its edge.
+#[derive(Debug, Clone, Copy)]
+enum LimitArg {
+    Absolute(f64),
+    Nudge(f64),
+}
+
+fn arb_limit() -> impl Strategy<Value = LimitArg> {
+    prop_oneof![
+        (120.0f64..260.0).prop_map(LimitArg::Absolute),
+        (-4.0f64..4.0).prop_map(LimitArg::Nudge),
+    ]
+}
+
+impl ControlWrite {
+    fn watts(&self, reference: &[Node]) -> Watts {
+        match self.limit {
+            LimitArg::Absolute(w) => Watts(w),
+            LimitArg::Nudge(dw) => reference[self.host].power_limit() + Watts(dw),
+        }
+    }
 }
 
 /// What else happens around a scheduled limit write, before the next step.
@@ -322,12 +349,13 @@ proptest! {
             (
                 0u64..50,
                 0usize..5,
-                120.0f64..260.0,
+                arb_limit(),
                 prop_oneof![Just(None), (1.2f64..2.6).prop_map(Some)],
                 arb_shape(),
             ),
-            0..4,
+            0..8,
         ),
+        reconfig in prop_oneof![Just(None), (0u64..50, arb_config()).prop_map(Some)],
     ) {
         let n = eps.len();
         let plan = FaultPlan::scripted(
@@ -371,8 +399,16 @@ proptest! {
             prop_assert_eq!(&observe(&slow_bufs), &expected, "reference path, iteration {}", iter);
             prop_assert_eq!(&observe(&shard_bufs), &expected, "sharded path, iteration {}", iter);
 
+            // A phase change while limits are still creeping: the cached
+            // points were resolved against the old workload's tables.
+            if let Some((_, next)) = reconfig.filter(|(at, _)| *at == iter) {
+                reference.load = KernelLoad::new(next, reference.model.spec());
+                for p in [&mut fast, &mut slow, &mut sharded] {
+                    p.set_config(next);
+                }
+            }
             for w in writes.iter().filter(|w| w.at == iter) {
-                let limit = Watts(w.limit);
+                let limit = w.watts(&reference.nodes);
                 let expected = match w.shape {
                     WriteShape::Uniform => reference_uniform_limit(&mut reference.nodes, limit),
                     _ => reference.nodes[w.host].set_power_limit(limit),
@@ -420,11 +456,17 @@ proptest! {
 #[derive(Debug, Clone, Copy)]
 enum Churn {
     Limit(f64),
+    /// A limit a few watts off the programmed one: inside the cached
+    /// operating point's span about as often as across its edge.
+    Nudge(f64),
     Cap(Option<f64>),
     UniformLimit(f64),
     Death,
     Dropout(u32),
-    Config(f64),
+    /// A stuck RAPL plane: later limit writes "succeed" and change nothing.
+    Stuck(f64),
+    /// A workload change, to a kernel with or without ranks to demote.
+    Config(f64, bool),
     /// Both platforms continue into `IterationBuffers::new()`.
     FreshBuffers,
     /// Both platforms continue into buffers that last served another
@@ -435,11 +477,14 @@ enum Churn {
 fn arb_churn() -> impl Strategy<Value = Churn> {
     prop_oneof![
         (120.0f64..260.0).prop_map(Churn::Limit),
+        (-4.0f64..4.0).prop_map(Churn::Nudge),
+        (-4.0f64..4.0).prop_map(Churn::Nudge),
         prop_oneof![Just(None), (1.2f64..2.6).prop_map(Some)].prop_map(Churn::Cap),
         (120.0f64..260.0).prop_map(Churn::UniformLimit),
         Just(Churn::Death),
         (1u32..4).prop_map(Churn::Dropout),
-        (0.5f64..24.0).prop_map(Churn::Config),
+        (120.0f64..220.0).prop_map(Churn::Stuck),
+        (0.5f64..24.0, 0u8..2).prop_map(|(i, w)| Churn::Config(i, w == 1)),
         Just(Churn::FreshBuffers),
         Just(Churn::ForeignBuffers),
     ]
@@ -459,15 +504,31 @@ proptest! {
     /// that steps everything, and per-host energy must be bit-identical.
     /// Under jitter nothing may be reused and the RNG stream must not move;
     /// the same comparison shows both.
+    ///
+    /// The twin also resolves every host through the PCU search every
+    /// iteration, while the fast platform keeps the points whose span the
+    /// enforced limit is still inside. The schedule is dense enough that
+    /// most events land on segments whose filters are still creeping, so a
+    /// span that survived a frequency-cap write, a death, a stuck plane or a
+    /// workload change it should not have shows as a wrong outcome.
     #[test]
     fn reused_outcome_slices_match_the_stepping_twin(
         eps in prop::collection::vec(0.92f64..1.08, 1..14),
         sigma in prop_oneof![Just(0.0), Just(0.0), 0.002f64..0.02],
         seed in 0u64..u64::MAX,
-        schedule in prop::collection::vec((0u64..48, 0usize..14, arb_churn()), 0..10),
+        schedule in prop::collection::vec((0u64..48, 0usize..14, arb_churn()), 0..16),
     ) {
         let n = eps.len();
-        let config = KernelConfig::balanced_ymm(8.0);
+        let phase = |intensity, waiting| match waiting {
+            true => KernelConfig::new(
+                intensity,
+                VectorWidth::Ymm,
+                WaitingFraction::P50,
+                Imbalance::TwoX,
+            ),
+            false => KernelConfig::balanced_ymm(intensity),
+        };
+        let config = phase(8.0, true);
         let mk = |fast_forward| {
             build_platform(config, &eps, FaultPlan::none(), sigma, seed, fast_forward)
                 .with_segment_hosts(4)
@@ -496,6 +557,10 @@ proptest! {
                     // below would show a platform that applied one anyway.
                     match churn {
                         Churn::Limit(w) => drop(p.set_host_limit(host, Watts(w))),
+                        Churn::Nudge(dw) => {
+                            let limit = p.host_limits()[host] + Watts(dw);
+                            drop(p.set_host_limit(host, limit))
+                        }
                         Churn::Cap(ghz) => {
                             drop(p.set_host_freq_cap(host, ghz.map(|g| Hertz(g * 1e9))))
                         }
@@ -504,8 +569,11 @@ proptest! {
                         Churn::Dropout(iterations) => {
                             p.inject_fault(host, FaultKind::TelemetryDropout { iterations })
                         }
-                        Churn::Config(intensity) => {
-                            p.set_config(KernelConfig::balanced_ymm(intensity))
+                        Churn::Stuck(pinned_w) => {
+                            p.inject_fault(host, FaultKind::StuckRapl { pinned_w })
+                        }
+                        Churn::Config(intensity, waiting) => {
+                            p.set_config(phase(intensity, waiting))
                         }
                         Churn::FreshBuffers | Churn::ForeignBuffers => {}
                     }
@@ -685,7 +753,7 @@ proptest! {
             (
                 0u64..40,
                 0usize..5,
-                120.0f64..260.0,
+                arb_limit(),
                 prop_oneof![Just(None), (1.2f64..2.6).prop_map(Some)],
                 arb_shape(),
             ),
@@ -729,10 +797,11 @@ proptest! {
                     WriteShape::Uniform => 0..n,
                     _ => w.host..w.host + 1,
                 };
+                let limit = w.watts(&reference.nodes);
                 for h in hosts {
                     prop_assert_eq!(
-                        classed.bank.set_power_limit(h, Watts(w.limit)),
-                        reference.nodes[h].set_power_limit(Watts(w.limit))
+                        classed.bank.set_power_limit(h, limit),
+                        reference.nodes[h].set_power_limit(limit)
                     );
                 }
                 if let WriteShape::Twice(second) = w.shape {

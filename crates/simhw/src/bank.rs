@@ -76,12 +76,31 @@
 //! [`NodeBank::step_all_partial`]. Per-(host,socket) columns are contiguous
 //! per segment, so both paths run over dense slabs the autovectorizer can
 //! chew on.
+//!
+//! ## Operating-point spans
+//!
+//! A segment that must be stepped is usually one whose limits are still
+//! creeping through their filters, and the PCU's answer to a creeping limit
+//! changes only when the limit crosses the power of a neighbouring candidate
+//! point. [`LoadModel::operating_point_span`] returns, with the point, the
+//! [`CapSpan`] of limits it holds over; the bank keeps one per host, and
+//! [`NodeBank::resolve_segment`] re-resolves a host only when
+//! [`NodeBank::enforced_limit`] has left it. The bank is the right owner
+//! because it sees every write to the resolve's *other* inputs: a
+//! frequency-cap write, anything routed through the `Node` (a fault can
+//! kill the host or latch a stuck plane, and the refresh that follows
+//! reloads ε and the cap with it) and [`NodeBank::invalidate_segments`]
+//! (the load swap the bank cannot see) drop the span.
+//! [`NodeBank::set_power_limit`] deliberately does not: the limit is the
+//! span's argument, so a write that lands inside the span keeps the point
+//! and one that lands outside is caught by the next check.
+//! [`NodeBank::operating_point`] ignores spans and stays the oracle.
 
 use crate::error::Result;
 use crate::faults::{FaultKind, NodeHealth};
 use crate::msr::{address, check_write};
 use crate::node::{perf_ctl_ratio, resolve_freq_cap_request, Node};
-use crate::power::{LoadModel, OperatingPoint, PowerModel};
+use crate::power::{CapSpan, LoadModel, OperatingPoint, PowerModel};
 use crate::rapl::{
     decode_power_limit, enforcement_params_of, resolve_pl1_request, Pl1Gate, RaplUnits,
     DEFAULT_UNIT_REGISTER,
@@ -104,6 +123,11 @@ static CONTROL_WRITES: StaticCounter = StaticCounter::new("simhw.bank.control_wr
 /// Observability: hosts whose pending control registers (PL1, `PERF_CTL`)
 /// were lazily written back into their `Node`.
 static PL1_WRITEBACKS: StaticCounter = StaticCounter::new("simhw.bank.pl1_writebacks");
+/// Observability: hosts a [`NodeBank::resolve_segment`] pass left alone
+/// because their enforced limit was still inside the cached point's span.
+static RESOLVE_KEPT: StaticCounter = StaticCounter::new("simhw.bank.resolve.kept");
+/// Observability: hosts a [`NodeBank::resolve_segment`] pass re-resolved.
+static RESOLVE_SEARCHED: StaticCounter = StaticCounter::new("simhw.bank.resolve.searched");
 
 /// A multi-segment step fans out across the pool only when at least this many
 /// segments take the stepping arithmetic. A fan-out spawns and joins one
@@ -207,6 +231,10 @@ pub struct NodeBank {
     /// for a host it skipped): the segment's replay delta, meaningful while
     /// its cache slot is `Settled` and quiescent.
     replay_delta: Vec<Joules>,
+    /// The enforced limits over which the point [`NodeBank::resolve_segment`]
+    /// last wrote for the host is still the answer; [`CapSpan::NEVER`] once
+    /// any other input of the resolve has changed.
+    op_span: Vec<CapSpan>,
 
     // Mirrors, per host: refreshed after operations routed through the `Node`.
     eps: Vec<f64>,
@@ -271,6 +299,7 @@ impl NodeBank {
             programmed: vec![Watts(0.0); n],
             writeback_pending: vec![false; n],
             replay_delta: vec![Joules::ZERO; n],
+            op_span: vec![CapSpan::NEVER; n],
             eps: vec![1.0; n],
             health: vec![NodeHealth::Healthy; n],
             stuck: vec![None; n],
@@ -331,10 +360,12 @@ impl NodeBank {
         replayable(self.seg[sidx], dt.value().to_bits())
     }
 
-    /// Drop every segment cache, for a change the bank cannot see: the
-    /// caller's operating points for settled segments are about to differ
-    /// from the ones the recorded replay deltas were taken from (a new load
-    /// model). The next step re-proves settledness and re-records.
+    /// Drop every segment cache and every operating-point span, for a
+    /// change the bank cannot see: the caller's operating points are about
+    /// to differ from the ones the recorded replay deltas and spans were
+    /// taken from (a new load model, or `ops` slots the caller wrote
+    /// itself). The next step re-proves settledness and re-records; the
+    /// next [`NodeBank::resolve_segment`] re-resolves every host.
     pub fn invalidate_segments(&mut self) {
         for cache in &mut self.seg {
             if *cache != SegCache::Invalid {
@@ -342,6 +373,7 @@ impl NodeBank {
             }
             *cache = SegCache::Invalid;
         }
+        self.op_span.fill(CapSpan::NEVER);
     }
 
     /// Re-shard the bank into segments of `hosts` hosts. Drops every
@@ -420,14 +452,76 @@ impl NodeBank {
         model: &PowerModel,
         load: &L,
     ) -> OperatingPoint {
-        let op = load.operating_point(model, self.eps[h], self.enforced_limit(h));
-        match self.freq_cap[h] {
+        self.resolve_host(h, model, load).0
+    }
+
+    /// [`NodeBank::operating_point`] with the span of enforced limits it
+    /// holds over. The frequency-cap clamp is a function of the PCU's answer
+    /// and of inputs whose writes drop the span, so it holds over the same
+    /// limits the PCU's answer does.
+    fn resolve_host<L: LoadModel + ?Sized>(
+        &self,
+        h: usize,
+        model: &PowerModel,
+        load: &L,
+    ) -> (OperatingPoint, CapSpan) {
+        let (op, span) = load.operating_point_span(model, self.eps[h], self.enforced_limit(h));
+        let op = match self.freq_cap[h] {
             Some(cap_f) if op.lead > cap_f => OperatingPoint {
                 lead: cap_f,
                 trail: op.trail.min(cap_f),
                 power: load.node_power_at(model, self.eps[h], cap_f),
             },
             _ => op,
+        };
+        (op, span)
+    }
+
+    /// Bring `ops` up to date for segment `sidx`: afterwards every slot of
+    /// the segment holds what [`NodeBank::operating_point`] returns for its
+    /// host right now (`None` for a fail-stop dead host), bit for bit. Only
+    /// the hosts whose enforced limit has left the span of the point last
+    /// written for them are re-resolved; each of those is passed to
+    /// `rewrote` with its new slot, the others cost two compares.
+    ///
+    /// The spans describe the slots this method wrote, so the caller hands
+    /// back the same `ops` call after call, resolves with the same `model`
+    /// and `load`, and calls [`NodeBank::invalidate_segments`] when it swaps
+    /// the load or writes a slot itself. A load model that bounds nothing
+    /// (the [`LoadModel`] default) is re-resolved every time.
+    pub fn resolve_segment<L: LoadModel + ?Sized>(
+        &mut self,
+        sidx: usize,
+        model: &PowerModel,
+        load: &L,
+        ops: &mut [Option<OperatingPoint>],
+        mut rewrote: impl FnMut(usize, Option<&OperatingPoint>),
+    ) {
+        assert_eq!(ops.len(), self.nodes.len(), "one slot per host");
+        let range = self.segment_range(sidx);
+        let hosts = range.len() as u64;
+        let mut searched = 0;
+        for h in range {
+            if self.op_span[h].holds(self.enforced_limit(h)) {
+                continue;
+            }
+            searched += 1;
+            // Dead hosts drop out of the computation; the span dropped at
+            // death stays empty, so the slot is simply rewritten each pass.
+            ops[h] = self.is_alive(h).then(|| {
+                let (op, span) = self.resolve_host(h, model, load);
+                self.op_span[h] = span;
+                op
+            });
+            rewrote(h, ops[h].as_ref());
+        }
+        // Zero adds are skipped, as for the outcome counters: a sweep's
+        // workers would only bounce the counter's cache line.
+        if searched > 0 {
+            RESOLVE_SEARCHED.add(searched);
+        }
+        if searched < hosts {
+            RESOLVE_KEPT.add(hosts - searched);
         }
     }
 
@@ -445,6 +539,8 @@ impl NodeBank {
     /// mask and updated, and the enforcement inputs are re-decoded from it;
     /// the `Node`'s own register goes stale until the next flush. Like every
     /// control write this dirties the host's segment, whatever the outcome.
+    /// It does not drop the host's operating-point span: the limit is the
+    /// span's argument, checked against it on the next resolve.
     pub fn set_power_limit(&mut self, h: usize, limit: Watts) -> Result<()> {
         CONTROL_WRITES.inc();
         self.dirty_segment(h);
@@ -510,6 +606,7 @@ impl NodeBank {
         let current = perf_ctl_ratio(self.freq_cap[h]);
         check_write(address::PERF_CTL, self.perf_ctl_write_mask, current, raw)?;
         self.freq_cap[h] = cap;
+        self.op_span[h] = CapSpan::NEVER;
         self.writeback_pending[h] = true;
         self.hot_synced = false;
         Ok(())
@@ -546,7 +643,8 @@ impl NodeBank {
     /// `ops[h] == None` means "do not step host `h`" (the dead-host path).
     /// Returns `true` when every stepped enforcement filter was already at
     /// its bitwise fixed point — the steady-state signal the fast-forward
-    /// path keys on. `parallel` chunks the columns across the worker pool.
+    /// path keys on. `parallel` lets a bank with enough segments to step fan
+    /// them out across the worker pool; a one-segment bank never does.
     ///
     /// Every host takes the full stepping arithmetic; segment caches are
     /// still maintained so a later [`NodeBank::step_all_partial`] can pick
@@ -623,7 +721,6 @@ impl NodeBank {
         let sh = self.segment_hosts;
         let segs = self.seg.len();
         let dt_bits = dt.value().to_bits();
-        let workers = pmstack_exec::workers();
         let mut cols = SpanCols {
             energy: &mut self.energy,
             enforced: &mut self.enforced,
@@ -635,81 +732,46 @@ impl NodeBank {
         };
         let (target, tau) = (&self.target, &self.tau);
 
-        if segs <= 1 {
-            // Sub-segment fleet: one cache slot, but keep the host-chunked
-            // fan-out so jobs smaller than a segment retain full step
-            // parallelism. The replay/step decision is made once, up front;
-            // a replay is one pass of adds and never worth a fan-out.
-            if allow_replay && replayable(self.seg[0], dt_bits) {
-                replay_span(&mut cols, s);
-                report.segments_replayed = 1;
-            } else {
-                let (settled, quiescent) = if !parallel || workers <= 1 || n < 2 {
-                    step_span(&mut cols, 0, s, dt, ops, target, tau)
-                } else {
-                    let chunk_hosts = n.div_ceil(workers);
-                    let mut chunks: Vec<HostChunk<'_>> = Vec::with_capacity(workers);
-                    let mut base = 0;
-                    while base < n {
-                        let take = chunk_hosts.min(n - base);
-                        chunks.push(HostChunk {
-                            base,
-                            cols: cols.split_off_front(take, s),
-                            settled: true,
-                            quiescent: true,
-                        });
-                        base += take;
-                    }
-                    pmstack_exec::par_for_each_mut(&mut chunks, |_, chunk| {
-                        (chunk.settled, chunk.quiescent) =
-                            step_span(&mut chunk.cols, chunk.base, s, dt, ops, target, tau);
-                    });
-                    (
-                        chunks.iter().all(|c| c.settled),
-                        chunks.iter().all(|c| c.quiescent),
-                    )
-                };
-                self.seg[0] = cache_after_step(settled, quiescent, dt_bits);
-                report.all_settled = settled;
-                report.segments_stepped = 1;
-            }
+        // Chunk boundaries are segment boundaries, so each worker owns its
+        // segments' cache slots outright and the replay/step decision is
+        // local to the chunk. A bank of one segment is the case that never
+        // reaches the fan-out threshold.
+        let steps = |c: &&SegCache| !(allow_replay && replayable(**c, dt_bits));
+        let dirty = self.seg.iter().filter(steps).count();
+        let workers = if parallel && dirty >= PAR_MIN_STEPPED_SEGMENTS {
+            pmstack_exec::workers()
         } else {
-            // Multi-segment fleet: chunk boundaries are segment boundaries,
-            // so each worker owns its segments' cache slots outright and the
-            // replay/step decision is local to the chunk.
-            let steps = |c: &&SegCache| !(allow_replay && replayable(**c, dt_bits));
-            let dirty = self.seg.iter().filter(steps).count();
-            let fan_out = parallel && workers > 1 && dirty >= PAR_MIN_STEPPED_SEGMENTS;
-            let run = |chunk: &mut SegChunk<'_>| {
-                run_seg_chunk(chunk, s, sh, dt, dt_bits, ops, target, tau, allow_replay);
-            };
-            let mut fold = |chunk: &SegChunk<'_>| {
-                report.all_settled &= chunk.all_settled;
-                report.segments_replayed += chunk.replayed;
-                report.segments_stepped += chunk.stepped;
-            };
-            if fan_out {
-                let chunk_segs = segs.div_ceil(workers);
-                let mut chunks: Vec<SegChunk<'_>> = Vec::with_capacity(workers);
-                let mut seg_rem = &mut self.seg[..];
-                let mut base = 0;
-                while !seg_rem.is_empty() {
-                    let take_segs = chunk_segs.min(seg_rem.len());
-                    let take_hosts = (take_segs * sh).min(n - base);
-                    let (sa, st) = seg_rem.split_at_mut(take_segs);
-                    seg_rem = st;
-                    chunks.push(SegChunk::new(base, cols.split_off_front(take_hosts, s), sa));
-                    base += take_hosts;
-                }
-                pmstack_exec::par_for_each_mut(&mut chunks, |_, chunk| run(chunk));
-                chunks.iter().for_each(&mut fold);
-            } else {
-                // The whole fleet is one chunk, built on the stack: the
-                // loop allocates nothing once the caller's vectors exist.
-                let mut chunk = SegChunk::new(0, cols, &mut self.seg);
-                run(&mut chunk);
-                fold(&chunk);
+            1
+        };
+        let run = |chunk: &mut SegChunk<'_>| {
+            run_seg_chunk(chunk, s, sh, dt, dt_bits, ops, target, tau, allow_replay);
+        };
+        let mut fold = |chunk: &SegChunk<'_>| {
+            report.all_settled &= chunk.all_settled;
+            report.segments_replayed += chunk.replayed;
+            report.segments_stepped += chunk.stepped;
+        };
+        if workers > 1 {
+            let chunk_segs = segs.div_ceil(workers);
+            let mut chunks: Vec<SegChunk<'_>> = Vec::with_capacity(workers);
+            let mut seg_rem = &mut self.seg[..];
+            let mut base = 0;
+            while !seg_rem.is_empty() {
+                let take_segs = chunk_segs.min(seg_rem.len());
+                let take_hosts = (take_segs * sh).min(n - base);
+                let (sa, st) = seg_rem.split_at_mut(take_segs);
+                seg_rem = st;
+                chunks.push(SegChunk::new(base, cols.split_off_front(take_hosts, s), sa));
+                base += take_hosts;
             }
+            pmstack_exec::par_for_each_mut(&mut chunks, |_, chunk| run(chunk));
+            chunks.iter().for_each(&mut fold);
+        } else {
+            // The whole fleet is one chunk, built on the stack: the loop
+            // allocates nothing once the caller's vectors exist.
+            let mut chunk = SegChunk::new(0, cols, &mut self.seg);
+            run(&mut chunk);
+            fold(&chunk);
         }
         if report.segments_replayed > 0 {
             SHARD_REPLAYED.add(report.segments_replayed as u64);
@@ -834,6 +896,8 @@ impl NodeBank {
         self.dead_hosts -= usize::from(was_dead);
         self.writeback_pending[h] = false;
         self.programmed[h] = self.programmed_limit(h);
+        // ε, health, the cap and the stuck latch may all have changed.
+        self.op_span[h] = CapSpan::NEVER;
     }
 }
 
@@ -902,14 +966,6 @@ impl<'a> SpanCols<'a> {
     }
 }
 
-/// One worker's sub-segment chunk (single-segment fleets only).
-struct HostChunk<'a> {
-    base: usize,
-    cols: SpanCols<'a>,
-    settled: bool,
-    quiescent: bool,
-}
-
 /// One worker's segment-aligned chunk: whole segments plus their cache
 /// slots.
 struct SegChunk<'a> {
@@ -974,7 +1030,12 @@ fn run_seg_chunk(
 /// whether the span neither consumed one-shot telemetry state in this step
 /// nor holds any afterwards.
 ///
+/// Not inlined: with one call site left it would be, and folded into
+/// [`run_seg_chunk`]'s loop it slows the replay arm beside it (a steady
+/// 100 000-host iteration measured 0.068 ms → 0.074 ms).
+///
 /// [`RaplPackage::advance`]: crate::rapl::RaplPackage::advance
+#[inline(never)]
 fn step_span(
     cols: &mut SpanCols<'_>,
     base: usize,
@@ -1184,12 +1245,17 @@ mod tests {
         assert!(bank.quiescent(), "dropout and glitch should be consumed");
     }
 
+    /// `step_all` never replays, so every one of the 20 two-host segments is
+    /// stepped on every call — enough to fan out (a one-segment bank never
+    /// does, whatever `parallel` says).
     #[test]
     fn parallel_and_sequential_stepping_agree() {
-        let (model, nodes) = fleet(9);
+        let (model, nodes) = fleet(2 * (PAR_MIN_STEPPED_SEGMENTS + 4));
         let load = FlatLoad { kappa: 2.6 };
         let mut seq = NodeBank::from_nodes(nodes.clone());
         let mut par = NodeBank::from_nodes(nodes);
+        seq.set_segment_hosts(2);
+        par.set_segment_hosts(2);
         for h in 0..seq.len() {
             seq.set_power_limit(h, Watts(180.0)).unwrap();
             par.set_power_limit(h, Watts(180.0)).unwrap();

@@ -377,6 +377,55 @@ pub struct OperatingPoint {
     pub power: Watts,
 }
 
+/// The tolerance every PCU resolve adds to the cap before comparing a
+/// candidate's power against it, so a cap that *is* a candidate's power still
+/// selects that candidate after rounding.
+pub const CAP_SLACK: Watts = Watts(1e-9);
+
+/// The caps over which a resolved [`OperatingPoint`] stays the PCU's answer.
+///
+/// A resolve picks the highest candidate whose power fits `cap + CAP_SLACK`,
+/// so its answer is a step function of the cap: it holds from the chosen
+/// candidate's power up to, but excluding, the power of the lowest candidate
+/// the resolve saw not fit. A span is that interval, kept closed (the
+/// excluded edge is stored as the float just below it) so that "is the cached
+/// point still the answer" is two compares and `±∞` caps need no special
+/// case. NaN caps never hold.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CapSpan {
+    lo: f64,
+    hi: f64,
+}
+
+impl CapSpan {
+    /// The empty span: no cap holds. What a resolve returns when it cannot
+    /// bound its answer, and what a cached point is worth once any *other*
+    /// input of the resolve (ε, frequency cap, workload) has changed.
+    pub const NEVER: Self = Self {
+        lo: f64::INFINITY,
+        hi: f64::NEG_INFINITY,
+    };
+
+    /// The span of a point chosen because `fits` is the highest candidate
+    /// power within the cap (`None`: nothing fit, the point is the hardware
+    /// floor) and `excluded` the lowest candidate power above it (`None`:
+    /// the point is the uncapped one).
+    pub fn between(fits: Option<Watts>, excluded: Option<Watts>) -> Self {
+        Self {
+            lo: fits.map_or(f64::NEG_INFINITY, Watts::value),
+            hi: excluded.map_or(f64::INFINITY, |p| p.value().next_down()),
+        }
+    }
+
+    /// True when a resolve at `cap` returns the point this span came with,
+    /// bit for bit.
+    #[inline]
+    pub fn holds(&self, cap: Watts) -> bool {
+        let budget = (cap + CAP_SLACK).value();
+        self.lo <= budget && budget <= self.hi
+    }
+}
+
 /// A workload's view of node power as a function of the *lead* (critical
 /// path) core frequency. Implemented by `pmstack-kernel`.
 pub trait LoadModel {
@@ -396,13 +445,27 @@ pub trait LoadModel {
     /// GEOPM power balancer exploits.
     fn operating_point(&self, model: &PowerModel, eps: f64, cap: Watts) -> OperatingPoint {
         let ladder = model.spec().pstates();
-        let lead =
-            ladder.highest_fitting(|s| self.node_power_at(model, eps, s) <= cap + Watts(1e-9));
+        let lead = ladder.highest_fitting(|s| self.node_power_at(model, eps, s) <= cap + CAP_SLACK);
         OperatingPoint {
             lead,
             trail: lead,
             power: self.node_power_at(model, eps, lead),
         }
+    }
+
+    /// [`Self::operating_point`] together with the [`CapSpan`] it holds
+    /// over. The default bounds nothing ([`CapSpan::NEVER`]): a caller that
+    /// caches the point re-resolves every time, which is always correct. A
+    /// workload that resolves against tabulated candidates overrides this to
+    /// return the neighbouring candidates' powers, and must then make
+    /// `operating_point` return exactly this point.
+    fn operating_point_span(
+        &self,
+        model: &PowerModel,
+        eps: f64,
+        cap: Watts,
+    ) -> (OperatingPoint, CapSpan) {
+        (self.operating_point(model, eps, cap), CapSpan::NEVER)
     }
 }
 
@@ -413,6 +476,15 @@ impl<T: LoadModel + ?Sized> LoadModel for &T {
 
     fn operating_point(&self, model: &PowerModel, eps: f64, cap: Watts) -> OperatingPoint {
         (**self).operating_point(model, eps, cap)
+    }
+
+    fn operating_point_span(
+        &self,
+        model: &PowerModel,
+        eps: f64,
+        cap: Watts,
+    ) -> (OperatingPoint, CapSpan) {
+        (**self).operating_point_span(model, eps, cap)
     }
 }
 

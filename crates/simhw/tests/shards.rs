@@ -10,8 +10,9 @@
 use pmstack_simhw::msr::address;
 use pmstack_simhw::power::CoreClass;
 use pmstack_simhw::{
-    quartz_spec, standard_classes, ClassId, ClassedBank, FaultKind, Hertz, HostStep, LoadModel,
-    Node, NodeBank, NodeClass, NodeId, PowerModel, RaplDomain, Seconds, SimHwError, Watts,
+    quartz_spec, standard_classes, CapSpan, ClassId, ClassedBank, FaultKind, Hertz, HostStep,
+    LoadModel, Node, NodeBank, NodeClass, NodeId, OperatingPoint, PowerModel, RaplDomain, Seconds,
+    SimHwError, Watts,
 };
 use proptest::prelude::*;
 
@@ -30,6 +31,38 @@ impl LoadModel for FlatLoad {
             }],
         )
     }
+}
+
+/// [`FlatLoad`] with a resolve that bounds its answer, as a table-driven
+/// workload does: the default ladder walk picks the highest step whose
+/// power fits (the bottom step when none does), so the point holds from its
+/// own power up to the lowest power of any step above it.
+struct SpannedLoad(FlatLoad);
+
+impl LoadModel for SpannedLoad {
+    fn node_power_at(&self, model: &PowerModel, eps: f64, lead: Hertz) -> Watts {
+        self.0.node_power_at(model, eps, lead)
+    }
+
+    fn operating_point_span(
+        &self,
+        model: &PowerModel,
+        eps: f64,
+        cap: Watts,
+    ) -> (OperatingPoint, CapSpan) {
+        let op = self.operating_point(model, eps, cap);
+        let ladder = model.spec().pstates();
+        let excluded = (ladder.steps().iter())
+            .filter(|&&step| step > op.lead)
+            .map(|&step| self.node_power_at(model, eps, step))
+            .reduce(Watts::min);
+        let fits = (op.lead > ladder.min()).then_some(op.power);
+        (op, CapSpan::between(fits, excluded))
+    }
+}
+
+fn op_bits(op: Option<OperatingPoint>) -> Option<[u64; 3]> {
+    op.map(|op| [op.lead.value(), op.trail.value(), op.power.value()].map(f64::to_bits))
 }
 
 fn fleet(n: usize) -> (PowerModel, Vec<Node>) {
@@ -409,6 +442,101 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `resolve_segment` keeps the slots whose host's enforced limit is still
+    /// inside the cached point's span, so a span kept across a write that
+    /// changed the point's other inputs would serve a wrong point. After
+    /// every pass — limits creeping through their filters, frequency caps,
+    /// stuck planes, deaths, a load swap the bank is told about, on a flat
+    /// bank that is re-sharded mid-run — every slot must hold what the
+    /// per-host resolve returns, bit for bit, and a slot the pass did not
+    /// report rewritten must be the one it held before.
+    #[test]
+    fn resolved_segments_match_the_per_host_resolve(
+        n in 1usize..34,
+        seg in 1usize..10,
+        swap_at in 0usize..24,
+        schedule in prop::collection::vec((0usize..24, 0usize..34, disturb_strategy()), 0..12),
+    ) {
+        let (model, nodes) = fleet(n);
+        let loads = [2.6, 2.2].map(|kappa| SpannedLoad(FlatLoad { kappa }));
+        let mut load = &loads[0];
+        let mut bank = NodeBank::from_nodes(nodes);
+        let mut ops = vec![None; n];
+        let mut results = vec![HostStep::Skipped; n];
+        for iter in 0..24 {
+            if iter == 12 {
+                bank.set_segment_hosts(seg);
+            }
+            if iter == swap_at {
+                load = &loads[1];
+                bank.invalidate_segments();
+            }
+            for &(_, host, d) in schedule.iter().filter(|(at, ..)| *at == iter) {
+                disturb(&mut bank, host % n, d);
+            }
+            let before = ops.clone();
+            let mut reported = vec![None; n];
+            for sidx in 0..bank.num_segments() {
+                let range = bank.segment_range(sidx);
+                bank.resolve_segment(sidx, &model, load, &mut ops, |h, op| {
+                    assert!(range.contains(&h), "host {h} is outside segment {sidx}");
+                    reported[h] = Some(op.copied());
+                });
+            }
+            for h in 0..n {
+                let want = bank.is_alive(h).then(|| bank.operating_point(h, &model, load));
+                prop_assert_eq!(op_bits(ops[h]), op_bits(want), "host {} at iteration {}", h, iter);
+                let kept = reported[h].unwrap_or(before[h]);
+                prop_assert_eq!(op_bits(ops[h]), op_bits(kept), "host {} moved unreported", h);
+            }
+            bank.step_all_partial(Seconds(0.2), &ops, &mut results, false);
+        }
+    }
+}
+
+/// The span is tight at the bank, not only safe: while a limit creeps down
+/// through its enforcement filter the host is searched exactly when the
+/// per-host resolve starts returning a different point, and not once more.
+#[test]
+fn a_creeping_limit_is_searched_only_when_its_point_moves() {
+    let (model, nodes) = fleet(6);
+    let load = SpannedLoad(FlatLoad { kappa: 2.6 });
+    let mut bank = NodeBank::from_nodes(nodes);
+    let n = bank.len();
+    for h in 0..n {
+        bank.set_power_limit(h, Watts(140.0 + 4.0 * h as f64))
+            .unwrap();
+    }
+    let mut ops = vec![None; n];
+    let mut results = vec![HostStep::Skipped; n];
+    let (mut searches, mut moves) = (vec![0; n], vec![0; n]);
+    let mut settled = false;
+    for _ in 0..2000 {
+        let before = ops.clone();
+        bank.resolve_segment(0, &model, &load, &mut ops, |h, _| searches[h] += 1);
+        for h in 0..n {
+            let want = Some(bank.operating_point(h, &model, &load));
+            assert_eq!(op_bits(ops[h]), op_bits(want));
+            moves[h] += usize::from(op_bits(before[h]) != op_bits(want));
+        }
+        settled = bank
+            .step_all_partial(Seconds(0.05), &ops, &mut results, false)
+            .all_settled;
+        if settled {
+            break;
+        }
+    }
+    assert!(settled, "enforcement must reach its fixed point");
+    assert_eq!(searches, moves);
+    assert!(
+        moves.iter().all(|&m| m > 3),
+        "limits crossed several steps: {moves:?}"
+    );
 }
 
 /// Step a bank with freshly resolved operating points until the partial
