@@ -1,9 +1,9 @@
-//! Overhead of the observability layer on the columnar hot loop: the same
-//! 64-host `run_iteration_into` replay as `platform_step`, measured with
-//! the recorder disabled (the default — every instrumentation site must
-//! collapse to one relaxed atomic load) and enabled. The disabled row is
-//! the one that matters: it must stay within ~2 % of the uninstrumented
-//! baseline recorded in BENCH_step.json.
+//! Overhead of the observability layer on the columnar hot loop: a settled
+//! 64-host `run_iteration_into` replay, measured with the recorder disabled
+//! (the default — every instrumentation site must collapse to one relaxed
+//! atomic load) and enabled. The disabled row is the one that matters: it
+//! must stay within ~2 % of the uninstrumented baseline recorded in
+//! BENCH_step.json.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pmstack_kernel::{Imbalance, KernelConfig, VectorWidth, WaitingFraction};

@@ -151,25 +151,9 @@ impl Coordinator {
     }
 
     /// Run a mix of `(name, config, node_count)` jobs under `policy` and a
-    /// system `budget` for `iterations` bulk-synchronous iterations each.
-    ///
-    /// Infallible wrapper over [`Self::try_run_mix`], kept for callers that
-    /// treat coordination failures as programming errors; it panics with
-    /// the error's message.
-    pub fn run_mix(
-        &self,
-        mix: &[(String, KernelConfig, usize)],
-        policy: &dyn PowerPolicy,
-        budget: Watts,
-        iterations: usize,
-        mode: CoordinatorMode,
-    ) -> MixRun {
-        self.try_run_mix(mix, policy, budget, iterations, mode)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Run a mix through the full stack, returning a typed error instead of
-    /// panicking when the mix cannot be coordinated.
+    /// system `budget` for `iterations` bulk-synchronous iterations each,
+    /// through the full stack. A mix that cannot be coordinated is a typed
+    /// error, not a panic.
     pub fn try_run_mix(
         &self,
         mix: &[(String, KernelConfig, usize)],
@@ -518,13 +502,15 @@ mod tests {
     fn emulated_run_produces_reports_for_every_job() {
         let c = cluster(6);
         let coord = Coordinator::new(&c);
-        let run = coord.run_mix(
-            &small_mix(),
-            &MixedAdaptive,
-            Watts(6.0 * 190.0),
-            30,
-            CoordinatorMode::Emulated,
-        );
+        let run = coord
+            .try_run_mix(
+                &small_mix(),
+                &MixedAdaptive,
+                Watts(6.0 * 190.0),
+                30,
+                CoordinatorMode::Emulated,
+            )
+            .unwrap();
         assert_eq!(run.reports.len(), 2);
         assert!(run.reports.iter().all(|r| r.iterations == 30));
         assert!(run.total_energy() > 0.0);
@@ -539,7 +525,9 @@ mod tests {
         let coord = Coordinator::new(&c);
         let mix = small_mix();
         let budget = Watts(6.0 * 190.0);
-        let run = coord.run_mix(&mix, &StaticCaps, budget, 60, CoordinatorMode::Emulated);
+        let run = coord
+            .try_run_mix(&mix, &StaticCaps, budget, 60, CoordinatorMode::Emulated)
+            .unwrap();
 
         let spec = c.model().spec();
         let ctx = PolicyCtx {
@@ -585,8 +573,13 @@ mod tests {
         let coord = Coordinator::new(&c);
         let mix = small_mix();
         let budget = Watts(6.0 * 230.0);
-        let emulated = coord.run_mix(&mix, &MixedAdaptive, budget, 40, CoordinatorMode::Emulated);
-        let online = coord.run_mix(&mix, &MixedAdaptive, budget, 40, CoordinatorMode::Online);
+        let run = |mode| {
+            coord
+                .try_run_mix(&mix, &MixedAdaptive, budget, 40, mode)
+                .unwrap()
+        };
+        let emulated = run(CoordinatorMode::Emulated);
+        let online = run(CoordinatorMode::Online);
         // Online re-characterization can only shrink "needed" (measured
         // power bounds it), so it must not waste more energy.
         assert!(online.total_energy() <= emulated.total_energy() * 1.02);
@@ -598,13 +591,16 @@ mod tests {
     fn oversubscribed_mix_is_rejected() {
         let c = cluster(4);
         let coord = Coordinator::new(&c);
-        coord.run_mix(
-            &small_mix(),
-            &StaticCaps,
-            Watts(4.0 * 200.0),
-            5,
-            CoordinatorMode::Emulated,
-        );
+        coord
+            .try_run_mix(
+                &small_mix(),
+                &StaticCaps,
+                Watts(4.0 * 200.0),
+                5,
+                CoordinatorMode::Emulated,
+            )
+            .map_err(|e| e.to_string())
+            .unwrap();
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Typed failure handling for the unified stack.
 //!
 //! The coordinator's original invariants were panics: an empty mix, a mix
-//! that does not fit, a policy returning the wrong cap shape. Those stay
-//! available through the infallible [`crate::coordinator::Coordinator::run_mix`]
-//! wrapper, but the real API is now
-//! [`crate::coordinator::Coordinator::try_run_mix`], which returns a
-//! [`CoordinatorError`] instead of tearing the process down — the stack's
+//! that does not fit, a policy returning the wrong cap shape.
+//! [`crate::coordinator::Coordinator::try_run_mix`] returns a
+//! [`CoordinatorError`] for each instead of tearing the process down — the stack's
 //! answer to §I's "the system must keep operating under its power contract
 //! even when parts of it misbehave".
 //!
@@ -48,7 +46,7 @@ impl fmt::Display for CoordinatorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             // The wording of the first two preserves the historical panic
-            // messages (`run_mix` re-panics with `{self}`).
+            // messages.
             Self::EmptyMix => write!(f, "cannot run an empty mix"),
             Self::MixDoesNotFit {
                 submitted,

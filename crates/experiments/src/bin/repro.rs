@@ -259,6 +259,9 @@ fn run(cli: &Cli) {
                     p.name, p.wall_secs, p.ns_per_host
                 );
             }
+            if let Some(bytes) = report.resident_bytes_per_host {
+                eprintln!("[repro] megafleet resident: {bytes:.0} bytes/host");
+            }
             if let Some(dir) = &cli.out_dir {
                 std::fs::write(
                     dir.join("BENCH_megafleet.json"),

@@ -111,6 +111,31 @@ pub struct MegafleetReport {
     pub settled_under_agent: bool,
     /// Total fleet energy at the end, joules (a determinism anchor).
     pub total_energy_j: f64,
+    /// Resident memory the fleet costs per host: [`resident_bytes`] once
+    /// the platform is built minus before its nodes were, over the host
+    /// count. `None` where `/proc/self/status` does not exist.
+    pub resident_bytes_per_host: Option<f64>,
+}
+
+/// The process's resident set in bytes (`VmRSS`, from `/proc/self/status`)
+/// once the allocator has handed the pages it holds free back to the OS.
+/// Building the platform frees every `Node` it ingests; glibc would keep
+/// that memory cached for the next allocation (a rebuild reuses it warm),
+/// and `VmRSS` would still count the ~1.2 KB per host the nodes occupied.
+fn resident_bytes() -> Option<f64> {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> std::ffi::c_int;
+        }
+        // SAFETY: `malloc_trim` takes no pointers and only releases memory
+        // the allocator holds free.
+        unsafe { malloc_trim(0) };
+    }
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+    let kb: f64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb * 1024.0)
 }
 
 /// Deterministic manufacturing-variation spread, inside the profile's
@@ -140,6 +165,7 @@ pub fn run_megafleet(params: &MegafleetParams) -> MegafleetReport {
         "hosts out of range"
     );
     let model = PowerModel::new(quartz_spec()).expect("quartz spec is valid");
+    let rss_before = resident_bytes();
     let nodes: Vec<Node> = (0..params.hosts)
         .map(|i| Node::new(NodeId(i), &model, eps_of(i)).expect("eps is in range"))
         .collect();
@@ -149,6 +175,9 @@ pub fn run_megafleet(params: &MegafleetParams) -> MegafleetReport {
         platform = platform.with_segment_hosts(sh);
     }
     platform.set_fast_forward(true);
+    let resident_bytes_per_host = rss_before
+        .zip(resident_bytes())
+        .map(|(before, after)| (after - before) / params.hosts as f64);
     let segments = platform.num_segments();
     let segment_hosts = platform.segment_hosts();
     let mut bufs = IterationBuffers::new();
@@ -249,6 +278,7 @@ pub fn run_megafleet(params: &MegafleetParams) -> MegafleetReport {
         churn_replay_fraction,
         settled_under_agent,
         total_energy_j,
+        resident_bytes_per_host,
     }
 }
 
@@ -310,9 +340,13 @@ pub fn to_bench_json(report: &MegafleetReport) -> String {
     let _ = write!(
         out,
         "{{\n  \"benchmark\": \"megafleet\",\n  \"hosts\": {},\n  \
-         \"segments\": {},\n  \"segment_hosts\": {},\n  \"phases\": {{",
+         \"segments\": {},\n  \"segment_hosts\": {},\n",
         report.hosts, report.segments, report.segment_hosts
     );
+    if let Some(bytes) = report.resident_bytes_per_host {
+        let _ = writeln!(out, "  \"resident_bytes_per_host\": {bytes:.1},");
+    }
+    out.push_str("  \"phases\": {");
     for (i, p) in report.phases.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(
@@ -404,6 +438,11 @@ mod tests {
             assert!(json.contains(name), "json missing {name}");
         }
         assert!(json.contains("\"hosts\": 24"));
+        // Linux has /proc/self/status; the field is left out elsewhere.
+        assert_eq!(
+            json.contains("resident_bytes_per_host"),
+            report.resident_bytes_per_host.is_some()
+        );
     }
 
     #[test]

@@ -136,13 +136,15 @@ pub fn run_sweep(mix: MixKind, params: ReplicateParams) -> ReplicateSweep {
         if let Some(seed) = jitter_seed {
             coord = coord.with_jitter(params.jitter_sigma, seed);
         }
-        coord.run_mix(
-            &workload.jobs,
-            by_kind(policy).as_ref(),
-            budget,
-            params.iterations,
-            CoordinatorMode::Emulated,
-        )
+        coord
+            .try_run_mix(
+                &workload.jobs,
+                by_kind(policy).as_ref(),
+                budget,
+                params.iterations,
+                CoordinatorMode::Emulated,
+            )
+            .expect("the sweep's mix fits its cluster")
     };
 
     // Execution order: clean runs first. The pool block-distributes, so

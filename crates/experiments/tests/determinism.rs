@@ -145,64 +145,35 @@ fn coordinator_fast_forward_matches_full_pipeline() {
         }
     };
 
+    let run = |coord: Coordinator| -> MixRun {
+        coord
+            .try_run_mix(
+                &workload.jobs,
+                policy.as_ref(),
+                budget,
+                120,
+                CoordinatorMode::Emulated,
+            )
+            .expect("the mix fits its cluster")
+    };
+
     // Clean: the fast-forward replay engages once enforcement settles.
-    let base = Coordinator::new(&cluster);
-    let with_ff = base.run_mix(
-        &workload.jobs,
-        policy.as_ref(),
-        budget,
-        120,
-        CoordinatorMode::Emulated,
-    );
-    let without_ff = Coordinator::new(&cluster).with_fast_forward(false).run_mix(
-        &workload.jobs,
-        policy.as_ref(),
-        budget,
-        120,
-        CoordinatorMode::Emulated,
-    );
+    let with_ff = run(Coordinator::new(&cluster));
+    let without_ff = run(Coordinator::new(&cluster).with_fast_forward(false));
     assert_runs_identical(&with_ff, &without_ff);
 
     // Jittered: only the settled operating-point cache can engage.
-    let with_ff = Coordinator::new(&cluster).with_jitter(0.01, 23).run_mix(
-        &workload.jobs,
-        policy.as_ref(),
-        budget,
-        120,
-        CoordinatorMode::Emulated,
-    );
-    let without_ff = Coordinator::new(&cluster)
+    let with_ff = run(Coordinator::new(&cluster).with_jitter(0.01, 23));
+    let without_ff = run(Coordinator::new(&cluster)
         .with_jitter(0.01, 23)
-        .with_fast_forward(false)
-        .run_mix(
-            &workload.jobs,
-            policy.as_ref(),
-            budget,
-            120,
-            CoordinatorMode::Emulated,
-        );
+        .with_fast_forward(false));
     assert_runs_identical(&with_ff, &without_ff);
 
     // Faulted: every cache must disarm exactly at the event boundaries.
     let plan = FaultPlan::randomized(5, total, 120, 4);
-    let with_ff = Coordinator::new(&cluster)
-        .with_fault_plan(plan.clone())
-        .run_mix(
-            &workload.jobs,
-            policy.as_ref(),
-            budget,
-            120,
-            CoordinatorMode::Emulated,
-        );
-    let without_ff = Coordinator::new(&cluster)
+    let with_ff = run(Coordinator::new(&cluster).with_fault_plan(plan.clone()));
+    let without_ff = run(Coordinator::new(&cluster)
         .with_fault_plan(plan)
-        .with_fast_forward(false)
-        .run_mix(
-            &workload.jobs,
-            policy.as_ref(),
-            budget,
-            120,
-            CoordinatorMode::Emulated,
-        );
+        .with_fast_forward(false));
     assert_runs_identical(&with_ff, &without_ff);
 }

@@ -244,11 +244,6 @@ impl<A: Agent> Controller<A> {
             }
         }
     }
-
-    /// Tear down, returning the nodes to the caller.
-    pub fn into_platform(self) -> JobPlatform {
-        self.platform
-    }
 }
 
 #[cfg(test)]

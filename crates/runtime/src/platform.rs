@@ -11,10 +11,12 @@
 //! a `Vec<Node>`: one bulk-synchronous iteration is a single batched
 //! [`NodeBank::step_all_partial`] over parallel slices instead of `n`
 //! virtual per-node steps, and per-step MSR decode/store traffic is hoisted
-//! into columns a control write updates in place (the `Node`'s registers are
-//! written back lazily). [`JobPlatform::run_iteration_into`] fills
-//! caller-owned double-buffered [`IterationBuffers`] whose vectors are sized
-//! once and written by index, so the loop allocates nothing after warm-up.
+//! into columns a control write updates in place. The `Node`s handed to
+//! [`JobPlatform::new`] are ingested into the columns and dropped;
+//! [`JobPlatform::node`] materialises one on demand.
+//! [`JobPlatform::run_iteration_into`] fills caller-owned double-buffered
+//! [`IterationBuffers`] whose vectors are sized once and written by index,
+//! so the loop allocates nothing after warm-up.
 //!
 //! The bank is sharded into segments, and everything the platform caches is
 //! per segment. One iteration costs O(dirty segments · segment size + clean
@@ -45,9 +47,9 @@
 //! whose host's enforced limit has left its span (the platform refreshes
 //! `op_times` for exactly those); the rest cost two compares. The writes
 //! that change a point's *other* inputs — a frequency cap, a fault routed
-//! through the `Node` (ε, death, stuck plane), a workload swap — drop the
-//! span in the bank, where they are all visible; a limit write does not,
-//! because the limit is the span's argument.
+//! through a materialised `Node` (ε, death, stuck plane), a workload swap —
+//! drop the span in the bank, where they are all visible; a limit write does
+//! not, because the limit is the span's argument.
 //!
 //! **Epoch rule.** Each segment carries an outcome epoch naming the content
 //! of its slices of the six outcome vectors, bumped on every iteration in
@@ -465,11 +467,11 @@ impl JobPlatform {
         &self.load
     }
 
-    /// The job's hosts, re-synchronized from the hot columns. Needs `&mut`
-    /// for that lazy flush; prefer the columnar accessors
-    /// ([`Self::host_eps`], [`Self::host_energy_into`], …) on hot paths.
-    pub fn nodes(&mut self) -> &[Node] {
-        self.bank.nodes()
+    /// One host as a `Node` materialised from the bank's columns
+    /// ([`NodeBank::node`]; panics out of range): a snapshot for inspection.
+    /// Hot paths use the columnar accessors ([`Self::host_eps`], …).
+    pub fn node(&self, host: usize) -> Node {
+        self.bank.node(host)
     }
 
     /// Rebind the platform to a new kernel configuration — a phase change
@@ -482,11 +484,6 @@ impl JobPlatform {
         // The one change to the operating points the bank cannot see: the
         // replay deltas it recorded were taken under the old workload.
         self.bank.invalidate_segments();
-    }
-
-    /// Release the nodes back to the caller (lease return).
-    pub fn into_nodes(self) -> Vec<Node> {
-        self.bank.into_nodes()
     }
 
     /// Total simulated time this platform has executed.

@@ -241,7 +241,7 @@ enum WriteShape {
     Twice(f64),
     /// The limit goes to every host through `set_uniform_limit`.
     Uniform,
-    /// The platform's `Node`s are inspected right after the write.
+    /// Every host is materialised as a `Node` right after the write.
     ThenView,
 }
 
@@ -266,11 +266,12 @@ fn reference_uniform_limit(nodes: &mut [Node], limit: Watts) -> Result<(), SimHw
     Ok(())
 }
 
-/// The `Node`s a platform hands out right after a control write — before
-/// any step has run — carry the registers the reference `Node`s were
+/// The `Node`s a platform materialises right after a control write —
+/// before any step has run — carry the registers the reference `Node`s were
 /// programmed with directly.
-fn assert_nodes_match(got: &[Node], want: &[Node]) {
-    for (h, (got, want)) in got.iter().zip(want).enumerate() {
+fn assert_nodes_match(platform: &JobPlatform, want: &[Node]) {
+    for (h, want) in want.iter().enumerate() {
+        let got = &platform.node(h);
         for (k, (g, w)) in got.packages().iter().zip(want.packages()).enumerate() {
             assert_eq!(g.limit(), w.limit(), "host {h} package {k} PL1 fields");
             for addr in [address::PKG_POWER_LIMIT, address::PERF_CTL] {
@@ -434,8 +435,8 @@ proptest! {
                     }
                 }
                 if let WriteShape::ThenView = w.shape {
-                    assert_nodes_match(fast.nodes(), &reference.nodes);
-                    assert_nodes_match(sharded.nodes(), &reference.nodes);
+                    assert_nodes_match(&fast, &reference.nodes);
+                    assert_nodes_match(&sharded, &reference.nodes);
                 }
             }
         }
@@ -447,8 +448,6 @@ proptest! {
         prop_assert_eq!(&fast_energy, &expected_energy);
         prop_assert_eq!(&slow_energy, &expected_energy);
         prop_assert_eq!(&shard_energy, &expected_energy);
-        // Lease return: whatever write-back was still pending lands now.
-        assert_nodes_match(&fast.into_nodes(), &reference.nodes);
     }
 }
 

@@ -1,39 +1,37 @@
-//! Columnar (struct-of-arrays) hot-path storage for a fleet of [`Node`]s.
+//! Columnar (struct-of-arrays) storage for a fleet of [`Node`]s.
 //!
 //! The per-[`Node`] stepping path pays, on every node every iteration, a PL1
 //! register decode, an energy-counter store, and an `exp()` per package; the
 //! per-[`Node`] control path pays a register-file lookup, an encode and a
-//! decode per package. A control loop that re-caps every host every interval
-//! makes both of them hot, so [`NodeBank`] owns all of that state in
-//! parallel columns:
+//! decode per package; and every `Node` carries its own register file. A
+//! control loop that re-caps every host every interval makes all of it hot,
+//! so [`NodeBank`] keeps no per-host `Node` at all — only columns, and one
+//! prototype `Node` of the part every host is built from:
 //!
 //! * **hot columns** — energy, enforced limit, last frequency, telemetry
 //!   blackout countdown, MSR glitch flag, and the two control registers the
 //!   runtime reprograms: the raw `MSR_PKG_POWER_LIMIT` value of every
 //!   package (with the enforcement target/τ/enable and the programmed limit
-//!   decoded from it) and the `IA32_PERF_CTL` frequency cap. These are
-//!   *authoritative*: [`NodeBank::set_power_limit`] and
-//!   [`NodeBank::set_freq_cap`] resolve a request entirely in the columns —
-//!   through [`crate::rapl::resolve_pl1_request`] and
+//!   decoded from it) and the `IA32_PERF_CTL` frequency cap.
+//!   [`NodeBank::set_power_limit`] and [`NodeBank::set_freq_cap`] resolve a
+//!   request entirely in the columns — through
+//!   [`crate::rapl::resolve_pl1_request`] and
 //!   [`crate::node::resolve_freq_cap_request`], the same functions the
 //!   `Node` methods call, so dead-node rejection, glitch consumption,
 //!   stuck-RAPL latching, range clamping and the msr-safe write mask have
-//!   one implementation — and leave the backing `Node` stale.
-//! * **mirrors** — health, efficiency, the stuck-RAPL latch. Only faults and
-//!   sub-domain programming change them; those are routed flush → `Node`
-//!   method → refresh ([`NodeBank::inject`], `with_node`), so the `Node`
-//!   keeps authority over everything that is not a hot column.
+//!   one implementation.
+//! * **cold columns** — id, health, efficiency, the stuck-RAPL latch and,
+//!   for a part with PP0/DRAM planes, each plane's limit register, stuck
+//!   latch and meter per (host, socket).
 //!
-//! **Lazy write-back.** A stale `Node` is brought up to date — energy
-//! counter, enforcement filter, hot flags, and, when a control write is
-//! pending, the PL1 and `PERF_CTL` registers — by `flush_node`, which every
-//! path that exposes or mutates a `Node` runs first ([`NodeBank::nodes`],
-//! [`NodeBank::node`], [`NodeBank::into_nodes`], the fault/sub-domain
-//! routing). The invariant: *a `Node` view obtained through the bank is
-//! never staler than the last flush*, and a flush happens before any such
-//! view is handed out. `simhw.bank.control_writes` against
-//! `simhw.bank.pl1_writebacks` shows how many register writes the laziness
-//! saved.
+//! **Materialised views.** The columns are the only copy of a host's state.
+//! [`NodeBank::from_nodes`] *ingests* each `Node` into them and drops it in
+//! the same pass; [`NodeBank::node`] *materialises* one by value, from the
+//! prototype plus the host's columns, register file included. An operation
+//! the columns do not resolve themselves — a fault, a sub-plane write — runs
+//! the `Node` method on a materialised copy and ingests the result
+//! (`with_node`), so `Node` stays the one implementation of fault and
+//! sub-plane semantics. Health marks are column-only.
 //!
 //! [`NodeBank::step_all`] replays exactly the arithmetic of
 //! [`RaplPackage::advance`] over the columns — same operand values, same
@@ -87,9 +85,9 @@
 //! [`NodeBank::resolve_segment`] re-resolves a host only when
 //! [`NodeBank::enforced_limit`] has left it. The bank is the right owner
 //! because it sees every write to the resolve's *other* inputs: a
-//! frequency-cap write, anything routed through the `Node` (a fault can
-//! kill the host or latch a stuck plane, and the refresh that follows
-//! reloads ε and the cap with it) and [`NodeBank::invalidate_segments`]
+//! frequency-cap write, anything routed through a materialised `Node` (a
+//! fault can kill the host or latch a stuck plane, and the ingest that
+//! follows reloads ε and the cap with it) and [`NodeBank::invalidate_segments`]
 //! (the load swap the bank cannot see) drop the span.
 //! [`NodeBank::set_power_limit`] deliberately does not: the limit is the
 //! span's argument, so a write that lands inside the span keeps the point
@@ -99,11 +97,11 @@
 use crate::error::Result;
 use crate::faults::{FaultKind, NodeHealth};
 use crate::msr::{address, check_write};
-use crate::node::{perf_ctl_ratio, resolve_freq_cap_request, Node};
+use crate::node::{perf_ctl_ratio, resolve_freq_cap_request, Node, NodeId};
 use crate::power::{CapSpan, LoadModel, OperatingPoint, PowerModel};
 use crate::rapl::{
-    decode_power_limit, enforcement_params_of, resolve_pl1_request, Pl1Gate, RaplUnits,
-    DEFAULT_UNIT_REGISTER,
+    decode_power_limit, enforcement_params_of, resolve_pl1_request, PackageState, Pl1Gate,
+    PlaneState, RaplUnits, DEFAULT_UNIT_REGISTER,
 };
 use crate::units::{Hertz, Joules, Seconds, Watts};
 use pmstack_obs::StaticCounter;
@@ -120,9 +118,6 @@ static SHARD_INVALIDATED: StaticCounter = StaticCounter::new("simhw.bank.shard.i
 static SHARD_REPLAYED: StaticCounter = StaticCounter::new("simhw.bank.shard.replayed");
 /// Observability: limit and frequency-cap requests resolved in the columns.
 static CONTROL_WRITES: StaticCounter = StaticCounter::new("simhw.bank.control_writes");
-/// Observability: hosts whose pending control registers (PL1, `PERF_CTL`)
-/// were lazily written back into their `Node`.
-static PL1_WRITEBACKS: StaticCounter = StaticCounter::new("simhw.bank.pl1_writebacks");
 /// Observability: hosts a [`NodeBank::resolve_segment`] pass left alone
 /// because their enforced limit was still inside the cached point's span.
 static RESOLVE_KEPT: StaticCounter = StaticCounter::new("simhw.bank.resolve.kept");
@@ -189,10 +184,11 @@ pub enum HostStep {
 /// Per-(host, socket) columns use index `host * sockets + socket`.
 #[derive(Debug, Clone)]
 pub struct NodeBank {
-    nodes: Vec<Node>,
+    /// The part every host is built from (`None` for an empty bank). Its
+    /// own per-host state is host 0's at ingest and never read again:
+    /// [`NodeBank::node`] overwrites all of it.
+    part: Option<Node>,
     sockets: usize,
-    /// True while the backing `Node`s agree with the hot columns.
-    hot_synced: bool,
     /// Hosts per segment (last segment may be shorter).
     segment_hosts: usize,
     /// Per-segment settled-state cache, `len == len().div_ceil(segment_hosts)`.
@@ -225,8 +221,6 @@ pub struct NodeBank {
     msr_glitch: Vec<bool>,
     freq_cap: Vec<Option<Hertz>>,
     programmed: Vec<Watts>,
-    /// The host's `Node` holds older control registers than the columns.
-    writeback_pending: Vec<bool>,
     /// What the last step added to each of the host's energy cells (`+0.0`
     /// for a host it skipped): the segment's replay delta, meaningful while
     /// its cache slot is `Settled` and quiescent.
@@ -236,56 +230,47 @@ pub struct NodeBank {
     /// any other input of the resolve has changed.
     op_span: Vec<CapSpan>,
 
-    // Mirrors, per host: refreshed after operations routed through the `Node`.
+    // Cold columns, per host: changed only by ingest and health marks.
+    id: Vec<NodeId>,
     eps: Vec<f64>,
     health: Vec<NodeHealth>,
     stuck: Vec<Option<Watts>>,
+    /// Per (host, socket), PP0 then DRAM; empty unless the part has them.
+    planes: Vec<[PlaneState; 2]>,
 }
 
 impl NodeBank {
-    /// Build a bank over `nodes`. All nodes must have the same socket count
-    /// and every package the same RAPL units, settable range and write
-    /// masks (true of any cluster built from one machine spec): the bank
-    /// keeps those once, not per host.
+    /// Build a bank over `nodes`, ingesting each into the columns and
+    /// dropping it in the same pass. All nodes must be one part of one
+    /// class: the same socket count, and every package the same TDP,
+    /// settable range and sub-plane split (true of any fleet built from one
+    /// machine spec or [`crate::NodeClass`]). The bank keeps those once, in
+    /// its prototype, not per host.
     ///
     /// # Panics
-    /// If the nodes are not built from one machine spec.
+    /// If the nodes are not built from one part of one class.
     pub fn from_nodes(nodes: Vec<Node>) -> Self {
+        let n = nodes.len();
         let sockets = nodes.first().map_or(0, |n| n.packages().len());
-        assert!(
-            nodes.iter().all(|n| n.packages().len() == sockets),
-            "NodeBank requires a homogeneous socket count"
-        );
         let first = nodes.first().and_then(|n| n.packages().first());
         let units = first.map_or(RaplUnits::decode(DEFAULT_UNIT_REGISTER), |p| p.units());
         let pl1_min = first.map_or(Watts::ZERO, |p| p.min_limit());
         let pl1_max = first.map_or(Watts::ZERO, |p| p.max_limit());
         let write_mask = |addr| first.map_or(0, |p| p.msrs().write_mask(addr));
-        let pl1_write_mask = write_mask(address::PKG_POWER_LIMIT);
-        let perf_ctl_write_mask = write_mask(address::PERF_CTL);
-        assert!(
-            nodes.iter().flat_map(|n| n.packages()).all(|p| {
-                p.units() == units
-                    && p.min_limit() == pl1_min
-                    && p.max_limit() == pl1_max
-                    && p.msrs().write_mask(address::PKG_POWER_LIMIT) == pl1_write_mask
-                    && p.msrs().write_mask(address::PERF_CTL) == perf_ctl_write_mask
-            }),
-            "NodeBank requires one part and one allowlist across its packages"
-        );
-        let n = nodes.len();
+        let planes = first
+            .and_then(|p| p.state().planes)
+            .map_or(Vec::new(), |planes| vec![planes; n * sockets]);
         let mut bank = Self {
-            nodes,
+            part: None,
             sockets,
-            hot_synced: true,
             segment_hosts: DEFAULT_SEGMENT_HOSTS,
             seg: vec![SegCache::Invalid; n.div_ceil(DEFAULT_SEGMENT_HOSTS)],
             dead_hosts: 0,
             units,
             pl1_min,
             pl1_max,
-            pl1_write_mask,
-            perf_ctl_write_mask,
+            pl1_write_mask: write_mask(address::PKG_POWER_LIMIT),
+            perf_ctl_write_mask: write_mask(address::PERF_CTL),
             energy: vec![Joules::ZERO; n * sockets],
             enforced: vec![Watts(0.0); n * sockets],
             pl1_raw: vec![0; n * sockets],
@@ -297,27 +282,38 @@ impl NodeBank {
             msr_glitch: vec![false; n],
             freq_cap: vec![None; n],
             programmed: vec![Watts(0.0); n],
-            writeback_pending: vec![false; n],
             replay_delta: vec![Joules::ZERO; n],
             op_span: vec![CapSpan::NEVER; n],
+            id: vec![NodeId(0); n],
             eps: vec![1.0; n],
             health: vec![NodeHealth::Healthy; n],
             stuck: vec![None; n],
+            planes,
         };
-        for h in 0..n {
-            bank.refresh_node(h);
+        // Each node is dropped while its lines are still warm from the
+        // ingest: a second teardown pass over 100 000 cold nodes costs about
+        // as much again as this one.
+        for (h, node) in nodes.into_iter().enumerate() {
+            bank.ingest(h, &node);
+            match &bank.part {
+                Some(part) => assert!(
+                    part.same_part(&node),
+                    "NodeBank requires one part and one class across its hosts"
+                ),
+                None => bank.part = Some(node),
+            }
         }
         bank
     }
 
     /// Number of hosts in the bank.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.id.len()
     }
 
     /// True when the bank holds no hosts.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.id.is_empty()
     }
 
     /// Sockets per host.
@@ -344,7 +340,7 @@ impl NodeBank {
     /// than `segment_hosts()`).
     pub fn segment_range(&self, sidx: usize) -> std::ops::Range<usize> {
         let lo = sidx * self.segment_hosts;
-        lo..(lo + self.segment_hosts).min(self.nodes.len())
+        lo..(lo + self.segment_hosts).min(self.len())
     }
 
     /// True when segment `sidx`'s enforcement filters were all at their
@@ -382,7 +378,7 @@ impl NodeBank {
     pub fn set_segment_hosts(&mut self, hosts: usize) {
         assert!(hosts >= 1, "segment size must be at least 1 host");
         self.segment_hosts = hosts;
-        self.seg = vec![SegCache::Invalid; self.nodes.len().div_ceil(hosts)];
+        self.seg = vec![SegCache::Invalid; self.len().div_ceil(hosts)];
     }
 
     /// The host's efficiency factor ε.
@@ -402,7 +398,7 @@ impl NodeBank {
 
     /// Hosts that are not fail-stop dead, from the bank's own tally.
     pub fn alive_count(&self) -> usize {
-        self.nodes.len() - self.dead_hosts
+        self.len() - self.dead_hosts
     }
 
     /// The host's programmed frequency cap, if any.
@@ -497,7 +493,7 @@ impl NodeBank {
         ops: &mut [Option<OperatingPoint>],
         mut rewrote: impl FnMut(usize, Option<&OperatingPoint>),
     ) {
-        assert_eq!(ops.len(), self.nodes.len(), "one slot per host");
+        assert_eq!(ops.len(), self.len(), "one slot per host");
         let range = self.segment_range(sidx);
         let hosts = range.len() as u64;
         let mut searched = 0;
@@ -536,17 +532,14 @@ impl NodeBank {
     /// resolved by [`resolve_pl1_request`] — the function
     /// [`Node::set_power_limit`] calls — against the host's columns, each
     /// package's raw register column is checked against the msr-safe write
-    /// mask and updated, and the enforcement inputs are re-decoded from it;
-    /// the `Node`'s own register goes stale until the next flush. Like every
-    /// control write this dirties the host's segment, whatever the outcome.
+    /// mask and updated, and the enforcement inputs are re-decoded from it.
+    /// Like every control write this dirties the host's segment, whatever
+    /// the outcome.
     /// It does not drop the host's operating-point span: the limit is the
     /// span's argument, checked against it on the next resolve.
     pub fn set_power_limit(&mut self, h: usize, limit: Watts) -> Result<()> {
         CONTROL_WRITES.inc();
         self.dirty_segment(h);
-        // Before anything can fail: a refused request may already have
-        // consumed the host's glitch flag, which the `Node` still holds.
-        self.hot_synced = false;
         let s = self.sockets;
         let gate = Pl1Gate {
             dead: self.health[h] == NodeHealth::Dead,
@@ -556,10 +549,9 @@ impl NodeBank {
             max: self.pl1_max,
             units: self.units,
         };
-        let nodes = &self.nodes;
-        let write = resolve_pl1_request(&gate, &mut self.msr_glitch[h], || nodes[h].id().0, limit)?;
+        let id = self.id[h].0;
+        let write = resolve_pl1_request(&gate, &mut self.msr_glitch[h], || id, limit)?;
         let (target, tau) = enforcement_params_of(&write.limit, self.pl1_max);
-        self.writeback_pending[h] = true;
         // Packages are written in order, as on the `Node`: one that refuses
         // the write leaves the ones before it reprogrammed.
         for i in h * s..(h + 1) * s {
@@ -600,15 +592,12 @@ impl NodeBank {
     pub fn set_freq_cap(&mut self, h: usize, cap: Option<Hertz>) -> Result<()> {
         CONTROL_WRITES.inc();
         self.dirty_segment(h);
-        let nodes = &self.nodes;
-        let dead = self.health[h] == NodeHealth::Dead;
-        let raw = resolve_freq_cap_request(dead, || nodes[h].id().0, cap)?;
+        let (dead, id) = (self.health[h] == NodeHealth::Dead, self.id[h].0);
+        let raw = resolve_freq_cap_request(dead, || id, cap)?;
         let current = perf_ctl_ratio(self.freq_cap[h]);
         check_write(address::PERF_CTL, self.perf_ctl_write_mask, current, raw)?;
         self.freq_cap[h] = cap;
         self.op_span[h] = CapSpan::NEVER;
-        self.writeback_pending[h] = true;
-        self.hot_synced = false;
         Ok(())
     }
 
@@ -617,18 +606,17 @@ impl NodeBank {
         self.with_node(h, |n| n.inject(kind));
     }
 
-    /// Mark the host suspect. Health is not hot state, so this bypasses the
-    /// flush/refresh roundtrip — it is called every iteration by trust
-    /// tracking.
+    /// Mark the host suspect, in the health column alone: trust tracking
+    /// calls this every iteration, and health never feeds the stepping
+    /// arithmetic, so it neither materialises a `Node` nor dirties a segment.
     pub fn mark_suspect(&mut self, h: usize) {
-        self.nodes[h].mark_suspect();
-        self.health[h] = self.nodes[h].health();
+        self.health[h] = self.health[h].marked_suspect();
     }
 
-    /// Clear a suspect marking (dead hosts stay dead).
+    /// Clear a suspect marking (dead hosts stay dead); column-only, like
+    /// [`NodeBank::mark_suspect`].
     pub fn mark_healthy(&mut self, h: usize) {
-        self.nodes[h].mark_healthy();
-        self.health[h] = self.nodes[h].health();
+        self.health[h] = self.health[h].marked_healthy();
     }
 
     /// Advance every host with an operating point by `dt`, replaying exactly
@@ -704,7 +692,7 @@ impl NodeBank {
     ) -> StepReport {
         let _span = pmstack_obs::span!("simhw.step_all.secs");
         STEP_ALL_CALLS.inc();
-        let n = self.nodes.len();
+        let n = self.len();
         assert_eq!(ops.len(), n, "one operating point slot per host");
         assert_eq!(results.len(), n, "one result slot per host");
         let mut report = StepReport {
@@ -716,7 +704,6 @@ impl NodeBank {
             STEP_ALL_SETTLED.inc();
             return report;
         }
-        self.hot_synced = false;
         let s = self.sockets;
         let sh = self.segment_hosts;
         let segs = self.seg.len();
@@ -782,37 +769,44 @@ impl NodeBank {
         report
     }
 
-    /// The backing nodes, re-synchronized from the hot columns first. Use
-    /// for read paths that want full `Node` views; control operations must
-    /// go through the bank so the columns stay authoritative.
-    pub fn nodes(&mut self) -> &[Node] {
-        self.flush_all();
-        &self.nodes
-    }
-
-    /// One backing node, re-synchronized from the hot columns first.
-    pub fn node(&mut self, h: usize) -> &Node {
-        self.flush_node(h);
-        &self.nodes[h]
-    }
-
-    /// Tear the bank down into its (synchronized) nodes.
-    pub fn into_nodes(mut self) -> Vec<Node> {
-        self.flush_all();
-        self.nodes
+    /// Host `h` as a `Node`, materialised by value from the part prototype
+    /// and the host's columns: registers, counters, filters, faults and
+    /// health exactly as the same operations applied to a `Node` directly
+    /// would have left them. Nothing is written back; control goes through
+    /// the bank.
+    pub fn node(&self, h: usize) -> Node {
+        let mut node = self.part.clone().expect("a bank with hosts has a part");
+        node.id = self.id[h];
+        node.eps = self.eps[h];
+        node.last_freq = self.last_freq[h];
+        node.freq_cap = self.freq_cap[h];
+        node.health = self.health[h];
+        node.stuck_limit = self.stuck[h];
+        node.telemetry_down_for = self.telemetry_down[h];
+        node.msr_glitch = self.msr_glitch[h];
+        // `PERF_CTL` is only ever written with the cap's ratio.
+        let perf_ctl = perf_ctl_ratio(self.freq_cap[h]);
+        for (k, pkg) in node.packages.iter_mut().enumerate() {
+            let i = h * self.sockets + k;
+            pkg.set_state(&PackageState {
+                energy: self.energy[i],
+                enforced: self.enforced[i],
+                pl1_raw: self.pl1_raw[i],
+                planes: self.planes.get(i).copied(),
+            });
+            pkg.msrs_mut().hw_store(address::PERF_CTL, perf_ctl);
+        }
+        node
     }
 
     /// Route an operation the columns do not resolve themselves (faults,
-    /// sub-domain programming) through the backing `Node`: flush the hot
-    /// columns into it — pending control registers included — run the
-    /// operation, then refresh every column from the result. The host's
-    /// segment cache is dirtied, as by a column control write; health
-    /// markings ([`NodeBank::mark_suspect`] / [`NodeBank::mark_healthy`])
-    /// bypass this path because health never feeds the stepping arithmetic.
+    /// sub-domain programming) through a `Node`: materialise the host, run
+    /// the operation on it, ingest the result. The host's segment cache is
+    /// dirtied, as by a column control write.
     pub(crate) fn with_node<T>(&mut self, h: usize, f: impl FnOnce(&mut Node) -> T) -> T {
-        self.flush_node(h);
-        let out = f(&mut self.nodes[h]);
-        self.refresh_node(h);
+        let mut node = self.node(h);
+        let out = f(&mut node);
+        self.ingest(h, &node);
         self.dirty_segment(h);
         out
     }
@@ -826,75 +820,32 @@ impl NodeBank {
         self.seg[sidx] = SegCache::Invalid;
     }
 
-    fn flush_all(&mut self) {
-        if self.hot_synced {
-            return;
-        }
-        let mut written_back = 0;
-        for h in 0..self.nodes.len() {
-            written_back += u64::from(self.write_node(h));
-        }
-        PL1_WRITEBACKS.add(written_back);
-        self.hot_synced = true;
-    }
-
-    fn flush_node(&mut self, h: usize) {
-        if self.write_node(h) {
-            PL1_WRITEBACKS.inc();
-        }
-    }
-
-    /// Bring host `h`'s `Node` up to date with the columns: hot state
-    /// always, the control registers only when a column write is pending
-    /// (the return value says whether one was).
-    fn write_node(&mut self, h: usize) -> bool {
+    /// Load every column of host `h` from `node`.
+    fn ingest(&mut self, h: usize, node: &Node) {
         let s = self.sockets;
-        let node = &mut self.nodes[h];
-        for (k, pkg) in node.packages_mut().iter_mut().enumerate() {
-            let i = h * s + k;
-            pkg.set_hot_state(self.energy[i], self.enforced[i]);
-        }
-        node.set_hot_flags(
-            self.last_freq[h],
-            self.telemetry_down[h],
-            self.msr_glitch[h],
-        );
-        let pending = std::mem::take(&mut self.writeback_pending[h]);
-        if pending {
-            node.restore_control(&self.pl1_raw[h * s..(h + 1) * s], self.freq_cap[h]);
-        }
-        pending
-    }
-
-    /// Reload every column of host `h` from its `Node`.
-    fn refresh_node(&mut self, h: usize) {
-        let s = self.sockets;
-        let node = &self.nodes[h];
         for (k, pkg) in node.packages().iter().enumerate() {
             let i = h * s + k;
-            let (e, f) = pkg.hot_state();
-            self.energy[i] = e;
-            self.enforced[i] = f;
-            let raw = pkg.pl1_raw();
-            let pl = decode_power_limit(raw, &self.units);
-            let (target, tau) = enforcement_params_of(&pl, self.pl1_max);
-            self.pl1_raw[i] = raw;
-            self.target[i] = target;
-            self.tau[i] = tau;
+            let state = pkg.state();
+            let pl = pkg.limit();
+            (self.target[i], self.tau[i]) = enforcement_params_of(&pl, self.pl1_max);
+            self.energy[i] = state.energy;
+            self.enforced[i] = state.enforced;
+            self.pl1_raw[i] = state.pl1_raw;
             self.enabled[i] = pl.enabled;
+            if let Some(planes) = state.planes {
+                self.planes[i] = planes;
+            }
         }
-        let (lf, td, mg) = node.hot_flags();
-        self.last_freq[h] = lf;
-        self.telemetry_down[h] = td;
-        self.msr_glitch[h] = mg;
-        self.freq_cap[h] = node.freq_cap();
-        self.eps[h] = node.eps();
-        self.stuck[h] = node.stuck_limit();
-        let was_dead = self.health[h] == NodeHealth::Dead;
-        self.health[h] = node.health();
+        self.id[h] = node.id;
+        self.eps[h] = node.eps;
+        self.last_freq[h] = node.last_freq;
+        self.telemetry_down[h] = node.telemetry_down_for;
+        self.msr_glitch[h] = node.msr_glitch;
+        self.freq_cap[h] = node.freq_cap;
+        self.stuck[h] = node.stuck_limit;
+        self.dead_hosts -= usize::from(self.health[h] == NodeHealth::Dead);
+        self.health[h] = node.health;
         self.dead_hosts += usize::from(node.is_dead());
-        self.dead_hosts -= usize::from(was_dead);
-        self.writeback_pending[h] = false;
         self.programmed[h] = self.programmed_limit(h);
         // ε, health, the cap and the stuck latch may all have changed.
         self.op_span[h] = CapSpan::NEVER;
@@ -1133,7 +1084,6 @@ fn add_per_host(energy: &mut [Joules], deltas: &[Joules], sockets: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeId;
     use crate::power::CoreClass;
     use crate::quartz::quartz_spec;
 
@@ -1409,7 +1359,9 @@ mod tests {
     /// A lock bit preset through the hardware backdoor makes `msr-safe`
     /// refuse the limit write. The bank checks its raw-register column, the
     /// `Node` its device; both refuse the same package with the same error
-    /// and leave the packages before it reprogrammed.
+    /// and leave the packages before it reprogrammed. The bank ingests the
+    /// locked register and materialises it back bit for bit (the
+    /// round trip of every other state is in `tests/shards.rs`).
     #[test]
     fn locked_pl1_register_refuses_the_write_on_both_sides() {
         use crate::error::SimHwError;
@@ -1417,12 +1369,10 @@ mod tests {
         for locked in [vec![0], vec![1], vec![0, 1]] {
             let (_, mut reference) = fleet(2);
             for &k in &locked {
-                let pkg = &mut reference[1].packages_mut()[k];
-                let raw = pkg.pl1_raw();
-                pkg.msrs_mut()
-                    .hw_store(address::PKG_POWER_LIMIT, raw | LOCK);
+                reference[1].lock_pl1(k);
             }
             let mut bank = NodeBank::from_nodes(reference.clone());
+            assert_eq!(format!("{:?}", bank.node(1)), format!("{:?}", reference[1]));
             for w in [150.0, 190.0] {
                 let got = bank.set_power_limit(1, Watts(w));
                 assert_eq!(got, reference[1].set_power_limit(Watts(w)));
@@ -1439,7 +1389,9 @@ mod tests {
                 );
                 let node = bank.node(1);
                 for (got, want) in node.packages().iter().zip(reference[1].packages()) {
-                    assert_eq!(got.pl1_raw(), want.pl1_raw());
+                    let raw =
+                        |p: &crate::rapl::RaplPackage| p.msrs().read(address::PKG_POWER_LIMIT);
+                    assert_eq!(raw(got), raw(want));
                     assert_eq!(got.limit(), want.limit());
                 }
             }
@@ -1448,38 +1400,10 @@ mod tests {
         }
     }
 
-    /// A refused write still changes hot state — it consumes the one-shot
-    /// glitch — so the bulk views must not take the "already synced"
-    /// shortcut after it, on a fresh bank or a just-flushed one.
-    #[test]
-    fn refused_write_on_a_synced_bank_reaches_the_node_views() {
-        use crate::error::SimHwError;
-        for flushed_first in [false, true] {
-            let (_, mut reference) = fleet(2);
-            reference[0].inject(FaultKind::TransientMsrFault);
-            let mut bank = NodeBank::from_nodes(reference.clone());
-            if flushed_first {
-                bank.set_power_limit(1, Watts(170.0)).unwrap();
-                reference[1].set_power_limit(Watts(170.0)).unwrap();
-                bank.nodes();
-            }
-            let refused = bank.set_power_limit(0, Watts(180.0));
-            assert!(matches!(refused, Err(SimHwError::MsrNotAllowed { .. })));
-            assert_eq!(refused, reference[0].set_power_limit(Watts(180.0)));
-            for (got, want) in bank.nodes().iter().zip(&reference) {
-                assert_eq!(got.hot_flags(), want.hot_flags());
-            }
-            // The fault was one-shot: the returned node takes the next write.
-            let mut nodes = bank.into_nodes();
-            assert_eq!(nodes[0].hot_flags(), reference[0].hot_flags());
-            assert_eq!(nodes[0].set_power_limit(Watts(180.0)), Ok(()));
-        }
-    }
-
     /// The settable range is kept once per bank, so a bank over two parts
     /// would clamp one of them to the other's range: refuse to build it.
     #[test]
-    #[should_panic(expected = "one part and one allowlist")]
+    #[should_panic(expected = "one part and one class")]
     fn mixed_parts_do_not_share_a_bank() {
         let (_, mut nodes) = fleet(1);
         let mut spec = quartz_spec();
@@ -1487,27 +1411,5 @@ mod tests {
         let other = PowerModel::new(spec).unwrap();
         nodes.push(Node::new(NodeId(1), &other, 1.0).unwrap());
         let _ = NodeBank::from_nodes(nodes);
-    }
-
-    #[test]
-    fn nodes_view_is_resynchronized() {
-        let (model, nodes) = fleet(2);
-        let load = FlatLoad { kappa: 2.5 };
-        let mut bank = NodeBank::from_nodes(nodes);
-        let mut results = vec![HostStep::Skipped; 2];
-        let ops: Vec<_> = (0..2)
-            .map(|h| Some(bank.operating_point(h, &model, &load)))
-            .collect();
-        for _ in 0..5 {
-            bank.step_all(Seconds(0.2), &ops, &mut results, false);
-        }
-        let expect: Vec<u64> = (0..2).map(|h| bank.energy(h).value().to_bits()).collect();
-        for (h, node) in bank.nodes().iter().enumerate() {
-            assert_eq!(node.energy().value().to_bits(), expect[h]);
-            // The energy-status MSR is brought up to date too.
-            assert!(node.packages()[0].read_energy_counter().unwrap() > 0);
-        }
-        let nodes = bank.into_nodes();
-        assert_eq!(nodes.len(), 2);
     }
 }

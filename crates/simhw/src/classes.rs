@@ -19,9 +19,10 @@
 //! Sub-plane energy for a classed fleet is metered in per-host columns here
 //! (node-level, summed over sockets) rather than through the per-package
 //! [`crate::rapl::RaplPackage`] sub-domain state, which the columnar hot
-//! path deliberately leaves cold; limit programming still routes through
-//! the backing node's MSR devices so allowlist and stuck-fault semantics
-//! hold.
+//! path deliberately leaves cold; limit programming still runs the `Node`
+//! method on a materialised copy of the host (the bank keeps each plane's
+//! limit register and stuck latch in columns), so allowlist, clamp and
+//! stuck-fault semantics hold.
 
 use crate::bank::{HostStep, NodeBank, StepReport};
 use crate::error::{Result, SimHwError};
@@ -360,9 +361,9 @@ impl ClassedBank {
         self.banks[c].mark_healthy(l);
     }
 
-    /// Program a node-level sub-plane limit, routed through the backing
-    /// node's MSR devices (allowlist, clamp, stuck-latch semantics all
-    /// apply). Returns the watts actually programmed.
+    /// Program a node-level sub-plane limit through a materialised `Node`
+    /// (allowlist, clamp, stuck-latch semantics all apply). Returns the
+    /// watts actually programmed.
     pub fn set_domain_limit(&mut self, h: usize, d: RaplDomain, limit: Watts) -> Result<Watts> {
         let (c, l) = self.slot(h);
         self.banks[c].with_node(l, |n| n.set_domain_limit(d, limit))

@@ -43,6 +43,22 @@ impl NodeHealth {
     pub fn is_alive(self) -> bool {
         self != NodeHealth::Dead
     }
+
+    /// The health after a suspect marking: only a healthy node changes.
+    pub(crate) fn marked_suspect(self) -> Self {
+        match self {
+            Self::Healthy => Self::Suspect,
+            other => other,
+        }
+    }
+
+    /// The health after a suspect marking is cleared: dead stays dead.
+    pub(crate) fn marked_healthy(self) -> Self {
+        match self {
+            Self::Suspect => Self::Healthy,
+            other => other,
+        }
+    }
 }
 
 impl std::fmt::Display for NodeHealth {

@@ -35,25 +35,29 @@ pub struct NodePowerSample {
 }
 
 /// One simulated node.
+///
+/// Everything but the class id is crate-visible: the columnar bank ingests
+/// a node field by field and materialises one from a copy of its part's
+/// prototype (`crate::bank::NodeBank::node`).
 #[derive(Debug, Clone)]
 pub struct Node {
-    id: NodeId,
-    eps: f64,
-    packages: Vec<RaplPackage>,
-    last_freq: Hertz,
+    pub(crate) id: NodeId,
+    pub(crate) eps: f64,
+    pub(crate) packages: Vec<RaplPackage>,
+    pub(crate) last_freq: Hertz,
     /// Software frequency cap programmed through `IA32_PERF_CTL`
     /// (`None` = uncapped). The DVFS control path of EAR-style tools.
-    freq_cap: Option<Hertz>,
+    pub(crate) freq_cap: Option<Hertz>,
     /// Observed health; faults move this away from `Healthy`.
-    health: NodeHealth,
+    pub(crate) health: NodeHealth,
     /// When set, RAPL limit writes silently latch this node-level value
     /// instead of the requested one (stuck-limit erratum).
-    stuck_limit: Option<Watts>,
+    pub(crate) stuck_limit: Option<Watts>,
     /// Remaining telemetry-read attempts that fail while the node keeps
     /// executing underneath.
-    telemetry_down_for: u32,
+    pub(crate) telemetry_down_for: u32,
     /// One-shot msr-safe denial consumed by the next MSR access.
-    msr_glitch: bool,
+    pub(crate) msr_glitch: bool,
     /// The node class this node was built from (`ClassId(0)` for the
     /// classic homogeneous constructor).
     class_id: ClassId,
@@ -196,40 +200,14 @@ impl Node {
         &self.packages
     }
 
-    /// Mutable package access for the columnar bank's hot-state flush.
-    pub(crate) fn packages_mut(&mut self) -> &mut [RaplPackage] {
-        &mut self.packages
-    }
-
-    /// Hot node-level flags mirrored by the columnar bank:
-    /// `(last_freq, telemetry_down_for, msr_glitch)`.
-    pub(crate) fn hot_flags(&self) -> (Hertz, u32, bool) {
-        (self.last_freq, self.telemetry_down_for, self.msr_glitch)
-    }
-
-    /// Restore the hot node-level flags from the columnar bank.
-    pub(crate) fn set_hot_flags(
-        &mut self,
-        last_freq: Hertz,
-        telemetry_down_for: u32,
-        glitch: bool,
-    ) {
-        self.last_freq = last_freq;
-        self.telemetry_down_for = telemetry_down_for;
-        self.msr_glitch = glitch;
-    }
-
-    /// Restore the control registers the columnar bank owns between
-    /// flushes: each package's validated PL1 register value and the
-    /// frequency cap with its `PERF_CTL` ratio (the lazy write-back).
-    pub(crate) fn restore_control(&mut self, pl1_raw: &[u64], freq_cap: Option<Hertz>) {
-        self.freq_cap = freq_cap;
-        let perf_ctl = perf_ctl_ratio(freq_cap);
-        for (pkg, &raw) in self.packages.iter_mut().zip(pl1_raw) {
-            pkg.restore_pl1(raw);
-            pkg.msrs_mut()
-                .hw_store(crate::msr::address::PERF_CTL, perf_ctl);
-        }
+    /// True when `other` is built from the same part and class, so one
+    /// prototype materialises both.
+    pub(crate) fn same_part(&self, other: &Self) -> bool {
+        self.class_id == other.class_id
+            && self.packages.len() == other.packages.len()
+            && (self.packages.iter())
+                .zip(&other.packages)
+                .all(|(a, b)| a.same_part(b))
     }
 
     /// The node-level state a package-limit request is resolved against.
@@ -454,17 +432,13 @@ impl Node {
     /// Mark the node suspect (telemetry gaps, transient faults) without
     /// killing it. Dead nodes stay dead.
     pub fn mark_suspect(&mut self) {
-        if self.health == NodeHealth::Healthy {
-            self.health = NodeHealth::Suspect;
-        }
+        self.health = self.health.marked_suspect();
     }
 
     /// Clear a suspect marking after the node has behaved for a while.
     /// Dead nodes stay dead.
     pub fn mark_healthy(&mut self) {
-        if self.health == NodeHealth::Suspect {
-            self.health = NodeHealth::Healthy;
-        }
+        self.health = self.health.marked_healthy();
     }
 
     /// The pinned limit if the node's RAPL interface is stuck.
@@ -484,6 +458,17 @@ impl Node {
         let op = self.clamp_to_freq_cap(model, load, load.operating_point(model, self.eps, cap));
         self.last_freq = op.lead;
         op.power
+    }
+}
+
+#[cfg(test)]
+impl Node {
+    /// Test backdoor for firmware that locked package `k`'s PL1 register:
+    /// sets the lock bit (63), which msr-safe never lets software change.
+    pub(crate) fn lock_pl1(&mut self, k: usize) {
+        let msrs = self.packages[k].msrs_mut();
+        let raw = msrs.hw_load(crate::msr::address::PKG_POWER_LIMIT);
+        msrs.hw_store(crate::msr::address::PKG_POWER_LIMIT, raw | 1 << 63);
     }
 }
 
@@ -683,7 +668,7 @@ mod tests {
             assert!(bank.set_freq_cap(0, Some(bad)).is_err());
             assert_eq!(bank.freq_cap(0), Some(Hertz::from_ghz(1.8)));
             assert_eq!(bank.node(0).freq_cap(), Some(Hertz::from_ghz(1.8)));
-            assert_eq!((perf_ctl(bank.node(0)) >> 8) & 0xFF, 18);
+            assert_eq!((perf_ctl(&bank.node(0)) >> 8) & 0xFF, 18);
         }
     }
 

@@ -243,6 +243,40 @@ pub(crate) fn enforcement_params_of(pl: &PowerLimit, max_limit: Watts) -> (Watts
     (target, pl.time_window.value().max(1e-3))
 }
 
+/// The 32-bit energy-status counter value of an exact energy.
+fn energy_status(energy: Joules, units: &RaplUnits) -> u64 {
+    (energy.value() / units.energy_j) as u64 & 0xFFFF_FFFF
+}
+
+/// One sub-plane's state beside its part: the limit register, the
+/// stuck-fault latch and the meter.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PlaneState {
+    /// The raw plane limit register.
+    pub raw: u64,
+    /// A stuck-RAPL fault's pinned limit.
+    pub stuck: Option<Watts>,
+    /// Exact accumulated plane energy.
+    pub energy: Joules,
+    /// The limit the plane's enforcement filter holds.
+    pub enforced: Watts,
+}
+
+/// Everything that distinguishes a package from another of its part: what
+/// the columnar bank keeps in per-(host, socket) columns
+/// ([`RaplPackage::state`] reads it, [`RaplPackage::set_state`] loads it).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PackageState {
+    /// Exact accumulated package energy.
+    pub energy: Joules,
+    /// The limit the enforcement filter holds.
+    pub enforced: Watts,
+    /// The raw `MSR_PKG_POWER_LIMIT` value.
+    pub pl1_raw: u64,
+    /// PP0 then DRAM, for a part with sub-planes.
+    pub planes: Option<[PlaneState; 2]>,
+}
+
 /// The RAPL domains modeled by the simulator: the package plane and the
 /// optional PP0 (core) and DRAM sub-planes, addressed scaphandre-style
 /// through their own limit and energy-status MSRs.
@@ -468,9 +502,10 @@ impl RaplPackage {
     pub fn advance(&mut self, dt: Seconds, power: Watts) {
         debug_assert!(dt.is_valid() && power.is_valid());
         self.energy_exact += power * dt;
-        let counts = (self.energy_exact.value() / self.units.energy_j) as u64;
-        self.msrs
-            .hw_store(address::PKG_ENERGY_STATUS, counts & 0xFFFF_FFFF);
+        self.msrs.hw_store(
+            address::PKG_ENERGY_STATUS,
+            energy_status(self.energy_exact, &self.units),
+        );
 
         let (target, tau) = self.enforcement_params();
         let alpha = 1.0 - (-dt.value() / tau).exp();
@@ -488,7 +523,6 @@ impl RaplPackage {
     fn advance_sub_domains(&mut self, dt: Seconds, power: Watts) {
         let cfg = self.domains.expect("checked by caller");
         DOMAIN_ADVANCED.inc();
-        let energy_j = self.units.energy_j;
         let pkg_target = {
             let (target, _) = self.enforcement_params();
             target
@@ -498,7 +532,7 @@ impl RaplPackage {
         if let Some(pp0) = self.pp0.as_mut() {
             let draw = power * cfg.pp0_fraction;
             pp0.energy_exact += draw * dt;
-            let counts = (pp0.energy_exact.value() / energy_j) as u64;
+            let counts = energy_status(pp0.energy_exact, &units);
             let msr = pp0.energy_msr;
             let pl = decode_power_limit(self.msrs.hw_load(pp0.limit_msr), &units);
             // Clamp ordering: the plane's own limit applies first, then the
@@ -508,7 +542,7 @@ impl RaplPackage {
             let tau = pl.time_window.value().max(1e-3);
             let alpha = 1.0 - (-dt.value() / tau).exp();
             pp0.enforced += (target - pp0.enforced) * alpha;
-            self.msrs.hw_store(msr, counts & 0xFFFF_FFFF);
+            self.msrs.hw_store(msr, counts);
         }
         if let Some(dram) = self.dram.as_mut() {
             // The DRAM plane sits outside the package's power envelope: it
@@ -519,14 +553,14 @@ impl RaplPackage {
                 Watts::ZERO
             };
             dram.energy_exact += draw * dt;
-            let counts = (dram.energy_exact.value() / energy_j) as u64;
+            let counts = energy_status(dram.energy_exact, &units);
             let msr = dram.energy_msr;
             let pl = decode_power_limit(self.msrs.hw_load(dram.limit_msr), &units);
             let target = if pl.enabled { pl.limit } else { dram.max_limit };
             let tau = pl.time_window.value().max(1e-3);
             let alpha = 1.0 - (-dt.value() / tau).exp();
             dram.enforced += (target - dram.enforced) * alpha;
-            self.msrs.hw_store(msr, counts & 0xFFFF_FFFF);
+            self.msrs.hw_store(msr, counts);
         }
     }
 
@@ -567,11 +601,6 @@ impl RaplPackage {
     /// Whether PP0/DRAM sub-planes are enabled.
     pub fn has_domains(&self) -> bool {
         self.domains.is_some()
-    }
-
-    /// The sub-plane split, when enabled.
-    pub fn domain_config(&self) -> Option<DomainConfig> {
-        self.domains
     }
 
     fn sub_domain(&self, d: RaplDomain) -> Result<&SubDomain> {
@@ -695,39 +724,64 @@ impl RaplPackage {
         enforcement_params_of(&self.limit(), self.max_limit)
     }
 
-    /// The raw `MSR_PKG_POWER_LIMIT` value, bypassing the allowlist (the
-    /// columnar bank mirrors it in a column).
-    pub(crate) fn pl1_raw(&self) -> u64 {
-        self.msrs.hw_load(address::PKG_POWER_LIMIT)
-    }
-
     /// Write a resolved PL1 register value through the allowlist.
     pub(crate) fn program_pl1(&mut self, raw: u64) -> Result<()> {
         self.msrs.write(address::PKG_POWER_LIMIT, raw)
     }
 
-    /// Store a PL1 register value the columnar bank already validated
-    /// against its raw-register column (the lazy write-back).
-    pub(crate) fn restore_pl1(&mut self, raw: u64) {
-        self.msrs.hw_store(address::PKG_POWER_LIMIT, raw);
+    /// True when `other` is the same part: every field [`Self::set_state`]
+    /// leaves as it finds it agrees. Of those only the power range and the
+    /// sub-plane split can differ between packages; the units and the
+    /// allowlist are fixed by [`Self::new`], and nothing outside this crate
+    /// reaches a node's packages mutably.
+    pub(crate) fn same_part(&self, other: &Self) -> bool {
+        self.tdp == other.tdp
+            && self.min_limit == other.min_limit
+            && self.max_limit == other.max_limit
+            && self.domains == other.domains
     }
 
-    /// Hot-state snapshot for the columnar bank: exact energy + the
-    /// enforcement filter's held limit.
-    pub(crate) fn hot_state(&self) -> (Joules, Watts) {
-        (self.energy_exact, self.enforced)
+    /// Ingest side of the columnar bank: everything that distinguishes this
+    /// package from another of its part.
+    pub(crate) fn state(&self) -> PackageState {
+        let plane = |sub: &SubDomain| PlaneState {
+            raw: self.msrs.hw_load(sub.limit_msr),
+            stuck: sub.stuck,
+            energy: sub.energy_exact,
+            enforced: sub.enforced,
+        };
+        PackageState {
+            energy: self.energy_exact,
+            enforced: self.enforced,
+            pl1_raw: self.msrs.hw_load(address::PKG_POWER_LIMIT),
+            planes: (self.pp0.as_ref())
+                .zip(self.dram.as_ref())
+                .map(|(pp0, dram)| [plane(pp0), plane(dram)]),
+        }
     }
 
-    /// Restore hot state from the columnar bank and bring the energy-status
-    /// counter MSR up to date. Each per-step counter store overwrites the
-    /// previous one, so storing once from the final exact energy is
-    /// value-equivalent to the stores [`Self::advance`] would have made.
-    pub(crate) fn set_hot_state(&mut self, energy: Joules, enforced: Watts) {
-        self.energy_exact = energy;
-        self.enforced = enforced;
-        let counts = (self.energy_exact.value() / self.units.energy_j) as u64;
+    /// Materialise side: load `s` into this package, a copy of the part's
+    /// prototype. The energy-status counters are derived from the exact
+    /// energies: each per-step store overwrites the previous one, so storing
+    /// once from the final energy is value-equivalent to the stores
+    /// [`Self::advance`] made.
+    pub(crate) fn set_state(&mut self, s: &PackageState) {
+        debug_assert_eq!(s.planes.is_some(), self.domains.is_some());
+        self.energy_exact = s.energy;
+        self.enforced = s.enforced;
+        let units = self.units;
+        self.msrs.hw_store(address::PKG_POWER_LIMIT, s.pl1_raw);
         self.msrs
-            .hw_store(address::PKG_ENERGY_STATUS, counts & 0xFFFF_FFFF);
+            .hw_store(address::PKG_ENERGY_STATUS, energy_status(s.energy, &units));
+        let subs = self.pp0.iter_mut().chain(self.dram.iter_mut());
+        for (sub, plane) in subs.zip(s.planes.iter().flatten()) {
+            sub.stuck = plane.stuck;
+            sub.energy_exact = plane.energy;
+            sub.enforced = plane.enforced;
+            self.msrs.hw_store(sub.limit_msr, plane.raw);
+            self.msrs
+                .hw_store(sub.energy_msr, energy_status(plane.energy, &units));
+        }
     }
 
     /// Read the raw 32-bit energy counter (what a tool like GEOPM samples).

@@ -78,7 +78,7 @@ fn fleet(n: usize) -> (PowerModel, Vec<Node>) {
 enum Disturb {
     Limit(f64),
     /// Two limit writes to one host back to back, no step between: the
-    /// second lands on a host whose write-back is still pending.
+    /// second lands on the register columns the first just wrote.
     LimitTwice(f64, f64),
     /// The same limit written to every host.
     UniformLimit(f64),
@@ -191,31 +191,20 @@ fn disturb(fleet: &mut impl Fleet, host: usize, d: Disturb) -> Vec<Result<(), Si
     }
 }
 
-/// How a test looks at a bank's backing `Node`s right after a write.
-#[derive(Debug, Clone, Copy)]
-enum View {
-    None,
-    Node,
-    Nodes,
-    IntoNodes,
-}
-
-fn view_strategy() -> impl Strategy<Value = View> {
-    prop_oneof![
-        Just(View::None),
-        Just(View::Node),
-        Just(View::Nodes),
-        Just(View::IntoNodes),
-    ]
-}
-
-/// A `Node` handed out by a bank must be indistinguishable from the
+/// A `Node` a bank materialises must be indistinguishable from the
 /// reference `Node` that took the same operations directly: every register
 /// the control path programs, and everything derived from it.
 fn assert_node_matches(got: &Node, want: &Node) {
     let bits = |w: Watts| w.value().to_bits();
     for (k, (g, w)) in got.packages().iter().zip(want.packages()).enumerate() {
         assert_eq!(g.limit(), w.limit(), "package {k} PL1 fields");
+        for d in [RaplDomain::Pp0, RaplDomain::Dram] {
+            assert_eq!(
+                g.domain_limit(d).ok(),
+                w.domain_limit(d).ok(),
+                "package {k} {d}"
+            );
+        }
         for addr in [
             address::PKG_POWER_LIMIT,
             address::PKG_ENERGY_STATUS,
@@ -250,25 +239,21 @@ fn assert_node_matches(got: &Node, want: &Node) {
         want.clone().set_power_limit(Watts(200.0)),
         "one-shot MSR glitch"
     );
+    // Neither has a stuck plane's latch: it shows as the pinned value
+    // winning the next plane write.
+    if want.has_domains() {
+        assert_eq!(
+            got.clone().set_domain_limit(RaplDomain::Pp0, Watts(1.0)),
+            want.clone().set_domain_limit(RaplDomain::Pp0, Watts(1.0)),
+            "stuck PP0 latch"
+        );
+    }
 }
 
-/// Look at `host` (or the whole fleet) through `view` and compare with the
-/// reference. No step has run since the last write, so any control register
-/// the bank still holds only in its columns must be written back first.
-fn assert_view_matches(bank: &mut NodeBank, reference: &[Node], host: usize, view: View) {
-    match view {
-        View::None => {}
-        View::Node => assert_node_matches(bank.node(host), &reference[host]),
-        View::Nodes => {
-            for (got, want) in bank.nodes().iter().zip(reference) {
-                assert_node_matches(got, want);
-            }
-        }
-        View::IntoNodes => {
-            for (got, want) in bank.clone().into_nodes().iter().zip(reference) {
-                assert_node_matches(got, want);
-            }
-        }
+/// Every host of `bank`, materialised, against the reference fleet.
+fn assert_nodes_match(bank: &NodeBank, reference: &[Node]) {
+    for (h, want) in reference.iter().enumerate() {
+        assert_node_matches(&bank.node(h), want);
     }
 }
 
@@ -278,16 +263,16 @@ proptest! {
     /// Sharded stepping with replay enabled is bit-identical to flat
     /// stepping and to the per-node reference under random control/fault
     /// schedules, for any fleet/segment geometry (segments of 1 host,
-    /// ragged final segments, fleets smaller than one segment) — and the
-    /// lazily written-back `Node`s a bank hands out right after a write are
-    /// the reference `Node`s.
+    /// ragged final segments, fleets smaller than one segment) — and every
+    /// `Node` the bank materialises right after a write is the reference
+    /// `Node`.
     #[test]
     fn sharded_replay_is_bit_identical_to_flat_and_reference(
         n in 1usize..34,
         seg in 1usize..10,
         parallel in (0u8..2).prop_map(|b| b == 1),
         schedule in prop::collection::vec(
-            (0usize..16, 0usize..34, disturb_strategy(), view_strategy()),
+            (0usize..16, 0usize..34, disturb_strategy()),
             0..12,
         ),
     ) {
@@ -302,13 +287,13 @@ proptest! {
         let mut res_flat = vec![HostStep::Skipped; n];
         let mut res_shard = vec![HostStep::Skipped; n];
         for iter in 0..16 {
-            for (at, host, d, view) in &schedule {
+            for (at, host, d) in &schedule {
                 if *at == iter {
                     let host = *host % n;
                     let expected = disturb(&mut reference, host, *d);
                     prop_assert_eq!(&disturb(&mut flat, host, *d), &expected, "flat: {:?}", d);
                     prop_assert_eq!(&disturb(&mut sharded, host, *d), &expected, "sharded: {:?}", d);
-                    assert_view_matches(&mut sharded, &reference, host, *view);
+                    assert_nodes_match(&sharded, &reference);
                 }
             }
             for (h, op) in ops.iter_mut().enumerate() {
@@ -351,10 +336,6 @@ proptest! {
                     "last_freq diverged on host {}", h
                 );
             }
-        }
-        // Whatever is still pending at the end is written back on teardown.
-        for (got, want) in flat.into_nodes().iter().zip(&reference) {
-            assert_node_matches(got, want);
         }
     }
 }
@@ -634,18 +615,19 @@ fn writes_and_faults_commute_like_on_the_node() {
                             let _ = node.try_step(&model, &load, dt);
                         }
                     }
-                    assert_view_matches(&mut bank, &reference, 1, View::Nodes);
+                    assert_nodes_match(&bank, &reference);
                 }
             }
         }
     }
 }
 
-/// A sub-domain write is routed through the backing `Node`. When the host's
-/// PL1 was just rewritten in the columns, that `Node` must receive the
-/// pending register first — and the PL1 must survive the round trip.
+/// A sub-domain write runs on a `Node` materialised from the columns and is
+/// ingested back. When the host's PL1 was just rewritten in the columns, the
+/// materialised `Node` must carry it — and the PL1 must survive the round
+/// trip, as must the plane limits under the next PL1 write.
 #[test]
-fn domain_limit_on_a_host_with_pending_pl1_writeback() {
+fn domain_limit_after_a_pl1_write_round_trips() {
     let classes = standard_classes();
     let membership: Vec<ClassId> = (0..6).map(|h| ClassId(h % 3)).collect();
     let eps: Vec<f64> = (0..6).map(|h| 0.95 + 0.01 * h as f64).collect();
@@ -688,6 +670,9 @@ fn domain_limit_on_a_host_with_pending_pl1_writeback() {
             bank.set_domain_limit(h, RaplDomain::Dram, Watts(11.0)),
             reference[h].set_domain_limit(RaplDomain::Dram, Watts(11.0))
         );
+        let c = membership[h];
+        let local = bank.hosts_of(c).iter().position(|&g| g == h).unwrap();
+        assert_node_matches(&bank.bank(c).node(local), &reference[h]);
         let n = bank.len();
         let ops: Vec<_> = (0..n)
             .map(|g| Some(bank.operating_point(g, &load)))
@@ -715,6 +700,92 @@ fn domain_limit_on_a_host_with_pending_pl1_writeback() {
                 "energy on host {g}"
             );
         }
+    }
+}
+
+/// Ingest then materialise is the identity, for nodes carrying every kind
+/// of state the columns hold: mid-filter energy and enforcement, a
+/// frequency cap, a stuck PKG latch, dead and suspect health, a telemetry
+/// countdown, a pending glitch, and PP0/DRAM limits, meters and a stuck
+/// plane (a locked PL1 register: `bank.rs`' locked-register test). `Debug`
+/// prints every field, floats in full and the register file slot by slot,
+/// so beyond `assert_node_matches` nothing can differ. A fault that changes
+/// nothing runs the materialise → `Node` → ingest route and must leave the
+/// host as it was.
+#[test]
+fn ingest_then_materialise_round_trips_every_state() {
+    let load = FlatLoad { kappa: 2.8 };
+    let dt = Seconds(0.2);
+    let (model, mut plain) = fleet(7);
+    plain[1].set_power_limit(Watts(140.0)).unwrap();
+    plain[1].set_freq_cap(Some(Hertz::from_ghz(1.9))).unwrap();
+    plain[2].inject(FaultKind::StuckRapl { pinned_w: 150.0 });
+    plain[3].inject(FaultKind::NodeDeath);
+    plain[4].mark_suspect();
+    plain[4].inject(FaultKind::TelemetryDropout { iterations: 4 });
+    let class = standard_classes().swap_remove(0);
+    let mut split: Vec<Node> = (0..3)
+        .map(|i| {
+            Node::with_class(
+                NodeId(i),
+                ClassId(0),
+                &class,
+                &model,
+                0.95 + 0.03 * i as f64,
+            )
+        })
+        .collect::<Result<_, _>>()
+        .unwrap();
+    split[1].set_power_limit(Watts(180.0)).unwrap();
+    split[1]
+        .set_domain_limit(RaplDomain::Pp0, Watts(100.0))
+        .unwrap();
+    split[1]
+        .set_domain_limit(RaplDomain::Dram, Watts(11.0))
+        .unwrap();
+    split[2]
+        .inject_domain_stuck(RaplDomain::Pp0, Watts(120.0))
+        .unwrap();
+    split[2]
+        .set_domain_limit(RaplDomain::Pp0, Watts(90.0))
+        .unwrap();
+    for _ in 0..3 {
+        for node in plain[1..].iter_mut().chain(&mut split[1..]) {
+            let _ = node.try_step(&model, &load, dt);
+        }
+    }
+    plain[5].inject(FaultKind::TransientMsrFault);
+
+    let noop = FaultKind::TelemetryDropout { iterations: 0 };
+    for mut fleet in [plain, split] {
+        let mut bank = NodeBank::from_nodes(fleet.clone());
+        for (h, want) in fleet.iter_mut().enumerate() {
+            for _ in 0..2 {
+                let got = bank.node(h);
+                assert_node_matches(&got, want);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "host {h}");
+                bank.inject(h, noop);
+                want.inject(noop);
+            }
+        }
+        let dead = fleet.iter().filter(|n| n.is_dead()).count();
+        assert_eq!(bank.alive_count(), fleet.len() - dead);
+    }
+}
+
+/// The bank keeps one prototype, and with it the part's sub-plane split and
+/// the class id: a node differing in either would be materialised as the
+/// other, so the bank refuses to mix them.
+#[test]
+fn mixed_classes_do_not_share_a_bank() {
+    let (model, nodes) = fleet(1);
+    let plain = NodeClass::pkg_only("quartz", quartz_spec());
+    let split = standard_classes().swap_remove(0);
+    for (cid, class) in [(ClassId(1), plain), (ClassId(0), split)] {
+        let mut mixed = nodes.clone();
+        mixed.push(Node::with_class(NodeId(1), cid, &class, &model, 1.0).unwrap());
+        let built = std::panic::catch_unwind(|| NodeBank::from_nodes(mixed));
+        assert!(built.is_err(), "class {cid} with {:?}", class.domains);
     }
 }
 

@@ -8,11 +8,11 @@
 //! cargo run --release --example online_feedback
 //! ```
 
-use powerstack::core::{Coordinator, CoordinatorMode, MixedAdaptive};
+use powerstack::core::{Coordinator, CoordinatorError, CoordinatorMode, MixedAdaptive};
 use powerstack::kernel::{Imbalance, KernelConfig, VectorWidth, WaitingFraction};
 use powerstack::simhw::{quartz_spec, Cluster, VariationProfile, Watts};
 
-fn main() {
+fn main() -> Result<(), CoordinatorError> {
     let cluster = Cluster::builder(quartz_spec())
         .nodes(8)
         .variation(VariationProfile::quartz())
@@ -41,7 +41,7 @@ fn main() {
     let budget = Watts(8.0 * 200.0);
 
     for mode in [CoordinatorMode::Emulated, CoordinatorMode::Online] {
-        let run = coordinator.run_mix(&mix, &MixedAdaptive, budget, 60, mode);
+        let run = coordinator.try_run_mix(&mix, &MixedAdaptive, budget, 60, mode)?;
         println!("— {mode:?} mode —");
         for ((name, _, _), report) in mix.iter().zip(&run.reports) {
             println!(
@@ -63,4 +63,5 @@ fn main() {
          allocation tightens to what the jobs actually draw — the protocol\n\
          §VIII proposes for the HPC PowerStack community."
     );
+    Ok(())
 }

@@ -73,13 +73,15 @@ fn full_stack_matches_analytic_evaluator_for_every_policy() {
         PolicyKind::MinimizeWaste,
         PolicyKind::Precharacterized,
     ] {
-        let run = coordinator.run_mix(
-            &mix(),
-            policies::by_kind(policy).as_ref(),
-            budget,
-            60,
-            CoordinatorMode::Emulated,
-        );
+        let run = coordinator
+            .try_run_mix(
+                &mix(),
+                policies::by_kind(policy).as_ref(),
+                budget,
+                60,
+                CoordinatorMode::Emulated,
+            )
+            .expect("the mix fits its cluster");
         let alloc = policies::by_kind(policy).allocate(&ctx, &chars);
         let eval = evaluate_mix(cluster.model(), &setups, &alloc, 60, 0.0, 0);
 
@@ -148,14 +150,13 @@ fn online_mode_is_no_worse_than_emulated() {
     let coordinator = Coordinator::new(&cluster);
     let budget = Watts(9.0 * 210.0);
     let policy = policies::by_kind(PolicyKind::MixedAdaptive);
-    let emulated = coordinator.run_mix(
-        &mix(),
-        policy.as_ref(),
-        budget,
-        40,
-        CoordinatorMode::Emulated,
-    );
-    let online = coordinator.run_mix(&mix(), policy.as_ref(), budget, 40, CoordinatorMode::Online);
+    let run = |mode| {
+        coordinator
+            .try_run_mix(&mix(), policy.as_ref(), budget, 40, mode)
+            .expect("the mix fits its cluster")
+    };
+    let emulated = run(CoordinatorMode::Emulated);
+    let online = run(CoordinatorMode::Online);
     assert!(online.total_energy() <= emulated.total_energy() * 1.03);
     assert!(online.mean_elapsed() <= emulated.mean_elapsed() * 1.03);
 }
