@@ -1,5 +1,5 @@
-//! The golden files (`grid.json`, `hetero.json`, tracked beside this
-//! module) and the one comparison both golden suites use.
+//! The golden files (`grid.json`, `hetero.json`, `facility.txt`, tracked
+//! beside this module) and the one comparison every golden suite uses.
 //!
 //! A golden that is absent and a golden that differs are two different
 //! failures with two different messages: the first means the checkout is
