@@ -22,9 +22,12 @@
 //!   [`pmstack_rm::PowerLedger`] is never left oversubscribed.
 //!
 //! Everything is event-driven off one seeded queue (`(minute, seq)` keyed),
-//! all randomness is pre-drawn before the clock starts, and job state lives
-//! in ordered maps — two same-seed campaigns are bit-identical, journal and
-//! summary included. Fault injection reuses the `simhw` taxonomy via
+//! all randomness is pre-drawn before the clock starts, job state lives in
+//! ordered maps and sets and node state in vectors indexed by node — two
+//! same-seed campaigns are bit-identical, journal and summary included.
+//! A telemetry tick touches only what can change in it: the jobs holding
+//! nodes (accrued in id order), the nodes a fault silenced, and the nodes
+//! drained while alive. Fault injection reuses the `simhw` taxonomy via
 //! [`FaultPlan::chaos`]; deaths are permanent (no repair crew), blackouts
 //! end. The engine drives schedulers through the [`Scheduler`] trait, so
 //! the same lifecycle runs over FIFO or backfill queueing unchanged.
@@ -315,12 +318,22 @@ struct Engine<'a> {
     arrivals: Vec<Arrival>,
     shocks: Vec<Shock>,
     faults: Vec<(u64, usize, FaultKind)>,
-    /// Nodes the fault plan actually killed.
-    dead: BTreeSet<usize>,
-    /// Nodes currently drained out of the pool (dead or falsely suspected).
-    drained: BTreeSet<usize>,
-    /// Telemetry blackout horizon per node.
-    blackout_until: BTreeMap<usize, u64>,
+    /// Per node: the fault plan killed it.
+    dead: Vec<bool>,
+    /// Per node: drained out of the pool (dead or falsely suspected). A
+    /// node is drained exactly while it holds no lease.
+    drained: Vec<bool>,
+    /// Per node: telemetry blackout horizon (0 = never blacked out).
+    blackout_until: Vec<u64>,
+    /// Every node that is dead but still leased or blacked out — a superset
+    /// of the leased nodes that send no heartbeat this tick. Filled by
+    /// faults in the order they arrive (a node hit twice appears twice),
+    /// pruned each tick.
+    silent: Vec<NodeId>,
+    /// Nodes drained while alive: the only candidates for repair.
+    suspects: BTreeSet<usize>,
+    /// Jobs holding nodes (launching, running or checkpointing), ascending.
+    held: BTreeSet<JobId>,
     heap: BinaryHeap<QueuedEvent>,
     seq: u64,
     hold_queue: bool,
@@ -379,31 +392,27 @@ impl Engine<'_> {
     }
 
     /// One telemetry tick: accrue, complete, heartbeat, expire leases,
-    /// repair false positives, schedule.
+    /// repair false positives, schedule. Costs O(held jobs + silent nodes
+    /// + suspects), not O(nodes + jobs ever submitted).
     fn telemetry(&mut self, t: u64) {
         let dt_h = (t - self.last_telemetry_min) as f64 / 60.0;
         self.last_telemetry_min = t;
 
-        // Accrue progress and energy over the elapsed interval.
+        // Accrue progress and energy over the elapsed interval, in job id
+        // order (the float sums depend on it).
         let mut busy_nodes = 0usize;
         let mut busy_draw_w = 0.0;
         let mut finished: Vec<JobId> = Vec::new();
-        for (&id, ctl) in self.jobs.iter_mut() {
-            match ctl.life.state() {
-                LifecycleState::Running => {
-                    ctl.life.accrue(ctl.speed * dt_h);
-                    busy_nodes += ctl.nodes;
-                    busy_draw_w += ctl.nodes as f64 * ctl.draw_w;
-                    if ctl.life.remaining_h() < 1e-9 {
-                        finished.push(id);
-                    }
+        for &id in &self.held {
+            let ctl = self.jobs.get_mut(&id).expect("held job exists");
+            if ctl.life.state() == LifecycleState::Running {
+                ctl.life.accrue(ctl.speed * dt_h);
+                if ctl.life.remaining_h() < 1e-9 {
+                    finished.push(id);
                 }
-                LifecycleState::Launching | LifecycleState::Checkpointing => {
-                    busy_nodes += ctl.nodes;
-                    busy_draw_w += ctl.nodes as f64 * ctl.draw_w;
-                }
-                _ => {}
             }
+            busy_nodes += ctl.nodes;
+            busy_draw_w += ctl.nodes as f64 * ctl.draw_w;
         }
         let managed = self.sched.total_nodes();
         let idle_nodes = managed.saturating_sub(busy_nodes);
@@ -417,34 +426,29 @@ impl Engine<'_> {
             ctl.life.complete();
             ctl.epoch += 1;
             let (nodes, work_h) = (ctl.nodes, ctl.life.work_h());
+            self.held.remove(&id);
             self.sched.complete(id);
             self.completed += 1;
             self.goodput_node_h += work_h * nodes as f64;
             self.note(t, format!("complete {id} work={work_h:.2}h"));
         }
 
-        // Heartbeats from live, un-blacked-out, managed nodes.
-        for node in 0..self.params.nodes {
-            if self.dead.contains(&node) || self.drained.contains(&node) {
-                continue;
-            }
-            let blacked = self
-                .blackout_until
-                .get(&node)
-                .is_some_and(|&until| t < until);
-            if !blacked {
-                self.lease.beat(NodeId(node), t);
-            }
-        }
+        // Heartbeats from every leased node that is alive and not blacked
+        // out. Leased means not drained, so only the silent set is skipped.
+        let (dead, drained, until) = (&self.dead, &self.drained, &self.blackout_until);
+        self.silent
+            .retain(|n| (dead[n.0] && !drained[n.0]) || t < until[n.0]);
+        self.lease.beat_all_except(t, &self.silent);
 
         // Expire stale leases: drain the node, kill and requeue its job.
         for node in self.lease.expire(t) {
             self.leases_expired += 1;
-            let alive = !self.dead.contains(&node.0);
+            let alive = !self.dead[node.0];
             if alive {
                 self.false_expiries += 1;
+                self.suspects.insert(node.0);
             }
-            self.drained.insert(node.0);
+            self.drained[node.0] = true;
             pmstack_obs::event(
                 t as f64 * 60.0,
                 EventKind::LeaseExpired {
@@ -466,18 +470,17 @@ impl Engine<'_> {
             }
         }
 
-        // Repair false positives: a drained-but-alive node whose blackout
-        // ended resumes telemetry and returns to service.
+        // Repair false positives: a suspect whose blackout ended resumes
+        // telemetry and returns to service.
         let repairable: Vec<usize> = self
-            .drained
+            .suspects
             .iter()
             .copied()
-            .filter(|n| {
-                !self.dead.contains(n) && self.blackout_until.get(n).is_none_or(|&until| until <= t)
-            })
+            .filter(|&n| self.blackout_until[n] <= t)
             .collect();
         for node in repairable {
-            self.drained.remove(&node);
+            self.suspects.remove(&node);
+            self.drained[node] = false;
             self.sched.restore_node(NodeId(node));
             self.lease.track(NodeId(node), t);
             self.note(t, format!("restore node={node} (telemetry resumed)"));
@@ -495,6 +498,7 @@ impl Engine<'_> {
             if let SchedulerEvent::Started { job, nodes, power } = ev {
                 let ctl = self.jobs.get_mut(&job).expect("started job exists");
                 ctl.life.launch();
+                self.held.insert(job);
                 ctl.nodes = nodes.len();
                 ctl.grant_w = power.value() / nodes.len() as f64;
                 let first = !ctl.started;
@@ -521,6 +525,7 @@ impl Engine<'_> {
         let wasted_node_h = ctl.life.fail() * ctl.nodes as f64;
         ctl.epoch += 1;
         let attempts = ctl.life.attempts();
+        self.held.remove(&id);
         self.wasted_node_h += wasted_node_h;
         WASTED_NODE_HOURS.add(wasted_node_h);
         match self.retry.delay_for(attempts) {
@@ -594,7 +599,7 @@ impl Engine<'_> {
             }
             // 2. Checkpoint-and-preempt the newest jobs until it fits.
             while over > 1e-9 {
-                let Some(&victim) = self.held_jobs().last() else {
+                let Some(victim) = self.held.pop_last() else {
                     break;
                 };
                 let ctl = self.jobs.get_mut(&victim).expect("victim exists");
@@ -641,18 +646,7 @@ impl Engine<'_> {
 
     /// Jobs currently holding nodes, oldest first (ascending id).
     fn held_jobs(&self) -> Vec<JobId> {
-        self.jobs
-            .iter()
-            .filter(|(_, c)| {
-                matches!(
-                    c.life.state(),
-                    LifecycleState::Launching
-                        | LifecycleState::Running
-                        | LifecycleState::Checkpointing
-                )
-            })
-            .map(|(&id, _)| id)
-            .collect()
+        self.held.iter().copied().collect()
     }
 
     fn run(&mut self) {
@@ -694,13 +688,15 @@ impl Engine<'_> {
                     let (_, host, kind) = self.faults[i];
                     match kind {
                         FaultKind::NodeDeath => {
-                            self.dead.insert(host);
+                            self.dead[host] = true;
+                            self.suspects.remove(&host);
+                            self.silent.push(NodeId(host));
                             self.note(t, format!("fault death node={host}"));
                         }
                         FaultKind::TelemetryDropout { iterations } => {
-                            let until = t + iterations as u64;
-                            let entry = self.blackout_until.entry(host).or_insert(0);
-                            *entry = (*entry).max(until);
+                            let until = &mut self.blackout_until[host];
+                            *until = (*until).max(t + iterations as u64);
+                            self.silent.push(NodeId(host));
                             self.note(t, format!("fault blackout node={host} {iterations}m"));
                         }
                         // The chaos plan only emits deaths and dropouts;
@@ -828,9 +824,12 @@ fn simulate_cell(
         arrivals,
         shocks,
         faults,
-        dead: BTreeSet::new(),
-        drained: BTreeSet::new(),
-        blackout_until: BTreeMap::new(),
+        dead: vec![false; params.nodes],
+        drained: vec![false; params.nodes],
+        blackout_until: vec![0; params.nodes],
+        silent: Vec::new(),
+        suspects: BTreeSet::new(),
+        held: BTreeSet::new(),
         heap: BinaryHeap::new(),
         seq: 0,
         hold_queue: false,

@@ -8,8 +8,18 @@
 use crate::job::JobId;
 use pmstack_obs::StaticFloatCounter;
 use pmstack_simhw::Watts;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
+
+/// Per-job reservations. The hasher has fixed keys, so two ledgers built by
+/// the same operations iterate in the same order and their float sums
+/// ([`PowerLedger::reserved`]) agree to the bit; `RandomState` would give
+/// every map its own order and every sum its own rounding. Job ids are
+/// assigned by this program, never read from a client, so fixed keys open
+/// no collision attack.
+type Reservations = HashMap<JobId, Watts, BuildHasherDefault<DefaultHasher>>;
 
 /// Observability: total watts granted through successful reservations
 /// (gross — re-reservations count their full new amount).
@@ -42,7 +52,7 @@ impl std::error::Error for OverCommit {}
 #[derive(Debug, Clone)]
 pub struct PowerLedger {
     system_budget: Watts,
-    reservations: HashMap<JobId, Watts>,
+    reservations: Reservations,
 }
 
 impl PowerLedger {
@@ -50,7 +60,7 @@ impl PowerLedger {
     pub fn new(system_budget: Watts) -> Self {
         Self {
             system_budget,
-            reservations: HashMap::new(),
+            reservations: Reservations::default(),
         }
     }
 
@@ -299,6 +309,27 @@ mod tests {
         // A zero-budget ledger is saturated iff anything is reserved.
         let empty = PowerLedger::new(Watts::ZERO);
         assert_eq!(empty.utilization(), 0.0);
+    }
+
+    #[test]
+    fn reserved_is_the_same_sum_in_every_ledger() {
+        // 1e16 W absorbs a lone 1 W (its ulp is 2 W) but not eight of them
+        // summed first: the total depends on the order the map yields.
+        let build = || {
+            let mut ledger = PowerLedger::new(Watts(2e16));
+            ledger.reserve(JobId(0), Watts(1e16)).unwrap();
+            for j in 1..=8 {
+                ledger.reserve(JobId(j), Watts(1.0)).unwrap();
+            }
+            ledger
+        };
+        let bits = |w: Watts| w.value().to_bits();
+        let first = build();
+        for _ in 1..32 {
+            let ledger = build();
+            assert_eq!(bits(ledger.reserved()), bits(first.reserved()));
+            assert_eq!(bits(ledger.available()), bits(first.available()));
+        }
     }
 
     #[test]

@@ -1,11 +1,61 @@
 //! Property-based tests of resource-manager conservation invariants.
 
 use pmstack_rm::{
-    FifoScheduler, JobSpec, NodePool, PowerLedger, RetryPolicy, Scheduler, SchedulerEvent,
+    FifoScheduler, JobSpec, LeaseTable, NodePool, PowerLedger, RetryPolicy, Scheduler,
+    SchedulerEvent,
 };
-use pmstack_simhw::Watts;
+use pmstack_simhw::{NodeId, Watts};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
+
+/// One operation on a lease table. Pool indices pick from a set of sparse
+/// ids; `back` is how many ticks behind the clock the operation's time is,
+/// so beats, rounds and expiries arrive out of order.
+#[derive(Debug, Clone)]
+enum LeaseOp {
+    Track {
+        node: usize,
+        back: u64,
+    },
+    Beat {
+        node: usize,
+        back: u64,
+    },
+    /// `beat_all_except`; entries below 16 name pool ids, the rest ids no
+    /// table has ever seen.
+    Round {
+        silent: Vec<usize>,
+        back: u64,
+    },
+    Forget {
+        node: usize,
+    },
+    Expire {
+        back: u64,
+    },
+    /// The clock jumps with no round in between (past the timeout, often).
+    Gap {
+        ticks: u64,
+    },
+}
+
+fn lease_op() -> impl Strategy<Value = LeaseOp> {
+    let round = || {
+        (prop::collection::vec(0usize..24, 0..6), 0u64..3)
+            .prop_map(|(silent, back)| LeaseOp::Round { silent, back })
+    };
+    prop_oneof![
+        (0usize..16, 0u64..4).prop_map(|(node, back)| LeaseOp::Track { node, back }),
+        (0usize..16, 0u64..8).prop_map(|(node, back)| LeaseOp::Beat { node, back }),
+        round(),
+        round(),
+        round(),
+        (0usize..16).prop_map(|node| LeaseOp::Forget { node }),
+        (0u64..4).prop_map(|back| LeaseOp::Expire { back }),
+        (0u64..4).prop_map(|back| LeaseOp::Expire { back }),
+        (16u64..60).prop_map(|ticks| LeaseOp::Gap { ticks }),
+    ]
+}
 
 /// No node is held by two jobs, the ledger matches the sum of per-job
 /// reservations exactly, and nothing exceeds the budget.
@@ -254,6 +304,76 @@ proptest! {
             let total = ledger.reserved() + ledger.available();
             prop_assert!((total.value() - budget.value()).abs() < 1e-6);
             prop_assert!(ledger.reserved() <= budget + Watts(1e-9));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The watermark lease table behaves exactly like a map from node to
+    /// last beat: `track` overwrites, `beat` keeps the later time and
+    /// ignores untracked nodes, a round beats every tracked node but the
+    /// silent ones, `expire` removes and reports every stale node once in
+    /// ascending order — at any tick order, over sparse ids, and across
+    /// gaps with no round at all.
+    #[test]
+    fn lease_table_matches_a_last_beat_map(
+        ids in prop::collection::vec(0usize..4096, 1..12),
+        timeout in 1u64..20,
+        ops in prop::collection::vec((0u64..6, lease_op()), 1..120),
+    ) {
+        let mut table = LeaseTable::new(timeout);
+        let mut model: BTreeMap<NodeId, u64> = BTreeMap::new();
+        let pick = |i: usize| NodeId(ids[i % ids.len()]);
+        let mut clock = 0u64;
+        for (step, op) in &ops {
+            clock += step;
+            let at = |back: u64| clock.saturating_sub(back);
+            match op {
+                LeaseOp::Track { node, back } => {
+                    table.track(pick(*node), at(*back));
+                    model.insert(pick(*node), at(*back));
+                }
+                LeaseOp::Beat { node, back } => {
+                    table.beat(pick(*node), at(*back));
+                    if let Some(t) = model.get_mut(&pick(*node)) {
+                        *t = (*t).max(at(*back));
+                    }
+                }
+                LeaseOp::Round { silent, back } => {
+                    let silent: Vec<NodeId> = silent
+                        .iter()
+                        .map(|&s| if s < 16 { pick(s) } else { NodeId(4096 + s) })
+                        .collect();
+                    table.beat_all_except(at(*back), &silent);
+                    for (n, t) in model.iter_mut() {
+                        if !silent.contains(n) {
+                            *t = (*t).max(at(*back));
+                        }
+                    }
+                }
+                LeaseOp::Forget { node } => {
+                    table.forget(pick(*node));
+                    model.remove(&pick(*node));
+                }
+                LeaseOp::Expire { back } => {
+                    let now = at(*back);
+                    let want: Vec<NodeId> = model
+                        .iter()
+                        .filter(|(_, &t)| now.saturating_sub(t) > timeout)
+                        .map(|(&n, _)| n)
+                        .collect();
+                    want.iter().for_each(|n| { model.remove(n); });
+                    prop_assert_eq!(table.expire(now), want, "expire at {} (clock {})", now, clock);
+                }
+                LeaseOp::Gap { ticks } => clock += ticks,
+            }
+            prop_assert_eq!(table.tracked(), model.len(), "after {:?}", op);
+            for n in ids.iter().map(|&n| NodeId(n)).chain([NodeId(4100)]) {
+                let want = model.get(&n).map(|t| clock.saturating_sub(*t));
+                prop_assert_eq!(table.staleness(n, clock), want, "{} after {:?}", n, op);
+            }
         }
     }
 }
