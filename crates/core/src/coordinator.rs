@@ -23,7 +23,7 @@
 //! hosts are re-characterized and re-allocated. The whole story is recorded
 //! in [`MixRun::resilience`].
 //!
-//! Jobs run in parallel on OS threads (crossbeam scoped), one runtime
+//! Jobs run in parallel on the resident `pmstack_exec` pool, one runtime
 //! controller per job, mirroring the real deployment topology.
 
 use crate::allocation::Allocation;

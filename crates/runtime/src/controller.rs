@@ -13,8 +13,10 @@ use pmstack_simhw::{Joules, NodeHealth, Seconds, Watts};
 
 /// Fleets at least this large fan the controller's per-host accumulators
 /// (epoch sums, tail-limit sums) across the exec pool in segment-aligned
-/// chunks; below it the spawn overhead dwarfs the adds.
-const PAR_ACCUM_THRESHOLD: usize = 4096;
+/// chunks. The break-even is the bank's: a round costs ~2 µs, and two-way
+/// `f64` sums measured even at 8192 hosts (2.0 µs either way) and ahead
+/// from 16384 (3.9 → 3.1 µs; 100 000: 27.7 → 14.0) on a 2-vCPU host.
+const PAR_ACCUM_THRESHOLD: usize = 16384;
 
 /// `sums[i] += src[i]` for every `i`. Elementwise, so chunking cannot change
 /// a single bit; mega-fleets run the chunks on the pool, aligned to the
@@ -24,16 +26,16 @@ where
     T: std::ops::AddAssign + Copy + Send + Sync,
 {
     debug_assert_eq!(sums.len(), src.len());
-    if sums.len() < PAR_ACCUM_THRESHOLD {
+    let add = |sums: &mut [T], src: &[T]| {
         for (s, v) in sums.iter_mut().zip(src) {
             *s += *v;
         }
-        return;
+    };
+    if sums.len() < PAR_ACCUM_THRESHOLD {
+        return add(sums, src);
     }
     pmstack_exec::par_chunks_mut(sums, segment.max(1), |base, block| {
-        for (j, s) in block.iter_mut().enumerate() {
-            *s += src[base + j];
-        }
+        add(block, &src[base..]);
     });
 }
 

@@ -797,8 +797,8 @@ impl JobPlatform {
 
         // Advance RAPL state (energy counters + enforcement filters) on
         // every live host through the iteration at its operating-point
-        // power in one batched columnar pass; the bank fans out when enough
-        // segments need stepping to pay for it. With fast-forward on, it
+        // power in one batched columnar pass; the bank fans out when the
+        // iteration's work, replays included, pays for it. With fast-forward on, it
         // replays the segments its caches prove settled instead of
         // re-running their filter arithmetic.
         if self.fast_forward {

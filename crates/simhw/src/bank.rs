@@ -124,15 +124,21 @@ static RESOLVE_KEPT: StaticCounter = StaticCounter::new("simhw.bank.resolve.kept
 /// Observability: hosts a [`NodeBank::resolve_segment`] pass re-resolved.
 static RESOLVE_SEARCHED: StaticCounter = StaticCounter::new("simhw.bank.resolve.searched");
 
-/// A multi-segment step fans out across the pool only when at least this many
-/// segments take the stepping arithmetic. A fan-out spawns and joins one
-/// thread per worker (~70 µs for two, measured at 100 000 hosts); stepping a
-/// default-sized segment costs ~11 µs and replaying one ~0.6 µs, so an
-/// iteration that steps a few dirty segments and replays the rest is faster
-/// on the calling thread. Two workers break even near 14 evenly spread dirty
-/// segments. (Counted in segments, not hosts, so the tiny segments the test
-/// suites shard small fleets into still reach the fan-out.)
-const PAR_MIN_STEPPED_SEGMENTS: usize = 16;
+/// What stepping a segment costs in replayed segments: stepping a
+/// default-sized segment of 2-socket hosts measured ~11 µs, replaying one
+/// ~0.6 µs. Fan-out chunks balance this estimate, so one dirty segment does
+/// not land on a chunk that is already a full share of replays.
+const STEP_COST: usize = 18;
+
+/// A multi-segment step fans out across the resident pool only when its
+/// estimated work, in replayed segments ([`STEP_COST`] per stepped one),
+/// is at least this much. A round costs ~2 µs (the wake, the chunk plan,
+/// the join): on a 2-vCPU host, splitting a replay-only bank of default
+/// segments two ways breaks even near 8 segments (~4 µs inline) and wins
+/// from 12 (6.3 → 4.4–5.4 µs); 98 go 65 → 27–38 µs. (Counted in
+/// segments, not hosts, so the tiny segments the test suites shard small
+/// fleets into still reach the fan-out.)
+const PAR_MIN_COST: usize = 12;
 
 /// Default hosts per segment: big enough that per-segment bookkeeping is
 /// noise (one cache probe per 1024 hosts), small enough that a 100k-host
@@ -631,8 +637,9 @@ impl NodeBank {
     /// `ops[h] == None` means "do not step host `h`" (the dead-host path).
     /// Returns `true` when every stepped enforcement filter was already at
     /// its bitwise fixed point — the steady-state signal the fast-forward
-    /// path keys on. `parallel` lets a bank with enough segments to step fan
-    /// them out across the worker pool; a one-segment bank never does.
+    /// path keys on. `parallel` lets a bank whose segments add up to enough
+    /// work (replays included) split them across the exec pool; a
+    /// one-segment bank never does.
     ///
     /// Every host takes the full stepping arithmetic; segment caches are
     /// still maintained so a later [`NodeBank::step_all_partial`] can pick
@@ -706,8 +713,15 @@ impl NodeBank {
         }
         let s = self.sockets;
         let sh = self.segment_hosts;
-        let segs = self.seg.len();
         let dt_bits = dt.value().to_bits();
+        // Chunk boundaries are segment boundaries, so each worker owns its
+        // segments' cache slots outright and the replay/step decision is
+        // local to the chunk. A bank of one segment never fans out.
+        let (workers, total) = if parallel {
+            self.fan_out_plan(dt_bits, allow_replay)
+        } else {
+            (1, 0)
+        };
         let mut cols = SpanCols {
             energy: &mut self.energy,
             enforced: &mut self.enforced,
@@ -718,18 +732,6 @@ impl NodeBank {
             results,
         };
         let (target, tau) = (&self.target, &self.tau);
-
-        // Chunk boundaries are segment boundaries, so each worker owns its
-        // segments' cache slots outright and the replay/step decision is
-        // local to the chunk. A bank of one segment is the case that never
-        // reaches the fan-out threshold.
-        let steps = |c: &&SegCache| !(allow_replay && replayable(**c, dt_bits));
-        let dirty = self.seg.iter().filter(steps).count();
-        let workers = if parallel && dirty >= PAR_MIN_STEPPED_SEGMENTS {
-            pmstack_exec::workers()
-        } else {
-            1
-        };
         let run = |chunk: &mut SegChunk<'_>| {
             run_seg_chunk(chunk, s, sh, dt, dt_bits, ops, target, tau, allow_replay);
         };
@@ -739,12 +741,20 @@ impl NodeBank {
             report.segments_stepped += chunk.stepped;
         };
         if workers > 1 {
-            let chunk_segs = segs.div_ceil(workers);
+            // Chunk `k` takes whole segments until the cost chunked so far
+            // reaches `k / workers` of the total; the last takes the rest.
             let mut chunks: Vec<SegChunk<'_>> = Vec::with_capacity(workers);
             let mut seg_rem = &mut self.seg[..];
-            let mut base = 0;
-            while !seg_rem.is_empty() {
-                let take_segs = chunk_segs.min(seg_rem.len());
+            let (mut base, mut chunked) = (0, 0);
+            for k in 1..=workers {
+                let mut take_segs = 0;
+                while take_segs < seg_rem.len() && (k == workers || chunked * workers < k * total) {
+                    chunked += seg_cost(seg_rem[take_segs], dt_bits, allow_replay);
+                    take_segs += 1;
+                }
+                if take_segs == 0 {
+                    continue;
+                }
                 let take_hosts = (take_segs * sh).min(n - base);
                 let (sa, st) = seg_rem.split_at_mut(take_segs);
                 seg_rem = st;
@@ -767,6 +777,28 @@ impl NodeBank {
             STEP_ALL_SETTLED.inc();
         }
         report
+    }
+
+    /// How a parallel step at `dt_bits` would run: the number of chunks (one
+    /// per pool worker, or 1 to stay on the calling thread, as it does
+    /// wherever the exec pool would run inline) and the iteration's
+    /// estimated cost in replayed segments.
+    fn fan_out_plan(&self, dt_bits: u64, allow_replay: bool) -> (usize, usize) {
+        let segs = self.seg.len();
+        if segs < 2 || pmstack_exec::is_inline() {
+            return (1, 0);
+        }
+        let total = self
+            .seg
+            .iter()
+            .map(|&c| seg_cost(c, dt_bits, allow_replay))
+            .sum();
+        let chunks = if total < PAR_MIN_COST {
+            1
+        } else {
+            pmstack_exec::workers().min(segs)
+        };
+        (chunks, total)
     }
 
     /// Host `h` as a `Node`, materialised by value from the part prototype
@@ -860,6 +892,15 @@ fn replayable(cache: SegCache, dt_bits: u64) -> bool {
         cache,
         SegCache::Settled { dt_bits: b, quiescent: true } if b == dt_bits
     )
+}
+
+/// A segment's share of an iteration's work, in replayed segments.
+fn seg_cost(cache: SegCache, dt_bits: u64, allow_replay: bool) -> usize {
+    if allow_replay && replayable(cache, dt_bits) {
+        1
+    } else {
+        STEP_COST
+    }
 }
 
 /// The cache slot a segment earns by being stepped.
@@ -1200,7 +1241,7 @@ mod tests {
     /// does, whatever `parallel` says).
     #[test]
     fn parallel_and_sequential_stepping_agree() {
-        let (model, nodes) = fleet(2 * (PAR_MIN_STEPPED_SEGMENTS + 4));
+        let (model, nodes) = fleet(40);
         let load = FlatLoad { kappa: 2.6 };
         let mut seq = NodeBank::from_nodes(nodes.clone());
         let mut par = NodeBank::from_nodes(nodes);
@@ -1230,50 +1271,108 @@ mod tests {
         }
     }
 
-    /// The multi-segment fan-out only engages from `PAR_MIN_STEPPED_SEGMENTS`
-    /// dirty segments up, which the small proptest fleets rarely reach: pin
-    /// it here. 41 hosts in 2-host segments (21, the last one ragged), 17 of
-    /// them dirtied and 4 left replayable: chunked across the pool or run on
-    /// the calling thread, every bit and every report must agree.
+    /// Every column a step writes, as bits, plus the segment caches.
+    fn stepped_state(bank: &NodeBank) -> (Vec<[u64; 4]>, Vec<SegCache>) {
+        let n = bank.len();
+        let s = bank.sockets;
+        let rows = (0..n * s)
+            .map(|i| {
+                let h = i / s;
+                [
+                    bank.energy[i].value().to_bits(),
+                    bank.enforced[i].value().to_bits(),
+                    bank.last_freq[h].value().to_bits(),
+                    bank.replay_delta[h].value().to_bits(),
+                ]
+            })
+            .collect();
+        (rows, bank.seg.clone())
+    }
+
+    /// The multi-segment fan-out engages from `PAR_MIN_COST` replayed
+    /// segments' worth of work, which the small proptest fleets rarely
+    /// reach: pin it here on 41 hosts in 2-host segments (21, the last one
+    /// ragged). Three kinds of iteration each take the fan-out — many dirty
+    /// segments beside a few replayed ones, a replay-only one, and churn's
+    /// one dirty segment among replays — and fanned across the pool, kept on
+    /// the calling thread by `sequential_scope`, or stepped with `parallel`
+    /// off, every bit, cache slot and report must agree.
     #[test]
     fn fanned_out_segments_agree_with_the_calling_thread() {
         let (model, nodes) = fleet(41);
         let load = FlatLoad { kappa: 2.6 };
         let dt = Seconds(0.2);
-        let mut seq = NodeBank::from_nodes(nodes);
-        seq.set_segment_hosts(2);
-        let n = seq.len();
+        let mut pool = NodeBank::from_nodes(nodes);
+        pool.set_segment_hosts(2);
+        let (n, segs) = (pool.len(), pool.num_segments());
+        let mut scoped = pool.clone();
+        let mut single = pool.clone();
         let mut ops = vec![None; n];
-        let mut results = vec![HostStep::Skipped; n];
-        let resolve = |bank: &NodeBank, ops: &mut [Option<OperatingPoint>]| {
+        let mut results = [
+            vec![HostStep::Skipped; n],
+            vec![HostStep::Skipped; n],
+            vec![HostStep::Skipped; n],
+        ];
+        let mut iterate = |banks: [&mut NodeBank; 3], ops: &mut [Option<OperatingPoint>]| {
+            let [pool, scoped, single] = banks;
             for (h, op) in ops.iter_mut().enumerate() {
-                *op = Some(bank.operating_point(h, &model, &load));
+                *op = Some(pool.operating_point(h, &model, &load));
             }
-        };
-        for _ in 0..3 {
-            resolve(&seq, &mut ops);
-            seq.step_all_partial(dt, &ops, &mut results, false);
-        }
-        assert!((0..seq.num_segments()).all(|s| seq.segment_replayable(s, dt)));
-        for s in 0..PAR_MIN_STEPPED_SEGMENTS + 1 {
-            let h = seq.segment_range(s).start;
-            seq.set_power_limit(h, Watts(150.0 + s as f64)).unwrap();
-        }
-        seq.inject(40, FaultKind::TelemetryDropout { iterations: 2 });
-        let mut par = seq.clone();
-        let mut par_results = results.clone();
-        for _ in 0..6 {
-            resolve(&seq, &mut ops);
-            let a = seq.step_all_partial(dt, &ops, &mut results, false);
-            let b = par.step_all_partial(dt, &ops, &mut par_results, true);
+            let (chunks, _) = pool.fan_out_plan(dt.value().to_bits(), true);
+            assert_eq!(chunks, pmstack_exec::workers().min(segs), "must fan out");
+            let [a, b, c] = &mut results;
+            let report = pool.step_all_partial(dt, ops, a, true);
+            let in_scope =
+                pmstack_exec::sequential_scope(|| scoped.step_all_partial(dt, ops, b, true));
+            let one_chunk = single.step_all_partial(dt, ops, c, false);
+            assert_eq!(report, in_scope);
+            assert_eq!(report, one_chunk);
             assert_eq!(a, b);
-            assert!(a.segments_replayed >= 3 && a.segments_stepped >= 17);
-            assert_eq!(results, par_results);
-            let bits = |col: &[Joules]| col.iter().map(|e| e.value().to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&seq.energy), bits(&par.energy));
-            let bits = |col: &[Watts]| col.iter().map(|e| e.value().to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&seq.enforced), bits(&par.enforced));
-            assert_eq!(seq.seg, par.seg);
+            assert_eq!(a, c);
+            assert_eq!(stepped_state(pool), stepped_state(scoped));
+            assert_eq!(stepped_state(pool), stepped_state(single));
+            report
+        };
+
+        for _ in 0..3 {
+            iterate([&mut pool, &mut scoped, &mut single], &mut ops);
+        }
+        assert!((0..segs).all(|s| pool.segment_replayable(s, dt)));
+
+        // Replay only: 21 segments' worth of work.
+        let report = iterate([&mut pool, &mut scoped, &mut single], &mut ops);
+        assert_eq!(
+            (report.segments_replayed, report.segments_stepped),
+            (segs, 0)
+        );
+
+        // Churn: host 20's limit alternates, so its segment (the middle one)
+        // steps and the other 20 replay.
+        for i in 0..4 {
+            for bank in [&mut pool, &mut scoped, &mut single] {
+                bank.set_power_limit(20, Watts(180.0 + (i % 2) as f64))
+                    .unwrap();
+            }
+            let report = iterate([&mut pool, &mut scoped, &mut single], &mut ops);
+            assert_eq!(
+                (report.segments_replayed, report.segments_stepped),
+                (segs - 1, 1)
+            );
+        }
+
+        // Many dirty: 17 segments rewritten, a dropout on the ragged tail.
+        for s in 0..17 {
+            let h = pool.segment_range(s).start;
+            for bank in [&mut pool, &mut scoped, &mut single] {
+                bank.set_power_limit(h, Watts(150.0 + s as f64)).unwrap();
+            }
+        }
+        for bank in [&mut pool, &mut scoped, &mut single] {
+            bank.inject(40, FaultKind::TelemetryDropout { iterations: 2 });
+        }
+        for _ in 0..6 {
+            let report = iterate([&mut pool, &mut scoped, &mut single], &mut ops);
+            assert!(report.segments_replayed >= 3 && report.segments_stepped >= 17);
         }
     }
 
