@@ -259,6 +259,10 @@ fn run(cli: &Cli) {
                     p.name, p.wall_secs, p.ns_per_host
                 );
             }
+            eprintln!(
+                "[repro] megafleet final energy read: {:.3} ms (pending replays accrued)",
+                report.final_read_secs * 1e3
+            );
             if let Some(bytes) = report.resident_bytes_per_host {
                 eprintln!("[repro] megafleet resident: {bytes:.0} bytes/host");
             }

@@ -111,6 +111,10 @@ pub struct MegafleetReport {
     pub settled_under_agent: bool,
     /// Total fleet energy at the end, joules (a determinism anchor).
     pub total_energy_j: f64,
+    /// Wall-clock seconds of the final per-host energy read, which accrues
+    /// every replay the clean segments counted since they last stepped
+    /// (deferred work, not a phase).
+    pub final_read_secs: f64,
     /// Resident memory the fleet costs per host: [`resident_bytes`] once
     /// the platform is built minus before its nodes were, over the host
     /// count. `None` where `/proc/self/status` does not exist.
@@ -267,7 +271,10 @@ pub fn run_megafleet(params: &MegafleetParams) -> MegafleetReport {
         0.0
     };
 
-    let total_energy_j: f64 = platform.host_energy().iter().map(|e| e.value()).sum();
+    let read = Instant::now();
+    let energy = platform.host_energy();
+    let final_read_secs = read.elapsed().as_secs_f64();
+    let total_energy_j: f64 = energy.iter().map(|e| e.value()).sum();
     MegafleetReport {
         hosts: params.hosts,
         segments,
@@ -278,6 +285,7 @@ pub fn run_megafleet(params: &MegafleetParams) -> MegafleetReport {
         churn_replay_fraction,
         settled_under_agent,
         total_energy_j,
+        final_read_secs,
         resident_bytes_per_host,
     }
 }
@@ -358,8 +366,10 @@ pub fn to_bench_json(report: &MegafleetReport) -> String {
     }
     let _ = write!(
         out,
-        "\n  }},\n  \"churn_invalidated\": {},\n  \"churn_replayed\": {},\n  \
-         \"churn_replay_fraction\": {:.6},\n  \"settled_under_agent\": {}\n}}\n",
+        "\n  }},\n  \"final_read_secs\": {:.6},\n  \"churn_invalidated\": {},\n  \
+         \"churn_replayed\": {},\n  \"churn_replay_fraction\": {:.6},\n  \
+         \"settled_under_agent\": {}\n}}\n",
+        report.final_read_secs,
         report.churn_invalidated,
         report.churn_replayed,
         report.churn_replay_fraction,

@@ -82,6 +82,8 @@ fn megafleet_smoke_reports_shard_counters() {
     let json = std::fs::read_to_string(&json_path).expect("metrics JSON written");
     assert!(json.contains("simhw.bank.shard.invalidated"), "{json}");
     assert!(json.contains("simhw.bank.shard.replayed"), "{json}");
+    // Churn's dirty segment writes the replays it counted before stepping.
+    assert!(json.contains("simhw.bank.replays.applied"), "{json}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

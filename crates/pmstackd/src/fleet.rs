@@ -56,16 +56,7 @@ impl Fleet {
     pub fn spawn(config: FleetConfig, admission: Arc<Mutex<Admission>>) -> Self {
         let model = PowerModel::new(quartz_spec()).expect("quartz spec is valid");
         let host_eps: Vec<f64> = (0..config.hosts).map(eps_of).collect();
-        let nodes: Vec<Node> = host_eps
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| Node::new(NodeId(i), &model, e).expect("eps is in range"))
-            .collect();
-        let mut platform = JobPlatform::new(model.clone(), nodes, KernelConfig::balanced_ymm(8.0));
-        if let Some(sh) = config.segment_hosts {
-            platform = platform.with_segment_hosts(sh);
-        }
-        platform.set_fast_forward(true);
+        let mut platform = build_platform(&config, &model, &host_eps);
 
         let initial = Arc::new(platform.fleet_snapshot(&Default::default()));
         let latest = Arc::new(Mutex::new(initial));
@@ -87,13 +78,7 @@ impl Fleet {
                             let _ = platform.set_host_limit(*host, *cap);
                         }
                         CAP_OPS.add(ops.len() as u64);
-                        // The tick has its whole interval to finish while the
-                        // request workers want every core, so the loop never
-                        // fans out: splitting the fleet's step across the exec
-                        // pool cost ~9 % closed-loop submit throughput on a
-                        // 2-vCPU host, with a 50 µs or a 5 µs spin budget.
-                        pmstack_exec::sequential_scope(|| platform.run_iteration_into(&mut bufs));
-                        let snap = Arc::new(platform.fleet_snapshot(bufs.outcome()));
+                        let snap = Arc::new(tick(&mut platform, &mut bufs));
                         POWER.set(snap.power_w);
                         ALIVE.set(snap.alive as f64);
                         STEADY.set(if snap.steady { 1.0 } else { 0.0 });
@@ -168,6 +153,35 @@ impl Drop for Fleet {
     }
 }
 
+/// The served platform: one node per entry of `host_eps`, on the replay
+/// path.
+fn build_platform(config: &FleetConfig, model: &PowerModel, host_eps: &[f64]) -> JobPlatform {
+    let nodes: Vec<Node> = (host_eps.iter().enumerate())
+        .map(|(i, &e)| Node::new(NodeId(i), model, e).expect("eps is in range"))
+        .collect();
+    let mut platform = JobPlatform::new(model.clone(), nodes, KernelConfig::balanced_ymm(8.0));
+    if let Some(sh) = config.segment_hosts {
+        platform = platform.with_segment_hosts(sh);
+    }
+    platform.set_fast_forward(true);
+    platform
+}
+
+/// One tick's platform work: an iteration, then the snapshot.
+///
+/// The tick has its whole interval to finish while the request workers
+/// want every core, so the loop never fans out: splitting the fleet's step
+/// across the exec pool cost ~9 % closed-loop submit throughput on a 2-vCPU
+/// host, with a 50 µs or a 5 µs spin budget. The snapshot reads every
+/// host's energy, so the tick writes the iteration's replay counts into the
+/// cells first: each read stays one add per cell instead of growing with
+/// how long the fleet has been steady.
+fn tick(platform: &mut JobPlatform, bufs: &mut IterationBuffers) -> FleetSnapshot {
+    pmstack_exec::sequential_scope(|| platform.run_iteration_into(bufs));
+    platform.apply_pending_replays();
+    platform.fleet_snapshot(bufs.outcome())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,6 +252,39 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         fleet.shutdown();
+    }
+
+    /// The tick writes replay counts into the cells every iteration; a
+    /// platform that never does must read the same energy, bit for bit,
+    /// after any number of settled iterations.
+    #[test]
+    fn applying_replays_every_tick_reads_what_counting_them_does() {
+        let config = FleetConfig {
+            hosts: 40,
+            tick_interval: Duration::ZERO,
+            segment_hosts: Some(4),
+        };
+        let model = PowerModel::new(quartz_spec()).unwrap();
+        let eps: Vec<f64> = (0..config.hosts).map(eps_of).collect();
+        let mut ticked = build_platform(&config, &model, &eps);
+        let mut counted = build_platform(&config, &model, &eps);
+        let (mut bufs_t, mut bufs_c) = (IterationBuffers::new(), IterationBuffers::new());
+        let energy = |p: &JobPlatform| -> Vec<u64> {
+            p.host_energy()
+                .iter()
+                .map(|e| e.value().to_bits())
+                .collect()
+        };
+        for i in 0..1500 {
+            let snap = tick(&mut ticked, &mut bufs_t);
+            counted.run_iteration_into(&mut bufs_c);
+            if i % 100 == 99 {
+                let want = counted.fleet_snapshot(bufs_c.outcome());
+                assert_eq!(snap.energy_j.to_bits(), want.energy_j.to_bits(), "tick {i}");
+                assert_eq!(energy(&ticked), energy(&counted), "tick {i}");
+            }
+        }
+        assert!(counted.steady_state_active(), "the fleet settled");
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! The bank is sharded into segments, and everything the platform caches is
 //! per segment. One iteration costs O(dirty segments · segment size + clean
 //! segments); the whole fleet fast-forwarding is simply the iteration in
-//! which no segment is dirty. A segment goes through three states:
+//! which no segment is dirty, and it touches no per-host column. A segment
+//! goes through three states:
 //!
 //! * **dirty** — a control write, fault or workload change touched it, or
 //!   its enforcement filters are still moving. Its operating points are
@@ -32,11 +33,18 @@
 //!   inputs, so `ops`/`op_times` are reused and the PCU resolve is skipped.
 //!   This is the cache that also works under jitter.
 //! * **clean** — settled, jitter off, fast-forward on, and the bank will
-//!   replay it at this iteration's `dt` (it re-adds the energy delta its
-//!   settling step recorded; see `simhw::bank`). The bank only arms a replay
-//!   behind a step that repeating would reproduce exactly — filters at their
-//!   fixed point, no host read back `Stale` — so nothing about a clean
-//!   segment's outcome can differ from the previous iteration's.
+//!   replay it at this iteration's `dt`: it counts one more add of the
+//!   energy delta its settling step recorded, and energy reads accrue the
+//!   count exactly (see `simhw::bank`). The bank only arms a replay behind
+//!   a step that repeating would reproduce exactly — filters at their fixed
+//!   point, no host read back `Stale` — so nothing about a clean segment's
+//!   outcome can differ from the previous iteration's.
+//!
+//! Energy reads ([`JobPlatform::host_energy`], [`JobPlatform::total_energy`],
+//! [`JobPlatform::fleet_snapshot`], a materialised node's energy-status
+//! MSR) stay `&self` and cost O(binades the pending count crosses) per
+//! cell; [`JobPlatform::apply_pending_replays`] writes the counts into the
+//! cells for a caller that reads every iteration.
 //!
 //! **Span rule.** A dirty segment is mostly one whose limits are still
 //! creeping through their first-order filters: 15–95 iterations to a bitwise
@@ -619,13 +627,23 @@ impl JobPlatform {
     /// Fill `out` with cumulative per-host energy without allocating.
     pub fn host_energy_into(&self, out: &mut Vec<Joules>) {
         out.clear();
-        out.extend((0..self.bank.len()).map(|h| self.bank.energy(h)));
+        out.reserve(self.bank.len());
+        out.extend(self.bank.energies());
     }
 
     /// Total cumulative fleet energy, summed without allocating — the
     /// per-tick call the serving plane makes at 100k+ hosts.
     pub fn total_energy(&self) -> Joules {
-        (0..self.bank.len()).map(|h| self.bank.energy(h)).sum()
+        self.bank.energies().sum()
+    }
+
+    /// Write the bank's pending replays into its energy cells
+    /// ([`NodeBank::apply_pending_replays`]). Reads are exact either way;
+    /// a caller that reads the energy every iteration calls this once per
+    /// iteration, so the read stays one add per cell however long the
+    /// fleet stays steady.
+    pub fn apply_pending_replays(&mut self) {
+        self.bank.apply_pending_replays();
     }
 
     /// Capture a [`FleetSnapshot`] of this platform paired with the most
@@ -671,7 +689,7 @@ impl JobPlatform {
     /// their operating-point power, which is the energy sink the paper's
     /// kernel deliberately models). The result lands in `bufs.outcome()`;
     /// after the first two iterations the loop is allocation-free, and a
-    /// clean segment costs a stamp check plus the bank's energy adds (the
+    /// clean segment costs a stamp check plus the bank's replay count (the
     /// module docs have the rule).
     pub fn run_iteration_into(&mut self, bufs: &mut IterationBuffers) {
         // Fire the fault plan's events scheduled for this iteration before
@@ -797,10 +815,10 @@ impl JobPlatform {
 
         // Advance RAPL state (energy counters + enforcement filters) on
         // every live host through the iteration at its operating-point
-        // power in one batched columnar pass; the bank fans out when the
-        // iteration's work, replays included, pays for it. With fast-forward on, it
-        // replays the segments its caches prove settled instead of
-        // re-running their filter arithmetic.
+        // power in one batched columnar pass; the bank fans out when it
+        // steps enough segments to pay for it. With fast-forward on, it
+        // counts a replay for the segments its caches prove settled instead
+        // of re-running their arithmetic.
         if self.fast_forward {
             self.bank
                 .step_all_partial(elapsed, &self.ops, &mut self.steps, true);

@@ -471,10 +471,36 @@ enum Churn {
     /// Both platforms continue into buffers that last served another
     /// platform of the same size.
     ForeignBuffers,
+    /// This many undisturbed iterations, reads compared throughout — long
+    /// enough for a clean segment's pending replays to carry its energy
+    /// across several binades — then the follow-up right away.
+    Idle(u32, Follow),
+}
+
+/// What lands on a platform straight out of an idle stretch.
+#[derive(Debug, Clone, Copy)]
+enum Follow {
+    Limit(f64),
+    Death,
+    Stuck(f64),
+    Dropout(u32),
+    /// Both platforms re-sharded into segments of this many hosts.
+    Reshard(usize),
+}
+
+fn arb_follow() -> impl Strategy<Value = Follow> {
+    prop_oneof![
+        (120.0f64..260.0).prop_map(Follow::Limit),
+        Just(Follow::Death),
+        (120.0f64..220.0).prop_map(Follow::Stuck),
+        (1u32..4).prop_map(Follow::Dropout),
+        (1usize..6).prop_map(Follow::Reshard),
+    ]
 }
 
 fn arb_churn() -> impl Strategy<Value = Churn> {
     prop_oneof![
+        (1u32..3000, arb_follow()).prop_map(|(n, then)| Churn::Idle(n, then)),
         (120.0f64..260.0).prop_map(Churn::Limit),
         (-4.0f64..4.0).prop_map(Churn::Nudge),
         (-4.0f64..4.0).prop_map(Churn::Nudge),
@@ -574,7 +600,7 @@ proptest! {
                         Churn::Config(intensity, waiting) => {
                             p.set_config(phase(intensity, waiting))
                         }
-                        Churn::FreshBuffers | Churn::ForeignBuffers => {}
+                        Churn::FreshBuffers | Churn::ForeignBuffers | Churn::Idle(..) => {}
                     }
                 }
                 match churn {
@@ -586,25 +612,97 @@ proptest! {
                         fast_bufs = foreign();
                         twin_bufs = foreign();
                     }
+                    Churn::Idle(len, then) => {
+                        for i in 0..len {
+                            step_twins([&mut fast, &mut twin], [&mut fast_bufs, &mut twin_bufs], iter)?;
+                            if i % 500 == 499 {
+                                compare_reads(&fast, &twin)?;
+                            }
+                        }
+                        compare_reads(&fast, &twin)?;
+                        if let Follow::Reshard(hosts) = then {
+                            fast = fast.with_segment_hosts(hosts);
+                            twin = twin.with_segment_hosts(hosts);
+                        }
+                        for p in [&mut fast, &mut twin] {
+                            match then {
+                                Follow::Limit(w) => drop(p.set_host_limit(host, Watts(w))),
+                                Follow::Death => p.inject_fault(host, FaultKind::NodeDeath),
+                                Follow::Stuck(pinned_w) => {
+                                    p.inject_fault(host, FaultKind::StuckRapl { pinned_w })
+                                }
+                                Follow::Dropout(iterations) => {
+                                    p.inject_fault(host, FaultKind::TelemetryDropout { iterations })
+                                }
+                                Follow::Reshard(_) => {}
+                            }
+                        }
+                        compare_reads(&fast, &twin)?;
+                    }
                     _ => {}
                 }
             }
-            fast.run_iteration_into(&mut fast_bufs);
-            twin.run_iteration_into(&mut twin_bufs);
-            prop_assert_eq!(
-                observe(&fast_bufs), observe(&twin_bufs),
-                "outcome, iteration {}", iter
-            );
-            prop_assert_eq!(
-                observe_outcome(fast_bufs.previous()), observe_outcome(twin_bufs.previous()),
-                "previous, iteration {}", iter
-            );
-            let energy = |p: &JobPlatform| -> Vec<u64> {
-                p.host_energy().iter().map(|e| e.value().to_bits()).collect()
-            };
-            prop_assert_eq!(energy(&fast), energy(&twin), "energy, iteration {}", iter);
+            step_twins([&mut fast, &mut twin], [&mut fast_bufs, &mut twin_bufs], iter)?;
         }
     }
+}
+
+/// One iteration of the fast platform and its stepping twin: outcome,
+/// previous outcome and per-host energy must agree bit for bit.
+fn step_twins(
+    [fast, twin]: [&mut JobPlatform; 2],
+    [fast_bufs, twin_bufs]: [&mut IterationBuffers; 2],
+    iter: u64,
+) -> Result<(), TestCaseError> {
+    fast.run_iteration_into(fast_bufs);
+    twin.run_iteration_into(twin_bufs);
+    prop_assert_eq!(
+        observe(fast_bufs),
+        observe(twin_bufs),
+        "outcome, iteration {}",
+        iter
+    );
+    prop_assert_eq!(
+        observe_outcome(fast_bufs.previous()),
+        observe_outcome(twin_bufs.previous()),
+        "previous, iteration {}",
+        iter
+    );
+    let energy = |p: &JobPlatform| -> Vec<u64> {
+        p.host_energy()
+            .iter()
+            .map(|e| e.value().to_bits())
+            .collect()
+    };
+    prop_assert_eq!(energy(fast), energy(twin), "energy, iteration {}", iter);
+    Ok(())
+}
+
+/// Every other energy read the platform offers: materialised `Node`s (their
+/// energy and energy-status MSRs) and the fleet snapshot.
+fn compare_reads(fast: &JobPlatform, twin: &JobPlatform) -> Result<(), TestCaseError> {
+    let status = |node: &Node| -> Vec<_> {
+        (node.packages().iter())
+            .map(|p| p.msrs().read(address::PKG_ENERGY_STATUS))
+            .collect()
+    };
+    for h in 0..fast.num_hosts() {
+        let (a, b) = (fast.node(h), twin.node(h));
+        prop_assert_eq!(
+            a.energy().value().to_bits(),
+            b.energy().value().to_bits(),
+            "node {}",
+            h
+        );
+        prop_assert_eq!(status(&a), status(&b), "node {} energy status", h);
+    }
+    let snap = |p: &JobPlatform| p.fleet_snapshot(&IterationOutcome::default()).energy_j;
+    prop_assert_eq!(
+        snap(fast).to_bits(),
+        snap(twin).to_bits(),
+        "fleet snapshot energy"
+    );
+    Ok(())
 }
 
 /// The platform iteration loop transcribed onto a [`ClassedBank`]: the same

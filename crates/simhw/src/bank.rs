@@ -53,10 +53,10 @@
 //! Every step also records, per host, the per-package energy it added
 //! (`op.power / sockets * dt`, the exact product): the segment's **replay
 //! delta**. [`NodeBank::step_all_partial`] uses it: a segment whose slot
-//! proves "settled, quiescent, same `dt` bits" is *replayed* — one
-//! branch-free pass adding the recorded delta to its energy slab, and
-//! nothing else — while dirty segments take the full stepping arithmetic.
-//! The replay is bit-identical to stepping because
+//! proves "settled, quiescent, same `dt` bits" is *replayed*, while dirty
+//! segments take the full stepping arithmetic. One more step of a replayed
+//! segment would change nothing but its energy cells, each by its host's
+//! recorded delta, because
 //!
 //! * a settled filter's update is a bitwise no-op, and the skip is only
 //!   taken when the `dt` bits match the settle-time `dt` (α depends on `dt`,
@@ -69,11 +69,27 @@
 //!   what that one reported. A step that read a host back `Stale` therefore
 //!   never arms a replay; the segment takes one more (no-op) step first.
 //!
+//! So a replay is a **count**: the segment's pending-replay counter goes up
+//! by one and no per-host column is touched. `k` pending replays stand for
+//! `k` sequential `cell += delta` on every energy cell, and [`repeat_add`]
+//! computes exactly that, bit for bit, in O(1 + binades crossed) (its docs
+//! have the argument). Readers compute: [`NodeBank::energy`],
+//! [`NodeBank::energies`] and [`NodeBank::node`] (whose energy-status MSR
+//! follows) return the accrued value without caching it. Every path that
+//! writes an energy cell first writes the count into its segment's cells,
+//! with the delta the replays were recorded under, and zeroes it: the step
+//! arm (before the step overwrites the delta), `with_node` (whose
+//! materialise → ingest round trip rewrites the host's cells) and
+//! [`NodeBank::set_segment_hosts`] (before the counts lose their segments).
+//! A limit, cap or invalidation writes no energy and leaves the count for
+//! the next step. [`NodeBank::apply_pending_replays`] writes every count,
+//! for a caller that reads every iteration and wants each read to stay one
+//! add per cell; correctness never needs it.
+//!
 //! The bank owns the delta, so a replay reads nothing of the caller's `ops`
 //! and writes nothing to its `results`; the price is the contract on
 //! [`NodeBank::step_all_partial`]. Per-(host,socket) columns are contiguous
-//! per segment, so both paths run over dense slabs the autovectorizer can
-//! chew on.
+//! per segment, so a step runs over dense slabs.
 //!
 //! ## Operating-point spans
 //!
@@ -116,6 +132,9 @@ static SHARD_INVALIDATED: StaticCounter = StaticCounter::new("simhw.bank.shard.i
 /// Observability: segments advanced on the replay path (filter updates
 /// skipped) by [`NodeBank::step_all_partial`].
 static SHARD_REPLAYED: StaticCounter = StaticCounter::new("simhw.bank.shard.replayed");
+/// Observability: pending replays written into energy cells (a segment's
+/// whole count in one add per application). A steady iteration leaves it.
+static REPLAYS_APPLIED: StaticCounter = StaticCounter::new("simhw.bank.replays.applied");
 /// Observability: limit and frequency-cap requests resolved in the columns.
 static CONTROL_WRITES: StaticCounter = StaticCounter::new("simhw.bank.control_writes");
 /// Observability: hosts a [`NodeBank::resolve_segment`] pass left alone
@@ -124,21 +143,19 @@ static RESOLVE_KEPT: StaticCounter = StaticCounter::new("simhw.bank.resolve.kept
 /// Observability: hosts a [`NodeBank::resolve_segment`] pass re-resolved.
 static RESOLVE_SEARCHED: StaticCounter = StaticCounter::new("simhw.bank.resolve.searched");
 
-/// What stepping a segment costs in replayed segments: stepping a
-/// default-sized segment of 2-socket hosts measured ~11 µs, replaying one
-/// ~0.6 µs. Fan-out chunks balance this estimate, so one dirty segment does
-/// not land on a chunk that is already a full share of replays.
-const STEP_COST: usize = 18;
-
-/// A multi-segment step fans out across the resident pool only when its
-/// estimated work, in replayed segments ([`STEP_COST`] per stepped one),
-/// is at least this much. A round costs ~2 µs (the wake, the chunk plan,
-/// the join): on a 2-vCPU host, splitting a replay-only bank of default
-/// segments two ways breaks even near 8 segments (~4 µs inline) and wins
-/// from 12 (6.3 → 4.4–5.4 µs); 98 go 65 → 27–38 µs. (Counted in
-/// segments, not hosts, so the tiny segments the test suites shard small
-/// fleets into still reach the fan-out.)
-const PAR_MIN_COST: usize = 12;
+/// A multi-segment step fans out across the resident pool only when at
+/// least this many segments are stepped; chunks balance stepped segments.
+/// A replayed segment is a count increment, nothing per host, so it is no
+/// work to share: a steady iteration (every segment replays) and churn (one
+/// dirty segment) stay on the calling thread. A round costs ~2 µs (the
+/// wake, the chunk plan, the join) against ~10–16 µs to step a
+/// default-sized segment of 2-socket hosts. On a 2-vCPU Xeon, 100 000
+/// hosts in 98 segments, medians of 600 iterations, inline → fanned: two
+/// stepped segments 28–33 → 19–25 µs, four 70 → 37 µs; one 9.4 → 9.5 µs
+/// (no second chunk to give it), and a steady iteration takes 0.4 µs.
+/// (Counted in segments, not hosts, so the tiny segments the test suites
+/// shard small fleets into still reach the fan-out.)
+const PAR_MIN_STEPPED: usize = 2;
 
 /// Default hosts per segment: big enough that per-segment bookkeeping is
 /// noise (one cache probe per 1024 hosts), small enough that a 100k-host
@@ -199,6 +216,9 @@ pub struct NodeBank {
     segment_hosts: usize,
     /// Per-segment settled-state cache, `len == len().div_ceil(segment_hosts)`.
     seg: Vec<SegCache>,
+    /// Per segment: replays since its energy cells were last written, each
+    /// standing for one add of every host's `replay_delta`.
+    pending: Vec<u64>,
 
     /// Fail-stop dead hosts; zero selects the branch-free energy replay.
     dead_hosts: usize,
@@ -229,7 +249,8 @@ pub struct NodeBank {
     programmed: Vec<Watts>,
     /// What the last step added to each of the host's energy cells (`+0.0`
     /// for a host it skipped): the segment's replay delta, meaningful while
-    /// its cache slot is `Settled` and quiescent.
+    /// its cache slot is `Settled` and quiescent, and what its pending
+    /// replays add.
     replay_delta: Vec<Joules>,
     /// The enforced limits over which the point [`NodeBank::resolve_segment`]
     /// last wrote for the host is still the answer; [`CapSpan::NEVER`] once
@@ -271,6 +292,7 @@ impl NodeBank {
             sockets,
             segment_hosts: DEFAULT_SEGMENT_HOSTS,
             seg: vec![SegCache::Invalid; n.div_ceil(DEFAULT_SEGMENT_HOSTS)],
+            pending: vec![0; n.div_ceil(DEFAULT_SEGMENT_HOSTS)],
             dead_hosts: 0,
             units,
             pl1_min,
@@ -378,13 +400,42 @@ impl NodeBank {
         self.op_span.fill(CapSpan::NEVER);
     }
 
-    /// Re-shard the bank into segments of `hosts` hosts. Drops every
-    /// segment cache (the next step re-proves settledness); the hot columns
-    /// themselves are untouched, so this is callable at any point.
+    /// Re-shard the bank into segments of `hosts` hosts. Writes every
+    /// pending replay into the energy cells (the counts are per old
+    /// segment) and drops every segment cache (the next step re-proves
+    /// settledness); the state the columns describe is unchanged, so this
+    /// is callable at any point.
     pub fn set_segment_hosts(&mut self, hosts: usize) {
         assert!(hosts >= 1, "segment size must be at least 1 host");
+        self.apply_pending_replays();
         self.segment_hosts = hosts;
         self.seg = vec![SegCache::Invalid; self.len().div_ceil(hosts)];
+        self.pending = vec![0; self.seg.len()];
+    }
+
+    /// Write every segment's pending replays into its energy cells and zero
+    /// the counts. Nothing reads differently afterwards; a caller that reads
+    /// the energy every iteration calls this once per iteration so each read
+    /// stays one add per cell, however long segments stay clean.
+    pub fn apply_pending_replays(&mut self) {
+        let applied = (0..self.pending.len())
+            .map(|sidx| self.apply_segment_replays(sidx))
+            .sum();
+        count_applied(applied);
+    }
+
+    /// Write segment `sidx`'s pending replays into its energy cells, with
+    /// the deltas they were recorded under, and zero its count. Returns the
+    /// count, for the caller to [`count_applied`].
+    fn apply_segment_replays(&mut self, sidx: usize) -> u64 {
+        let k = std::mem::take(&mut self.pending[sidx]);
+        if k > 0 {
+            let range = self.segment_range(sidx);
+            let s = self.sockets;
+            let energy = &mut self.energy[range.start * s..range.end * s];
+            apply_replays(energy, &self.replay_delta[range], s, k);
+        }
+        k
     }
 
     /// The host's efficiency factor ε.
@@ -439,10 +490,24 @@ impl NodeBank {
     }
 
     /// Cumulative exact host energy (sum over sockets), bit-identical to
-    /// [`Node::energy`].
+    /// [`Node::energy`]: the cells with the segment's pending replays
+    /// accrued.
     pub fn energy(&self, h: usize) -> Joules {
         let s = self.sockets;
-        (h * s..(h + 1) * s).map(|i| self.energy[i]).sum()
+        let k = self.pending[self.segment_of(h)];
+        accrued(&self.energy[h * s..(h + 1) * s], self.replay_delta[h], k)
+    }
+
+    /// Every host's [`NodeBank::energy`], in host order, walked segment by
+    /// segment.
+    pub fn energies(&self) -> impl Iterator<Item = Joules> + '_ {
+        let s = self.sockets;
+        (self.pending.iter().enumerate()).flat_map(move |(sidx, &k)| {
+            let hosts = self.segment_range(sidx);
+            let cells = self.energy[hosts.start * s..hosts.end * s].chunks_exact(s);
+            (cells.zip(&self.replay_delta[hosts]))
+                .map(move |(cells, &delta)| accrued(cells, delta, k))
+        })
     }
 
     /// The operating point the host settles on right now, replicating
@@ -637,9 +702,8 @@ impl NodeBank {
     /// `ops[h] == None` means "do not step host `h`" (the dead-host path).
     /// Returns `true` when every stepped enforcement filter was already at
     /// its bitwise fixed point — the steady-state signal the fast-forward
-    /// path keys on. `parallel` lets a bank whose segments add up to enough
-    /// work (replays included) split them across the exec pool; a
-    /// one-segment bank never does.
+    /// path keys on. `parallel` lets a bank that steps enough segments split
+    /// them across the exec pool; a one-segment bank never does.
     ///
     /// Every host takes the full stepping arithmetic; segment caches are
     /// still maintained so a later [`NodeBank::step_all_partial`] can pick
@@ -663,8 +727,9 @@ impl NodeBank {
     ///
     /// For a replayed segment (see [`NodeBank::segment_replayable`]):
     ///
-    /// * `ops` is **not read**. The segment re-adds the energy delta its
-    ///   settling step recorded, so the call is exact only while the
+    /// * `ops` is **not read**. The segment counts one more add of the
+    ///   energy delta its settling step recorded (module docs, "Segments"),
+    ///   so the call is exact only while the
     ///   caller's operating points for it are the ones it settled on. That
     ///   holds by construction when they are resolved from the bank
     ///   ([`NodeBank::operating_point`] is a pure function of columns that
@@ -715,8 +780,9 @@ impl NodeBank {
         let sh = self.segment_hosts;
         let dt_bits = dt.value().to_bits();
         // Chunk boundaries are segment boundaries, so each worker owns its
-        // segments' cache slots outright and the replay/step decision is
-        // local to the chunk. A bank of one segment never fans out.
+        // segments' cache slots and counts outright and the replay/step
+        // decision is local to the chunk. A bank of one segment never fans
+        // out.
         let (workers, total) = if parallel {
             self.fan_out_plan(dt_bits, allow_replay)
         } else {
@@ -735,21 +801,25 @@ impl NodeBank {
         let run = |chunk: &mut SegChunk<'_>| {
             run_seg_chunk(chunk, s, sh, dt, dt_bits, ops, target, tau, allow_replay);
         };
+        let mut applied = 0;
         let mut fold = |chunk: &SegChunk<'_>| {
             report.all_settled &= chunk.all_settled;
             report.segments_replayed += chunk.replayed;
             report.segments_stepped += chunk.stepped;
+            applied += chunk.applied;
         };
         if workers > 1 {
-            // Chunk `k` takes whole segments until the cost chunked so far
-            // reaches `k / workers` of the total; the last takes the rest.
+            // Chunk `k` takes whole segments until the stepped segments
+            // chunked so far reach `k / workers` of the total; the last
+            // takes the rest.
             let mut chunks: Vec<SegChunk<'_>> = Vec::with_capacity(workers);
             let mut seg_rem = &mut self.seg[..];
+            let mut pending_rem = &mut self.pending[..];
             let (mut base, mut chunked) = (0, 0);
             for k in 1..=workers {
                 let mut take_segs = 0;
                 while take_segs < seg_rem.len() && (k == workers || chunked * workers < k * total) {
-                    chunked += seg_cost(seg_rem[take_segs], dt_bits, allow_replay);
+                    chunked += usize::from(steps(seg_rem[take_segs], dt_bits, allow_replay));
                     take_segs += 1;
                 }
                 if take_segs == 0 {
@@ -758,7 +828,14 @@ impl NodeBank {
                 let take_hosts = (take_segs * sh).min(n - base);
                 let (sa, st) = seg_rem.split_at_mut(take_segs);
                 seg_rem = st;
-                chunks.push(SegChunk::new(base, cols.split_off_front(take_hosts, s), sa));
+                let (pa, pt) = pending_rem.split_at_mut(take_segs);
+                pending_rem = pt;
+                chunks.push(SegChunk::new(
+                    base,
+                    cols.split_off_front(take_hosts, s),
+                    sa,
+                    pa,
+                ));
                 base += take_hosts;
             }
             pmstack_exec::par_for_each_mut(&mut chunks, |_, chunk| run(chunk));
@@ -766,13 +843,14 @@ impl NodeBank {
         } else {
             // The whole fleet is one chunk, built on the stack: the loop
             // allocates nothing once the caller's vectors exist.
-            let mut chunk = SegChunk::new(0, cols, &mut self.seg);
+            let mut chunk = SegChunk::new(0, cols, &mut self.seg, &mut self.pending);
             run(&mut chunk);
             fold(&chunk);
         }
         if report.segments_replayed > 0 {
             SHARD_REPLAYED.add(report.segments_replayed as u64);
         }
+        count_applied(applied);
         if report.all_settled {
             STEP_ALL_SETTLED.inc();
         }
@@ -781,24 +859,21 @@ impl NodeBank {
 
     /// How a parallel step at `dt_bits` would run: the number of chunks (one
     /// per pool worker, or 1 to stay on the calling thread, as it does
-    /// wherever the exec pool would run inline) and the iteration's
-    /// estimated cost in replayed segments.
+    /// wherever the exec pool would run inline) and the number of segments
+    /// it steps.
     fn fan_out_plan(&self, dt_bits: u64, allow_replay: bool) -> (usize, usize) {
-        let segs = self.seg.len();
-        if segs < 2 || pmstack_exec::is_inline() {
+        if self.seg.len() < 2 || pmstack_exec::is_inline() {
             return (1, 0);
         }
-        let total = self
-            .seg
-            .iter()
-            .map(|&c| seg_cost(c, dt_bits, allow_replay))
-            .sum();
-        let chunks = if total < PAR_MIN_COST {
+        let stepped = (self.seg.iter())
+            .filter(|&&c| steps(c, dt_bits, allow_replay))
+            .count();
+        let chunks = if stepped < PAR_MIN_STEPPED {
             1
         } else {
-            pmstack_exec::workers().min(segs)
+            pmstack_exec::workers().min(stepped)
         };
-        (chunks, total)
+        (chunks, stepped)
     }
 
     /// Host `h` as a `Node`, materialised by value from the part prototype
@@ -808,6 +883,7 @@ impl NodeBank {
     /// the bank.
     pub fn node(&self, h: usize) -> Node {
         let mut node = self.part.clone().expect("a bank with hosts has a part");
+        let mut accrual = Accrual::new(self.replay_delta[h], self.pending[self.segment_of(h)]);
         node.id = self.id[h];
         node.eps = self.eps[h];
         node.last_freq = self.last_freq[h];
@@ -821,7 +897,7 @@ impl NodeBank {
         for (k, pkg) in node.packages.iter_mut().enumerate() {
             let i = h * self.sockets + k;
             pkg.set_state(&PackageState {
-                energy: self.energy[i],
+                energy: accrual.of(self.energy[i]),
                 enforced: self.enforced[i],
                 pl1_raw: self.pl1_raw[i],
                 planes: self.planes.get(i).copied(),
@@ -834,8 +910,12 @@ impl NodeBank {
     /// Route an operation the columns do not resolve themselves (faults,
     /// sub-domain programming) through a `Node`: materialise the host, run
     /// the operation on it, ingest the result. The host's segment cache is
-    /// dirtied, as by a column control write.
+    /// dirtied, as by a column control write. The ingest rewrites the
+    /// host's energy cells, so the segment's pending replays are written
+    /// into them first: kept pending, they would be counted again on top of
+    /// the accrued energy the `Node` carried.
     pub(crate) fn with_node<T>(&mut self, h: usize, f: impl FnOnce(&mut Node) -> T) -> T {
+        count_applied(self.apply_segment_replays(self.segment_of(h)));
         let mut node = self.node(h);
         let out = f(&mut node);
         self.ingest(h, &node);
@@ -894,13 +974,18 @@ fn replayable(cache: SegCache, dt_bits: u64) -> bool {
     )
 }
 
-/// A segment's share of an iteration's work, in replayed segments.
-fn seg_cost(cache: SegCache, dt_bits: u64, allow_replay: bool) -> usize {
-    if allow_replay && replayable(cache, dt_bits) {
-        1
-    } else {
-        STEP_COST
+/// Count pending replays written into cells, one add per application
+/// (none for zero, so steady iterations leave the counter's line alone).
+fn count_applied(k: u64) {
+    if k > 0 {
+        REPLAYS_APPLIED.add(k);
     }
+}
+
+/// True when a step at `dt_bits` takes the segment through the full
+/// stepping arithmetic rather than counting a replay.
+fn steps(cache: SegCache, dt_bits: u64, allow_replay: bool) -> bool {
+    !(allow_replay && replayable(cache, dt_bits))
 }
 
 /// The cache slot a segment earns by being stepped.
@@ -959,30 +1044,41 @@ impl<'a> SpanCols<'a> {
 }
 
 /// One worker's segment-aligned chunk: whole segments plus their cache
-/// slots.
+/// slots and pending-replay counts.
 struct SegChunk<'a> {
     base: usize,
     cols: SpanCols<'a>,
     seg: &'a mut [SegCache],
+    pending: &'a mut [u64],
     replayed: usize,
     stepped: usize,
+    /// Pending replays written into cells before a step.
+    applied: u64,
     all_settled: bool,
 }
 
 impl<'a> SegChunk<'a> {
-    fn new(base: usize, cols: SpanCols<'a>, seg: &'a mut [SegCache]) -> Self {
+    fn new(
+        base: usize,
+        cols: SpanCols<'a>,
+        seg: &'a mut [SegCache],
+        pending: &'a mut [u64],
+    ) -> Self {
         Self {
             base,
             cols,
             seg,
+            pending,
             replayed: 0,
             stepped: 0,
+            applied: 0,
             all_settled: true,
         }
     }
 }
 
-/// Replay or step each segment a chunk owns, refreshing its cache slot.
+/// Replay (count) or step each segment a chunk owns, refreshing its cache
+/// slot.
 #[allow(clippy::too_many_arguments)]
 fn run_seg_chunk(
     chunk: &mut SegChunk<'_>,
@@ -1000,10 +1096,18 @@ fn run_seg_chunk(
     for si in 0..chunk.seg.len() {
         let len = segment_hosts.min(total - lo);
         let mut cols = chunk.cols.sub(lo, len, sockets);
-        if allow_replay && replayable(chunk.seg[si], dt_bits) {
-            replay_span(&mut cols, sockets);
+        if !steps(chunk.seg[si], dt_bits, allow_replay) {
+            debug_assert!(
+                cols.telemetry_down.iter().all(|&t| t == 0) && cols.msr_glitch.iter().all(|&g| !g),
+                "replayed a span holding one-shot telemetry state"
+            );
+            chunk.pending[si] += 1;
             chunk.replayed += 1;
         } else {
+            // The step overwrites the delta the pending replays stand for.
+            let k = std::mem::take(&mut chunk.pending[si]);
+            apply_replays(cols.energy, cols.replay_delta, sockets, k);
+            chunk.applied += k;
             let (settled, quiescent) =
                 step_span(&mut cols, chunk.base + lo, sockets, dt, ops, target, tau);
             chunk.seg[si] = cache_after_step(settled, quiescent, dt_bits);
@@ -1022,12 +1126,7 @@ fn run_seg_chunk(
 /// whether the span neither consumed one-shot telemetry state in this step
 /// nor holds any afterwards.
 ///
-/// Not inlined: with one call site left it would be, and folded into
-/// [`run_seg_chunk`]'s loop it slows the replay arm beside it (a steady
-/// 100 000-host iteration measured 0.068 ms → 0.074 ms).
-///
 /// [`RaplPackage::advance`]: crate::rapl::RaplPackage::advance
-#[inline(never)]
 fn step_span(
     cols: &mut SpanCols<'_>,
     base: usize,
@@ -1084,22 +1183,108 @@ fn step_span(
     (settled, quiescent)
 }
 
-/// Advance a settled, quiescent span without touching the filters, the
-/// caller's `ops` or its `results`: every energy cell takes the delta its
-/// host's last step recorded — the same `op.power / sockets * dt` product a
-/// real step would add, `+0.0` for a host that step skipped. `last_freq`
-/// already holds what that step latched, `results` what it reported.
-fn replay_span(cols: &mut SpanCols<'_>, sockets: usize) {
-    debug_assert!(
-        cols.telemetry_down.iter().all(|&t| t == 0) && cols.msr_glitch.iter().all(|&g| !g),
-        "replayed a span holding one-shot telemetry state"
-    );
-    add_per_host(cols.energy, cols.replay_delta, sockets);
+/// `k` sequential `e += d`, bit for bit, for finite `e ≥ 0` and `d ≥ 0`,
+/// in O(1 + binades crossed) instead of O(k): what an energy cell holds
+/// after `k` replays of its host's delta.
+///
+/// Inside one binade [2^m, 2^(m+1)) with ulp `u` every value is a multiple
+/// of `u`, and an exact sum below the rounding boundary 2^(m+1) − u/2
+/// rounds onto that grid, so from any `y` in the binade the increment
+/// `fl(y + d) − y` is the constant `round(d/u)·u`. The exception is a `d`
+/// that is an exact half-multiple `(q + ½)·u`: ties go to even, so the
+/// increment depends on `y`'s last mantissa bit — but one in-binade step
+/// leaves that bit even, and from an even `y` the increment (`q·u` or
+/// `(q + 1)·u`, whichever is even) keeps it even, so it is constant from
+/// then on.
+///
+/// Hence: take one plain step `x0 → x1`. If it stayed inside its binade,
+/// observe the increment `r = fl(x1 + d) − x1` at `x1` (not at `x0`, whose
+/// last bit may be odd) and jump `j = ⌊(2^(m+1) − 2u − x1) / r⌋` steps at
+/// once. `x1 + j·r` is a multiple of `u` below 2^(m+1), so it and `j·r`
+/// are exact; every skipped step's exact sum is at most
+/// `x1 + j·r + u/2 ≤ 2^(m+1) − 3u/2`, below the rounding boundary, so each
+/// of them added exactly `r`. A step that leaves its binade is taken plainly
+/// instead, as is every step from a subnormal or from the top binade
+/// (whose 2^(m+1) overflows); a step that changes nothing, or an `r == 0`,
+/// ends the walk, since every later add is the same no-op.
+pub fn repeat_add(e: f64, d: f64, k: u64) -> f64 {
+    let (mut x, mut k) = (e, k);
+    while k > 0 {
+        let x1 = x + d;
+        k -= 1;
+        if x1.to_bits() == x.to_bits() {
+            return x1;
+        }
+        let exp = x1.to_bits() >> 52;
+        if k == 0 || exp != x.to_bits() >> 52 || exp == 0 || exp >= 0x7fe {
+            x = x1;
+            continue;
+        }
+        let r = (x1 + d) - x1;
+        if r == 0.0 {
+            return x1;
+        }
+        let u = f64::from_bits(x1.to_bits() + 1) - x1;
+        let top = f64::from_bits((exp + 1) << 52);
+        // A negative quotient (`x1` already inside the margin) saturates
+        // to no jump.
+        let j = (((top - 2.0 * u - x1) / r).floor() as u64).min(k);
+        x = x1 + j as f64 * r;
+        k -= j;
+    }
+    x
+}
+
+/// One host's energy cells after `k` pending replays of its `delta`: one
+/// [`repeat_add`] per run of bit-equal cells (a host's sockets usually
+/// hold the same energy).
+struct Accrual {
+    delta: f64,
+    k: u64,
+    /// The last cell's bits and its accrued value.
+    memo: (u64, Joules),
+}
+
+impl Accrual {
+    fn new(delta: Joules, k: u64) -> Self {
+        Self {
+            delta: delta.value(),
+            k,
+            // A NaN's bits: no energy cell holds them.
+            memo: (u64::MAX, Joules::ZERO),
+        }
+    }
+
+    fn of(&mut self, e: Joules) -> Joules {
+        let bits = e.value().to_bits();
+        if bits != self.memo.0 {
+            self.memo = (bits, Joules(repeat_add(e.value(), self.delta, self.k)));
+        }
+        self.memo.1
+    }
+}
+
+/// One host's energy: the sum of its cells after `k` pending replays of
+/// its `delta`. With nothing pending it is the plain sum; the accrual is
+/// kept out of line so that read stays a tight loop (inlined, a 100 000-host
+/// read measured ~225 µs against ~130).
+fn accrued(cells: &[Joules], delta: Joules, k: u64) -> Joules {
+    #[inline(never)]
+    fn walk(cells: &[Joules], delta: Joules, k: u64) -> Joules {
+        let mut accrual = Accrual::new(delta, k);
+        cells.iter().map(|&e| accrual.of(e)).sum()
+    }
+    match k {
+        0 => cells.iter().copied().sum(),
+        _ => walk(cells, delta, k),
+    }
 }
 
 /// Add `deltas[h]` to each of host `h`'s `sockets` energy cells, for every
-/// host, with no branch in the loop. The common socket counts get a
-/// fixed-width inner loop (a dynamic chunk width measured 2x slower).
+/// host, with no branch in the loop: one pending replay, which is what a
+/// caller that applies every iteration writes. The common socket counts get
+/// a fixed-width inner loop (a dynamic chunk width measured 2x slower);
+/// the [`repeat_add`] walk costs ~6x this per cell.
 fn add_per_host(energy: &mut [Joules], deltas: &[Joules], sockets: usize) {
     fn fixed<const S: usize>(energy: &mut [Joules], deltas: &[Joules]) {
         for (cells, &delta) in energy.chunks_exact_mut(S).zip(deltas) {
@@ -1109,7 +1294,6 @@ fn add_per_host(energy: &mut [Joules], deltas: &[Joules], sockets: usize) {
         }
     }
     match sockets {
-        0 => {}
         1 => fixed::<1>(energy, deltas),
         2 => fixed::<2>(energy, deltas),
         _ => {
@@ -1118,6 +1302,22 @@ fn add_per_host(energy: &mut [Joules], deltas: &[Joules], sockets: usize) {
                     *e += delta;
                 }
             }
+        }
+    }
+}
+
+/// Write `k` pending replays into a span's energy cells: each of host `h`'s
+/// `sockets` cells takes `k` adds of `deltas[h]`.
+fn apply_replays(energy: &mut [Joules], deltas: &[Joules], sockets: usize, k: u64) {
+    match k {
+        0 => return,
+        1 => return add_per_host(energy, deltas, sockets),
+        _ => {}
+    }
+    for (h, &delta) in deltas.iter().enumerate() {
+        let mut accrual = Accrual::new(delta, k);
+        for e in &mut energy[h * sockets..(h + 1) * sockets] {
+            *e = accrual.of(*e);
         }
     }
 }
@@ -1271,14 +1471,16 @@ mod tests {
         }
     }
 
-    /// Every column a step writes, as bits, plus the segment caches.
-    fn stepped_state(bank: &NodeBank) -> (Vec<[u64; 4]>, Vec<SegCache>) {
+    /// Every column a step writes, as bits — the energy both as read and as
+    /// stored — plus the segment caches and pending counts.
+    fn stepped_state(bank: &NodeBank) -> (Vec<[u64; 5]>, Vec<SegCache>, Vec<u64>) {
         let n = bank.len();
         let s = bank.sockets;
         let rows = (0..n * s)
             .map(|i| {
                 let h = i / s;
                 [
+                    bank.energy(h).value().to_bits(),
                     bank.energy[i].value().to_bits(),
                     bank.enforced[i].value().to_bits(),
                     bank.last_freq[h].value().to_bits(),
@@ -1286,17 +1488,19 @@ mod tests {
                 ]
             })
             .collect();
-        (rows, bank.seg.clone())
+        (rows, bank.seg.clone(), bank.pending.clone())
     }
 
-    /// The multi-segment fan-out engages from `PAR_MIN_COST` replayed
-    /// segments' worth of work, which the small proptest fleets rarely
-    /// reach: pin it here on 41 hosts in 2-host segments (21, the last one
-    /// ragged). Three kinds of iteration each take the fan-out — many dirty
-    /// segments beside a few replayed ones, a replay-only one, and churn's
-    /// one dirty segment among replays — and fanned across the pool, kept on
-    /// the calling thread by `sequential_scope`, or stepped with `parallel`
-    /// off, every bit, cache slot and report must agree.
+    /// The multi-segment fan-out engages from `PAR_MIN_STEPPED` stepped
+    /// segments, splitting them between chunks that also carry replayed
+    /// segments: pin it here on 41 hosts in 2-host segments (21, the last
+    /// one ragged). A replay-only iteration and churn's one dirty segment
+    /// plan a single chunk; two dirty segments at the ends of the bank fan
+    /// out while every other segment holds pending replays, which the
+    /// stepped ones must write first; many dirty segments beside a few
+    /// replayed ones fan out too. Fanned across the pool, kept on the
+    /// calling thread by `sequential_scope`, or stepped with `parallel`
+    /// off, every bit, cache slot, count and report must agree.
     #[test]
     fn fanned_out_segments_agree_with_the_calling_thread() {
         let (model, nodes) = fleet(41);
@@ -1318,8 +1522,15 @@ mod tests {
             for (h, op) in ops.iter_mut().enumerate() {
                 *op = Some(pool.operating_point(h, &model, &load));
             }
+            let stepped = (0..segs)
+                .filter(|&s| !pool.segment_replayable(s, dt))
+                .count();
+            let want = match stepped {
+                0 | 1 => 1,
+                _ => pmstack_exec::workers().min(stepped),
+            };
             let (chunks, _) = pool.fan_out_plan(dt.value().to_bits(), true);
-            assert_eq!(chunks, pmstack_exec::workers().min(segs), "must fan out");
+            assert_eq!(chunks, want, "{stepped} stepped segments");
             let [a, b, c] = &mut results;
             let report = pool.step_all_partial(dt, ops, a, true);
             let in_scope =
@@ -1339,12 +1550,15 @@ mod tests {
         }
         assert!((0..segs).all(|s| pool.segment_replayable(s, dt)));
 
-        // Replay only: 21 segments' worth of work.
-        let report = iterate([&mut pool, &mut scoped, &mut single], &mut ops);
-        assert_eq!(
-            (report.segments_replayed, report.segments_stepped),
-            (segs, 0)
-        );
+        // Replay only: every segment counts, none steps.
+        for _ in 0..3 {
+            let report = iterate([&mut pool, &mut scoped, &mut single], &mut ops);
+            assert_eq!(
+                (report.segments_replayed, report.segments_stepped),
+                (segs, 0)
+            );
+        }
+        assert!(pool.pending.iter().all(|&k| k >= 3));
 
         // Churn: host 20's limit alternates, so its segment (the middle one)
         // steps and the other 20 replay.
@@ -1358,6 +1572,29 @@ mod tests {
                 (report.segments_replayed, report.segments_stepped),
                 (segs - 1, 1)
             );
+        }
+
+        for _ in 0..500 {
+            if (0..segs).all(|s| pool.segment_replayable(s, dt)) {
+                break;
+            }
+            iterate([&mut pool, &mut scoped, &mut single], &mut ops);
+        }
+
+        // Two dirty segments, one at each end: each chunk steps one, after
+        // writing its pending replays, beside segments that keep counting.
+        for i in 0..3 {
+            for bank in [&mut pool, &mut scoped, &mut single] {
+                bank.set_power_limit(0, Watts(170.0 + i as f64)).unwrap();
+                bank.set_power_limit(n - 1, Watts(170.0 + i as f64))
+                    .unwrap();
+            }
+            let report = iterate([&mut pool, &mut scoped, &mut single], &mut ops);
+            assert_eq!(
+                (report.segments_replayed, report.segments_stepped),
+                (segs - 2, 2)
+            );
+            assert!(pool.pending[1..segs - 1].iter().all(|&k| k > 0));
         }
 
         // Many dirty: 17 segments rewritten, a dropout on the ragged tail.
@@ -1374,13 +1611,21 @@ mod tests {
             let report = iterate([&mut pool, &mut scoped, &mut single], &mut ops);
             assert!(report.segments_replayed >= 3 && report.segments_stepped >= 17);
         }
+        for bank in [&mut pool, &mut scoped, &mut single] {
+            bank.apply_pending_replays();
+        }
+        assert!(pool.pending.iter().all(|&k| k == 0));
+        assert_eq!(stepped_state(&pool), stepped_state(&scoped));
+        assert_eq!(stepped_state(&pool), stepped_state(&single));
     }
 
-    /// The replay adds the recorded delta through a fixed-width loop for 1
-    /// and 2 sockets and a chunked one for any other count, and a dead host
-    /// replays as `+0.0`. For every socket count and dead set, `k` replays
-    /// of a settled bank must leave exactly the bits `k` full steps leave,
-    /// without reading the `ops` or touching the `results` handed over.
+    /// A replay counts; reads accrue the count over each host's socket
+    /// cells, and a dead host's delta is `+0.0`. For every socket count and
+    /// dead set, `k` replays of a settled bank must read exactly the bits
+    /// `k` full steps leave — energy and the materialised `Node`'s
+    /// energy-status MSR — without reading the `ops` or touching the
+    /// `results` handed over, and once applied, the raw energy column must
+    /// be the stepped one.
     #[test]
     fn replaying_a_settled_bank_is_bit_identical_to_stepping_it() {
         let load = FlatLoad { kappa: 2.6 };
@@ -1429,16 +1674,35 @@ mod tests {
                 let mut stepped = bank.clone();
                 let expected = results.clone();
                 let junk = vec![None; n];
-                for _ in 0..7 {
+                let bits =
+                    |col: &[Joules]| col.iter().map(|e| e.value().to_bits()).collect::<Vec<_>>();
+                let reads = |b: &NodeBank| bits(&b.energies().collect::<Vec<_>>());
+                let raw = bits(&bank.energy);
+                for k in 1..=700 {
                     stepped.step_all(dt, &ops, &mut results, false);
                     assert_eq!(results, expected);
                     let mut untouched = vec![HostStep::Stale; n];
                     let report = bank.step_all_partial(dt, &junk, &mut untouched, false);
                     assert_eq!(report.segments_replayed, bank.num_segments());
                     assert!(untouched.iter().all(|&r| r == HostStep::Stale));
+                    assert_eq!(bits(&bank.energy), raw, "a replay wrote a cell");
+                    if k % 100 == 0 || k < 4 {
+                        assert_eq!(
+                            reads(&bank),
+                            reads(&stepped),
+                            "{sockets} sockets, dead hosts {dead:?}, {k} replays"
+                        );
+                        for h in [0, 17, n - 1] {
+                            let status = |node: Node| {
+                                (node.packages().iter())
+                                    .map(|p| p.msrs().read(address::PKG_ENERGY_STATUS))
+                                    .collect::<Vec<_>>()
+                            };
+                            assert_eq!(status(bank.node(h)), status(stepped.node(h)));
+                        }
+                    }
                 }
-                let bits =
-                    |col: &[Joules]| col.iter().map(|e| e.value().to_bits()).collect::<Vec<_>>();
+                bank.apply_pending_replays();
                 assert_eq!(
                     bits(&bank.energy),
                     bits(&stepped.energy),

@@ -1,5 +1,6 @@
 //! Property-based tests of the hardware substrate invariants.
 
+use pmstack_simhw::bank::repeat_add;
 use pmstack_simhw::power::CoreClass;
 use pmstack_simhw::rapl::{
     decode_power_limit, encode_power_limit, EnergyCounterReader, PowerLimit, RaplPackage,
@@ -125,5 +126,115 @@ proptest! {
             pkg.advance(Seconds(0.5), Watts(100.0));
         }
         prop_assert!((pkg.enforced_limit().value() - target_w).abs() < 0.1);
+    }
+}
+
+/// What [`repeat_add`] stands for.
+fn add_loop(e: f64, d: f64, k: u64) -> f64 {
+    let mut x = e;
+    for _ in 0..k {
+        x += d;
+    }
+    x
+}
+
+/// The spacing above a finite `x ≥ 0`.
+fn ulp(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() + 1) - x
+}
+
+/// The replayed delta, relative to the cell it is added to.
+#[derive(Debug, Clone, Copy)]
+enum Delta {
+    Zero,
+    /// `factor` times the cell (and nonzero on an empty one).
+    Above(f64),
+    /// `10^p` times the cell: from well under half an ulp up.
+    Ratio(f64),
+    /// `(q + ½)` ulps of the cell's binade, or of the one `shift` above it:
+    /// every sum from an odd cell is a tie.
+    Tie(u64, i32),
+}
+
+impl Delta {
+    fn of(self, e: f64) -> f64 {
+        match self {
+            Delta::Zero => 0.0,
+            Delta::Above(factor) => (e * factor).max(factor * 1e-3),
+            Delta::Ratio(p) => e * 10f64.powf(p),
+            Delta::Tie(q, shift) => (q as f64 + 0.5) * ulp(e) * 2f64.powi(shift),
+        }
+    }
+}
+
+fn arb_cell() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        (1u64..1 << 52).prop_map(f64::from_bits),
+        (-3.0f64..15.0).prop_map(|p| 10f64.powf(p)),
+        (-12i32..50, 1u64..200).prop_map(|(p, c)| f64::from_bits(2f64.powi(p).to_bits() - c)),
+    ]
+}
+
+fn arb_delta() -> impl Strategy<Value = Delta> {
+    prop_oneof![
+        Just(Delta::Zero),
+        (1.0f64..10.0).prop_map(Delta::Above),
+        (-17.0f64..-1.0).prop_map(Delta::Ratio),
+        (0u64..9, 0i32..3).prop_map(|(q, shift)| Delta::Tie(q, shift)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `repeat_add(e, d, k)` is `k` sequential `e += d`, bit for bit, over
+    /// empty, subnormal and wide-ranging cells, cells just below a power of
+    /// two, and deltas that are zero, larger than the cell, far below or
+    /// near its ulp, or exact half-ulp ties of its binade or the ones above
+    /// — with `q` even and odd.
+    #[test]
+    fn repeat_add_is_the_loop(
+        e in arb_cell(),
+        delta in arb_delta(),
+        k in prop_oneof![0u64..10, 0u64..=100_000],
+    ) {
+        let d = delta.of(e);
+        prop_assert_eq!(
+            repeat_add(e, d, k).to_bits(),
+            add_loop(e, d, k).to_bits(),
+            "e {:e} d {:e} k {}", e, d, k
+        );
+    }
+}
+
+/// The top of a binade, where its jump must stop: cells `c` ulps under
+/// 2^(m+1), deltas a quarter, a half or three quarters past `q` ulps, every
+/// count up to a few dozen — including the step from `2^(m+1) − 3u` by
+/// `2.5u`, whose exact sum lands on the rounding boundary `2^(m+1) − u/2`
+/// and ties up to 2^(m+1).
+#[test]
+fn repeat_add_stops_at_the_top_of_a_binade() {
+    for top in [2f64.powi(11), 2f64.powi(40)] {
+        let u = ulp(top / 2.0);
+        let (e, d) = (top - 3.0 * u, 2.5 * u);
+        assert_eq!(e + d, top, "the boundary case rounds up");
+        assert_eq!(repeat_add(e, d, 1).to_bits(), top.to_bits());
+        for c in 1..=40u32 {
+            let e = top - f64::from(c) * u;
+            for q in 0..6u32 {
+                for frac in [0.25, 0.5, 0.75] {
+                    let d = (f64::from(q) + frac) * u;
+                    for k in 0..=64 {
+                        assert_eq!(
+                            repeat_add(e, d, k).to_bits(),
+                            add_loop(e, d, k).to_bits(),
+                            "top {top:e}: e = top - {c}u, d = {}u, k {k}",
+                            f64::from(q) + frac
+                        );
+                    }
+                }
+            }
+        }
     }
 }

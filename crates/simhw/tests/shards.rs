@@ -257,6 +257,124 @@ fn assert_nodes_match(bank: &NodeBank, reference: &[Node]) {
     }
 }
 
+/// The three representations the sharded lockstep property steps together.
+struct Lockstep {
+    model: PowerModel,
+    load: FlatLoad,
+    parallel: bool,
+    reference: Vec<Node>,
+    flat: NodeBank,
+    sharded: NodeBank,
+    ops: Vec<Option<OperatingPoint>>,
+    res_flat: Vec<HostStep>,
+    res_shard: Vec<HostStep>,
+}
+
+impl Lockstep {
+    /// Apply one disturbance to all three; every control write must come
+    /// out the same, and every `Node` the bank materialises right after it
+    /// must be the reference `Node`.
+    fn disturb(&mut self, host: usize, d: Disturb) -> Result<(), TestCaseError> {
+        let expected = disturb(&mut self.reference, host, d);
+        prop_assert_eq!(
+            &disturb(&mut self.flat, host, d),
+            &expected,
+            "flat: {:?}",
+            d
+        );
+        prop_assert_eq!(
+            &disturb(&mut self.sharded, host, d),
+            &expected,
+            "sharded: {:?}",
+            d
+        );
+        assert_nodes_match(&self.sharded, &self.reference);
+        Ok(())
+    }
+
+    /// One iteration on all three, then every read compared.
+    fn step(&mut self, dt: Seconds) -> Result<(), TestCaseError> {
+        let (model, load, sharded) = (&self.model, &self.load, &self.sharded);
+        for (h, op) in self.ops.iter_mut().enumerate() {
+            *op = sharded
+                .is_alive(h)
+                .then(|| sharded.operating_point(h, model, load));
+        }
+        let settled_flat = self
+            .flat
+            .step_all(dt, &self.ops, &mut self.res_flat, self.parallel);
+        let report =
+            self.sharded
+                .step_all_partial(dt, &self.ops, &mut self.res_shard, self.parallel);
+        for node in self.reference.iter_mut() {
+            let _ = node.try_step(model, load, dt);
+        }
+
+        prop_assert_eq!(settled_flat, report.all_settled, "settled flags diverged");
+        prop_assert_eq!(&self.res_flat, &self.res_shard, "step outcomes diverged");
+        let (flat, sharded) = (&self.flat, &self.sharded);
+        for ((h, node), walked) in self.reference.iter().enumerate().zip(sharded.energies()) {
+            prop_assert_eq!(
+                sharded.energy(h).value().to_bits(),
+                flat.energy(h).value().to_bits(),
+                "energy diverged from flat on host {}",
+                h
+            );
+            prop_assert_eq!(
+                sharded.energy(h).value().to_bits(),
+                node.energy().value().to_bits(),
+                "energy diverged from reference on host {}",
+                h
+            );
+            prop_assert_eq!(
+                walked.value().to_bits(),
+                node.energy().value().to_bits(),
+                "walked energy diverged on host {}",
+                h
+            );
+            prop_assert_eq!(
+                sharded.enforced_limit(h).value().to_bits(),
+                node.enforced_limit().value().to_bits(),
+                "enforced limit diverged on host {}",
+                h
+            );
+            prop_assert_eq!(
+                sharded.power_limit(h).value().to_bits(),
+                node.power_limit().value().to_bits(),
+                "programmed limit diverged on host {}",
+                h
+            );
+            prop_assert_eq!(
+                sharded.last_freq(h).value().to_bits(),
+                flat.last_freq(h).value().to_bits(),
+                "last_freq diverged on host {}",
+                h
+            );
+        }
+        Ok(())
+    }
+}
+
+/// A stretch of undisturbed iterations: at iteration `at`, `len` more,
+/// long enough for a settled segment's pending replays to carry its
+/// energy across several binades; then, right after, an optional re-shard
+/// of the sharded bank and a disturbance of host `host`.
+type Idle = (usize, usize, usize, Option<usize>, Disturb);
+
+fn idle_strategy() -> impl Strategy<Value = Option<Idle>> {
+    prop_oneof![
+        Just(None),
+        (
+            0usize..16,
+            1usize..3000,
+            0usize..34,
+            prop_oneof![Just(None), (1usize..10).prop_map(Some)],
+            disturb_strategy(),
+        )
+            .prop_map(Some),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -265,7 +383,10 @@ proptest! {
     /// schedules, for any fleet/segment geometry (segments of 1 host,
     /// ragged final segments, fleets smaller than one segment) — and every
     /// `Node` the bank materialises right after a write is the reference
-    /// `Node`.
+    /// `Node`. An idle stretch lets pending replays pile up while reads
+    /// (energy, the segment walk, materialised `Node`s) go on, then writes,
+    /// faults or re-shards the bank straight out of it: every path that
+    /// writes an energy cell must first write the count.
     #[test]
     fn sharded_replay_is_bit_identical_to_flat_and_reference(
         n in 1usize..34,
@@ -275,66 +396,41 @@ proptest! {
             (0usize..16, 0usize..34, disturb_strategy()),
             0..12,
         ),
+        idle in idle_strategy(),
     ) {
-        let (model, mut reference) = fleet(n);
-        let load = FlatLoad { kappa: 2.6 };
-        let mut flat = NodeBank::from_nodes(reference.clone());
+        let (model, reference) = fleet(n);
         let mut sharded = NodeBank::from_nodes(reference.clone());
         sharded.set_segment_hosts(seg);
+        let mut run = Lockstep {
+            model,
+            load: FlatLoad { kappa: 2.6 },
+            parallel,
+            flat: NodeBank::from_nodes(reference.clone()),
+            sharded,
+            reference,
+            ops: vec![None; n],
+            res_flat: vec![HostStep::Skipped; n],
+            res_shard: vec![HostStep::Skipped; n],
+        };
 
         let dt = Seconds(0.2);
-        let mut ops = vec![None; n];
-        let mut res_flat = vec![HostStep::Skipped; n];
-        let mut res_shard = vec![HostStep::Skipped; n];
         for iter in 0..16 {
-            for (at, host, d) in &schedule {
-                if *at == iter {
-                    let host = *host % n;
-                    let expected = disturb(&mut reference, host, *d);
-                    prop_assert_eq!(&disturb(&mut flat, host, *d), &expected, "flat: {:?}", d);
-                    prop_assert_eq!(&disturb(&mut sharded, host, *d), &expected, "sharded: {:?}", d);
-                    assert_nodes_match(&sharded, &reference);
+            for &(_, host, d) in schedule.iter().filter(|(at, ..)| *at == iter) {
+                run.disturb(host % n, d)?;
+            }
+            run.step(dt)?;
+            if let Some((_, len, host, reshard, d)) = idle.filter(|i| i.0 == iter) {
+                for i in 0..len {
+                    run.step(dt)?;
+                    if i % 512 == 511 {
+                        assert_nodes_match(&run.sharded, &run.reference);
+                    }
                 }
-            }
-            for (h, op) in ops.iter_mut().enumerate() {
-                *op = sharded
-                    .is_alive(h)
-                    .then(|| sharded.operating_point(h, &model, &load));
-            }
-            let settled_flat = flat.step_all(dt, &ops, &mut res_flat, parallel);
-            let report = sharded.step_all_partial(dt, &ops, &mut res_shard, parallel);
-            for node in reference.iter_mut() {
-                let _ = node.try_step(&model, &load, dt);
-            }
-
-            prop_assert_eq!(settled_flat, report.all_settled, "settled flags diverged");
-            prop_assert_eq!(&res_flat, &res_shard, "step outcomes diverged");
-            for (h, node) in reference.iter().enumerate() {
-                prop_assert_eq!(
-                    sharded.energy(h).value().to_bits(),
-                    flat.energy(h).value().to_bits(),
-                    "energy diverged from flat on host {}", h
-                );
-                prop_assert_eq!(
-                    sharded.energy(h).value().to_bits(),
-                    node.energy().value().to_bits(),
-                    "energy diverged from reference on host {}", h
-                );
-                prop_assert_eq!(
-                    sharded.enforced_limit(h).value().to_bits(),
-                    node.enforced_limit().value().to_bits(),
-                    "enforced limit diverged on host {}", h
-                );
-                prop_assert_eq!(
-                    sharded.power_limit(h).value().to_bits(),
-                    node.power_limit().value().to_bits(),
-                    "programmed limit diverged on host {}", h
-                );
-                prop_assert_eq!(
-                    sharded.last_freq(h).value().to_bits(),
-                    flat.last_freq(h).value().to_bits(),
-                    "last_freq diverged on host {}", h
-                );
+                if let Some(hosts) = reshard {
+                    run.sharded.set_segment_hosts(hosts);
+                    assert_nodes_match(&run.sharded, &run.reference);
+                }
+                run.disturb(host % n, d)?;
             }
         }
     }
