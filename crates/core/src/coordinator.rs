@@ -18,9 +18,9 @@
 //! A [`pmstack_simhw::FaultPlan`] can be attached with
 //! [`Coordinator::with_fault_plan`]. Faults fire at iteration boundaries
 //! inside the job platforms; the coordinator reacts at the phase boundary:
-//! dead nodes are drained through [`FifoScheduler::fail_node`] (their watts
-//! reclaimed into the system budget), and in online mode the surviving
-//! hosts are re-characterized and re-allocated. The whole story is recorded
+//! dead nodes are drained through [`pmstack_rm::Scheduler::fail_node`]
+//! (their watts reclaimed into the system budget), and in online mode the
+//! surviving hosts are re-characterized and re-allocated. The whole story is recorded
 //! in [`MixRun::resilience`].
 //!
 //! Jobs run in parallel on the resident `pmstack_exec` pool, one runtime

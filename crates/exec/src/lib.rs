@@ -51,7 +51,7 @@
 //! with a compare-exchange against exactly that word, so it joins only an
 //! open round of a generation it has not served. Closing clears the open
 //! bit (no one checks in after it) and then waits until the check-in count
-//! is back to zero. Idle residents poll the word for [`SPIN`], then park;
+//! is back to zero. Idle residents poll the word for `SPIN` (50 µs), then park;
 //! the owner unparks the residents it needs after publishing.
 //!
 //! **Safety.** Erasing the task's lifetime to `'static` is the pool's one

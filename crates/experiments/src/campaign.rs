@@ -29,8 +29,8 @@
 //! nodes (accrued in id order), the nodes a fault silenced, and the nodes
 //! drained while alive. Fault injection reuses the `simhw` taxonomy via
 //! [`FaultPlan::chaos`]; deaths are permanent (no repair crew), blackouts
-//! end. The engine drives schedulers through the [`Scheduler`] trait, so
-//! the same lifecycle runs over FIFO or backfill queueing unchanged.
+//! end. Jobs queue under the backfill discipline
+//! ([`pmstack_rm::BackfillScheduler`]).
 
 use crate::facility::{arrival_rate, job_size, poisson, workload_population};
 use pmstack_core::PolicyKind;
@@ -38,7 +38,7 @@ use pmstack_kernel::KernelLoad;
 use pmstack_obs::{EventKind, StaticCounter, StaticFloatCounter};
 use pmstack_rm::{
     BackfillScheduler, JobId, JobLifecycle, JobSpec, LeaseTable, LifecycleState, NodePool,
-    PowerLedger, RetryPolicy, Scheduler, SchedulerEvent,
+    PowerLedger, RetryPolicy, SchedulerEvent,
 };
 use pmstack_simhw::{quartz_spec, FaultKind, FaultPlan, LoadModel, NodeId, PowerModel, Watts};
 use rand::{Rng, SeedableRng};
@@ -311,7 +311,7 @@ struct Engine<'a> {
     workloads: &'a [Workload],
     share_w: f64,
     base_budget_w: f64,
-    sched: Box<dyn Scheduler>,
+    sched: BackfillScheduler,
     lease: LeaseTable,
     retry: RetryPolicy,
     jobs: BTreeMap<JobId, JobCtl>,
@@ -747,17 +747,22 @@ impl Engine<'_> {
     }
 }
 
-/// Simulate one (policy, chaos) cell. Drives the scheduler purely through
-/// the [`Scheduler`] trait, so any queueing discipline slots in.
+/// Simulate one (policy, chaos) cell on a fresh backfill scheduler over the
+/// whole fleet.
 fn simulate_cell(
     params: &CampaignParams,
     policy: PolicyKind,
     chaos: u32,
     model: &PowerModel,
     workloads: &[Workload],
-    sched: Box<dyn Scheduler>,
 ) -> PolicyOutcome {
-    let spec_tdp = model.spec().tdp_per_node().value();
+    let tdp = model.spec().tdp_per_node();
+    let sched = BackfillScheduler::new(
+        NodePool::new(params.nodes),
+        PowerLedger::new(tdp * params.nodes as f64),
+        tdp,
+    );
+    let spec_tdp = tdp.value();
     let share_w = params.budget_frac * spec_tdp;
     let base_budget_w = share_w * params.nodes as f64;
 
@@ -918,7 +923,6 @@ fn characterize(model: &PowerModel) -> Vec<Workload> {
 pub fn run_campaign(params: &CampaignParams) -> CampaignStudy {
     let spec = quartz_spec();
     let model = PowerModel::new(spec).expect("quartz spec is valid");
-    let tdp = model.spec().tdp_per_node();
     let workloads = characterize(&model);
 
     let mut levels = vec![0u32];
@@ -928,14 +932,7 @@ pub fn run_campaign(params: &CampaignParams) -> CampaignStudy {
     let mut rows = Vec::new();
     for &chaos in &levels {
         for kind in PolicyKind::all() {
-            let sched = Box::new(BackfillScheduler::new(
-                NodePool::new(params.nodes),
-                PowerLedger::new(tdp * params.nodes as f64),
-                tdp,
-            ));
-            rows.push(simulate_cell(
-                params, kind, chaos, &model, &workloads, sched,
-            ));
+            rows.push(simulate_cell(params, kind, chaos, &model, &workloads));
         }
     }
     CampaignStudy {
@@ -1000,7 +997,6 @@ pub fn render(study: &CampaignStudy) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmstack_rm::FifoScheduler;
 
     fn tiny() -> CampaignParams {
         CampaignParams {
@@ -1043,31 +1039,6 @@ mod tests {
                 r.kind
             );
         }
-    }
-
-    #[test]
-    fn engine_runs_over_fifo_through_the_trait() {
-        // The engine must not depend on the backfill discipline: drive one
-        // cell over a plain FIFO scheduler via the same trait object.
-        let params = tiny();
-        let model = PowerModel::new(quartz_spec()).unwrap();
-        let tdp = model.spec().tdp_per_node();
-        let workloads = characterize(&model);
-        let sched = Box::new(FifoScheduler::new(
-            NodePool::new(params.nodes),
-            PowerLedger::new(tdp * params.nodes as f64),
-            tdp,
-        ));
-        let row = simulate_cell(
-            &params,
-            PolicyKind::MixedAdaptive,
-            2,
-            &model,
-            &workloads,
-            sched,
-        );
-        assert!(row.completed > 0);
-        assert!(row.leases_expired > 0);
     }
 
     #[test]

@@ -115,7 +115,7 @@ pub struct MegafleetReport {
     /// every replay the clean segments counted since they last stepped
     /// (deferred work, not a phase).
     pub final_read_secs: f64,
-    /// Resident memory the fleet costs per host: [`resident_bytes`] once
+    /// Resident memory the fleet costs per host: `resident_bytes()` once
     /// the platform is built minus before its nodes were, over the host
     /// count. `None` where `/proc/self/status` does not exist.
     pub resident_bytes_per_host: Option<f64>,

@@ -464,7 +464,7 @@ impl LoadModel for KernelLoad {
     }
 
     /// Table-driven PCU resolution: the same three stages as
-    /// [`Self::operating_point_scan`], but each stage is one binary search
+    /// `operating_point_scan`, but each stage is one binary search
     /// over a precomputed monotone coefficient array. Power at every
     /// candidate is `static(ε) + D·ε` with D computed exactly once at table
     /// build, so the chosen point and its power are bit-identical to the

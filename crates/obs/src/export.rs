@@ -63,17 +63,27 @@ impl Snapshot {
         out.push_str("{\n  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\": {v}", escape(name));
+            let _ = write!(out, "{sep}\n    \"{}\": {v}", json_escape(name));
         }
         out.push_str("\n  },\n  \"float_counters\": {");
         for (i, (name, v)) in self.float_counters.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\": {}", escape(name), json_f64(*v));
+            let _ = write!(
+                out,
+                "{sep}\n    \"{}\": {}",
+                json_escape(name),
+                json_f64(*v)
+            );
         }
         out.push_str("\n  },\n  \"gauges\": {");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\": {}", escape(name), json_f64(*v));
+            let _ = write!(
+                out,
+                "{sep}\n    \"{}\": {}",
+                json_escape(name),
+                json_f64(*v)
+            );
         }
         out.push_str("\n  },\n  \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
@@ -81,7 +91,7 @@ impl Snapshot {
             let _ = write!(
                 out,
                 "{sep}\n    \"{}\": {{\"total\": {}, \"sum\": {}, \"mean\": {}, \"bounds\": [",
-                escape(name),
+                json_escape(name),
                 h.total,
                 json_f64(h.sum),
                 json_f64(h.mean())
@@ -375,12 +385,27 @@ fn field_json(value: FieldValue) -> String {
     match value {
         FieldValue::U64(v) => v.to_string(),
         FieldValue::F64(v) => json_f64(v),
-        FieldValue::Str(s) => format!("\"{}\"", escape(s)),
+        FieldValue::Str(s) => format!("\"{}\"", json_escape(s)),
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Escape a string for embedding in a JSON document (without the quotes):
+/// quotes, backslashes and every control character, so any metric name or
+/// event field round-trips through a strict parser.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 fn prom_name(name: &str) -> String {

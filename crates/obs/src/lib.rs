@@ -29,7 +29,7 @@
 //! watching (guarded by the `obs_overhead` bench against
 //! `BENCH_step.json`). When enabled, static call sites cache their metric
 //! handle in a `OnceLock`, so a counter bump is an atomic load plus a
-//! relaxed `fetch_add`. [`Recorder::reset`] therefore *zeroes* metrics
+//! relaxed `fetch_add`. [`reset`] therefore *zeroes* metrics
 //! instead of dropping them: cached handles stay registered forever.
 
 #![warn(missing_docs)]
@@ -40,8 +40,8 @@ mod journal;
 mod metrics;
 
 pub use export::{
-    exporter, validate_prometheus, Exporter, JsonExporter, PrometheusExporter, Snapshot,
-    SummaryExporter, EXPORTER_NAMES,
+    exporter, json_escape, validate_prometheus, Exporter, JsonExporter, PrometheusExporter,
+    Snapshot, SummaryExporter, EXPORTER_NAMES,
 };
 pub use journal::{Event, EventKind, FieldValue};
 pub use metrics::{Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot};

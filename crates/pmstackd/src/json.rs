@@ -241,21 +241,7 @@ pub fn parse(input: &[u8]) -> Result<Value, String> {
 }
 
 /// Escape a string for embedding in JSON output (without the quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use pmstack_obs::json_escape as escape;
 
 #[cfg(test)]
 mod tests {
@@ -392,5 +378,19 @@ mod tests {
         let doc = format!("{{\"s\":\"{}\"}}", escape(original));
         let v = parse(doc.as_bytes()).unwrap();
         assert_eq!(v.get("s").and_then(Value::as_str), Some(original));
+    }
+
+    #[test]
+    fn an_obs_snapshot_with_a_control_character_in_a_name_parses() {
+        // Metric names are any `&str`; the obs JSON export must stay a
+        // document this parser accepts whatever they hold.
+        pmstack_obs::recorder().counter("json.escape\ntest").add(3);
+        let doc = pmstack_obs::snapshot().to_json();
+        let v = parse(doc.as_bytes()).expect("snapshot JSON parses");
+        let counters = v.get("counters").expect("counters object");
+        assert_eq!(
+            counters.get("json.escape\ntest").and_then(Value::as_f64),
+            Some(3.0)
+        );
     }
 }

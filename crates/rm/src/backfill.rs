@@ -1,88 +1,48 @@
-//! A conservative backfill scheduler.
+//! The conservative backfill discipline.
 //!
 //! Strict FIFO strands nodes whenever the head of the queue is wide: a
 //! 512-node job at the head blocks a 4-node job even though nodes sit
 //! idle. EASY-style backfill lets later jobs jump the queue *if* they fit
 //! right now — conservatively here: a job may backfill only when it also
-//! fits the power ledger, so the power guarantee of the FIFO scheduler is
-//! preserved. This is the scheduler the facility simulation can swap in to
-//! study utilization-vs-fairness at the site level.
+//! fits the power ledger, so the power guarantee of strict FIFO is
+//! preserved. This is the discipline the facility campaign runs to study
+//! utilization-vs-fairness at the site level.
 //!
-//! Only the start decision differs from FIFO. Submission, completion and —
-//! critically — the node-failure/requeue/preemption paths are the shared
-//! [`SchedulerCore`](crate::scheduler), so a node dying under a backfilled
-//! schedule reclaims its watts exactly like one dying under FIFO.
+//! Only the start decision differs from [`crate::scheduler::Fifo`]; every
+//! other path, node failure and requeue included, is the one
+//! [`Scheduler`].
 
-use crate::budget::{OverCommit, PowerLedger};
-use crate::job::{Job, JobId, JobSpec};
-use crate::pool::NodePool;
-use crate::scheduler::{Scheduler, SchedulerCore, SchedulerEvent};
+use crate::job::JobId;
+use crate::scheduler::{Discipline, Scheduler, SchedulerEvent};
 use pmstack_obs::EventKind;
-use pmstack_simhw::{NodeId, Watts};
 
 /// Observability: jobs started out of queue order by backfill.
 static JOBS_BACKFILLED: pmstack_obs::StaticCounter =
     pmstack_obs::StaticCounter::new("rm.jobs.backfilled");
 
-/// FIFO-with-backfill over a node pool and power ledger.
-#[derive(Debug)]
-pub struct BackfillScheduler {
-    core: SchedulerCore,
+/// FIFO with backfill: the head of the queue starts whenever it fits, and
+/// while it is stuck any later job that fits both nodes and power starts.
+#[derive(Debug, Default)]
+pub struct Backfill {
     /// Jobs started out of order (observability for fairness studies).
     backfilled: usize,
 }
 
-impl BackfillScheduler {
-    /// A scheduler over `pool` and `ledger` with a default per-node power
-    /// reservation for jobs without a hint.
-    pub fn new(pool: NodePool, ledger: PowerLedger, default_per_node: Watts) -> Self {
-        Self {
-            core: SchedulerCore::new(pool, ledger, default_per_node),
-            backfilled: 0,
-        }
-    }
-
-    /// Submit a job; returns its id.
-    pub fn submit(&mut self, spec: JobSpec) -> JobId {
-        self.core.submit(spec)
-    }
-
-    /// Look up a job.
-    pub fn job(&self, id: JobId) -> Option<&Job> {
-        self.core.jobs.get(&id)
-    }
-
-    /// Nodes still free.
-    pub fn free_nodes(&self) -> usize {
-        self.core.pool.available()
-    }
-
-    /// The power ledger.
-    pub fn ledger(&self) -> &PowerLedger {
-        &self.core.ledger
-    }
-
-    /// How many jobs have started out of queue order.
-    pub fn backfilled_count(&self) -> usize {
-        self.backfilled
-    }
-
-    /// Start jobs: the head of the queue whenever it fits, then — when the
-    /// head is stuck — any later job that fits both nodes and power.
-    pub fn tick(&mut self) -> Vec<SchedulerEvent> {
+impl Discipline for Backfill {
+    fn start(s: &mut Scheduler<Self>) -> Vec<SchedulerEvent> {
         let mut events = Vec::new();
         loop {
             let mut started_any = false;
-            let ids: Vec<JobId> = self.core.queue.iter().copied().collect();
+            let ids: Vec<JobId> = s.queue.iter().copied().collect();
             for (pos, id) in ids.iter().enumerate() {
-                let Some(ev) = self.core.try_start(*id) else {
+                let Some(ev) = s.try_start(*id) else {
                     // Head-of-queue blocked: later jobs may still backfill,
                     // so keep scanning.
                     continue;
                 };
-                self.core.queue.retain(|q| q != id);
+                s.queue.retain(|q| q != id);
                 if pos > 0 {
-                    self.backfilled += 1;
+                    s.discipline.backfilled += 1;
                     JOBS_BACKFILLED.inc();
                     pmstack_obs::event(f64::NAN, EventKind::JobBackfilled { job: id.0 });
                 }
@@ -95,91 +55,25 @@ impl BackfillScheduler {
             }
         }
     }
-
-    /// Mark a running job finished, returning its resources.
-    pub fn complete(&mut self, id: JobId) -> SchedulerEvent {
-        self.core.complete(id)
-    }
-
-    /// Handle fail-stop death of a node under a backfilled schedule: drain
-    /// it, shrink the owning job's grant and reservation, reclaim the dead
-    /// node's watts. Identical to [`crate::FifoScheduler::fail_node`] by
-    /// construction — both delegate to the shared core.
-    pub fn fail_node(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
-        self.core.fail_node(node)
-    }
-
-    /// Node death with checkpoint/restart semantics: drain the node, kill
-    /// and withdraw the whole owning job (see
-    /// [`crate::FifoScheduler::fail_node_requeue`]).
-    pub fn fail_node_requeue(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
-        self.core.fail_node_requeue(node)
-    }
-
-    /// Queue a withdrawn pending job again.
-    pub fn enqueue(&mut self, id: JobId) {
-        self.core.enqueue(id)
-    }
 }
 
-impl Scheduler for BackfillScheduler {
-    fn submit(&mut self, spec: JobSpec) -> JobId {
-        self.core.submit(spec)
-    }
-    fn tick(&mut self) -> Vec<SchedulerEvent> {
-        BackfillScheduler::tick(self)
-    }
-    fn complete(&mut self, id: JobId) -> SchedulerEvent {
-        self.core.complete(id)
-    }
-    fn fail_node(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
-        self.core.fail_node(node)
-    }
-    fn fail_node_requeue(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
-        self.core.fail_node_requeue(node)
-    }
-    fn withdraw(&mut self, id: JobId) -> SchedulerEvent {
-        self.core.withdraw(id)
-    }
-    fn enqueue(&mut self, id: JobId) {
-        self.core.enqueue(id)
-    }
-    fn preempt(&mut self, id: JobId) -> SchedulerEvent {
-        self.core.preempt(id)
-    }
-    fn rebudget(&mut self, id: JobId, power: Watts) -> Result<(), OverCommit> {
-        self.core.rebudget(id, power)
-    }
-    fn restore_node(&mut self, id: NodeId) -> bool {
-        self.core.pool.restore(id)
-    }
-    fn job(&self, id: JobId) -> Option<&Job> {
-        self.core.jobs.get(&id)
-    }
-    fn running(&self) -> Vec<JobId> {
-        self.core.running()
-    }
-    fn ledger(&self) -> &PowerLedger {
-        &self.core.ledger
-    }
-    fn ledger_mut(&mut self) -> &mut PowerLedger {
-        &mut self.core.ledger
-    }
-    fn free_nodes(&self) -> usize {
-        self.core.pool.available()
-    }
-    fn total_nodes(&self) -> usize {
-        self.core.pool.total()
-    }
-    fn queue_len(&self) -> usize {
-        self.core.queue.len()
+/// The backfilling scheduler.
+pub type BackfillScheduler = Scheduler<Backfill>;
+
+impl BackfillScheduler {
+    /// How many jobs have started out of queue order.
+    pub fn backfilled_count(&self) -> usize {
+        self.discipline.backfilled
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobState;
+    use crate::budget::PowerLedger;
+    use crate::job::{JobSpec, JobState};
+    use crate::pool::NodePool;
+    use pmstack_simhw::Watts;
 
     fn scheduler(nodes: usize) -> BackfillScheduler {
         BackfillScheduler::new(
@@ -274,8 +168,8 @@ mod tests {
 
     #[test]
     fn node_failure_parity_with_fifo() {
-        // The satellite fix: a node dying under a backfilled schedule takes
-        // the same degrade path (drain, shrink, reclaim) FIFO does.
+        // A node dying under a backfilled schedule takes the same degrade
+        // path (drain, shrink, reclaim) FIFO does.
         let mut s = scheduler(8);
         let wide = s.submit(JobSpec::new("wide", 6).with_power_hint(Watts(120.0)));
         s.tick();

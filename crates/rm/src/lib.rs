@@ -9,6 +9,11 @@
 //! node counts and power numbers, never application structure. Application
 //! awareness only enters through the characterization data the policies in
 //! `pmstack-core` consume — that separation is the paper's whole point.
+//!
+//! One [`Scheduler`] type admits jobs and owns every failure path; its
+//! queueing discipline, [`Fifo`] or [`Backfill`], only decides which queued
+//! jobs start on a tick ([`FifoScheduler`] and [`BackfillScheduler`] name
+//! the two).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -23,7 +28,7 @@ pub mod pool;
 pub mod retry;
 pub mod scheduler;
 
-pub use backfill::BackfillScheduler;
+pub use backfill::{Backfill, BackfillScheduler};
 pub use budget::{OverCommit, PowerLedger};
 pub use domains::{DomainGrant, DomainLedger};
 pub use job::{Job, JobId, JobSpec, JobState};
@@ -31,4 +36,4 @@ pub use lease::LeaseTable;
 pub use lifecycle::{JobLifecycle, LifecycleState};
 pub use pool::NodePool;
 pub use retry::RetryPolicy;
-pub use scheduler::{FifoScheduler, Scheduler, SchedulerEvent};
+pub use scheduler::{Discipline, Fifo, FifoScheduler, Scheduler, SchedulerEvent};

@@ -1,21 +1,20 @@
-//! Schedulers with power-aware admission, built on one shared core.
+//! The scheduler: power-aware admission over one node pool and ledger.
 //!
-//! [`FifoScheduler`] starts jobs strictly in submission order;
-//! [`BackfillScheduler`] (in [`crate::backfill`]) lets later jobs jump a
-//! stuck head. Everything else — submission, completion, the node-failure
-//! path, requeue/preemption, the power ledger — is identical by
-//! construction: both wrap a [`SchedulerCore`], so a node dying under a
-//! backfilled schedule reclaims its watts exactly like one dying under
-//! FIFO. The [`Scheduler`] trait is the surface the facility campaign
-//! drives, letting it swap queueing disciplines without touching the
-//! failure lifecycle.
+//! [`Scheduler`] owns the [`crate::pool::NodePool`], the
+//! [`crate::budget::PowerLedger`], the job table and every lifecycle path:
+//! submission, completion, node failure, requeue, preemption and
+//! rebudgeting. Its [`Discipline`] decides only which queued jobs a
+//! [`Scheduler::tick`] starts — [`Fifo`] strictly in submission order,
+//! [`crate::backfill::Backfill`] letting later jobs jump a stuck head — so
+//! a node dying under a backfilled schedule reclaims its watts exactly like
+//! one dying under FIFO. [`FifoScheduler`] and
+//! [`crate::backfill::BackfillScheduler`] name the two.
 //!
-//! On start, a scheduler reserves the job's power from the
-//! [`crate::budget::PowerLedger`] (the policy layer later rebalances the
-//! per-job grants). A job that cannot get its power reservation waits even
-//! if nodes are free — power is a first-class schedulable resource here,
-//! which is the RM-side behaviour the paper's system-level policies
-//! presume.
+//! On start, a scheduler reserves the job's power from the ledger (the
+//! policy layer later rebalances the per-job grants). A job that cannot get
+//! its power reservation waits even if nodes are free — power is a
+//! first-class schedulable resource here, which is the RM-side behaviour
+//! the paper's system-level policies presume.
 
 use crate::budget::{OverCommit, PowerLedger};
 use crate::job::{Job, JobId, JobSpec, JobState};
@@ -24,18 +23,18 @@ use pmstack_obs::{EventKind, StaticCounter};
 use pmstack_simhw::{NodeId, Watts};
 use std::collections::{HashMap, VecDeque};
 
-/// Observability: jobs submitted to either scheduler flavour.
-pub(crate) static JOBS_SUBMITTED: StaticCounter = StaticCounter::new("rm.jobs.submitted");
+/// Observability: jobs submitted, under either discipline.
+static JOBS_SUBMITTED: StaticCounter = StaticCounter::new("rm.jobs.submitted");
 /// Observability: jobs admitted (FIFO order or backfill).
-pub(crate) static JOBS_STARTED: StaticCounter = StaticCounter::new("rm.jobs.started");
+static JOBS_STARTED: StaticCounter = StaticCounter::new("rm.jobs.started");
 /// Observability: jobs that ran to completion (or failed out).
-pub(crate) static JOBS_COMPLETED: StaticCounter = StaticCounter::new("rm.jobs.completed");
+static JOBS_COMPLETED: StaticCounter = StaticCounter::new("rm.jobs.completed");
 /// Observability: dead nodes drained from a scheduler's pool.
-pub(crate) static NODES_DRAINED: StaticCounter = StaticCounter::new("rm.nodes.drained");
+static NODES_DRAINED: StaticCounter = StaticCounter::new("rm.nodes.drained");
 /// Observability: jobs killed and withdrawn (lease expiry / chaos kill).
-pub(crate) static JOBS_REQUEUED: StaticCounter = StaticCounter::new("rm.jobs.requeued");
+static JOBS_REQUEUED: StaticCounter = StaticCounter::new("rm.jobs.requeued");
 /// Observability: running jobs checkpointed and evicted by a budget shock.
-pub(crate) static JOBS_PREEMPTED: StaticCounter = StaticCounter::new("rm.jobs.preempted");
+static JOBS_PREEMPTED: StaticCounter = StaticCounter::new("rm.jobs.preempted");
 
 /// A scheduling decision notification.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,20 +92,60 @@ pub enum SchedulerEvent {
     },
 }
 
-/// What both queueing disciplines share: the pool, the ledger, the job
-/// table, and every lifecycle path that is not a start decision.
-#[derive(Debug)]
-pub(crate) struct SchedulerCore {
-    pub(crate) pool: NodePool,
-    pub(crate) ledger: PowerLedger,
-    pub(crate) queue: VecDeque<JobId>,
-    pub(crate) jobs: HashMap<JobId, Job>,
-    next_id: u64,
-    pub(crate) default_per_node: Watts,
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Fifo {}
+    impl Sealed for crate::backfill::Backfill {}
 }
 
-impl SchedulerCore {
-    pub(crate) fn new(pool: NodePool, ledger: PowerLedger, default_per_node: Watts) -> Self {
+/// A queueing discipline: the start pass of [`Scheduler::tick`], the one
+/// decision that differs between schedulers. Sealed; [`Fifo`] and
+/// [`crate::backfill::Backfill`] are the two.
+pub trait Discipline: sealed::Sealed + Default {
+    /// Start every queued job the discipline admits right now, returning
+    /// the start events in start order.
+    fn start(s: &mut Scheduler<Self>) -> Vec<SchedulerEvent>;
+}
+
+/// Strict FIFO: a stuck head of queue blocks every later job (no backfill —
+/// matching the paper's static, all-jobs-start-together mixes).
+#[derive(Debug, Default)]
+pub struct Fifo;
+
+impl Discipline for Fifo {
+    fn start(s: &mut Scheduler<Self>) -> Vec<SchedulerEvent> {
+        let mut events = Vec::new();
+        while let Some(&head) = s.queue.front() {
+            let Some(ev) = s.try_start(head) else {
+                break;
+            };
+            s.queue.pop_front();
+            events.push(ev);
+        }
+        events
+    }
+}
+
+/// The strict-FIFO scheduler.
+pub type FifoScheduler = Scheduler<Fifo>;
+
+/// A scheduler over a node pool and power ledger; `D` picks which queued
+/// jobs start on a tick.
+#[derive(Debug)]
+pub struct Scheduler<D> {
+    pool: NodePool,
+    ledger: PowerLedger,
+    pub(crate) queue: VecDeque<JobId>,
+    jobs: HashMap<JobId, Job>,
+    next_id: u64,
+    default_per_node: Watts,
+    pub(crate) discipline: D,
+}
+
+impl<D: Discipline> Scheduler<D> {
+    /// A scheduler over `pool` and `ledger`. `default_per_node` is reserved
+    /// for jobs without a power hint (typically node TDP).
+    pub fn new(pool: NodePool, ledger: PowerLedger, default_per_node: Watts) -> Self {
         Self {
             pool,
             ledger,
@@ -114,10 +153,12 @@ impl SchedulerCore {
             jobs: HashMap::new(),
             next_id: 1,
             default_per_node,
+            discipline: D::default(),
         }
     }
 
-    pub(crate) fn submit(&mut self, spec: JobSpec) -> JobId {
+    /// Submit a job to the back of the queue; returns its id.
+    pub fn submit(&mut self, spec: JobSpec) -> JobId {
         JOBS_SUBMITTED.inc();
         let id = JobId(self.next_id);
         self.next_id += 1;
@@ -126,8 +167,13 @@ impl SchedulerCore {
         id
     }
 
+    /// Start the queued jobs the discipline admits now.
+    pub fn tick(&mut self) -> Vec<SchedulerEvent> {
+        D::start(self)
+    }
+
     /// Node count and total power a queued job would need to start.
-    pub(crate) fn demand(&self, id: JobId) -> (usize, Watts) {
+    fn demand(&self, id: JobId) -> (usize, Watts) {
         let job = &self.jobs[&id];
         let per_node = job
             .spec
@@ -138,7 +184,7 @@ impl SchedulerCore {
 
     /// Try to start one queued job right now: nodes and power must both
     /// fit, or nothing changes. On success the job runs and the event is
-    /// returned; the caller removes it from its queue position.
+    /// returned; the discipline removes it from its queue position.
     pub(crate) fn try_start(&mut self, id: JobId) -> Option<SchedulerEvent> {
         let (nodes_needed, power) = self.demand(id);
         if self.pool.available() < nodes_needed {
@@ -170,7 +216,8 @@ impl SchedulerCore {
         })
     }
 
-    pub(crate) fn complete(&mut self, id: JobId) -> SchedulerEvent {
+    /// Mark a running job finished, returning its nodes and power.
+    pub fn complete(&mut self, id: JobId) -> SchedulerEvent {
         let job = self.jobs.get_mut(&id).expect("completing unknown job");
         let nodes = job.complete();
         self.pool.release(nodes);
@@ -180,8 +227,14 @@ impl SchedulerCore {
         SchedulerEvent::Completed { job: id }
     }
 
-    /// Shared degrade-path node failure (see [`FifoScheduler::fail_node`]).
-    pub(crate) fn fail_node(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
+    /// Handle fail-stop death of a node: drain it from the pool, shrink the
+    /// owning job's grant and power reservation (reclaiming the dead node's
+    /// share into the system budget), and report what happened. A job whose
+    /// last node dies is completed (failed out) and fully released.
+    ///
+    /// Unknown or already-drained nodes produce no events — failure reports
+    /// can race, and handling one twice must be harmless.
+    pub fn fail_node(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
         let Some(owner) = self.drain(node) else {
             return Vec::new();
         };
@@ -230,9 +283,14 @@ impl SchedulerCore {
         events
     }
 
-    /// Shared kill-and-requeue node failure (see
-    /// [`FifoScheduler::fail_node_requeue`]).
-    pub(crate) fn fail_node_requeue(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
+    /// Handle node death with checkpoint/restart semantics: drain the node
+    /// and [`withdraw`](Self::withdraw) the owning job entirely — all
+    /// surviving nodes and the full power reservation return, and the job
+    /// goes back to pending (unqueued, so the caller can apply a retry
+    /// backoff before [`Scheduler::enqueue`]). This is the facility
+    /// campaign's path; the coordinator's degrade-in-place path is
+    /// [`Scheduler::fail_node`].
+    pub fn fail_node_requeue(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
         let Some(owner) = self.drain(node) else {
             return Vec::new();
         };
@@ -278,8 +336,8 @@ impl SchedulerCore {
     /// Kill a running job without completing it: release surviving nodes
     /// and the full power reservation, return the job to `Pending`. It is
     /// *not* queued — the caller decides when it becomes eligible again
-    /// (backoff), via [`SchedulerCore::enqueue`].
-    pub(crate) fn withdraw(&mut self, id: JobId) -> SchedulerEvent {
+    /// (backoff), via [`Scheduler::enqueue`].
+    pub fn withdraw(&mut self, id: JobId) -> SchedulerEvent {
         let job = self.jobs.get_mut(&id).expect("withdrawing unknown job");
         let power = self.ledger.reservation(id).unwrap_or(Watts::ZERO);
         let nodes = job.requeue();
@@ -305,7 +363,7 @@ impl SchedulerCore {
 
     /// Re-queue a pending, withdrawn job (its backoff elapsed). Back of
     /// the queue: a restarting job does not outrank patient arrivals.
-    pub(crate) fn enqueue(&mut self, id: JobId) {
+    pub fn enqueue(&mut self, id: JobId) {
         let job = &self.jobs[&id];
         assert_eq!(job.state, JobState::Pending, "only pending jobs enqueue");
         assert!(!self.queue.contains(&id), "job already queued");
@@ -313,10 +371,10 @@ impl SchedulerCore {
     }
 
     /// Checkpoint-and-evict a running job under a budget shock: resources
-    /// come back like [`SchedulerCore::withdraw`], but the job re-enters
-    /// the queue immediately — at the *front*, since it already held a
-    /// grant and should resume as soon as the budget recovers.
-    pub(crate) fn preempt(&mut self, id: JobId) -> SchedulerEvent {
+    /// come back like [`Scheduler::withdraw`], but the job re-enters the
+    /// queue immediately — at the *front*, since it already held a grant
+    /// and should resume as soon as the budget recovers.
+    pub fn preempt(&mut self, id: JobId) -> SchedulerEvent {
         let job = self.jobs.get_mut(&id).expect("preempting unknown job");
         let power = self.ledger.reservation(id).unwrap_or(Watts::ZERO);
         let nodes = job.requeue();
@@ -337,7 +395,7 @@ impl SchedulerCore {
     /// Re-reserve a running job's power (a policy tightening or relaxing
     /// its cap under a moving budget). Fails like any reservation when the
     /// ledger cannot fit it; on success the job's recorded budget follows.
-    pub(crate) fn rebudget(&mut self, id: JobId, power: Watts) -> Result<(), OverCommit> {
+    pub fn rebudget(&mut self, id: JobId, power: Watts) -> Result<(), OverCommit> {
         assert_eq!(
             self.jobs[&id].state,
             JobState::Running,
@@ -348,7 +406,19 @@ impl SchedulerCore {
         Ok(())
     }
 
-    pub(crate) fn running(&self) -> Vec<JobId> {
+    /// Return a drained node to service (lease false-positive repair);
+    /// `false` (no-op) if it is already in service.
+    pub fn restore_node(&mut self, id: NodeId) -> bool {
+        self.pool.restore(id)
+    }
+
+    /// Look up a job.
+    pub fn job(&self, id: JobId) -> Option<&Job> {
+        self.jobs.get(&id)
+    }
+
+    /// All jobs currently running, ascending id.
+    pub fn running(&self) -> Vec<JobId> {
         let mut ids: Vec<JobId> = self
             .jobs
             .values()
@@ -358,194 +428,25 @@ impl SchedulerCore {
         ids.sort();
         ids
     }
-}
-
-/// The scheduler surface the facility campaign drives: everything both
-/// queueing disciplines provide, failure lifecycle included.
-pub trait Scheduler {
-    /// Submit a job; returns its id.
-    fn submit(&mut self, spec: JobSpec) -> JobId;
-    /// Try to start queued jobs; discipline-specific.
-    fn tick(&mut self) -> Vec<SchedulerEvent>;
-    /// Mark a running job finished, returning its resources.
-    fn complete(&mut self, id: JobId) -> SchedulerEvent;
-    /// Degrade-path node failure: shrink the owning job around the loss.
-    fn fail_node(&mut self, node: NodeId) -> Vec<SchedulerEvent>;
-    /// Kill-path node failure: drain the node and withdraw the owning job
-    /// entirely (checkpoint/restart semantics).
-    fn fail_node_requeue(&mut self, node: NodeId) -> Vec<SchedulerEvent>;
-    /// Kill a running job back to pending without queueing it.
-    fn withdraw(&mut self, id: JobId) -> SchedulerEvent;
-    /// Queue a withdrawn pending job (its backoff elapsed).
-    fn enqueue(&mut self, id: JobId);
-    /// Checkpoint-and-evict a running job; it rejoins the queue front.
-    fn preempt(&mut self, id: JobId) -> SchedulerEvent;
-    /// Re-reserve a running job's power under a moving budget.
-    fn rebudget(&mut self, id: JobId, power: Watts) -> Result<(), OverCommit>;
-    /// Return a drained node to service (lease false-positive repair).
-    fn restore_node(&mut self, id: NodeId) -> bool;
-    /// Look up a job.
-    fn job(&self, id: JobId) -> Option<&Job>;
-    /// All jobs currently running, ascending id.
-    fn running(&self) -> Vec<JobId>;
-    /// The power ledger.
-    fn ledger(&self) -> &PowerLedger;
-    /// Mutable ledger access for the policy layer.
-    fn ledger_mut(&mut self) -> &mut PowerLedger;
-    /// Nodes still free.
-    fn free_nodes(&self) -> usize;
-    /// Nodes managed (excludes drained).
-    fn total_nodes(&self) -> usize;
-    /// Jobs waiting in the queue.
-    fn queue_len(&self) -> usize;
-}
-
-/// FIFO scheduler over a node pool and power ledger.
-#[derive(Debug)]
-pub struct FifoScheduler {
-    core: SchedulerCore,
-}
-
-impl FifoScheduler {
-    /// A scheduler over `pool` and `ledger`. `default_per_node` is reserved
-    /// for jobs without a power hint (typically node TDP).
-    pub fn new(pool: NodePool, ledger: PowerLedger, default_per_node: Watts) -> Self {
-        Self {
-            core: SchedulerCore::new(pool, ledger, default_per_node),
-        }
-    }
-
-    /// Submit a job; returns its id.
-    pub fn submit(&mut self, spec: JobSpec) -> JobId {
-        self.core.submit(spec)
-    }
-
-    /// Look up a job.
-    pub fn job(&self, id: JobId) -> Option<&Job> {
-        self.core.jobs.get(&id)
-    }
-
-    /// All jobs currently running.
-    pub fn running(&self) -> Vec<JobId> {
-        self.core.running()
-    }
 
     /// The power ledger (for the policy layer to rebalance grants).
     pub fn ledger(&self) -> &PowerLedger {
-        &self.core.ledger
+        &self.ledger
     }
 
     /// Mutable ledger access for the policy layer.
     pub fn ledger_mut(&mut self) -> &mut PowerLedger {
-        &mut self.core.ledger
+        &mut self.ledger
     }
 
     /// Nodes still free.
     pub fn free_nodes(&self) -> usize {
-        self.core.pool.available()
+        self.pool.available()
     }
 
-    /// Try to start queued jobs in FIFO order; strict FIFO, so a stuck head
-    /// of queue blocks later jobs (no backfill — matching the paper's
-    /// static, all-jobs-start-together mixes).
-    pub fn tick(&mut self) -> Vec<SchedulerEvent> {
-        let mut events = Vec::new();
-        while let Some(&head) = self.core.queue.front() {
-            match self.core.try_start(head) {
-                Some(ev) => {
-                    self.core.queue.pop_front();
-                    events.push(ev);
-                }
-                None => break,
-            }
-        }
-        events
-    }
-
-    /// Mark a running job finished, returning its nodes and power.
-    pub fn complete(&mut self, id: JobId) -> SchedulerEvent {
-        self.core.complete(id)
-    }
-
-    /// Handle fail-stop death of a node: drain it from the pool, shrink the
-    /// owning job's grant and power reservation (reclaiming the dead node's
-    /// share into the system budget), and report what happened. A job whose
-    /// last node dies is completed (failed out) and fully released.
-    ///
-    /// Unknown or already-drained nodes produce no events — failure reports
-    /// can race, and handling one twice must be harmless.
-    pub fn fail_node(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
-        self.core.fail_node(node)
-    }
-
-    /// Handle node death with checkpoint/restart semantics: drain the node
-    /// and *withdraw* the owning job entirely — all surviving nodes and the
-    /// full power reservation return, and the job goes back to pending
-    /// (unqueued, so the caller can apply a retry backoff before
-    /// [`FifoScheduler::enqueue`]). This is the facility campaign's path;
-    /// the coordinator's degrade-in-place path is
-    /// [`FifoScheduler::fail_node`].
-    pub fn fail_node_requeue(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
-        self.core.fail_node_requeue(node)
-    }
-
-    /// Queue a withdrawn pending job again.
-    pub fn enqueue(&mut self, id: JobId) {
-        self.core.enqueue(id)
-    }
-}
-
-impl Scheduler for FifoScheduler {
-    fn submit(&mut self, spec: JobSpec) -> JobId {
-        self.core.submit(spec)
-    }
-    fn tick(&mut self) -> Vec<SchedulerEvent> {
-        FifoScheduler::tick(self)
-    }
-    fn complete(&mut self, id: JobId) -> SchedulerEvent {
-        self.core.complete(id)
-    }
-    fn fail_node(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
-        self.core.fail_node(node)
-    }
-    fn fail_node_requeue(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
-        self.core.fail_node_requeue(node)
-    }
-    fn withdraw(&mut self, id: JobId) -> SchedulerEvent {
-        self.core.withdraw(id)
-    }
-    fn enqueue(&mut self, id: JobId) {
-        self.core.enqueue(id)
-    }
-    fn preempt(&mut self, id: JobId) -> SchedulerEvent {
-        self.core.preempt(id)
-    }
-    fn rebudget(&mut self, id: JobId, power: Watts) -> Result<(), OverCommit> {
-        self.core.rebudget(id, power)
-    }
-    fn restore_node(&mut self, id: NodeId) -> bool {
-        self.core.pool.restore(id)
-    }
-    fn job(&self, id: JobId) -> Option<&Job> {
-        self.core.jobs.get(&id)
-    }
-    fn running(&self) -> Vec<JobId> {
-        self.core.running()
-    }
-    fn ledger(&self) -> &PowerLedger {
-        &self.core.ledger
-    }
-    fn ledger_mut(&mut self) -> &mut PowerLedger {
-        &mut self.core.ledger
-    }
-    fn free_nodes(&self) -> usize {
-        self.core.pool.available()
-    }
-    fn total_nodes(&self) -> usize {
-        self.core.pool.total()
-    }
-    fn queue_len(&self) -> usize {
-        self.core.queue.len()
+    /// Nodes managed (excludes drained).
+    pub fn total_nodes(&self) -> usize {
+        self.pool.total()
     }
 }
 
@@ -730,7 +631,7 @@ mod tests {
         let b = s.submit(JobSpec::new("b", 2).with_power_hint(Watts(100.0)));
         s.tick();
         let waiting = s.submit(JobSpec::new("w", 2).with_power_hint(Watts(100.0)));
-        let ev = Scheduler::preempt(&mut s, a);
+        let ev = s.preempt(a);
         assert!(
             matches!(ev, SchedulerEvent::Preempted { job, power } if job == a && power == Watts(200.0))
         );
@@ -748,11 +649,11 @@ mod tests {
         let a = s.submit(JobSpec::new("a", 2).with_power_hint(Watts(200.0)));
         s.tick();
         assert_eq!(s.ledger().reservation(a), Some(Watts(400.0)));
-        Scheduler::rebudget(&mut s, a, Watts(300.0)).unwrap();
+        s.rebudget(a, Watts(300.0)).unwrap();
         assert_eq!(s.ledger().reservation(a), Some(Watts(300.0)));
         assert_eq!(s.job(a).unwrap().power_budget, Some(Watts(300.0)));
         // Growing beyond the budget fails cleanly.
-        assert!(Scheduler::rebudget(&mut s, a, Watts(600.0)).is_err());
+        assert!(s.rebudget(a, Watts(600.0)).is_err());
         assert_eq!(s.ledger().reservation(a), Some(Watts(300.0)));
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests of resource-manager conservation invariants.
 
 use pmstack_rm::{
-    FifoScheduler, JobSpec, LeaseTable, NodePool, PowerLedger, RetryPolicy, Scheduler,
+    Backfill, Discipline, Fifo, JobSpec, LeaseTable, NodePool, PowerLedger, RetryPolicy, Scheduler,
     SchedulerEvent,
 };
 use pmstack_simhw::{NodeId, Watts};
@@ -59,7 +59,7 @@ fn lease_op() -> impl Strategy<Value = LeaseOp> {
 
 /// No node is held by two jobs, the ledger matches the sum of per-job
 /// reservations exactly, and nothing exceeds the budget.
-fn assert_conserved(s: &dyn Scheduler, budget: Watts) -> Result<(), TestCaseError> {
+fn assert_conserved<D: Discipline>(s: &Scheduler<D>, budget: Watts) -> Result<(), TestCaseError> {
     let mut held: HashSet<usize> = HashSet::new();
     let mut reserved_sum = 0.0;
     for id in s.running() {
@@ -83,6 +83,224 @@ fn assert_conserved(s: &dyn Scheduler, budget: Watts) -> Result<(), TestCaseErro
     Ok(())
 }
 
+/// Body of `scheduler_conserves_resources` under one discipline.
+fn conserves<D: Discipline>(
+    sizes: &[usize],
+    pool_size: usize,
+    budget_per_node: f64,
+) -> Result<(), TestCaseError> {
+    let budget = Watts(budget_per_node * pool_size as f64);
+    let mut s = Scheduler::<D>::new(
+        NodePool::new(pool_size),
+        PowerLedger::new(budget),
+        Watts(budget_per_node),
+    );
+    let ids: Vec<_> = sizes
+        .iter()
+        .map(|&n| s.submit(JobSpec::new(format!("j{n}"), n)))
+        .collect();
+
+    let mut held: HashSet<usize> = HashSet::new();
+    let mut running = Vec::new();
+    loop {
+        for ev in s.tick() {
+            if let SchedulerEvent::Started { job, nodes, .. } = ev {
+                for n in &nodes {
+                    prop_assert!(held.insert(n.0), "node {n} double-allocated");
+                }
+                running.push((job, nodes));
+            }
+        }
+        prop_assert!(s.ledger().reserved() <= budget + Watts(1e-6));
+        match running.pop() {
+            Some((job, nodes)) => {
+                s.complete(job);
+                for n in nodes {
+                    held.remove(&n.0);
+                }
+            }
+            None => break,
+        }
+    }
+    // Everything that fit eventually ran and completed.
+    prop_assert_eq!(s.free_nodes(), pool_size);
+    prop_assert_eq!(s.ledger().reserved(), Watts::ZERO);
+    let completed = ids
+        .iter()
+        .filter(|id| {
+            matches!(
+                s.job(**id).map(|j| j.state),
+                Some(pmstack_rm::JobState::Completed)
+            )
+        })
+        .count();
+    let fits = sizes.iter().filter(|&&n| n <= pool_size).count();
+    prop_assert_eq!(completed, fits, "every feasible job completed");
+    Ok(())
+}
+
+/// Body of `node_death_reclaims_without_overshooting` under one discipline.
+fn reclaims<D: Discipline>(
+    sizes: &[usize],
+    death_picks: &[usize],
+    pool_size: usize,
+) -> Result<(), TestCaseError> {
+    let budget = Watts(200.0 * pool_size as f64);
+    let mut s = Scheduler::<D>::new(
+        NodePool::new(pool_size),
+        PowerLedger::new(budget),
+        Watts(200.0),
+    );
+    for (i, &n) in sizes.iter().enumerate() {
+        s.submit(JobSpec::new(format!("j{i}"), n));
+    }
+    s.tick();
+    for &pick in death_picks {
+        // Kill an arbitrary (possibly repeated, possibly unknown) node.
+        let victim = pmstack_simhw::NodeId(pick % (pool_size + 2));
+        for ev in s.fail_node(victim) {
+            if let SchedulerEvent::JobDegraded { job, remaining, .. } = ev {
+                let j = s.job(job).expect("degraded job exists");
+                prop_assert_eq!(j.nodes.len(), remaining);
+                prop_assert!(remaining > 0);
+            }
+        }
+        // Invariants hold after every single failure event…
+        prop_assert!(s.ledger().reserved() <= budget + Watts(1e-6));
+        prop_assert!(s.ledger().available() <= budget + Watts(1e-6));
+        prop_assert!(s.ledger().available() >= Watts(-1e-6));
+        prop_assert!(s.free_nodes() <= pool_size);
+        // …and the freed capacity may admit queued work.
+        s.tick();
+        prop_assert!(s.ledger().reserved() <= budget + Watts(1e-6));
+    }
+    // Completing all survivors returns the ledger to zero reservations.
+    for id in s.running() {
+        s.complete(id);
+    }
+    prop_assert_eq!(s.ledger().reserved(), Watts::ZERO);
+    prop_assert!(s.ledger().available() <= budget + Watts(1e-6));
+    Ok(())
+}
+
+/// Body of `requeue_restart_never_double_reserves` under one discipline.
+fn requeue_restarts<D: Discipline>(
+    sizes: &[usize],
+    kills: &[usize],
+    pool_size: usize,
+) -> Result<(), TestCaseError> {
+    let budget = Watts(200.0 * pool_size as f64);
+    let mut s = Scheduler::<D>::new(
+        NodePool::new(pool_size),
+        PowerLedger::new(budget),
+        Watts(200.0),
+    );
+    for (i, &n) in sizes.iter().enumerate() {
+        s.submit(JobSpec::new(format!("j{i}"), n));
+    }
+    s.tick();
+    assert_conserved(&s, budget)?;
+    for &pick in kills {
+        // Kill an arbitrary (possibly repeated, possibly already
+        // drained, possibly free) node.
+        let victim = pmstack_simhw::NodeId(pick % (pool_size + 2));
+        let mut withdrawn = None;
+        for ev in s.fail_node_requeue(victim) {
+            if let SchedulerEvent::Requeued { job, .. } = ev {
+                withdrawn = Some(job);
+            }
+        }
+        assert_conserved(&s, budget)?;
+        if let Some(job) = withdrawn {
+            // The backoff elapsed: the job re-enters the queue and may
+            // restart on surviving nodes.
+            s.enqueue(job);
+        }
+        s.tick();
+        assert_conserved(&s, budget)?;
+    }
+    // Whatever survived still balances when it all completes.
+    for id in s.running() {
+        s.complete(id);
+    }
+    prop_assert_eq!(s.ledger().reserved(), Watts::ZERO);
+    Ok(())
+}
+
+/// One step of a schedule replayed in lockstep on both disciplines. Picks
+/// index the running jobs (or nodes) modulo their count.
+#[derive(Debug, Clone)]
+enum SchedOp {
+    Submit { nodes: usize, hint: Option<f64> },
+    Tick,
+    Complete { pick: usize },
+    Kill { node: usize },
+    Preempt { pick: usize },
+}
+
+/// A per-node power hint in 100..240 W, or none (the 240 W default) about
+/// 40 % of the time.
+fn power_hint() -> impl Strategy<Value = Option<f64>> {
+    (0.0f64..240.0).prop_map(|w| (w >= 100.0).then_some(w))
+}
+
+fn sched_op() -> impl Strategy<Value = SchedOp> {
+    prop_oneof![
+        (1usize..6, power_hint()).prop_map(|(nodes, hint)| SchedOp::Submit { nodes, hint }),
+        Just(SchedOp::Tick),
+        Just(SchedOp::Tick),
+        (0usize..8).prop_map(|pick| SchedOp::Complete { pick }),
+        (0usize..64).prop_map(|node| SchedOp::Kill { node }),
+        (0usize..8).prop_map(|pick| SchedOp::Preempt { pick }),
+    ]
+}
+
+/// Replay `ops` on a scheduler and return every event it emitted, in order.
+/// A killed job is re-queued at once (a zero backoff).
+fn replay<D: Discipline>(ops: &[SchedOp], pool_size: usize) -> (Scheduler<D>, Vec<SchedulerEvent>) {
+    let mut s = Scheduler::<D>::new(
+        NodePool::new(pool_size),
+        PowerLedger::new(Watts(240.0 * pool_size as f64)),
+        Watts(240.0),
+    );
+    let mut events = Vec::new();
+    for op in ops {
+        let running = s.running();
+        let pick = |i: usize| running.get(i % running.len().max(1)).copied();
+        match op {
+            SchedOp::Submit { nodes, hint } => {
+                let mut spec = JobSpec::new("j", *nodes);
+                if let Some(w) = hint {
+                    spec = spec.with_power_hint(Watts(*w));
+                }
+                s.submit(spec);
+            }
+            SchedOp::Tick => events.extend(s.tick()),
+            SchedOp::Complete { pick: i } => {
+                if let Some(id) = pick(*i) {
+                    events.push(s.complete(id));
+                }
+            }
+            SchedOp::Kill { node } => {
+                let evs = s.fail_node_requeue(NodeId(node % pool_size));
+                for ev in &evs {
+                    if let SchedulerEvent::Requeued { job, .. } = ev {
+                        s.enqueue(*job);
+                    }
+                }
+                events.extend(evs);
+            }
+            SchedOp::Preempt { pick: i } => {
+                if let Some(id) = pick(*i) {
+                    events.push(s.preempt(id));
+                }
+            }
+        }
+    }
+    events.extend(s.tick());
+    (s, events)
+}
+
 proptest! {
     /// Under any submission/completion schedule, nodes are never double-
     /// allocated, the ledger never overcommits, and completing everything
@@ -93,53 +311,8 @@ proptest! {
         pool_size in 8usize..24,
         budget_per_node in 140.0f64..240.0,
     ) {
-        let budget = Watts(budget_per_node * pool_size as f64);
-        let mut s = FifoScheduler::new(
-            NodePool::new(pool_size),
-            PowerLedger::new(budget),
-            Watts(budget_per_node),
-        );
-        let ids: Vec<_> = sizes
-            .iter()
-            .map(|&n| s.submit(JobSpec::new(format!("j{n}"), n)))
-            .collect();
-
-        let mut held: HashSet<usize> = HashSet::new();
-        let mut running = Vec::new();
-        loop {
-            for ev in s.tick() {
-                if let SchedulerEvent::Started { job, nodes, .. } = ev {
-                    for n in &nodes {
-                        prop_assert!(held.insert(n.0), "node {n} double-allocated");
-                    }
-                    running.push((job, nodes));
-                }
-            }
-            prop_assert!(s.ledger().reserved() <= budget + Watts(1e-6));
-            match running.pop() {
-                Some((job, nodes)) => {
-                    s.complete(job);
-                    for n in nodes {
-                        held.remove(&n.0);
-                    }
-                }
-                None => break,
-            }
-        }
-        // Everything that fit eventually ran and completed.
-        prop_assert_eq!(s.free_nodes(), pool_size);
-        prop_assert_eq!(s.ledger().reserved(), Watts::ZERO);
-        let completed = ids
-            .iter()
-            .filter(|id| {
-                matches!(
-                    s.job(**id).map(|j| j.state),
-                    Some(pmstack_rm::JobState::Completed)
-                )
-            })
-            .count();
-        let fits = sizes.iter().filter(|&&n| n <= pool_size).count();
-        prop_assert_eq!(completed, fits, "every feasible job completed");
+        conserves::<Fifo>(&sizes, pool_size, budget_per_node)?;
+        conserves::<Backfill>(&sizes, pool_size, budget_per_node)?;
     }
 
     /// Fault accounting: under any schedule of starts and node deaths, the
@@ -153,41 +326,8 @@ proptest! {
         death_picks in prop::collection::vec(0usize..64, 1..24),
         pool_size in 6usize..20,
     ) {
-        let budget = Watts(200.0 * pool_size as f64);
-        let mut s = FifoScheduler::new(
-            NodePool::new(pool_size),
-            PowerLedger::new(budget),
-            Watts(200.0),
-        );
-        for (i, &n) in sizes.iter().enumerate() {
-            s.submit(JobSpec::new(format!("j{i}"), n));
-        }
-        s.tick();
-        for &pick in &death_picks {
-            // Kill an arbitrary (possibly repeated, possibly unknown) node.
-            let victim = pmstack_simhw::NodeId(pick % (pool_size + 2));
-            for ev in s.fail_node(victim) {
-                if let SchedulerEvent::JobDegraded { job, remaining, .. } = ev {
-                    let j = s.job(job).expect("degraded job exists");
-                    prop_assert_eq!(j.nodes.len(), remaining);
-                    prop_assert!(remaining > 0);
-                }
-            }
-            // Invariants hold after every single failure event…
-            prop_assert!(s.ledger().reserved() <= budget + Watts(1e-6));
-            prop_assert!(s.ledger().available() <= budget + Watts(1e-6));
-            prop_assert!(s.ledger().available() >= Watts(-1e-6));
-            prop_assert!(s.free_nodes() <= pool_size);
-            // …and the freed capacity may admit queued work.
-            s.tick();
-            prop_assert!(s.ledger().reserved() <= budget + Watts(1e-6));
-        }
-        // Completing all survivors returns the ledger to zero reservations.
-        for id in s.running() {
-            s.complete(id);
-        }
-        prop_assert_eq!(s.ledger().reserved(), Watts::ZERO);
-        prop_assert!(s.ledger().available() <= budget + Watts(1e-6));
+        reclaims::<Fifo>(&sizes, &death_picks, pool_size)?;
+        reclaims::<Backfill>(&sizes, &death_picks, pool_size)?;
     }
 
     /// Double release is a no-op: however many times a grant is returned,
@@ -219,41 +359,68 @@ proptest! {
         kills in prop::collection::vec(0usize..64, 1..16),
         pool_size in 8usize..20,
     ) {
-        let budget = Watts(200.0 * pool_size as f64);
-        let mut s = FifoScheduler::new(
-            NodePool::new(pool_size),
-            PowerLedger::new(budget),
-            Watts(200.0),
-        );
-        for (i, &n) in sizes.iter().enumerate() {
-            s.submit(JobSpec::new(format!("j{i}"), n));
+        requeue_restarts::<Fifo>(&sizes, &kills, pool_size)?;
+        requeue_restarts::<Backfill>(&sizes, &kills, pool_size)?;
+    }
+
+    /// FIFO and backfill differ only past a blocked head. On a pool wide
+    /// enough that no job ever waits, the two emit identical event streams
+    /// under any schedule of submits, kills, preemptions and completions.
+    /// On a tight pool, one tick of FIFO starts exactly a prefix of the
+    /// queue and nothing behind the first job that does not fit, and
+    /// backfill's stream opens with FIFO's whole stream; every start past
+    /// it is a backfill.
+    #[test]
+    fn fifo_and_backfill_differ_only_past_a_blocked_head(
+        ops in prop::collection::vec(sched_op(), 1..40),
+        sizes in prop::collection::vec(1usize..8, 1..12),
+        hints in prop::collection::vec(power_hint(), 12..13),
+        tight_pool in 4usize..16,
+    ) {
+        // Roomy: every node ever requested plus every node a kill drains.
+        let roomy_pool = ops
+            .iter()
+            .map(|op| match op {
+                SchedOp::Submit { nodes, .. } => *nodes,
+                SchedOp::Kill { .. } => 1,
+                _ => 0,
+            })
+            .sum::<usize>()
+            .max(1);
+        let (_, fifo) = replay::<Fifo>(&ops, roomy_pool);
+        let (backfill, backfilled) = replay::<Backfill>(&ops, roomy_pool);
+        prop_assert_eq!(&fifo, &backfilled);
+        prop_assert_eq!(backfill.backfilled_count(), 0);
+
+        // Tight: a queue that may block at its head.
+        let queue: Vec<SchedOp> = sizes
+            .iter()
+            .zip(&hints)
+            .map(|(&nodes, &hint)| SchedOp::Submit { nodes, hint })
+            .collect();
+        let (fifo_s, fifo) = replay::<Fifo>(&queue, tight_pool);
+        let (backfill, backfilled) = replay::<Backfill>(&queue, tight_pool);
+        let started: Vec<u64> = fifo
+            .iter()
+            .map(|ev| match ev {
+                SchedulerEvent::Started { job, .. } => job.0,
+                other => panic!("a fresh queue only starts jobs: {other:?}"),
+            })
+            .collect();
+        let prefix: Vec<u64> = (1..=started.len() as u64).collect();
+        prop_assert_eq!(&started, &prefix, "FIFO started out of order");
+        if started.len() < sizes.len() {
+            // The first job left behind genuinely does not fit.
+            let head = started.len();
+            let power = hints[head].unwrap_or(240.0) * sizes[head] as f64;
+            prop_assert!(
+                sizes[head] > fifo_s.free_nodes()
+                    || power > fifo_s.ledger().available().value() + 1e-9,
+                "FIFO stopped at a head that fits"
+            );
         }
-        Scheduler::tick(&mut s);
-        assert_conserved(&s, budget)?;
-        for &pick in &kills {
-            // Kill an arbitrary (possibly repeated, possibly already
-            // drained, possibly free) node.
-            let victim = pmstack_simhw::NodeId(pick % (pool_size + 2));
-            let mut withdrawn = None;
-            for ev in Scheduler::fail_node_requeue(&mut s, victim) {
-                if let SchedulerEvent::Requeued { job, .. } = ev {
-                    withdrawn = Some(job);
-                }
-            }
-            assert_conserved(&s, budget)?;
-            if let Some(job) = withdrawn {
-                // The backoff elapsed: the job re-enters the queue and may
-                // restart on surviving nodes.
-                Scheduler::enqueue(&mut s, job);
-            }
-            Scheduler::tick(&mut s);
-            assert_conserved(&s, budget)?;
-        }
-        // Whatever survived still balances when it all completes.
-        for id in s.running() {
-            s.complete(id);
-        }
-        prop_assert_eq!(s.ledger().reserved(), Watts::ZERO);
+        prop_assert_eq!(&backfilled[..fifo.len()], &fifo[..]);
+        prop_assert_eq!(backfill.backfilled_count(), backfilled.len() - fifo.len());
     }
 
     /// Backoff schedule: every granted delay is within `[0, cap_s]`, delays

@@ -9,6 +9,7 @@ use crate::agent::Agent;
 use crate::endpoint::EndpointRuntime;
 use crate::platform::{IterationBuffers, JobPlatform};
 use crate::report::{HostReport, JobReport};
+use pmstack_kernel::KernelConfig;
 use pmstack_simhw::{Joules, NodeHealth, Seconds, Watts};
 
 /// Fleets at least this large fan the controller's per-host accumulators
@@ -78,87 +79,38 @@ impl<A: Agent> Controller<A> {
     pub fn run(&mut self, iterations: usize) -> JobReport {
         assert!(iterations > 0, "a run needs at least one iteration");
         let _span = pmstack_obs::span!("runtime.job.secs");
-        self.agent.init(&mut self.platform);
-
-        let n = self.platform.num_hosts();
-        let energy_start = self.platform.host_energy();
-        let mut iteration_times = Vec::with_capacity(iterations);
-        let mut epoch_sums = vec![Seconds::ZERO; n];
-        let mut elapsed = Seconds::ZERO;
         // Steady-state limits are reported as the mean over the last
         // quarter of the run: dynamic agents breathe around their optimum,
         // and the time average is what pre-characterization consumes.
         let tail_start = iterations - (iterations / 4).max(1).min(iterations);
-        let mut tail_limit_sums = vec![Watts::ZERO; n];
-        let mut tail_count = 0usize;
-        let mut bufs = IterationBuffers::new();
-        let mut limits_buf = Vec::with_capacity(n);
-
-        for iter in 0..iterations {
-            self.platform.run_iteration_into(&mut bufs);
-            let outcome = bufs.outcome();
-            elapsed += outcome.elapsed;
-            iteration_times.push(outcome.elapsed);
-            let segment = self.platform.segment_hosts();
-            accumulate_into(&mut epoch_sums, &outcome.host_compute_time, segment);
-            Self::mark_host_trust(&mut self.platform, outcome);
-            self.agent.adjust(&mut self.platform, outcome);
-            if iter >= tail_start {
-                self.platform.host_limits_into(&mut limits_buf);
-                accumulate_into(&mut tail_limit_sums, &limits_buf, segment);
-                tail_count += 1;
-            }
-            if let Some(ep) = &self.endpoint {
-                ep.report_achieved(outcome.total_power());
-            }
-        }
-
-        let energy_end = self.platform.host_energy();
-        let limits: Vec<Watts> = tail_limit_sums
-            .iter()
-            .map(|&s| s / tail_count.max(1) as f64)
-            .collect();
-        let hosts: Vec<HostReport> = (0..n)
-            .map(|h| {
-                let energy = energy_end[h] - energy_start[h];
-                HostReport {
-                    host: h,
-                    eps: self.platform.host_eps(h),
-                    avg_power: if elapsed.value() > 0.0 {
-                        energy / elapsed
-                    } else {
-                        Watts::ZERO
-                    },
-                    energy,
-                    final_limit: limits[h],
-                    mean_epoch: epoch_sums[h] / iterations as f64,
-                }
-            })
-            .collect();
-
-        let flops =
-            self.platform.load().perf().node_flops_per_iteration() * iterations as f64 * n as f64;
-        JobReport {
-            agent: self.agent.name().to_string(),
-            iterations,
-            elapsed,
-            iteration_times,
-            energy: hosts.iter().map(|h| h.energy).sum::<Joules>(),
-            flops,
-            hosts,
-        }
+        self.drive(&[(None, iterations)], tail_start)
     }
 
     /// Run a multi-phase application: each phase rebinds the platform's
     /// workload, notifies the agent (adaptive agents re-open their search),
-    /// and contributes its iterations to one combined report.
+    /// and contributes its iterations to one combined report. Limits are
+    /// reported as the mean over every iteration of every phase.
     pub fn run_phased(&mut self, workload: &pmstack_kernel::PhasedWorkload) -> JobReport {
         assert!(!workload.is_empty(), "a run needs at least one phase");
+        let phases: Vec<_> = workload
+            .phases
+            .iter()
+            .map(|phase| (Some(phase.config), phase.iterations))
+            .collect();
+        self.drive(&phases, 0)
+    }
+
+    /// The loop both runs share. Each phase rebinds the workload when it
+    /// carries a config and, after the first, tells the agent; limits are
+    /// averaged over the iterations from `tail_start` on, counted across
+    /// phases.
+    fn drive(&mut self, phases: &[(Option<KernelConfig>, usize)], tail_start: usize) -> JobReport {
         self.agent.init(&mut self.platform);
 
         let n = self.platform.num_hosts();
+        let total_iters: usize = phases.iter().map(|&(_, iterations)| iterations).sum();
         let energy_start = self.platform.host_energy();
-        let mut iteration_times = Vec::with_capacity(workload.total_iterations());
+        let mut iteration_times = Vec::with_capacity(total_iters);
         let mut epoch_sums = vec![Seconds::ZERO; n];
         let mut elapsed = Seconds::ZERO;
         let mut flops = 0.0;
@@ -166,13 +118,16 @@ impl<A: Agent> Controller<A> {
         let mut limit_count = 0usize;
         let mut bufs = IterationBuffers::new();
         let mut limits_buf = Vec::with_capacity(n);
+        let mut iter = 0usize;
 
-        for (p, phase) in workload.phases.iter().enumerate() {
-            self.platform.set_config(phase.config);
+        for (p, &(config, iterations)) in phases.iter().enumerate() {
+            if let Some(config) = config {
+                self.platform.set_config(config);
+            }
             if p > 0 {
                 self.agent.on_phase_change(&mut self.platform);
             }
-            for _ in 0..phase.iterations {
+            for _ in 0..iterations {
                 self.platform.run_iteration_into(&mut bufs);
                 let outcome = bufs.outcome();
                 elapsed += outcome.elapsed;
@@ -181,20 +136,22 @@ impl<A: Agent> Controller<A> {
                 accumulate_into(&mut epoch_sums, &outcome.host_compute_time, segment);
                 Self::mark_host_trust(&mut self.platform, outcome);
                 self.agent.adjust(&mut self.platform, outcome);
-                self.platform.host_limits_into(&mut limits_buf);
-                accumulate_into(&mut limit_sums, &limits_buf, segment);
-                limit_count += 1;
+                if iter >= tail_start {
+                    self.platform.host_limits_into(&mut limits_buf);
+                    accumulate_into(&mut limit_sums, &limits_buf, segment);
+                    limit_count += 1;
+                }
                 if let Some(ep) = &self.endpoint {
                     ep.report_achieved(outcome.total_power());
                 }
+                iter += 1;
             }
             flops += self.platform.load().perf().node_flops_per_iteration()
-                * phase.iterations as f64
+                * iterations as f64
                 * n as f64;
         }
 
         let energy_end = self.platform.host_energy();
-        let total_iters = workload.total_iterations();
         let hosts: Vec<HostReport> = (0..n)
             .map(|h| {
                 let energy = energy_end[h] - energy_start[h];

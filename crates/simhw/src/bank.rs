@@ -14,10 +14,9 @@
 //!   package (with the enforcement target/τ/enable and the programmed limit
 //!   decoded from it) and the `IA32_PERF_CTL` frequency cap.
 //!   [`NodeBank::set_power_limit`] and [`NodeBank::set_freq_cap`] resolve a
-//!   request entirely in the columns — through
-//!   [`crate::rapl::resolve_pl1_request`] and
-//!   [`crate::node::resolve_freq_cap_request`], the same functions the
-//!   `Node` methods call, so dead-node rejection, glitch consumption,
+//!   request entirely in the columns — through `rapl::resolve_pl1_request`
+//!   and `node::resolve_freq_cap_request`, the same crate-private functions
+//!   the `Node` methods call, so dead-node rejection, glitch consumption,
 //!   stuck-RAPL latching, range clamping and the msr-safe write mask have
 //!   one implementation.
 //! * **cold columns** — id, health, efficiency, the stuck-RAPL latch and,
@@ -34,7 +33,7 @@
 //! sub-plane semantics. Health marks are column-only.
 //!
 //! [`NodeBank::step_all`] replays exactly the arithmetic of
-//! [`RaplPackage::advance`] over the columns — same operand values, same
+//! [`crate::rapl::RaplPackage::advance`] over the columns — same operand values, same
 //! operation order — so a bank-stepped fleet is bit-identical to a fleet
 //! stepped through [`Node::try_step`] (property-tested in
 //! `pmstack-runtime/tests/columnar.rs`). It additionally reports whether the
@@ -600,7 +599,7 @@ impl NodeBank {
     }
 
     /// Program a node-level power limit in the columns. The request is
-    /// resolved by [`resolve_pl1_request`] — the function
+    /// resolved by `resolve_pl1_request` — the function
     /// [`Node::set_power_limit`] calls — against the host's columns, each
     /// package's raw register column is checked against the msr-safe write
     /// mask and updated, and the enforcement inputs are re-decoded from it.
@@ -657,7 +656,7 @@ impl NodeBank {
     }
 
     /// Program or release a frequency cap in the columns, resolved by
-    /// [`resolve_freq_cap_request`] — the function [`Node::set_freq_cap`]
+    /// `resolve_freq_cap_request` — the function [`Node::set_freq_cap`]
     /// calls. `PERF_CTL` is only ever written through this path, so its
     /// current value for the write-mask check follows from the cap column.
     pub fn set_freq_cap(&mut self, h: usize, cap: Option<Hertz>) -> Result<()> {

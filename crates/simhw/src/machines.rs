@@ -4,8 +4,7 @@
 //! architecture, they can be ported to other architectures (Intel and
 //! non-Intel) by leveraging GEOPM's portable plugin infrastructure." The
 //! stack here is machine-generic in the same way: every layer consumes a
-//! [`MachineSpec`](crate::power::MachineSpec), so porting is a matter of
-//! describing the part. This module provides a second, Skylake-SP-class
+//! [`MachineSpec`], so porting is a matter of describing the part. This module provides a second, Skylake-SP-class
 //! description used by the portability tests — wider vectors, more cores,
 //! higher TDP, different variation envelope.
 

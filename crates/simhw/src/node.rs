@@ -232,7 +232,7 @@ impl Node {
     /// `msr-safe` denial; a stuck-RAPL node *silently* latches the pinned
     /// value instead of the requested one and reports success — exactly the
     /// failure that makes read-back verification necessary. All of it is
-    /// decided by [`crate::rapl::resolve_pl1_request`].
+    /// decided by `rapl::resolve_pl1_request`.
     pub fn set_power_limit(&mut self, node_limit: Watts) -> Result<()> {
         let id = self.id.0;
         let write = resolve_pl1_request(&self.pl1_gate(), &mut self.msr_glitch, || id, node_limit)?;
