@@ -21,15 +21,19 @@
 //!   checkpoint-and-preempt the newest jobs, then hold the queue — the
 //!   [`pmstack_rm::PowerLedger`] is never left oversubscribed.
 //!
-//! Everything is event-driven off one seeded queue (`(minute, seq)` keyed),
-//! all randomness is pre-drawn before the clock starts, job state lives in
-//! ordered maps and sets and node state in vectors indexed by node — two
-//! same-seed campaigns are bit-identical, journal and summary included.
-//! A telemetry tick touches only what can change in it: the jobs holding
-//! nodes (accrued in id order), the nodes a fault silenced, and the nodes
-//! drained while alive. Fault injection reuses the `simhw` taxonomy via
-//! [`FaultPlan::chaos`]; deaths are permanent (no repair crew), blackouts
-//! end. Jobs queue under the backfill discipline
+//! Everything is event-driven in one `(minute, seq)` order and all
+//! randomness is pre-drawn before the clock starts, so two same-seed
+//! campaigns are bit-identical, journal and summary included. The periodic
+//! ticks and the pre-drawn faults and arrivals are cursors merged in that
+//! order; only the dynamic events (launch, checkpoint, retry) go through a
+//! heap. Job state lives in a dense table indexed by job id, the held jobs
+//! and repair suspects in ordered sets, and node state in vectors indexed
+//! by node. A telemetry tick touches only what can change in it: the jobs
+//! holding nodes (accrued in id order), the nodes a fault silenced, and
+//! the nodes drained while alive; its scheduling pass is free when nothing
+//! the scheduler depends on changed (see [`pmstack_rm::Scheduler::tick`]).
+//! Fault injection reuses the `simhw` taxonomy via [`FaultPlan::chaos`];
+//! deaths are permanent (no repair crew), blackouts end. Jobs queue under the backfill discipline
 //! ([`pmstack_rm::BackfillScheduler`]).
 
 use crate::facility::{arrival_rate, job_size, poisson, workload_population};
@@ -43,7 +47,8 @@ use pmstack_rm::{
 use pmstack_simhw::{quartz_spec, FaultKind, FaultPlan, LoadModel, NodeId, PowerModel, Watts};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap};
+use std::fmt::{self, Write};
 
 /// Observability: checkpoints written durably to the parallel file system.
 static CHECKPOINTS_SAVED: StaticCounter = StaticCounter::new("facility.checkpoint.saved");
@@ -54,6 +59,8 @@ static CHECKPOINTS_LOST: StaticCounter = StaticCounter::new("facility.checkpoint
 static WASTED_NODE_HOURS: StaticFloatCounter =
     StaticFloatCounter::new("facility.wasted_node_hours");
 
+/// Budget recomputation period, simulated minutes.
+const BUDGET_TICK_MIN: u64 = 60;
 /// Telemetry/heartbeat period, simulated minutes.
 const TELEMETRY_MIN: u64 = 5;
 /// Heartbeat silence after which a node is declared dead.
@@ -239,7 +246,7 @@ struct Shock {
     factor: f64,
 }
 
-/// Discrete-event payloads. Time ordering lives in [`QueuedEvent`].
+/// Discrete-event payloads. Time ordering lives in `Engine::next_event`.
 enum Ev {
     /// Heartbeats, lease expiry, accrual, completion, scheduling.
     Telemetry,
@@ -259,9 +266,10 @@ enum Ev {
     RetryDue(JobId),
 }
 
-/// Heap entry: min-ordered by `(t, seq)`. `seq` is assigned at push, so
-/// same-minute events fire in exactly the order they were scheduled —
-/// deterministic tie-breaking without comparing payloads.
+/// Heap entry of a dynamic event (launch, checkpoint, retry): min-ordered
+/// by `(t, seq)`. `seq` is assigned at push, so same-minute events fire in
+/// exactly the order they were scheduled — deterministic tie-breaking
+/// without comparing payloads.
 struct QueuedEvent {
     t: u64,
     seq: u64,
@@ -284,6 +292,11 @@ impl Ord for QueuedEvent {
         // Reversed: BinaryHeap is a max-heap, we pop the earliest event.
         other.t.cmp(&self.t).then(other.seq.cmp(&self.seq))
     }
+}
+
+/// Index of job `id` in the campaign's job table (ids are dense from 1).
+fn slot(id: JobId) -> usize {
+    (id.0 - 1) as usize
 }
 
 /// Campaign-side control block for one job.
@@ -314,9 +327,13 @@ struct Engine<'a> {
     sched: BackfillScheduler,
     lease: LeaseTable,
     retry: RetryPolicy,
-    jobs: BTreeMap<JobId, JobCtl>,
+    /// Every job submitted; job `id` is at `slot(id)`.
+    jobs: Vec<JobCtl>,
+    /// Sorted by time; `next_arrival` is the next to fire.
     arrivals: Vec<Arrival>,
     shocks: Vec<Shock>,
+    /// Sorted by time, plan order within a minute; `next_fault` is the next
+    /// to fire.
     faults: Vec<(u64, usize, FaultKind)>,
     /// Per node: the fault plan killed it.
     dead: Vec<bool>,
@@ -334,6 +351,11 @@ struct Engine<'a> {
     suspects: BTreeSet<usize>,
     /// Jobs holding nodes (launching, running or checkpointing), ascending.
     held: BTreeSet<JobId>,
+    next_budget: u64,
+    next_telemetry: u64,
+    next_fault: usize,
+    next_arrival: usize,
+    /// The dynamic events; the periodic and pre-drawn ones are cursors.
     heap: BinaryHeap<QueuedEvent>,
     seq: u64,
     hold_queue: bool,
@@ -341,6 +363,8 @@ struct Engine<'a> {
     last_telemetry_min: u64,
     energy_wh: f64,
     journal: Vec<String>,
+    /// Scratch buffer of `Engine::note`.
+    line: String,
     // Tallies.
     completed: usize,
     failed: usize,
@@ -362,13 +386,55 @@ impl Engine<'_> {
         self.heap.push(QueuedEvent { t, seq, ev });
     }
 
-    fn note(&mut self, t: u64, line: String) {
-        self.journal.push(format!("t={t:>6} {line}"));
+    /// Append a journal line, formatted once into a reused buffer and
+    /// stored at its exact length.
+    fn note(&mut self, t: u64, line: fmt::Arguments<'_>) {
+        self.line.clear();
+        write!(self.line, "t={t:>6} {line}").expect("formatting into a String cannot fail");
+        self.journal.push(self.line.as_str().to_owned());
+    }
+
+    /// The next event in `(minute, seq)` order. The periodic and pre-drawn
+    /// streams are merged by cursor, and at a shared minute they fire in
+    /// the order they would have been queued: the budget tick (so the
+    /// budget moves before telemetry schedules against it), then
+    /// telemetry, then faults, then arrivals, then the dynamic events in
+    /// the order they were pushed. The periodic streams never run out; the
+    /// caller stops past the horizon.
+    fn next_event(&mut self) -> (u64, Ev) {
+        let fault_t = self.faults.get(self.next_fault).map_or(u64::MAX, |f| f.0);
+        let arrival_t = self
+            .arrivals
+            .get(self.next_arrival)
+            .map_or(u64::MAX, |a| a.at_min);
+        let dynamic_t = self.heap.peek().map_or(u64::MAX, |q| q.t);
+        let t = self
+            .next_budget
+            .min(self.next_telemetry)
+            .min(fault_t)
+            .min(arrival_t)
+            .min(dynamic_t);
+        if t == self.next_budget {
+            self.next_budget += BUDGET_TICK_MIN;
+            (t, Ev::BudgetTick)
+        } else if t == self.next_telemetry {
+            self.next_telemetry += TELEMETRY_MIN;
+            (t, Ev::Telemetry)
+        } else if t == fault_t {
+            self.next_fault += 1;
+            (t, Ev::Fault(self.next_fault - 1))
+        } else if t == arrival_t {
+            self.next_arrival += 1;
+            (t, Ev::Arrival(self.next_arrival - 1))
+        } else {
+            let QueuedEvent { t, ev, .. } = self.heap.pop().expect("the earliest event is queued");
+            (t, ev)
+        }
     }
 
     /// Recompute a job's draw and speed for its current grant.
     fn apply_grant(&mut self, id: JobId) {
-        let ctl = self.jobs.get_mut(&id).expect("job exists");
+        let ctl = &mut self.jobs[slot(id)];
         let w = &self.workloads[ctl.workload];
         let op = w.load.operating_point(self.model, 1.0, Watts(ctl.grant_w));
         ctl.draw_w = op.power.value();
@@ -404,7 +470,7 @@ impl Engine<'_> {
         let mut busy_draw_w = 0.0;
         let mut finished: Vec<JobId> = Vec::new();
         for &id in &self.held {
-            let ctl = self.jobs.get_mut(&id).expect("held job exists");
+            let ctl = &mut self.jobs[slot(id)];
             if ctl.life.state() == LifecycleState::Running {
                 ctl.life.accrue(ctl.speed * dt_h);
                 if ctl.life.remaining_h() < 1e-9 {
@@ -422,7 +488,7 @@ impl Engine<'_> {
             * dt_h;
 
         for id in finished {
-            let ctl = self.jobs.get_mut(&id).expect("finished job exists");
+            let ctl = &mut self.jobs[slot(id)];
             ctl.life.complete();
             ctl.epoch += 1;
             let (nodes, work_h) = (ctl.nodes, ctl.life.work_h());
@@ -430,7 +496,7 @@ impl Engine<'_> {
             self.sched.complete(id);
             self.completed += 1;
             self.goodput_node_h += work_h * nodes as f64;
-            self.note(t, format!("complete {id} work={work_h:.2}h"));
+            self.note(t, format_args!("complete {id} work={work_h:.2}h"));
         }
 
         // Heartbeats from every leased node that is alive and not blacked
@@ -457,7 +523,7 @@ impl Engine<'_> {
             );
             self.note(
                 t,
-                format!(
+                format_args!(
                     "lease-expired node={} ({})",
                     node.0,
                     if alive { "blackout" } else { "dead" }
@@ -483,7 +549,7 @@ impl Engine<'_> {
             self.drained[node] = false;
             self.sched.restore_node(NodeId(node));
             self.lease.track(NodeId(node), t);
-            self.note(t, format!("restore node={node} (telemetry resumed)"));
+            self.note(t, format_args!("restore node={node} (telemetry resumed)"));
         }
 
         // Start whatever fits, unless a shock is holding the queue.
@@ -496,7 +562,7 @@ impl Engine<'_> {
     fn start_jobs(&mut self, t: u64) {
         for ev in self.sched.tick() {
             if let SchedulerEvent::Started { job, nodes, power } = ev {
-                let ctl = self.jobs.get_mut(&job).expect("started job exists");
+                let ctl = &mut self.jobs[slot(job)];
                 ctl.life.launch();
                 self.held.insert(job);
                 ctl.nodes = nodes.len();
@@ -510,7 +576,7 @@ impl Engine<'_> {
                 }
                 self.apply_grant(job);
                 self.push(t + LAUNCH_LATENCY_MIN, Ev::LaunchDone(job, epoch));
-                self.note(t, format!("launch {job} attempt={attempt}"));
+                self.note(t, format_args!("launch {job} attempt={attempt}"));
             }
         }
     }
@@ -518,7 +584,7 @@ impl Engine<'_> {
     /// A job lost its nodes to a kill: roll back to the checkpoint, count
     /// the waste, and either schedule the retry or fail it terminally.
     fn kill(&mut self, t: u64, id: JobId) {
-        let ctl = self.jobs.get_mut(&id).expect("killed job exists");
+        let ctl = &mut self.jobs[slot(id)];
         if ctl.life.state() == LifecycleState::Checkpointing {
             CHECKPOINTS_LOST.inc();
         }
@@ -530,17 +596,13 @@ impl Engine<'_> {
         WASTED_NODE_HOURS.add(wasted_node_h);
         match self.retry.delay_for(attempts) {
             Some(delay_s) => {
-                self.jobs
-                    .get_mut(&id)
-                    .expect("killed job exists")
-                    .life
-                    .requeue();
+                self.jobs[slot(id)].life.requeue();
                 self.requeues += 1;
                 let delay_min = ((delay_s / 60.0).ceil() as u64).max(1);
                 self.push(t + delay_min, Ev::RetryDue(id));
                 self.note(
                     t,
-                    format!(
+                    format_args!(
                         "kill {id} attempt={attempts} wasted={wasted_node_h:.2}nh retry+{delay_min}m"
                     ),
                 );
@@ -549,7 +611,9 @@ impl Engine<'_> {
                 self.failed += 1;
                 self.note(
                     t,
-                    format!("kill {id} attempt={attempts} wasted={wasted_node_h:.2}nh TERMINAL"),
+                    format_args!(
+                        "kill {id} attempt={attempts} wasted={wasted_node_h:.2}nh TERMINAL"
+                    ),
                 );
             }
         }
@@ -563,7 +627,7 @@ impl Engine<'_> {
             pmstack_obs::event(t as f64 * 60.0, EventKind::BudgetShock { budget_w });
             self.note(
                 t,
-                format!("budget {budget_w:.0}W (shock x{shock_factor:.2})"),
+                format_args!("budget {budget_w:.0}W (shock x{shock_factor:.2})"),
             );
             self.last_budget_factor = shock_factor;
         }
@@ -580,7 +644,7 @@ impl Engine<'_> {
                 if over <= 1e-9 {
                     break;
                 }
-                let ctl = &self.jobs[&id];
+                let ctl = &self.jobs[slot(id)];
                 let floor =
                     profile(self.policy, &self.workloads[ctl.workload], self.share_w).floor_w;
                 let slack_w = (ctl.grant_w - floor) * ctl.nodes as f64;
@@ -591,45 +655,45 @@ impl Engine<'_> {
                 // `reclaim`, not `reserve`: shrinking through admission
                 // control would be refused while the ledger is over budget.
                 let reclaimed = self.sched.ledger_mut().reclaim(id, Watts(cut_w)).value();
-                let ctl = self.jobs.get_mut(&id).expect("held job exists");
+                let ctl = &mut self.jobs[slot(id)];
                 ctl.grant_w -= reclaimed / ctl.nodes as f64;
                 over -= reclaimed;
                 self.apply_grant(id);
-                self.note(t, format!("tighten {id} -{reclaimed:.0}W"));
+                self.note(t, format_args!("tighten {id} -{reclaimed:.0}W"));
             }
             // 2. Checkpoint-and-preempt the newest jobs until it fits.
             while over > 1e-9 {
                 let Some(victim) = self.held.pop_last() else {
                     break;
                 };
-                let ctl = self.jobs.get_mut(&victim).expect("victim exists");
+                let ctl = &mut self.jobs[slot(victim)];
                 ctl.life.preempt();
                 ctl.epoch += 1;
                 self.preemptions += 1;
                 if let SchedulerEvent::Preempted { power, .. } = self.sched.preempt(victim) {
                     over -= power.value();
                 }
-                self.note(t, format!("preempt {victim}"));
+                self.note(t, format_args!("preempt {victim}"));
                 // 3. Preemption means demand exceeds the shocked budget:
                 // hold the queue until the ledger clears comfortably.
                 self.hold_queue = true;
             }
         } else if self.hold_queue && self.sched.ledger().reserved().value() <= 0.95 * budget_w {
             self.hold_queue = false;
-            self.note(t, "release queue hold".to_string());
+            self.note(t, format_args!("release queue hold"));
         }
 
         // Relax tightened grants back toward their reservations, oldest
         // jobs first, as far as the recovered budget admits.
         if over <= 1e-9 {
             for id in self.held_jobs() {
-                let ctl = &self.jobs[&id];
+                let ctl = &self.jobs[slot(id)];
                 let reserve =
                     profile(self.policy, &self.workloads[ctl.workload], self.share_w).reserve_w;
                 if ctl.grant_w < reserve - 1e-9 {
                     let want = Watts(reserve * ctl.nodes as f64);
                     if self.sched.rebudget(id, want).is_ok() {
-                        let ctl = self.jobs.get_mut(&id).expect("held job exists");
+                        let ctl = &mut self.jobs[slot(id)];
                         ctl.grant_w = reserve;
                         self.apply_grant(id);
                     }
@@ -654,7 +718,8 @@ impl Engine<'_> {
         for node in 0..self.params.nodes {
             self.lease.track(NodeId(node), 0);
         }
-        while let Some(QueuedEvent { t, ev, .. }) = self.heap.pop() {
+        loop {
+            let (t, ev) = self.next_event();
             if t > end {
                 break;
             }
@@ -668,21 +733,22 @@ impl Engine<'_> {
                         profile(self.policy, &self.workloads[workload], self.share_w).reserve_w;
                     let spec = JobSpec::new("campaign", nodes).with_power_hint(Watts(reserve));
                     let id = self.sched.submit(spec);
-                    self.jobs.insert(
-                        id,
-                        JobCtl {
-                            life: JobLifecycle::new(work_h),
-                            workload,
-                            epoch: 0,
-                            submit_min: t,
-                            started: false,
-                            nodes,
-                            grant_w: reserve,
-                            draw_w: 0.0,
-                            speed: 0.0,
-                        },
+                    assert_eq!(slot(id), self.jobs.len(), "job ids are dense from 1");
+                    self.jobs.push(JobCtl {
+                        life: JobLifecycle::new(work_h),
+                        workload,
+                        epoch: 0,
+                        submit_min: t,
+                        started: false,
+                        nodes,
+                        grant_w: reserve,
+                        draw_w: 0.0,
+                        speed: 0.0,
+                    });
+                    self.note(
+                        t,
+                        format_args!("submit {id} nodes={nodes} work={work_h:.2}h"),
                     );
-                    self.note(t, format!("submit {id} nodes={nodes} work={work_h:.2}h"));
                 }
                 Ev::Fault(i) => {
                     let (_, host, kind) = self.faults[i];
@@ -691,13 +757,13 @@ impl Engine<'_> {
                             self.dead[host] = true;
                             self.suspects.remove(&host);
                             self.silent.push(NodeId(host));
-                            self.note(t, format!("fault death node={host}"));
+                            self.note(t, format_args!("fault death node={host}"));
                         }
                         FaultKind::TelemetryDropout { iterations } => {
                             let until = &mut self.blackout_until[host];
                             *until = (*until).max(t + iterations as u64);
                             self.silent.push(NodeId(host));
-                            self.note(t, format!("fault blackout node={host} {iterations}m"));
+                            self.note(t, format_args!("fault blackout node={host} {iterations}m"));
                         }
                         // The chaos plan only emits deaths and dropouts;
                         // RAPL/MSR faults live below this layer.
@@ -705,21 +771,21 @@ impl Engine<'_> {
                     }
                 }
                 Ev::LaunchDone(id, epoch) => {
-                    let ctl = self.jobs.get_mut(&id).expect("job exists");
+                    let ctl = &mut self.jobs[slot(id)];
                     if ctl.epoch == epoch && ctl.life.state() == LifecycleState::Launching {
                         ctl.life.run();
                         self.push(t + CHECKPOINT_INTERVAL_MIN, Ev::CheckpointDue(id, epoch));
                     }
                 }
                 Ev::CheckpointDue(id, epoch) => {
-                    let ctl = self.jobs.get_mut(&id).expect("job exists");
+                    let ctl = &mut self.jobs[slot(id)];
                     if ctl.epoch == epoch && ctl.life.state() == LifecycleState::Running {
                         ctl.life.checkpoint_begin();
                         self.push(t + CHECKPOINT_WRITE_MIN, Ev::CheckpointDone(id, epoch));
                     }
                 }
                 Ev::CheckpointDone(id, epoch) => {
-                    let ctl = self.jobs.get_mut(&id).expect("job exists");
+                    let ctl = &mut self.jobs[slot(id)];
                     if ctl.epoch == epoch && ctl.life.state() == LifecycleState::Checkpointing {
                         ctl.life.checkpoint_end();
                         let progress = ctl.life.checkpointed_h();
@@ -732,14 +798,14 @@ impl Engine<'_> {
                                 progress_h: progress,
                             },
                         );
-                        self.note(t, format!("checkpoint {id} progress={progress:.2}h"));
+                        self.note(t, format_args!("checkpoint {id} progress={progress:.2}h"));
                         self.push(t + CHECKPOINT_INTERVAL_MIN, Ev::CheckpointDue(id, epoch));
                     }
                 }
                 Ev::RetryDue(id) => {
-                    if self.jobs[&id].life.state() == LifecycleState::Requeued {
+                    if self.jobs[slot(id)].life.state() == LifecycleState::Requeued {
                         self.sched.enqueue(id);
-                        self.note(t, format!("retry {id} queued"));
+                        self.note(t, format_args!("retry {id} queued"));
                     }
                 }
             }
@@ -809,11 +875,12 @@ fn simulate_cell(
     }
 
     let plan = FaultPlan::chaos(params.seed, params.nodes, params.horizon_min(), chaos);
-    let faults: Vec<(u64, usize, FaultKind)> = plan
+    let mut faults: Vec<(u64, usize, FaultKind)> = plan
         .events()
         .iter()
         .map(|e| (e.at_iteration, e.host, e.kind))
         .collect();
+    faults.sort_by_key(|f| f.0);
 
     let mut engine = Engine {
         params,
@@ -825,7 +892,7 @@ fn simulate_cell(
         sched,
         lease: LeaseTable::new(LEASE_TIMEOUT_MIN),
         retry: RetryPolicy::default(),
-        jobs: BTreeMap::new(),
+        jobs: Vec::new(),
         arrivals,
         shocks,
         faults,
@@ -835,6 +902,10 @@ fn simulate_cell(
         silent: Vec::new(),
         suspects: BTreeSet::new(),
         held: BTreeSet::new(),
+        next_budget: 0,
+        next_telemetry: TELEMETRY_MIN,
+        next_fault: 0,
+        next_arrival: 0,
         heap: BinaryHeap::new(),
         seq: 0,
         hold_queue: false,
@@ -842,6 +913,7 @@ fn simulate_cell(
         last_telemetry_min: 0,
         energy_wh: 0.0,
         journal: Vec::new(),
+        line: String::new(),
         completed: 0,
         failed: 0,
         requeues: 0,
@@ -858,25 +930,6 @@ fn simulate_cell(
         .sched
         .ledger_mut()
         .set_system_budget(Watts(base_budget_w));
-
-    // Pre-schedule the periodic and pre-drawn events. Budget ticks are
-    // pushed first so that at any shared minute the budget moves before
-    // telemetry schedules against it.
-    let horizon = params.horizon_min();
-    for t in (0..=horizon).step_by(60) {
-        engine.push(t, Ev::BudgetTick);
-    }
-    for t in (TELEMETRY_MIN..=horizon).step_by(TELEMETRY_MIN as usize) {
-        engine.push(t, Ev::Telemetry);
-    }
-    for i in 0..engine.faults.len() {
-        let t = engine.faults[i].0;
-        engine.push(t, Ev::Fault(i));
-    }
-    for i in 0..engine.arrivals.len() {
-        let t = engine.arrivals[i].at_min;
-        engine.push(t, Ev::Arrival(i));
-    }
 
     engine.run();
 

@@ -12,7 +12,6 @@
 //! other path, node failure and requeue included, is the one
 //! [`Scheduler`].
 
-use crate::job::JobId;
 use crate::scheduler::{Discipline, Scheduler, SchedulerEvent};
 use pmstack_obs::EventKind;
 
@@ -31,29 +30,21 @@ pub struct Backfill {
 impl Discipline for Backfill {
     fn start(s: &mut Scheduler<Self>) -> Vec<SchedulerEvent> {
         let mut events = Vec::new();
-        loop {
-            let mut started_any = false;
-            let ids: Vec<JobId> = s.queue.iter().copied().collect();
-            for (pos, id) in ids.iter().enumerate() {
-                let Some(ev) = s.try_start(*id) else {
-                    // Head-of-queue blocked: later jobs may still backfill,
-                    // so keep scanning.
-                    continue;
-                };
-                s.queue.retain(|q| q != id);
-                if pos > 0 {
-                    s.discipline.backfilled += 1;
-                    JOBS_BACKFILLED.inc();
-                    pmstack_obs::event(f64::NAN, EventKind::JobBackfilled { job: id.0 });
-                }
-                events.push(ev);
-                started_any = true;
-                break; // restart the scan: positions shifted
+        // Scan from the head; a blocked job does not stop the scan, since
+        // later jobs may still backfill. After each start the scan restarts
+        // at the head, so it ends only on a pass that starts nothing.
+        while let Some((pos, ev)) =
+            (0..s.queue.len()).find_map(|pos| s.try_start(s.queue[pos]).map(|ev| (pos, ev)))
+        {
+            let id = s.queue.remove(pos).expect("the scan found it");
+            if pos > 0 {
+                s.discipline.backfilled += 1;
+                JOBS_BACKFILLED.inc();
+                pmstack_obs::event(f64::NAN, EventKind::JobBackfilled { job: id.0 });
             }
-            if !started_any {
-                return events;
-            }
+            events.push(ev);
         }
+        events
     }
 }
 

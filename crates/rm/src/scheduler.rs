@@ -15,13 +15,32 @@
 //! its power reservation waits even if nodes are free — power is a
 //! first-class schedulable resource here, which is the RM-side behaviour
 //! the paper's system-level policies presume.
+//!
+//! # A settled scheduler answers without a scan
+//!
+//! Both disciplines run the start pass to a fixpoint: when
+//! [`Scheduler::tick`] returns, no queued job fits the pool and the ledger
+//! as they stand. Whether a queued job fits depends only on the queue, the
+//! pool and the ledger, so a tick with none of the three changed since the
+//! last scan would start nothing. The scheduler keeps one flag,
+//! `unsettled`, that every `&mut self` method but `tick` sets — and
+//! [`Scheduler::ledger_mut`] too, since it hands out the ledger — and that
+//! a scan clears; a tick with the flag clear returns no events at once
+//! (`rm.scheduler.ticks_settled` counts those).
+//!
+//! # Dense tables
+//!
+//! Job ids are dense from 1, so the job table is a `Vec` and job `id` sits
+//! at `id − 1`. Beside the pool, a node → owner column names the running
+//! job holding each node, so draining a dead node finds its job by index
+//! instead of scanning every job ever submitted.
 
 use crate::budget::{OverCommit, PowerLedger};
 use crate::job::{Job, JobId, JobSpec, JobState};
 use crate::pool::NodePool;
 use pmstack_obs::{EventKind, StaticCounter};
 use pmstack_simhw::{NodeId, Watts};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Observability: jobs submitted, under either discipline.
 static JOBS_SUBMITTED: StaticCounter = StaticCounter::new("rm.jobs.submitted");
@@ -35,6 +54,9 @@ static NODES_DRAINED: StaticCounter = StaticCounter::new("rm.nodes.drained");
 static JOBS_REQUEUED: StaticCounter = StaticCounter::new("rm.jobs.requeued");
 /// Observability: running jobs checkpointed and evicted by a budget shock.
 static JOBS_PREEMPTED: StaticCounter = StaticCounter::new("rm.jobs.preempted");
+/// Observability: ticks answered without a scan (nothing changed since the
+/// last one reached its fixpoint).
+static TICKS_SETTLED: StaticCounter = StaticCounter::new("rm.scheduler.ticks_settled");
 
 /// A scheduling decision notification.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,7 +125,8 @@ mod sealed {
 /// [`crate::backfill::Backfill`] are the two.
 pub trait Discipline: sealed::Sealed + Default {
     /// Start every queued job the discipline admits right now, returning
-    /// the start events in start order.
+    /// the start events in start order. Runs to a fixpoint: afterwards no
+    /// queued job the discipline would consider fits.
     fn start(s: &mut Scheduler<Self>) -> Vec<SchedulerEvent>;
 }
 
@@ -129,16 +152,26 @@ impl Discipline for Fifo {
 /// The strict-FIFO scheduler.
 pub type FifoScheduler = Scheduler<Fifo>;
 
+/// Index of job `id` in the job table (ids are dense from 1).
+fn slot(id: JobId) -> Option<usize> {
+    usize::try_from(id.0.checked_sub(1)?).ok()
+}
+
 /// A scheduler over a node pool and power ledger; `D` picks which queued
 /// jobs start on a tick.
 #[derive(Debug)]
 pub struct Scheduler<D> {
     pool: NodePool,
+    /// Per node id: the running job holding it.
+    owner: Vec<Option<JobId>>,
     ledger: PowerLedger,
     pub(crate) queue: VecDeque<JobId>,
-    jobs: HashMap<JobId, Job>,
-    next_id: u64,
+    /// Every job ever submitted; job `id` is at `id − 1`.
+    jobs: Vec<Job>,
     default_per_node: Watts,
+    /// Something a queued job's fit depends on may have changed since the
+    /// last scan (see the module docs).
+    unsettled: bool,
     pub(crate) discipline: D,
 }
 
@@ -147,34 +180,46 @@ impl<D: Discipline> Scheduler<D> {
     /// for jobs without a power hint (typically node TDP).
     pub fn new(pool: NodePool, ledger: PowerLedger, default_per_node: Watts) -> Self {
         Self {
+            owner: vec![None; pool.id_bound()],
             pool,
             ledger,
             queue: VecDeque::new(),
-            jobs: HashMap::new(),
-            next_id: 1,
+            jobs: Vec::new(),
             default_per_node,
+            unsettled: false,
             discipline: D::default(),
         }
     }
 
     /// Submit a job to the back of the queue; returns its id.
     pub fn submit(&mut self, spec: JobSpec) -> JobId {
+        self.unsettled = true;
         JOBS_SUBMITTED.inc();
-        let id = JobId(self.next_id);
-        self.next_id += 1;
-        self.jobs.insert(id, Job::pending(id, spec));
+        let id = JobId(self.jobs.len() as u64 + 1);
+        self.jobs.push(Job::pending(id, spec));
         self.queue.push_back(id);
         id
     }
 
-    /// Start the queued jobs the discipline admits now.
+    /// Start the queued jobs the discipline admits now. Returns nothing
+    /// without a scan when nothing has changed since the last one.
     pub fn tick(&mut self) -> Vec<SchedulerEvent> {
-        D::start(self)
+        if !self.unsettled {
+            TICKS_SETTLED.inc();
+            return Vec::new();
+        }
+        let events = D::start(self);
+        self.unsettled = false;
+        events
+    }
+
+    fn job_mut(&mut self, id: JobId) -> Option<&mut Job> {
+        self.jobs.get_mut(slot(id)?)
     }
 
     /// Node count and total power a queued job would need to start.
     fn demand(&self, id: JobId) -> (usize, Watts) {
-        let job = &self.jobs[&id];
+        let job = self.job(id).expect("queued job exists");
         let per_node = job
             .spec
             .power_hint_per_node
@@ -197,7 +242,10 @@ impl<D: Discipline> Scheduler<D> {
             .pool
             .allocate(nodes_needed)
             .expect("availability checked above");
-        let job = self.jobs.get_mut(&id).expect("queued job exists");
+        for n in &nodes {
+            self.owner[n.0] = Some(id);
+        }
+        let job = self.job_mut(id).expect("queued job exists");
         job.start(nodes.clone());
         job.power_budget = Some(power);
         JOBS_STARTED.inc();
@@ -218,8 +266,10 @@ impl<D: Discipline> Scheduler<D> {
 
     /// Mark a running job finished, returning its nodes and power.
     pub fn complete(&mut self, id: JobId) -> SchedulerEvent {
-        let job = self.jobs.get_mut(&id).expect("completing unknown job");
+        self.unsettled = true;
+        let job = self.job_mut(id).expect("completing unknown job");
         let nodes = job.complete();
+        self.disown(&nodes);
         self.pool.release(nodes);
         self.ledger.release(id);
         JOBS_COMPLETED.inc();
@@ -235,6 +285,7 @@ impl<D: Discipline> Scheduler<D> {
     /// Unknown or already-drained nodes produce no events — failure reports
     /// can race, and handling one twice must be harmless.
     pub fn fail_node(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
+        self.unsettled = true;
         let Some(owner) = self.drain(node) else {
             return Vec::new();
         };
@@ -243,7 +294,7 @@ impl<D: Discipline> Scheduler<D> {
             self.emit_drained(node, Watts::ZERO);
             return events;
         };
-        let job = self.jobs.get_mut(&id).expect("owner exists");
+        let job = self.job_mut(id).expect("owner exists");
         let held_nodes = job.nodes.len();
         job.lose_node(node);
         if job.nodes.is_empty() {
@@ -261,8 +312,9 @@ impl<D: Discipline> Scheduler<D> {
                 .map(|w| w / held_nodes as f64)
                 .unwrap_or(Watts::ZERO);
             let reclaimed = self.ledger.reclaim(id, share);
-            let job = self.jobs.get_mut(&id).expect("owner exists");
-            job.power_budget = self.ledger.reservation(id);
+            let power_budget = self.ledger.reservation(id);
+            let job = self.job_mut(id).expect("owner exists");
+            job.power_budget = power_budget;
             let remaining = job.nodes.len();
             self.emit_drained(node, reclaimed);
             pmstack_obs::event(
@@ -291,6 +343,7 @@ impl<D: Discipline> Scheduler<D> {
     /// campaign's path; the coordinator's degrade-in-place path is
     /// [`Scheduler::fail_node`].
     pub fn fail_node_requeue(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
+        self.unsettled = true;
         let Some(owner) = self.drain(node) else {
             return Vec::new();
         };
@@ -308,19 +361,20 @@ impl<D: Discipline> Scheduler<D> {
 
     /// Drain `node` from the pool. Returns `None` if the pool does not
     /// manage it (failure reports can race; handling one twice must be
-    /// harmless), otherwise `Some(owner)`.
+    /// harmless), otherwise `Some(owner)`; the owner no longer owns it.
     fn drain(&mut self, node: NodeId) -> Option<Option<JobId>> {
-        if !self.pool.manages(node) {
+        if !self.pool.remove(node) {
             return None;
         }
-        self.pool.remove(node);
         NODES_DRAINED.inc();
-        let owner = self
-            .jobs
-            .values()
-            .find(|j| j.state == JobState::Running && j.nodes.contains(&node))
-            .map(|j| j.id);
-        Some(owner)
+        Some(self.owner[node.0].take())
+    }
+
+    /// Clear the owner column for nodes a job gave back.
+    fn disown(&mut self, nodes: &[NodeId]) {
+        for n in nodes {
+            self.owner[n.0] = None;
+        }
     }
 
     fn emit_drained(&self, node: NodeId, reclaimed: Watts) {
@@ -338,10 +392,12 @@ impl<D: Discipline> Scheduler<D> {
     /// *not* queued — the caller decides when it becomes eligible again
     /// (backoff), via [`Scheduler::enqueue`].
     pub fn withdraw(&mut self, id: JobId) -> SchedulerEvent {
-        let job = self.jobs.get_mut(&id).expect("withdrawing unknown job");
+        self.unsettled = true;
         let power = self.ledger.reservation(id).unwrap_or(Watts::ZERO);
+        let job = self.job_mut(id).expect("withdrawing unknown job");
         let nodes = job.requeue();
         let released = nodes.len();
+        self.disown(&nodes);
         self.pool.release(nodes);
         self.ledger.release(id);
         self.queue.retain(|q| *q != id);
@@ -364,7 +420,8 @@ impl<D: Discipline> Scheduler<D> {
     /// Re-queue a pending, withdrawn job (its backoff elapsed). Back of
     /// the queue: a restarting job does not outrank patient arrivals.
     pub fn enqueue(&mut self, id: JobId) {
-        let job = &self.jobs[&id];
+        self.unsettled = true;
+        let job = self.job(id).expect("enqueueing unknown job");
         assert_eq!(job.state, JobState::Pending, "only pending jobs enqueue");
         assert!(!self.queue.contains(&id), "job already queued");
         self.queue.push_back(id);
@@ -375,9 +432,11 @@ impl<D: Discipline> Scheduler<D> {
     /// queue immediately — at the *front*, since it already held a grant
     /// and should resume as soon as the budget recovers.
     pub fn preempt(&mut self, id: JobId) -> SchedulerEvent {
-        let job = self.jobs.get_mut(&id).expect("preempting unknown job");
+        self.unsettled = true;
         let power = self.ledger.reservation(id).unwrap_or(Watts::ZERO);
+        let job = self.job_mut(id).expect("preempting unknown job");
         let nodes = job.requeue();
+        self.disown(&nodes);
         self.pool.release(nodes);
         self.ledger.release(id);
         self.queue.push_front(id);
@@ -396,37 +455,37 @@ impl<D: Discipline> Scheduler<D> {
     /// its cap under a moving budget). Fails like any reservation when the
     /// ledger cannot fit it; on success the job's recorded budget follows.
     pub fn rebudget(&mut self, id: JobId, power: Watts) -> Result<(), OverCommit> {
+        self.unsettled = true;
         assert_eq!(
-            self.jobs[&id].state,
+            self.job(id).expect("rebudgeting unknown job").state,
             JobState::Running,
             "rebudget targets running jobs"
         );
         self.ledger.reserve(id, power)?;
-        self.jobs.get_mut(&id).expect("job exists").power_budget = Some(power);
+        self.job_mut(id).expect("job exists").power_budget = Some(power);
         Ok(())
     }
 
     /// Return a drained node to service (lease false-positive repair);
-    /// `false` (no-op) if it is already in service.
+    /// `false` (no-op) if it is not drained: already in service, or never
+    /// part of the pool.
     pub fn restore_node(&mut self, id: NodeId) -> bool {
+        self.unsettled = true;
         self.pool.restore(id)
     }
 
-    /// Look up a job.
+    /// Look up a job; `None` for an id this scheduler never assigned.
     pub fn job(&self, id: JobId) -> Option<&Job> {
-        self.jobs.get(&id)
+        self.jobs.get(slot(id)?)
     }
 
     /// All jobs currently running, ascending id.
     pub fn running(&self) -> Vec<JobId> {
-        let mut ids: Vec<JobId> = self
-            .jobs
-            .values()
+        self.jobs
+            .iter()
             .filter(|j| j.state == JobState::Running)
             .map(|j| j.id)
-            .collect();
-        ids.sort();
-        ids
+            .collect()
     }
 
     /// The power ledger (for the policy layer to rebalance grants).
@@ -434,8 +493,11 @@ impl<D: Discipline> Scheduler<D> {
         &self.ledger
     }
 
-    /// Mutable ledger access for the policy layer.
+    /// Mutable ledger access for the policy layer. Unsettles the
+    /// scheduler: whatever the caller does to the ledger may let a queued
+    /// job start.
     pub fn ledger_mut(&mut self) -> &mut PowerLedger {
+        self.unsettled = true;
         &mut self.ledger
     }
 
@@ -641,6 +703,40 @@ mod tests {
         assert!(matches!(&events[0], SchedulerEvent::Started { job, .. } if *job == a));
         assert_eq!(s.job(waiting).unwrap().state, JobState::Pending);
         let _ = b;
+    }
+
+    #[test]
+    fn restore_node_never_invents_a_node() {
+        let mut s = scheduler(2, 1e6);
+        assert!(!s.restore_node(NodeId(7)));
+        assert_eq!(s.total_nodes(), 2);
+        let wide = s.submit(JobSpec::new("wide", 3));
+        assert!(s.tick().is_empty(), "two nodes cannot run a 3-node job");
+        assert_eq!(s.job(wide).unwrap().state, JobState::Pending);
+    }
+
+    #[test]
+    fn unknown_ids_have_no_job() {
+        let mut s = scheduler(2, 1e6);
+        let a = s.submit(JobSpec::new("a", 1));
+        assert_eq!(a, JobId(1));
+        assert!(s.job(JobId(0)).is_none());
+        assert!(s.job(JobId(2)).is_none());
+        assert!(s.job(JobId(u64::MAX)).is_none());
+        assert_eq!(s.job(a).unwrap().id, a);
+    }
+
+    #[test]
+    fn a_settled_tick_skips_the_scan_until_something_changes() {
+        let mut s = scheduler(4, 500.0);
+        s.submit(JobSpec::new("big", 3));
+        assert!(s.tick().is_empty(), "720 W does not fit 500 W");
+        assert!(!s.unsettled, "a scan settles the scheduler");
+        assert!(s.tick().is_empty());
+        // A budget raise through the ledger handle must unsettle it.
+        s.ledger_mut().set_system_budget(Watts(1000.0));
+        assert!(s.unsettled);
+        assert_eq!(s.tick().len(), 1);
     }
 
     #[test]

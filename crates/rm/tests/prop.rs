@@ -1,12 +1,12 @@
 //! Property-based tests of resource-manager conservation invariants.
 
 use pmstack_rm::{
-    Backfill, Discipline, Fifo, JobSpec, LeaseTable, NodePool, PowerLedger, RetryPolicy, Scheduler,
-    SchedulerEvent,
+    Backfill, Discipline, Fifo, Job, JobId, JobSpec, JobState, LeaseTable, NodePool, OverCommit,
+    PowerLedger, RetryPolicy, Scheduler, SchedulerEvent,
 };
 use pmstack_simhw::{NodeId, Watts};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 /// One operation on a lease table. Pool indices pick from a set of sparse
 /// ids; `back` is how many ticks behind the clock the operation's time is,
@@ -540,6 +540,552 @@ proptest! {
             for n in ids.iter().map(|&n| NodeId(n)).chain([NodeId(4100)]) {
                 let want = model.get(&n).map(|t| clock.saturating_sub(*t));
                 prop_assert_eq!(table.staleness(n, clock), want, "{} after {:?}", n, op);
+            }
+        }
+    }
+}
+
+// --------------------------------------------------------------------
+// Oracles: the ordered-set pool and the always-scan scheduler the dense
+// ones replaced, kept here only as models.
+// --------------------------------------------------------------------
+
+/// The node pool as ordered sets. `drained` makes `restore` return only
+/// nodes `remove` took out.
+#[derive(Debug, Clone)]
+struct ModelPool {
+    free: BTreeSet<NodeId>,
+    managed: BTreeSet<NodeId>,
+    drained: BTreeSet<NodeId>,
+}
+
+impl ModelPool {
+    fn from_nodes(nodes: impl IntoIterator<Item = NodeId>) -> Self {
+        let managed: BTreeSet<NodeId> = nodes.into_iter().collect();
+        Self {
+            free: managed.clone(),
+            managed,
+            drained: BTreeSet::new(),
+        }
+    }
+
+    fn allocate(&mut self, n: usize) -> Option<Vec<NodeId>> {
+        if self.free.len() < n {
+            return None;
+        }
+        self.allocate_in(n, NodeId(0), NodeId(usize::MAX))
+    }
+
+    fn allocate_in(&mut self, n: usize, lo: NodeId, hi: NodeId) -> Option<Vec<NodeId>> {
+        let grant: Vec<NodeId> = self.free.range(lo..hi).take(n).copied().collect();
+        if grant.len() < n {
+            return None;
+        }
+        for id in &grant {
+            self.free.remove(id);
+        }
+        Some(grant)
+    }
+
+    fn available_in(&self, lo: NodeId, hi: NodeId) -> usize {
+        self.free.range(lo..hi).count()
+    }
+
+    fn release(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
+        for id in nodes {
+            if self.managed.contains(&id) {
+                self.free.insert(id);
+            }
+        }
+    }
+
+    fn remove(&mut self, id: NodeId) -> bool {
+        self.free.remove(&id);
+        let removed = self.managed.remove(&id);
+        if removed {
+            self.drained.insert(id);
+        }
+        removed
+    }
+
+    fn restore(&mut self, id: NodeId) -> bool {
+        if !self.drained.remove(&id) {
+            return false;
+        }
+        self.managed.insert(id);
+        self.free.insert(id);
+        true
+    }
+}
+
+/// The scheduler whose every tick scans the queue and whose drain scans
+/// every job; `backfill` picks the discipline.
+struct ModelScheduler {
+    backfill: bool,
+    pool: ModelPool,
+    ledger: PowerLedger,
+    queue: VecDeque<JobId>,
+    jobs: BTreeMap<JobId, Job>,
+    default_per_node: Watts,
+}
+
+impl ModelScheduler {
+    fn new(backfill: bool, pool_size: usize, ledger: PowerLedger, default_per_node: Watts) -> Self {
+        Self {
+            backfill,
+            pool: ModelPool::from_nodes((0..pool_size).map(NodeId)),
+            ledger,
+            queue: VecDeque::new(),
+            jobs: BTreeMap::new(),
+            default_per_node,
+        }
+    }
+
+    fn submit(&mut self, spec: JobSpec) -> JobId {
+        let id = JobId(self.jobs.len() as u64 + 1);
+        self.jobs.insert(id, Job::pending(id, spec));
+        self.queue.push_back(id);
+        id
+    }
+
+    fn tick(&mut self) -> Vec<SchedulerEvent> {
+        let mut events = Vec::new();
+        if !self.backfill {
+            while let Some(&head) = self.queue.front() {
+                let Some(ev) = self.try_start(head) else {
+                    break;
+                };
+                self.queue.pop_front();
+                events.push(ev);
+            }
+            return events;
+        }
+        loop {
+            let ids: Vec<JobId> = self.queue.iter().copied().collect();
+            let Some(ev) = ids.iter().find_map(|id| self.try_start(*id)) else {
+                return events;
+            };
+            if let SchedulerEvent::Started { job, .. } = &ev {
+                self.queue.retain(|q| q != job);
+            }
+            events.push(ev);
+        }
+    }
+
+    fn try_start(&mut self, id: JobId) -> Option<SchedulerEvent> {
+        let job = &self.jobs[&id];
+        let per_node = job
+            .spec
+            .power_hint_per_node
+            .unwrap_or(self.default_per_node);
+        let (n, power) = (job.spec.nodes, per_node * job.spec.nodes as f64);
+        if self.pool.free.len() < n || self.ledger.reserve(id, power).is_err() {
+            return None;
+        }
+        let nodes = self.pool.allocate(n).expect("availability checked");
+        let job = self.jobs.get_mut(&id).expect("queued job exists");
+        job.start(nodes.clone());
+        job.power_budget = Some(power);
+        Some(SchedulerEvent::Started {
+            job: id,
+            nodes,
+            power,
+        })
+    }
+
+    fn complete(&mut self, id: JobId) -> SchedulerEvent {
+        let nodes = self.jobs.get_mut(&id).expect("known job").complete();
+        self.pool.release(nodes);
+        self.ledger.release(id);
+        SchedulerEvent::Completed { job: id }
+    }
+
+    fn drain(&mut self, node: NodeId) -> Option<Option<JobId>> {
+        if !self.pool.managed.contains(&node) {
+            return None;
+        }
+        self.pool.remove(node);
+        let owner = self
+            .jobs
+            .values()
+            .find(|j| j.state == JobState::Running && j.nodes.contains(&node))
+            .map(|j| j.id);
+        Some(owner)
+    }
+
+    fn fail_node(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
+        let Some(owner) = self.drain(node) else {
+            return Vec::new();
+        };
+        let mut events = vec![SchedulerEvent::NodeFailed { node, job: owner }];
+        let Some(id) = owner else {
+            return events;
+        };
+        let job = self.jobs.get_mut(&id).expect("owner exists");
+        let held = job.nodes.len();
+        job.lose_node(node);
+        if job.nodes.is_empty() {
+            job.complete();
+            self.ledger.release(id);
+            events.push(SchedulerEvent::Completed { job: id });
+        } else {
+            let share = self
+                .ledger
+                .reservation(id)
+                .map(|w| w / held as f64)
+                .unwrap_or(Watts::ZERO);
+            let reclaimed = self.ledger.reclaim(id, share);
+            let job = self.jobs.get_mut(&id).expect("owner exists");
+            job.power_budget = self.ledger.reservation(id);
+            events.push(SchedulerEvent::JobDegraded {
+                job: id,
+                lost: node,
+                remaining: job.nodes.len(),
+                reclaimed,
+            });
+        }
+        events
+    }
+
+    fn fail_node_requeue(&mut self, node: NodeId) -> Vec<SchedulerEvent> {
+        let Some(owner) = self.drain(node) else {
+            return Vec::new();
+        };
+        let mut events = vec![SchedulerEvent::NodeFailed { node, job: owner }];
+        if let Some(id) = owner {
+            events.push(self.withdraw(id));
+        }
+        events
+    }
+
+    fn withdraw(&mut self, id: JobId) -> SchedulerEvent {
+        let power = self.ledger.reservation(id).unwrap_or(Watts::ZERO);
+        let nodes = self.jobs.get_mut(&id).expect("known job").requeue();
+        let released = nodes.len();
+        self.pool.release(nodes);
+        self.ledger.release(id);
+        self.queue.retain(|q| *q != id);
+        SchedulerEvent::Requeued {
+            job: id,
+            released,
+            power,
+        }
+    }
+
+    fn enqueue(&mut self, id: JobId) {
+        self.queue.push_back(id);
+    }
+
+    fn preempt(&mut self, id: JobId) -> SchedulerEvent {
+        let power = self.ledger.reservation(id).unwrap_or(Watts::ZERO);
+        let nodes = self.jobs.get_mut(&id).expect("known job").requeue();
+        self.pool.release(nodes);
+        self.ledger.release(id);
+        self.queue.push_front(id);
+        SchedulerEvent::Preempted { job: id, power }
+    }
+
+    fn rebudget(&mut self, id: JobId, power: Watts) -> Result<(), OverCommit> {
+        self.ledger.reserve(id, power)?;
+        self.jobs.get_mut(&id).expect("known job").power_budget = Some(power);
+        Ok(())
+    }
+
+    fn running(&self) -> Vec<JobId> {
+        let mut ids: Vec<JobId> = self
+            .jobs
+            .values()
+            .filter(|j| j.state == JobState::Running)
+            .map(|j| j.id)
+            .collect();
+        ids.sort();
+        ids
+    }
+}
+
+/// One step of a lifecycle interleaving. Picks index the model's running
+/// (or withdrawn) jobs modulo their count; node picks land on the pool,
+/// just past it, or (for restores) across later bitmap words.
+#[derive(Debug, Clone)]
+enum LifeOp {
+    Submit { nodes: usize, hint: Option<f64> },
+    Tick,
+    Complete { pick: usize },
+    Fail { node: usize },
+    FailRequeue { node: usize },
+    Withdraw { pick: usize },
+    Enqueue { pick: usize },
+    Preempt { pick: usize },
+    Rebudget { pick: usize, per_node: f64 },
+    SetBudget { per_node: f64 },
+    Restore { node: usize },
+}
+
+/// Any pick; the replay reduces it modulo what it picks from.
+const PICK: std::ops::Range<usize> = 0..1 << 20;
+
+fn life_op() -> impl Strategy<Value = LifeOp> {
+    let submit =
+        || (1usize..12, power_hint()).prop_map(|(nodes, hint)| LifeOp::Submit { nodes, hint });
+    prop_oneof![
+        submit(),
+        submit(),
+        submit(),
+        Just(LifeOp::Tick),
+        Just(LifeOp::Tick),
+        Just(LifeOp::Tick),
+        Just(LifeOp::Tick),
+        Just(LifeOp::Tick),
+        Just(LifeOp::Tick),
+        PICK.prop_map(|pick| LifeOp::Complete { pick }),
+        PICK.prop_map(|node| LifeOp::Fail { node }),
+        PICK.prop_map(|node| LifeOp::Fail { node }),
+        PICK.prop_map(|node| LifeOp::FailRequeue { node }),
+        PICK.prop_map(|pick| LifeOp::Withdraw { pick }),
+        PICK.prop_map(|pick| LifeOp::Enqueue { pick }),
+        PICK.prop_map(|pick| LifeOp::Enqueue { pick }),
+        PICK.prop_map(|pick| LifeOp::Preempt { pick }),
+        (PICK, 60.0f64..260.0).prop_map(|(pick, per_node)| LifeOp::Rebudget { pick, per_node }),
+        (60.0f64..260.0).prop_map(|per_node| LifeOp::SetBudget { per_node }),
+        PICK.prop_map(|node| LifeOp::Restore { node }),
+        PICK.prop_map(|node| LifeOp::Restore { node }),
+    ]
+}
+
+/// Replay `ops` on a scheduler and on the model in lockstep: after every
+/// step the events, every job record, the pool counts and the ledger's
+/// reserved watts (to the bit) must agree.
+fn matches_model<D: Discipline>(
+    ops: &[LifeOp],
+    pool_size: usize,
+    backfill: bool,
+) -> Result<(), TestCaseError> {
+    let ledger = PowerLedger::new(Watts(200.0 * pool_size as f64));
+    let mut s = Scheduler::<D>::new(NodePool::new(pool_size), ledger.clone(), Watts(240.0));
+    let mut m = ModelScheduler::new(backfill, pool_size, ledger, Watts(240.0));
+    // Pending jobs a kill or a withdraw took out of the queue.
+    let mut withdrawn: Vec<JobId> = Vec::new();
+    let node_near = |n: usize| NodeId(n % (pool_size + 2));
+    for (step, op) in ops.iter().enumerate() {
+        let running = m.running();
+        let pick = |i: usize| running.get(i % running.len().max(1)).copied();
+        let (got, want) = match *op {
+            LifeOp::Submit { nodes, hint } => {
+                let mut spec = JobSpec::new("j", nodes);
+                if let Some(w) = hint {
+                    spec = spec.with_power_hint(Watts(w));
+                }
+                prop_assert_eq!(s.submit(spec.clone()), m.submit(spec));
+                (Vec::new(), Vec::new())
+            }
+            LifeOp::Tick => (s.tick(), m.tick()),
+            LifeOp::Complete { pick: i } => match pick(i) {
+                Some(id) => (vec![s.complete(id)], vec![m.complete(id)]),
+                None => (Vec::new(), Vec::new()),
+            },
+            LifeOp::Fail { node } => (s.fail_node(node_near(node)), m.fail_node(node_near(node))),
+            LifeOp::FailRequeue { node } => (
+                s.fail_node_requeue(node_near(node)),
+                m.fail_node_requeue(node_near(node)),
+            ),
+            LifeOp::Withdraw { pick: i } => match pick(i) {
+                Some(id) => (vec![s.withdraw(id)], vec![m.withdraw(id)]),
+                None => (Vec::new(), Vec::new()),
+            },
+            LifeOp::Enqueue { pick: i } => {
+                if !withdrawn.is_empty() {
+                    let id = withdrawn.remove(i % withdrawn.len());
+                    s.enqueue(id);
+                    m.enqueue(id);
+                }
+                (Vec::new(), Vec::new())
+            }
+            LifeOp::Preempt { pick: i } => match pick(i) {
+                Some(id) => (vec![s.preempt(id)], vec![m.preempt(id)]),
+                None => (Vec::new(), Vec::new()),
+            },
+            LifeOp::Rebudget { pick: i, per_node } => {
+                if let Some(id) = pick(i) {
+                    let w = Watts(per_node * m.jobs[&id].nodes.len() as f64);
+                    prop_assert_eq!(s.rebudget(id, w), m.rebudget(id, w));
+                }
+                (Vec::new(), Vec::new())
+            }
+            LifeOp::SetBudget { per_node } => {
+                let w = Watts(per_node * pool_size as f64);
+                prop_assert_eq!(
+                    s.ledger_mut().set_system_budget(w),
+                    m.ledger.set_system_budget(w)
+                );
+                (Vec::new(), Vec::new())
+            }
+            LifeOp::Restore { node } => {
+                // Half near the pool, where drained nodes are; half
+                // anywhere in the first few bitmap words.
+                let id = if node % 2 == 0 {
+                    node_near(node / 2)
+                } else {
+                    NodeId(node / 2 % 320)
+                };
+                prop_assert_eq!(s.restore_node(id), m.pool.restore(id));
+                (Vec::new(), Vec::new())
+            }
+        };
+        prop_assert_eq!(&got, &want, "events at step {} ({:?})", step, op);
+        for ev in &want {
+            if let SchedulerEvent::Requeued { job, .. } = ev {
+                withdrawn.push(*job);
+            }
+        }
+        prop_assert_eq!(s.running(), m.running(), "running at step {}", step);
+        for (id, job) in &m.jobs {
+            prop_assert_eq!(s.job(*id), Some(job), "job {} at step {}", id, step);
+        }
+        prop_assert_eq!(s.free_nodes(), m.pool.free.len(), "free at step {}", step);
+        prop_assert_eq!(
+            s.total_nodes(),
+            m.pool.managed.len(),
+            "total at step {}",
+            step
+        );
+        prop_assert_eq!(
+            s.ledger().reserved().value().to_bits(),
+            m.ledger.reserved().value().to_bits(),
+            "reserved at step {}",
+            step
+        );
+    }
+    prop_assert_eq!(s.tick(), m.tick(), "the closing tick");
+    Ok(())
+}
+
+/// One operation on a pool and its model.
+#[derive(Debug, Clone)]
+enum PoolOp {
+    Allocate {
+        n: usize,
+    },
+    AllocateIn {
+        n: usize,
+        a: usize,
+        b: usize,
+    },
+    /// Release a grant still held (`pick` modulo their count), or a
+    /// returned one again.
+    Release {
+        pick: usize,
+        again: bool,
+    },
+    /// Release an arbitrary id, held or not.
+    ReleaseId {
+        id: usize,
+    },
+    Remove {
+        id: usize,
+    },
+    Restore {
+        id: usize,
+    },
+}
+
+fn pool_op() -> impl Strategy<Value = PoolOp> {
+    let allocate_in = || {
+        (0usize..40, 0usize..300, 0usize..300).prop_map(|(n, a, b)| PoolOp::AllocateIn { n, a, b })
+    };
+    let release = |again| PICK.prop_map(move |pick| PoolOp::Release { pick, again });
+    prop_oneof![
+        (0usize..80).prop_map(|n| PoolOp::Allocate { n }),
+        (0usize..80).prop_map(|n| PoolOp::Allocate { n }),
+        allocate_in(),
+        allocate_in(),
+        release(false),
+        release(false),
+        release(true),
+        (0usize..300).prop_map(|id| PoolOp::ReleaseId { id }),
+        (0usize..300).prop_map(|id| PoolOp::Remove { id }),
+        (0usize..300).prop_map(|id| PoolOp::Restore { id }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The settled scheduler is the always-scan one: under any interleaving
+    /// of the lifecycle calls, ledger edits through `ledger_mut` and node
+    /// restores, both disciplines emit the model's event stream and keep
+    /// its job table, pool counts and ledger, step for step. Pools cross
+    /// the 64- and 128-node bitmap word boundaries.
+    #[test]
+    fn scheduler_matches_the_always_scan_model(
+        ops in prop::collection::vec(life_op(), 1..120),
+        pool_size in prop_oneof![1usize..24, 60usize..140],
+    ) {
+        matches_model::<Fifo>(&ops, pool_size, false)?;
+        matches_model::<Backfill>(&ops, pool_size, true)?;
+    }
+
+    /// The bitmap pool is the ordered-set pool: grants (lowest id first,
+    /// whole or range-pinned), availability over the whole pool and over
+    /// ranges that cross word boundaries, idempotent release, drain and
+    /// restore — on dense pools and on sparse explicit node sets.
+    #[test]
+    fn bitmap_pool_matches_the_ordered_set_model(
+        dense in 0usize..260,
+        sparse in prop::collection::vec(0usize..260, 0..80),
+        ops in prop::collection::vec(pool_op(), 1..80),
+    ) {
+        // Half the cases build `0..dense`, half an explicit sparse set.
+        let ids: Vec<NodeId> = if dense % 2 == 0 {
+            (0..dense).map(NodeId).collect()
+        } else {
+            sparse.iter().map(|&n| NodeId(n)).collect()
+        };
+        let mut pool = NodePool::from_nodes(ids.iter().copied());
+        let mut model = ModelPool::from_nodes(ids);
+        let mut held: Vec<Vec<NodeId>> = Vec::new();
+        let mut returned: Vec<Vec<NodeId>> = Vec::new();
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                PoolOp::Allocate { n } => {
+                    let grant = pool.allocate(n);
+                    prop_assert_eq!(&grant, &model.allocate(n), "step {}", step);
+                    held.extend(grant);
+                }
+                PoolOp::AllocateIn { n, a, b } => {
+                    let (lo, hi) = (NodeId(a.min(b)), NodeId(a.max(b)));
+                    prop_assert_eq!(pool.available_in(lo, hi), model.available_in(lo, hi));
+                    let grant = pool.allocate_in(n, lo, hi);
+                    prop_assert_eq!(&grant, &model.allocate_in(n, lo, hi), "step {}", step);
+                    held.extend(grant);
+                }
+                PoolOp::Release { pick, again } => {
+                    let from = if again { &mut returned } else { &mut held };
+                    if !from.is_empty() {
+                        let grant = from.swap_remove(pick % from.len());
+                        pool.release(grant.iter().copied());
+                        model.release(grant.iter().copied());
+                        returned.push(grant);
+                    }
+                }
+                PoolOp::ReleaseId { id } => {
+                    pool.release([NodeId(id)]);
+                    model.release([NodeId(id)]);
+                }
+                PoolOp::Remove { id } => {
+                    prop_assert_eq!(pool.remove(NodeId(id)), model.remove(NodeId(id)));
+                }
+                PoolOp::Restore { id } => {
+                    prop_assert_eq!(pool.restore(NodeId(id)), model.restore(NodeId(id)));
+                }
+            }
+            prop_assert_eq!(pool.available(), model.free.len(), "step {}", step);
+            prop_assert_eq!(pool.total(), model.managed.len(), "step {}", step);
+            for id in (0..330).map(NodeId) {
+                prop_assert_eq!(pool.manages(id), model.managed.contains(&id), "{} step {}", id, step);
+            }
+            for (lo, hi) in [(0, 330), (1, 64), (63, 65), (64, 128), (100, 257)] {
+                let (lo, hi) = (NodeId(lo), NodeId(hi));
+                prop_assert_eq!(pool.available_in(lo, hi), model.available_in(lo, hi));
             }
         }
     }
