@@ -84,7 +84,7 @@
 //! determinism suites compare against.
 
 use pmstack_kernel::{KernelConfig, KernelLoad};
-use pmstack_obs::{EventKind, StaticCounter};
+use pmstack_obs::{EventKind, StaticCounter, StaticHistogram};
 use pmstack_simhw::power::OperatingPoint;
 use pmstack_simhw::{
     FaultPlan, Hertz, HostStep, Joules, Node, NodeBank, NodeHealth, PowerModel, Seconds,
@@ -94,6 +94,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Observability: iterations in which every segment was clean — the whole
 /// fleet fast-forwarding instead of stepping.
@@ -114,6 +115,42 @@ static SEGMENTS_REWRITTEN: StaticCounter = StaticCounter::new("runtime.outcome.s
 static SETTLED_HIT: StaticCounter = StaticCounter::new("runtime.settled.hit");
 /// Observability: iterations that ran the full operating-point resolve.
 static SETTLED_MISS: StaticCounter = StaticCounter::new("runtime.settled.miss");
+
+/// Stage spans of [`JobPlatform::run_iteration_into`], timed as laps
+/// ([`Laps`]): the pre-step pass (operating points and observed limits),
+/// the jitter draws, the RAPL step, and the outcome write. Their readers
+/// want each stage's sum and count, so they have no finite bucket: the
+/// daemon records them too, and every bucket would be a line of each
+/// `/metrics` body it serves.
+const STAGE_BOUNDS: &[f64] = &[];
+static RESOLVE_SECS: StaticHistogram =
+    StaticHistogram::new("runtime.iter.resolve.secs", STAGE_BOUNDS);
+static JITTER_SECS: StaticHistogram =
+    StaticHistogram::new("runtime.iter.jitter.secs", STAGE_BOUNDS);
+static RAPL_STEP_SECS: StaticHistogram =
+    StaticHistogram::new("runtime.iter.rapl_step.secs", STAGE_BOUNDS);
+static OUTCOME_WRITE_SECS: StaticHistogram =
+    StaticHistogram::new("runtime.iter.outcome_write.secs", STAGE_BOUNDS);
+
+/// Consecutive stages of one iteration timed into their histograms, one
+/// clock read per stage boundary: off (one relaxed load, no clock) while the
+/// recorder is, or for an iteration the caller does not time.
+struct Laps(Option<Instant>);
+
+impl Laps {
+    fn start(timed: bool) -> Self {
+        Self((timed && pmstack_obs::enabled()).then(Instant::now))
+    }
+
+    /// Close the running stage into `stage` and start the next.
+    fn lap(&mut self, stage: &StaticHistogram) {
+        if let Some(last) = &mut self.0 {
+            let now = Instant::now();
+            stage.observe((now - *last).as_secs_f64());
+            *last = now;
+        }
+    }
+}
 
 /// Source of the ids that tie [`IterationBuffers`] stamps to their platform.
 /// Zero is never handed out: it marks buffers nobody owns yet.
@@ -726,10 +763,52 @@ impl JobPlatform {
         // With jitter off no draw can move a compute time this iteration.
         let calm = self.jitter_sigma == 0.0;
 
+        // Operating points of every segment whose cache is cold. A settled
+        // segment's filters sat at a bitwise fixed point last iteration and
+        // nothing touched it since: every input of the (pure) PCU resolve is
+        // bitwise unchanged, so its cached operating points and base
+        // iteration times are exact. Any other segment is resolved afresh.
+        // An all-clean iteration is not timed: its stages are a stamp check
+        // per segment and a replay count, and the laps' five clock reads and
+        // four histogram updates (~0.35 µs on a 2-vCPU VM) would cost it a
+        // fifth again with the recorder on, as under `repro megafleet`.
+        let mut laps = Laps::start(!(self.fast_forward && calm && self.steady));
+        let mut resolved = 0;
+        for sidx in 0..segs {
+            if self.segments[sidx].ops_valid {
+                continue;
+            }
+            resolved += 1;
+            // Dead hosts drop out of the computation: the surviving ranks
+            // redistribute (we charge no extra time) and the dead host
+            // contributes nothing to the barrier.
+            let (load, op_times) = (&self.load, &mut self.op_times);
+            let mut store = |host: usize, op: Option<&OperatingPoint>| {
+                op_times[host] = op.map_or(0.0, |op| load.iteration_time(op).value());
+            };
+            if self.fast_forward {
+                // The bank re-checks each host's enforced limit against the
+                // span its cached point holds over and searches only the
+                // hosts that left theirs.
+                self.bank
+                    .resolve_segment(sidx, &self.model, load, &mut self.ops, store);
+            } else {
+                // The oracle: every host through the PCU search.
+                for host in self.bank.segment_range(sidx) {
+                    let op = self
+                        .bank
+                        .is_alive(host)
+                        .then(|| self.bank.operating_point(host, &self.model, load));
+                    store(host, op.as_ref());
+                    self.ops[host] = op;
+                }
+            }
+        }
+        laps.lap(&RESOLVE_SECS);
+
         // Compute times, segment by segment, hosts in order — the jitter
         // draw per live host happens in the same order whichever segments
         // hit their cache, so the RNG stream is identical on every path.
-        let mut resolved = 0;
         for (sidx, &stamp) in stamps.iter().enumerate() {
             let seg = self.segments[sidx];
             if seg.ops_valid && calm && stamp == seg.epoch {
@@ -737,40 +816,8 @@ impl JobPlatform {
                 // their maximum.
                 continue;
             }
-            // A settled segment's filters sat at a bitwise fixed point last
-            // iteration and nothing touched it since: every input of the
-            // (pure) PCU resolve is bitwise unchanged, so its cached
-            // operating points and base iteration times are exact. Any other
-            // segment is resolved afresh.
-            let range = self.bank.segment_range(sidx);
-            if !seg.ops_valid {
-                // Dead hosts drop out of the computation: the surviving
-                // ranks redistribute (we charge no extra time) and the dead
-                // host contributes nothing to the barrier.
-                let (load, op_times) = (&self.load, &mut self.op_times);
-                let mut store = |host: usize, op: Option<&OperatingPoint>| {
-                    op_times[host] = op.map_or(0.0, |op| load.iteration_time(op).value());
-                };
-                if self.fast_forward {
-                    // The bank re-checks each host's enforced limit against
-                    // the span its cached point holds over and searches only
-                    // the hosts that left theirs.
-                    self.bank
-                        .resolve_segment(sidx, &self.model, load, &mut self.ops, store);
-                } else {
-                    // The oracle: every host through the PCU search.
-                    for host in range.clone() {
-                        let op = self
-                            .bank
-                            .is_alive(host)
-                            .then(|| self.bank.operating_point(host, &self.model, load));
-                        store(host, op.as_ref());
-                        self.ops[host] = op;
-                    }
-                }
-            }
             let mut time = Seconds::ZERO;
-            for host in range {
+            for host in self.bank.segment_range(sidx) {
                 let t = match self.ops[host] {
                     Some(_) => Seconds(self.op_times[host] * self.draw_jitter()),
                     None => Seconds::ZERO,
@@ -778,9 +825,9 @@ impl JobPlatform {
                 back.host_compute_time[host] = t;
                 time = time.max(t);
             }
-            resolved += usize::from(!seg.ops_valid);
             self.segments[sidx].time = time;
         }
+        laps.lap(&JITTER_SECS);
         if resolved == 0 {
             SETTLED_HIT.inc();
         } else {
@@ -812,6 +859,7 @@ impl JobPlatform {
         if clean_segments == segs {
             FFWD_ENGAGED.inc();
         }
+        laps.lap(&RESOLVE_SECS);
 
         // Advance RAPL state (energy counters + enforcement filters) on
         // every live host through the iteration at its operating-point
@@ -826,6 +874,7 @@ impl JobPlatform {
             self.bank
                 .step_all(elapsed, &self.ops, &mut self.steps, true);
         }
+        laps.lap(&RAPL_STEP_SECS);
 
         // A segment whose filters are settled yields bit-identical operating
         // points next iteration — arm its op cache (jitter-compatible). The
@@ -870,6 +919,7 @@ impl JobPlatform {
         if reused < segs as u64 {
             SEGMENTS_REWRITTEN.add(segs as u64 - reused);
         }
+        laps.lap(&OUTCOME_WRITE_SECS);
         back.elapsed = elapsed;
         self.elapsed += elapsed;
         bufs.swap();
