@@ -9,9 +9,11 @@ code still produces correct numbers.
 
 Usage: check_metrics.py <snapshot.json> <counter>[,<counter>...]
 
-Every comma-separated counter must be present and nonzero. Both integer
-counters ("counters") and float counters ("float_counters", e.g.
-facility.wasted_node_hours) are searched.
+Every comma-separated name must be present and nonzero. Integer counters
+("counters"), float counters ("float_counters", e.g.
+facility.wasted_node_hours) and histograms ("histograms", e.g. the
+runtime.iter.*.secs stage spans) are searched; a histogram is live when its
+observation count ("total") is above zero.
 
 Absent and zero are distinct failures (mirroring the registry API, where
 `Snapshot::counter` returns an Option): MISSING means the counter was
@@ -34,6 +36,9 @@ def main() -> int:
         snap = json.load(f)
     counters = dict(snap.get("counters", {}))
     counters.update(snap.get("float_counters", {}))
+    counters.update(
+        (name, hist["total"]) for name, hist in snap.get("histograms", {}).items()
+    )
 
     failed = False
     for name in names:

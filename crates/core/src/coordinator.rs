@@ -34,7 +34,7 @@ use crate::resilience::{slice_plan, CoordinatorError, ResilienceReport};
 use pmstack_kernel::KernelConfig;
 use pmstack_rm::{FifoScheduler, JobSpec, NodePool, PowerLedger, SchedulerEvent};
 use pmstack_runtime::{Agent, Controller, JobPlatform, JobReport};
-use pmstack_simhw::{Cluster, FaultPlan, Node, NodeId, PowerModel, Watts};
+use pmstack_simhw::{Cluster, FaultPlan, NodeId, PowerModel, Watts};
 
 /// Whether the feedback loop runs once (emulated) or live (online).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -393,16 +393,12 @@ impl Coordinator {
             let caps = allocation.jobs[j].clone();
             let plan = plans[j].clone();
             let model = &self.model;
-            let nodes: Vec<Node> = host_ids
-                .iter()
-                .zip(&setup.host_eps)
-                .map(|(&id, &eps)| {
-                    Node::new(pmstack_simhw::NodeId(id), model, eps)
-                        .expect("eps sampled from a valid profile")
-                })
+            let hosts: Vec<(NodeId, f64)> = (host_ids.iter().zip(&setup.host_eps))
+                .map(|(&id, &eps)| (NodeId(id), eps))
                 .collect();
-            let mut platform =
-                JobPlatform::new(model.clone(), nodes, setup.config).with_fault_plan(plan);
+            let mut platform = JobPlatform::from_hosts(model.clone(), &hosts, setup.config)
+                .expect("eps sampled from a valid profile")
+                .with_fault_plan(plan);
             platform.set_fast_forward(self.fast_forward);
             if self.jitter_sigma > 0.0 {
                 platform =

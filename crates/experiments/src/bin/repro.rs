@@ -253,6 +253,7 @@ fn run(cli: &Cli) {
         let report = megafleet::run_megafleet(&mp);
         emit("megafleet", megafleet::render(&report));
         if cli.timed {
+            eprintln!("[repro] megafleet build: {:.3}s wall", report.build_secs);
             for p in &report.phases {
                 eprintln!(
                     "[repro] megafleet {}: {:.3}s wall, {:.2} ns/host",

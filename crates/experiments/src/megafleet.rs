@@ -22,7 +22,7 @@
 
 use pmstack_kernel::KernelConfig;
 use pmstack_runtime::{Agent, IterationBuffers, JobPlatform, PowerBalancerAgent};
-use pmstack_simhw::{quartz_spec, Node, NodeId, PowerModel, Watts};
+use pmstack_simhw::{quartz_spec, NodeId, PowerModel, Watts};
 use std::time::Instant;
 
 /// Hard ceiling on `--hosts`: 2^20 hosts (~1.3 GB of bank state).
@@ -115,6 +115,9 @@ pub struct MegafleetReport {
     /// every replay the clean segments counted since they last stepped
     /// (deferred work, not a phase).
     pub final_read_secs: f64,
+    /// Wall-clock seconds to build the platform from the host list (the
+    /// part's columns filled, no `Node` per host).
+    pub build_secs: f64,
     /// Resident memory the fleet costs per host: `resident_bytes()` once
     /// the platform is built minus before its nodes were, over the host
     /// count. `None` where `/proc/self/status` does not exist.
@@ -123,9 +126,9 @@ pub struct MegafleetReport {
 
 /// The process's resident set in bytes (`VmRSS`, from `/proc/self/status`)
 /// once the allocator has handed the pages it holds free back to the OS.
-/// Building the platform frees every `Node` it ingests; glibc would keep
-/// that memory cached for the next allocation (a rebuild reuses it warm),
-/// and `VmRSS` would still count the ~1.2 KB per host the nodes occupied.
+/// Building the platform frees the `(id, ε)` list it reads; glibc would
+/// keep that memory cached for the next allocation, and `VmRSS` would still
+/// count its 16 bytes per host.
 fn resident_bytes() -> Option<f64> {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
@@ -170,11 +173,12 @@ pub fn run_megafleet(params: &MegafleetParams) -> MegafleetReport {
     );
     let model = PowerModel::new(quartz_spec()).expect("quartz spec is valid");
     let rss_before = resident_bytes();
-    let nodes: Vec<Node> = (0..params.hosts)
-        .map(|i| Node::new(NodeId(i), &model, eps_of(i)).expect("eps is in range"))
-        .collect();
+    let build = Instant::now();
+    let hosts: Vec<(NodeId, f64)> = (0..params.hosts).map(|i| (NodeId(i), eps_of(i))).collect();
     let config = KernelConfig::balanced_ymm(16.0);
-    let mut platform = JobPlatform::new(model, nodes, config);
+    let mut platform = JobPlatform::from_hosts(model, &hosts, config).expect("eps is in range");
+    drop(hosts);
+    let build_secs = build.elapsed().as_secs_f64();
     if let Some(sh) = params.segment_hosts {
         platform = platform.with_segment_hosts(sh);
     }
@@ -286,6 +290,7 @@ pub fn run_megafleet(params: &MegafleetParams) -> MegafleetReport {
         settled_under_agent,
         total_energy_j,
         final_read_secs,
+        build_secs,
         resident_bytes_per_host,
     }
 }
@@ -351,6 +356,7 @@ pub fn to_bench_json(report: &MegafleetReport) -> String {
          \"segments\": {},\n  \"segment_hosts\": {},\n",
         report.hosts, report.segments, report.segment_hosts
     );
+    let _ = writeln!(out, "  \"build_secs\": {:.6},", report.build_secs);
     if let Some(bytes) = report.resident_bytes_per_host {
         let _ = writeln!(out, "  \"resident_bytes_per_host\": {bytes:.1},");
     }

@@ -11,7 +11,7 @@ use crate::admission::Admission;
 use pmstack_kernel::KernelConfig;
 use pmstack_obs::{StaticCounter, StaticGauge};
 use pmstack_runtime::{FleetSnapshot, IterationBuffers, JobPlatform};
-use pmstack_simhw::{quartz_spec, Node, NodeId, PowerModel};
+use pmstack_simhw::{quartz_spec, NodeId, PowerModel};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -156,10 +156,12 @@ impl Drop for Fleet {
 /// The served platform: one node per entry of `host_eps`, on the replay
 /// path.
 fn build_platform(config: &FleetConfig, model: &PowerModel, host_eps: &[f64]) -> JobPlatform {
-    let nodes: Vec<Node> = (host_eps.iter().enumerate())
-        .map(|(i, &e)| Node::new(NodeId(i), model, e).expect("eps is in range"))
+    let hosts: Vec<(NodeId, f64)> = (host_eps.iter().enumerate())
+        .map(|(i, &e)| (NodeId(i), e))
         .collect();
-    let mut platform = JobPlatform::new(model.clone(), nodes, KernelConfig::balanced_ymm(8.0));
+    let mut platform =
+        JobPlatform::from_hosts(model.clone(), &hosts, KernelConfig::balanced_ymm(8.0))
+            .expect("eps is in range");
     if let Some(sh) = config.segment_hosts {
         platform = platform.with_segment_hosts(sh);
     }

@@ -13,7 +13,9 @@
 //! virtual per-node steps, and per-step MSR decode/store traffic is hoisted
 //! into columns a control write updates in place. The `Node`s handed to
 //! [`JobPlatform::new`] are ingested into the columns and dropped;
-//! [`JobPlatform::node`] materialises one on demand.
+//! [`JobPlatform::from_hosts`] builds no `Node` at all, filling the columns
+//! from one part ([`NodeBank::from_part`]); [`JobPlatform::node`]
+//! materialises one on demand.
 //! [`JobPlatform::run_iteration_into`] fills caller-owned double-buffered
 //! [`IterationBuffers`] whose vectors are sized once and written by index,
 //! so the loop allocates nothing after warm-up.
@@ -22,7 +24,7 @@
 //! per segment. One iteration costs O(dirty segments · segment size + clean
 //! segments); the whole fleet fast-forwarding is simply the iteration in
 //! which no segment is dirty, and it touches no per-host column. A segment
-//! goes through three states:
+//! goes through four states, each one the one before it plus a condition:
 //!
 //! * **dirty** — a control write, fault or workload change touched it, or
 //!   its enforcement filters are still moving. Its operating points are
@@ -31,20 +33,35 @@
 //! * **settled** — its last step left every filter at a bitwise fixed
 //!   point. The operating point is a pure function of bitwise-unchanged
 //!   inputs, so `ops`/`op_times` are reused and the PCU resolve is skipped.
-//!   This is the cache that also works under jitter.
-//! * **clean** — settled, jitter off, fast-forward on, and the bank will
-//!   replay it at this iteration's `dt`: it counts one more add of the
-//!   energy delta its settling step recorded, and energy reads accrue the
-//!   count exactly (see `simhw::bank`). The bank only arms a replay behind
-//!   a step that repeating would reproduce exactly — filters at their fixed
-//!   point, no host read back `Stale` — so nothing about a clean segment's
-//!   outcome can differ from the previous iteration's.
+//! * **stable** — settled, fast-forward on, and the last step read every
+//!   live host back fresh and left no one-shot telemetry state, at whatever
+//!   `dt`. Its limit, power, lead, alive and fresh slices cannot change:
+//!   the limits are the ones the no-op step left, the points are cached,
+//!   and one more step reports what that one did. A different `dt` may
+//!   still move a filter (α depends on `dt`); the step that does so leaves
+//!   the segment dirty, so it is rewritten from the next iteration on.
+//!   These are the two caches that work under jitter, where every
+//!   iteration has a new `dt` and nothing replays.
+//! * **clean** — stable, jitter off, and the bank will replay it at this
+//!   iteration's `dt`: it counts one more add of the energy delta its
+//!   settling step recorded, and energy reads accrue the count exactly (see
+//!   `simhw::bank`). Nothing about a clean segment's outcome can differ
+//!   from the previous iteration's, its compute times included.
 //!
 //! Energy reads ([`JobPlatform::host_energy`], [`JobPlatform::total_energy`],
 //! [`JobPlatform::fleet_snapshot`], a materialised node's energy-status
 //! MSR) stay `&self` and cost O(binades the pending count crosses) per
 //! cell; [`JobPlatform::apply_pending_replays`] writes the counts into the
 //! cells for a caller that reads every iteration.
+//!
+//! **Passes.** An iteration makes one pre-step pass over the segments: a
+//! stable segment whose back-buffer slices are current leaves on its first
+//! test (a clean segment always does, once both sides of the double buffer
+//! hold its epoch); any other segment writes its enforced limits into the
+//! back buffer once ([`NodeBank::segment_enforced_limits`]) and, if it is
+//! not settled, resolves its operating points against those limits. Then the
+//! jitter draws, in host order on every path; then the bank's step; then the
+//! outcome write.
 //!
 //! **Span rule.** A dirty segment is mostly one whose limits are still
 //! creeping through their first-order filters: 15–95 iterations to a bitwise
@@ -60,16 +77,19 @@
 //! not, because the limit is the span's argument.
 //!
 //! **Epoch rule.** Each segment carries an outcome epoch naming the content
-//! of its slices of the six outcome vectors, bumped on every iteration in
-//! which the segment is not clean; each side of the double buffer carries,
-//! per segment, the epoch it was last written at. A segment whose
-//! back-buffer stamp equals its epoch keeps its slices, its
-//! `last_power`/`last_lead` and its cached maximum compute time (the barrier
-//! is a max over S values) untouched; any other segment is rewritten and
-//! stamped. That is the double-buffer hazard handled: after a step the side
-//! that was *not* written still carries the older epoch, so the first clean
-//! iteration rewrites it — same values, no bump — and reuse starts with the
-//! second.
+//! of its slices of the outcome vectors, bumped on every iteration in which
+//! the segment is not stable (clean implies stable, so a steady fleet never
+//! bumps); each side of the double buffer carries, per segment, the epoch
+//! it was last written at. A segment whose back-buffer stamp equals its
+//! epoch keeps its limit, power, lead, alive and fresh slices and its
+//! `last_power`/`last_lead` untouched; any other segment is rewritten and
+//! stamped. The compute-time slice is the exception: with jitter on it is
+//! redrawn every iteration whatever the stamp, and with jitter off it is
+//! kept, with its cached maximum (the barrier is a max over S values),
+//! exactly when the other slices are. That is the double-buffer hazard
+//! handled: after a step the side that was *not* written still carries the
+//! older epoch, so the first stable iteration rewrites it — same values, no
+//! bump — and reuse starts with the second.
 //!
 //! **Owner rule.** A stamp means nothing outside the platform and sharding
 //! that wrote it, so the buffers also name their owner: a process-unique id
@@ -78,7 +98,7 @@
 //! from another platform, have every stamp cleared, are resized, and are
 //! fully rewritten.
 //!
-//! [`JobPlatform::set_fast_forward`]`(false)` turns all three caches off:
+//! [`JobPlatform::set_fast_forward`]`(false)` turns every cache off:
 //! every host goes through the PCU search ([`NodeBank::operating_point`],
 //! spans ignored) and is stepped every iteration, which is the reference the
 //! determinism suites compare against.
@@ -87,7 +107,7 @@ use pmstack_kernel::{KernelConfig, KernelLoad};
 use pmstack_obs::{EventKind, StaticCounter, StaticHistogram};
 use pmstack_simhw::power::OperatingPoint;
 use pmstack_simhw::{
-    FaultPlan, Hertz, HostStep, Joules, Node, NodeBank, NodeHealth, PowerModel, Seconds,
+    FaultPlan, Hertz, HostStep, Joules, Node, NodeBank, NodeHealth, NodeId, PowerModel, Seconds,
     SimHwError, Watts,
 };
 use rand::Rng;
@@ -133,8 +153,8 @@ static OUTCOME_WRITE_SECS: StaticHistogram =
     StaticHistogram::new("runtime.iter.outcome_write.secs", STAGE_BOUNDS);
 
 /// Consecutive stages of one iteration timed into their histograms, one
-/// clock read per stage boundary: off (one relaxed load, no clock) while the
-/// recorder is, or for an iteration the caller does not time.
+/// clock read per stage boundary. It reads no clock while the recorder is
+/// off (one relaxed load) or when the caller does not time the iteration.
 struct Laps(Option<Instant>);
 
 impl Laps {
@@ -324,6 +344,10 @@ struct SegmentState {
     /// only its segment; also what accelerates *jittered* runs, where no
     /// segment is ever clean.
     ops_valid: bool,
+    /// Settled and quiescent after the last step (so also `ops_valid`): the
+    /// segment's limit, power, lead, alive and fresh slices cannot change at
+    /// any `dt`, so its outcome epoch stays.
+    stable: bool,
     /// Maximum compute time over the segment's hosts, as last written.
     time: Seconds,
     /// Names the content of the segment's outcome slices.
@@ -334,9 +358,19 @@ impl SegmentState {
     /// Epochs start at 1 so a never-written stamp (0) matches none.
     const COLD: Self = Self {
         ops_valid: false,
+        stable: false,
         time: Seconds::ZERO,
         epoch: 1,
     };
+
+    /// The state with both caches dropped; the epoch and time stay.
+    fn forget(self) -> Self {
+        Self {
+            ops_valid: false,
+            stable: false,
+            ..self
+        }
+    }
 }
 
 /// A job's hosts bound to its workload.
@@ -381,10 +415,31 @@ impl JobPlatform {
     /// Bind `nodes` to a kernel workload. Every host of a job runs the same
     /// configuration (one benchmark instance per job, as in the paper).
     pub fn new(model: PowerModel, nodes: Vec<Node>, config: KernelConfig) -> Self {
-        assert!(!nodes.is_empty(), "a job needs at least one host");
+        Self::over(model, NodeBank::from_nodes(nodes), config)
+    }
+
+    /// Bind fresh hosts of `model`'s part — each `(id, ε)` the host
+    /// `Node::new(id, &model, ε)` would build — to a kernel workload,
+    /// without building a `Node` per host: the bank fills its columns from
+    /// one part ([`NodeBank::from_part`]). Equal, iteration for iteration,
+    /// to [`Self::new`] over those nodes.
+    ///
+    /// # Errors
+    /// An ε that `Node::new` refuses, with its error.
+    pub fn from_hosts(
+        model: PowerModel,
+        hosts: &[(NodeId, f64)],
+        config: KernelConfig,
+    ) -> Result<Self, SimHwError> {
+        let part = Node::new(NodeId(0), &model, 1.0)?;
+        let bank = NodeBank::from_part(part, hosts)?;
+        Ok(Self::over(model, bank, config))
+    }
+
+    fn over(model: PowerModel, bank: NodeBank, config: KernelConfig) -> Self {
+        assert!(!bank.is_empty(), "a job needs at least one host");
         let load = KernelLoad::new(config, model.spec());
-        let n = nodes.len();
-        let bank = NodeBank::from_nodes(nodes);
+        let n = bank.len();
         let segments = bank.num_segments();
         Self {
             model,
@@ -461,7 +516,7 @@ impl JobPlatform {
             FFWD_INVALIDATED.inc();
         }
         self.steady = false;
-        self.segments.iter_mut().for_each(|s| s.ops_valid = false);
+        self.segments.iter_mut().for_each(|s| *s = s.forget());
     }
 
     /// Drop the cache a single-host change actually dirties: the touched
@@ -475,7 +530,7 @@ impl JobPlatform {
             FFWD_INVALIDATED.inc();
         }
         self.steady = false;
-        seg.ops_valid = false;
+        *seg = seg.forget();
     }
 
     /// Enable or disable the fast-forward path (on by default). With it
@@ -760,22 +815,37 @@ impl JobPlatform {
             outcome: back,
             stamps,
         } = bufs.claim(self.id, n, segs);
+        let ff = self.fast_forward;
         // With jitter off no draw can move a compute time this iteration.
         let calm = self.jitter_sigma == 0.0;
 
-        // Operating points of every segment whose cache is cold. A settled
-        // segment's filters sat at a bitwise fixed point last iteration and
-        // nothing touched it since: every input of the (pure) PCU resolve is
-        // bitwise unchanged, so its cached operating points and base
-        // iteration times are exact. Any other segment is resolved afresh.
         // An all-clean iteration is not timed: its stages are a stamp check
         // per segment and a replay count, and the laps' five clock reads and
         // four histogram updates (~0.35 µs on a 2-vCPU VM) would cost it a
         // fifth again with the recorder on, as under `repro megafleet`.
-        let mut laps = Laps::start(!(self.fast_forward && calm && self.steady));
+        let mut laps = Laps::start(!(ff && calm && self.steady));
+
+        // The pre-step pass. A stable segment whose back-buffer slices are
+        // current leaves on its first test. Any other segment moves to a new
+        // epoch unless it is stable (the epoch rule, module docs), observes
+        // its hosts' enforced limits into the back buffer — at the
+        // iteration's start, before stepping advances the filters — and, if
+        // its operating points are not cached, resolves them against those
+        // limits. A settled segment's filters sat at a bitwise fixed point
+        // last iteration and nothing touched it since: every input of the
+        // (pure) PCU resolve is bitwise unchanged, so its cached operating
+        // points and base iteration times are exact.
         let mut resolved = 0;
-        for sidx in 0..segs {
-            if self.segments[sidx].ops_valid {
+        for (sidx, &stamp) in stamps.iter().enumerate() {
+            let seg = &mut self.segments[sidx];
+            let stable = ff && seg.stable;
+            if stable && stamp == seg.epoch {
+                continue;
+            }
+            seg.epoch += u64::from(!stable);
+            self.bank
+                .segment_enforced_limits(sidx, &mut back.host_limit);
+            if seg.ops_valid {
                 continue;
             }
             resolved += 1;
@@ -786,12 +856,13 @@ impl JobPlatform {
             let mut store = |host: usize, op: Option<&OperatingPoint>| {
                 op_times[host] = op.map_or(0.0, |op| load.iteration_time(op).value());
             };
-            if self.fast_forward {
+            if ff {
                 // The bank re-checks each host's enforced limit against the
                 // span its cached point holds over and searches only the
                 // hosts that left theirs.
+                let limits = &back.host_limit;
                 self.bank
-                    .resolve_segment(sidx, &self.model, load, &mut self.ops, store);
+                    .resolve_segment(sidx, &self.model, load, limits, &mut self.ops, store);
             } else {
                 // The oracle: every host through the PCU search.
                 for host in self.bank.segment_range(sidx) {
@@ -805,61 +876,38 @@ impl JobPlatform {
             }
         }
         laps.lap(&RESOLVE_SECS);
-
-        // Compute times, segment by segment, hosts in order — the jitter
-        // draw per live host happens in the same order whichever segments
-        // hit their cache, so the RNG stream is identical on every path.
-        for (sidx, &stamp) in stamps.iter().enumerate() {
-            let seg = self.segments[sidx];
-            if seg.ops_valid && calm && stamp == seg.epoch {
-                // The slice already holds exactly these times, `seg.time`
-                // their maximum.
-                continue;
-            }
-            let mut time = Seconds::ZERO;
-            for host in self.bank.segment_range(sidx) {
-                let t = match self.ops[host] {
-                    Some(_) => Seconds(self.op_times[host] * self.draw_jitter()),
-                    None => Seconds::ZERO,
-                };
-                back.host_compute_time[host] = t;
-                time = time.max(t);
-            }
-            self.segments[sidx].time = time;
-        }
-        laps.lap(&JITTER_SECS);
         if resolved == 0 {
             SETTLED_HIT.inc();
         } else {
             SETTLED_MISS.inc();
         }
+
+        // Compute times, segment by segment, hosts in order — the jitter
+        // draw per live host happens in the same order whichever segments
+        // hit their cache, so the RNG stream is identical on every path.
+        // With jitter off, a segment the pre-step pass let go also holds
+        // its compute times, and `time` their maximum.
+        for (sidx, (seg, &stamp)) in self.segments.iter_mut().zip(&*stamps).enumerate() {
+            if calm && stamp == seg.epoch {
+                continue;
+            }
+            let range = self.bank.segment_range(sidx);
+            let hosts = (self.ops[range.clone()].iter()).zip(&self.op_times[range.clone()]);
+            let mut time = Seconds::ZERO;
+            for ((op, &base), t) in hosts.zip(&mut back.host_compute_time[range]) {
+                *t = match op {
+                    Some(_) => Seconds(base * jitter(&mut self.rng, self.jitter_sigma)),
+                    None => Seconds::ZERO,
+                };
+                time = time.max(*t);
+            }
+            seg.time = time;
+        }
+        laps.lap(&JITTER_SECS);
         let elapsed = self
             .segments
             .iter()
             .fold(Seconds::ZERO, |max, seg| max.max(seg.time));
-
-        // A segment that is not clean at this `dt` moves to a new epoch (the
-        // epoch rule, module docs); a segment whose stamp then differs is
-        // rewritten. Limits are observed at the iteration's start, before
-        // stepping advances the enforcement filters.
-        let mut clean_segments = 0;
-        for (sidx, (seg, &stamp)) in self.segments.iter_mut().zip(&*stamps).enumerate() {
-            let clean = self.fast_forward
-                && calm
-                && seg.ops_valid
-                && self.bank.segment_replayable(sidx, elapsed);
-            clean_segments += usize::from(clean);
-            seg.epoch += u64::from(!clean);
-            if stamp != seg.epoch {
-                for host in self.bank.segment_range(sidx) {
-                    back.host_limit[host] = self.bank.enforced_limit(host);
-                }
-            }
-        }
-        if clean_segments == segs {
-            FFWD_ENGAGED.inc();
-        }
-        laps.lap(&RESOLVE_SECS);
 
         // Advance RAPL state (energy counters + enforcement filters) on
         // every live host through the iteration at its operating-point
@@ -867,52 +915,64 @@ impl JobPlatform {
         // steps enough segments to pay for it. With fast-forward on, it
         // counts a replay for the segments its caches prove settled instead
         // of re-running their arithmetic.
-        if self.fast_forward {
-            self.bank
-                .step_all_partial(elapsed, &self.ops, &mut self.steps, true);
+        let replayed = if ff {
+            (self.bank)
+                .step_all_partial(elapsed, &self.ops, &mut self.steps, true)
+                .segments_replayed
         } else {
             self.bank
                 .step_all(elapsed, &self.ops, &mut self.steps, true);
-        }
+            0
+        };
         laps.lap(&RAPL_STEP_SECS);
+        // Every segment was clean: cached points, no jitter, replayed.
+        if calm && resolved == 0 && replayed == segs {
+            FFWD_ENGAGED.inc();
+        }
 
         // A segment whose filters are settled yields bit-identical operating
-        // points next iteration — arm its op cache (jitter-compatible). The
-        // fleet is steady when, jitter off, every segment would also replay.
-        let mut steady = self.fast_forward && calm;
+        // points next iteration — arm its op cache (jitter-compatible) — and
+        // one that is also quiescent keeps its outcome slices. The fleet is
+        // steady when, jitter off, every segment would also replay.
+        let mut steady = ff && calm;
         let mut reused = 0;
         for (sidx, (seg, stamp)) in self.segments.iter_mut().zip(stamps).enumerate() {
-            seg.ops_valid = self.fast_forward && self.bank.segment_settled(sidx);
+            seg.ops_valid = ff && self.bank.segment_settled(sidx);
+            seg.stable = seg.ops_valid && self.bank.segment_stable(sidx);
             steady &= self.bank.segment_replayable(sidx, elapsed);
             if *stamp == seg.epoch {
                 reused += 1;
                 continue;
             }
             *stamp = seg.epoch;
-            for host in self.bank.segment_range(sidx) {
-                let (power, lead, alive, fresh) = match (&self.ops[host], self.steps[host]) {
+            let range = self.bank.segment_range(sidx);
+            let hosts = (self.ops[range.clone()].iter())
+                .zip(&self.steps[range.clone()])
+                .zip(self.last_power[range.clone()].iter_mut())
+                .zip(self.last_lead[range.clone()].iter_mut());
+            let slots = (back.host_power[range.clone()].iter_mut())
+                .zip(back.host_lead[range.clone()].iter_mut())
+                .zip(back.host_alive[range.clone()].iter_mut())
+                .zip(back.host_fresh[range].iter_mut());
+            for ((((op, step), last_power), last_lead), (((power, lead), alive), fresh)) in
+                hosts.zip(slots)
+            {
+                (*power, *lead, *alive, *fresh) = match (op, step) {
                     (None, _) => (Watts::ZERO, Hertz(0.0), false, false),
                     (Some(op), HostStep::Fresh) => {
-                        self.last_power[host] = op.power;
-                        self.last_lead[host] = op.lead;
+                        *last_power = op.power;
+                        *last_lead = op.lead;
                         (op.power, op.lead, true, true)
                     }
                     // Telemetry out: the hardware advanced underneath, but
                     // the observer only has last-known readings.
-                    (Some(_), HostStep::Stale) => {
-                        (self.last_power[host], self.last_lead[host], true, false)
-                    }
+                    (Some(_), HostStep::Stale) => (*last_power, *last_lead, true, false),
                     (Some(_), HostStep::Skipped) => unreachable!("live host was not stepped"),
                 };
-                back.host_power[host] = power;
-                back.host_lead[host] = lead;
-                back.host_alive[host] = alive;
-                back.host_fresh[host] = fresh;
             }
         }
-        // Zero adds are skipped: under jitter nothing is ever reused, in
-        // steady state nothing rewritten, and a sweep's workers would only
-        // bounce the counter's cache line.
+        // Zero adds are skipped: in steady state nothing is rewritten, and a
+        // sweep's workers would only bounce the counter's cache line.
         if reused > 0 {
             SEGMENTS_REUSED.add(reused);
         }
@@ -935,16 +995,18 @@ impl JobPlatform {
         }
         self.steady = steady;
     }
+}
 
-    fn draw_jitter(&mut self) -> f64 {
-        if self.jitter_sigma == 0.0 {
-            return 1.0;
-        }
-        // Two-uniform approximation of a centered Gaussian is plenty for
-        // multiplicative noise of a fraction of a percent.
-        let u: f64 = self.rng.gen::<f64>() + self.rng.gen::<f64>() - 1.0;
-        (1.0 + u * self.jitter_sigma * 1.7).max(0.5)
+/// One host's compute-time jitter factor: 1 with `sigma` zero (no draw),
+/// else two draws from `rng`.
+fn jitter(rng: &mut ChaCha8Rng, sigma: f64) -> f64 {
+    if sigma == 0.0 {
+        return 1.0;
     }
+    // Two-uniform approximation of a centered Gaussian is plenty for
+    // multiplicative noise of a fraction of a percent.
+    let u: f64 = rng.gen::<f64>() + rng.gen::<f64>() - 1.0;
+    (1.0 + u * sigma * 1.7).max(0.5)
 }
 
 #[cfg(test)]

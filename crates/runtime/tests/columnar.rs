@@ -527,8 +527,15 @@ proptest! {
     /// `previous()` must
     /// equal — field for field, after every iteration — those of a twin
     /// that steps everything, and per-host energy must be bit-identical.
-    /// Under jitter nothing may be reused and the RNG stream must not move;
-    /// the same comparison shows both.
+    ///
+    /// Under jitter every iteration has a new `dt`, so no segment replays;
+    /// but a stable one (settled, and its last step read every host back
+    /// fresh) keeps its limit, power, lead, alive and fresh slices at any
+    /// `dt`, while its compute-time slice is redrawn every iteration and the
+    /// RNG stream must not move. The same comparison shows all three. Every
+    /// jittered case runs one idle stretch long enough for its 4-host
+    /// segments to settle, so it reaches stable jittered segments and keeps
+    /// them across both sides of the double buffer.
     ///
     /// The twin also resolves every host through the PCU search every
     /// iteration, while the fast platform keeps the points whose span the
@@ -542,8 +549,14 @@ proptest! {
         sigma in prop_oneof![Just(0.0), Just(0.0), 0.002f64..0.02],
         seed in 0u64..u64::MAX,
         schedule in prop::collection::vec((0u64..48, 0usize..14, arb_churn()), 0..16),
+        settle in (0u64..48, 0usize..14, 100u32..400, arb_follow()),
     ) {
         let n = eps.len();
+        let mut schedule = schedule;
+        if sigma > 0.0 {
+            let (at, host, len, then) = settle;
+            schedule.push((at, host, Churn::Idle(len, then)));
+        }
         let phase = |intensity, waiting| match waiting {
             true => KernelConfig::new(
                 intensity,

@@ -112,11 +112,11 @@
 use crate::error::Result;
 use crate::faults::{FaultKind, NodeHealth};
 use crate::msr::{address, check_write};
-use crate::node::{perf_ctl_ratio, resolve_freq_cap_request, Node, NodeId};
+use crate::node::{check_eps, perf_ctl_ratio, resolve_freq_cap_request, Node, NodeId};
 use crate::power::{CapSpan, LoadModel, OperatingPoint, PowerModel};
 use crate::rapl::{
     decode_power_limit, enforcement_params_of, resolve_pl1_request, PackageState, Pl1Gate,
-    PlaneState, RaplUnits, DEFAULT_UNIT_REGISTER,
+    PlaneState, RaplPackage, RaplUnits, DEFAULT_UNIT_REGISTER,
 };
 use crate::units::{Hertz, Joules, Seconds, Watts};
 use pmstack_obs::StaticCounter;
@@ -276,47 +276,7 @@ impl NodeBank {
     /// # Panics
     /// If the nodes are not built from one part of one class.
     pub fn from_nodes(nodes: Vec<Node>) -> Self {
-        let n = nodes.len();
-        let sockets = nodes.first().map_or(0, |n| n.packages().len());
-        let first = nodes.first().and_then(|n| n.packages().first());
-        let units = first.map_or(RaplUnits::decode(DEFAULT_UNIT_REGISTER), |p| p.units());
-        let pl1_min = first.map_or(Watts::ZERO, |p| p.min_limit());
-        let pl1_max = first.map_or(Watts::ZERO, |p| p.max_limit());
-        let write_mask = |addr| first.map_or(0, |p| p.msrs().write_mask(addr));
-        let planes = first
-            .and_then(|p| p.state().planes)
-            .map_or(Vec::new(), |planes| vec![planes; n * sockets]);
-        let mut bank = Self {
-            part: None,
-            sockets,
-            segment_hosts: DEFAULT_SEGMENT_HOSTS,
-            seg: vec![SegCache::Invalid; n.div_ceil(DEFAULT_SEGMENT_HOSTS)],
-            pending: vec![0; n.div_ceil(DEFAULT_SEGMENT_HOSTS)],
-            dead_hosts: 0,
-            units,
-            pl1_min,
-            pl1_max,
-            pl1_write_mask: write_mask(address::PKG_POWER_LIMIT),
-            perf_ctl_write_mask: write_mask(address::PERF_CTL),
-            energy: vec![Joules::ZERO; n * sockets],
-            enforced: vec![Watts(0.0); n * sockets],
-            pl1_raw: vec![0; n * sockets],
-            target: vec![Watts(0.0); n * sockets],
-            tau: vec![1.0; n * sockets],
-            enabled: vec![true; n * sockets],
-            last_freq: vec![Hertz(0.0); n],
-            telemetry_down: vec![0; n],
-            msr_glitch: vec![false; n],
-            freq_cap: vec![None; n],
-            programmed: vec![Watts(0.0); n],
-            replay_delta: vec![Joules::ZERO; n],
-            op_span: vec![CapSpan::NEVER; n],
-            id: vec![NodeId(0); n],
-            eps: vec![1.0; n],
-            health: vec![NodeHealth::Healthy; n],
-            stuck: vec![None; n],
-            planes,
-        };
+        let mut bank = Self::filled(nodes.first(), nodes.len());
         // Each node is dropped while its lines are still warm from the
         // ingest: a second teardown pass over 100 000 cold nodes costs about
         // as much again as this one.
@@ -329,6 +289,101 @@ impl NodeBank {
                 ),
                 None => bank.part = Some(node),
             }
+        }
+        bank
+    }
+
+    /// Build a bank of `hosts.len()` hosts, each in the state `part` is in
+    /// but with its own id and efficiency factor ε: what
+    /// [`NodeBank::from_nodes`] builds from one `Node` per host made like
+    /// `part` (for a fresh fleet, `Node::new(id, model, ε)` or
+    /// [`Node::with_class`]), without making them. Each column is filled
+    /// from the one part.
+    ///
+    /// # Errors
+    /// An ε that [`Node::new`] refuses, with its error.
+    pub fn from_part(part: Node, hosts: &[(NodeId, f64)]) -> Result<Self> {
+        let mut bank = Self::filled(Some(&part), hosts.len());
+        for (h, &(id, eps)) in hosts.iter().enumerate() {
+            check_eps(eps)?;
+            bank.id[h] = id;
+            bank.eps[h] = eps;
+        }
+        bank.part = Some(part);
+        Ok(bank)
+    }
+
+    /// Columns for `n` hosts, each holding `template`'s state (id and ε
+    /// included), and no part yet: the one allocation behind both
+    /// constructors. `from_nodes` then ingests each host's own node over
+    /// its row, `from_part` writes each host's id and ε.
+    fn filled(template: Option<&Node>, n: usize) -> Self {
+        let pkgs = template.map_or(&[][..], |t| t.packages());
+        let sockets = pkgs.len();
+        let first = pkgs.first();
+        let units = first.map_or(RaplUnits::decode(DEFAULT_UNIT_REGISTER), |p| p.units());
+        let pl1_min = first.map_or(Watts::ZERO, |p| p.min_limit());
+        let pl1_max = first.map_or(Watts::ZERO, |p| p.max_limit());
+        let write_mask = |addr| first.map_or(0, |p| p.msrs().write_mask(addr));
+        // One row of a per-(host, socket) column, repeated for every host.
+        fn tile<T: Copy>(
+            pkgs: &[RaplPackage],
+            n: usize,
+            cell: impl Fn(&RaplPackage) -> T,
+        ) -> Vec<T> {
+            pkgs.iter().map(cell).collect::<Vec<_>>().repeat(n)
+        }
+        // A per-host column (empty with no template, which means no hosts).
+        fn per_host<T: Clone>(t: Option<&Node>, n: usize, cell: impl Fn(&Node) -> T) -> Vec<T> {
+            t.map_or(Vec::new(), |t| vec![cell(t); n])
+        }
+        let params = |p: &RaplPackage| enforcement_params_of(&p.limit(), pl1_max);
+        let planes = match first.and_then(|p| p.state().planes) {
+            Some(_) => tile(pkgs, n, |p| {
+                p.state()
+                    .planes
+                    .expect("every package of a part has planes")
+            }),
+            None => Vec::new(),
+        };
+        let mut bank = Self {
+            part: None,
+            sockets,
+            segment_hosts: DEFAULT_SEGMENT_HOSTS,
+            seg: vec![SegCache::Invalid; n.div_ceil(DEFAULT_SEGMENT_HOSTS)],
+            pending: vec![0; n.div_ceil(DEFAULT_SEGMENT_HOSTS)],
+            dead_hosts: if template.is_some_and(Node::is_dead) {
+                n
+            } else {
+                0
+            },
+            units,
+            pl1_min,
+            pl1_max,
+            pl1_write_mask: write_mask(address::PKG_POWER_LIMIT),
+            perf_ctl_write_mask: write_mask(address::PERF_CTL),
+            energy: tile(pkgs, n, |p| p.state().energy),
+            enforced: tile(pkgs, n, |p| p.state().enforced),
+            pl1_raw: tile(pkgs, n, |p| p.state().pl1_raw),
+            target: tile(pkgs, n, |p| params(p).0),
+            tau: tile(pkgs, n, |p| params(p).1),
+            enabled: tile(pkgs, n, |p| p.limit().enabled),
+            last_freq: per_host(template, n, |t| t.last_freq),
+            telemetry_down: per_host(template, n, |t| t.telemetry_down_for),
+            msr_glitch: per_host(template, n, |t| t.msr_glitch),
+            freq_cap: per_host(template, n, |t| t.freq_cap),
+            programmed: vec![Watts(0.0); n],
+            replay_delta: vec![Joules::ZERO; n],
+            op_span: vec![CapSpan::NEVER; n],
+            id: per_host(template, n, |t| t.id),
+            eps: per_host(template, n, |t| t.eps),
+            health: per_host(template, n, |t| t.health),
+            stuck: per_host(template, n, |t| t.stuck_limit),
+            planes,
+        };
+        if n > 0 {
+            let programmed = bank.programmed_limit(0);
+            bank.programmed.fill(programmed);
         }
         bank
     }
@@ -375,6 +430,22 @@ impl NodeBank {
     /// on the segment since.
     pub fn segment_settled(&self, sidx: usize) -> bool {
         matches!(self.seg[sidx], SegCache::Settled { .. })
+    }
+
+    /// True when segment `sidx` is settled and its last step was quiescent
+    /// (no host read back `Stale`, no one-shot telemetry state left), at
+    /// whatever `dt`: one more step reports what that one did and moves
+    /// no host's lead. Its filters may still move if the next `dt` differs
+    /// (α depends on `dt`); the step that does so leaves the segment
+    /// unsettled, so the next test fails.
+    pub fn segment_stable(&self, sidx: usize) -> bool {
+        matches!(
+            self.seg[sidx],
+            SegCache::Settled {
+                quiescent: true,
+                ..
+            }
+        )
     }
 
     /// True when [`NodeBank::step_all_partial`] at this `dt` would replay
@@ -488,6 +559,38 @@ impl NodeBank {
             .sum()
     }
 
+    /// Every host of segment `sidx`'s [`NodeBank::enforced_limit`], written
+    /// into `out` at the host's index: one pass over the segment's cells
+    /// with the socket count fixed for the common parts.
+    pub fn segment_enforced_limits(&self, sidx: usize, out: &mut [Watts]) {
+        fn fixed<const S: usize>(
+            enforced: &[Watts],
+            enabled: &[bool],
+            max: Watts,
+            width: usize,
+            out: &mut [Watts],
+        ) {
+            let w = if S == 0 { width } else { S };
+            let cells = enforced.chunks_exact(w).zip(enabled.chunks_exact(w));
+            for (limit, (enforced, enabled)) in out.iter_mut().zip(cells) {
+                // The sum `enforced_limit` takes, in its order.
+                *limit = (enforced.iter().zip(enabled))
+                    .map(|(&e, &on)| if on { e } else { max })
+                    .sum();
+            }
+        }
+        let range = self.segment_range(sidx);
+        let s = self.sockets;
+        let cells = range.start * s..range.end * s;
+        let (enforced, enabled) = (&self.enforced[cells.clone()], &self.enabled[cells]);
+        let out = &mut out[range];
+        match s {
+            1 => fixed::<1>(enforced, enabled, self.pl1_max, s, out),
+            2 => fixed::<2>(enforced, enabled, self.pl1_max, s, out),
+            _ => fixed::<0>(enforced, enabled, self.pl1_max, s, out),
+        }
+    }
+
     /// Cumulative exact host energy (sum over sockets), bit-identical to
     /// [`Node::energy`]: the cells with the segment's pending replays
     /// accrued.
@@ -518,20 +621,21 @@ impl NodeBank {
         model: &PowerModel,
         load: &L,
     ) -> OperatingPoint {
-        self.resolve_host(h, model, load).0
+        self.resolve_host(h, self.enforced_limit(h), model, load).0
     }
 
-    /// [`NodeBank::operating_point`] with the span of enforced limits it
-    /// holds over. The frequency-cap clamp is a function of the PCU's answer
-    /// and of inputs whose writes drop the span, so it holds over the same
-    /// limits the PCU's answer does.
+    /// [`NodeBank::operating_point`] under enforced limit `limit`, with the
+    /// span of enforced limits it holds over. The frequency-cap clamp is a
+    /// function of the PCU's answer and of inputs whose writes drop the
+    /// span, so it holds over the same limits the PCU's answer does.
     fn resolve_host<L: LoadModel + ?Sized>(
         &self,
         h: usize,
+        limit: Watts,
         model: &PowerModel,
         load: &L,
     ) -> (OperatingPoint, CapSpan) {
-        let (op, span) = load.operating_point_span(model, self.eps[h], self.enforced_limit(h));
+        let (op, span) = load.operating_point_span(model, self.eps[h], limit);
         let op = match self.freq_cap[h] {
             Some(cap_f) if op.lead > cap_f => OperatingPoint {
                 lead: cap_f,
@@ -550,6 +654,11 @@ impl NodeBank {
     /// written for them are re-resolved; each of those is passed to
     /// `rewrote` with its new slot, the others cost two compares.
     ///
+    /// `limits` holds, at each of the segment's host indices, the host's
+    /// [`NodeBank::enforced_limit`] as it is now — what
+    /// [`NodeBank::segment_enforced_limits`] writes — so a caller that
+    /// observes the limits anyway computes them once.
+    ///
     /// The spans describe the slots this method wrote, so the caller hands
     /// back the same `ops` call after call, resolves with the same `model`
     /// and `load`, and calls [`NodeBank::invalidate_segments`] when it swaps
@@ -560,22 +669,29 @@ impl NodeBank {
         sidx: usize,
         model: &PowerModel,
         load: &L,
+        limits: &[Watts],
         ops: &mut [Option<OperatingPoint>],
         mut rewrote: impl FnMut(usize, Option<&OperatingPoint>),
     ) {
         assert_eq!(ops.len(), self.len(), "one slot per host");
+        assert_eq!(limits.len(), self.len(), "one limit per host");
         let range = self.segment_range(sidx);
         let hosts = range.len() as u64;
         let mut searched = 0;
         for h in range {
-            if self.op_span[h].holds(self.enforced_limit(h)) {
+            let limit = limits[h];
+            debug_assert_eq!(
+                limit.value().to_bits(),
+                self.enforced_limit(h).value().to_bits()
+            );
+            if self.op_span[h].holds(limit) {
                 continue;
             }
             searched += 1;
             // Dead hosts drop out of the computation; the span dropped at
             // death stays empty, so the slot is simply rewritten each pass.
             ops[h] = self.is_alive(h).then(|| {
-                let (op, span) = self.resolve_host(h, model, load);
+                let (op, span) = self.resolve_host(h, limit, model, load);
                 self.op_span[h] = span;
                 op
             });
@@ -1094,15 +1210,16 @@ fn run_seg_chunk(
     let mut lo = 0;
     for si in 0..chunk.seg.len() {
         let len = segment_hosts.min(total - lo);
-        let mut cols = chunk.cols.sub(lo, len, sockets);
         if !steps(chunk.seg[si], dt_bits, allow_replay) {
             debug_assert!(
-                cols.telemetry_down.iter().all(|&t| t == 0) && cols.msr_glitch.iter().all(|&g| !g),
+                (chunk.cols.telemetry_down[lo..lo + len].iter()).all(|&t| t == 0)
+                    && chunk.cols.msr_glitch[lo..lo + len].iter().all(|&g| !g),
                 "replayed a span holding one-shot telemetry state"
             );
             chunk.pending[si] += 1;
             chunk.replayed += 1;
         } else {
+            let mut cols = chunk.cols.sub(lo, len, sockets);
             // The step overwrites the delta the pending replays stand for.
             let k = std::mem::take(&mut chunk.pending[si]);
             apply_replays(cols.energy, cols.replay_delta, sockets, k);
@@ -1118,12 +1235,18 @@ fn run_seg_chunk(
 }
 
 /// Step every host of one span, replicating [`RaplPackage::advance`]
-/// bit-for-bit. `alpha` is memoized on τ: every package sharing a time
-/// window (the common case — all of them) reuses one `exp()` per span
-/// instead of paying one per package per host. Returns `(settled,
-/// quiescent)`: whether every filter update was a bitwise no-op, and
-/// whether the span neither consumed one-shot telemetry state in this step
-/// nor holds any afterwards.
+/// bit-for-bit. Returns `(settled, quiescent)`: whether every filter update
+/// was a bitwise no-op, and whether the span neither consumed one-shot
+/// telemetry state in this step nor holds any afterwards.
+///
+/// Three passes over the span, each over zipped columns with the socket
+/// count fixed for the common parts: the per-host pass (lead, energy
+/// delta, telemetry), the energy adds ([`add_per_host`]: a skipped host's
+/// delta is `+0.0`, which leaves its non-negative cells bitwise alone), and
+/// the filter updates (a skipped host's filters keep their value, and a
+/// kept value is a no-op for the settled flag). `alpha` is memoized on τ:
+/// every package sharing a time window (the common case — all of them)
+/// reuses one `exp()` per span instead of paying one per package per host.
 ///
 /// [`RaplPackage::advance`]: crate::rapl::RaplPackage::advance
 fn step_span(
@@ -1135,49 +1258,80 @@ fn step_span(
     target: &[Watts],
     tau: &[f64],
 ) -> (bool, bool) {
-    let mut memo_tau = f64::NAN;
-    let mut memo_alpha = 0.0;
-    let mut settled = true;
+    let hosts = base..base + cols.results.len();
+    let cells = hosts.start * sockets..hosts.end * sockets;
+    let (ops, target, tau) = (&ops[hosts], &target[cells.clone()], &tau[cells]);
+    match sockets {
+        1 => step_cells::<1>(cols, 1, dt, ops, target, tau),
+        2 => step_cells::<2>(cols, 2, dt, ops, target, tau),
+        _ => step_cells::<0>(cols, sockets, dt, ops, target, tau),
+    }
+}
+
+/// [`step_span`] over the span's own slices, `S` sockets wide (`S == 0`:
+/// `sockets` wide, read at run time).
+fn step_cells<const S: usize>(
+    cols: &mut SpanCols<'_>,
+    sockets: usize,
+    dt: Seconds,
+    ops: &[Option<OperatingPoint>],
+    target: &[Watts],
+    tau: &[f64],
+) -> (bool, bool) {
+    let w = if S == 0 { sockets } else { S };
     let mut quiescent = true;
-    for i in 0..cols.results.len() {
-        let h = base + i;
-        let Some(op) = ops[h] else {
-            cols.results[i] = HostStep::Skipped;
-            cols.replay_delta[i] = Joules::ZERO;
-            quiescent &= cols.telemetry_down[i] == 0 && !cols.msr_glitch[i];
+    let per_host = (ops.iter().zip(cols.results.iter_mut()))
+        .zip(cols.last_freq.iter_mut().zip(cols.replay_delta.iter_mut()))
+        .zip(
+            cols.telemetry_down
+                .iter_mut()
+                .zip(cols.msr_glitch.iter_mut()),
+        );
+    for (((op, result), (last_freq, delta)), (down, glitch)) in per_host {
+        let Some(op) = op else {
+            *result = HostStep::Skipped;
+            *delta = Joules::ZERO;
+            quiescent &= *down == 0 && !*glitch;
             continue;
         };
-        cols.last_freq[i] = op.lead;
-        let delta = op.power / sockets as f64 * dt;
-        cols.replay_delta[i] = delta;
-        for k in 0..sockets {
-            let gi = h * sockets + k;
-            let li = i * sockets + k;
-            cols.energy[li] += delta;
-            let t = tau[gi];
-            if t != memo_tau {
-                memo_alpha = 1.0 - (-dt.value() / t).exp();
-                memo_tau = t;
-            }
-            let held = cols.enforced[li];
-            let next = held + (target[gi] - held) * memo_alpha;
-            if next.value().to_bits() != held.value().to_bits() {
-                settled = false;
-            }
-            cols.enforced[li] = next;
-        }
+        *last_freq = op.lead;
+        *delta = op.power / w as f64 * dt;
         // A host that reads back `Stale` consumed one-shot state: the next
         // step reports something else, so this one cannot be replayed.
-        cols.results[i] = if cols.telemetry_down[i] > 0 {
-            cols.telemetry_down[i] -= 1;
-            quiescent = false;
+        *result = if *down > 0 {
+            *down -= 1;
             HostStep::Stale
-        } else if std::mem::take(&mut cols.msr_glitch[i]) {
-            quiescent = false;
+        } else if std::mem::take(glitch) {
             HostStep::Stale
         } else {
             HostStep::Fresh
         };
+        quiescent &= *result == HostStep::Fresh;
+    }
+
+    add_per_host(cols.energy, cols.replay_delta, w);
+
+    let mut memo_tau = f64::NAN;
+    let mut memo_alpha = 0.0;
+    let mut settled = true;
+    let filters = (cols.enforced.chunks_exact_mut(w))
+        .zip(target.chunks_exact(w).zip(tau.chunks_exact(w)))
+        .zip(cols.results.iter());
+    for ((enforced, (target, tau)), result) in filters {
+        let live = *result != HostStep::Skipped;
+        for ((held, &target), &t) in enforced.iter_mut().zip(target).zip(tau) {
+            if t != memo_tau {
+                memo_alpha = 1.0 - (-dt.value() / t).exp();
+                memo_tau = t;
+            }
+            let next = if live {
+                *held + (target - *held) * memo_alpha
+            } else {
+                *held
+            };
+            settled &= next.value().to_bits() == held.value().to_bits();
+            *held = next;
+        }
     }
     (settled, quiescent)
 }

@@ -66,11 +66,7 @@ pub struct Node {
 impl Node {
     /// Construct a node with efficiency factor `eps` from a machine spec.
     pub fn new(id: NodeId, model: &PowerModel, eps: f64) -> Result<Self> {
-        if !(eps.is_finite() && eps > 0.0) {
-            return Err(SimHwError::InvalidParameter(format!(
-                "node efficiency factor must be positive, got {eps}"
-            )));
-        }
+        check_eps(eps)?;
         let spec = model.spec();
         // Sized exactly: a fallible `collect` has no size hint and would
         // round a two-package node up to a four-package allocation.
@@ -469,6 +465,18 @@ impl Node {
         let msrs = self.packages[k].msrs_mut();
         let raw = msrs.hw_load(crate::msr::address::PKG_POWER_LIMIT);
         msrs.hw_store(crate::msr::address::PKG_POWER_LIMIT, raw | 1 << 63);
+    }
+}
+
+/// Refuse an efficiency factor that is not finite and positive: the one
+/// check behind [`Node::new`] and `NodeBank::from_part`.
+pub(crate) fn check_eps(eps: f64) -> Result<()> {
+    if eps.is_finite() && eps > 0.0 {
+        Ok(())
+    } else {
+        Err(SimHwError::InvalidParameter(format!(
+            "node efficiency factor must be positive, got {eps}"
+        )))
     }
 }
 

@@ -558,9 +558,14 @@ proptest! {
             }
             let before = ops.clone();
             let mut reported = vec![None; n];
+            let mut limits = vec![Watts::ZERO; n];
             for sidx in 0..bank.num_segments() {
                 let range = bank.segment_range(sidx);
-                bank.resolve_segment(sidx, &model, load, &mut ops, |h, op| {
+                bank.segment_enforced_limits(sidx, &mut limits);
+                for h in range.clone() {
+                    prop_assert_eq!(limits[h].value().to_bits(), bank.enforced_limit(h).value().to_bits());
+                }
+                bank.resolve_segment(sidx, &model, load, &limits, &mut ops, |h, op| {
                     assert!(range.contains(&h), "host {h} is outside segment {sidx}");
                     reported[h] = Some(op.copied());
                 });
@@ -573,6 +578,116 @@ proptest! {
             }
             bank.step_all_partial(Seconds(0.2), &ops, &mut results, false);
         }
+    }
+}
+
+/// A part `from_part` is tested over: the quartz node with 2, 1 and 3
+/// sockets (the step kernel's two fixed widths and its dynamic one), then
+/// each standard class, built with its PP0/DRAM planes.
+fn part_model(kind: usize) -> PowerModel {
+    let spec = match kind {
+        0..=2 => {
+            let mut spec = quartz_spec();
+            spec.sockets_per_node = [2, 1, 3][kind];
+            spec.cores_used_per_node = spec
+                .cores_used_per_node
+                .min(spec.sockets_per_node * spec.cores_per_socket);
+            spec
+        }
+        k => standard_classes().swap_remove(k - 3).spec,
+    };
+    PowerModel::new(spec).unwrap()
+}
+
+/// The `Node` of part `kind` a per-host build makes for `(id, eps)`.
+fn part_node(kind: usize, model: &PowerModel, id: NodeId, eps: f64) -> Result<Node, SimHwError> {
+    match kind {
+        0..=2 => Node::new(id, model, eps),
+        k => Node::with_class(id, ClassId(0), &standard_classes()[k - 3], model, eps),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `from_part` fills every column from one part instead of ingesting a
+    /// `Node` per host, so it must build the bank `from_nodes` builds from
+    /// `Node`s made like the part: every host materialises to the same
+    /// `Node` (registers, planes, id and ε included; `Debug` prints every
+    /// field), and the two banks step bit for bit alike over 60 iterations
+    /// at jittered `dt`s, with creeping limits, on any sharding. An ε that
+    /// `Node::new` refuses is refused with its error.
+    #[test]
+    fn a_bank_built_from_one_part_matches_one_built_from_nodes(
+        kind in 0usize..6,
+        eps in prop::collection::vec(0.85f64..1.15, 1..40),
+        seg in 1usize..12,
+        limits in prop::collection::vec(100.0f64..300.0, 1..5),
+        dts in prop::collection::vec(prop_oneof![Just(0.2), 0.05f64..0.4], 60..61),
+        bad in prop_oneof![Just(0.0), Just(-1.0), Just(f64::NAN)],
+        bad_at in 0usize..40,
+    ) {
+        let model = part_model(kind);
+        let n = eps.len();
+        let hosts: Vec<(NodeId, f64)> =
+            (eps.iter().enumerate()).map(|(i, &e)| (NodeId(1000 + 3 * i), e)).collect();
+        let nodes: Vec<Node> = (hosts.iter())
+            .map(|&(id, e)| part_node(kind, &model, id, e).unwrap())
+            .collect();
+        let part = || part_node(kind, &model, NodeId(7), 1.0).unwrap();
+        let mut want = NodeBank::from_nodes(nodes);
+        let mut got = NodeBank::from_part(part(), &hosts).unwrap();
+        prop_assert_eq!(got.len(), n);
+        prop_assert_eq!(got.alive_count(), n);
+        let materialised_alike = |got: &NodeBank, want: &NodeBank| {
+            for h in 0..n {
+                let (a, b) = (got.node(h), want.node(h));
+                assert_node_matches(&a, &b);
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "host {h}");
+            }
+        };
+        materialised_alike(&got, &want);
+
+        want.set_segment_hosts(seg);
+        got.set_segment_hosts(seg);
+        let load = FlatLoad { kappa: 2.6 };
+        let mut ops = vec![None; n];
+        let (mut res_want, mut res_got) = (vec![HostStep::Skipped; n], vec![HostStep::Skipped; n]);
+        for (iter, &dt) in dts.iter().enumerate() {
+            if iter % 20 == 0 {
+                for h in 0..n {
+                    let w = Watts(limits[(h + iter) % limits.len()]);
+                    prop_assert_eq!(got.set_power_limit(h, w), want.set_power_limit(h, w));
+                }
+            }
+            for (h, op) in ops.iter_mut().enumerate() {
+                *op = Some(want.operating_point(h, &model, &load));
+                prop_assert_eq!(
+                    op_bits(Some(got.operating_point(h, &model, &load))),
+                    op_bits(*op),
+                    "operating point, host {}", h
+                );
+            }
+            let dt = Seconds(dt);
+            let report = got.step_all_partial(dt, &ops, &mut res_got, false);
+            prop_assert_eq!(report, want.step_all_partial(dt, &ops, &mut res_want, false));
+            prop_assert_eq!(&res_got, &res_want);
+            for h in 0..n {
+                prop_assert_eq!(got.energy(h).value().to_bits(), want.energy(h).value().to_bits());
+                prop_assert_eq!(
+                    got.enforced_limit(h).value().to_bits(),
+                    want.enforced_limit(h).value().to_bits()
+                );
+                prop_assert_eq!(got.last_freq(h).value().to_bits(), want.last_freq(h).value().to_bits());
+            }
+        }
+        materialised_alike(&got, &want);
+
+        let mut bad_hosts = hosts.clone();
+        bad_hosts[bad_at % n].1 = bad;
+        let refused = NodeBank::from_part(part(), &bad_hosts).map(|_| ());
+        prop_assert_eq!(refused, part_node(kind, &model, NodeId(0), bad).map(|_| ()));
+        prop_assert!(part_node(kind, &model, NodeId(0), bad).is_err());
     }
 }
 
@@ -593,9 +708,11 @@ fn a_creeping_limit_is_searched_only_when_its_point_moves() {
     let mut results = vec![HostStep::Skipped; n];
     let (mut searches, mut moves) = (vec![0; n], vec![0; n]);
     let mut settled = false;
+    let mut limits = vec![Watts::ZERO; n];
     for _ in 0..2000 {
         let before = ops.clone();
-        bank.resolve_segment(0, &model, &load, &mut ops, |h, _| searches[h] += 1);
+        bank.segment_enforced_limits(0, &mut limits);
+        bank.resolve_segment(0, &model, &load, &limits, &mut ops, |h, _| searches[h] += 1);
         for h in 0..n {
             let want = Some(bank.operating_point(h, &model, &load));
             assert_eq!(op_bits(ops[h]), op_bits(want));
