@@ -16,6 +16,9 @@ Three modes, dispatched on the fresh file's "benchmark" field:
   clean segment costs a stamp check and a replay count — so the steady row
   is guarded per segment, against the committed per_host_ns row in
   BENCH_step.json for the same fleet size converted the same way. The
+  full_resolve and balance rows (a batched limit write, the counted
+  resolve and the segment-chunked passes of every iteration) are guarded
+  per host against their committed rows, with their own noise floor. The
   shard_churn row guards the partial-invalidation path — one dirty segment
   must cost what that segment costs, not a pass over the fleet — against
   one segment's share of the full_resolve row of the *same run*, which
@@ -50,6 +53,12 @@ NOISE_FLOOR_SECS = 0.25
 # path ~60 000, both over this floor; that a steady iteration writes no
 # energy cell at all is pinned exactly by crates/runtime/tests/steady.rs.
 NOISE_FLOOR_NS_PER_SEGMENT = 1000.0
+# The full_resolve and balance rows are per-host work on every host of
+# every iteration: ~50 and ~60 ns/host in a --fast run on a 2-vCPU Xeon,
+# against ~90-140 at the commit before the control write was batched and
+# the passes fanned out. Below this floor a 2x swing is the runner, not the
+# code.
+NOISE_FLOOR_NS_PER_HOST = 100.0
 # Sub-25ms p99s on a loaded shared runner are mostly scheduler jitter;
 # the serve guard only engages above this.
 NOISE_FLOOR_P99_MS = 25.0
@@ -102,6 +111,14 @@ def check_megafleet(fresh: dict, base_path: str) -> int:
                     NOISE_FLOOR_NS_PER_SEGMENT, "ns/segment")
     elif "steady" in phases:
         print(f"note: no committed {row} baseline in {base_path}; skipping steady")
+    for phase in ("full_resolve", "balance"):
+        row = f"{phase}_{hosts}_hosts"
+        if phase in phases and row in per_host:
+            ok &= check(f"megafleet {phase} ({hosts} hosts)",
+                        float(phases[phase]["ns_per_host"]), float(per_host[row]),
+                        NOISE_FLOOR_NS_PER_HOST, "ns/host")
+        elif phase in phases:
+            print(f"note: no committed {row} baseline in {base_path}; skipping {phase}")
     if "full_resolve" in phases and "shard_churn" in phases:
         churn = float(phases["shard_churn"]["ns_per_host"]) * hosts
         resolve = float(phases["full_resolve"]["ns_per_host"]) * int(fresh["segment_hosts"])

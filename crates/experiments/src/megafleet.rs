@@ -249,6 +249,7 @@ pub fn run_megafleet(params: &MegafleetParams) -> MegafleetReport {
     // re-resolving every interval; every other segment must stay on the
     // per-segment replay path, which the shard counters prove.
     let before = pmstack_obs::snapshot();
+    let replays_before = platform.segment_replays();
     let mut flip = 0u64;
     phases.push(time_phase(
         "shard_churn",
@@ -266,8 +267,9 @@ pub fn run_megafleet(params: &MegafleetParams) -> MegafleetReport {
     let shard_count = |snap: &pmstack_obs::Snapshot, name: &str| snap.counter(name).unwrap_or(0);
     let churn_invalidated = shard_count(&after, "simhw.bank.shard.invalidated")
         - shard_count(&before, "simhw.bank.shard.invalidated");
-    let churn_replayed = shard_count(&after, "simhw.bank.shard.replayed")
-        - shard_count(&before, "simhw.bank.shard.replayed");
+    // The platform's own count: the process-wide counter also moves with
+    // whatever else steps a bank meanwhile (concurrent tests do).
+    let churn_replayed = platform.segment_replays() - replays_before;
     let slots = (params.churn_iters * segments) as f64;
     let churn_replay_fraction = if slots > 0.0 {
         churn_replayed as f64 / slots

@@ -18,7 +18,7 @@
 
 use crate::config::KernelConfig;
 use crate::perf::PerfModel;
-use pmstack_simhw::power::{CapSpan, CoreClass, OperatingPoint, CAP_SLACK};
+use pmstack_simhw::power::{CandidateTable, CapSpan, CoreClass, OperatingPoint, CAP_SLACK};
 use pmstack_simhw::{Hertz, Joules, LoadModel, MachineSpec, PowerModel, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
@@ -31,8 +31,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Every hot query the stack makes of a [`KernelLoad`] reduces to
 /// `static_power(ε) + D·ε` for some dynamic coefficient `D = Σ count·κ·φ(f)`
 /// that does **not** depend on ε — so D can be tabulated once per binding
-/// and each per-node query becomes a binary search plus two FLOPs, with no
-/// `powf` in the loop. Coefficients are computed with the exact closed-form
+/// and each per-node resolve becomes a count over a coefficient column
+/// ([`CandidateTable`]), with no `powf` in the loop. Coefficients are computed with the exact closed-form
 /// `φ`, so table-driven answers at ladder steps are bit-identical to the
 /// direct scans they replace (see the `table_*_matches_scan` tests).
 #[derive(Debug, Clone)]
@@ -44,12 +44,12 @@ struct OpTables {
     d_used: f64,
     /// D at (turbo, spin floor) — the zero-loss minimum.
     d_needed: f64,
-    /// Stage-2 demotion candidates, ascending trail frequency:
-    /// `(trail, D(turbo, trail))` for ladder steps in `[floor, turbo)`.
-    stage2: Vec<(Hertz, f64)>,
-    /// Stage-3 throttle candidates, ascending lead frequency:
-    /// `(lead, D(lead, min(lead, floor)))` for ladder steps below turbo.
-    stage3: Vec<(Hertz, f64)>,
+    /// The PCU's candidates: stage-2 demotions `(trail, D(turbo, trail))`
+    /// for ladder steps in `[floor, turbo)` and stage-3 throttles
+    /// `(lead, D(lead, min(lead, floor)))` for ladder steps below turbo,
+    /// each ascending. `None` on a degenerate ladder (`f_min == f_turbo`),
+    /// which has no stage-3 candidate.
+    candidates: Option<CandidateTable>,
     /// Dense monotone curve `lead → D(lead, min(lead, floor))` over the φ
     /// table's knots (ladder steps are exact knots), for the continuous
     /// queries: `node_power_at` interpolates it forward and
@@ -196,6 +196,7 @@ impl KernelLoad {
     /// The operating-point tables for `model`, or `None` when `model`'s
     /// spec differs from the one the tables were built against (callers
     /// fall back to the direct scans).
+    #[inline]
     fn optabs(&self, model: &PowerModel) -> Option<&OpTables> {
         let t = self.tables.get_or_init(|| self.build_tables(model));
         (&t.spec == model.spec()).then_some(t)
@@ -205,7 +206,7 @@ impl KernelLoad {
         let spec = model.spec().clone();
         let ladder = spec.pstates();
         let d = |lead: Hertz, trail: Hertz| model.dynamic_coefficient(&self.classes(lead, trail));
-        let stage2 = ladder
+        let stage2: Vec<(Hertz, f64)> = ladder
             .steps()
             .iter()
             .copied()
@@ -230,12 +231,14 @@ impl KernelLoad {
                 (f, d(lead, lead.min(self.poll_floor)))
             })
             .unzip();
+        let d_used = d(self.f_turbo, self.f_turbo);
+        let candidates = (!stage3.is_empty())
+            .then(|| CandidateTable::new(self.f_turbo, self.poll_floor, d_used, &stage2, &stage3));
         OpTables {
             spec,
-            d_used: d(self.f_turbo, self.f_turbo),
+            d_used,
             d_needed: d(self.f_turbo, self.poll_floor),
-            stage2,
-            stage3,
+            candidates,
             dense_freqs,
             dense_d,
         }
@@ -464,76 +467,29 @@ impl LoadModel for KernelLoad {
     }
 
     /// Table-driven PCU resolution: the same three stages as
-    /// `operating_point_scan`, but each stage is one binary search
-    /// over a precomputed monotone coefficient array. Power at every
-    /// candidate is `static(ε) + D·ε` with D computed exactly once at table
-    /// build, so the chosen point and its power are bit-identical to the
-    /// scan's.
-    ///
-    /// Read as one ascending list `stage3 ‖ stage2 ‖ d_used`, the search
-    /// picks the highest candidate whose power fits, so the point holds from
-    /// its own power up to the power of the next candidate. The span is
-    /// built from what the search itself evaluated — the chosen candidate
-    /// fits, and every stage it fell through showed a lowest candidate that
-    /// does not — so any cap inside it sends the search down the same path,
-    /// and (the list never descending, see `candidate_coefficients_ascend`)
-    /// any cap outside it ends on another candidate. Without tables the scan
-    /// answers and the span is empty.
+    /// `operating_point_scan`, each a count over a precomputed monotone
+    /// coefficient column ([`CandidateTable::resolve`] has the argument).
+    /// Power at every candidate is `static(ε) + D·ε` with D computed exactly
+    /// once at table build, so the chosen point and its power are
+    /// bit-identical to the scan's. Without tables, or for a negative ε (no
+    /// host has one, and its powers would not be monotone), the scan answers
+    /// and the span is empty.
+    #[inline]
     fn operating_point_span(
         &self,
         model: &PowerModel,
         eps: f64,
         cap: Watts,
     ) -> (OperatingPoint, CapSpan) {
-        // A degenerate ladder (f_min == f_turbo) has no stage-3 candidate.
-        let Some(t) = self.optabs(model).filter(|t| !t.stage3.is_empty()) else {
-            return (self.operating_point_scan(model, eps, cap), CapSpan::NEVER);
-        };
-        let stat = model.static_power(eps);
-        let power = |d: f64| stat + Watts(d * eps);
-        let budget = cap + CAP_SLACK;
-        let fits = |d: f64| power(d) <= budget;
-        // Stage 1: everything at turbo.
-        let p_used = power(t.d_used);
-        if p_used <= budget {
-            let op = OperatingPoint {
-                lead: self.f_turbo,
-                trail: self.f_turbo,
-                power: p_used,
-            };
-            return (op, CapSpan::between(Some(p_used), None));
+        match self.candidates(model) {
+            Some(t) if eps >= 0.0 || eps.is_nan() => t.resolve(model.static_power(eps), eps, cap),
+            _ => (self.operating_point_scan(model, eps, cap), CapSpan::NEVER),
         }
-        let mut excluded = p_used;
-        // Stage 2: highest fitting trail (D ascends with trail, so fitting
-        // entries are a prefix).
-        let c = t.stage2.partition_point(|&(_, d)| fits(d));
-        if let Some(&(_, d)) = t.stage2.get(c) {
-            excluded = excluded.min(power(d));
-        }
-        if c > 0 {
-            let (trail, d) = t.stage2[c - 1];
-            let op = OperatingPoint {
-                lead: self.f_turbo,
-                trail,
-                power: power(d),
-            };
-            return (op, CapSpan::between(Some(op.power), Some(excluded)));
-        }
-        // Stage 3: highest fitting lead, bottoming out at the minimum
-        // p-state when nothing fits — so the lowest candidate is the answer
-        // whether or not it fits, and its span has no lower edge.
-        let c = t.stage3.partition_point(|&(_, d)| fits(d)).max(1);
-        if let Some(&(_, d)) = t.stage3.get(c) {
-            excluded = excluded.min(power(d));
-        }
-        let (lead, d) = t.stage3[c - 1];
-        let op = OperatingPoint {
-            lead,
-            trail: lead.min(self.poll_floor),
-            power: power(d),
-        };
-        let fitting = (c > 1).then_some(op.power);
-        (op, CapSpan::between(fitting, Some(excluded)))
+    }
+
+    #[inline]
+    fn candidates(&self, model: &PowerModel) -> Option<&CandidateTable> {
+        self.optabs(model)?.candidates.as_ref()
     }
 }
 
@@ -711,17 +667,17 @@ mod tests {
                 for (w, k) in KernelConfig::heatmap_columns() {
                     let config = KernelConfig::new(intensity, vector, w, k);
                     let load = KernelLoad::new(config, &spec);
-                    let t = load.optabs(&model).expect("tables for the bound spec");
-                    let ds: Vec<f64> = (t.stage3.iter().chain(&t.stage2))
-                        .map(|&(_, d)| d)
-                        .chain([t.d_used])
+                    let t = load.candidates(&model).expect("tables for the bound spec");
+                    let ds: Vec<f64> = (t.stage3().chain(t.stage2()))
+                        .map(|(_, d)| d)
+                        .chain([t.d_used()])
                         .collect();
                     assert!(ds.windows(2).all(|p| p[0] <= p[1]), "{config}: {ds:?}");
                     let demotable = w != WaitingFraction::P0;
                     let strict = if demotable {
                         ds.len()
                     } else {
-                        t.stage3.len() + 1
+                        t.stage3().count() + 1
                     };
                     assert!(
                         ds[..strict].windows(2).all(|p| p[0] < p[1]),
@@ -748,6 +704,136 @@ mod tests {
                 assert!(!span.holds(Watts(cap)));
             }
         }
+    }
+
+    /// The resolve as a search: one `partition_point` binary search per
+    /// stage over `(frequency, D)` pairs, the oracle the count is pinned
+    /// against.
+    fn partition_span(
+        t: &CandidateTable,
+        stat: Watts,
+        eps: f64,
+        cap: Watts,
+        turbo: Hertz,
+        floor: Hertz,
+    ) -> (OperatingPoint, CapSpan) {
+        let (stage2, stage3): (Vec<_>, Vec<_>) = (t.stage2().collect(), t.stage3().collect());
+        let power = |d: f64| stat + Watts(d * eps);
+        let budget = cap + CAP_SLACK;
+        let fits = |d: f64| power(d) <= budget;
+        let p_used = power(t.d_used());
+        if p_used <= budget {
+            let op = OperatingPoint {
+                lead: turbo,
+                trail: turbo,
+                power: p_used,
+            };
+            return (op, CapSpan::between(Some(p_used), None));
+        }
+        let mut excluded = p_used;
+        let c = stage2.partition_point(|&(_, d)| fits(d));
+        if let Some(&(_, d)) = stage2.get(c) {
+            excluded = excluded.min(power(d));
+        }
+        if c > 0 {
+            let (trail, d) = stage2[c - 1];
+            let op = OperatingPoint {
+                lead: turbo,
+                trail,
+                power: power(d),
+            };
+            return (op, CapSpan::between(Some(op.power), Some(excluded)));
+        }
+        let c = stage3.partition_point(|&(_, d)| fits(d)).max(1);
+        if let Some(&(_, d)) = stage3.get(c) {
+            excluded = excluded.min(power(d));
+        }
+        let (lead, d) = stage3[c - 1];
+        let op = OperatingPoint {
+            lead,
+            trail: lead.min(floor),
+            power: power(d),
+        };
+        (
+            op,
+            CapSpan::between((c > 1).then_some(op.power), Some(excluded)),
+        )
+    }
+
+    /// The counted resolve equals the binary search it replaced and the
+    /// ladder scan, point and span bit for bit, on quartz and on every
+    /// standard class: over a grid of ε and of caps that holds every
+    /// candidate's exact power, the floats either side of it, and the caps
+    /// whose budget lands on it once `CAP_SLACK` is added.
+    #[test]
+    fn counted_span_matches_the_search_and_the_scan() {
+        let bits = |(op, span): (OperatingPoint, CapSpan)| {
+            (
+                op.lead.value().to_bits(),
+                op.trail.value().to_bits(),
+                op.power.value().to_bits(),
+                format!("{span:?}"),
+            )
+        };
+        let specs = std::iter::once(quartz_spec()).chain(
+            pmstack_simhw::standard_classes()
+                .into_iter()
+                .map(|c| c.spec),
+        );
+        let configs = [
+            KernelConfig::balanced_ymm(16.0),
+            KernelConfig::new(8.0, VectorWidth::Ymm, WaitingFraction::P50, Imbalance::TwoX),
+            KernelConfig::new(
+                0.5,
+                VectorWidth::Xmm,
+                WaitingFraction::P75,
+                Imbalance::ThreeX,
+            ),
+        ];
+        let mut compared = 0usize;
+        for spec in specs {
+            let model = PowerModel::new(spec.clone()).unwrap();
+            for config in configs {
+                let load = KernelLoad::new(config, &spec);
+                let t = load.candidates(&model).expect("tables for the bound spec");
+                let ds: Vec<f64> = (t.stage3().chain(t.stage2()))
+                    .map(|(_, d)| d)
+                    .chain([t.d_used()])
+                    .collect();
+                for eps in [0.0, 0.9, 0.94, 1.0, 1.03, 1.07, 1.2] {
+                    let stat = model.static_power(eps);
+                    let mut caps = vec![0.0, 1.0, 1e6, f64::INFINITY, f64::NEG_INFINITY];
+                    for &d in &ds {
+                        let p = (stat + Watts(d * eps)).value();
+                        let edge = p - CAP_SLACK.value();
+                        for c in [p, edge] {
+                            caps.extend([c, c.next_up(), c.next_down()]);
+                        }
+                    }
+                    caps.extend((100..=500).step_by(7).map(f64::from));
+                    for cap in caps.into_iter().map(Watts) {
+                        let counted = load.operating_point_span(&model, eps, cap);
+                        let searched =
+                            partition_span(t, stat, eps, cap, spec.f_turbo, spec.poll_freq_floor);
+                        assert_eq!(
+                            bits(counted),
+                            bits(searched),
+                            "{}: {config}, eps {eps}, cap {cap}",
+                            spec.name
+                        );
+                        let scan = load.operating_point_scan(&model, eps, cap);
+                        assert_eq!(
+                            bits((counted.0, CapSpan::NEVER)),
+                            bits((scan, CapSpan::NEVER)),
+                            "{}: {config}, eps {eps}, cap {cap}",
+                            spec.name
+                        );
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert!(compared > 10_000, "{compared} comparisons");
     }
 
     #[test]

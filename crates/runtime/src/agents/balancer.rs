@@ -24,8 +24,8 @@
 //! time while still harvesting the slack.
 
 use crate::agent::Agent;
-use crate::platform::{IterationOutcome, JobPlatform};
-use pmstack_obs::{StaticCounter, StaticFloatCounter};
+use crate::platform::{IterationOutcome, JobPlatform, Laps, STAGE_BOUNDS};
+use pmstack_obs::{StaticCounter, StaticFloatCounter, StaticHistogram};
 use pmstack_simhw::{Seconds, Watts};
 
 /// Observability: probe cuts taken by the harvest pass.
@@ -42,6 +42,16 @@ static BALANCER_GRANTED_W: StaticFloatCounter =
 /// unchanged since the last write.
 static BALANCER_WRITES_SKIPPED: StaticCounter =
     StaticCounter::new("runtime.balancer.writes_skipped");
+
+/// Stage spans of one `adjust`, timed as laps like the platform's
+/// `runtime.iter.*` stages (count and sum, no bucket): the harvest pass,
+/// the pooling and grant pass, and the batched limit write.
+static HARVEST_SECS: StaticHistogram =
+    StaticHistogram::new("runtime.balancer.harvest.secs", STAGE_BOUNDS);
+static GRANT_SECS: StaticHistogram =
+    StaticHistogram::new("runtime.balancer.grant.secs", STAGE_BOUNDS);
+static APPLY_SECS: StaticHistogram =
+    StaticHistogram::new("runtime.balancer.apply.secs", STAGE_BOUNDS);
 
 /// Tunable parameters of the balancer (exposed for the ablation benches).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,7 +77,9 @@ struct HostState {
     /// The limit this agent wants for the host.
     target: Watts,
     /// The limit last written to the host, for write elision. Compared
-    /// bitwise: any real move produces a different f64.
+    /// bitwise: any real move produces a different f64. Each apply writes
+    /// every live target that moved, so the harvest pass refreshes this from
+    /// the target before anything moves it.
     programmed: Watts,
     /// Current adjustment step; halves on direction reversals (the
     /// balancer's binary-search convergence) and re-expands after
@@ -116,6 +128,8 @@ struct ShardPass<'a> {
     freed: Watts,
     /// Hosts in this shard eligible for grants after the harvest.
     recipients: usize,
+    /// Hosts in this shard alive after the harvest.
+    live: usize,
     /// Grant budget the top level allotted to this shard; the grant pass
     /// leaves here what it could not spend (recipients hit TDP first).
     quota: Watts,
@@ -140,10 +154,11 @@ struct ShardPass<'a> {
 /// 2. **Deterministic folds.** The critical path is an `f64::max` (exact in
 ///    any order) and the pool a fixed-order sum over shards, so a parallel
 ///    run is bit-identical to a sequential one.
-/// 3. **Write elision.** `set_host_limit` is only issued when a host's
-///    target changed bitwise since the last write. Rewriting an unchanged
-///    target would dirty its bank segment and forbid steady-state replay
-///    even at a fixed point. (A skipped write also leaves any pending
+/// 3. **Write elision.** The apply is one batched write
+///    ([`JobPlatform::set_host_limits`]) of the hosts whose target changed
+///    bitwise since the last write. Rewriting an unchanged target would
+///    dirty its bank segment and forbid steady-state replay even at a fixed
+///    point. (A skipped write also leaves any pending
 ///    one-shot MSR glitch to be consumed by the next telemetry read instead
 ///    of the next write — an observable but benign reordering, accepted.)
 ///
@@ -259,6 +274,7 @@ impl Agent for PowerBalancerAgent {
         let initial = self.params.step;
         let critical_band = self.params.critical_band;
         let shard = self.shard_hosts.unwrap_or_else(|| platform.segment_hosts());
+        let mut laps = Laps::start(true);
 
         let mut tasks: Vec<ShardPass<'_>> = self
             .hosts
@@ -300,6 +316,7 @@ impl Agent for PowerBalancerAgent {
         pmstack_exec::par_for_each_mut(&mut tasks, |_, t| {
             for (j, state) in t.hosts.iter_mut().enumerate() {
                 let h = t.base + j;
+                state.programmed = state.target;
                 // Graceful degradation: a host that died this interval
                 // leaves the search and its power returns to the pool, where
                 // the grant path redistributes it to the survivors — the
@@ -310,6 +327,7 @@ impl Agent for PowerBalancerAgent {
                     t.freed += state.target;
                     state.target = Watts::ZERO;
                 }
+                t.live += usize::from(!state.dead);
                 if state.dead || !fresh(h) {
                     continue;
                 }
@@ -328,6 +346,7 @@ impl Agent for PowerBalancerAgent {
                 t.recipients += usize::from(grant_eligible(state, h));
             }
         });
+        laps.lap(&HARVEST_SECS);
 
         // Top level: pool the freed watts and split them into per-shard
         // quotas, both in shard order so the arithmetic is deterministic.
@@ -375,7 +394,9 @@ impl Agent for PowerBalancerAgent {
         }
 
         let (mut cuts, mut harvested, mut grants, mut granted) = (0u64, 0.0, 0u64, 0.0);
+        let mut live = 0;
         for t in &tasks {
+            live += t.live;
             cuts += t.cuts;
             harvested += t.harvested;
             grants += t.grants;
@@ -391,25 +412,23 @@ impl Agent for PowerBalancerAgent {
             BALANCER_GRANTED_W.add(granted);
         }
 
-        // Apply, eliding bitwise no-op writes so a shard whose targets sit
-        // at a fixed point never dirties its bank segment.
-        let mut skipped = 0u64;
-        for (h, state) in self.hosts.iter_mut().enumerate() {
-            if state.dead {
-                continue;
-            }
-            if state.target.value().to_bits() == state.programmed.value().to_bits() {
-                skipped += 1;
-                continue;
-            }
-            platform
-                .set_host_limit(h, state.target)
-                .expect("targets stay within the settable range");
-            state.programmed = state.target;
+        laps.lap(&GRANT_SECS);
+
+        // Apply: one batched write of every live host whose target moved,
+        // eliding bitwise no-op writes so a shard whose targets sit at a
+        // fixed point never dirties its bank segment.
+        let hosts = &self.hosts;
+        let written = platform
+            .set_host_limits(|h| {
+                let state = hosts.get(h)?;
+                let moved = state.target.value().to_bits() != state.programmed.value().to_bits();
+                (!state.dead && moved).then_some(state.target)
+            })
+            .expect("targets stay within the settable range");
+        if live > written {
+            BALANCER_WRITES_SKIPPED.add((live - written) as u64);
         }
-        if skipped > 0 {
-            BALANCER_WRITES_SKIPPED.add(skipped);
-        }
+        laps.lap(&APPLY_SECS);
         debug_assert!(
             self.hosts.iter().map(|h| h.target).sum::<Watts>() + self.pool
                 <= self.budget + Watts(1e-6),

@@ -63,6 +63,19 @@
 //! jitter draws, in host order on every path; then the bank's step; then the
 //! outcome write.
 //!
+//! **Fan-out.** Once two segments resolve, the pre-step pass runs in
+//! segment-aligned chunks on the exec pool ([`NodeBank::resolve_pieces`]),
+//! and so do the compute-time pass with jitter off and the outcome write
+//! ([`par_segments`]); each chunk owns its segments' slices of every column
+//! it writes, so the split cannot change a bit. The platform counts the
+//! segments whose points are not cached as it writes the outcome, so a
+//! steady iteration (none) or churn (one) stays one pass on the calling
+//! thread and counts nothing more. Jitter draws stay sequential, in host
+//! order. Limit writes are batched too: [`JobPlatform::set_uniform_limit`]
+//! and [`JobPlatform::set_host_limits`] are one [`NodeBank::set_power_limits`]
+//! each, after which the platform drops the caches of exactly the segments
+//! the bank dirtied.
+//!
 //! **Span rule.** A dirty segment is mostly one whose limits are still
 //! creeping through their first-order filters: 15–95 iterations to a bitwise
 //! fixed point, while the PCU's answer — quantised onto the p-state ladder —
@@ -105,6 +118,7 @@
 
 use pmstack_kernel::{KernelConfig, KernelLoad};
 use pmstack_obs::{EventKind, StaticCounter, StaticHistogram};
+use pmstack_simhw::bank::{par_segments, take_front, Resolver, SegSplit};
 use pmstack_simhw::power::OperatingPoint;
 use pmstack_simhw::{
     FaultPlan, Hertz, HostStep, Joules, Node, NodeBank, NodeHealth, NodeId, PowerModel, Seconds,
@@ -113,6 +127,7 @@ use pmstack_simhw::{
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -142,7 +157,7 @@ static SETTLED_MISS: StaticCounter = StaticCounter::new("runtime.settled.miss");
 /// want each stage's sum and count, so they have no finite bucket: the
 /// daemon records them too, and every bucket would be a line of each
 /// `/metrics` body it serves.
-const STAGE_BOUNDS: &[f64] = &[];
+pub(crate) const STAGE_BOUNDS: &[f64] = &[];
 static RESOLVE_SECS: StaticHistogram =
     StaticHistogram::new("runtime.iter.resolve.secs", STAGE_BOUNDS);
 static JITTER_SECS: StaticHistogram =
@@ -155,15 +170,15 @@ static OUTCOME_WRITE_SECS: StaticHistogram =
 /// Consecutive stages of one iteration timed into their histograms, one
 /// clock read per stage boundary. It reads no clock while the recorder is
 /// off (one relaxed load) or when the caller does not time the iteration.
-struct Laps(Option<Instant>);
+pub(crate) struct Laps(Option<Instant>);
 
 impl Laps {
-    fn start(timed: bool) -> Self {
+    pub(crate) fn start(timed: bool) -> Self {
         Self((timed && pmstack_obs::enabled()).then(Instant::now))
     }
 
     /// Close the running stage into `stage` and start the next.
-    fn lap(&mut self, stage: &StaticHistogram) {
+    pub(crate) fn lap(&mut self, stage: &StaticHistogram) {
         if let Some(last) = &mut self.0 {
             let now = Instant::now();
             stage.observe((now - *last).as_secs_f64());
@@ -373,6 +388,294 @@ impl SegmentState {
     }
 }
 
+/// The platform's columns a pre-step pass writes, cut at segment boundaries
+/// for [`NodeBank::resolve_pieces`]: a segment weighs when it resolves.
+struct PreCols<'a> {
+    segments: &'a mut [SegmentState],
+    stamps: &'a [u64],
+    limits: &'a mut [Watts],
+    ops: &'a mut [Option<OperatingPoint>],
+    op_times: &'a mut [f64],
+}
+
+impl SegSplit for PreCols<'_> {
+    fn split_off_front(&mut self, segs: usize, hosts: usize) -> Self {
+        let (stamps, rest) = self.stamps.split_at(segs);
+        self.stamps = rest;
+        PreCols {
+            segments: take_front(&mut self.segments, segs),
+            stamps,
+            limits: take_front(&mut self.limits, hosts),
+            ops: take_front(&mut self.ops, hosts),
+            op_times: take_front(&mut self.op_times, hosts),
+        }
+    }
+
+    fn weight(&self, seg: usize) -> bool {
+        !self.segments[seg].ops_valid
+    }
+}
+
+/// The pre-step pass over one piece's segments (module docs, "Passes"):
+/// returns how many it resolved. A stable segment whose back-buffer slices
+/// are current leaves on its first test. Any other segment moves to a new
+/// epoch unless it is stable (the epoch rule), observes its hosts' enforced
+/// limits into the back buffer — at the iteration's start, before stepping
+/// advances the filters — and, if its operating points are not cached,
+/// resolves them against those limits. A settled segment's filters sat at a
+/// bitwise fixed point last iteration and nothing touched it since: every
+/// input of the (pure) PCU resolve is bitwise unchanged, so its cached
+/// operating points and base iteration times are exact.
+fn prestep(
+    res: &mut Resolver<'_>,
+    cols: &mut PreCols<'_>,
+    ff: bool,
+    model: &PowerModel,
+    load: &KernelLoad,
+) -> usize {
+    let PreCols {
+        segments,
+        stamps,
+        limits,
+        ops,
+        op_times,
+    } = cols;
+    let first = res.segments().start;
+    let mut resolved = 0;
+    for (i, (seg, &stamp)) in segments.iter_mut().zip(stamps.iter()).enumerate() {
+        let sidx = first + i;
+        let stable = ff && seg.stable;
+        if stable && stamp == seg.epoch {
+            continue;
+        }
+        seg.epoch += u64::from(!stable);
+        res.segment_enforced_limits(sidx, limits);
+        if seg.ops_valid {
+            continue;
+        }
+        resolved += 1;
+        // Dead hosts drop out of the computation: the surviving ranks
+        // redistribute (we charge no extra time) and the dead host
+        // contributes nothing to the barrier.
+        let mut store = |host: usize, op: Option<&OperatingPoint>| {
+            op_times[host] = op.map_or(0.0, |op| load.iteration_time(op).value());
+        };
+        if ff {
+            // The bank re-checks each host's enforced limit against the
+            // span its cached point holds over and searches only the hosts
+            // that left theirs.
+            res.resolve_segment(sidx, model, load, limits, ops, store);
+        } else {
+            // The oracle: every host through the PCU search.
+            for host in res.hosts(sidx) {
+                let op = res.operating_point(host, model, load);
+                store(host, op.as_ref());
+                ops[host] = op;
+            }
+        }
+    }
+    resolved
+}
+
+/// The platform's columns the compute-time pass and the outcome write
+/// touch, the back side's per-host outcome vectors included, cut at segment
+/// boundaries for [`par_segments`]: a segment weighs when its outcome slices
+/// are rewritten.
+struct PostCols<'a> {
+    segment_hosts: usize,
+    segments: &'a mut [SegmentState],
+    stamps: &'a mut [u64],
+    ops: &'a [Option<OperatingPoint>],
+    op_times: &'a [f64],
+    steps: &'a [HostStep],
+    last_power: &'a mut [Watts],
+    last_lead: &'a mut [Hertz],
+    compute: &'a mut [Seconds],
+    power: &'a mut [Watts],
+    lead: &'a mut [Hertz],
+    alive: &'a mut [bool],
+    fresh: &'a mut [bool],
+}
+
+impl<'a> PostCols<'a> {
+    fn new(
+        segment_hosts: usize,
+        segments: &'a mut [SegmentState],
+        stamps: &'a mut [u64],
+        (ops, op_times, steps): (&'a [Option<OperatingPoint>], &'a [f64], &'a [HostStep]),
+        (last_power, last_lead): (&'a mut [Watts], &'a mut [Hertz]),
+        outcome: &'a mut IterationOutcome,
+    ) -> Self {
+        Self {
+            segment_hosts,
+            segments,
+            stamps,
+            ops,
+            op_times,
+            steps,
+            last_power,
+            last_lead,
+            compute: &mut outcome.host_compute_time,
+            power: &mut outcome.host_power,
+            lead: &mut outcome.host_lead,
+            alive: &mut outcome.host_alive,
+            fresh: &mut outcome.host_fresh,
+        }
+    }
+}
+
+impl SegSplit for PostCols<'_> {
+    fn split_off_front(&mut self, segs: usize, hosts: usize) -> Self {
+        fn shared<'b, T>(slot: &mut &'b [T], n: usize) -> &'b [T] {
+            let (head, tail) = slot.split_at(n);
+            *slot = tail;
+            head
+        }
+        PostCols {
+            segment_hosts: self.segment_hosts,
+            segments: take_front(&mut self.segments, segs),
+            stamps: take_front(&mut self.stamps, segs),
+            ops: shared(&mut self.ops, hosts),
+            op_times: shared(&mut self.op_times, hosts),
+            steps: shared(&mut self.steps, hosts),
+            last_power: take_front(&mut self.last_power, hosts),
+            last_lead: take_front(&mut self.last_lead, hosts),
+            compute: take_front(&mut self.compute, hosts),
+            power: take_front(&mut self.power, hosts),
+            lead: take_front(&mut self.lead, hosts),
+            alive: take_front(&mut self.alive, hosts),
+            fresh: take_front(&mut self.fresh, hosts),
+        }
+    }
+
+    fn weight(&self, seg: usize) -> bool {
+        self.stamps[seg] != self.segments[seg].epoch
+    }
+}
+
+/// The compute-time pass over one piece: each segment, hosts in order,
+/// takes its live hosts' base times scaled by `factor()` (one jitter draw
+/// per live host, or 1 with jitter off) and `time` their maximum. With
+/// jitter off (`calm`), a segment the pre-step pass let go keeps both.
+/// Returns the piece's slowest segment time: its share of the barrier.
+fn compute_times(cols: &mut PostCols<'_>, calm: bool, mut factor: impl FnMut() -> f64) -> Seconds {
+    let (sh, hosts) = (cols.segment_hosts, cols.ops.len());
+    let mut slowest = Seconds::ZERO;
+    for (i, (seg, &stamp)) in cols.segments.iter_mut().zip(&*cols.stamps).enumerate() {
+        if calm && stamp == seg.epoch {
+            slowest = slowest.max(seg.time);
+            continue;
+        }
+        let range = i * sh..((i + 1) * sh).min(hosts);
+        let hosts = (cols.ops[range.clone()].iter()).zip(&cols.op_times[range.clone()]);
+        let mut time = Seconds::ZERO;
+        for ((op, &base), t) in hosts.zip(&mut cols.compute[range]) {
+            *t = match op {
+                Some(_) => Seconds(base * factor()),
+                None => Seconds::ZERO,
+            };
+            time = time.max(*t);
+        }
+        seg.time = time;
+        slowest = slowest.max(time);
+    }
+    slowest
+}
+
+/// What the outcome write reports back: whether every segment would
+/// replay, how many kept their slices, and how many left their operating
+/// points uncached.
+#[derive(Debug, Clone, Copy)]
+struct OutcomePass {
+    steady: bool,
+    reused: u64,
+    unresolved: usize,
+}
+
+impl OutcomePass {
+    fn and(self, other: Self) -> Self {
+        Self {
+            steady: self.steady && other.steady,
+            reused: self.reused + other.reused,
+            unresolved: self.unresolved + other.unresolved,
+        }
+    }
+}
+
+/// The outcome write over one piece, whose first segment is the bank's
+/// `first`. A segment whose filters are settled yields bit-identical
+/// operating points next iteration — arm its op cache (jitter-compatible) —
+/// and one that is also quiescent keeps its outcome slices; any other is
+/// rewritten and stamped. `steady` comes back true when it was asked for
+/// (fast-forward on, jitter off) and every segment would also replay.
+/// `all_replayed`: the step just replayed every segment of the bank, so
+/// each still replays at this `dt` and nothing needs asking.
+fn write_outcome(
+    cols: &mut PostCols<'_>,
+    bank: &NodeBank,
+    first: usize,
+    (ff, steady, all_replayed): (bool, bool, bool),
+    elapsed: Seconds,
+) -> OutcomePass {
+    let (sh, n) = (cols.segment_hosts, cols.ops.len());
+    let mut pass = OutcomePass {
+        steady,
+        reused: 0,
+        unresolved: 0,
+    };
+    for (i, (seg, stamp)) in cols
+        .segments
+        .iter_mut()
+        .zip(cols.stamps.iter_mut())
+        .enumerate()
+    {
+        let sidx = first + i;
+        // A segment that replays at this `dt` is settled and stable: one
+        // query answers all three for a clean segment.
+        let replayable = all_replayed || bank.segment_replayable(sidx, elapsed);
+        let (settled, stable) = if replayable {
+            (true, true)
+        } else {
+            (bank.segment_settled(sidx), bank.segment_stable(sidx))
+        };
+        seg.ops_valid = ff && settled;
+        pass.unresolved += usize::from(!seg.ops_valid);
+        seg.stable = seg.ops_valid && stable;
+        pass.steady &= replayable;
+        if *stamp == seg.epoch {
+            pass.reused += 1;
+            continue;
+        }
+        *stamp = seg.epoch;
+        let range = i * sh..((i + 1) * sh).min(n);
+        let hosts = (cols.ops[range.clone()].iter())
+            .zip(&cols.steps[range.clone()])
+            .zip(cols.last_power[range.clone()].iter_mut())
+            .zip(cols.last_lead[range.clone()].iter_mut());
+        let slots = (cols.power[range.clone()].iter_mut())
+            .zip(cols.lead[range.clone()].iter_mut())
+            .zip(cols.alive[range.clone()].iter_mut())
+            .zip(cols.fresh[range].iter_mut());
+        for ((((op, step), last_power), last_lead), (((power, lead), alive), fresh)) in
+            hosts.zip(slots)
+        {
+            (*power, *lead, *alive, *fresh) = match (op, step) {
+                (None, _) => (Watts::ZERO, Hertz(0.0), false, false),
+                (Some(op), HostStep::Fresh) => {
+                    *last_power = op.power;
+                    *last_lead = op.lead;
+                    (op.power, op.lead, true, true)
+                }
+                // Telemetry out: the hardware advanced underneath, but the
+                // observer only has last-known readings.
+                (Some(_), HostStep::Stale) => (*last_power, *last_lead, true, false),
+                (Some(_), HostStep::Skipped) => unreachable!("live host was not stepped"),
+            };
+        }
+    }
+    pass
+}
+
 /// A job's hosts bound to its workload.
 pub struct JobPlatform {
     model: PowerModel,
@@ -400,6 +703,9 @@ pub struct JobPlatform {
     op_times: Vec<f64>,
     steps: Vec<HostStep>,
     segments: Vec<SegmentState>,
+    /// Segments whose operating points are not cached (`!ops_valid`): the
+    /// ones the next pre-step pass resolves, which fans out from two.
+    unresolved: usize,
     /// Whether segments may be clean (the fast-forward path may engage).
     fast_forward: bool,
     /// Every segment was clean-eligible after the last iteration and nothing
@@ -457,6 +763,7 @@ impl JobPlatform {
             op_times: vec![0.0; n],
             steps: vec![HostStep::Skipped; n],
             segments: vec![SegmentState::COLD; segments],
+            unresolved: segments,
             fast_forward: true,
             steady: false,
             id: next_platform_id(),
@@ -472,6 +779,7 @@ impl JobPlatform {
     pub fn with_segment_hosts(mut self, hosts: usize) -> Self {
         self.bank.set_segment_hosts(hosts);
         self.segments = vec![SegmentState::COLD; self.bank.num_segments()];
+        self.unresolved = self.segments.len();
         self.steady = false;
         self.id = next_platform_id();
         self
@@ -485,6 +793,13 @@ impl JobPlatform {
     /// Number of bank segments.
     pub fn num_segments(&self) -> usize {
         self.bank.num_segments()
+    }
+
+    /// Segment-iterations the bank has advanced on the replay path so far
+    /// ([`NodeBank::replays`]): this platform's share of
+    /// `simhw.bank.shard.replayed`, whatever else runs in the process.
+    pub fn segment_replays(&self) -> u64 {
+        self.bank.replays()
     }
 
     /// Attach a fault plan. Events fire at the start of the matching
@@ -517,6 +832,7 @@ impl JobPlatform {
         }
         self.steady = false;
         self.segments.iter_mut().for_each(|s| *s = s.forget());
+        self.unresolved = self.segments.len();
     }
 
     /// Drop the cache a single-host change actually dirties: the touched
@@ -528,9 +844,26 @@ impl JobPlatform {
         let seg = &mut self.segments[self.bank.segment_of(host)];
         if seg.ops_valid {
             FFWD_INVALIDATED.inc();
+            self.unresolved += 1;
         }
         self.steady = false;
         *seg = seg.forget();
+    }
+
+    /// Drop the caches of every segment a bank write dirtied since the last
+    /// step — the partial invalidation of a batched write, one test per
+    /// segment — and leave steady state if anything was written.
+    fn forget_dirtied_segments(&mut self, wrote: bool) {
+        for (sidx, seg) in self.segments.iter_mut().enumerate() {
+            if seg.ops_valid && !self.bank.segment_settled(sidx) {
+                FFWD_INVALIDATED.inc();
+                self.unresolved += 1;
+                *seg = seg.forget();
+            }
+        }
+        if wrote {
+            self.steady = false;
+        }
     }
 
     /// Enable or disable the fast-forward path (on by default). With it
@@ -627,10 +960,35 @@ impl JobPlatform {
         Ok(())
     }
 
-    /// Program every host to the same node power limit. Fail-stop dead
-    /// hosts are skipped (nothing left to program); other errors propagate.
+    /// Program many hosts' node power limits in one batched bank write
+    /// ([`NodeBank::set_power_limits`]): host `h` takes `limit_of(h)` where
+    /// that is `Some`, as [`Self::set_host_limit`] calls in host order
+    /// would, up to the first error. Returns how many hosts were written;
+    /// only the segments written drop their caches.
+    pub fn set_host_limits(
+        &mut self,
+        limit_of: impl Fn(usize) -> Option<Watts> + Sync,
+    ) -> Result<usize, SimHwError> {
+        let out = self.bank.set_power_limits(0..self.bank.len(), limit_of);
+        self.forget_dirtied_segments(out != Ok(0));
+        out.map_err(|(_, e)| e)
+    }
+
+    /// Program every host to the same node power limit, in one batched bank
+    /// write. Fail-stop dead hosts are skipped (nothing left to program);
+    /// other errors propagate.
     pub fn set_uniform_limit(&mut self, limit: Watts) -> Result<(), SimHwError> {
-        self.for_each_live_host(|bank, host| bank.set_power_limit(host, limit))
+        self.invalidate_caches();
+        let n = self.bank.len();
+        let mut from = 0;
+        while from < n {
+            match self.bank.set_power_limits(from..n, |_| Some(limit)) {
+                Ok(_) => break,
+                Err((h, SimHwError::NodeFailed(_))) => from = h + 1,
+                Err((_, e)) => return Err(e),
+            }
+        }
+        Ok(())
     }
 
     /// Program (or release) a frequency cap on every host — the DVFS
@@ -825,56 +1183,20 @@ impl JobPlatform {
         // fifth again with the recorder on, as under `repro megafleet`.
         let mut laps = Laps::start(!(ff && calm && self.steady));
 
-        // The pre-step pass. A stable segment whose back-buffer slices are
-        // current leaves on its first test. Any other segment moves to a new
-        // epoch unless it is stable (the epoch rule, module docs), observes
-        // its hosts' enforced limits into the back buffer — at the
-        // iteration's start, before stepping advances the filters — and, if
-        // its operating points are not cached, resolves them against those
-        // limits. A settled segment's filters sat at a bitwise fixed point
-        // last iteration and nothing touched it since: every input of the
-        // (pure) PCU resolve is bitwise unchanged, so its cached operating
-        // points and base iteration times are exact.
-        let mut resolved = 0;
-        for (sidx, &stamp) in stamps.iter().enumerate() {
-            let seg = &mut self.segments[sidx];
-            let stable = ff && seg.stable;
-            if stable && stamp == seg.epoch {
-                continue;
-            }
-            seg.epoch += u64::from(!stable);
-            self.bank
-                .segment_enforced_limits(sidx, &mut back.host_limit);
-            if seg.ops_valid {
-                continue;
-            }
-            resolved += 1;
-            // Dead hosts drop out of the computation: the surviving ranks
-            // redistribute (we charge no extra time) and the dead host
-            // contributes nothing to the barrier.
-            let (load, op_times) = (&self.load, &mut self.op_times);
-            let mut store = |host: usize, op: Option<&OperatingPoint>| {
-                op_times[host] = op.map_or(0.0, |op| load.iteration_time(op).value());
-            };
-            if ff {
-                // The bank re-checks each host's enforced limit against the
-                // span its cached point holds over and searches only the
-                // hosts that left theirs.
-                let limits = &back.host_limit;
-                self.bank
-                    .resolve_segment(sidx, &self.model, load, limits, &mut self.ops, store);
-            } else {
-                // The oracle: every host through the PCU search.
-                for host in self.bank.segment_range(sidx) {
-                    let op = self
-                        .bank
-                        .is_alive(host)
-                        .then(|| self.bank.operating_point(host, &self.model, load));
-                    store(host, op.as_ref());
-                    self.ops[host] = op;
-                }
-            }
-        }
+        // The pre-step pass ([`prestep`]), in segment-aligned chunks on the
+        // exec pool once two segments resolve; a steady or churn iteration
+        // stays one pass on the calling thread.
+        let cols = PreCols {
+            segments: &mut self.segments,
+            stamps,
+            limits: &mut back.host_limit,
+            ops: &mut self.ops,
+            op_times: &mut self.op_times,
+        };
+        let (model, load) = (&self.model, &self.load);
+        let resolved = (self.bank).resolve_pieces(cols, self.unresolved >= 2, |res, cols| {
+            prestep(res, cols, ff, model, load)
+        });
         laps.lap(&RESOLVE_SECS);
         if resolved == 0 {
             SETTLED_HIT.inc();
@@ -882,32 +1204,30 @@ impl JobPlatform {
             SETTLED_MISS.inc();
         }
 
-        // Compute times, segment by segment, hosts in order — the jitter
-        // draw per live host happens in the same order whichever segments
-        // hit their cache, so the RNG stream is identical on every path.
-        // With jitter off, a segment the pre-step pass let go also holds
-        // its compute times, and `time` their maximum.
-        for (sidx, (seg, &stamp)) in self.segments.iter_mut().zip(&*stamps).enumerate() {
-            if calm && stamp == seg.epoch {
-                continue;
-            }
-            let range = self.bank.segment_range(sidx);
-            let hosts = (self.ops[range.clone()].iter()).zip(&self.op_times[range.clone()]);
-            let mut time = Seconds::ZERO;
-            for ((op, &base), t) in hosts.zip(&mut back.host_compute_time[range]) {
-                *t = match op {
-                    Some(_) => Seconds(base * jitter(&mut self.rng, self.jitter_sigma)),
-                    None => Seconds::ZERO,
-                };
-                time = time.max(*t);
-            }
-            seg.time = time;
-        }
+        // Compute times (`compute_times`). With jitter on, every live host
+        // draws, in host order on every path; with it off, the pass draws
+        // nothing and fans out by segment like the pre-step pass.
+        let sh = self.bank.segment_hosts();
+        let fan_out = resolved >= 2;
+        let cols = PostCols::new(
+            sh,
+            &mut self.segments,
+            stamps,
+            (&self.ops, &self.op_times, &self.steps),
+            (&mut self.last_power, &mut self.last_lead),
+            back,
+        );
+        // The barrier releases when the slowest host finishes.
+        let elapsed = if calm && fan_out {
+            let pieces = par_segments(cols, segs, sh, n, |_, cols| {
+                compute_times(cols, true, || 1.0)
+            });
+            pieces.into_iter().fold(Seconds::ZERO, Seconds::max)
+        } else {
+            let (rng, sigma) = (&mut self.rng, self.jitter_sigma);
+            compute_times(&mut { cols }, calm, || jitter(rng, sigma))
+        };
         laps.lap(&JITTER_SECS);
-        let elapsed = self
-            .segments
-            .iter()
-            .fold(Seconds::ZERO, |max, seg| max.max(seg.time));
 
         // Advance RAPL state (energy counters + enforcement filters) on
         // every live host through the iteration at its operating-point
@@ -930,47 +1250,34 @@ impl JobPlatform {
             FFWD_ENGAGED.inc();
         }
 
-        // A segment whose filters are settled yields bit-identical operating
-        // points next iteration — arm its op cache (jitter-compatible) — and
-        // one that is also quiescent keeps its outcome slices. The fleet is
-        // steady when, jitter off, every segment would also replay.
-        let mut steady = ff && calm;
-        let mut reused = 0;
-        for (sidx, (seg, stamp)) in self.segments.iter_mut().zip(stamps).enumerate() {
-            seg.ops_valid = ff && self.bank.segment_settled(sidx);
-            seg.stable = seg.ops_valid && self.bank.segment_stable(sidx);
-            steady &= self.bank.segment_replayable(sidx, elapsed);
-            if *stamp == seg.epoch {
-                reused += 1;
-                continue;
-            }
-            *stamp = seg.epoch;
-            let range = self.bank.segment_range(sidx);
-            let hosts = (self.ops[range.clone()].iter())
-                .zip(&self.steps[range.clone()])
-                .zip(self.last_power[range.clone()].iter_mut())
-                .zip(self.last_lead[range.clone()].iter_mut());
-            let slots = (back.host_power[range.clone()].iter_mut())
-                .zip(back.host_lead[range.clone()].iter_mut())
-                .zip(back.host_alive[range.clone()].iter_mut())
-                .zip(back.host_fresh[range].iter_mut());
-            for ((((op, step), last_power), last_lead), (((power, lead), alive), fresh)) in
-                hosts.zip(slots)
-            {
-                (*power, *lead, *alive, *fresh) = match (op, step) {
-                    (None, _) => (Watts::ZERO, Hertz(0.0), false, false),
-                    (Some(op), HostStep::Fresh) => {
-                        *last_power = op.power;
-                        *last_lead = op.lead;
-                        (op.power, op.lead, true, true)
-                    }
-                    // Telemetry out: the hardware advanced underneath, but
-                    // the observer only has last-known readings.
-                    (Some(_), HostStep::Stale) => (*last_power, *last_lead, true, false),
-                    (Some(_), HostStep::Skipped) => unreachable!("live host was not stepped"),
-                };
-            }
-        }
+        // The outcome write (`write_outcome`), fanned out by segment like
+        // the passes before it.
+        let mut cols = PostCols::new(
+            sh,
+            &mut self.segments,
+            stamps,
+            (&self.ops, &self.op_times, &self.steps),
+            (&mut self.last_power, &mut self.last_lead),
+            back,
+        );
+        let (bank, all_replayed) = (&self.bank, replayed == segs);
+        let pass = |piece: Range<usize>, cols: &mut PostCols<'_>| {
+            let flags = (ff, ff && calm, all_replayed);
+            write_outcome(cols, bank, piece.start, flags, elapsed)
+        };
+        let written = if fan_out {
+            let passes = par_segments(cols, segs, sh, n, pass);
+            let first = passes[0];
+            passes[1..].iter().fold(first, |all, &piece| all.and(piece))
+        } else {
+            pass(0..segs, &mut cols)
+        };
+        let OutcomePass {
+            steady,
+            reused,
+            unresolved,
+        } = written;
+        self.unresolved = unresolved;
         // Zero adds are skipped: in steady state nothing is rewritten, and a
         // sweep's workers would only bounce the counter's cache line.
         if reused > 0 {

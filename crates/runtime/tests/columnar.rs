@@ -1074,3 +1074,67 @@ fn platform_operating_point_matches_node_resolve() {
     }
     let _ = Joules::ZERO; // keep the unit import honest if fields change
 }
+
+/// The pre-step pass fans out by segment once two segments resolve. On a
+/// multi-segment fleet — tiny segments, a ragged last one, jitter on and
+/// off, fast-forward on and off — through uniform and batched limit writes,
+/// a death, a stuck latch, a dropout and one-host churn, the platform that
+/// fans out on the pool and its twin kept on the calling thread by
+/// `sequential_scope` produce the same outcome every iteration (limits,
+/// compute times, powers, leads: what the operating points and their times
+/// hold), the same operating point for every host, and the same energy.
+#[test]
+fn chunked_prestep_matches_the_calling_thread() {
+    let config = KernelConfig::new(8.0, VectorWidth::Ymm, WaitingFraction::P50, Imbalance::TwoX);
+    let eps: Vec<f64> = (0..37).map(|i| 0.93 + 0.011 * (i % 13) as f64).collect();
+    for segment_hosts in [1, 3, 7] {
+        for sigma in [0.0, 0.01] {
+            for ff in [true, false] {
+                let mk = || {
+                    let p = build_platform(config, &eps, FaultPlan::none(), sigma, 5, ff);
+                    p.with_segment_hosts(segment_hosts)
+                };
+                let (mut pool, mut scoped) = (mk(), mk());
+                let (mut pb, mut sb) = (IterationBuffers::new(), IterationBuffers::new());
+                for iter in 0..80 {
+                    let disturb = |p: &mut JobPlatform| match iter {
+                        0 => p.set_uniform_limit(Watts(180.0)).unwrap(),
+                        12 => {
+                            let written = p
+                                .set_host_limits(|h| {
+                                    (h % 3 == 0).then_some(Watts(165.0 + h as f64))
+                                })
+                                .unwrap();
+                            assert_eq!(written, 13);
+                        }
+                        20 => {
+                            p.inject_fault(5, FaultKind::NodeDeath);
+                            p.inject_fault(9, FaultKind::StuckRapl { pinned_w: 150.0 });
+                            p.inject_fault(30, FaultKind::TelemetryDropout { iterations: 2 });
+                        }
+                        30 => p.set_uniform_limit(Watts(205.0)).unwrap(),
+                        40..=60 => p
+                            .set_host_limit(0, Watts(190.0 + (iter % 2) as f64))
+                            .unwrap(),
+                        _ => {}
+                    };
+                    disturb(&mut pool);
+                    pmstack_exec::sequential_scope(|| disturb(&mut scoped));
+                    pool.run_iteration_into(&mut pb);
+                    pmstack_exec::sequential_scope(|| scoped.run_iteration_into(&mut sb));
+                    assert_eq!(
+                        observe(&pb),
+                        observe(&sb),
+                        "{segment_hosts}-host segments, sigma {sigma}, ff {ff}, iteration {iter}"
+                    );
+                }
+                for h in 0..eps.len() {
+                    let (a, b) = (pool.host_operating_point(h), scoped.host_operating_point(h));
+                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "host {h}");
+                }
+                assert_eq!(pool.host_energy(), scoped.host_energy());
+                assert_eq!(pool.host_limits(), scoped.host_limits());
+            }
+        }
+    }
+}

@@ -1,7 +1,8 @@
 //! What a steady iteration costs, read off the stack's own counters: with
 //! every segment clean, an iteration must neither fan out across the exec
 //! pool nor write a single energy cell, however many segments the fleet
-//! has. One test in its own binary, so no other test moves the
+//! has; a one-host write and a churn iteration (one dirty segment) must not
+//! fan out either. One test in its own binary, so no other test moves the
 //! process-wide counters underneath it.
 
 use pmstack_kernel::KernelConfig;
@@ -76,4 +77,28 @@ fn a_steady_iteration_fans_out_zero_times_and_writes_no_cell() {
         100 * segments
     );
     assert_eq!(p.host_energy(), read);
+
+    // A one-host write is a batched write over one segment: it stays on
+    // the calling thread. So does a churn iteration — host 0's limit
+    // alternates, one dirty segment of 24 resolves and steps, and neither
+    // the pre-step pass nor the step has a second segment to share.
+    let fanouts = counter("exec.pool.fanouts");
+    for i in 0..20 {
+        p.set_host_limit(0, Watts(185.0 + (i % 2) as f64)).unwrap();
+    }
+    assert_eq!(
+        counter("exec.pool.fanouts"),
+        fanouts,
+        "a one-host write fanned out"
+    );
+    for i in 0..20 {
+        p.set_host_limit(0, Watts(185.0 + (i % 2) as f64)).unwrap();
+        p.run_iteration_into(&mut bufs);
+        assert_eq!(p.num_segments() as u64, segments);
+    }
+    assert_eq!(
+        counter("exec.pool.fanouts"),
+        fanouts,
+        "a churn iteration fanned out"
+    );
 }

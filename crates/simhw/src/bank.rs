@@ -19,6 +19,17 @@
 //!   the `Node` methods call, so dead-node rejection, glitch consumption,
 //!   stuck-RAPL latching, range clamping and the msr-safe write mask have
 //!   one implementation.
+//! * **one batched control write** — the runtime re-caps every host every
+//!   control interval, so a limit write is [`NodeBank::set_power_limits`]:
+//!   one write over many hosts, of which [`NodeBank::set_power_limit`] is
+//!   the one-host case. Every field of the request but the limit is a
+//!   constant of the bank, encoded once; per host the write is the limit
+//!   field's rounding and its decode, each segment is dirtied once, and the
+//!   counters take one add per write. A host whose request needs more —
+//!   death, a pending glitch, a stuck latch, a clamp the recorder journals,
+//!   a register the mask refuses — goes through `resolve_pl1_request` on
+//!   the calling thread, in host order; a write in which no host can fail
+//!   runs in segment-aligned chunks on the exec pool.
 //! * **cold columns** — id, health, efficiency, the stuck-RAPL latch and,
 //!   for a part with PP0/DRAM planes, each plane's limit register, stuck
 //!   latch and meter per (host, socket).
@@ -104,22 +115,31 @@
 //! fault can kill the host or latch a stuck plane, and the ingest that
 //! follows reloads ε and the cap with it) and [`NodeBank::invalidate_segments`]
 //! (the load swap the bank cannot see) drop the span.
-//! [`NodeBank::set_power_limit`] deliberately does not: the limit is the
+//! [`NodeBank::set_power_limits`] deliberately does not: the limit is the
 //! span's argument, so a write that lands inside the span keeps the point
 //! and one that lands outside is caught by the next check.
 //! [`NodeBank::operating_point`] ignores spans and stays the oracle.
+//!
+//! A resolve that searches looks the load's [`CandidateTable`] up once per
+//! segment ([`LoadModel::candidates`]) and counts each host's fitting
+//! candidates over its coefficient columns. A caller's pre-step pass runs
+//! through [`NodeBank::resolve_pieces`], which fans it out by segment: the
+//! bank's step, its batched write and that pass all cut their columns with
+//! one splitter ([`SegSplit`], [`par_segments`]).
 
-use crate::error::Result;
+use crate::error::{Result, SimHwError};
 use crate::faults::{FaultKind, NodeHealth};
 use crate::msr::{address, check_write};
 use crate::node::{check_eps, perf_ctl_ratio, resolve_freq_cap_request, Node, NodeId};
-use crate::power::{CapSpan, LoadModel, OperatingPoint, PowerModel};
+use crate::power::{CandidateTable, CapSpan, LoadModel, OperatingPoint, PowerModel};
 use crate::rapl::{
-    decode_power_limit, enforcement_params_of, resolve_pl1_request, PackageState, Pl1Gate,
-    PlaneState, RaplPackage, RaplUnits, DEFAULT_UNIT_REGISTER,
+    decode_limit_field, decode_power_limit, encode_limit_field, encode_power_limit,
+    enforcement_params_of, pl1_request, resolve_pl1_request, PackageState, Pl1Gate, PlaneState,
+    RaplPackage, RaplUnits, DEFAULT_UNIT_REGISTER,
 };
 use crate::units::{Hertz, Joules, Seconds, Watts};
 use pmstack_obs::StaticCounter;
+use std::ops::Range;
 
 /// Observability: batched stepping calls.
 static STEP_ALL_CALLS: StaticCounter = StaticCounter::new("simhw.step_all.calls");
@@ -218,6 +238,10 @@ pub struct NodeBank {
     /// Per segment: replays since its energy cells were last written, each
     /// standing for one add of every host's `replay_delta`.
     pending: Vec<u64>,
+    /// Segment replays counted over the bank's life: what
+    /// `simhw.bank.shard.replayed` adds for this bank alone, recorder on or
+    /// off.
+    replays: u64,
 
     /// Fail-stop dead hosts; zero selects the branch-free energy replay.
     dead_hosts: usize,
@@ -229,6 +253,17 @@ pub struct NodeBank {
     pl1_max: Watts,
     pl1_write_mask: u64,
     perf_ctl_write_mask: u64,
+    /// Every field a limit write programs besides the limit itself (enable,
+    /// clamp, the one-second window of `rapl::pl1_request`), encoded once,
+    /// and the τ they decode to.
+    pl1_fields: u64,
+    pl1_tau: f64,
+    /// Some host may hold state its limit write cannot take on the batched
+    /// path: a pending MSR glitch, a stuck latch, or a PL1 register whose
+    /// bits outside the write mask differ from `pl1_fields`. Set by every
+    /// ingest that brings one in, cleared by the scan a multi-segment write
+    /// makes while it is set (see [`NodeBank::set_power_limits`]).
+    write_hazard: bool,
 
     // Hot columns, per (host, socket): authoritative.
     energy: Vec<Joules>,
@@ -338,6 +373,8 @@ impl NodeBank {
             t.map_or(Vec::new(), |t| vec![cell(t); n])
         }
         let params = |p: &RaplPackage| enforcement_params_of(&p.limit(), pl1_max);
+        let pl1_fields = encode_power_limit(&pl1_request(Watts::ZERO), &units);
+        let pl1_tau = enforcement_params_of(&decode_power_limit(pl1_fields, &units), pl1_max).1;
         let planes = match first.and_then(|p| p.state().planes) {
             Some(_) => tile(pkgs, n, |p| {
                 p.state()
@@ -352,6 +389,7 @@ impl NodeBank {
             segment_hosts: DEFAULT_SEGMENT_HOSTS,
             seg: vec![SegCache::Invalid; n.div_ceil(DEFAULT_SEGMENT_HOSTS)],
             pending: vec![0; n.div_ceil(DEFAULT_SEGMENT_HOSTS)],
+            replays: 0,
             dead_hosts: if template.is_some_and(Node::is_dead) {
                 n
             } else {
@@ -362,6 +400,9 @@ impl NodeBank {
             pl1_max,
             pl1_write_mask: write_mask(address::PKG_POWER_LIMIT),
             perf_ctl_write_mask: write_mask(address::PERF_CTL),
+            pl1_fields,
+            pl1_tau,
+            write_hazard: false,
             energy: tile(pkgs, n, |p| p.state().energy),
             enforced: tile(pkgs, n, |p| p.state().enforced),
             pl1_raw: tile(pkgs, n, |p| p.state().pl1_raw),
@@ -384,6 +425,8 @@ impl NodeBank {
         if n > 0 {
             let programmed = bank.programmed_limit(0);
             bank.programmed.fill(programmed);
+            // Every row is the template's.
+            bank.write_hazard = bank.hazardous(0);
         }
         bank
     }
@@ -404,6 +447,7 @@ impl NodeBank {
     }
 
     /// Hosts per segment.
+    #[inline]
     pub fn segment_hosts(&self) -> usize {
         self.segment_hosts
     }
@@ -420,14 +464,23 @@ impl NodeBank {
 
     /// The host range of segment `sidx` (the last segment may be shorter
     /// than `segment_hosts()`).
+    #[inline]
     pub fn segment_range(&self, sidx: usize) -> std::ops::Range<usize> {
         let lo = sidx * self.segment_hosts;
         lo..(lo + self.segment_hosts).min(self.len())
     }
 
+    /// Segment replays this bank has counted over its life (each one
+    /// segment advanced on the replay path): `simhw.bank.shard.replayed`
+    /// for this bank alone, whatever else runs in the process.
+    pub fn replays(&self) -> u64 {
+        self.replays
+    }
+
     /// True when segment `sidx`'s enforcement filters were all at their
     /// bitwise fixed point after the last step, with no control op or fault
     /// on the segment since.
+    #[inline]
     pub fn segment_settled(&self, sidx: usize) -> bool {
         matches!(self.seg[sidx], SegCache::Settled { .. })
     }
@@ -438,6 +491,7 @@ impl NodeBank {
     /// no host's lead. Its filters may still move if the next `dt` differs
     /// (α depends on `dt`); the step that does so leaves the segment
     /// unsettled, so the next test fails.
+    #[inline]
     pub fn segment_stable(&self, sidx: usize) -> bool {
         matches!(
             self.seg[sidx],
@@ -450,6 +504,7 @@ impl NodeBank {
 
     /// True when [`NodeBank::step_all_partial`] at this `dt` would replay
     /// segment `sidx` instead of stepping it.
+    #[inline]
     pub fn segment_replayable(&self, sidx: usize, dt: Seconds) -> bool {
         replayable(self.seg[sidx], dt.value().to_bits())
     }
@@ -547,48 +602,14 @@ impl NodeBank {
     /// The limit the host's enforcement loops currently hold (sum over
     /// sockets), bit-identical to [`Node::enforced_limit`].
     pub fn enforced_limit(&self, h: usize) -> Watts {
-        let s = self.sockets;
-        (h * s..(h + 1) * s)
-            .map(|i| {
-                if self.enabled[i] {
-                    self.enforced[i]
-                } else {
-                    self.pl1_max
-                }
-            })
-            .sum()
+        self.resolve_in().enforced_limit(h)
     }
 
     /// Every host of segment `sidx`'s [`NodeBank::enforced_limit`], written
     /// into `out` at the host's index: one pass over the segment's cells
     /// with the socket count fixed for the common parts.
     pub fn segment_enforced_limits(&self, sidx: usize, out: &mut [Watts]) {
-        fn fixed<const S: usize>(
-            enforced: &[Watts],
-            enabled: &[bool],
-            max: Watts,
-            width: usize,
-            out: &mut [Watts],
-        ) {
-            let w = if S == 0 { width } else { S };
-            let cells = enforced.chunks_exact(w).zip(enabled.chunks_exact(w));
-            for (limit, (enforced, enabled)) in out.iter_mut().zip(cells) {
-                // The sum `enforced_limit` takes, in its order.
-                *limit = (enforced.iter().zip(enabled))
-                    .map(|(&e, &on)| if on { e } else { max })
-                    .sum();
-            }
-        }
-        let range = self.segment_range(sidx);
-        let s = self.sockets;
-        let cells = range.start * s..range.end * s;
-        let (enforced, enabled) = (&self.enforced[cells.clone()], &self.enabled[cells]);
-        let out = &mut out[range];
-        match s {
-            1 => fixed::<1>(enforced, enabled, self.pl1_max, s, out),
-            2 => fixed::<2>(enforced, enabled, self.pl1_max, s, out),
-            _ => fixed::<0>(enforced, enabled, self.pl1_max, s, out),
-        }
+        self.resolve_in().segment_enforced_limits(sidx, 0, out);
     }
 
     /// Cumulative exact host energy (sum over sockets), bit-identical to
@@ -621,30 +642,11 @@ impl NodeBank {
         model: &PowerModel,
         load: &L,
     ) -> OperatingPoint {
-        self.resolve_host(h, self.enforced_limit(h), model, load).0
-    }
-
-    /// [`NodeBank::operating_point`] under enforced limit `limit`, with the
-    /// span of enforced limits it holds over. The frequency-cap clamp is a
-    /// function of the PCU's answer and of inputs whose writes drop the
-    /// span, so it holds over the same limits the PCU's answer does.
-    fn resolve_host<L: LoadModel + ?Sized>(
-        &self,
-        h: usize,
-        limit: Watts,
-        model: &PowerModel,
-        load: &L,
-    ) -> (OperatingPoint, CapSpan) {
-        let (op, span) = load.operating_point_span(model, self.eps[h], limit);
-        let op = match self.freq_cap[h] {
-            Some(cap_f) if op.lead > cap_f => OperatingPoint {
-                lead: cap_f,
-                trail: op.trail.min(cap_f),
-                power: load.node_power_at(model, self.eps[h], cap_f),
-            },
-            _ => op,
-        };
-        (op, span)
+        let input = self.resolve_in();
+        let table = load.candidates(model);
+        input
+            .resolve_host(h, input.enforced_limit(h), model, load, table)
+            .0
     }
 
     /// Bring `ops` up to date for segment `sidx`: afterwards every slot of
@@ -671,40 +673,86 @@ impl NodeBank {
         load: &L,
         limits: &[Watts],
         ops: &mut [Option<OperatingPoint>],
-        mut rewrote: impl FnMut(usize, Option<&OperatingPoint>),
+        rewrote: impl FnMut(usize, Option<&OperatingPoint>),
     ) {
         assert_eq!(ops.len(), self.len(), "one slot per host");
         assert_eq!(limits.len(), self.len(), "one limit per host");
-        let range = self.segment_range(sidx);
-        let hosts = range.len() as u64;
-        let mut searched = 0;
-        for h in range {
-            let limit = limits[h];
-            debug_assert_eq!(
-                limit.value().to_bits(),
-                self.enforced_limit(h).value().to_bits()
-            );
-            if self.op_span[h].holds(limit) {
-                continue;
-            }
-            searched += 1;
-            // Dead hosts drop out of the computation; the span dropped at
-            // death stays empty, so the slot is simply rewritten each pass.
-            ops[h] = self.is_alive(h).then(|| {
-                let (op, span) = self.resolve_host(h, limit, model, load);
-                self.op_span[h] = span;
-                op
-            });
-            rewrote(h, ops[h].as_ref());
+        let segs = 0..self.seg.len();
+        let (input, op_span) = self.resolve_parts();
+        let mut resolver = Resolver::new(input, op_span, segs);
+        resolver.resolve_segment(sidx, model, load, limits, ops, rewrote);
+        resolver.flush();
+    }
+
+    /// Run a pre-step pass over the bank's segments and sum what it
+    /// returns: `run` gets a [`Resolver`] and `cols`, the caller's per-host
+    /// and per-segment columns. With `fan_out` off that is one call on the
+    /// calling thread covering every segment; with it on, the segments are
+    /// split as [`par_segments`] splits them, balanced on the segments
+    /// [`SegSplit::weight`] marks (the ones that will resolve), each chunk
+    /// one call with a [`Resolver`] over its segments. The caller decides
+    /// `fan_out` from what it already knows, so a pass that stays on the
+    /// calling thread costs no count of the segments.
+    ///
+    /// Every call sees the same bank and writes only its own hosts' spans,
+    /// so the outcome does not depend on the split; the resolve counters
+    /// take one add per call.
+    pub fn resolve_pieces<C: SegSplit>(
+        &mut self,
+        cols: C,
+        fan_out: bool,
+        run: impl Fn(&mut Resolver<'_>, &mut C) -> usize + Sync,
+    ) -> usize {
+        let (n, sh, segs) = (self.len(), self.segment_hosts, self.seg.len());
+        let (input, op_span) = self.resolve_parts();
+        let piece = |segs: Range<usize>, op_span: &mut [CapSpan], cols: &mut C| {
+            let mut resolver = Resolver::new(input, op_span, segs);
+            let out = run(&mut resolver, cols);
+            resolver.flush();
+            out
+        };
+        if !fan_out {
+            let mut cols = cols;
+            return piece(0..segs, op_span, &mut cols);
         }
-        // Zero adds are skipped, as for the outcome counters: a sweep's
-        // workers would only bounce the counter's cache line.
-        if searched > 0 {
-            RESOLVE_SEARCHED.add(searched);
+        let cols = (Spans(op_span), cols);
+        par_segments(cols, segs, sh, n, |segs, (Spans(op_span), cols)| {
+            piece(segs, op_span, cols)
+        })
+        .into_iter()
+        .sum()
+    }
+
+    /// The columns a resolve reads.
+    fn resolve_in(&self) -> ResolveIn<'_> {
+        ResolveIn {
+            sockets: self.sockets,
+            segment_hosts: self.segment_hosts,
+            len: self.len(),
+            pl1_max: self.pl1_max,
+            enforced: &self.enforced,
+            enabled: &self.enabled,
+            eps: &self.eps,
+            freq_cap: &self.freq_cap,
+            health: &self.health,
         }
-        if searched < hosts {
-            RESOLVE_KEPT.add(hosts - searched);
-        }
+    }
+
+    /// The columns a resolve reads, beside the span column it writes (the
+    /// fields of `resolve_in`, borrowed one by one).
+    fn resolve_parts(&mut self) -> (ResolveIn<'_>, &mut [CapSpan]) {
+        let input = ResolveIn {
+            sockets: self.sockets,
+            segment_hosts: self.segment_hosts,
+            len: self.id.len(),
+            pl1_max: self.pl1_max,
+            enforced: &self.enforced,
+            enabled: &self.enabled,
+            eps: &self.eps,
+            freq_cap: &self.freq_cap,
+            health: &self.health,
+        };
+        (input, &mut self.op_span)
     }
 
     /// True when no host has a pending telemetry blackout or MSR glitch —
@@ -714,17 +762,219 @@ impl NodeBank {
         self.telemetry_down.iter().all(|&t| t == 0) && self.msr_glitch.iter().all(|&g| !g)
     }
 
-    /// Program a node-level power limit in the columns. The request is
-    /// resolved by `resolve_pl1_request` — the function
-    /// [`Node::set_power_limit`] calls — against the host's columns, each
-    /// package's raw register column is checked against the msr-safe write
-    /// mask and updated, and the enforcement inputs are re-decoded from it.
-    /// Like every control write this dirties the host's segment, whatever
-    /// the outcome.
+    /// Program a node-level power limit in the columns: the one-host case
+    /// of [`NodeBank::set_power_limits`]. Like every control write this
+    /// dirties the host's segment, whatever the outcome.
     /// It does not drop the host's operating-point span: the limit is the
     /// span's argument, checked against it on the next resolve.
     pub fn set_power_limit(&mut self, h: usize, limit: Watts) -> Result<()> {
         CONTROL_WRITES.inc();
+        let dead = self.health[h] == NodeHealth::Dead;
+        let program = self
+            .batchable()
+            .then(|| self.write_fields().program(limit, dead));
+        let Some(Some(program)) = program else {
+            return self.write_one(h, limit);
+        };
+        self.dirty_segment(h);
+        let cells = h * self.sockets..(h + 1) * self.sockets;
+        self.programmed[h] = program.store(
+            &mut self.pl1_raw[cells.clone()],
+            &mut self.target[cells.clone()],
+            &mut self.tau[cells.clone()],
+            &mut self.enabled[cells],
+        );
+        Ok(())
+    }
+
+    /// Program node-level power limits on many hosts in one write: each
+    /// host `h` of `hosts` for which `limit_of(h)` is `Some(limit)` ends up
+    /// as `set_power_limit(h, limit)` called in host order would leave it,
+    /// bit for bit, counters and journal included, up to the first error:
+    /// the hosts before the failing one are written, the ones after it are
+    /// not, and the error comes back with the host it stopped at. `None`
+    /// leaves a host alone. Returns how many hosts were written.
+    ///
+    /// Every field of the request but the limit is a constant of the bank,
+    /// encoded once, so per host the write is the limit field's rounding and
+    /// its decode. Each segment written is dirtied once, and the
+    /// control-write and invalidation counters take one add per write.
+    ///
+    /// A host whose request needs more goes through
+    /// `rapl::resolve_pl1_request` — the function [`Node::set_power_limit`]
+    /// calls — on the calling thread, in host order: a dead host, a pending
+    /// MSR glitch (consumed), a stuck latch, a request that clamps while the
+    /// recorder is on (its `RaplClamp` event), a PL1 register the write mask
+    /// refuses. A write over two or more segments in which no host can fail
+    /// (none dead, no glitch, no refusing register) runs in segment-aligned
+    /// chunks on the exec pool; a chunk leaves a host that needs more, and
+    /// what follows it in the chunk, to the calling thread.
+    pub fn set_power_limits(
+        &mut self,
+        hosts: Range<usize>,
+        limit_of: impl Fn(usize) -> Option<Watts> + Sync,
+    ) -> std::result::Result<usize, (usize, SimHwError)> {
+        assert!(hosts.end <= self.len(), "hosts out of range");
+        if hosts.is_empty() {
+            return Ok(0);
+        }
+        // One division unless the write spans segments.
+        let (sh, first) = (self.segment_hosts, self.segment_of(hosts.start));
+        let last = if hosts.end > (first + 1) * sh {
+            (hosts.end - 1) / sh
+        } else {
+            first
+        };
+        let segs = first..last + 1;
+        if segs.len() > 1 && self.write_hazard {
+            self.write_hazard = self.holds_write_hazard();
+        }
+        let batched = self.batchable();
+        let workers = if batched && segs.len() > 1 && self.dead_hosts == 0 {
+            pmstack_exec::workers().min(segs.len())
+        } else {
+            1
+        };
+        let mut tally = WriteTally::default();
+        let out = if workers > 1 && !pmstack_exec::is_inline() {
+            self.write_chunked(hosts, segs, workers, &limit_of, &mut tally)
+        } else {
+            self.write_in_order(hosts, first, batched, &limit_of, &mut tally)
+        };
+        if tally.written > 0 {
+            CONTROL_WRITES.add(tally.written);
+        }
+        if tally.invalidated > 0 {
+            SHARD_INVALIDATED.add(tally.invalidated);
+        }
+        out.map(|()| tally.written as usize)
+    }
+
+    /// [`NodeBank::set_power_limits`] on the calling thread: batched runs
+    /// up to each host that needs `resolve_pl1_request` (every host, with
+    /// `batched` off), which is then written alone.
+    /// `seg` is the segment of `hosts.start`.
+    fn write_in_order(
+        &mut self,
+        hosts: Range<usize>,
+        seg: usize,
+        batched: bool,
+        limit_of: &impl Fn(usize) -> Option<Watts>,
+        tally: &mut WriteTally,
+    ) -> std::result::Result<(), (usize, SimHwError)> {
+        let (mut from, mut seg) = (hosts.start, seg);
+        loop {
+            let (mut cols, fields, health) = self.write_parts(0..self.seg.len());
+            let span = from..hosts.end;
+            let stop = write_span(
+                &mut cols, 0, span, seg, batched, &fields, health, limit_of, tally,
+            );
+            let Some((h, limit)) = stop else {
+                return Ok(());
+            };
+            tally.written += 1;
+            self.write_one(h, limit).map_err(|e| (h, e))?;
+            from = h + 1;
+            seg = self.segment_of(from);
+        }
+    }
+
+    /// [`NodeBank::set_power_limits`] over segments `segs`, in `workers`
+    /// segment-aligned chunks on the exec pool. No host can fail, so each
+    /// chunk writes what it can; a chunk that stops at a host needing
+    /// `resolve_pl1_request` leaves it and the rest of its hosts to the
+    /// calling thread, which takes them chunk by chunk, in host order.
+    fn write_chunked(
+        &mut self,
+        hosts: Range<usize>,
+        segs: Range<usize>,
+        workers: usize,
+        limit_of: &(impl Fn(usize) -> Option<Watts> + Sync),
+        tally: &mut WriteTally,
+    ) -> std::result::Result<(), (usize, SimHwError)> {
+        let (n, sh, first) = (self.len(), self.segment_hosts, segs.start);
+        let mut resume = Vec::new();
+        {
+            let (cols, fields, health) = self.write_parts(segs.clone());
+            let pieces = seg_chunks(cols, segs.len(), sh, n - first * sh, workers, segs.len());
+            let mut chunks: Vec<_> = (pieces.into_iter())
+                .map(|(local, cols)| {
+                    let segs = first + local.start..first + local.end;
+                    (segs, cols, None, WriteTally::default())
+                })
+                .collect();
+            pmstack_exec::par_for_each_mut(&mut chunks, |_, (segs, cols, stop, t)| {
+                let from = hosts.start.max(segs.start * sh);
+                let (span, seg) = (from..hosts.end, from / sh);
+                *stop = write_span(
+                    cols, segs.start, span, seg, true, &fields, health, limit_of, t,
+                );
+            });
+            for (segs, _, stop, t) in chunks {
+                tally.written += t.written;
+                tally.invalidated += t.invalidated;
+                if let Some((h, limit)) = stop {
+                    resume.push((h, limit, hosts.end.min(segs.end * sh)));
+                }
+            }
+        }
+        for (h, limit, end) in resume {
+            tally.written += 1;
+            self.write_one(h, limit).map_err(|e| (h, e))?;
+            let seg = self.segment_of(h + 1);
+            self.write_in_order(h + 1..end, seg, true, limit_of, tally)?;
+        }
+        Ok(())
+    }
+
+    /// True when a host's limit write may skip `resolve_pl1_request`: no
+    /// host holds a glitch, a stuck latch or a refusing register, and the
+    /// mask lets the limit field through, so its verdict does not depend on
+    /// the limit.
+    fn batchable(&self) -> bool {
+        let mask = self.pl1_write_mask;
+        !self.write_hazard && mask != 0 && LIMIT_FIELD & !mask == 0
+    }
+
+    /// The constants a limit write encodes with.
+    fn write_fields(&self) -> Pl1Fields {
+        Pl1Fields {
+            raw: self.pl1_fields,
+            tau: self.pl1_tau,
+            units: self.units,
+            min: self.pl1_min,
+            max: self.pl1_max,
+            sockets: self.sockets,
+            segment_hosts: self.segment_hosts,
+            record: pmstack_obs::enabled(),
+        }
+    }
+
+    /// The columns a limit write changes over segments `segs`, the
+    /// constants it encodes with, and the health column it checks.
+    fn write_parts(&mut self, segs: Range<usize>) -> (WriteCols<'_>, Pl1Fields, &[NodeHealth]) {
+        let s = self.sockets;
+        let n = self.id.len();
+        let hosts = segs.start * self.segment_hosts..(segs.end * self.segment_hosts).min(n);
+        let cells = hosts.start * s..hosts.end * s;
+        let fields = self.write_fields();
+        let cols = WriteCols {
+            sockets: s,
+            pl1_raw: &mut self.pl1_raw[cells.clone()],
+            target: &mut self.target[cells.clone()],
+            tau: &mut self.tau[cells.clone()],
+            enabled: &mut self.enabled[cells],
+            programmed: &mut self.programmed[hosts],
+            seg: &mut self.seg[segs],
+        };
+        (cols, fields, &self.health)
+    }
+
+    /// One host's limit write through `resolve_pl1_request`, against the
+    /// host's columns: each package's raw register column is checked against
+    /// the msr-safe write mask and updated, and the enforcement inputs are
+    /// re-decoded from it. Dirties the host's segment, whatever the outcome.
+    fn write_one(&mut self, h: usize, limit: Watts) -> Result<()> {
         self.dirty_segment(h);
         let s = self.sockets;
         let gate = Pl1Gate {
@@ -759,6 +1009,30 @@ impl NodeBank {
         // [`Node::power_limit`] sums it.
         self.programmed[h] = (0..s).map(|_| write.limit.limit).sum();
         Ok(())
+    }
+
+    /// True when host `h` holds state a batched limit write cannot take: a
+    /// pending MSR glitch, a stuck latch, or a PL1 register the write of
+    /// this bank's fixed fields would be refused on.
+    fn hazardous(&self, h: usize) -> bool {
+        let s = self.sockets;
+        self.msr_glitch[h]
+            || self.stuck[h].is_some()
+            || (h * s..(h + 1) * s).any(|i| self.pl1_refuses(self.pl1_raw[i]))
+    }
+
+    /// True when some host is [`NodeBank::hazardous`]: the scan that clears
+    /// `write_hazard`.
+    fn holds_write_hazard(&self) -> bool {
+        (0..self.len()).any(|h| self.hazardous(h))
+    }
+
+    /// True when the write mask would refuse to move `raw` to this bank's
+    /// fixed fields (whatever the limit field: a refusing mask either
+    /// covers it or refuses everything).
+    fn pl1_refuses(&self, raw: u64) -> bool {
+        let mask = self.pl1_write_mask;
+        mask == 0 || (raw ^ self.pl1_fields) & !mask & !LIMIT_FIELD != 0
     }
 
     /// The programmed node-level limit decoded from the raw register column
@@ -903,7 +1177,8 @@ impl NodeBank {
         } else {
             (1, 0)
         };
-        let mut cols = SpanCols {
+        let cols = SpanCols {
+            sockets: s,
             energy: &mut self.energy,
             enforced: &mut self.enforced,
             last_freq: &mut self.last_freq,
@@ -912,9 +1187,15 @@ impl NodeBank {
             replay_delta: &mut self.replay_delta,
             results,
         };
+        let segs = SegCols {
+            seg: &mut self.seg,
+            pending: &mut self.pending,
+            dt_bits,
+            allow_replay,
+        };
         let (target, tau) = (&self.target, &self.tau);
         let run = |chunk: &mut SegChunk<'_>| {
-            run_seg_chunk(chunk, s, sh, dt, dt_bits, ops, target, tau, allow_replay);
+            run_seg_chunk(chunk, sh, dt, ops, target, tau);
         };
         let mut applied = 0;
         let mut fold = |chunk: &SegChunk<'_>| {
@@ -924,45 +1205,24 @@ impl NodeBank {
             applied += chunk.applied;
         };
         if workers > 1 {
-            // Chunk `k` takes whole segments until the stepped segments
-            // chunked so far reach `k / workers` of the total; the last
-            // takes the rest.
-            let mut chunks: Vec<SegChunk<'_>> = Vec::with_capacity(workers);
-            let mut seg_rem = &mut self.seg[..];
-            let mut pending_rem = &mut self.pending[..];
-            let (mut base, mut chunked) = (0, 0);
-            for k in 1..=workers {
-                let mut take_segs = 0;
-                while take_segs < seg_rem.len() && (k == workers || chunked * workers < k * total) {
-                    chunked += usize::from(steps(seg_rem[take_segs], dt_bits, allow_replay));
-                    take_segs += 1;
-                }
-                if take_segs == 0 {
-                    continue;
-                }
-                let take_hosts = (take_segs * sh).min(n - base);
-                let (sa, st) = seg_rem.split_at_mut(take_segs);
-                seg_rem = st;
-                let (pa, pt) = pending_rem.split_at_mut(take_segs);
-                pending_rem = pt;
-                chunks.push(SegChunk::new(
-                    base,
-                    cols.split_off_front(take_hosts, s),
-                    sa,
-                    pa,
-                ));
-                base += take_hosts;
-            }
+            // Chunks balance the stepped segments.
+            let nsegs = segs.seg.len();
+            let mut chunks: Vec<SegChunk<'_>> =
+                seg_chunks((cols, segs), nsegs, sh, n, workers, total)
+                    .into_iter()
+                    .map(|(segs, (cols, seg))| SegChunk::new(segs.start * sh, cols, seg))
+                    .collect();
             pmstack_exec::par_for_each_mut(&mut chunks, |_, chunk| run(chunk));
             chunks.iter().for_each(&mut fold);
         } else {
             // The whole fleet is one chunk, built on the stack: the loop
             // allocates nothing once the caller's vectors exist.
-            let mut chunk = SegChunk::new(0, cols, &mut self.seg, &mut self.pending);
+            let mut chunk = SegChunk::new(0, cols, segs);
             run(&mut chunk);
             fold(&chunk);
         }
         if report.segments_replayed > 0 {
+            self.replays += report.segments_replayed as u64;
             SHARD_REPLAYED.add(report.segments_replayed as u64);
         }
         count_applied(applied);
@@ -1074,6 +1334,7 @@ impl NodeBank {
         self.health[h] = node.health;
         self.dead_hosts += usize::from(node.is_dead());
         self.programmed[h] = self.programmed_limit(h);
+        self.write_hazard |= self.hazardous(h);
         // ε, health, the cap and the stuck latch may all have changed.
         self.op_span[h] = CapSpan::NEVER;
     }
@@ -1112,9 +1373,124 @@ fn cache_after_step(settled: bool, quiescent: bool, dt_bits: u64) -> SegCache {
     }
 }
 
-/// A disjoint span of the hot columns (per-(host,socket) columns hold
-/// `hosts * sockets` elements, per-host columns `hosts`).
+/// Columns a segment-aligned fan-out hands out in disjoint pieces, every
+/// column cut at the same segment boundary: per-(host, socket) columns at
+/// `hosts × sockets` elements, per-host columns at `hosts`, per-segment
+/// columns at `segs`. The bank's step, its batched limit write and a
+/// caller's pre-step pass ([`NodeBank::resolve_pieces`]) all chunk through
+/// this one splitter.
+pub trait SegSplit: Send + Sized {
+    /// Detach the first `segs` segments, holding the first `hosts` hosts,
+    /// as an independent piece, leaving the remainder in `self`.
+    fn split_off_front(&mut self, segs: usize, hosts: usize) -> Self;
+
+    /// Whether segment `seg` (counted from the start of this piece) is
+    /// work the chunks should share out evenly; segments that weigh nothing
+    /// ride along with the chunk they fall in.
+    fn weight(&self, _seg: usize) -> bool {
+        true
+    }
+}
+
+impl<A: SegSplit, B: SegSplit> SegSplit for (A, B) {
+    fn split_off_front(&mut self, segs: usize, hosts: usize) -> Self {
+        (
+            self.0.split_off_front(segs, hosts),
+            self.1.split_off_front(segs, hosts),
+        )
+    }
+
+    fn weight(&self, seg: usize) -> bool {
+        self.0.weight(seg) && self.1.weight(seg)
+    }
+}
+
+/// Detach the first `n` elements of a mutable slice, leaving the rest in
+/// `slot`: the cut every [`SegSplit`] makes.
+pub fn take_front<'b, T>(slot: &mut &'b mut [T], n: usize) -> &'b mut [T] {
+    let (head, tail) = std::mem::take(slot).split_at_mut(n);
+    *slot = tail;
+    head
+}
+
+/// Run `run` over `cols` in segment-aligned chunks on the exec pool and
+/// return each chunk's result, in chunk order. `cols` holds `segs` segments
+/// of `segment_hosts` hosts, `hosts` in all (the last segment may be
+/// short); the chunks, at most one per pool worker, balance the segments
+/// [`SegSplit::weight`] marks, and `run` gets each chunk's segments with its
+/// piece. Where the exec pool would run inline, or fewer than two segments
+/// weigh, it is one call on the calling thread over everything. Weighing is
+/// a pass over the segments, so a caller that already knows it will not fan
+/// out calls its pass itself.
+pub fn par_segments<C: SegSplit, R: Send>(
+    cols: C,
+    segs: usize,
+    segment_hosts: usize,
+    hosts: usize,
+    run: impl Fn(Range<usize>, &mut C) -> R + Sync,
+) -> Vec<R> {
+    let workers = if segs >= 2 && !pmstack_exec::is_inline() {
+        pmstack_exec::workers()
+    } else {
+        1
+    };
+    let total = if workers > 1 {
+        (0..segs).filter(|&i| cols.weight(i)).count()
+    } else {
+        0
+    };
+    if total < PAR_MIN_STEPPED {
+        let mut cols = cols;
+        return vec![run(0..segs, &mut cols)];
+    }
+    let chunks = seg_chunks(cols, segs, segment_hosts, hosts, workers.min(total), total);
+    let mut tasks: Vec<_> = (chunks.into_iter())
+        .map(|(segs, cols)| (segs, cols, None))
+        .collect();
+    pmstack_exec::par_for_each_mut(&mut tasks, |_, (segs, cols, out)| {
+        *out = Some(run(segs.clone(), cols));
+    });
+    (tasks.into_iter())
+        .map(|(_, _, out)| out.expect("every chunk ran"))
+        .collect()
+}
+
+/// Split `cols` — `segs` segments of `segment_hosts` hosts, `hosts` hosts
+/// in all (the last segment may be short) — into at most `workers` chunks
+/// of whole segments: chunk `k` takes segments until the weighing segments
+/// chunked so far reach `k / workers` of `total`, and the last takes the
+/// rest. Returns each chunk's segments, counted from the first, with its
+/// piece.
+fn seg_chunks<C: SegSplit>(
+    mut cols: C,
+    segs: usize,
+    segment_hosts: usize,
+    hosts: usize,
+    workers: usize,
+    total: usize,
+) -> Vec<(Range<usize>, C)> {
+    let mut chunks = Vec::with_capacity(workers);
+    let (mut next, mut chunked) = (0, 0);
+    for k in 1..=workers {
+        let (first, mut take) = (next, 0);
+        while next < segs && (k == workers || chunked * workers < k * total) {
+            chunked += usize::from(cols.weight(take));
+            take += 1;
+            next += 1;
+        }
+        if take == 0 {
+            continue;
+        }
+        let take_hosts = (next * segment_hosts).min(hosts) - first * segment_hosts;
+        chunks.push((first..next, cols.split_off_front(take, take_hosts)));
+    }
+    chunks
+}
+
+/// A disjoint span of the hot columns a step writes (per-(host,socket)
+/// columns hold `hosts * sockets` elements, per-host columns `hosts`).
 struct SpanCols<'a> {
+    sockets: usize,
     energy: &'a mut [Joules],
     enforced: &'a mut [Watts],
     last_freq: &'a mut [Hertz],
@@ -1124,31 +1500,30 @@ struct SpanCols<'a> {
     results: &'a mut [HostStep],
 }
 
-impl<'a> SpanCols<'a> {
-    /// Detach the first `hosts` hosts as an independent span, leaving the
-    /// remainder in `self` — the splitter the chunk builders iterate.
-    fn split_off_front(&mut self, hosts: usize, sockets: usize) -> SpanCols<'a> {
-        fn take<'b, T>(slot: &mut &'b mut [T], n: usize) -> &'b mut [T] {
-            let (head, tail) = std::mem::take(slot).split_at_mut(n);
-            *slot = tail;
-            head
-        }
+impl SegSplit for SpanCols<'_> {
+    fn split_off_front(&mut self, _segs: usize, hosts: usize) -> Self {
+        let cells = hosts * self.sockets;
         SpanCols {
-            energy: take(&mut self.energy, hosts * sockets),
-            enforced: take(&mut self.enforced, hosts * sockets),
-            last_freq: take(&mut self.last_freq, hosts),
-            telemetry_down: take(&mut self.telemetry_down, hosts),
-            msr_glitch: take(&mut self.msr_glitch, hosts),
-            replay_delta: take(&mut self.replay_delta, hosts),
-            results: take(&mut self.results, hosts),
+            sockets: self.sockets,
+            energy: take_front(&mut self.energy, cells),
+            enforced: take_front(&mut self.enforced, cells),
+            last_freq: take_front(&mut self.last_freq, hosts),
+            telemetry_down: take_front(&mut self.telemetry_down, hosts),
+            msr_glitch: take_front(&mut self.msr_glitch, hosts),
+            replay_delta: take_front(&mut self.replay_delta, hosts),
+            results: take_front(&mut self.results, hosts),
         }
     }
+}
 
+impl SpanCols<'_> {
     /// Reborrow hosts `lo..lo + len` of this span.
-    fn sub(&mut self, lo: usize, len: usize, sockets: usize) -> SpanCols<'_> {
+    fn sub(&mut self, lo: usize, len: usize) -> SpanCols<'_> {
+        let s = self.sockets;
         SpanCols {
-            energy: &mut self.energy[lo * sockets..(lo + len) * sockets],
-            enforced: &mut self.enforced[lo * sockets..(lo + len) * sockets],
+            sockets: s,
+            energy: &mut self.energy[lo * s..(lo + len) * s],
+            enforced: &mut self.enforced[lo * s..(lo + len) * s],
             last_freq: &mut self.last_freq[lo..lo + len],
             telemetry_down: &mut self.telemetry_down[lo..lo + len],
             msr_glitch: &mut self.msr_glitch[lo..lo + len],
@@ -1158,13 +1533,35 @@ impl<'a> SpanCols<'a> {
     }
 }
 
-/// One worker's segment-aligned chunk: whole segments plus their cache
-/// slots and pending-replay counts.
+/// The per-segment columns a step writes: cache slots and pending-replay
+/// counts. A segment weighs when the step at `dt_bits` steps it.
+struct SegCols<'a> {
+    seg: &'a mut [SegCache],
+    pending: &'a mut [u64],
+    dt_bits: u64,
+    allow_replay: bool,
+}
+
+impl SegSplit for SegCols<'_> {
+    fn split_off_front(&mut self, segs: usize, _hosts: usize) -> Self {
+        SegCols {
+            seg: take_front(&mut self.seg, segs),
+            pending: take_front(&mut self.pending, segs),
+            ..*self
+        }
+    }
+
+    fn weight(&self, seg: usize) -> bool {
+        steps(self.seg[seg], self.dt_bits, self.allow_replay)
+    }
+}
+
+/// One worker's segment-aligned chunk of a step: whole segments plus their
+/// cache slots and pending-replay counts.
 struct SegChunk<'a> {
     base: usize,
     cols: SpanCols<'a>,
-    seg: &'a mut [SegCache],
-    pending: &'a mut [u64],
+    segs: SegCols<'a>,
     replayed: usize,
     stepped: usize,
     /// Pending replays written into cells before a step.
@@ -1173,17 +1570,11 @@ struct SegChunk<'a> {
 }
 
 impl<'a> SegChunk<'a> {
-    fn new(
-        base: usize,
-        cols: SpanCols<'a>,
-        seg: &'a mut [SegCache],
-        pending: &'a mut [u64],
-    ) -> Self {
+    fn new(base: usize, cols: SpanCols<'a>, segs: SegCols<'a>) -> Self {
         Self {
             base,
             cols,
-            seg,
-            pending,
+            segs,
             replayed: 0,
             stepped: 0,
             applied: 0,
@@ -1194,43 +1585,410 @@ impl<'a> SegChunk<'a> {
 
 /// Replay (count) or step each segment a chunk owns, refreshing its cache
 /// slot.
-#[allow(clippy::too_many_arguments)]
 fn run_seg_chunk(
     chunk: &mut SegChunk<'_>,
-    sockets: usize,
     segment_hosts: usize,
     dt: Seconds,
-    dt_bits: u64,
     ops: &[Option<OperatingPoint>],
     target: &[Watts],
     tau: &[f64],
-    allow_replay: bool,
 ) {
     let total = chunk.cols.results.len();
+    let (dt_bits, allow_replay) = (chunk.segs.dt_bits, chunk.segs.allow_replay);
     let mut lo = 0;
-    for si in 0..chunk.seg.len() {
+    for si in 0..chunk.segs.seg.len() {
         let len = segment_hosts.min(total - lo);
-        if !steps(chunk.seg[si], dt_bits, allow_replay) {
+        if !steps(chunk.segs.seg[si], dt_bits, allow_replay) {
             debug_assert!(
                 (chunk.cols.telemetry_down[lo..lo + len].iter()).all(|&t| t == 0)
                     && chunk.cols.msr_glitch[lo..lo + len].iter().all(|&g| !g),
                 "replayed a span holding one-shot telemetry state"
             );
-            chunk.pending[si] += 1;
+            chunk.segs.pending[si] += 1;
             chunk.replayed += 1;
         } else {
-            let mut cols = chunk.cols.sub(lo, len, sockets);
+            let mut cols = chunk.cols.sub(lo, len);
             // The step overwrites the delta the pending replays stand for.
-            let k = std::mem::take(&mut chunk.pending[si]);
-            apply_replays(cols.energy, cols.replay_delta, sockets, k);
+            let k = std::mem::take(&mut chunk.segs.pending[si]);
+            apply_replays(cols.energy, cols.replay_delta, cols.sockets, k);
             chunk.applied += k;
-            let (settled, quiescent) =
-                step_span(&mut cols, chunk.base + lo, sockets, dt, ops, target, tau);
-            chunk.seg[si] = cache_after_step(settled, quiescent, dt_bits);
+            let (settled, quiescent) = step_span(&mut cols, chunk.base + lo, dt, ops, target, tau);
+            chunk.segs.seg[si] = cache_after_step(settled, quiescent, dt_bits);
             chunk.all_settled &= settled;
             chunk.stepped += 1;
         }
         lo += len;
+    }
+}
+
+/// The mask bits of the PL1 limit field (bits 14:0).
+const LIMIT_FIELD: u64 = 0x7FFF;
+
+/// What a batched limit write encodes with: the bank's fixed PL1 fields and
+/// the τ they decode to, its units and settable range, and whether the
+/// recorder is on (a clamp then journals an event).
+#[derive(Debug, Clone, Copy)]
+struct Pl1Fields {
+    raw: u64,
+    tau: f64,
+    units: RaplUnits,
+    min: Watts,
+    max: Watts,
+    sockets: usize,
+    segment_hosts: usize,
+    record: bool,
+}
+
+impl Pl1Fields {
+    /// What `resolve_pl1_request` programs for `requested` on a host with
+    /// no glitch, latch or refusing register — the share, its clamp, the
+    /// limit field's rounding and its decode — or `None` when the request
+    /// must go through `resolve_pl1_request` itself: the host is dead, or
+    /// the request clamps while the recorder is on (its `RaplClamp` event).
+    #[inline]
+    fn program(&self, requested: Watts, dead: bool) -> Option<Pl1Program> {
+        let share = requested / self.sockets as f64;
+        let per_socket = share.clamp(self.min, self.max);
+        if dead || self.record && per_socket != share {
+            return None;
+        }
+        let raw = self.raw | encode_limit_field(per_socket, &self.units);
+        Some(Pl1Program {
+            raw,
+            limit: decode_limit_field(raw, &self.units),
+            tau: self.tau,
+        })
+    }
+}
+
+/// What a limit write programs into each of a host's packages: the raw
+/// register, the limit it decodes to, and the window's τ.
+#[derive(Debug, Clone, Copy)]
+struct Pl1Program {
+    raw: u64,
+    limit: Watts,
+    tau: f64,
+}
+
+impl Pl1Program {
+    /// Program one host's package cells; returns its node-level limit,
+    /// summed as [`Node::power_limit`] sums it.
+    #[inline]
+    fn store(
+        self,
+        pl1_raw: &mut [u64],
+        target: &mut [Watts],
+        tau: &mut [f64],
+        enabled: &mut [bool],
+    ) -> Watts {
+        let cells = pl1_raw.iter_mut().zip(target).zip(tau).zip(enabled);
+        for (((raw, target), tau), enabled) in cells {
+            (*raw, *target, *tau, *enabled) = (self.raw, self.limit, self.tau, true);
+        }
+        (0..pl1_raw.len()).map(|_| self.limit).sum()
+    }
+}
+
+/// What a limit write adds to the control-write and invalidation counters.
+#[derive(Debug, Default, Clone, Copy)]
+struct WriteTally {
+    written: u64,
+    invalidated: u64,
+}
+
+/// A segment-aligned piece of the columns a limit write changes.
+struct WriteCols<'a> {
+    sockets: usize,
+    pl1_raw: &'a mut [u64],
+    target: &'a mut [Watts],
+    tau: &'a mut [f64],
+    enabled: &'a mut [bool],
+    programmed: &'a mut [Watts],
+    seg: &'a mut [SegCache],
+}
+
+impl SegSplit for WriteCols<'_> {
+    fn split_off_front(&mut self, segs: usize, hosts: usize) -> Self {
+        let cells = hosts * self.sockets;
+        WriteCols {
+            sockets: self.sockets,
+            pl1_raw: take_front(&mut self.pl1_raw, cells),
+            target: take_front(&mut self.target, cells),
+            tau: take_front(&mut self.tau, cells),
+            enabled: take_front(&mut self.enabled, cells),
+            programmed: take_front(&mut self.programmed, hosts),
+            seg: take_front(&mut self.seg, segs),
+        }
+    }
+}
+
+/// Write the hosts of `hosts` that the piece `cols` (starting at segment
+/// `first_seg`) holds, in host order, each as `resolve_pl1_request` would
+/// program it when it neither fails nor latches nor journals, dirtying each
+/// segment before its first write. `seg` is the segment of `hosts.start`,
+/// inside the piece (the walk divides nothing). Returns the first host that
+/// needs `resolve_pl1_request` itself (with `batched` off: the first host
+/// written at all), with its limit and its segment already dirtied, or
+/// `None` once the piece is done.
+#[allow(clippy::too_many_arguments)]
+fn write_span(
+    cols: &mut WriteCols<'_>,
+    first_seg: usize,
+    hosts: Range<usize>,
+    seg: usize,
+    batched: bool,
+    fields: &Pl1Fields,
+    health: &[NodeHealth],
+    limit_of: &impl Fn(usize) -> Option<Watts>,
+    tally: &mut WriteTally,
+) -> Option<(usize, Watts)> {
+    let (s, sh) = (fields.sockets, fields.segment_hosts);
+    let base = first_seg * sh;
+    let end = hosts.end.min(base + cols.programmed.len());
+    let (mut lo, mut si) = (hosts.start, seg - first_seg);
+    while lo < end {
+        let seg_end = end.min((first_seg + si + 1) * sh);
+        let mut dirtied = false;
+        for (h, &health) in (lo..seg_end).zip(&health[lo..seg_end]) {
+            let Some(limit) = limit_of(h) else {
+                continue;
+            };
+            if !dirtied {
+                let cache = &mut cols.seg[si];
+                tally.invalidated += u64::from(matches!(cache, SegCache::Settled { .. }));
+                *cache = SegCache::Invalid;
+                dirtied = true;
+            }
+            let program = batched.then(|| fields.program(limit, health == NodeHealth::Dead));
+            let Some(Some(program)) = program else {
+                return Some((h, limit));
+            };
+            let (i, cells) = (h - base, (h - base) * s..(h - base + 1) * s);
+            cols.programmed[i] = program.store(
+                &mut cols.pl1_raw[cells.clone()],
+                &mut cols.target[cells.clone()],
+                &mut cols.tau[cells.clone()],
+                &mut cols.enabled[cells],
+            );
+            tally.written += 1;
+        }
+        (lo, si) = (seg_end, si + 1);
+    }
+    None
+}
+
+/// The columns a resolve reads, shared by every piece of a pre-step pass.
+#[derive(Clone, Copy)]
+struct ResolveIn<'a> {
+    sockets: usize,
+    segment_hosts: usize,
+    len: usize,
+    pl1_max: Watts,
+    enforced: &'a [Watts],
+    enabled: &'a [bool],
+    eps: &'a [f64],
+    freq_cap: &'a [Option<Hertz>],
+    health: &'a [NodeHealth],
+}
+
+impl ResolveIn<'_> {
+    fn segment_range(&self, sidx: usize) -> Range<usize> {
+        let lo = sidx * self.segment_hosts;
+        lo..(lo + self.segment_hosts).min(self.len)
+    }
+
+    /// [`NodeBank::enforced_limit`].
+    fn enforced_limit(&self, h: usize) -> Watts {
+        let s = self.sockets;
+        (h * s..(h + 1) * s)
+            .map(|i| {
+                if self.enabled[i] {
+                    self.enforced[i]
+                } else {
+                    self.pl1_max
+                }
+            })
+            .sum()
+    }
+
+    /// Segment `sidx`'s enforced limits into `out`, whose first slot is
+    /// host `base`'s.
+    fn segment_enforced_limits(&self, sidx: usize, base: usize, out: &mut [Watts]) {
+        fn fixed<const S: usize>(
+            enforced: &[Watts],
+            enabled: &[bool],
+            max: Watts,
+            width: usize,
+            out: &mut [Watts],
+        ) {
+            let w = if S == 0 { width } else { S };
+            let cells = enforced.chunks_exact(w).zip(enabled.chunks_exact(w));
+            for (limit, (enforced, enabled)) in out.iter_mut().zip(cells) {
+                // The sum `enforced_limit` takes, in its order.
+                *limit = (enforced.iter().zip(enabled))
+                    .map(|(&e, &on)| if on { e } else { max })
+                    .sum();
+            }
+        }
+        let range = self.segment_range(sidx);
+        let s = self.sockets;
+        let cells = range.start * s..range.end * s;
+        let (enforced, enabled) = (&self.enforced[cells.clone()], &self.enabled[cells]);
+        let out = &mut out[range.start - base..range.end - base];
+        match s {
+            1 => fixed::<1>(enforced, enabled, self.pl1_max, s, out),
+            2 => fixed::<2>(enforced, enabled, self.pl1_max, s, out),
+            _ => fixed::<0>(enforced, enabled, self.pl1_max, s, out),
+        }
+    }
+
+    /// [`NodeBank::operating_point`] under enforced limit `limit`, with the
+    /// span of enforced limits it holds over: resolved against `table` when
+    /// the caller looked one up, else through the load's own resolve. The
+    /// frequency-cap clamp is a function of the PCU's answer and of inputs
+    /// whose writes drop the span, so it holds over the same limits the
+    /// PCU's answer does.
+    fn resolve_host<L: LoadModel + ?Sized>(
+        &self,
+        h: usize,
+        limit: Watts,
+        model: &PowerModel,
+        load: &L,
+        table: Option<&CandidateTable>,
+    ) -> (OperatingPoint, CapSpan) {
+        let eps = self.eps[h];
+        let (op, span) = match table {
+            Some(t) => t.resolve(model.static_power(eps), eps, limit),
+            None => load.operating_point_span(model, eps, limit),
+        };
+        let op = match self.freq_cap[h] {
+            Some(cap_f) if op.lead > cap_f => OperatingPoint {
+                lead: cap_f,
+                trail: op.trail.min(cap_f),
+                power: load.node_power_at(model, eps, cap_f),
+            },
+            _ => op,
+        };
+        (op, span)
+    }
+}
+
+/// A segment-aligned piece of the bank for a pre-step pass
+/// ([`NodeBank::resolve_pieces`]): the columns a resolve reads, and the
+/// operating-point spans of the piece's hosts. Segment indices are the
+/// bank's; host indices and the slices passed in are the piece's, counted
+/// from its first host.
+pub struct Resolver<'a> {
+    input: ResolveIn<'a>,
+    op_span: &'a mut [CapSpan],
+    segs: Range<usize>,
+    base: usize,
+    searched: u64,
+    kept: u64,
+}
+
+impl<'a> Resolver<'a> {
+    fn new(input: ResolveIn<'a>, op_span: &'a mut [CapSpan], segs: Range<usize>) -> Self {
+        let base = segs.start * input.segment_hosts;
+        Self {
+            input,
+            op_span,
+            segs,
+            base,
+            searched: 0,
+            kept: 0,
+        }
+    }
+
+    /// The bank segments of this piece.
+    pub fn segments(&self) -> Range<usize> {
+        self.segs.clone()
+    }
+
+    /// Segment `sidx`'s hosts, counted from the piece's first host.
+    pub fn hosts(&self, sidx: usize) -> Range<usize> {
+        let range = self.input.segment_range(sidx);
+        range.start - self.base..range.end - self.base
+    }
+
+    /// [`NodeBank::segment_enforced_limits`] into the piece's `out`.
+    pub fn segment_enforced_limits(&self, sidx: usize, out: &mut [Watts]) {
+        self.input.segment_enforced_limits(sidx, self.base, out);
+    }
+
+    /// The piece's host `h` through the PCU search, spans ignored: its
+    /// [`NodeBank::operating_point`], `None` for a fail-stop dead host.
+    pub fn operating_point<L: LoadModel + ?Sized>(
+        &self,
+        h: usize,
+        model: &PowerModel,
+        load: &L,
+    ) -> Option<OperatingPoint> {
+        let h = self.base + h;
+        (self.input.health[h] != NodeHealth::Dead).then(|| {
+            let limit = self.input.enforced_limit(h);
+            self.input.resolve_host(h, limit, model, load, None).0
+        })
+    }
+
+    /// [`NodeBank::resolve_segment`] over the piece's `limits` and `ops`,
+    /// passing `rewrote` the piece's host index. The load's candidate table
+    /// is looked up once for the segment.
+    pub fn resolve_segment<L: LoadModel + ?Sized>(
+        &mut self,
+        sidx: usize,
+        model: &PowerModel,
+        load: &L,
+        limits: &[Watts],
+        ops: &mut [Option<OperatingPoint>],
+        mut rewrote: impl FnMut(usize, Option<&OperatingPoint>),
+    ) {
+        let table = load.candidates(model);
+        let range = self.hosts(sidx);
+        let hosts = range.len() as u64;
+        let mut searched = 0;
+        for h in range {
+            let (limit, global) = (limits[h], self.base + h);
+            debug_assert_eq!(
+                limit.value().to_bits(),
+                self.input.enforced_limit(global).value().to_bits()
+            );
+            if self.op_span[h].holds(limit) {
+                continue;
+            }
+            searched += 1;
+            // Dead hosts drop out of the computation; the span dropped at
+            // death stays empty, so the slot is simply rewritten each pass.
+            ops[h] = (self.input.health[global] != NodeHealth::Dead).then(|| {
+                let (op, span) = self.input.resolve_host(global, limit, model, load, table);
+                self.op_span[h] = span;
+                op
+            });
+            rewrote(h, ops[h].as_ref());
+        }
+        self.searched += searched;
+        self.kept += hosts - searched;
+    }
+
+    /// Add the piece's resolve counts. Zero adds are skipped, as for the
+    /// outcome counters: a sweep's workers would only bounce the counter's
+    /// cache line.
+    fn flush(&self) {
+        if self.searched > 0 {
+            RESOLVE_SEARCHED.add(self.searched);
+        }
+        if self.kept > 0 {
+            RESOLVE_KEPT.add(self.kept);
+        }
+    }
+}
+
+/// A piece of the operating-point span column, cut by hosts.
+struct Spans<'a>(&'a mut [CapSpan]);
+
+impl SegSplit for Spans<'_> {
+    fn split_off_front(&mut self, _segs: usize, hosts: usize) -> Self {
+        Spans(take_front(&mut self.0, hosts))
     }
 }
 
@@ -1252,12 +2010,12 @@ fn run_seg_chunk(
 fn step_span(
     cols: &mut SpanCols<'_>,
     base: usize,
-    sockets: usize,
     dt: Seconds,
     ops: &[Option<OperatingPoint>],
     target: &[Watts],
     tau: &[f64],
 ) -> (bool, bool) {
+    let sockets = cols.sockets;
     let hosts = base..base + cols.results.len();
     let cells = hosts.start * sockets..hosts.end * sockets;
     let (ops, target, tau) = (&ops[hosts], &target[cells.clone()], &tau[cells]);

@@ -52,7 +52,9 @@ pub use cluster::{Cluster, ClusterBuilder};
 pub use error::SimHwError;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, NodeHealth};
 pub use node::{Node, NodeId, NodePowerSample};
-pub use power::{CapSpan, CoreClass, LoadModel, MachineSpec, OperatingPoint, PowerModel};
+pub use power::{
+    CandidateTable, CapSpan, CoreClass, LoadModel, MachineSpec, OperatingPoint, PowerModel,
+};
 pub use pstate::PStateLadder;
 pub use quartz::quartz_spec;
 pub use rapl::{DomainConfig, RaplDomain};

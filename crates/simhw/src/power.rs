@@ -426,6 +426,140 @@ impl CapSpan {
     }
 }
 
+/// A workload's PCU candidates on one machine, tabulated as coefficient
+/// columns. Each candidate's power at efficiency factor ε is
+/// `static_power(ε) + D·ε` for a dynamic coefficient `D` that does not
+/// depend on ε, so a resolve is a count over the `D` columns.
+///
+/// The candidates read as one list `stage3 ‖ stage2 ‖ uncapped`: stage 3
+/// throttles the lead (trailing cores at `min(lead, floor)`), stage 2
+/// demotes the trailing cores with the lead at turbo, and the uncapped point
+/// runs everything at turbo. The list must never descend in `D`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CandidateTable {
+    turbo: Hertz,
+    floor: Hertz,
+    d_used: f64,
+    stage2_trail: Vec<Hertz>,
+    stage2_d: Vec<f64>,
+    stage3_lead: Vec<Hertz>,
+    stage3_d: Vec<f64>,
+}
+
+impl CandidateTable {
+    /// A table over `stage2` (`(trail, D)`, ascending) and `stage3`
+    /// (`(lead, D)`, ascending, at least one entry: its first is the
+    /// hardware floor), with the uncapped point's coefficient `d_used` at
+    /// `turbo` and the spin floor `floor` of stage-3 trailing cores.
+    ///
+    /// # Panics
+    /// If `stage3` is empty.
+    pub fn new(
+        turbo: Hertz,
+        floor: Hertz,
+        d_used: f64,
+        stage2: &[(Hertz, f64)],
+        stage3: &[(Hertz, f64)],
+    ) -> Self {
+        assert!(!stage3.is_empty(), "a table needs a stage-3 candidate");
+        let (stage2_trail, stage2_d) = stage2.iter().copied().unzip();
+        let (stage3_lead, stage3_d) = stage3.iter().copied().unzip();
+        Self {
+            turbo,
+            floor,
+            d_used,
+            stage2_trail,
+            stage2_d,
+            stage3_lead,
+            stage3_d,
+        }
+    }
+
+    /// The uncapped point's coefficient.
+    pub fn d_used(&self) -> f64 {
+        self.d_used
+    }
+
+    /// Stage-2 candidates `(trail, D)`, ascending.
+    pub fn stage2(&self) -> impl Iterator<Item = (Hertz, f64)> + '_ {
+        self.stage2_trail
+            .iter()
+            .copied()
+            .zip(self.stage2_d.iter().copied())
+    }
+
+    /// Stage-3 candidates `(lead, D)`, ascending.
+    pub fn stage3(&self) -> impl Iterator<Item = (Hertz, f64)> + '_ {
+        self.stage3_lead
+            .iter()
+            .copied()
+            .zip(self.stage3_d.iter().copied())
+    }
+
+    /// The point the PCU resolves under `cap` for a host of static power
+    /// `stat` and efficiency factor `eps ≥ 0`, with the [`CapSpan`] it holds
+    /// over: the highest candidate whose power fits `cap + CAP_SLACK`, the
+    /// lowest stage-3 candidate when nothing fits.
+    ///
+    /// Each stage *counts* its fitting candidates instead of searching for
+    /// the last one. The count is the search's partition point exactly:
+    /// `D` ascends within a stage, `ε ≥ 0`, and `stat + D·ε` is monotone in
+    /// `D` under IEEE rounding (a product and a sum of non-decreasing
+    /// operands round non-decreasingly), so the fitting candidates are a
+    /// prefix. The count has no data-dependent branch.
+    ///
+    /// The span comes from what the resolve evaluated: the chosen candidate
+    /// fits, and every stage it fell through showed a lowest candidate that
+    /// does not, so any cap inside it takes the same path; the list never
+    /// descending, any cap outside it ends on another candidate.
+    #[inline]
+    pub fn resolve(&self, stat: Watts, eps: f64, cap: Watts) -> (OperatingPoint, CapSpan) {
+        let power = |d: f64| stat + Watts(d * eps);
+        let budget = cap + CAP_SLACK;
+        let fitting =
+            |ds: &[f64]| -> usize { ds.iter().map(|&d| usize::from(power(d) <= budget)).sum() };
+        // Stage 1: everything at turbo.
+        let p_used = power(self.d_used);
+        if p_used <= budget {
+            let op = OperatingPoint {
+                lead: self.turbo,
+                trail: self.turbo,
+                power: p_used,
+            };
+            return (op, CapSpan::between(Some(p_used), None));
+        }
+        let mut excluded = p_used;
+        // Stage 2: the highest fitting trail.
+        let c = fitting(&self.stage2_d);
+        if let Some(&d) = self.stage2_d.get(c) {
+            excluded = excluded.min(power(d));
+        }
+        if c > 0 {
+            let op = OperatingPoint {
+                lead: self.turbo,
+                trail: self.stage2_trail[c - 1],
+                power: power(self.stage2_d[c - 1]),
+            };
+            return (op, CapSpan::between(Some(op.power), Some(excluded)));
+        }
+        // Stage 3: the highest fitting lead, bottoming out at the minimum
+        // p-state when nothing fits — so the lowest candidate is the answer
+        // whether or not it fits, and its span has no lower edge.
+        let c = fitting(&self.stage3_d).max(1);
+        if let Some(&d) = self.stage3_d.get(c) {
+            excluded = excluded.min(power(d));
+        }
+        let lead = self.stage3_lead[c - 1];
+        let op = OperatingPoint {
+            lead,
+            trail: lead.min(self.floor),
+            power: power(self.stage3_d[c - 1]),
+        };
+        let fits = (c > 1).then_some(op.power);
+        (op, CapSpan::between(fits, Some(excluded)))
+    }
+}
+
 /// A workload's view of node power as a function of the *lead* (critical
 /// path) core frequency. Implemented by `pmstack-kernel`.
 pub trait LoadModel {
@@ -467,9 +601,23 @@ pub trait LoadModel {
     ) -> (OperatingPoint, CapSpan) {
         (self.operating_point(model, eps, cap), CapSpan::NEVER)
     }
+
+    /// The [`CandidateTable`] [`Self::operating_point_span`] resolves against
+    /// on `model`, if it resolves against one: then, for every `ε > 0` and
+    /// cap, `table.resolve(model.static_power(ε), ε, cap)` must equal
+    /// `operating_point_span(model, ε, cap)` bit for bit. A caller resolving
+    /// many hosts looks the table up once instead of once per host. The
+    /// default has none.
+    fn candidates(&self, _model: &PowerModel) -> Option<&CandidateTable> {
+        None
+    }
 }
 
 impl<T: LoadModel + ?Sized> LoadModel for &T {
+    fn candidates(&self, model: &PowerModel) -> Option<&CandidateTable> {
+        (**self).candidates(model)
+    }
+
     fn node_power_at(&self, model: &PowerModel, eps: f64, lead_freq: Hertz) -> Watts {
         (**self).node_power_at(model, eps, lead_freq)
     }

@@ -78,8 +78,7 @@ pub struct PowerLimit {
 /// Encode the PL1 fields into the raw register layout
 /// (bits 14:0 limit, 15 enable, 16 clamp, 23:17 time window as `(1+F/4)·2^E`).
 pub fn encode_power_limit(pl: &PowerLimit, units: &RaplUnits) -> u64 {
-    let raw_limit = ((pl.limit.value() / units.power_w).round() as u64) & 0x7FFF;
-    let mut raw = raw_limit;
+    let mut raw = encode_limit_field(pl.limit, units);
     if pl.enabled {
         raw |= 1 << 15;
     }
@@ -94,7 +93,7 @@ pub fn encode_power_limit(pl: &PowerLimit, units: &RaplUnits) -> u64 {
 
 /// Decode PL1 fields from the raw register layout.
 pub fn decode_power_limit(raw: u64, units: &RaplUnits) -> PowerLimit {
-    let limit = Watts((raw & 0x7FFF) as f64 * units.power_w);
+    let limit = decode_limit_field(raw, units);
     let enabled = raw & (1 << 15) != 0;
     let clamp = raw & (1 << 16) != 0;
     let e = ((raw >> 17) & 0x1F) as u32;
@@ -106,6 +105,22 @@ pub fn decode_power_limit(raw: u64, units: &RaplUnits) -> PowerLimit {
         clamp,
         time_window: Seconds(window_units * units.time_s),
     }
+}
+
+/// The PL1 limit field (bits 14:0) of a limit: the limit in power units,
+/// rounded. Every other field of [`encode_power_limit`]'s value is
+/// independent of the limit, so a writer of many limits with the same
+/// fields encodes those once and ORs this in.
+#[inline]
+pub(crate) fn encode_limit_field(limit: Watts, units: &RaplUnits) -> u64 {
+    ((limit.value() / units.power_w).round() as u64) & 0x7FFF
+}
+
+/// The limit the PL1 field of `raw` holds, as [`decode_power_limit`] reads
+/// it.
+#[inline]
+pub(crate) fn decode_limit_field(raw: u64, units: &RaplUnits) -> Watts {
+    Watts((raw & 0x7FFF) as f64 * units.power_w)
 }
 
 /// Encode a time window (in time units) as `(E, F)` with value
@@ -220,19 +235,23 @@ pub(crate) fn resolve_pl1_request(
             },
         );
     }
-    let raw = encode_power_limit(
-        &PowerLimit {
-            limit: per_socket,
-            enabled: true,
-            clamp: true,
-            time_window: Seconds(1.0),
-        },
-        &gate.units,
-    );
+    let raw = encode_power_limit(&pl1_request(per_socket), &gate.units);
     Ok(Pl1Write {
         raw,
         limit: decode_power_limit(raw, &gate.units),
     })
+}
+
+/// The PL1 fields every node-level limit request programs for a per-socket
+/// limit: enabled, clamping, a one-second window.
+#[inline]
+pub(crate) fn pl1_request(per_socket: Watts) -> PowerLimit {
+    PowerLimit {
+        limit: per_socket,
+        enabled: true,
+        clamp: true,
+        time_window: Seconds(1.0),
+    }
 }
 
 /// The per-step enforcement inputs `(target, tau)` of a decoded PL1: the
