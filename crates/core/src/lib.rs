@@ -24,10 +24,12 @@
 //! * [`evaluate`] — the fast steady-state evaluator for whole workload
 //!   mixes under an allocation (what the Fig. 7 / Fig. 8 grids run on).
 //! * [`coordinator`] — the end-to-end stack: RM scheduling, per-job runtime
-//!   controllers with the appropriate agent, execution-time budget updates
-//!   over the runtime endpoint, and full reports; used to validate the
-//!   analytic evaluator and to demonstrate the protocol the paper proposes
-//!   as future work.
+//!   controllers with the appropriate agent, and full reports; used to
+//!   validate the analytic evaluator. No budget is updated over the
+//!   runtime endpoint at execution time: the coordinator attaches none, and
+//!   a controller given one only reports achieved power to it (ROADMAP
+//!   item 2). `CoordinatorMode::Online` re-allocates once, mid-run, from
+//!   measured power instead.
 //! * [`resilience`] — typed coordination errors and the record of how the
 //!   stack degraded gracefully under injected hardware faults (node death,
 //!   stuck RAPL, telemetry dropout).

@@ -70,7 +70,8 @@
 //!
 //! The width is [`std::thread::available_parallelism`], overridable with
 //! the `PMSTACK_THREADS` environment variable (`PMSTACK_THREADS=1` forces
-//! sequential execution everywhere except an explicit `min_workers`).
+//! sequential execution everywhere except an explicit `min_workers`; a value
+//! that is not a number means 1, and one above 65535 means 65535).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -118,7 +119,7 @@ thread_local! {
 }
 
 /// Number of workers a fan-out uses: the `PMSTACK_THREADS` environment
-/// variable when set (clamped to at least 1), otherwise
+/// variable when set (read by `threads_from_env`), otherwise
 /// [`std::thread::available_parallelism`].
 ///
 /// Resolved once per process: `available_parallelism` re-reads the cgroup
@@ -127,9 +128,17 @@ thread_local! {
 pub fn workers() -> usize {
     static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *WORKERS.get_or_init(|| match std::env::var("PMSTACK_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
+        Ok(v) => threads_from_env(&v),
         Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
     })
+}
+
+/// The pool width a `PMSTACK_THREADS` value asks for: the number, clamped
+/// into `1..=65535` (the widest round the round word counts), and 1 for a
+/// value that is not a number.
+fn threads_from_env(value: &str) -> usize {
+    let asked = value.trim().parse::<usize>().unwrap_or(1);
+    asked.clamp(1, CHECKED_IN as usize)
 }
 
 /// True when a `par_map` issued from the current thread would run inline
@@ -824,6 +833,25 @@ mod tests {
     #[test]
     fn workers_is_at_least_one() {
         assert!(workers() >= 1);
+    }
+
+    /// Outside input: zero, garbage and widths the round word cannot count
+    /// all come back inside `1..=65535`, so no fan-out trips its width
+    /// assertion. Pure parsing: no pool is started.
+    #[test]
+    fn pool_width_from_the_environment_is_clamped() {
+        for (value, width) in [
+            ("0", 1),
+            ("1", 1),
+            ("four", 1),
+            (" 3 ", 3),
+            ("65535", 65535),
+            ("65536", 65535),
+            ("1000000000", 65535),
+        ] {
+            assert_eq!(threads_from_env(value), width, "PMSTACK_THREADS={value:?}");
+        }
+        assert_eq!(CHECKED_IN as usize, 65535);
     }
 
     #[test]

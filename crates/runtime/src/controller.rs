@@ -1,7 +1,7 @@
 //! The per-job control loop.
 //!
 //! Drives the job's iterations, lets the agent adjust limits after each one
-//! (GEOPM's controller cadence), optionally consumes budget updates from a
+//! (GEOPM's controller cadence), optionally reports achieved power to a
 //! resource-manager [`crate::endpoint::Endpoint`], and assembles the
 //! [`crate::report::JobReport`].
 
@@ -57,9 +57,12 @@ impl<A: Agent> Controller<A> {
         }
     }
 
-    /// Attach a resource-manager endpoint; budget updates posted there are
-    /// picked up between iterations (the execution-time feedback loop the
-    /// paper emulates with pre-characterization).
+    /// Attach a resource-manager endpoint. The controller reports the job's
+    /// achieved power to it after every iteration
+    /// ([`EndpointRuntime::report_achieved`]); it does not read budgets
+    /// posted there, so a posted budget changes nothing. Closing the loop
+    /// (the execution-time feedback the paper emulates with
+    /// pre-characterization) is ROADMAP item 2.
     pub fn with_endpoint(mut self, endpoint: EndpointRuntime) -> Self {
         self.endpoint = Some(endpoint);
         self

@@ -18,10 +18,11 @@
 //!   agent adjustments, producing [`report`]s.
 //! * [`trace`] — per-iteration signal traces (the GEOPM trace-file
 //!   analogue) with a convergence detector.
-//! * [`endpoint`] — the resource-manager ↔ runtime channel over which a
-//!   job's power budget is updated at execution time (the protocol the
-//!   paper names as future work and emulates via pre-characterization; we
-//!   implement both modes).
+//! * [`endpoint`] — the resource-manager ↔ runtime channel the paper names
+//!   as future work (and emulates via pre-characterization): the RM posts a
+//!   budget, the runtime reports achieved power. Only the report is wired:
+//!   [`controller::Controller`] never reads a posted budget, so budgets do
+//!   not change at execution time yet (ROADMAP item 2).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

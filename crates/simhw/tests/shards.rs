@@ -524,7 +524,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `resolve_segment` keeps the slots whose host's enforced limit is still
+    /// `Resolver::resolve_segment` keeps the slots whose host's enforced limit is still
     /// inside the cached point's span, so a span kept across a write that
     /// changed the point's other inputs would serve a wrong point. After
     /// every pass — limits creeping through their filters, frequency caps,
@@ -559,18 +559,20 @@ proptest! {
             let before = ops.clone();
             let mut reported = vec![None; n];
             let mut limits = vec![Watts::ZERO; n];
-            for sidx in 0..bank.num_segments() {
-                let range = bank.segment_range(sidx);
-                bank.segment_enforced_limits(sidx, &mut limits);
-                for h in range.clone() {
-                    prop_assert_eq!(limits[h].value().to_bits(), bank.enforced_limit(h).value().to_bits());
+            let cols = (&mut limits[..], (&mut ops[..], &mut reported[..]));
+            bank.resolve_pieces(cols, false, |res, (limits, (ops, reported))| {
+                for sidx in res.segments() {
+                    let range = res.hosts(sidx);
+                    res.segment_enforced_limits(sidx, limits);
+                    res.resolve_segment(sidx, &model, load, limits, ops, |h, op| {
+                        assert!(range.contains(&h), "host {h} is outside segment {sidx}");
+                        reported[h] = Some(op.copied());
+                    });
                 }
-                bank.resolve_segment(sidx, &model, load, &limits, &mut ops, |h, op| {
-                    assert!(range.contains(&h), "host {h} is outside segment {sidx}");
-                    reported[h] = Some(op.copied());
-                });
-            }
+                0
+            });
             for h in 0..n {
+                prop_assert_eq!(limits[h].value().to_bits(), bank.enforced_limit(h).value().to_bits());
                 let want = bank.is_alive(h).then(|| bank.operating_point(h, &model, load));
                 prop_assert_eq!(op_bits(ops[h]), op_bits(want), "host {} at iteration {}", h, iter);
                 let kept = reported[h].unwrap_or(before[h]);
@@ -711,8 +713,12 @@ fn a_creeping_limit_is_searched_only_when_its_point_moves() {
     let mut limits = vec![Watts::ZERO; n];
     for _ in 0..2000 {
         let before = ops.clone();
-        bank.segment_enforced_limits(0, &mut limits);
-        bank.resolve_segment(0, &model, &load, &limits, &mut ops, |h, _| searches[h] += 1);
+        let cols = (&mut limits[..], (&mut ops[..], &mut searches[..]));
+        bank.resolve_pieces(cols, false, |res, (limits, (ops, searches))| {
+            res.segment_enforced_limits(0, limits);
+            res.resolve_segment(0, &model, &load, limits, ops, |h, _| searches[h] += 1);
+            0
+        });
         for h in 0..n {
             let want = Some(bank.operating_point(h, &model, &load));
             assert_eq!(op_bits(ops[h]), op_bits(want));
@@ -920,7 +926,7 @@ fn domain_limit_after_a_pl1_write_round_trips() {
 /// of state the columns hold: mid-filter energy and enforcement, a
 /// frequency cap, a stuck PKG latch, dead and suspect health, a telemetry
 /// countdown, a pending glitch, and PP0/DRAM limits, meters and a stuck
-/// plane (a locked PL1 register: `bank.rs`' locked-register test). `Debug`
+/// plane (a locked PL1 register: the bank's locked-register unit test). `Debug`
 /// prints every field, floats in full and the register file slot by slot,
 /// so beyond `assert_node_matches` nothing can differ. A fault that changes
 /// nothing runs the materialise → `Node` → ingest route and must leave the
