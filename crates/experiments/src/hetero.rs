@@ -10,10 +10,13 @@
 //! * the policy's per-host caps are admitted through the resource
 //!   manager's [`DomainLedger`], splitting each job's node grant into
 //!   PKG-rest / PP0 / DRAM domain budgets;
-//! * each tick the fleet steps as a [`ClassedBank`] (per-class column
-//!   segments, per-domain energy meters), the [`DomainBalancer`] shifts
-//!   watts between domains within hosts, and the shifted splits are
-//!   reprogrammed into the simulated PP0/DRAM limit MSRs;
+//! * every job runs on one class, so each job's hosts are one [`NodeBank`]
+//!   of that class's part (its own column segments and PP0/DRAM meters);
+//!   each tick every bank steps at the fleet-wide `dt`, the
+//!   [`DomainBalancer`] shifts watts between domains within hosts, planning
+//!   from each host's per-domain draw at its operating point, and the
+//!   shifted splits are reprogrammed into the simulated PP0/DRAM limit
+//!   MSRs;
 //! * **every tick** asserts the ledger's containment chain —
 //!   Σ domain grants = node grant per job and Σ node grants ≤ fleet
 //!   budget — so a per-domain oversubscription anywhere aborts the run.
@@ -26,9 +29,10 @@ use pmstack_kernel::{Imbalance, KernelConfig, KernelLoad, VectorWidth, WaitingFr
 use pmstack_rm::{DomainGrant, DomainLedger, JobId};
 use pmstack_runtime::DomainBalancer;
 use pmstack_simhw::{
-    standard_classes, ClassId, ClassModels, ClassedBank, HostStep, NodeClass, RaplDomain, Seconds,
-    Watts,
+    standard_classes, ClassId, ClassModels, HostStep, Node, NodeBank, NodeClass, NodeId,
+    RaplDomain, Seconds, Watts,
 };
+use std::ops::Range;
 
 /// Scale knobs of the hetero scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,8 +125,9 @@ pub struct HeteroReport {
 struct JobPlan {
     config: KernelConfig,
     class: ClassId,
-    /// Global host indices, contiguous.
-    hosts: Vec<usize>,
+    /// Global host indices; slot `k` of the job's bank is host
+    /// `hosts.start + k`.
+    hosts: Range<usize>,
 }
 
 struct Fleet {
@@ -140,8 +145,8 @@ fn build_fleet(label: &'static str, classes: Vec<NodeClass>, hosts_per_job: usiz
     for (_, config) in apps() {
         for c in 0..classes.len() {
             let base = membership.len();
-            let hosts: Vec<usize> = (base..base + hosts_per_job).collect();
-            for &h in &hosts {
+            let hosts = base..base + hosts_per_job;
+            for h in hosts.clone() {
                 membership.push(ClassId(c));
                 eps.push(eps_of(h));
             }
@@ -188,8 +193,17 @@ fn run_policy(
     budget: Watts,
 ) -> PolicyRow {
     let models = ClassModels::new(&fleet.classes).expect("classes are valid");
-    let mut bank = ClassedBank::new(fleet.classes.clone(), &fleet.membership, &fleet.eps)
-        .expect("fleet layout is valid");
+    // One bank per job: a job is class-pure, so its hosts are one part.
+    let mut banks: Vec<NodeBank> = (fleet.jobs.iter())
+        .map(|j| {
+            let (class, model) = (&fleet.classes[j.class.0], models.model(j.class));
+            let nodes = (j.hosts.clone())
+                .map(|h| Node::with_class(NodeId(h), j.class, class, model, fleet.eps[h]))
+                .collect::<Result<_, _>>()
+                .expect("fleet layout is valid");
+            NodeBank::from_nodes(nodes)
+        })
+        .collect();
     let n = fleet.membership.len();
 
     // Per-(app, class) characterization, one JobChar per job.
@@ -197,9 +211,9 @@ fn run_policy(
         .jobs
         .iter()
         .map(|j| {
-            let eps: Vec<f64> = j.hosts.iter().map(|&h| fleet.eps[h]).collect();
+            let eps = &fleet.eps[j.hosts.clone()];
             let membership = vec![j.class; eps.len()];
-            JobChar::analytic_classed(j.config, &models, &membership, &eps)
+            JobChar::analytic_classed(j.config, &models, &membership, eps)
         })
         .collect();
 
@@ -247,12 +261,14 @@ fn run_policy(
         } else {
             0.0
         };
-        for (slot, &h) in plan.hosts.iter().enumerate() {
+        let bank = &mut banks[j];
+        for slot in 0..plan.hosts.len() {
             let cap = (alloc.jobs[j][slot] * scale)
                 .clamp(class.spec.min_rapl_per_node(), class.spec.tdp_per_node());
-            bank.set_power_limit(h, cap).expect("cap is in class range");
+            bank.set_power_limit(slot, cap)
+                .expect("cap is in class range");
         }
-        program_domain_limits(&mut bank, plan, &granted);
+        program_domain_limits(bank, class, &granted);
     }
 
     // Per-job loads are (app, class) pairs too.
@@ -264,9 +280,7 @@ fn run_policy(
     let job_of: Vec<usize> = {
         let mut v = vec![0usize; n];
         for (j, plan) in fleet.jobs.iter().enumerate() {
-            for &h in &plan.hosts {
-                v[h] = j;
-            }
+            v[plan.hosts.clone()].fill(j);
         }
         v
     };
@@ -280,21 +294,27 @@ fn run_policy(
     for _ in 0..params.ticks {
         let mut dt = Seconds::ZERO;
         let mut job_tick = vec![0.0f64; fleet.jobs.len()];
-        for h in 0..n {
-            let j = job_of[h];
-            let op = bank.operating_point(h, &loads[j]);
-            let t = loads[j].iteration_time(&op);
-            dt = dt.max(t);
-            job_tick[j] = job_tick[j].max(t.value());
-            ops[h] = Some(op);
+        for (j, (plan, bank)) in fleet.jobs.iter().zip(&banks).enumerate() {
+            let model = models.model(plan.class);
+            for (slot, h) in plan.hosts.clone().enumerate() {
+                let op = bank.operating_point(slot, model, &loads[j]);
+                let t = loads[j].iteration_time(&op);
+                dt = dt.max(t);
+                job_tick[j] = job_tick[j].max(t.value());
+                ops[h] = Some(op);
+            }
         }
         for (e, t) in job_elapsed.iter_mut().zip(&job_tick) {
             *e += t;
         }
-        bank.step_all(dt, &ops, &mut results, false);
+        for (plan, bank) in fleet.jobs.iter().zip(&mut banks) {
+            let hosts = plan.hosts.clone();
+            bank.step_all(dt, &ops[hosts.clone()], &mut results[hosts], false);
+        }
 
-        // Metered per-domain draws feed the within-host balancer; grants
-        // are each host's even share of its job's domain split.
+        // Each host's per-domain draw at its operating point is its demand
+        // on the within-host balancer; grants are each host's even share of
+        // its job's domain split.
         let mut grants = vec![[Watts::ZERO; 3]; n];
         let mut demands = vec![[Watts::ZERO; 3]; n];
         for h in 0..n {
@@ -304,14 +324,12 @@ fn run_policy(
             let share = 1.0 / plan.hosts.len() as f64;
             grants[h] = [split[0] * share, split[1] * share, split[2] * share];
             let power = ops[h].as_ref().map_or(Watts::ZERO, |op| op.power);
-            demands[h] = match &fleet.classes[plan.class.0].domains {
+            let class = &fleet.classes[plan.class.0];
+            demands[h] = match &class.domains {
                 Some(cfg) => {
                     let pp0 = power * cfg.pp0_fraction;
                     let dram = if power > Watts::ZERO {
-                        Watts(
-                            cfg.dram_power.value()
-                                * bank.class(plan.class).spec.sockets_per_node as f64,
-                        )
+                        Watts(cfg.dram_power.value() * class.spec.sockets_per_node as f64)
                     } else {
                         Watts::ZERO
                     };
@@ -334,7 +352,8 @@ fn run_policy(
         }
         for &j in &touched {
             let granted = ledger.grant(JobId(j as u64)).expect("job admitted");
-            program_domain_limits(&mut bank, &fleet.jobs[j], &granted);
+            let class = &fleet.classes[fleet.jobs[j].class.0];
+            program_domain_limits(&mut banks[j], class, &granted);
         }
 
         // The per-tick oversubscription gate: Σ domain grants = node grant
@@ -344,7 +363,9 @@ fn run_policy(
             .expect("per-domain budgets oversubscribed");
     }
 
-    let energy_j: f64 = (0..n).map(|h| bank.energy(h).value()).sum();
+    let energy_j: f64 = (banks.iter().flat_map(NodeBank::energies))
+        .map(|e| e.value())
+        .sum();
     let mean_elapsed = job_elapsed.iter().sum::<f64>() / job_elapsed.len() as f64;
     PolicyRow {
         policy,
@@ -366,15 +387,16 @@ fn clamp_to_classes(alloc: &mut Allocation, fleet: &Fleet) {
     }
 }
 
-/// Program each host's PP0/DRAM limit registers from its even share of the
-/// job's domain split. PKG-only classes have no sub-domain registers; the
-/// node-level PKG limit already carries their whole grant.
-fn program_domain_limits(bank: &mut ClassedBank, plan: &JobPlan, granted: &DomainGrant) {
-    if bank.class(plan.class).domains.is_none() {
+/// Program each host of a job's bank with its PP0/DRAM limit registers from
+/// its even share of the job's domain split. PKG-only classes have no
+/// sub-domain registers; the node-level PKG limit already carries their
+/// whole grant.
+fn program_domain_limits(bank: &mut NodeBank, class: &NodeClass, granted: &DomainGrant) {
+    if class.domains.is_none() {
         return;
     }
-    let share = 1.0 / plan.hosts.len() as f64;
-    for &h in &plan.hosts {
+    let share = 1.0 / bank.len() as f64;
+    for h in 0..bank.len() {
         for (d, want) in [
             (RaplDomain::Pp0, granted[RaplDomain::Pp0.index()] * share),
             (RaplDomain::Dram, granted[RaplDomain::Dram.index()] * share),

@@ -63,7 +63,9 @@ pub struct DaemonConfig {
     /// Node-class layout: `(name, host count)` pairs laid out as
     /// contiguous id segments in order. Non-empty layouts must sum to
     /// `hosts` exactly; empty keeps the fleet unclassed and makes any
-    /// `"class"` field in `/submit` a 400.
+    /// `"class"` field in `/submit` a 400. A class pins a lease to its id
+    /// segment only: every host the daemon serves is the quartz part,
+    /// whatever segment it is in.
     pub class_layout: Vec<(String, usize)>,
 }
 

@@ -12,8 +12,8 @@ use pmstack_kernel::{Imbalance, KernelConfig, KernelLoad, VectorWidth, WaitingFr
 use pmstack_runtime::{IterationBuffers, IterationOutcome, JobPlatform};
 use pmstack_simhw::msr::address;
 use pmstack_simhw::{
-    quartz_spec, ClassId, ClassedBank, FaultEvent, FaultKind, FaultPlan, Hertz, HostStep, Joules,
-    Node, NodeClass, NodeId, OperatingPoint, PowerModel, Seconds, SimHwError, Watts,
+    quartz_spec, FaultEvent, FaultKind, FaultPlan, Hertz, Joules, Node, NodeId, PowerModel,
+    Seconds, SimHwError, Watts,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -716,221 +716,6 @@ fn compare_reads(fast: &JobPlatform, twin: &JobPlatform) -> Result<(), TestCaseE
         "fleet snapshot energy"
     );
     Ok(())
-}
-
-/// The platform iteration loop transcribed onto a [`ClassedBank`]: the same
-/// fault delivery, jitter draws, elapsed fold, pre-step limit observation,
-/// batched stepping and stale-telemetry fallback, but against the
-/// heterogeneous container instead of the homogeneous [`NodeBank`]
-/// (`pmstack_simhw::NodeBank`) the platform embeds.
-struct ClassedDriver {
-    load: KernelLoad,
-    bank: ClassedBank,
-    plan: FaultPlan,
-    sigma: f64,
-    rng: ChaCha8Rng,
-    iteration: u64,
-    last_power: Vec<Watts>,
-    last_lead: Vec<Hertz>,
-}
-
-impl ClassedDriver {
-    fn new(config: KernelConfig, eps: &[f64], plan: FaultPlan, sigma: f64, seed: u64) -> Self {
-        let spec = quartz_spec();
-        let load = KernelLoad::new(config, &spec);
-        let classes = vec![NodeClass::pkg_only("quartz", spec)];
-        let membership = vec![ClassId(0); eps.len()];
-        let bank = ClassedBank::new(classes, &membership, eps).unwrap();
-        let n = eps.len();
-        Self {
-            load,
-            bank,
-            plan,
-            sigma,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            iteration: 0,
-            last_power: vec![Watts::ZERO; n],
-            last_lead: vec![Hertz(0.0); n],
-        }
-    }
-
-    fn draw_jitter(&mut self) -> f64 {
-        if self.sigma == 0.0 {
-            return 1.0;
-        }
-        let u: f64 = self.rng.gen::<f64>() + self.rng.gen::<f64>() - 1.0;
-        (1.0 + u * self.sigma * 1.7).max(0.5)
-    }
-
-    fn run_iteration(&mut self) -> Observed {
-        let events: Vec<FaultEvent> = self
-            .plan
-            .events()
-            .iter()
-            .filter(|e| e.at_iteration == self.iteration)
-            .copied()
-            .collect();
-        for ev in events {
-            if ev.host < self.bank.len() {
-                self.bank.inject(ev.host, ev.kind);
-            }
-        }
-        self.iteration += 1;
-
-        let n = self.bank.len();
-        let mut ops: Vec<Option<OperatingPoint>> = Vec::with_capacity(n);
-        let mut compute = Vec::with_capacity(n);
-        for host in 0..n {
-            if !self.bank.is_alive(host) {
-                ops.push(None);
-                compute.push(Seconds::ZERO);
-                continue;
-            }
-            let op = self.bank.operating_point(host, &self.load);
-            let jitter = self.draw_jitter();
-            compute.push(Seconds(self.load.iteration_time(&op).value() * jitter));
-            ops.push(Some(op));
-        }
-        let elapsed = compute.iter().copied().fold(Seconds::ZERO, Seconds::max);
-        let limits: Vec<Watts> = (0..n).map(|h| self.bank.enforced_limit(h)).collect();
-
-        let mut steps = vec![HostStep::Skipped; n];
-        self.bank.step_all_partial(elapsed, &ops, &mut steps, false);
-
-        let mut power = Vec::with_capacity(n);
-        let mut lead = Vec::with_capacity(n);
-        let mut alive = Vec::with_capacity(n);
-        let mut fresh = Vec::with_capacity(n);
-        for host in 0..n {
-            match (&ops[host], steps[host]) {
-                (None, _) => {
-                    power.push(Watts::ZERO);
-                    lead.push(Hertz(0.0));
-                    alive.push(false);
-                    fresh.push(false);
-                }
-                (Some(op), HostStep::Fresh) => {
-                    self.last_power[host] = op.power;
-                    self.last_lead[host] = op.lead;
-                    power.push(op.power);
-                    lead.push(op.lead);
-                    alive.push(true);
-                    fresh.push(true);
-                }
-                (Some(_), HostStep::Stale) => {
-                    power.push(self.last_power[host]);
-                    lead.push(self.last_lead[host]);
-                    alive.push(true);
-                    fresh.push(false);
-                }
-                (Some(_), HostStep::Skipped) => unreachable!("live host was not stepped"),
-            }
-        }
-        Observed {
-            elapsed: elapsed.value().to_bits(),
-            compute: compute.iter().map(|t| t.value().to_bits()).collect(),
-            power: power.iter().map(|p| p.value().to_bits()).collect(),
-            lead: lead.iter().map(|f| f.value().to_bits()).collect(),
-            limit: limits.iter().map(|l| l.value().to_bits()).collect(),
-            alive,
-            fresh,
-        }
-    }
-
-    fn energies(&self) -> Vec<u64> {
-        (0..self.bank.len())
-            .map(|h| self.bank.energy(h).value().to_bits())
-            .collect()
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
-
-    /// A one-class, PKG-only heterogeneous fleet run through the platform's
-    /// iteration loop is bit-identical to the seed's per-node loop for every
-    /// observable of every iteration — the degenerate-heterogeneity contract
-    /// at the runtime layer, mirroring the bank-level lockstep suite in
-    /// `crates/simhw/tests/shards.rs`.
-    #[test]
-    fn one_class_fleet_matches_seed_semantics(
-        config in arb_config(),
-        eps in prop::collection::vec(0.92f64..1.08, 1..5),
-        sigma in prop_oneof![Just(0.0), 0.002f64..0.02],
-        seed in 0u64..u64::MAX,
-        faults in prop::collection::vec((0u64..40, 0usize..5, arb_kind()), 0..4),
-        writes in prop::collection::vec(
-            (
-                0u64..40,
-                0usize..5,
-                arb_limit(),
-                prop_oneof![Just(None), (1.2f64..2.6).prop_map(Some)],
-                arb_shape(),
-            ),
-            0..4,
-        ),
-    ) {
-        let n = eps.len();
-        let plan = FaultPlan::scripted(
-            faults
-                .iter()
-                .map(|&(at_iteration, host, kind)| FaultEvent {
-                    at_iteration,
-                    host: host % n,
-                    kind,
-                })
-                .collect(),
-        );
-        let writes: Vec<ControlWrite> = writes
-            .iter()
-            .map(|&(at, host, limit, cap_ghz, shape)| ControlWrite {
-                at,
-                host: host % n,
-                limit,
-                cap_ghz,
-                shape,
-            })
-            .collect();
-
-        let mut reference = Reference::new(config, &eps, plan.clone(), sigma, seed);
-        let mut classed = ClassedDriver::new(config, &eps, plan, sigma, seed);
-
-        for iter in 0..40u64 {
-            let expected = reference.run_iteration();
-            let got = classed.run_iteration();
-            prop_assert_eq!(&got, &expected, "classed one-class path, iteration {}", iter);
-
-            for w in writes.iter().filter(|w| w.at == iter) {
-                // The classed bank has no uniform entry point of its own:
-                // a uniform write is the per-host write on every host.
-                let hosts = match w.shape {
-                    WriteShape::Uniform => 0..n,
-                    _ => w.host..w.host + 1,
-                };
-                let limit = w.watts(&reference.nodes);
-                for h in hosts {
-                    prop_assert_eq!(
-                        classed.bank.set_power_limit(h, limit),
-                        reference.nodes[h].set_power_limit(limit)
-                    );
-                }
-                if let WriteShape::Twice(second) = w.shape {
-                    prop_assert_eq!(
-                        classed.bank.set_power_limit(w.host, Watts(second)),
-                        reference.nodes[w.host].set_power_limit(Watts(second))
-                    );
-                }
-                if let Some(ghz) = w.cap_ghz {
-                    let cap = Some(Hertz(ghz * 1e9));
-                    prop_assert_eq!(
-                        classed.bank.set_freq_cap(w.host, cap),
-                        reference.nodes[w.host].set_freq_cap(cap)
-                    );
-                }
-            }
-        }
-        prop_assert_eq!(classed.energies(), reference.energies());
-    }
 }
 
 /// Deterministic long run: the fast-forward replay must actually engage and

@@ -24,7 +24,9 @@
 //! * `split` — the one segment splitter every fan-out over the bank's hosts
 //!   cuts its columns with ([`SegSplit`], [`par_segments`]);
 //! * `step` — the step kernel, bit-identical to
-//!   [`crate::rapl::RaplPackage::advance`].
+//!   [`crate::rapl::RaplPackage::advance`];
+//! * `planes` — node-level PP0/DRAM meters, which advance for every host
+//!   the step is handed an operating point for, and sub-plane limits.
 //!
 //! A small helper that a per-host or per-segment loop in another of these
 //! files calls is `#[inline]`: each file can land in its own codegen unit.
@@ -37,7 +39,8 @@
 //!   blackout countdown, MSR glitch flag, and the two control registers the
 //!   runtime reprograms: the raw `MSR_PKG_POWER_LIMIT` value of every
 //!   package (with the enforcement target/τ/enable and the programmed limit
-//!   decoded from it) and the `IA32_PERF_CTL` frequency cap.
+//!   decoded from it) and the `IA32_PERF_CTL` frequency cap; for a part
+//!   with PP0/DRAM planes, also the node-level meters of both planes.
 //! * **cold columns** — id, health, efficiency, the stuck-RAPL latch and,
 //!   for a part with PP0/DRAM planes, each plane's limit register, stuck
 //!   latch and meter per (host, socket).
@@ -69,6 +72,7 @@
 //! loads).
 
 mod accrual;
+mod planes;
 mod resolve;
 mod segments;
 mod split;
@@ -90,8 +94,8 @@ use crate::msr::address;
 use crate::node::{check_eps, perf_ctl_ratio, Node, NodeId};
 use crate::power::CapSpan;
 use crate::rapl::{
-    decode_power_limit, encode_power_limit, enforcement_params_of, pl1_request, PackageState,
-    PlaneState, RaplPackage, RaplUnits, DEFAULT_UNIT_REGISTER,
+    decode_power_limit, encode_power_limit, enforcement_params_of, pl1_request, DomainConfig,
+    PackageState, PlaneState, RaplPackage, RaplUnits, DEFAULT_UNIT_REGISTER,
 };
 use crate::units::{Hertz, Joules, Watts};
 use accrual::Accrual;
@@ -134,6 +138,8 @@ pub struct NodeBank {
     /// and the τ they decode to.
     pl1_fields: u64,
     pl1_tau: f64,
+    /// The part's PP0/DRAM split; `None` for a PKG-only part.
+    domains: Option<DomainConfig>,
     /// Some host may hold state its limit write cannot take on the batched
     /// path: a pending MSR glitch, a stuck latch, or a PL1 register whose
     /// bits outside the write mask differ from `pl1_fields`. Set by every
@@ -166,6 +172,8 @@ pub struct NodeBank {
     /// for the host is still the answer; [`CapSpan::NEVER`] once any other
     /// input of the resolve has changed.
     op_span: Vec<CapSpan>,
+    /// Node-level PP0 then DRAM energy; empty unless the part has planes.
+    meters: Vec<[Joules; 2]>,
 
     // Cold columns, per host: changed only by ingest and health marks.
     id: Vec<NodeId>,
@@ -251,13 +259,17 @@ impl NodeBank {
         let params = |p: &RaplPackage| enforcement_params_of(&p.limit(), pl1_max);
         let pl1_fields = encode_power_limit(&pl1_request(Watts::ZERO), &units);
         let pl1_tau = enforcement_params_of(&decode_power_limit(pl1_fields, &units), pl1_max).1;
-        let planes = match first.and_then(|p| p.state().planes) {
-            Some(_) => tile(pkgs, n, |p| {
-                p.state()
-                    .planes
-                    .expect("every package of a part has planes")
-            }),
-            None => Vec::new(),
+        let domains = first.and_then(RaplPackage::domain_config);
+        let (planes, meters) = match domains {
+            Some(_) => (
+                tile(pkgs, n, |p| {
+                    p.state()
+                        .planes
+                        .expect("every package of a part has planes")
+                }),
+                vec![[Joules::ZERO; 2]; n],
+            ),
+            None => (Vec::new(), Vec::new()),
         };
         let mut bank = Self {
             part: None,
@@ -278,6 +290,7 @@ impl NodeBank {
             perf_ctl_write_mask: write_mask(address::PERF_CTL),
             pl1_fields,
             pl1_tau,
+            domains,
             write_hazard: false,
             energy: tile(pkgs, n, |p| p.state().energy),
             enforced: tile(pkgs, n, |p| p.state().enforced),
@@ -292,6 +305,7 @@ impl NodeBank {
             programmed: vec![Watts(0.0); n],
             replay_delta: vec![Joules::ZERO; n],
             op_span: vec![CapSpan::NEVER; n],
+            meters,
             id: per_host(template, n, |t| t.id),
             eps: per_host(template, n, |t| t.eps),
             health: per_host(template, n, |t| t.health),

@@ -145,8 +145,10 @@ impl NodeBank {
     ///   advanced, [`HostStep::Skipped`] for the rest — a step that read a
     ///   host back `Stale` does not arm a replay), and the slots still say
     ///   so in a slice the caller hands back call after call. A caller that
-    ///   passes a different slice each time must keep its own copy, as
-    ///   [`crate::ClassedBank`] does.
+    ///   passes a different slice each time must keep its own copy.
+    ///
+    /// A bank whose part has PP0/DRAM planes reads every `ops` slot,
+    /// replayed segments included, to advance its node-level meters.
     pub fn step_all_partial(
         &mut self,
         dt: Seconds,
@@ -210,6 +212,7 @@ impl NodeBank {
             SHARD_REPLAYED.add(report.segments_replayed as u64);
         }
         count_applied(applied);
+        self.advance_meters(dt, ops);
         if report.all_settled {
             STEP_ALL_SETTLED.inc();
         }

@@ -1,7 +1,9 @@
 use super::segments::SegCache;
 use super::*;
+use crate::classes::{standard_classes, ClassId};
 use crate::power::{CoreClass, LoadModel, OperatingPoint, PowerModel};
 use crate::quartz::quartz_spec;
+use crate::rapl::RaplDomain;
 use crate::units::Seconds;
 
 struct FlatLoad {
@@ -390,6 +392,61 @@ fn replaying_a_settled_bank_is_bit_identical_to_stepping_it() {
             assert_eq!(report.segments_replayed, 0);
         }
     }
+}
+
+/// The node-level PP0/DRAM meters read `ops` for every host, replayed
+/// segments included: on a bank whose part has planes, `N` partial steps
+/// (segments settle, replay, and one is re-dirtied by a limit write
+/// halfway) leave every meter, and every PKG energy, bit for bit where `N`
+/// full steps over the same operating points leave them.
+#[test]
+fn partial_steps_meter_what_full_steps_do() {
+    let load = FlatLoad { kappa: 2.6 };
+    let dt = Seconds(0.21);
+    let class = standard_classes().swap_remove(0);
+    let model = PowerModel::new(class.spec.clone()).unwrap();
+    let nodes: Vec<Node> = (0..11)
+        .map(|i| {
+            let eps = 0.9 + 0.01 * (i % 13) as f64;
+            Node::with_class(NodeId(i), ClassId(0), &class, &model, eps).unwrap()
+        })
+        .collect();
+    let mut full = NodeBank::from_nodes(nodes);
+    full.set_segment_hosts(4);
+    for h in 0..full.len() {
+        full.set_power_limit(h, Watts(150.0)).unwrap();
+    }
+    full.inject(6, FaultKind::NodeDeath);
+    let mut partial = full.clone();
+    let n = full.len();
+    let mut ops = vec![None; n];
+    let (mut res_full, mut res_partial) = (vec![HostStep::Skipped; n], vec![HostStep::Skipped; n]);
+    let mut replayed = 0;
+    for i in 0..600 {
+        if i == 300 {
+            full.set_power_limit(9, Watts(140.0)).unwrap();
+            partial.set_power_limit(9, Watts(140.0)).unwrap();
+        }
+        for (h, op) in ops.iter_mut().enumerate() {
+            *op = full
+                .is_alive(h)
+                .then(|| full.operating_point(h, &model, &load));
+        }
+        full.step_all(dt, &ops, &mut res_full, false);
+        replayed += partial
+            .step_all_partial(dt, &ops, &mut res_partial, false)
+            .segments_replayed;
+    }
+    assert!(replayed > 0, "no segment settled into a replay");
+    for h in 0..n {
+        for d in [RaplDomain::Pkg, RaplDomain::Pp0, RaplDomain::Dram] {
+            let bits = |b: &NodeBank| b.domain_energy(h, d).unwrap().value().to_bits();
+            assert_eq!(bits(&partial), bits(&full), "{d} on host {h}");
+        }
+    }
+    let metered = |h| full.domain_energy(h, RaplDomain::Pp0).unwrap();
+    assert!(metered(0) > Joules::ZERO);
+    assert_eq!(metered(6), Joules::ZERO, "a dead host meters nothing");
 }
 
 /// A lock bit preset through the hardware backdoor makes `msr-safe`

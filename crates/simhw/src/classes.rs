@@ -1,4 +1,4 @@
-//! Heterogeneous node classes and the classed fleet bank.
+//! Heterogeneous node classes.
 //!
 //! The paper's evaluation assumes a homogeneous Xeon fleet; ROADMAP item 4
 //! calls that out as the limitation to lift. A [`NodeClass`] bundles
@@ -7,30 +7,18 @@
 //! the class's idle floor, and an optional PP0/DRAM sub-plane split
 //! ([`DomainConfig`]).
 //!
-//! [`ClassedBank`] extends the columnar [`NodeBank`] to a mixed fleet by
-//! composition rather than by widening the columns: it holds **one bank per
-//! class**, so every class keeps its own contiguous column segments (the
-//! sharded replay/fast-forward machinery works per class, unchanged), and a
-//! global host index maps onto `(class, local)` slots. A 1-class classed
-//! bank therefore delegates every step to exactly the code path a
-//! homogeneous [`NodeBank`] runs — the lockstep differential suite in
-//! `tests/shards.rs` proves the two bit-identical.
-//!
-//! Sub-plane energy for a classed fleet is metered in per-host columns here
-//! (node-level, summed over sockets) rather than through the per-package
-//! [`crate::rapl::RaplPackage`] sub-domain state, which the columnar hot
-//! path deliberately leaves cold; limit programming still runs the `Node`
-//! method on a materialised copy of the host (the bank keeps each plane's
-//! limit register and stuck latch in columns), so allowlist, clamp and
-//! stuck-fault semantics hold.
+//! A mixed fleet steps as one [`crate::NodeBank`] per class-pure group of
+//! hosts, each built from [`crate::Node::with_class`]: a bank holds one part,
+//! so every class keeps its own contiguous column segments and no bank
+//! kernel branches on class. A bank whose part has PP0/DRAM planes meters
+//! them per host and programs their limits through a materialised `Node`
+//! (the `planes` module of [`crate::bank`]). `repro hetero` builds one bank
+//! per job, since every job there runs on one class.
 
-use crate::bank::{HostStep, NodeBank, StepReport};
 use crate::error::{Result, SimHwError};
-use crate::faults::{FaultKind, NodeHealth};
-use crate::node::{Node, NodeId};
-use crate::power::{LoadModel, MachineSpec, OperatingPoint, PowerModel};
-use crate::rapl::{DomainConfig, RaplDomain};
-use crate::units::{Hertz, Joules, Seconds, Watts};
+use crate::power::{MachineSpec, PowerModel};
+use crate::rapl::DomainConfig;
+use crate::units::Watts;
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a node class within a fleet description.
@@ -164,332 +152,15 @@ impl ClassModels {
     }
 }
 
-/// Columnar storage for a *mixed* fleet: one [`NodeBank`] per class, a
-/// global host index mapped onto `(class, local)` slots, and per-host
-/// sub-plane meter columns for classes with PP0/DRAM domains.
-#[derive(Debug, Clone)]
-pub struct ClassedBank {
-    classes: Vec<NodeClass>,
-    models: ClassModels,
-    banks: Vec<NodeBank>,
-    /// Global host → `(class index, local index within the class bank)`.
-    assign: Vec<(usize, usize)>,
-    /// Class → global host ids, in local order.
-    globals: Vec<Vec<usize>>,
-    /// Class → the class bank's step results, in local order. Kept across
-    /// calls: a replayed segment leaves its slots as the last step wrote
-    /// them ([`NodeBank::step_all_partial`]).
-    local_results: Vec<Vec<HostStep>>,
-    /// Per-host node-level PP0 exact energy (zero for PKG-only classes).
-    pp0_energy: Vec<Joules>,
-    /// Per-host node-level DRAM exact energy (zero for PKG-only classes).
-    dram_energy: Vec<Joules>,
-}
-
-impl ClassedBank {
-    /// Build a classed bank: host `h` belongs to `membership[h]` and gets
-    /// efficiency factor `eps[h]`. Hosts of one class occupy contiguous
-    /// local slots in their class's bank, in global order.
-    pub fn new(classes: Vec<NodeClass>, membership: &[ClassId], eps: &[f64]) -> Result<Self> {
-        if classes.is_empty() {
-            return Err(SimHwError::InvalidParameter(
-                "a classed bank needs at least one class".into(),
-            ));
-        }
-        if membership.len() != eps.len() {
-            return Err(SimHwError::InvalidParameter(format!(
-                "membership ({}) and eps ({}) lengths differ",
-                membership.len(),
-                eps.len()
-            )));
-        }
-        let models = ClassModels::new(&classes)?;
-        let mut per_class: Vec<Vec<Node>> = vec![Vec::new(); classes.len()];
-        let mut globals: Vec<Vec<usize>> = vec![Vec::new(); classes.len()];
-        let mut assign = Vec::with_capacity(membership.len());
-        for (h, (&cid, &e)) in membership.iter().zip(eps).enumerate() {
-            let c = cid.0;
-            if c >= classes.len() {
-                return Err(SimHwError::InvalidParameter(format!(
-                    "host {h} assigned to unknown class {c}"
-                )));
-            }
-            let node = Node::with_class(NodeId(h), cid, &classes[c], models.model(cid), e)?;
-            assign.push((c, per_class[c].len()));
-            per_class[c].push(node);
-            globals[c].push(h);
-        }
-        let banks = per_class.into_iter().map(NodeBank::from_nodes).collect();
-        let local_results = globals
-            .iter()
-            .map(|g| vec![HostStep::Skipped; g.len()])
-            .collect();
-        let n = membership.len();
-        Ok(Self {
-            classes,
-            models,
-            banks,
-            assign,
-            globals,
-            local_results,
-            pp0_energy: vec![Joules::ZERO; n],
-            dram_energy: vec![Joules::ZERO; n],
-        })
-    }
-
-    /// Number of hosts across all classes.
-    pub fn len(&self) -> usize {
-        self.assign.len()
-    }
-
-    /// True when the fleet holds no hosts.
-    pub fn is_empty(&self) -> bool {
-        self.assign.is_empty()
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// The class a host belongs to.
-    pub fn class_of(&self, h: usize) -> ClassId {
-        ClassId(self.assign[h].0)
-    }
-
-    /// One class description.
-    pub fn class(&self, c: ClassId) -> &NodeClass {
-        &self.classes[c.0]
-    }
-
-    /// The per-class power models.
-    pub fn models(&self) -> &ClassModels {
-        &self.models
-    }
-
-    /// Global host ids of one class, in local (bank) order.
-    pub fn hosts_of(&self, c: ClassId) -> &[usize] {
-        &self.globals[c.0]
-    }
-
-    /// The class's underlying bank (read paths; control must go through
-    /// the classed bank so the mapping stays authoritative).
-    pub fn bank(&self, c: ClassId) -> &NodeBank {
-        &self.banks[c.0]
-    }
-
-    fn slot(&self, h: usize) -> (usize, usize) {
-        self.assign[h]
-    }
-
-    /// The host's efficiency factor ε.
-    pub fn eps(&self, h: usize) -> f64 {
-        let (c, l) = self.slot(h);
-        self.banks[c].eps(l)
-    }
-
-    /// The host's observed health.
-    pub fn health(&self, h: usize) -> NodeHealth {
-        let (c, l) = self.slot(h);
-        self.banks[c].health(l)
-    }
-
-    /// True unless the host is fail-stop dead.
-    pub fn is_alive(&self, h: usize) -> bool {
-        let (c, l) = self.slot(h);
-        self.banks[c].is_alive(l)
-    }
-
-    /// The most recent lead frequency the host resolved.
-    pub fn last_freq(&self, h: usize) -> Hertz {
-        let (c, l) = self.slot(h);
-        self.banks[c].last_freq(l)
-    }
-
-    /// The host's programmed node-level PKG limit.
-    pub fn power_limit(&self, h: usize) -> Watts {
-        let (c, l) = self.slot(h);
-        self.banks[c].power_limit(l)
-    }
-
-    /// The PKG limit the host's enforcement loops currently hold.
-    pub fn enforced_limit(&self, h: usize) -> Watts {
-        let (c, l) = self.slot(h);
-        self.banks[c].enforced_limit(l)
-    }
-
-    /// Cumulative exact host PKG energy.
-    pub fn energy(&self, h: usize) -> Joules {
-        let (c, l) = self.slot(h);
-        self.banks[c].energy(l)
-    }
-
-    /// The operating point the host settles on right now, resolved against
-    /// its own class's power model.
-    pub fn operating_point<L: LoadModel + ?Sized>(&self, h: usize, load: &L) -> OperatingPoint {
-        let (c, l) = self.slot(h);
-        self.banks[c].operating_point(l, self.models.model(ClassId(c)), load)
-    }
-
-    /// Program a node-level PKG power limit.
-    pub fn set_power_limit(&mut self, h: usize, limit: Watts) -> Result<()> {
-        let (c, l) = self.slot(h);
-        self.banks[c].set_power_limit(l, limit)
-    }
-
-    /// Program or release a frequency cap.
-    pub fn set_freq_cap(&mut self, h: usize, cap: Option<Hertz>) -> Result<()> {
-        let (c, l) = self.slot(h);
-        self.banks[c].set_freq_cap(l, cap)
-    }
-
-    /// Apply an injected fault.
-    pub fn inject(&mut self, h: usize, kind: FaultKind) {
-        let (c, l) = self.slot(h);
-        self.banks[c].inject(l, kind);
-    }
-
-    /// Mark the host suspect.
-    pub fn mark_suspect(&mut self, h: usize) {
-        let (c, l) = self.slot(h);
-        self.banks[c].mark_suspect(l);
-    }
-
-    /// Clear a suspect marking (dead hosts stay dead).
-    pub fn mark_healthy(&mut self, h: usize) {
-        let (c, l) = self.slot(h);
-        self.banks[c].mark_healthy(l);
-    }
-
-    /// Program a node-level sub-plane limit through a materialised `Node`
-    /// (allowlist, clamp, stuck-latch semantics all apply). Returns the
-    /// watts actually programmed.
-    pub fn set_domain_limit(&mut self, h: usize, d: RaplDomain, limit: Watts) -> Result<Watts> {
-        let (c, l) = self.slot(h);
-        self.banks[c].with_node(l, |n| n.set_domain_limit(d, limit))
-    }
-
-    /// Pin one sub-plane's limit on a host (stuck-RAPL confined to a single
-    /// domain).
-    pub fn inject_domain_stuck(&mut self, h: usize, d: RaplDomain, pinned: Watts) -> Result<()> {
-        let (c, l) = self.slot(h);
-        self.banks[c].with_node(l, |n| n.inject_domain_stuck(d, pinned))
-    }
-
-    /// Cumulative node-level energy of one domain. PKG reads the bank's
-    /// columns; PP0/DRAM read the classed meter columns (an error for a
-    /// PKG-only class, mirroring the per-package contract).
-    pub fn domain_energy(&self, h: usize, d: RaplDomain) -> Result<Joules> {
-        match d {
-            RaplDomain::Pkg => Ok(self.energy(h)),
-            RaplDomain::Pp0 | RaplDomain::Dram => {
-                let (c, _) = self.slot(h);
-                if self.classes[c].domains.is_none() {
-                    return Err(SimHwError::InvalidParameter(format!(
-                        "domain {} not enabled on class {}",
-                        d, self.classes[c].name
-                    )));
-                }
-                Ok(match d {
-                    RaplDomain::Pp0 => self.pp0_energy[h],
-                    _ => self.dram_energy[h],
-                })
-            }
-        }
-    }
-
-    /// Advance every host with an operating point by `dt` (global host
-    /// indexing: `ops[h]`/`results[h]`). Each class's bank steps its own
-    /// contiguous columns, so settled segments of one class replay/skip
-    /// independently of churn in another. Returns `true` when every
-    /// stepped enforcement filter was already at its bitwise fixed point.
-    pub fn step_all(
-        &mut self,
-        dt: Seconds,
-        ops: &[Option<OperatingPoint>],
-        results: &mut [HostStep],
-        parallel: bool,
-    ) -> bool {
-        self.step_classes(dt, ops, results, parallel, false)
-            .all_settled
-    }
-
-    /// Like [`ClassedBank::step_all`] but with per-segment replay enabled,
-    /// merging the per-class [`StepReport`]s.
-    pub fn step_all_partial(
-        &mut self,
-        dt: Seconds,
-        ops: &[Option<OperatingPoint>],
-        results: &mut [HostStep],
-        parallel: bool,
-    ) -> StepReport {
-        self.step_classes(dt, ops, results, parallel, true)
-    }
-
-    fn step_classes(
-        &mut self,
-        dt: Seconds,
-        ops: &[Option<OperatingPoint>],
-        results: &mut [HostStep],
-        parallel: bool,
-        partial: bool,
-    ) -> StepReport {
-        let n = self.assign.len();
-        assert_eq!(ops.len(), n, "one operating point slot per host");
-        assert_eq!(results.len(), n, "one result slot per host");
-        let mut report = StepReport {
-            all_settled: true,
-            segments_replayed: 0,
-            segments_stepped: 0,
-        };
-        for (c, bank) in self.banks.iter_mut().enumerate() {
-            if bank.is_empty() {
-                continue;
-            }
-            let globals = &self.globals[c];
-            let local_ops: Vec<Option<OperatingPoint>> = globals.iter().map(|&g| ops[g]).collect();
-            let local_results = &mut self.local_results[c];
-            let r = if partial {
-                bank.step_all_partial(dt, &local_ops, local_results, parallel)
-            } else {
-                let settled = bank.step_all(dt, &local_ops, local_results, parallel);
-                StepReport {
-                    all_settled: settled,
-                    segments_replayed: 0,
-                    segments_stepped: bank.num_segments(),
-                }
-            };
-            report.all_settled &= r.all_settled;
-            report.segments_replayed += r.segments_replayed;
-            report.segments_stepped += r.segments_stepped;
-            for (&g, &res) in globals.iter().zip(local_results.iter()) {
-                results[g] = res;
-            }
-            // Advance the sub-plane meters from the same per-host powers
-            // the bank just accumulated: PP0 draws its fraction of node
-            // power, DRAM draws its per-package power while the node is
-            // live — node-level, matching the per-package arithmetic
-            // summed over sockets.
-            if let Some(cfg) = self.classes[c].domains {
-                let sockets = bank.sockets() as f64;
-                for &g in globals {
-                    let Some(op) = ops[g] else { continue };
-                    crate::rapl::DOMAIN_ADVANCED.inc();
-                    self.pp0_energy[g] += op.power * cfg.pp0_fraction * dt;
-                    if op.power.value() > 0.0 {
-                        self.dram_energy[g] += cfg.dram_power * sockets * dt;
-                    }
-                }
-            }
-        }
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::power::CoreClass;
+    use crate::bank::{HostStep, NodeBank};
+    use crate::faults::FaultKind;
+    use crate::node::{Node, NodeId};
+    use crate::power::{CoreClass, LoadModel};
+    use crate::rapl::RaplDomain;
+    use crate::units::{Hertz, Joules, Seconds};
 
     struct FlatLoad {
         kappa: f64,
@@ -508,12 +179,42 @@ mod tests {
         }
     }
 
-    fn mixed_fleet() -> ClassedBank {
-        let classes = standard_classes();
-        // Interleave classes so local/global mapping is non-trivial.
-        let membership: Vec<ClassId> = (0..9).map(|h| ClassId(h % 3)).collect();
-        let eps: Vec<f64> = (0..9).map(|h| 0.95 + 0.01 * h as f64).collect();
-        ClassedBank::new(classes, &membership, &eps).unwrap()
+    /// Three hosts of `class`, built as a mixed fleet builds each of its
+    /// class-pure banks.
+    fn class_nodes(c: usize, class: &NodeClass, model: &PowerModel) -> Vec<Node> {
+        (0..3)
+            .map(|h| Node::with_class(NodeId(h), ClassId(c), class, model, 0.95 + 0.01 * h as f64))
+            .collect::<Result<_>>()
+            .unwrap()
+    }
+
+    /// One bank per standard class, with its model and class.
+    fn class_banks() -> Vec<(NodeClass, PowerModel, NodeBank)> {
+        standard_classes()
+            .into_iter()
+            .enumerate()
+            .map(|(c, class)| {
+                let model = PowerModel::new(class.spec.clone()).unwrap();
+                let bank = NodeBank::from_nodes(class_nodes(c, &class, &model));
+                (class, model, bank)
+            })
+            .collect()
+    }
+
+    /// Step every live host of `bank` `iterations` times at 0.2 s.
+    fn step_live(bank: &mut NodeBank, model: &PowerModel, iterations: usize) {
+        let load = FlatLoad { kappa: 2.5 };
+        let n = bank.len();
+        let mut results = vec![HostStep::Skipped; n];
+        for _ in 0..iterations {
+            let ops: Vec<_> = (0..n)
+                .map(|h| {
+                    bank.is_alive(h)
+                        .then(|| bank.operating_point(h, model, &load))
+                })
+                .collect();
+            bank.step_all(Seconds(0.2), &ops, &mut results, false);
+        }
     }
 
     #[test]
@@ -524,108 +225,112 @@ mod tests {
     }
 
     #[test]
-    fn mixed_fleet_maps_hosts_to_class_banks() {
-        let bank = mixed_fleet();
-        assert_eq!(bank.len(), 9);
-        assert_eq!(bank.num_classes(), 3);
-        for h in 0..9 {
-            assert_eq!(bank.class_of(h), ClassId(h % 3));
-        }
-        for c in 0..3 {
-            assert_eq!(bank.hosts_of(ClassId(c)), &[c, c + 3, c + 6]);
-            assert_eq!(bank.bank(ClassId(c)).len(), 3);
-        }
-        // Per-class TDPs differ: the classes really are different parts.
-        assert_ne!(
-            bank.class(ClassId(0)).spec.tdp_per_node(),
-            bank.class(ClassId(2)).spec.tdp_per_node()
-        );
-    }
-
-    #[test]
     fn stepping_accumulates_domain_meters() {
-        let mut bank = mixed_fleet();
-        let load = FlatLoad { kappa: 2.5 };
-        let n = bank.len();
-        let mut results = vec![HostStep::Skipped; n];
-        for _ in 0..10 {
-            let ops: Vec<_> = (0..n)
-                .map(|h| Some(bank.operating_point(h, &load)))
-                .collect();
-            bank.step_all(Seconds(0.2), &ops, &mut results, false);
-        }
-        for h in 0..n {
-            let pkg = bank.domain_energy(h, RaplDomain::Pkg).unwrap();
-            let pp0 = bank.domain_energy(h, RaplDomain::Pp0).unwrap();
-            let dram = bank.domain_energy(h, RaplDomain::Dram).unwrap();
-            assert!(pkg > Joules::ZERO);
-            assert!(pp0 > Joules::ZERO && pp0 < pkg, "PP0 below PKG on host {h}");
-            assert!(dram > Joules::ZERO);
-            let frac = bank.class(bank.class_of(h)).domains.unwrap().pp0_fraction;
-            assert!(
-                (pp0.value() / pkg.value() - frac).abs() < 1e-9,
-                "PP0 meter tracks the class split on host {h}"
-            );
+        for (class, model, mut bank) in class_banks() {
+            step_live(&mut bank, &model, 10);
+            let frac = class.domains.unwrap().pp0_fraction;
+            for h in 0..bank.len() {
+                let pkg = bank.domain_energy(h, RaplDomain::Pkg).unwrap();
+                let pp0 = bank.domain_energy(h, RaplDomain::Pp0).unwrap();
+                let dram = bank.domain_energy(h, RaplDomain::Dram).unwrap();
+                assert!(pkg > Joules::ZERO);
+                assert!(
+                    pp0 > Joules::ZERO && pp0 < pkg,
+                    "PP0 below PKG on {}",
+                    class.name
+                );
+                assert!(dram > Joules::ZERO);
+                assert!(
+                    (pp0.value() / pkg.value() - frac).abs() < 1e-9,
+                    "PP0 meter tracks the class split on {} host {h}",
+                    class.name
+                );
+            }
         }
     }
 
+    /// Sub-plane limits run on a materialised `Node`, so every write answers
+    /// what the same write answers on a `Node` built alike: the clamp into
+    /// the plane's range, a stuck plane latching while its sibling stays
+    /// live, and a dead host refusing.
     #[test]
     fn domain_limits_route_through_the_backing_node() {
-        let mut bank = mixed_fleet();
-        let programmed = bank
-            .set_domain_limit(0, RaplDomain::Pp0, Watts(100.0))
+        for (c, (class, model, mut bank)) in class_banks().into_iter().enumerate() {
+            let mut reference = class_nodes(c, &class, &model);
+            let programmed = bank.set_domain_limit(0, RaplDomain::Pp0, Watts(100.0));
+            assert!(programmed.as_ref().unwrap() > &Watts(0.0));
+            assert_eq!(
+                programmed,
+                reference[0].set_domain_limit(RaplDomain::Pp0, Watts(100.0))
+            );
+            // Far above every class's PP0 range: clamped to its top.
+            let clamped = bank
+                .set_domain_limit(1, RaplDomain::Pp0, Watts(1e4))
+                .unwrap();
+            assert!(clamped < Watts(1e4));
+            assert_eq!(
+                Ok(clamped),
+                reference[1].set_domain_limit(RaplDomain::Pp0, Watts(1e4))
+            );
+            bank.inject_domain_stuck(2, RaplDomain::Pp0, Watts(60.0))
+                .unwrap();
+            reference[2]
+                .inject_domain_stuck(RaplDomain::Pp0, Watts(60.0))
+                .unwrap();
+            let latched = bank.set_domain_limit(2, RaplDomain::Pp0, Watts(80.0));
+            assert_eq!(
+                latched,
+                reference[2].set_domain_limit(RaplDomain::Pp0, Watts(80.0))
+            );
+            let dram = bank.set_domain_limit(2, RaplDomain::Dram, Watts(12.0));
+            assert_eq!(
+                dram,
+                reference[2].set_domain_limit(RaplDomain::Dram, Watts(12.0))
+            );
+            assert!((dram.unwrap().value() - 12.0).abs() < 0.3);
+            bank.inject(0, FaultKind::NodeDeath);
+            assert!(bank
+                .set_domain_limit(0, RaplDomain::Dram, Watts(12.0))
+                .is_err());
+        }
+        // Host 2 of the stout bank is single-socket with a PP0 range of
+        // about [40.6, 81.9] W, so the stuck latch pins exactly 60 W.
+        let (_, _, mut stout) = class_banks().swap_remove(2);
+        stout
+            .inject_domain_stuck(2, RaplDomain::Pp0, Watts(60.0))
             .unwrap();
-        assert!(programmed > Watts(0.0));
-        // A stuck PP0 plane silently latches while DRAM stays live (host 2
-        // is stout: single socket, PP0 range ≈ [40.6, 81.9] W, so 60 W pins
-        // exactly).
-        bank.inject_domain_stuck(2, RaplDomain::Pp0, Watts(60.0))
-            .unwrap();
-        let latched = bank
-            .set_domain_limit(2, RaplDomain::Pp0, Watts(80.0))
-            .unwrap();
-        assert_eq!(latched, Watts(60.0));
-        let dram = bank
-            .set_domain_limit(2, RaplDomain::Dram, Watts(12.0))
-            .unwrap();
-        assert!((dram.value() - 12.0).abs() < 0.3);
+        assert_eq!(
+            stout.set_domain_limit(2, RaplDomain::Pp0, Watts(80.0)),
+            Ok(Watts(60.0))
+        );
     }
 
     #[test]
     fn dead_hosts_stop_metering() {
-        let mut bank = mixed_fleet();
-        let load = FlatLoad { kappa: 2.5 };
-        let n = bank.len();
-        let mut results = vec![HostStep::Skipped; n];
-        bank.inject(4, FaultKind::NodeDeath);
-        assert!(!bank.is_alive(4));
-        let ops: Vec<_> = (0..n)
-            .map(|h| bank.is_alive(h).then(|| bank.operating_point(h, &load)))
-            .collect();
-        bank.step_all(Seconds(0.2), &ops, &mut results, false);
-        assert_eq!(results[4], HostStep::Skipped);
-        assert_eq!(
-            bank.domain_energy(4, RaplDomain::Pp0).unwrap(),
-            Joules::ZERO
-        );
-        assert!(bank.domain_energy(3, RaplDomain::Pp0).unwrap() > Joules::ZERO);
+        for (_, model, mut bank) in class_banks() {
+            bank.inject(1, FaultKind::NodeDeath);
+            assert!(!bank.is_alive(1));
+            step_live(&mut bank, &model, 1);
+            for d in [RaplDomain::Pp0, RaplDomain::Dram] {
+                assert_eq!(bank.domain_energy(1, d).unwrap(), Joules::ZERO);
+                assert!(bank.domain_energy(0, d).unwrap() > Joules::ZERO);
+            }
+        }
     }
 
+    /// A bank built from a PKG-only class has no meters and no planes: a
+    /// PP0/DRAM read or write is refused, and its PKG energy reads as usual.
     #[test]
     fn pkg_only_class_rejects_domain_reads() {
-        let classes = vec![NodeClass::pkg_only("plain", crate::quartz::quartz_spec())];
-        let membership = vec![ClassId(0); 2];
-        let bank = ClassedBank::new(classes, &membership, &[1.0, 1.0]).unwrap();
-        assert!(bank.domain_energy(0, RaplDomain::Pkg).is_ok());
+        let class = NodeClass::pkg_only("plain", crate::quartz::quartz_spec());
+        let model = PowerModel::new(class.spec.clone()).unwrap();
+        let mut bank = NodeBank::from_nodes(class_nodes(0, &class, &model));
+        step_live(&mut bank, &model, 2);
+        assert!(bank.domain_energy(0, RaplDomain::Pkg).unwrap() > Joules::ZERO);
         assert!(bank.domain_energy(0, RaplDomain::Pp0).is_err());
         assert!(bank.domain_energy(0, RaplDomain::Dram).is_err());
-    }
-
-    #[test]
-    fn invalid_construction_is_rejected() {
-        let classes = standard_classes();
-        assert!(ClassedBank::new(vec![], &[], &[]).is_err());
-        assert!(ClassedBank::new(classes.clone(), &[ClassId(7)], &[1.0]).is_err());
-        assert!(ClassedBank::new(classes, &[ClassId(0)], &[]).is_err());
+        assert!(bank
+            .set_domain_limit(0, RaplDomain::Pp0, Watts(100.0))
+            .is_err());
     }
 }

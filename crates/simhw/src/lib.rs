@@ -11,7 +11,8 @@
 //!   `msr-safe`-style allowlist.
 //! * [`rapl`] — RAPL package-domain semantics on top of the MSR device:
 //!   unit registers, power-limit encoding, energy-status counter with
-//!   32-bit wraparound, and a running-average limit-enforcement filter.
+//!   32-bit wraparound, a running-average limit-enforcement filter, and
+//!   optional PP0/DRAM sub-planes.
 //! * [`pstate`] — the discrete frequency ladder (p-states) of the part.
 //! * [`power`] — the socket/node power model `P(f, activity)` used
 //!   throughout the stack.
@@ -21,6 +22,11 @@
 //!   the frequency solver that emulates the package control unit (PCU)
 //!   picking the highest p-state that fits the active power limit.
 //! * [`quartz`] — the Table I machine description as compile-time constants.
+//! * [`classes`] / [`machines`] — node classes for mixed fleets: a machine
+//!   spec, an idle floor and an optional PP0/DRAM split per class.
+//! * [`bank`] — [`NodeBank`], the columnar fleet every batched caller
+//!   steps: one part per bank, so a mixed fleet is one bank per class-pure
+//!   group of hosts, and a bank whose part has planes meters them per host.
 //!
 //! Nothing in this crate knows about workloads; workload-dependent activity
 //! enters through the [`power::LoadModel`] trait implemented by
@@ -46,7 +52,7 @@ pub mod units;
 pub mod variation;
 
 pub use bank::{HostStep, NodeBank, StepReport, DEFAULT_SEGMENT_HOSTS};
-pub use classes::{standard_classes, ClassId, ClassModels, ClassedBank, NodeClass};
+pub use classes::{standard_classes, ClassId, ClassModels, NodeClass};
 pub use clock::SimClock;
 pub use cluster::{Cluster, ClusterBuilder};
 pub use error::SimHwError;

@@ -21,8 +21,8 @@ use pmstack_obs::{EventKind, StaticCounter};
 /// from the request (range clamp or stuck-RAPL latch).
 static RAPL_CLAMPED: StaticCounter = StaticCounter::new("simhw.rapl.clamped");
 /// Observability: sub-domain energy/enforcement updates (one per advance of
-/// a package with sub-domains enabled; the classed bank's meter columns
-/// count through the same counter).
+/// a package with sub-domains enabled; a bank's node-level meters count
+/// one per metered host per step through the same counter).
 pub(crate) static DOMAIN_ADVANCED: StaticCounter = StaticCounter::new("simhw.domain.advanced");
 /// Observability: sub-domain limit programmings.
 static DOMAIN_LIMIT_WRITES: StaticCounter = StaticCounter::new("simhw.domain.limit_writes");
@@ -746,6 +746,11 @@ impl RaplPackage {
     /// Write a resolved PL1 register value through the allowlist.
     pub(crate) fn program_pl1(&mut self, raw: u64) -> Result<()> {
         self.msrs.write(address::PKG_POWER_LIMIT, raw)
+    }
+
+    /// The sub-plane split, `None` for a PKG-only package.
+    pub(crate) fn domain_config(&self) -> Option<DomainConfig> {
+        self.domains
     }
 
     /// True when `other` is the same part: every field [`Self::set_state`]

@@ -10,9 +10,9 @@
 use pmstack_simhw::msr::address;
 use pmstack_simhw::power::CoreClass;
 use pmstack_simhw::{
-    quartz_spec, standard_classes, CapSpan, ClassId, ClassedBank, FaultKind, Hertz, HostStep,
-    LoadModel, Node, NodeBank, NodeClass, NodeId, OperatingPoint, PowerModel, RaplDomain, Seconds,
-    SimHwError, Watts,
+    quartz_spec, standard_classes, CapSpan, ClassId, FaultKind, Hertz, HostStep, LoadModel, Node,
+    NodeBank, NodeClass, NodeId, OperatingPoint, PowerModel, RaplDomain, Seconds, SimHwError,
+    Watts,
 };
 use proptest::prelude::*;
 
@@ -104,8 +104,8 @@ fn disturb_strategy() -> impl Strategy<Value = Disturb> {
     ]
 }
 
-/// The control surface the three fleet representations share, so one
-/// function applies a disturbance to any of them.
+/// The control surface the bank and the per-`Node` reference share, so one
+/// function applies a disturbance to either.
 trait Fleet {
     fn hosts(&self) -> usize;
     fn limit(&mut self, h: usize, w: Watts) -> Result<(), SimHwError>;
@@ -114,21 +114,6 @@ trait Fleet {
 }
 
 impl Fleet for NodeBank {
-    fn hosts(&self) -> usize {
-        self.len()
-    }
-    fn limit(&mut self, h: usize, w: Watts) -> Result<(), SimHwError> {
-        self.set_power_limit(h, w)
-    }
-    fn cap(&mut self, h: usize, cap: Option<Hertz>) -> Result<(), SimHwError> {
-        self.set_freq_cap(h, cap)
-    }
-    fn fault(&mut self, h: usize, kind: FaultKind) {
-        self.inject(h, kind);
-    }
-}
-
-impl Fleet for ClassedBank {
     fn hosts(&self) -> usize {
         self.len()
     }
@@ -431,91 +416,6 @@ proptest! {
                     assert_nodes_match(&run.sharded, &run.reference);
                 }
                 run.disturb(host % n, d)?;
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Lockstep differential suite for the heterogeneity plane: a 1-class
-    /// classed fleet with PKG-only domains must be **bit-identical** to
-    /// today's homogeneous [`NodeBank`] under random fault/control/jitter
-    /// schedules. The classed bank composes one homogeneous bank per class,
-    /// so a single class must delegate to exactly the pre-PR code path.
-    #[test]
-    fn one_class_pkg_only_fleet_matches_homogeneous_bank(
-        n in 1usize..34,
-        parallel in (0u8..2).prop_map(|b| b == 1),
-        dts in prop::collection::vec(0.05f64..0.4, 1..4),
-        schedule in prop::collection::vec(
-            (0usize..16, 0usize..34, disturb_strategy()),
-            0..12,
-        ),
-    ) {
-        let (model, _) = fleet(0);
-        let eps: Vec<f64> = (0..n).map(|i| 0.9 + 0.02 * (i % 12) as f64).collect();
-        let nodes: Vec<Node> = eps
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| Node::new(NodeId(i), &model, e).unwrap())
-            .collect();
-        let mut homo = NodeBank::from_nodes(nodes);
-        let classes = vec![NodeClass::pkg_only("quartz", quartz_spec())];
-        let membership = vec![ClassId(0); n];
-        let mut classed = ClassedBank::new(classes, &membership, &eps).unwrap();
-        let load = FlatLoad { kappa: 2.6 };
-
-        let mut ops = vec![None; n];
-        let mut res_homo = vec![HostStep::Skipped; n];
-        let mut res_classed = vec![HostStep::Skipped; n];
-        for iter in 0..16 {
-            for (at, host, d) in &schedule {
-                if *at == iter {
-                    let host = *host % n;
-                    let expected = disturb(&mut homo, host, *d);
-                    prop_assert_eq!(&disturb(&mut classed, host, *d), &expected, "{:?}", d);
-                }
-            }
-            // Jitter the step width through the supplied dt ladder.
-            let dt = Seconds(dts[iter % dts.len()]);
-            for (h, op) in ops.iter_mut().enumerate() {
-                *op = classed.is_alive(h).then(|| classed.operating_point(h, &load));
-                // Operating points must agree before stepping at all.
-                let homo_op = homo
-                    .is_alive(h)
-                    .then(|| homo.operating_point(h, &model, &load));
-                prop_assert_eq!(&*op, &homo_op, "operating point diverged on host {}", h);
-            }
-            let settled_homo = homo.step_all_partial(dt, &ops, &mut res_homo, parallel);
-            let settled_classed =
-                classed.step_all_partial(dt, &ops, &mut res_classed, parallel);
-
-            prop_assert_eq!(settled_homo, settled_classed, "step reports diverged");
-            prop_assert_eq!(&res_homo, &res_classed, "step outcomes diverged");
-            for h in 0..n {
-                prop_assert_eq!(
-                    classed.energy(h).value().to_bits(),
-                    homo.energy(h).value().to_bits(),
-                    "energy diverged on host {}", h
-                );
-                prop_assert_eq!(
-                    classed.enforced_limit(h).value().to_bits(),
-                    homo.enforced_limit(h).value().to_bits(),
-                    "enforced limit diverged on host {}", h
-                );
-                prop_assert_eq!(
-                    classed.power_limit(h).value().to_bits(),
-                    homo.power_limit(h).value().to_bits(),
-                    "programmed limit diverged on host {}", h
-                );
-                prop_assert_eq!(
-                    classed.last_freq(h).value().to_bits(),
-                    homo.last_freq(h).value().to_bits(),
-                    "last_freq diverged on host {}", h
-                );
-                prop_assert_eq!(classed.health(h), homo.health(h));
             }
         }
     }
@@ -844,77 +744,74 @@ fn writes_and_faults_commute_like_on_the_node() {
 /// A sub-domain write runs on a `Node` materialised from the columns and is
 /// ingested back. When the host's PL1 was just rewritten in the columns, the
 /// materialised `Node` must carry it — and the PL1 must survive the round
-/// trip, as must the plane limits under the next PL1 write.
+/// trip, as must the plane limits under the next PL1 write. The fleet mixes
+/// the three standard classes as one bank per class: host `g` is slot
+/// `g / 3` of class `g % 3`'s bank.
 #[test]
 fn domain_limit_after_a_pl1_write_round_trips() {
     let classes = standard_classes();
-    let membership: Vec<ClassId> = (0..6).map(|h| ClassId(h % 3)).collect();
-    let eps: Vec<f64> = (0..6).map(|h| 0.95 + 0.01 * h as f64).collect();
-    let mut bank = ClassedBank::new(classes.clone(), &membership, &eps).unwrap();
-    let mut reference: Vec<Node> = (0..6)
-        .map(|h| {
-            let class = &classes[membership[h].0];
-            Node::with_class(
-                NodeId(h),
-                membership[h],
-                class,
-                bank.models().model(membership[h]),
-                eps[h],
-            )
-            .unwrap()
-        })
+    let models: Vec<PowerModel> = (classes.iter())
+        .map(|c| PowerModel::new(c.spec.clone()).unwrap())
         .collect();
+    let eps: Vec<f64> = (0..6).map(|h| 0.95 + 0.01 * h as f64).collect();
+    let build = |g: usize| {
+        let c = g % 3;
+        Node::with_class(NodeId(g), ClassId(c), &classes[c], &models[c], eps[g]).unwrap()
+    };
+    let mut banks: Vec<NodeBank> = (0..3)
+        .map(|c| NodeBank::from_nodes((c..6).step_by(3).map(build).collect()))
+        .collect();
+    let mut reference: Vec<Node> = (0..6).map(build).collect();
     let load = FlatLoad { kappa: 2.6 };
     let dt = Seconds(0.2);
 
     for (round, h) in [(0usize, 0usize), (1, 4), (2, 2), (3, 0)] {
-        let class = &classes[membership[h].0];
-        let pkg = class.spec.tdp_per_node() * (0.7 + 0.05 * round as f64);
+        let (bank, l) = (&mut banks[h % 3], h / 3);
+        let pkg = classes[h % 3].spec.tdp_per_node() * (0.7 + 0.05 * round as f64);
         let pp0 = pkg * 0.5;
         // PL1 in the columns, then straight into the Node for the plane.
         assert_eq!(
-            bank.set_power_limit(h, pkg),
+            bank.set_power_limit(l, pkg),
             reference[h].set_power_limit(pkg)
         );
         assert_eq!(
-            bank.set_domain_limit(h, RaplDomain::Pp0, pp0),
+            bank.set_domain_limit(l, RaplDomain::Pp0, pp0),
             reference[h].set_domain_limit(RaplDomain::Pp0, pp0)
         );
         // And a second PL1 write on top of the refreshed columns.
         assert_eq!(
-            bank.set_power_limit(h, pkg * 0.9),
+            bank.set_power_limit(l, pkg * 0.9),
             reference[h].set_power_limit(pkg * 0.9)
         );
         assert_eq!(
-            bank.set_domain_limit(h, RaplDomain::Dram, Watts(11.0)),
+            bank.set_domain_limit(l, RaplDomain::Dram, Watts(11.0)),
             reference[h].set_domain_limit(RaplDomain::Dram, Watts(11.0))
         );
-        let c = membership[h];
-        let local = bank.hosts_of(c).iter().position(|&g| g == h).unwrap();
-        assert_node_matches(&bank.bank(c).node(local), &reference[h]);
-        let n = bank.len();
-        let ops: Vec<_> = (0..n)
-            .map(|g| Some(bank.operating_point(g, &load)))
-            .collect();
-        let mut results = vec![HostStep::Skipped; n];
-        bank.step_all_partial(dt, &ops, &mut results, false);
+        assert_node_matches(&bank.node(l), &reference[h]);
+        for (bank, model) in banks.iter_mut().zip(&models) {
+            let ops: Vec<_> = (0..bank.len())
+                .map(|l| Some(bank.operating_point(l, model, &load)))
+                .collect();
+            let mut results = vec![HostStep::Skipped; bank.len()];
+            bank.step_all_partial(dt, &ops, &mut results, false);
+        }
         for (g, node) in reference.iter_mut().enumerate() {
-            let model = bank.models().model(membership[g]).clone();
-            let _ = node.try_step(&model, &load, dt);
+            let _ = node.try_step(&models[g % 3], &load, dt);
         }
         for (g, node) in reference.iter().enumerate() {
+            let (bank, l) = (&banks[g % 3], g / 3);
             assert_eq!(
-                bank.power_limit(g).value().to_bits(),
+                bank.power_limit(l).value().to_bits(),
                 node.power_limit().value().to_bits(),
                 "programmed limit on host {g}"
             );
             assert_eq!(
-                bank.enforced_limit(g).value().to_bits(),
+                bank.enforced_limit(l).value().to_bits(),
                 node.enforced_limit().value().to_bits(),
                 "enforced limit on host {g}"
             );
             assert_eq!(
-                bank.energy(g).value().to_bits(),
+                bank.energy(l).value().to_bits(),
                 node.energy().value().to_bits(),
                 "energy on host {g}"
             );
