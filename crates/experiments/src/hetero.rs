@@ -11,7 +11,7 @@
 //!   manager's [`DomainLedger`], splitting each job's node grant into
 //!   PKG-rest / PP0 / DRAM domain budgets;
 //! * every job runs on one class, so each job's hosts are one [`NodeBank`]
-//!   of that class's part (its own column segments and PP0/DRAM meters);
+//!   of that class's part (its own column segments and PP0/DRAM cells);
 //!   each tick every bank steps at the fleet-wide `dt`, the
 //!   [`DomainBalancer`] shifts watts between domains within hosts, planning
 //!   from each host's per-domain draw at its operating point, and the

@@ -18,9 +18,10 @@
 //! energy and leaves the count for the next step.
 //! [`NodeBank::apply_pending_replays`] writes every count, for a caller that
 //! reads every iteration and wants each read to stay one add per cell;
-//! correctness never needs it. The idle stretches of `tests/shards.rs` and
-//! the runtime's `tests/columnar.rs` are what catch a writer that skips the
-//! count.
+//! correctness never needs it. The idle stretches of the lockstep harness
+//! (`tests/lockstep/` at the workspace root), each followed by reads,
+//! writes, faults, re-shards and rebuilds, are what catch a writer that
+//! skips the count.
 
 use super::NodeBank;
 use crate::units::Joules;

@@ -25,8 +25,9 @@
 //!   cuts its columns with ([`SegSplit`], [`par_segments`]);
 //! * `step` — the step kernel, bit-identical to
 //!   [`crate::rapl::RaplPackage::advance`];
-//! * `planes` — node-level PP0/DRAM meters, which advance for every host
-//!   the step is handed an operating point for, and sub-plane limits.
+//! * `planes` — the per-package PP0/DRAM cells, which the step advances
+//!   wherever `Node::try_step` advances a `Node`'s planes, and sub-plane
+//!   limits.
 //!
 //! A small helper that a per-host or per-segment loop in another of these
 //! files calls is `#[inline]`: each file can land in its own codegen unit.
@@ -40,10 +41,9 @@
 //!   runtime reprograms: the raw `MSR_PKG_POWER_LIMIT` value of every
 //!   package (with the enforcement target/τ/enable and the programmed limit
 //!   decoded from it) and the `IA32_PERF_CTL` frequency cap; for a part
-//!   with PP0/DRAM planes, also the node-level meters of both planes.
-//! * **cold columns** — id, health, efficiency, the stuck-RAPL latch and,
-//!   for a part with PP0/DRAM planes, each plane's limit register, stuck
-//!   latch and meter per (host, socket).
+//!   with PP0/DRAM planes, also each plane's cells per (host, socket):
+//!   limit register, stuck latch, energy and enforcement filter.
+//! * **cold columns** — id, health, efficiency and the stuck-RAPL latch.
 //!
 //! **One part.** Every host is the same part of the same class: the socket
 //! count, TDP, settable range, write masks and sub-plane split are kept
@@ -61,9 +61,10 @@
 //! on a materialised copy and ingests the result (`with_node`), so `Node`
 //! stays the one implementation of fault and sub-plane semantics. Health
 //! marks are column-only: health never feeds the stepping arithmetic. A
-//! round trip pins the pair: for nodes carrying every kind of state,
-//! `from_nodes(v)` then `node(h)` is `v[h]` field for field
-//! (`tests/shards.rs`).
+//! round trip pins the pair: the lockstep harness (`tests/lockstep/` at
+//! the workspace root) compares every materialised `Node`, `Debug` for
+//! `Debug`, with the per-`Node` oracle, rebuilds banks from their own
+//! materialised nodes mid-run, and builds them by both constructors.
 //!
 //! A path that puts a pending glitch, a stuck latch or a refusing PL1
 //! register into the columns goes through `ingest` (which sets
@@ -172,8 +173,6 @@ pub struct NodeBank {
     /// for the host is still the answer; [`CapSpan::NEVER`] once any other
     /// input of the resolve has changed.
     op_span: Vec<CapSpan>,
-    /// Node-level PP0 then DRAM energy; empty unless the part has planes.
-    meters: Vec<[Joules; 2]>,
 
     // Cold columns, per host: changed only by ingest and health marks.
     id: Vec<NodeId>,
@@ -181,6 +180,7 @@ pub struct NodeBank {
     health: Vec<NodeHealth>,
     stuck: Vec<Option<Watts>>,
     /// Per (host, socket), PP0 then DRAM; empty unless the part has them.
+    /// Hot: the step advances their energy and filters.
     planes: Vec<[PlaneState; 2]>,
 }
 
@@ -200,14 +200,14 @@ impl NodeBank {
         // ingest: a second teardown pass over 100 000 cold nodes costs about
         // as much again as this one.
         for (h, node) in nodes.into_iter().enumerate() {
+            // Checked before the ingest, which assumes the bank's part.
+            let same = (bank.part.as_ref()).is_none_or(|part| part.same_part(&node));
+            assert!(
+                same,
+                "NodeBank requires one part and one class across its hosts"
+            );
             bank.ingest(h, &node);
-            match &bank.part {
-                Some(part) => assert!(
-                    part.same_part(&node),
-                    "NodeBank requires one part and one class across its hosts"
-                ),
-                None => bank.part = Some(node),
-            }
+            bank.part.get_or_insert(node);
         }
         bank
     }
@@ -260,17 +260,13 @@ impl NodeBank {
         let pl1_fields = encode_power_limit(&pl1_request(Watts::ZERO), &units);
         let pl1_tau = enforcement_params_of(&decode_power_limit(pl1_fields, &units), pl1_max).1;
         let domains = first.and_then(RaplPackage::domain_config);
-        let (planes, meters) = match domains {
-            Some(_) => (
-                tile(pkgs, n, |p| {
-                    p.state()
-                        .planes
-                        .expect("every package of a part has planes")
-                }),
-                vec![[Joules::ZERO; 2]; n],
-            ),
-            None => (Vec::new(), Vec::new()),
-        };
+        // Every package of a part has planes or none; a PKG-only part tiles
+        // nothing, so a large PKG-only fleet builds no column of `None`s.
+        let plane_pkgs = if domains.is_some() { pkgs } else { &[] };
+        let planes = tile(plane_pkgs, n, |p| p.state().planes)
+            .into_iter()
+            .flatten()
+            .collect();
         let mut bank = Self {
             part: None,
             sockets,
@@ -305,7 +301,6 @@ impl NodeBank {
             programmed: vec![Watts(0.0); n],
             replay_delta: vec![Joules::ZERO; n],
             op_span: vec![CapSpan::NEVER; n],
-            meters,
             id: per_host(template, n, |t| t.id),
             eps: per_host(template, n, |t| t.eps),
             health: per_host(template, n, |t| t.health),

@@ -23,9 +23,9 @@
 //! A multi-segment step fans out through the splitter once two segments are
 //! stepped (a replay is a count, no work to share); a steady iteration and
 //! one-segment churn run as one piece on the calling thread and allocate
-//! nothing. The bank's unit tests and `tests/shards.rs` step it in lockstep
-//! against raw `Node::try_step`; the runtime's `tests/columnar.rs` against a
-//! transcription of the per-node iteration.
+//! nothing. The bank's unit tests and the lockstep harness
+//! (`tests/lockstep/` at the workspace root) step it against raw
+//! `Node::try_step`, the harness also under the platform's iteration.
 
 use super::accrual::{add_per_host, apply_replays};
 use super::segments::{cache_after_step, count_applied, steps, SegCache};
@@ -148,7 +148,7 @@ impl NodeBank {
     ///   passes a different slice each time must keep its own copy.
     ///
     /// A bank whose part has PP0/DRAM planes reads every `ops` slot,
-    /// replayed segments included, to advance its node-level meters.
+    /// replayed segments included, to advance its plane cells.
     pub fn step_all_partial(
         &mut self,
         dt: Seconds,
@@ -212,7 +212,7 @@ impl NodeBank {
             SHARD_REPLAYED.add(report.segments_replayed as u64);
         }
         count_applied(applied);
-        self.advance_meters(dt, ops);
+        self.advance_planes(dt, ops);
         if report.all_settled {
             STEP_ALL_SETTLED.inc();
         }

@@ -37,8 +37,10 @@
 //! write over two or more segments runs in segment-aligned chunks on the
 //! pool; a chunk that meets a host needing more leaves it, and the rest of
 //! its hosts, to the calling thread, which takes them chunk by chunk in host
-//! order. `tests/batched_write.rs` pins all of it against per-host writes
-//! and the per-`Node` sequence, on the pool and under `sequential_scope`.
+//! order. The lockstep harness (`tests/lockstep/` at the workspace root)
+//! pins all of it against the per-`Node` writes in host order, on the pool
+//! and under `sequential_scope`; `tests/lockstep_counters.rs` also compares
+//! the counters and the journal.
 //!
 //! A limit write does not drop the host's operating-point span (the limit
 //! is the span's argument); a cap write does.

@@ -10,8 +10,9 @@
 //! A mixed fleet steps as one [`crate::NodeBank`] per class-pure group of
 //! hosts, each built from [`crate::Node::with_class`]: a bank holds one part,
 //! so every class keeps its own contiguous column segments and no bank
-//! kernel branches on class. A bank whose part has PP0/DRAM planes meters
-//! them per host and programs their limits through a materialised `Node`
+//! kernel branches on class. A bank whose part has PP0/DRAM planes steps
+//! each package's plane cells as a `Node` steps its planes, and programs
+//! their limits through a materialised `Node`
 //! (the `planes` module of [`crate::bank`]). `repro hetero` builds one bank
 //! per job, since every job there runs on one class.
 
@@ -224,6 +225,8 @@ mod tests {
         }
     }
 
+    /// The plane cells a step advances split each package's draw as the
+    /// class says (the lockstep harness pins them to a `Node`'s).
     #[test]
     fn stepping_accumulates_domain_meters() {
         for (class, model, mut bank) in class_banks() {
@@ -318,7 +321,7 @@ mod tests {
         }
     }
 
-    /// A bank built from a PKG-only class has no meters and no planes: a
+    /// A bank built from a PKG-only class has no plane cells: a
     /// PP0/DRAM read or write is refused, and its PKG energy reads as usual.
     #[test]
     fn pkg_only_class_rejects_domain_reads() {

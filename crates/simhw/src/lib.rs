@@ -26,7 +26,7 @@
 //!   spec, an idle floor and an optional PP0/DRAM split per class.
 //! * [`bank`] — [`NodeBank`], the columnar fleet every batched caller
 //!   steps: one part per bank, so a mixed fleet is one bank per class-pure
-//!   group of hosts, and a bank whose part has planes meters them per host.
+//!   group of hosts, and a bank whose part has planes steps them per package.
 //!
 //! Nothing in this crate knows about workloads; workload-dependent activity
 //! enters through the [`power::LoadModel`] trait implemented by

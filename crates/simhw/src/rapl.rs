@@ -20,9 +20,8 @@ use pmstack_obs::{EventKind, StaticCounter};
 /// Observability: limit writes where the applied per-socket value differed
 /// from the request (range clamp or stuck-RAPL latch).
 static RAPL_CLAMPED: StaticCounter = StaticCounter::new("simhw.rapl.clamped");
-/// Observability: sub-domain energy/enforcement updates (one per advance of
-/// a package with sub-domains enabled; a bank's node-level meters count
-/// one per metered host per step through the same counter).
+/// Observability: sub-domain energy/enforcement updates, one per package
+/// advanced with sub-domains enabled, whether a `Node` or a bank steps it.
 pub(crate) static DOMAIN_ADVANCED: StaticCounter = StaticCounter::new("simhw.domain.advanced");
 /// Observability: sub-domain limit programmings.
 static DOMAIN_LIMIT_WRITES: StaticCounter = StaticCounter::new("simhw.domain.limit_writes");
@@ -260,6 +259,44 @@ pub(crate) fn pl1_request(per_socket: Watts) -> PowerLimit {
 pub(crate) fn enforcement_params_of(pl: &PowerLimit, max_limit: Watts) -> (Watts, f64) {
     let target = if pl.enabled { pl.limit } else { max_limit };
     (target, pl.time_window.value().max(1e-3))
+}
+
+/// A package's PP0 and DRAM share of [`RaplPackage::advance`] while it
+/// draws `power`, with `pkg_target` the limit its own filter settles
+/// toward. PP0 draws its fraction of `power` and DRAM its configured power
+/// while the package draws any (it sits outside the package's envelope);
+/// each plane's filter settles toward its own limit register (while it is
+/// disabled, the maximum [`RaplPackage::enable_domains`] gives the plane),
+/// PP0's held at or under its fraction of `pkg_target`.
+/// The `Node` and the bank's step both call it, so the plane arithmetic is
+/// written once.
+#[inline]
+pub(crate) fn advance_planes(
+    planes: &mut [PlaneState; 2],
+    (cfg, units, pkg_max): (&DomainConfig, &RaplUnits, Watts),
+    pkg_target: Watts,
+    power: Watts,
+    dt: Seconds,
+) {
+    let (pp0_max, dram_max) = (pkg_max * cfg.pp0_fraction, cfg.dram_power * 2.0);
+    let dram = if power.value() > 0.0 {
+        cfg.dram_power
+    } else {
+        Watts::ZERO
+    };
+    let pp0_cap = Some(pkg_target * cfg.pp0_fraction);
+    let inputs = [
+        (power * cfg.pp0_fraction, pp0_cap, pp0_max),
+        (dram, None, dram_max),
+    ];
+    for (plane, (draw, cap, max)) in planes.iter_mut().zip(inputs) {
+        plane.energy += draw * dt;
+        let pl = decode_power_limit(plane.raw, units);
+        let own = if pl.enabled { pl.limit } else { max };
+        let target = cap.map_or(own, |cap| own.min(cap));
+        let alpha = 1.0 - (-dt.value() / pl.time_window.value().max(1e-3)).exp();
+        plane.enforced += (target - plane.enforced) * alpha;
+    }
 }
 
 /// The 32-bit energy-status counter value of an exact energy.
@@ -542,44 +579,16 @@ impl RaplPackage {
     fn advance_sub_domains(&mut self, dt: Seconds, power: Watts) {
         let cfg = self.domains.expect("checked by caller");
         DOMAIN_ADVANCED.inc();
-        let pkg_target = {
-            let (target, _) = self.enforcement_params();
-            target
+        let (pkg_target, _) = self.enforcement_params();
+        let Some(mut planes) = self.state().planes else {
+            return;
         };
-        let units = self.units;
-
-        if let Some(pp0) = self.pp0.as_mut() {
-            let draw = power * cfg.pp0_fraction;
-            pp0.energy_exact += draw * dt;
-            let counts = energy_status(pp0.energy_exact, &units);
-            let msr = pp0.energy_msr;
-            let pl = decode_power_limit(self.msrs.hw_load(pp0.limit_msr), &units);
-            // Clamp ordering: the plane's own limit applies first, then the
-            // package share caps it — equivalently the min of the two.
-            let own = if pl.enabled { pl.limit } else { pp0.max_limit };
-            let target = own.min(pkg_target * cfg.pp0_fraction);
-            let tau = pl.time_window.value().max(1e-3);
-            let alpha = 1.0 - (-dt.value() / tau).exp();
-            pp0.enforced += (target - pp0.enforced) * alpha;
-            self.msrs.hw_store(msr, counts);
-        }
-        if let Some(dram) = self.dram.as_mut() {
-            // The DRAM plane sits outside the package's power envelope: it
-            // draws its configured power whenever the package is live.
-            let draw = if power.value() > 0.0 {
-                cfg.dram_power
-            } else {
-                Watts::ZERO
-            };
-            dram.energy_exact += draw * dt;
-            let counts = energy_status(dram.energy_exact, &units);
-            let msr = dram.energy_msr;
-            let pl = decode_power_limit(self.msrs.hw_load(dram.limit_msr), &units);
-            let target = if pl.enabled { pl.limit } else { dram.max_limit };
-            let tau = pl.time_window.value().max(1e-3);
-            let alpha = 1.0 - (-dt.value() / tau).exp();
-            dram.enforced += (target - dram.enforced) * alpha;
-            self.msrs.hw_store(msr, counts);
+        let (part, units) = ((&cfg, &self.units, self.max_limit), self.units);
+        advance_planes(&mut planes, part, pkg_target, power, dt);
+        for (sub, plane) in self.pp0.iter_mut().chain(self.dram.iter_mut()).zip(planes) {
+            (sub.energy_exact, sub.enforced) = (plane.energy, plane.enforced);
+            let status = energy_status(plane.energy, &units);
+            self.msrs.hw_store(sub.energy_msr, status);
         }
     }
 
