@@ -1,8 +1,9 @@
 use super::segments::SegCache;
 use super::*;
-use crate::classes::{standard_classes, ClassId, NodeClass};
+use crate::classes::{standard_classes, ClassId};
 use crate::power::{CoreClass, LoadModel, OperatingPoint, PowerModel};
 use crate::quartz::quartz_spec;
+use crate::rapl::RaplDomain;
 use crate::units::Seconds;
 
 struct FlatLoad {
@@ -393,6 +394,67 @@ fn replaying_a_settled_bank_is_bit_identical_to_stepping_it() {
     }
 }
 
+/// The PP0/DRAM plane cells advance for every host a step advances,
+/// replayed segments included: on a bank whose part has planes, `N` partial
+/// steps (segments settle, replay, and one is re-dirtied by a limit write
+/// halfway) leave every plane cell, and every PKG energy, bit for bit where
+/// `N` full steps over the same operating points leave them.
+#[test]
+fn partial_steps_meter_what_full_steps_do() {
+    let load = FlatLoad { kappa: 2.6 };
+    let dt = Seconds(0.21);
+    let class = standard_classes().swap_remove(0);
+    let model = PowerModel::new(class.spec.clone()).unwrap();
+    let nodes: Vec<Node> = (0..11)
+        .map(|i| {
+            let eps = 0.9 + 0.01 * (i % 13) as f64;
+            Node::with_class(NodeId(i), ClassId(0), &class, &model, eps).unwrap()
+        })
+        .collect();
+    let mut full = NodeBank::from_nodes(nodes);
+    full.set_segment_hosts(4);
+    for h in 0..full.len() {
+        full.set_power_limit(h, Watts(150.0)).unwrap();
+    }
+    full.inject(6, FaultKind::NodeDeath);
+    let mut partial = full.clone();
+    let n = full.len();
+    let mut ops = vec![None; n];
+    let (mut res_full, mut res_partial) = (vec![HostStep::Skipped; n], vec![HostStep::Skipped; n]);
+    let mut replayed = 0;
+    for i in 0..600 {
+        if i == 300 {
+            full.set_power_limit(9, Watts(140.0)).unwrap();
+            partial.set_power_limit(9, Watts(140.0)).unwrap();
+        }
+        for (h, op) in ops.iter_mut().enumerate() {
+            *op = full
+                .is_alive(h)
+                .then(|| full.operating_point(h, &model, &load));
+        }
+        full.step_all(dt, &ops, &mut res_full, false);
+        replayed += partial
+            .step_all_partial(dt, &ops, &mut res_partial, false)
+            .segments_replayed;
+    }
+    assert!(replayed > 0, "no segment settled into a replay");
+    for h in 0..n {
+        for d in [RaplDomain::Pkg, RaplDomain::Pp0, RaplDomain::Dram] {
+            let bits = |b: &NodeBank| b.domain_energy(h, d).unwrap().value().to_bits();
+            assert_eq!(bits(&partial), bits(&full), "{d} on host {h}");
+            let node = |b: &NodeBank| b.node(h).domain_energy(d).unwrap().value().to_bits();
+            assert_eq!(
+                node(&partial),
+                bits(&full),
+                "{d} of the materialised host {h}"
+            );
+        }
+    }
+    let metered = |h| full.domain_energy(h, RaplDomain::Pp0).unwrap();
+    assert!(metered(0) > Joules::ZERO);
+    assert_eq!(metered(6), Joules::ZERO, "a dead host meters nothing");
+}
+
 /// A lock bit preset through the hardware backdoor makes `msr-safe`
 /// refuse the limit write. The bank checks its raw-register column, the
 /// `Node` its device; both refuse the same package with the same error
@@ -437,29 +499,17 @@ fn locked_pl1_register_refuses_the_write_on_both_sides() {
     }
 }
 
-/// The bank keeps one prototype, and with it the part's settable range,
-/// sub-plane split and class id: a bank over two parts would clamp one of
-/// them to the other's range, and a node of another class would be
-/// materialised as the first. Refuse to build either, before the ingest
-/// (which assumes the bank's part) can fail some other way.
+/// The settable range is kept once per bank, so a bank over two parts
+/// would clamp one of them to the other's range: refuse to build it (the
+/// class-id and plane-split cases are in `tests/shards.rs` at the
+/// workspace root).
 #[test]
 #[should_panic(expected = "one part and one class")]
 fn mixed_parts_do_not_share_a_bank() {
-    let (model, nodes) = fleet(1);
+    let (_, mut nodes) = fleet(1);
     let mut spec = quartz_spec();
     spec.tdp_per_socket = spec.tdp_per_socket * 1.5;
-    let other = Node::new(NodeId(1), &PowerModel::new(spec).unwrap(), 1.0).unwrap();
-    let classed = |cid, class| Node::with_class(NodeId(1), cid, &class, &model, 1.0).unwrap();
-    let plain = classed(ClassId(1), NodeClass::pkg_only("quartz", quartz_spec()));
-    for odd in [other, plain] {
-        let built = std::panic::catch_unwind(|| NodeBank::from_nodes(vec![nodes[0].clone(), odd]));
-        let message = built.err().and_then(|e| e.downcast::<&str>().ok());
-        let refused = message.is_some_and(|m| m.contains("one part and one class"));
-        assert!(
-            refused,
-            "a bank over mixed nodes built, or failed otherwise"
-        );
-    }
-    let split = classed(ClassId(0), standard_classes().swap_remove(0));
-    let _ = NodeBank::from_nodes(vec![nodes[0].clone(), split]);
+    let other = PowerModel::new(spec).unwrap();
+    nodes.push(Node::new(NodeId(1), &other, 1.0).unwrap());
+    let _ = NodeBank::from_nodes(nodes);
 }

@@ -886,6 +886,24 @@ impl Sut for BankSut {
     }
 }
 
+/// What another platform of the same size as `eps` leaves in its buffers: a
+/// steady fleet's outcome, stamped by that platform.
+pub fn donor(kind: usize, eps: &[f64], config: KernelConfig) -> Box<dyn Fn() -> IterationBuffers> {
+    let model = part_model(kind);
+    let nodes: Vec<Node> = (eps.iter().rev().enumerate())
+        .map(|(i, e)| part_node(kind, &model, NodeId(i), 2.0 - e).unwrap())
+        .collect();
+    Box::new(move || {
+        let mut donor =
+            JobPlatform::new(part_model(kind), nodes.clone(), config).with_segment_hosts(4);
+        let mut bufs = IterationBuffers::new();
+        for _ in 0..3 {
+            donor.run_iteration_into(&mut bufs);
+        }
+        bufs
+    })
+}
+
 /// A `JobPlatform`, its iteration buffers and how many iterations they have
 /// served since they were swapped in.
 pub struct PlatformSut {

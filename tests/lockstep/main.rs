@@ -42,13 +42,16 @@
 //! its segment model follows. A new path that steps or writes the device
 //! gets an adapter here, not a suite of its own. The write counters and
 //! the `RaplClamp` journal are process-wide: `tests/lockstep_counters.rs`,
-//! a binary no other test shares, compares them.
+//! a binary no other test shares, compares them. `tests/shards.rs` (banks)
+//! and `tests/columnar.rs` (platforms) hold directed cases: fixed schedules
+//! through the same oracle, adapters and comparator, each stating the
+//! segment-cache or fast-forward facts its schedule reaches.
 
 mod harness;
 
 use harness::*;
-use pmstack_runtime::{IterationBuffers, JobPlatform};
-use pmstack_simhw::{Node, NodeBank, NodeId, Seconds, DEFAULT_SEGMENT_HOSTS};
+use pmstack_runtime::JobPlatform;
+use pmstack_simhw::{Node, NodeBank, NodeId, DEFAULT_SEGMENT_HOSTS};
 use proptest::prelude::*;
 
 proptest! {
@@ -122,62 +125,12 @@ proptest! {
             p.set_fast_forward(ff);
             p
         };
-        // What another platform of the same size leaves in its buffers: a
-        // steady fleet's outcome, stamped by that platform.
-        let donor = {
-            let nodes: Vec<Node> = (eps.iter().rev().enumerate())
-                .map(|(i, e)| part_node(kind, &part_model(kind), NodeId(i), 2.0 - e).unwrap())
-                .collect();
-            move || {
-                let mut donor = JobPlatform::new(part_model(kind), nodes.clone(), config)
-                    .with_segment_hosts(4);
-                let mut bufs = IterationBuffers::new();
-                for _ in 0..3 {
-                    donor.run_iteration_into(&mut bufs);
-                }
-                bufs
-            }
-        };
         let (fast, calm) = (build(oracle.nodes.clone(), from_hosts, true, seg), sigma == 0.0);
         let twin = build(oracle.nodes.clone(), false, false, DEFAULT_SEGMENT_HOSTS);
         let suts = vec![
-            PlatformSut::paired(fast, (true, calm, scoped), Box::new(donor.clone())),
-            PlatformSut::paired(twin, (false, calm, scoped), Box::new(donor)),
+            PlatformSut::paired(fast, (true, calm, scoped), donor(kind, &eps, config)),
+            PlatformSut::paired(twin, (false, calm, scoped), donor(kind, &eps, config)),
         ];
         Run { oracle, suts, platform: true, traced: false, scoped }.run(ops)?;
     }
-}
-
-/// The span is tight at the bank, not only safe: while limits creep down
-/// through their enforcement filters, a host is searched exactly when the
-/// per-host resolve starts returning a different point (the property checks
-/// that the points are right), and not once more.
-#[test]
-fn a_creeping_limit_is_searched_only_when_its_point_moves() {
-    let (eps, config) = ([0.9, 0.92, 0.94, 0.96, 0.98, 1.0], phase(8.0, true));
-    let bank = NodeBank::from_nodes(Oracle::new(0, &eps, config, 0.0, 0).nodes);
-    let mut sut = BankSut::new(bank, 0, config, (true, true));
-    for h in 0..eps.len() {
-        sut.control(&Op::Limit(h, 140.0 + 4.0 * h as f64)).unwrap();
-    }
-    let mut moves = vec![0; eps.len()];
-    for _ in 0..2000 {
-        let before = sut.reported.clone();
-        sut.step(Seconds(0.05), false);
-        for (m, (a, b)) in moves.iter_mut().zip(before.iter().zip(&sut.reported)) {
-            *m += u32::from(a != b);
-        }
-        if sut.report.all_settled {
-            break;
-        }
-    }
-    assert!(
-        sut.report.all_settled,
-        "enforcement must reach its fixed point"
-    );
-    assert_eq!(sut.searched, moves);
-    assert!(
-        moves.iter().all(|&m| m > 3),
-        "limits crossed several steps: {moves:?}"
-    );
 }
