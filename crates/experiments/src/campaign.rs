@@ -35,6 +35,24 @@
 //! Fault injection reuses the `simhw` taxonomy via [`FaultPlan::chaos`];
 //! deaths are permanent (no repair crew), blackouts end. Jobs queue under the backfill discipline
 //! ([`pmstack_rm::BackfillScheduler`]).
+//!
+//! The cells — one `(chaos, policy)` pair each, chaos 0 first, policies in
+//! [`PolicyKind::all`] order — share nothing mutable, so [`run_campaign`]
+//! fans them out with [`pmstack_exec::par_map`]. Rows come back in that
+//! order at any pool width, and a campaign on the pool is bit-identical to
+//! one under [`pmstack_exec::sequential_scope`]. Each cell writes its
+//! journal into one buffer ([`Journal`]): a line is formatted straight onto
+//! the end of it, and only its end offset is kept beside it. The journal's
+//! `Debug` is the list of its lines, byte for byte what the `Vec<String>`
+//! of them prints, because the campaign's digests hash `{:?}` of the rows.
+//!
+//! Observability under the fan-out: the integer counters commute, and the
+//! float `facility.wasted_node_hours` is added once per cell, in cell
+//! order, after the fan-out, so `--metrics-out` exports the same bits for
+//! it every run. The ledger's float counters (`rm.watts.*`) are still
+//! added per reservation from whichever cells run at once, so their last
+//! bits can differ between runs. The `pmstack_obs::event` records of
+//! concurrent cells interleave in the recorder's ring in wall-clock order.
 
 use crate::facility::{arrival_rate, job_size, poisson, workload_population};
 use pmstack_core::PolicyKind;
@@ -154,7 +172,62 @@ pub struct PolicyOutcome {
     /// Mean queue wait before first launch, minutes.
     pub mean_wait_min: f64,
     /// The bit-reproducible event journal of the run.
-    pub journal: Vec<String>,
+    pub journal: Journal,
+}
+
+/// One cell's event journal: every line in one buffer, plus the offset
+/// where each ends, so a line costs an append and no allocation of its own.
+///
+/// `Debug` prints the list of lines, exactly as the `Vec<String>` of
+/// them would: the campaign's digests hash `{:?}` of the rows, journals
+/// included.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Journal {
+    text: String,
+    /// Where each line ends in `text`.
+    ends: Vec<u32>,
+}
+
+impl Journal {
+    /// Append `line`, formatted straight onto the buffer.
+    fn push(&mut self, line: fmt::Arguments<'_>) {
+        self.text
+            .write_fmt(line)
+            .expect("formatting into a String cannot fail");
+        let end = u32::try_from(self.text.len()).expect("a cell's journal stays under 4 GiB");
+        self.ends.push(end);
+    }
+
+    /// The journal without spare capacity: a study keeps every cell's
+    /// journal until it is dropped.
+    fn shrunk(mut self) -> Self {
+        self.text.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self
+    }
+
+    /// Number of lines.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when nothing was journaled.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The lines in journal order.
+    pub fn lines(&self) -> impl Iterator<Item = &str> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        let span = |(start, &end): (u32, &u32)| &self.text[start as usize..end as usize];
+        starts.zip(&self.ends).map(span)
+    }
+}
+
+impl fmt::Debug for Journal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.lines()).finish()
+    }
 }
 
 /// The campaign: every policy at clean and (when requested) chaotic
@@ -362,9 +435,7 @@ struct Engine<'a> {
     last_budget_factor: f64,
     last_telemetry_min: u64,
     energy_wh: f64,
-    journal: Vec<String>,
-    /// Scratch buffer of `Engine::note`.
-    line: String,
+    journal: Journal,
     // Tallies.
     completed: usize,
     failed: usize,
@@ -386,12 +457,9 @@ impl Engine<'_> {
         self.heap.push(QueuedEvent { t, seq, ev });
     }
 
-    /// Append a journal line, formatted once into a reused buffer and
-    /// stored at its exact length.
+    /// Journal `line` at minute `t`.
     fn note(&mut self, t: u64, line: fmt::Arguments<'_>) {
-        self.line.clear();
-        write!(self.line, "t={t:>6} {line}").expect("formatting into a String cannot fail");
-        self.journal.push(self.line.as_str().to_owned());
+        self.journal.push(format_args!("t={t:>6} {line}"));
     }
 
     /// The next event in `(minute, seq)` order. The periodic and pre-drawn
@@ -593,7 +661,6 @@ impl Engine<'_> {
         let attempts = ctl.life.attempts();
         self.held.remove(&id);
         self.wasted_node_h += wasted_node_h;
-        WASTED_NODE_HOURS.add(wasted_node_h);
         match self.retry.delay_for(attempts) {
             Some(delay_s) => {
                 self.jobs[slot(id)].life.requeue();
@@ -912,8 +979,7 @@ fn simulate_cell(
         last_budget_factor: 1.0,
         last_telemetry_min: 0,
         energy_wh: 0.0,
-        journal: Vec::new(),
-        line: String::new(),
+        journal: Journal::default(),
         completed: 0,
         failed: 0,
         requeues: 0,
@@ -948,7 +1014,7 @@ fn simulate_cell(
         goodput_frac: engine.goodput_node_h / nominal_node_h,
         energy_per_job_kwh: engine.energy_wh / 1000.0 / engine.completed.max(1) as f64,
         mean_wait_min: engine.wait_sum_min / engine.wait_count.max(1) as f64,
-        journal: engine.journal,
+        journal: engine.journal.shrunk(),
     }
 }
 
@@ -982,11 +1048,16 @@ pub fn run_campaign(params: &CampaignParams) -> CampaignStudy {
     if params.chaos > 0 {
         levels.push(params.chaos);
     }
-    let mut rows = Vec::new();
-    for &chaos in &levels {
-        for kind in PolicyKind::all() {
-            rows.push(simulate_cell(params, kind, chaos, &model, &workloads));
-        }
+    let cells: Vec<(u32, PolicyKind)> = (levels.iter())
+        .flat_map(|&chaos| PolicyKind::all().into_iter().map(move |kind| (chaos, kind)))
+        .collect();
+    let rows = pmstack_exec::par_map(&cells, |&(chaos, kind)| {
+        simulate_cell(params, kind, chaos, &model, &workloads)
+    });
+    // One add per cell, in cell order: concurrent per-kill adds would sum
+    // in whatever order the threads interleave.
+    for row in &rows {
+        WASTED_NODE_HOURS.add(row.wasted_node_h);
     }
     CampaignStudy {
         params: *params,
@@ -1091,6 +1162,58 @@ mod tests {
                 "{}: kills wasted no node-hours",
                 r.kind
             );
+        }
+    }
+
+    /// Journal `lines` as the journal prints them to `Debug`: a
+    /// `Vec<String>` of the same lines.
+    fn as_vec(journal: &Journal) -> Vec<String> {
+        journal.lines().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn an_empty_journal_prints_as_an_empty_vec() {
+        let journal = Journal::default();
+        assert_eq!((journal.len(), journal.is_empty()), (0, true));
+        assert_eq!(journal.lines().count(), 0);
+        assert_eq!(
+            format!("{journal:?}"),
+            format!("{:?}", Vec::<String>::new())
+        );
+        assert_eq!(
+            format!("{journal:#?}"),
+            format!("{:#?}", Vec::<String>::new())
+        );
+    }
+
+    #[test]
+    fn a_journal_prints_as_the_vec_of_its_lines() {
+        let mut journal = Journal::default();
+        let said = [
+            "t=    60 submit J1 nodes=4",
+            "quote \" back\\ tab\t nul\0 bell\u{7} é",
+            "",
+            "one line\nof two",
+        ];
+        for line in said {
+            journal.push(format_args!("{line}"));
+        }
+        let want: Vec<String> = said.map(str::to_owned).to_vec();
+        assert_eq!(journal.len(), said.len());
+        assert!(!journal.is_empty());
+        assert_eq!(as_vec(&journal), want, "lines round-trip");
+        assert_eq!(format!("{journal:?}"), format!("{want:?}"));
+        assert_eq!(format!("{journal:#?}"), format!("{want:#?}"));
+        assert_eq!(journal.clone(), journal);
+    }
+
+    #[test]
+    fn every_cell_journal_counts_its_lines() {
+        for row in run_campaign(&tiny()).rows {
+            assert_eq!(row.journal.len(), row.journal.lines().count());
+            assert!(!row.journal.is_empty(), "{}: nothing journaled", row.kind);
+            let vec = as_vec(&row.journal);
+            assert_eq!(format!("{:?}", row.journal), format!("{vec:?}"));
         }
     }
 

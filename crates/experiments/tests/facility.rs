@@ -53,3 +53,27 @@ fn different_seeds_actually_diverge() {
         "changing the seed changed nothing — campaign is not seeded"
     );
 }
+
+/// The cells fan out over the exec pool; rows come back in cell order and
+/// each cell is a pure function of its parameters, so the pool's campaign
+/// is the one run cell by cell on the calling thread: every row, and every
+/// journal line, at chaos 0 and at chaos 2.
+#[test]
+fn the_pool_runs_the_cells_the_calling_thread_runs() {
+    for chaos in [0, 2] {
+        let params = CampaignParams { chaos, ..small() };
+        let pooled = run_campaign(&params);
+        let inline = pmstack_exec::sequential_scope(|| run_campaign(&params));
+        assert_eq!(pooled.rows.len(), if chaos == 0 { 5 } else { 10 });
+        for (rp, ri) in pooled.rows.iter().zip(&inline.rows) {
+            assert_eq!((rp.kind, rp.chaos), (ri.kind, ri.chaos), "row order");
+            assert!(
+                rp.journal.lines().eq(ri.journal.lines()),
+                "chaos {chaos}: {} journals diverge",
+                rp.kind
+            );
+            assert_eq!(rp, ri, "chaos {chaos}: {} rows diverge", rp.kind);
+        }
+        assert_eq!(pooled, inline);
+    }
+}

@@ -20,9 +20,9 @@ use std::fmt::Write as _;
 mod golden;
 
 /// FNV-1a (64-bit) over the journal, each line followed by a newline.
-fn fnv1a(lines: &[String]) -> u64 {
+fn fnv1a<'a>(lines: impl Iterator<Item = &'a str>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in lines.iter().flat_map(|l| l.bytes().chain([b'\n'])) {
+    for b in lines.flat_map(|l| l.bytes().chain([b'\n'])) {
         h ^= b as u64;
         h = h.wrapping_mul(0x0100_0000_01b3);
     }
@@ -42,7 +42,7 @@ fn facility_campaign_matches_golden_file() {
             r.kind,
             r.chaos,
             r.journal.len(),
-            fnv1a(&r.journal),
+            fnv1a(r.journal.lines()),
         );
     }
     golden::check(&golden::path("facility.txt"), &out);

@@ -22,9 +22,11 @@
 //! * a dead host's recorded delta is `+0.0`, which leaves a non-negative
 //!   energy cell bitwise alone;
 //! * *quiescent* means the settling step neither consumed nor left behind
-//!   any one-shot telemetry state, so one more step would report exactly
-//!   what that one reported. A step that read a host back `Stale` therefore
-//!   never arms a replay; the segment takes one more (no-op) step first.
+//!   any one-shot telemetry state on a live host (a dead host never steps,
+//!   so what it holds is never consumed), so one more step would report
+//!   exactly what that one reported. A step that read a host back `Stale`
+//!   therefore never arms a replay; the segment takes one more (no-op) step
+//!   first.
 //!
 //! So the replay arm adds one to the segment's pending-replay count and
 //! touches no per-host column; the `accrual` module turns counts into
@@ -61,8 +63,8 @@ pub(super) enum SegCache {
     /// Every enforcement filter in the segment was at its bitwise fixed
     /// point after a step with these `dt` bits. `quiescent` records that the
     /// step neither consumed one-shot telemetry state (no host read back
-    /// `Stale`) nor left any pending, so repeating it would report the same
-    /// — which the replay path additionally requires.
+    /// `Stale`) nor left any pending on a live host, so repeating it would
+    /// report the same — which the replay path additionally requires.
     Settled { dt_bits: u64, quiescent: bool },
 }
 
@@ -108,7 +110,7 @@ impl NodeBank {
     }
 
     /// True when segment `sidx` is settled and its last step was quiescent
-    /// (no host read back `Stale`, no one-shot telemetry state left), at
+    /// (no host read back `Stale`, no live host holds one-shot state), at
     /// whatever `dt`: one more step reports what that one did and moves
     /// no host's lead. Its filters may still move if the next `dt` differs
     /// (α depends on `dt`); the step that does so leaves the segment
@@ -199,7 +201,7 @@ impl NodeBank {
 
 /// True when a segment's cache proves the replay path is bit-identical to
 /// stepping: filters settled under the *same* `dt` bits (α depends on `dt`)
-/// and no one-shot telemetry state was pending.
+/// and no live host held one-shot telemetry state.
 #[inline]
 fn replayable(cache: SegCache, dt_bits: u64) -> bool {
     matches!(

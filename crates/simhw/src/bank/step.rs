@@ -31,6 +31,7 @@ use super::accrual::{add_per_host, apply_replays};
 use super::segments::{cache_after_step, count_applied, steps, SegCache};
 use super::split::{par_segments, take_front, SegSplit};
 use super::NodeBank;
+use crate::faults::NodeHealth;
 use crate::power::OperatingPoint;
 use crate::units::{Hertz, Joules, Seconds, Watts};
 use pmstack_obs::StaticCounter;
@@ -177,6 +178,16 @@ impl NodeBank {
             return StepReport::NONE;
         }
         let (sh, nsegs) = (self.segment_hosts, self.seg.len());
+        // A dead host may hold one-shot state: nothing will consume it.
+        debug_assert!(
+            !allow_replay
+                || (0..nsegs)
+                    .filter(|&s| self.segment_replayable(s, dt))
+                    .flat_map(|s| self.segment_range(s))
+                    .all(|h| self.health[h] == NodeHealth::Dead
+                        || (self.telemetry_down[h] == 0 && !self.msr_glitch[h])),
+            "replaying a live host that holds one-shot telemetry state"
+        );
         let cols = SpanCols {
             sockets: self.sockets,
             energy: &mut self.energy,
@@ -298,11 +309,6 @@ fn step_piece(
     for (cache, pending) in segs.seg.iter_mut().zip(segs.pending.iter_mut()) {
         let len = segment_hosts.min(cols.results.len() - skipped);
         if !steps(*cache, dt_bits, allow_replay) {
-            debug_assert!(
-                (cols.telemetry_down[skipped..skipped + len].iter()).all(|&t| t == 0)
-                    && cols.msr_glitch[skipped..skipped + len].iter().all(|&g| !g),
-                "replayed a span holding one-shot telemetry state"
-            );
             *pending += 1;
             report.segments_replayed += 1;
             skipped += len;
@@ -327,8 +333,9 @@ fn step_piece(
 
 /// Step every host of one span, replicating [`RaplPackage::advance`]
 /// bit-for-bit. Returns `(settled, quiescent)`: whether every filter update
-/// was a bitwise no-op, and whether the span neither consumed one-shot
-/// telemetry state in this step nor holds any afterwards.
+/// was a bitwise no-op, and whether no live host of the span consumed
+/// one-shot telemetry state in this step or holds any afterwards (a dead
+/// host never consumes what it holds).
 ///
 /// Three passes over the span, each over zipped columns with the socket
 /// count fixed for the common parts: the per-host pass (lead, energy
@@ -379,25 +386,28 @@ fn step_cells<const S: usize>(
                 .zip(cols.msr_glitch.iter_mut()),
         );
     for (((op, result), (last_freq, delta)), (down, glitch)) in per_host {
-        let Some(op) = op else {
-            *result = HostStep::Skipped;
-            *delta = Joules::ZERO;
-            quiescent &= *down == 0 && !*glitch;
-            continue;
+        *result = match op {
+            None => {
+                *delta = Joules::ZERO;
+                HostStep::Skipped
+            }
+            Some(op) => {
+                *last_freq = op.lead;
+                *delta = op.power / w as f64 * dt;
+                if *down > 0 {
+                    *down -= 1;
+                    HostStep::Stale
+                } else if std::mem::take(glitch) {
+                    HostStep::Stale
+                } else {
+                    HostStep::Fresh
+                }
+            }
         };
-        *last_freq = op.lead;
-        *delta = op.power / w as f64 * dt;
         // A host that reads back `Stale` consumed one-shot state: the next
-        // step reports something else, so this one cannot be replayed.
-        *result = if *down > 0 {
-            *down -= 1;
-            HostStep::Stale
-        } else if std::mem::take(glitch) {
-            HostStep::Stale
-        } else {
-            HostStep::Fresh
-        };
-        quiescent &= *result == HostStep::Fresh;
+        // step reports something else, so this one cannot be replayed. A
+        // dead host never steps again, so what it holds is never consumed.
+        quiescent &= *result != HostStep::Stale;
     }
 
     add_per_host(cols.energy, cols.replay_delta, w);

@@ -188,7 +188,8 @@ pub fn fault_plan(ops: &[Op], n: usize) -> FaultPlan {
 
 /// Per host, what one oracle step showed: whether every package filter was
 /// already at its bitwise fixed point, and whether the host neither
-/// consumed nor holds one-shot telemetry state. A segment model turns them
+/// consumed nor holds one-shot telemetry state it could still consume (a
+/// dead host never steps, so it never does). A segment model turns them
 /// into segment caches.
 #[derive(Default)]
 pub struct Facts {
@@ -232,8 +233,6 @@ pub struct Oracle {
     pub previous: IterationOutcome,
     pub elapsed: Seconds,
     planned: Vec<(usize, FaultKind)>,
-    /// Whether each dead host holds a glitch, once read; any op forgets it.
-    dead_glitch: Vec<Option<bool>>,
     /// The `Node` writes record their own clamps and `RaplClamp` events;
     /// the control writes a bank counts are counted here.
     pub control_writes: u64,
@@ -259,7 +258,6 @@ impl Oracle {
             previous: IterationOutcome::default(),
             elapsed: Seconds::ZERO,
             planned: Vec::new(),
-            dead_glitch: vec![None; n],
             control_writes: 0,
         }
     }
@@ -272,7 +270,6 @@ impl Oracle {
     /// Apply a control op (hosts already in range); returns its reply and
     /// the hosts whose segments it dirties.
     pub fn control(&mut self, op: &Op) -> (Reply, Vec<usize>) {
-        self.dead_glitch.fill(None);
         let n = self.nodes.len();
         let unit = |()| 0;
         match *op {
@@ -330,7 +327,6 @@ impl Oracle {
         let planned = std::mem::take(&mut self.planned);
         for &(h, kind) in &planned {
             self.nodes[h].inject(kind);
-            self.dead_glitch[h] = None;
         }
         planned
     }
@@ -349,8 +345,7 @@ impl Oracle {
             pkgs.map(|p| p.enforced_limit().value().to_bits()).collect()
         };
         let mut facts = Facts::default();
-        let hosts = (self.nodes.iter_mut().zip(&mut self.results)).zip(&mut self.dead_glitch);
-        for ((node, result), dead_glitch) in hosts {
+        for (node, result) in self.nodes.iter_mut().zip(&mut self.results) {
             let before = filters(node);
             *result = match node.try_step(&self.model, &self.load, dt) {
                 Ok(_) => HostStep::Fresh,
@@ -358,14 +353,7 @@ impl Oracle {
                 Err(_) => HostStep::Stale,
             };
             facts.settled.push(before == filters(node));
-            facts.quiescent.push(match result {
-                HostStep::Fresh => true,
-                HostStep::Stale => false,
-                // A dead host keeps whatever one-shot state it had.
-                HostStep::Skipped => {
-                    !node.telemetry_down() && !*dead_glitch.get_or_insert_with(|| glitched(node))
-                }
-            });
+            facts.quiescent.push(*result != HostStep::Stale);
         }
         self.elapsed += dt;
         facts

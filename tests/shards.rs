@@ -397,6 +397,45 @@ fn health_marks_do_not_invalidate_segments() -> Checked {
     Ok(())
 }
 
+/// A dead host never steps again, so a telemetry countdown or a pending
+/// MSR glitch it holds is never consumed and cannot keep its segment from
+/// replaying. Hosts that die holding a `TelemetryDropout` and a
+/// `TransientMsrFault`, and one glitched after it died, dirty their
+/// segments; once those settle, every segment replays, through an idle
+/// stretch the harness reads back every 500 iterations, and every output
+/// still matches the per-`Node` oracle.
+#[test]
+fn dead_hosts_holding_one_shot_state_replay_once_settled() -> Checked {
+    let mut run = banks(0, 12, 4, true);
+    settle(&mut run)?;
+    for op in [
+        Fault(1, TelemetryDropout { iterations: 50 }, false),
+        Fault(1, NodeDeath, false),
+        Fault(5, TransientMsrFault, false),
+        Fault(5, NodeDeath, false),
+        Fault(9, NodeDeath, false),
+        Fault(9, TransientMsrFault, false),
+    ] {
+        run.apply(op)?;
+    }
+    assert_eq!(settled(&run), [false; 3]);
+    settle(&mut run)?;
+    assert_eq!(step(&mut run, 0.2)?, report(true, 3, 0));
+    let replays = shown(&run).replays.unwrap();
+    run.apply(Idle(600))?;
+    assert_eq!(shown(&run).replays.unwrap(), replays + 3 * 600);
+    let nodes = &run.oracle.nodes;
+    assert!(nodes[1].is_dead() && nodes[1].telemetry_down(), "host 1");
+    for h in [5, 9] {
+        let node = format!("{:?}", nodes[h]);
+        assert!(
+            nodes[h].is_dead() && node.contains("msr_glitch: true"),
+            "host {h}"
+        );
+    }
+    run.check_all(&"after the idle stretch")
+}
+
 /// A different `dt` changes the filter coefficient, so a settled fixed
 /// point no longer proves the update a no-op: the step re-steps every
 /// segment.
