@@ -9,11 +9,10 @@ code still produces correct numbers.
 
 Usage: check_metrics.py <snapshot.json> <counter>[,<counter>...]
 
-Every comma-separated name must be present and nonzero. Integer counters
-("counters"), float counters ("float_counters", e.g.
-facility.wasted_node_hours) and histograms ("histograms", e.g. the
-runtime.iter.*.secs stage spans) are searched; a histogram is live when its
-observation count ("total") is above zero.
+Every comma-separated name must be present and nonzero. Counters
+("counters", e.g. facility.wasted_node_seconds) and histograms
+("histograms", e.g. the runtime.iter.*.secs stage spans) are searched; a
+histogram is live when its observation count ("total") is above zero.
 
 Absent and zero are distinct failures (mirroring the registry API, where
 `Snapshot::counter` returns an Option): MISSING means the counter was
@@ -35,7 +34,6 @@ def main() -> int:
     with open(path) as f:
         snap = json.load(f)
     counters = dict(snap.get("counters", {}))
-    counters.update(snap.get("float_counters", {}))
     counters.update(
         (name, hist["total"]) for name, hist in snap.get("histograms", {}).items()
     )

@@ -46,18 +46,17 @@
 //! `Debug` is the list of its lines, byte for byte what the `Vec<String>`
 //! of them prints, because the campaign's digests hash `{:?}` of the rows.
 //!
-//! Observability under the fan-out: the integer counters commute, and the
-//! float `facility.wasted_node_hours` is added once per cell, in cell
-//! order, after the fan-out, so `--metrics-out` exports the same bits for
-//! it every run. The ledger's float counters (`rm.watts.*`) are still
-//! added per reservation from whichever cells run at once, so their last
-//! bits can differ between runs. The `pmstack_obs::event` records of
-//! concurrent cells interleave in the recorder's ring in wall-clock order.
+//! Observability under the fan-out: every counter is an integer
+//! (`facility.wasted_node_seconds` and the ledger's `rm.milliwatts.*`
+//! round each add once), and integer adds commute, so concurrent cells
+//! export the same counters as sequential ones. The `pmstack_obs::event`
+//! records of concurrent cells interleave in the recorder's ring in
+//! wall-clock order.
 
 use crate::facility::{arrival_rate, job_size, poisson, workload_population};
 use pmstack_core::PolicyKind;
 use pmstack_kernel::KernelLoad;
-use pmstack_obs::{EventKind, StaticCounter, StaticFloatCounter};
+use pmstack_obs::{EventKind, StaticCounter};
 use pmstack_rm::{
     BackfillScheduler, JobId, JobLifecycle, JobSpec, LeaseTable, LifecycleState, NodePool,
     PowerLedger, RetryPolicy, SchedulerEvent,
@@ -72,10 +71,9 @@ use std::fmt::{self, Write};
 static CHECKPOINTS_SAVED: StaticCounter = StaticCounter::new("facility.checkpoint.saved");
 /// Observability: in-flight checkpoint writes destroyed by a kill.
 static CHECKPOINTS_LOST: StaticCounter = StaticCounter::new("facility.checkpoint.lost");
-/// Observability: node-hours of progress lost to kills (work past the last
-/// checkpoint, summed over the killed job's nodes).
-static WASTED_NODE_HOURS: StaticFloatCounter =
-    StaticFloatCounter::new("facility.wasted_node_hours");
+/// Observability: node-seconds of progress lost to kills (work past the
+/// last checkpoint, summed over the killed job's nodes), rounded per kill.
+static WASTED_NODE_SECONDS: StaticCounter = StaticCounter::new("facility.wasted_node_seconds");
 
 /// Budget recomputation period, simulated minutes.
 const BUDGET_TICK_MIN: u64 = 60;
@@ -661,6 +659,7 @@ impl Engine<'_> {
         let attempts = ctl.life.attempts();
         self.held.remove(&id);
         self.wasted_node_h += wasted_node_h;
+        WASTED_NODE_SECONDS.add((wasted_node_h * 3600.0).round() as u64);
         match self.retry.delay_for(attempts) {
             Some(delay_s) => {
                 self.jobs[slot(id)].life.requeue();
@@ -1054,11 +1053,6 @@ pub fn run_campaign(params: &CampaignParams) -> CampaignStudy {
     let rows = pmstack_exec::par_map(&cells, |&(chaos, kind)| {
         simulate_cell(params, kind, chaos, &model, &workloads)
     });
-    // One add per cell, in cell order: concurrent per-kill adds would sum
-    // in whatever order the threads interleave.
-    for row in &rows {
-        WASTED_NODE_HOURS.add(row.wasted_node_h);
-    }
     CampaignStudy {
         params: *params,
         rows,

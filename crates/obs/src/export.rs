@@ -12,8 +12,6 @@ use std::fmt::Write as _;
 pub struct Snapshot {
     /// `(name, value)` for every registered counter.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for every registered float counter.
-    pub float_counters: Vec<(String, f64)>,
     /// `(name, value)` for every registered gauge.
     pub gauges: Vec<(String, f64)>,
     /// `(name, snapshot)` for every registered histogram.
@@ -34,14 +32,6 @@ impl Snapshot {
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| *v)
-    }
-
-    /// Value of the float counter `name` (zero when never registered).
-    pub fn float_counter(&self, name: &str) -> f64 {
-        self.float_counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map_or(0.0, |(_, v)| *v)
     }
 
     /// Value of the gauge `name` (`None` when never registered).
@@ -65,16 +55,6 @@ impl Snapshot {
             let sep = if i == 0 { "" } else { "," };
             let _ = write!(out, "{sep}\n    \"{}\": {v}", json_escape(name));
         }
-        out.push_str("\n  },\n  \"float_counters\": {");
-        for (i, (name, v)) in self.float_counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    \"{}\": {}",
-                json_escape(name),
-                json_f64(*v)
-            );
-        }
         out.push_str("\n  },\n  \"gauges\": {");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
@@ -93,7 +73,7 @@ impl Snapshot {
                 "{sep}\n    \"{}\": {{\"total\": {}, \"sum\": {}, \"mean\": {}, \"bounds\": [",
                 json_escape(name),
                 h.total,
-                json_f64(h.sum),
+                json_f64(h.sum()),
                 json_f64(h.mean())
             );
             for (j, b) in h.bounds.iter().enumerate() {
@@ -131,10 +111,9 @@ impl Snapshot {
         out
     }
 
-    /// Render a one-screen plain-text summary: every counter, float
-    /// counter, and gauge with its value, every histogram with its count
-    /// and mean, and the journal depth. Printed by `repro` after
-    /// metrics-enabled runs.
+    /// Render a one-screen plain-text summary: every counter and gauge
+    /// with its value, every histogram with its count and mean, and the
+    /// journal depth. Printed by `repro` after metrics-enabled runs.
     pub fn summary(&self) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str("METRICS SUMMARY\n");
@@ -142,7 +121,6 @@ impl Snapshot {
             .counters
             .iter()
             .map(|(n, _)| n.len())
-            .chain(self.float_counters.iter().map(|(n, _)| n.len()))
             .chain(self.gauges.iter().map(|(n, _)| n.len()))
             .chain(self.histograms.iter().map(|(n, _)| n.len()))
             .max()
@@ -150,9 +128,6 @@ impl Snapshot {
             .max("journal events".len());
         for (name, v) in &self.counters {
             let _ = writeln!(out, "  {name:<width$}  {v}");
-        }
-        for (name, v) in &self.float_counters {
-            let _ = writeln!(out, "  {name:<width$}  {v:.1}");
         }
         for (name, v) in &self.gauges {
             let _ = writeln!(out, "  {name:<width$}  {v:.1}");
@@ -185,11 +160,6 @@ impl Snapshot {
             let _ = writeln!(out, "# TYPE {prom}_total counter");
             let _ = writeln!(out, "{prom}_total {v}");
         }
-        for (name, v) in &self.float_counters {
-            let prom = prom_name(name);
-            let _ = writeln!(out, "# TYPE {prom}_total counter");
-            let _ = writeln!(out, "{prom}_total {}", prom_f64(*v));
-        }
         for (name, v) in &self.gauges {
             let prom = prom_name(name);
             let _ = writeln!(out, "# TYPE {prom} gauge");
@@ -208,7 +178,7 @@ impl Snapshot {
                 );
             }
             let _ = writeln!(out, "{prom}_bucket{{le=\"+Inf\"}} {}", h.total);
-            let _ = writeln!(out, "{prom}_sum {}", prom_f64(h.sum));
+            let _ = writeln!(out, "{prom}_sum {}", prom_f64(h.sum()));
             let _ = writeln!(out, "{prom}_count {}", h.total);
         }
         out
@@ -435,8 +405,10 @@ mod tests {
             h.snapshot()
         };
         Snapshot {
-            counters: vec![("exec.tasks.stolen".into(), 12)],
-            float_counters: vec![("rm.watts.reclaimed".into(), 340.5)],
+            counters: vec![
+                ("exec.tasks.stolen".into(), 12),
+                ("rm.milliwatts.reclaimed".into(), 340_500),
+            ],
             gauges: vec![("exec.pool.workers".into(), 2.0)],
             histograms: vec![("grid.eval_cell.secs".into(), hist)],
             events: vec![Event {
@@ -456,7 +428,7 @@ mod tests {
     fn json_export_is_well_formed() {
         let json = sample().to_json();
         assert!(json.contains("\"exec.tasks.stolen\": 12"));
-        assert!(json.contains("\"rm.watts.reclaimed\": 340.5"));
+        assert!(json.contains("\"rm.milliwatts.reclaimed\": 340500"));
         // NaN sim-time exported as null, not NaN (invalid JSON).
         assert!(json.contains("\"sim_s\": null"));
         assert!(!json.contains("NaN"));
@@ -489,7 +461,7 @@ mod tests {
     fn summary_lists_every_metric_kind() {
         let text = sample().summary();
         assert!(text.contains("exec.tasks.stolen"));
-        assert!(text.contains("rm.watts.reclaimed"));
+        assert!(text.contains("rm.milliwatts.reclaimed"));
         assert!(text.contains("exec.pool.workers"));
         assert!(text.contains("grid.eval_cell.secs"));
         assert!(text.contains("n=3"));
@@ -503,7 +475,6 @@ mod tests {
         // to tell "never instrumented" from "instrumented but idle".
         assert_eq!(s.counter("nope"), None);
         assert_eq!(s.counter("exec.tasks.stolen"), Some(12));
-        assert_eq!(s.float_counter("nope"), 0.0);
         assert!(s.histogram("nope").is_none());
         assert_eq!(s.gauge("exec.pool.workers"), Some(2.0));
     }

@@ -10,10 +10,14 @@
 //!
 //! Three instrument families, all behind one global [`Recorder`]:
 //!
-//! * **Metrics** — monotonic [`Counter`]s, monotonic [`FloatCounter`]s (for
-//!   watt totals), last-write [`Gauge`]s, and fixed-bucket [`Histogram`]s
-//!   whose snapshots merge associatively (the property tests in
-//!   `tests/prop.rs` prove it).
+//! * **Metrics** — monotonic [`Counter`]s, last-write [`Gauge`]s, and
+//!   fixed-bucket [`Histogram`]s whose snapshots merge associatively (the
+//!   property tests in `tests/prop.rs` prove it). Every accumulator is an
+//!   integer: a counter of a real quantity counts it in a fixed unit named
+//!   in the metric (`rm.milliwatts.reserved`,
+//!   `facility.wasted_node_seconds`), and a histogram sums its observations
+//!   in units of 1e-9 (nanoseconds). Integer adds commute, so totals are
+//!   the same bits however concurrent adds interleave.
 //! * **Scoped span timers** — `obs::span!("grid.eval_cell")` returns an
 //!   RAII guard that feeds the wall-clock duration of its scope into a
 //!   duration histogram of the same name.
@@ -44,7 +48,7 @@ pub use export::{
     Snapshot, SummaryExporter, EXPORTER_NAMES,
 };
 pub use journal::{Event, EventKind, FieldValue};
-pub use metrics::{Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 
 use journal::Journal;
 use std::collections::HashMap;
@@ -123,7 +127,6 @@ pub fn event(sim_s: f64, kind: EventKind) {
 pub struct Recorder {
     epoch: Instant,
     counters: Mutex<HashMap<String, Arc<Counter>>>,
-    float_counters: Mutex<HashMap<String, Arc<FloatCounter>>>,
     gauges: Mutex<HashMap<String, Arc<Gauge>>>,
     histograms: Mutex<HashMap<String, Arc<Histogram>>>,
     journal: Journal,
@@ -135,7 +138,6 @@ pub fn recorder() -> &'static Recorder {
     RECORDER.get_or_init(|| Recorder {
         epoch: Instant::now(),
         counters: Mutex::new(HashMap::new()),
-        float_counters: Mutex::new(HashMap::new()),
         gauges: Mutex::new(HashMap::new()),
         histograms: Mutex::new(HashMap::new()),
         journal: Journal::new(),
@@ -154,17 +156,6 @@ impl Recorder {
         let mut map = self.counters.lock().expect("counter registry poisoned");
         map.entry(name.to_string())
             .or_insert_with(|| Arc::new(Counter::new()))
-            .clone()
-    }
-
-    /// The float counter registered under `name`.
-    pub fn float_counter(&self, name: &str) -> Arc<FloatCounter> {
-        let mut map = self
-            .float_counters
-            .lock()
-            .expect("float counter registry poisoned");
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(FloatCounter::new()))
             .clone()
     }
 
@@ -190,9 +181,6 @@ impl Recorder {
         for c in self.counters.lock().expect("poisoned").values() {
             c.reset();
         }
-        for c in self.float_counters.lock().expect("poisoned").values() {
-            c.reset();
-        }
         for g in self.gauges.lock().expect("poisoned").values() {
             g.reset();
         }
@@ -211,14 +199,6 @@ impl Recorder {
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
         counters.sort();
-        let mut float_counters: Vec<(String, f64)> = self
-            .float_counters
-            .lock()
-            .expect("poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        float_counters.sort_by(|a, b| a.0.cmp(&b.0));
         let mut gauges: Vec<(String, f64)> = self
             .gauges
             .lock()
@@ -238,7 +218,6 @@ impl Recorder {
         let (events, dropped_events) = self.journal.drain_copy();
         Snapshot {
             counters,
-            float_counters,
             gauges,
             histograms,
             events,
@@ -278,34 +257,6 @@ impl StaticCounter {
     #[inline]
     pub fn inc(&self) {
         self.add(1);
-    }
-}
-
-/// A named float-counter handle for static call sites (monotonic f64 sums:
-/// watt totals, joules, seconds of work).
-pub struct StaticFloatCounter {
-    name: &'static str,
-    cell: OnceLock<Arc<FloatCounter>>,
-}
-
-impl StaticFloatCounter {
-    /// A handle for the float counter registered under `name`.
-    pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// Add `v` (no-op while disabled; negative values are rejected to keep
-    /// the counter monotonic).
-    #[inline]
-    pub fn add(&self, v: f64) {
-        if enabled() && v > 0.0 {
-            self.cell
-                .get_or_init(|| recorder().float_counter(self.name))
-                .add(v);
-        }
     }
 }
 
@@ -415,11 +366,9 @@ mod tests {
         disable();
         reset();
         static C: StaticCounter = StaticCounter::new("test.disabled.counter");
-        static F: StaticFloatCounter = StaticFloatCounter::new("test.disabled.float");
         static G: StaticGauge = StaticGauge::new("test.disabled.gauge");
         static H: StaticHistogram = StaticHistogram::new("test.disabled.hist", DURATION_BOUNDS);
         C.inc();
-        F.add(2.5);
         G.set(7.0);
         H.observe(0.1);
         {
@@ -434,7 +383,6 @@ mod tests {
         );
         let snap = snapshot();
         assert_eq!(snap.counter("test.disabled.counter").unwrap_or(0), 0);
-        assert_eq!(snap.float_counter("test.disabled.float"), 0.0);
         assert!(snap
             .histogram("test.disabled.hist")
             .is_none_or(|h| h.total == 0));
@@ -468,7 +416,7 @@ mod tests {
         assert_eq!(snap.counter("test.enabled.counter"), Some(4));
         let h = snap.histogram("test.enabled.span").expect("span recorded");
         assert_eq!(h.total, 1);
-        assert!(h.sum >= 0.0);
+        assert!(h.sum() >= 0.0);
         assert_eq!(snap.events.len(), 1);
         assert_eq!(snap.events[0].kind.name(), "fault.injected");
         reset();

@@ -1,10 +1,11 @@
-//! The metric primitives: counters, float counters, gauges, and
-//! fixed-bucket histograms with mergeable snapshots.
+//! The metric primitives: counters, gauges, and fixed-bucket histograms
+//! with mergeable snapshots.
 //!
-//! Everything here is lock-free on the record path (relaxed atomics; float
-//! accumulation is a compare-exchange loop on the bit pattern), because
-//! counters are bumped from inside the exec pool's workers concurrently —
-//! the property tests prove no update is lost.
+//! Everything here is lock-free on the record path: each accumulator is a
+//! relaxed integer `fetch_add`, because counters are bumped from inside the
+//! exec pool's workers concurrently. Integer adds commute, so a total does
+//! not depend on how the threads interleave — the property tests prove no
+//! update is lost and that concurrent sums equal the sequential one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -33,53 +34,6 @@ impl Counter {
 
     pub(crate) fn reset(&self) {
         self.value.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A monotonic `f64` counter (watt totals, joules, seconds of work),
-/// accumulated through a compare-exchange loop on the stored bit pattern.
-#[derive(Debug)]
-pub struct FloatCounter {
-    bits: AtomicU64,
-}
-
-impl Default for FloatCounter {
-    fn default() -> Self {
-        Self {
-            bits: AtomicU64::new(0.0f64.to_bits()),
-        }
-    }
-}
-
-impl FloatCounter {
-    /// A zeroed float counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `v`.
-    #[inline]
-    pub fn add(&self, v: f64) {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self
-                .bits
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    pub(crate) fn reset(&self) {
-        self.bits.store(0.0f64.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -126,9 +80,14 @@ impl Gauge {
 pub struct Histogram {
     bounds: Vec<f64>,
     counts: Vec<AtomicU64>,
-    sum_bits: AtomicU64,
+    sum_nanos: AtomicU64,
     total: AtomicU64,
 }
+
+/// A histogram's sum is kept in units of 1e-9 of the observed value
+/// (nanoseconds for the duration histograms), each observation rounded
+/// once to the nearest unit.
+const SUM_UNITS: f64 = 1e9;
 
 impl Histogram {
     /// A histogram over `bounds` (must be finite and strictly increasing).
@@ -140,30 +99,20 @@ impl Histogram {
         Self {
             bounds: bounds.to_vec(),
             counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            sum_bits: AtomicU64::new(0.0f64.to_bits()),
+            sum_nanos: AtomicU64::new(0),
             total: AtomicU64::new(0),
         }
     }
 
-    /// Record one observation.
+    /// Record one observation. Its sum share is rounded to the nearest
+    /// 1e-9; a negative or NaN value adds nothing to the sum.
     #[inline]
     pub fn observe(&self, v: f64) {
         let idx = self.bounds.partition_point(|&b| b < v);
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        let nanos = (v * SUM_UNITS).round() as u64;
+        self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the buckets.
@@ -175,7 +124,7 @@ impl Histogram {
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
-            sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
+            sum_nanos: self.sum_nanos.load(Ordering::Relaxed),
             total: self.total.load(Ordering::Relaxed),
         }
     }
@@ -184,7 +133,7 @@ impl Histogram {
         for c in &self.counts {
             c.store(0, Ordering::Relaxed);
         }
-        self.sum_bits.store(0.0f64.to_bits(), Ordering::Relaxed);
+        self.sum_nanos.store(0, Ordering::Relaxed);
         self.total.store(0, Ordering::Relaxed);
     }
 }
@@ -197,8 +146,10 @@ pub struct HistogramSnapshot {
     pub bounds: Vec<f64>,
     /// Per-bucket observation counts, `bounds.len() + 1` long.
     pub counts: Vec<u64>,
-    /// Sum of every observed value.
-    pub sum: f64,
+    /// Sum of every observed value, in units of 1e-9 of it (nanoseconds
+    /// for a duration histogram); [`Self::sum`] gives it in the value's
+    /// own unit.
+    pub sum_nanos: u64,
     /// Number of observations.
     pub total: u64,
 }
@@ -209,14 +160,14 @@ impl HistogramSnapshot {
         Self {
             bounds: bounds.to_vec(),
             counts: vec![0; bounds.len() + 1],
-            sum: 0.0,
+            sum_nanos: 0,
             total: 0,
         }
     }
 
-    /// Merge two snapshots bucket-by-bucket. Bucket counts and totals add
-    /// exactly (associative and commutative — `u64` addition); sums add in
-    /// `f64`. Errors when the bucket shapes differ.
+    /// Merge two snapshots bucket-by-bucket. Counts, totals and sums all
+    /// add exactly (associative and commutative — `u64` addition). Errors
+    /// when the bucket shapes differ.
     pub fn merge(&self, other: &Self) -> Result<Self, String> {
         if self.bounds != other.bounds {
             return Err(format!(
@@ -233,9 +184,15 @@ impl HistogramSnapshot {
                 .zip(&other.counts)
                 .map(|(a, b)| a + b)
                 .collect(),
-            sum: self.sum + other.sum,
+            sum_nanos: self.sum_nanos + other.sum_nanos,
             total: self.total + other.total,
         })
+    }
+
+    /// Sum of every observed value, in the value's own unit (seconds for
+    /// a duration histogram).
+    pub fn sum(&self) -> f64 {
+        self.sum_nanos as f64 / SUM_UNITS
     }
 
     /// Mean observed value (zero when empty).
@@ -243,7 +200,7 @@ impl HistogramSnapshot {
         if self.total == 0 {
             0.0
         } else {
-            self.sum / self.total as f64
+            self.sum() / self.total as f64
         }
     }
 
@@ -272,7 +229,8 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.counts, vec![2, 1, 1]);
         assert_eq!(s.total, 4);
-        assert!((s.sum - 106.5).abs() < 1e-12);
+        assert_eq!(s.sum_nanos, 106_500_000_000);
+        assert_eq!(s.sum(), 106.5);
         assert!((s.mean() - 26.625).abs() < 1e-12);
         assert_eq!(s.max_bound(), f64::INFINITY);
     }
@@ -295,13 +253,5 @@ mod tests {
         assert_eq!(m.counts, vec![2, 1]);
         let other_shape = HistogramSnapshot::empty(&[1.0, 2.0]);
         assert!(a.merge(&other_shape).is_err());
-    }
-
-    #[test]
-    fn float_counter_accumulates() {
-        let c = FloatCounter::new();
-        c.add(1.5);
-        c.add(2.25);
-        assert_eq!(c.get(), 3.75);
     }
 }

@@ -6,7 +6,7 @@
 //! every watt it grants to jobs against it.
 
 use crate::job::JobId;
-use pmstack_obs::StaticFloatCounter;
+use pmstack_obs::StaticCounter;
 use pmstack_simhw::Watts;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -21,11 +21,18 @@ use std::hash::BuildHasherDefault;
 /// no collision attack.
 type Reservations = HashMap<JobId, Watts, BuildHasherDefault<DefaultHasher>>;
 
-/// Observability: total watts granted through successful reservations
+/// Observability: total milliwatts granted through successful reservations
 /// (gross — re-reservations count their full new amount).
-static WATTS_RESERVED: StaticFloatCounter = StaticFloatCounter::new("rm.watts.reserved");
-/// Observability: total watts reclaimed from degraded jobs.
-static WATTS_RECLAIMED: StaticFloatCounter = StaticFloatCounter::new("rm.watts.reclaimed");
+static MILLIWATTS_RESERVED: StaticCounter = StaticCounter::new("rm.milliwatts.reserved");
+/// Observability: total milliwatts reclaimed from degraded jobs.
+static MILLIWATTS_RECLAIMED: StaticCounter = StaticCounter::new("rm.milliwatts.reclaimed");
+
+/// `w` in whole milliwatts for the `rm.milliwatts.*` counters: rounded once
+/// per add, so concurrent adds commute. A negative amount counts zero (the
+/// float-to-integer cast saturates).
+pub(crate) fn milliwatts(w: Watts) -> u64 {
+    (w.value() * 1e3).round() as u64
+}
 
 /// Error returned when a reservation would overcommit the system budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,7 +116,7 @@ impl PowerLedger {
             });
         }
         self.reservations.insert(job, watts);
-        WATTS_RESERVED.add(watts.value());
+        MILLIWATTS_RESERVED.add(milliwatts(watts));
         Ok(())
     }
 
@@ -155,7 +162,7 @@ impl PowerLedger {
         }
         let grant = Watts(want.value().min(available.value()).max(0.0));
         self.reservations.insert(job, grant);
-        WATTS_RESERVED.add(grant.value());
+        MILLIWATTS_RESERVED.add(milliwatts(grant));
         Ok(grant)
     }
 
@@ -173,7 +180,7 @@ impl PowerLedger {
             return Watts::ZERO;
         };
         let reclaimed = Watts(watts.value().clamp(0.0, held.value()));
-        WATTS_RECLAIMED.add(reclaimed.value());
+        MILLIWATTS_RECLAIMED.add(milliwatts(reclaimed));
         *held -= reclaimed;
         if held.value() <= 0.0 {
             self.reservations.remove(&job);

@@ -15,13 +15,13 @@
 
 use crate::budget::{OverCommit, PowerLedger};
 use crate::job::JobId;
-use pmstack_obs::StaticFloatCounter;
+use pmstack_obs::StaticCounter;
 use pmstack_simhw::{RaplDomain, Watts};
 use std::collections::HashMap;
 
-/// Observability: watts moved between domains within a job's node grant.
-static WATTS_DOMAIN_SHIFTED: StaticFloatCounter =
-    StaticFloatCounter::new("rm.watts.domain_shifted");
+/// Observability: milliwatts moved between domains within a job's node grant.
+static MILLIWATTS_DOMAIN_SHIFTED: StaticCounter =
+    StaticCounter::new("rm.milliwatts.domain_shifted");
 
 /// A per-domain grant, indexed by [`RaplDomain::index`]
 /// (`[pkg-rest, pp0, dram]`). The domains are accounted as disjoint meters
@@ -151,7 +151,7 @@ impl DomainLedger {
         let moved = Watts(watts.value().clamp(0.0, split[from.index()].value()));
         split[from.index()] -= moved;
         split[to.index()] += moved;
-        WATTS_DOMAIN_SHIFTED.add(moved.value());
+        MILLIWATTS_DOMAIN_SHIFTED.add(crate::budget::milliwatts(moved));
         moved
     }
 

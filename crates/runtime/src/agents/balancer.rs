@@ -25,19 +25,19 @@
 
 use crate::agent::Agent;
 use crate::platform::{IterationOutcome, JobPlatform, Laps, STAGE_BOUNDS};
-use pmstack_obs::{StaticCounter, StaticFloatCounter, StaticHistogram};
+use pmstack_obs::{StaticCounter, StaticHistogram};
 use pmstack_simhw::{Seconds, Watts};
 
 /// Observability: probe cuts taken by the harvest pass.
 static BALANCER_CUTS: StaticCounter = StaticCounter::new("runtime.balancer.cuts");
 /// Observability: grants paid out to power-bound critical-path hosts.
 static BALANCER_GRANTS: StaticCounter = StaticCounter::new("runtime.balancer.grants");
-/// Observability: total watts harvested from slack hosts.
-static BALANCER_HARVESTED_W: StaticFloatCounter =
-    StaticFloatCounter::new("runtime.balancer.harvested_w");
-/// Observability: total watts granted to power-bound hosts.
-static BALANCER_GRANTED_W: StaticFloatCounter =
-    StaticFloatCounter::new("runtime.balancer.granted_w");
+/// Observability: total milliwatts harvested from slack hosts (each
+/// pass's total rounded once).
+static BALANCER_HARVESTED_MW: StaticCounter = StaticCounter::new("runtime.balancer.harvested_mw");
+/// Observability: total milliwatts granted to power-bound hosts (each
+/// pass's total rounded once).
+static BALANCER_GRANTED_MW: StaticCounter = StaticCounter::new("runtime.balancer.granted_mw");
 /// Observability: host-limit writes elided because the target was bitwise
 /// unchanged since the last write.
 static BALANCER_WRITES_SKIPPED: StaticCounter =
@@ -405,11 +405,11 @@ impl Agent for PowerBalancerAgent {
         self.pool = remaining;
         if cuts > 0 {
             BALANCER_CUTS.add(cuts);
-            BALANCER_HARVESTED_W.add(harvested);
+            BALANCER_HARVESTED_MW.add((harvested * 1e3).round() as u64);
         }
         if grants > 0 {
             BALANCER_GRANTS.add(grants);
-            BALANCER_GRANTED_W.add(granted);
+            BALANCER_GRANTED_MW.add((granted * 1e3).round() as u64);
         }
 
         laps.lap(&GRANT_SECS);
