@@ -68,10 +68,14 @@ impl Agent for FixedAllocationAgent {
         // Cap-count/host-count agreement is validated by the coordinator
         // before any thread spawns; here a host refusing its cap (fail-stop
         // dead, transient MSR denial) simply keeps its previous enforced
-        // limit and the run continues degraded.
-        let hosts = platform.num_hosts();
-        for (h, &cap) in self.caps.iter().enumerate().take(hosts) {
-            let _ = platform.set_host_limit(h, cap);
+        // limit and the run continues degraded: one batched write, resumed
+        // past each host that refused.
+        let caps = &self.caps;
+        let mut from = 0;
+        while let Err((h, _)) =
+            platform.set_host_limits(|h| caps.get(h).copied().filter(|_| h >= from))
+        {
+            from = h + 1;
         }
     }
 
@@ -492,6 +496,41 @@ mod tests {
             ),
             ("hungry".into(), KernelConfig::balanced_ymm(8.0), 3),
         ]
+    }
+
+    /// The batched cap write leaves what one write per host left: a dead
+    /// host and a host whose MSR write glitches keep their limits, and the
+    /// hosts after each are still capped.
+    #[test]
+    fn fixed_allocation_resumes_past_each_refusing_host() {
+        use pmstack_simhw::{quartz_spec, FaultKind};
+        let platform = || {
+            let model = PowerModel::new(quartz_spec()).unwrap();
+            let hosts: Vec<(NodeId, f64)> = (0..6).map(|h| (NodeId(h), 1.0)).collect();
+            let mut p =
+                JobPlatform::from_hosts(model, &hosts, KernelConfig::balanced_ymm(8.0)).unwrap();
+            p.inject_fault(1, FaultKind::NodeDeath);
+            p.inject_fault(4, FaultKind::TransientMsrFault);
+            p
+        };
+        // Five caps for six hosts: the last host keeps its limit too.
+        let caps: Vec<Watts> = (0..5).map(|h| Watts(150.0 + 10.0 * h as f64)).collect();
+        let mut per_host = platform();
+        for (h, &cap) in caps.iter().enumerate() {
+            let _ = per_host.set_host_limit(h, cap);
+        }
+        let mut batched = platform();
+        let before = batched.host_limits();
+        FixedAllocationAgent::new(caps.clone()).init(&mut batched);
+        let after = batched.host_limits();
+        assert_eq!(after, per_host.host_limits());
+        assert_eq!(batched.host_health(), per_host.host_health());
+        for h in [1, 4, 5] {
+            assert_eq!(after[h], before[h], "host {h} keeps its limit");
+        }
+        for h in [0, 2, 3] {
+            assert_ne!(after[h], before[h], "host {h} is capped");
+        }
     }
 
     #[test]

@@ -42,9 +42,13 @@
 //! order at any pool width, and a campaign on the pool is bit-identical to
 //! one under [`pmstack_exec::sequential_scope`]. Each cell writes its
 //! journal into one buffer ([`Journal`]): a line is formatted straight onto
-//! the end of it, and only its end offset is kept beside it. The journal's
-//! `Debug` is the list of its lines, byte for byte what the `Vec<String>`
-//! of them prints, because the campaign's digests hash `{:?}` of the rows.
+//! the end of it, and only its end offset is kept beside it. The line's
+//! `t=` prefix is written by hand and its fixed-point numbers by `Fixed`,
+//! which prints `{x:.N}`'s digits from an integer and leaves ties and
+//! other edge values to core::fmt. The journal's `Debug` is the list of its
+//! lines, byte for byte what the `Vec<String>` of them prints, because the
+//! campaign's digests hash `{:?}` of the rows; a journal with nothing to
+//! escape prints by copying its lines between quotes.
 //!
 //! Observability under the fan-out: every counter is an integer
 //! (`facility.wasted_node_seconds` and the ledger's `rm.milliwatts.*`
@@ -187,7 +191,20 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Append `line`, formatted straight onto the buffer.
+    /// Append the line `t={t:>6} {line}`, the minute written by hand and
+    /// `line` formatted straight onto the buffer.
+    fn note(&mut self, t: u64, line: fmt::Arguments<'_>) {
+        // "t=", up to 20 digits, the space after them.
+        let mut prefix = [b' '; 23];
+        let end = prefix.len() - 1;
+        // `{t:>6}` pads to six columns and never cuts.
+        let at = decimal(&mut prefix, end, t).min(end - 6) - 2;
+        prefix[at..at + 2].copy_from_slice(b"t=");
+        self.text.push_str(ascii(&prefix[at..]));
+        self.push(line);
+    }
+
+    /// Append `line`, formatted straight onto the buffer, and end the line.
     fn push(&mut self, line: fmt::Arguments<'_>) {
         self.text
             .write_fmt(line)
@@ -223,9 +240,94 @@ impl Journal {
 }
 
 impl fmt::Debug for Journal {
+    /// When no byte of the journal is one `str`'s `Debug` escapes (the
+    /// campaign writes printable ASCII without `"` or `\`), `{:?}` copies
+    /// the lines as they are, in two writes a line: the quotes and
+    /// separator before it, then the line. Any other journal, and `{:#?}`,
+    /// print through `debug_list`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.lines()).finish()
+        // No short cut: a fold over every byte vectorizes.
+        let escapes = |text: &str| {
+            let escaped = |b: u8| !(b' '..=b'~').contains(&b) | (b == b'"') | (b == b'\\');
+            text.bytes().fold(false, |any, b| any | escaped(b))
+        };
+        if f.alternate() || escapes(&self.text) {
+            return f.debug_list().entries(self.lines()).finish();
+        }
+        f.write_str("[")?;
+        let mut open = "\"";
+        for line in self.lines() {
+            f.write_str(open)?;
+            f.write_str(line)?;
+            open = "\", \"";
+        }
+        f.write_str(if self.is_empty() { "]" } else { "\"]" })
     }
+}
+
+/// `x` to `N` decimals, exactly as `{x:.N}` prints it, from an integer.
+///
+/// `{x:.N}` rounds the exact value of `x·10^N` to an integer (a tie to
+/// even: `{:.2}` of 0.125 is `0.12`). The float product `y = x·10^N` is that
+/// value rounded once, and below 1e15 (< 2^50) every half-integer is a
+/// float, so rounding keeps the exact product on `y`'s side of each one:
+/// unless `y` is a half-integer, both round to the same integer, and its
+/// digits are the answer. Every other value takes core::fmt's path: a `y`
+/// on a half-integer (a tie, or a near-tie that only the exact binary
+/// value settles), `-0.0`, NaN, the infinities, and `y` of 1e15 and more.
+struct Fixed<const N: usize>(f64);
+
+impl<const N: usize> Fixed<N> {
+    const SCALE: u64 = 10u64.pow(N as u32);
+
+    /// The exact `x·10^N` rounded to the nearest integer, where `y` tells.
+    fn scaled(&self) -> Option<u64> {
+        let y = self.0 * Self::SCALE as f64;
+        if !(self.0.is_sign_positive() && y < 1e15) {
+            return None;
+        }
+        let whole = y.floor();
+        let frac = y - whole;
+        if frac == 0.5 {
+            return None;
+        }
+        Some(whole as u64 + u64::from(frac > 0.5))
+    }
+}
+
+impl<const N: usize> fmt::Display for Fixed<N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Some(scaled) = self.scaled() else {
+            return write!(f, "{:.*}", N, self.0);
+        };
+        // At most 16 digits and the point; the zeros pad the decimals.
+        let mut buf = [b'0'; 24];
+        let mut end = buf.len();
+        if N > 0 {
+            decimal(&mut buf, end, scaled % Self::SCALE);
+            end -= N + 1;
+            buf[end] = b'.';
+        }
+        let at = decimal(&mut buf, end, scaled / Self::SCALE);
+        f.write_str(ascii(&buf[at..]))
+    }
+}
+
+/// Write `n`'s decimal digits into `buf` to end just before `end`; returns
+/// where they start.
+fn decimal(buf: &mut [u8], mut end: usize, mut n: u64) -> usize {
+    loop {
+        end -= 1;
+        buf[end] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return end;
+        }
+    }
+}
+
+fn ascii(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("digits, points and spaces are ASCII")
 }
 
 /// The campaign: every policy at clean and (when requested) chaotic
@@ -457,7 +559,7 @@ impl Engine<'_> {
 
     /// Journal `line` at minute `t`.
     fn note(&mut self, t: u64, line: fmt::Arguments<'_>) {
-        self.journal.push(format_args!("t={t:>6} {line}"));
+        self.journal.note(t, line);
     }
 
     /// The next event in `(minute, seq)` order. The periodic and pre-drawn
@@ -562,7 +664,10 @@ impl Engine<'_> {
             self.sched.complete(id);
             self.completed += 1;
             self.goodput_node_h += work_h * nodes as f64;
-            self.note(t, format_args!("complete {id} work={work_h:.2}h"));
+            self.note(
+                t,
+                format_args!("complete {id} work={}h", Fixed::<2>(work_h)),
+            );
         }
 
         // Heartbeats from every leased node that is alive and not blacked
@@ -669,7 +774,8 @@ impl Engine<'_> {
                 self.note(
                     t,
                     format_args!(
-                        "kill {id} attempt={attempts} wasted={wasted_node_h:.2}nh retry+{delay_min}m"
+                        "kill {id} attempt={attempts} wasted={}nh retry+{delay_min}m",
+                        Fixed::<2>(wasted_node_h)
                     ),
                 );
             }
@@ -678,7 +784,8 @@ impl Engine<'_> {
                 self.note(
                     t,
                     format_args!(
-                        "kill {id} attempt={attempts} wasted={wasted_node_h:.2}nh TERMINAL"
+                        "kill {id} attempt={attempts} wasted={}nh TERMINAL",
+                        Fixed::<2>(wasted_node_h)
                     ),
                 );
             }
@@ -693,7 +800,11 @@ impl Engine<'_> {
             pmstack_obs::event(t as f64 * 60.0, EventKind::BudgetShock { budget_w });
             self.note(
                 t,
-                format_args!("budget {budget_w:.0}W (shock x{shock_factor:.2})"),
+                format_args!(
+                    "budget {}W (shock x{})",
+                    Fixed::<0>(budget_w),
+                    Fixed::<2>(shock_factor)
+                ),
             );
             self.last_budget_factor = shock_factor;
         }
@@ -725,7 +836,7 @@ impl Engine<'_> {
                 ctl.grant_w -= reclaimed / ctl.nodes as f64;
                 over -= reclaimed;
                 self.apply_grant(id);
-                self.note(t, format_args!("tighten {id} -{reclaimed:.0}W"));
+                self.note(t, format_args!("tighten {id} -{}W", Fixed::<0>(reclaimed)));
             }
             // 2. Checkpoint-and-preempt the newest jobs until it fits.
             while over > 1e-9 {
@@ -813,7 +924,7 @@ impl Engine<'_> {
                     });
                     self.note(
                         t,
-                        format_args!("submit {id} nodes={nodes} work={work_h:.2}h"),
+                        format_args!("submit {id} nodes={nodes} work={}h", Fixed::<2>(work_h)),
                     );
                 }
                 Ev::Fault(i) => {
@@ -864,7 +975,10 @@ impl Engine<'_> {
                                 progress_h: progress,
                             },
                         );
-                        self.note(t, format_args!("checkpoint {id} progress={progress:.2}h"));
+                        self.note(
+                            t,
+                            format_args!("checkpoint {id} progress={}h", Fixed::<2>(progress)),
+                        );
                         self.push(t + CHECKPOINT_INTERVAL_MIN, Ev::CheckpointDue(id, epoch));
                     }
                 }
@@ -1208,6 +1322,57 @@ mod tests {
             assert!(!row.journal.is_empty(), "{}: nothing journaled", row.kind);
             let vec = as_vec(&row.journal);
             assert_eq!(format!("{:?}", row.journal), format!("{vec:?}"));
+        }
+    }
+
+    /// `Fixed::<N>(x)` prints what `{x:.N}` prints.
+    fn same_as_core<const N: usize>(x: f64) {
+        let want = format!("{:.*}", N, x);
+        let why = || format!("{x:e} (bits {:#018x}) to {N} places", x.to_bits());
+        assert_eq!(Fixed::<N>(x).to_string(), want, "{}", why());
+    }
+
+    fn same_as_core_to_0_and_2(x: f64) {
+        same_as_core::<0>(x);
+        same_as_core::<2>(x);
+    }
+
+    #[test]
+    fn fixed_prints_what_core_fmt_prints() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x00f1_0a7e);
+        for _ in 0..100_000 {
+            let bits: u64 = rng.gen();
+            // Any pattern, then one with the exponent cleared (a subnormal
+            // or zero) and one with it set (a NaN or an infinity).
+            same_as_core_to_0_and_2(f64::from_bits(bits));
+            same_as_core_to_0_and_2(f64::from_bits(bits & !(0x7ff << 52)));
+            same_as_core_to_0_and_2(f64::from_bits(bits | (0x7ff << 52)));
+            same_as_core_to_0_and_2(rng.gen_range(0.0..1e6));
+            // Log-uniform from 1e-3 to 1e17, across the integer path's top.
+            same_as_core_to_0_and_2(10f64.powf(rng.gen_range(-3.0..17.0)));
+        }
+        // Every k/8 is exact: odd k are ties at 2 places, k = 4 mod 8 at 0.
+        // k/1000 sits on or next to a tie at 2 places.
+        for k in 0..100_000 {
+            same_as_core_to_0_and_2(k as f64 / 8.0);
+            same_as_core_to_0_and_2(k as f64 / 1000.0);
+        }
+        let edges = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            0.125,
+            2.5,
+        ];
+        edges.into_iter().for_each(same_as_core_to_0_and_2);
+        // Across the top of the integer path and beyond it.
+        for e in 13..=300 {
+            let x: f64 = format!("1e{e}").parse().expect("a float literal");
+            for bits in [x.to_bits() - 1, x.to_bits(), x.to_bits() + 1] {
+                same_as_core_to_0_and_2(f64::from_bits(bits));
+            }
         }
     }
 

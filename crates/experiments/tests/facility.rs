@@ -77,3 +77,23 @@ fn the_pool_runs_the_cells_the_calling_thread_runs() {
         assert_eq!(pooled, inline);
     }
 }
+
+/// A journal prints as the `Vec` of its lines, which the campaign's digests
+/// hash: `{:?}` through its copying path (every campaign line is plain
+/// ASCII) and `{:#?}` through `debug_list`, for every row of the
+/// default-scale study and of a 40-day study, both at chaos 2.
+#[test]
+fn journals_print_as_the_vec_of_their_lines() {
+    let forty_days = CampaignParams {
+        days: 40,
+        ..CampaignParams::default_scale(2)
+    };
+    for params in [CampaignParams::default_scale(2), forty_days] {
+        for row in run_campaign(&params).rows {
+            let lines: Vec<&str> = row.journal.lines().collect();
+            let at = format!("{} days, {} chaos {}", params.days, row.kind, row.chaos);
+            assert_eq!(format!("{:?}", row.journal), format!("{lines:?}"), "{at}");
+            assert_eq!(format!("{:#?}", row.journal), format!("{lines:#?}"), "{at}");
+        }
+    }
+}

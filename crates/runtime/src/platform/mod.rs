@@ -477,15 +477,16 @@ impl JobPlatform {
     /// Program many hosts' node power limits in one batched bank write
     /// ([`NodeBank::set_power_limits`]): host `h` takes `limit_of(h)` where
     /// that is `Some`, as [`Self::set_host_limit`] calls in host order
-    /// would, up to the first error. Returns how many hosts were written;
-    /// only the segments written drop their caches.
+    /// would, up to the first error, which comes back with the host that
+    /// refused. Returns how many hosts were written; only the segments
+    /// written drop their caches.
     pub fn set_host_limits(
         &mut self,
         limit_of: impl Fn(usize) -> Option<Watts> + Sync,
-    ) -> Result<usize, SimHwError> {
+    ) -> Result<usize, (usize, SimHwError)> {
         let out = self.bank.set_power_limits(0..self.bank.len(), limit_of);
         self.forget_dirtied_segments(out != Ok(0));
-        out.map_err(|(_, e)| e)
+        out
     }
 
     /// Program every host to the same node power limit, in one batched bank

@@ -1,6 +1,6 @@
 //! Heterogeneous node classes.
 //!
-//! The paper's evaluation assumes a homogeneous Xeon fleet; ROADMAP item 4
+//! The paper's evaluation assumes a homogeneous Xeon fleet; ROADMAP item 11
 //! calls that out as the limitation to lift. A [`NodeClass`] bundles
 //! everything the stack needs to treat a *kind* of node as a first-class
 //! citizen: the machine description (power curve, frequency ladder, TDP),

@@ -941,7 +941,7 @@ impl Sut for PlatformSut {
                 let hosts = batch_range(lo, len, n);
                 let ask = |h| hosts.contains(&h).then(|| batch_ask(seed, h)).flatten();
                 let out = on(scoped, || p.set_host_limits(ask));
-                out.map(|w| w as u64).map_err(|e| (None, e))
+                out.map(|w| w as u64).map_err(|(h, e)| (Some(h), e))
             }
             Op::Uniform(w) => answer(on(scoped, || p.set_uniform_limit(Watts(w)))),
             Op::Cap(h, ghz) => answer(p.set_host_freq_cap(h, ghz.map(Hertz::from_ghz))),
@@ -1061,7 +1061,8 @@ impl Run {
         for (sut, segs) in &mut self.suts {
             let (invalidated, name) = (segs.invalidated, sut.name());
             let (got, trace, fanouts) = traced(tracing, || sut.control(&op));
-            // A platform does not name the host a refusal stopped at.
+            // A platform's one-host and uniform writes do not name the host
+            // a refusal stopped at.
             let host = want.as_ref().err().and_then(|e| e.0);
             let got = got.map_err(|(h, e)| (h.or(host), e));
             same(&got, &want, true, || format!("{name}: reply to {op:?}"))?;
