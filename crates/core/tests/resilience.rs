@@ -155,3 +155,53 @@ fn losing_every_host_is_a_typed_error_not_a_panic() {
         .unwrap_err();
     assert_eq!(err, CoordinatorError::AllHostsFailed);
 }
+
+/// FNV-1a (64-bit) over `{:?}` of a run: every report, host, cap and
+/// resilience record, each float at its shortest round-trip digits.
+fn digest(run: &pmstack_core::MixRun) -> u64 {
+    format!("{run:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn both_modes_are_pinned_bit_for_bit() {
+    // 31 iterations split unevenly online (15 + 16). One death per window,
+    // a dropout in the first and a stuck RAPL latch in the second, so the
+    // drain, re-allocation and per-window plan slicing all show in the hash.
+    let c = cluster(6);
+    let budget = Watts(6.0 * 190.0);
+    let faulted = FaultPlan::scripted(vec![
+        faults::kill(3, 8),
+        faults::telemetry_dropout(1, 4, 6),
+        faults::stuck_rapl(5, 20, Watts(170.0)),
+        faults::kill(0, 22),
+    ]);
+    let coords = [
+        ("clean", Coordinator::new(&c)),
+        ("faulted", Coordinator::new(&c).with_fault_plan(faulted)),
+        ("jittered", Coordinator::new(&c).with_jitter(0.01, 7)),
+    ];
+    let mut got = Vec::new();
+    for mode in [CoordinatorMode::Emulated, CoordinatorMode::Online] {
+        for (name, coord) in &coords {
+            let run = coord
+                .try_run_mix(&mix(), &MixedAdaptive, budget, 31, mode)
+                .unwrap();
+            let dead = if *name == "faulted" { 2 } else { 0 };
+            assert_eq!(run.resilience.dead_nodes.len(), dead, "{mode:?} {name}");
+            got.push(format!("{mode:?} {name} {:016x}", digest(&run)));
+        }
+    }
+    let want = [
+        "Emulated clean bfd1e6366f61ec5e",
+        "Emulated faulted 06eb02dd69dbaf41",
+        "Emulated jittered 66369745aae1f5e3",
+        "Online clean abb61e83db0e69a8",
+        "Online faulted bcca549b7600c5be",
+        "Online jittered 35a0b782f9a34cff",
+    ];
+    assert_eq!(got, want);
+}
