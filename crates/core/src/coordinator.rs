@@ -5,23 +5,27 @@
 //! caps a [`crate::policy::PowerPolicy`] computed from runtime-provided
 //! characterization data.
 //!
-//! Two modes:
+//! A mix runs as one loop over phase windows; the two modes differ only in
+//! the schedule:
 //!
-//! * [`CoordinatorMode::Emulated`] — the paper's methodology: policies run
-//!   once at job start on pre-characterization data and allocations are
-//!   static ("we emulated this execution time behavior by
-//!   pre-characterizing our workloads… ahead of time", §VIII).
-//! * [`CoordinatorMode::Online`] — the future-work protocol implemented:
-//!   mid-run, the RM re-characterizes from *measured* powers and
-//!   re-allocates, exercising the execution-time feedback loop end to end.
+//! * [`CoordinatorMode::Emulated`] — the paper's methodology, one phase of
+//!   every iteration: policies run once at job start on pre-characterization
+//!   data and allocations are static ("we emulated this execution time
+//!   behavior by pre-characterizing our workloads… ahead of time", §VIII).
+//! * [`CoordinatorMode::Online`] — the future-work protocol, two phases of
+//!   `n / 2` and `n − n / 2` iterations: at the boundary the RM
+//!   re-characterizes from *measured* powers and re-allocates, exercising
+//!   the execution-time feedback loop end to end. An empty phase is
+//!   dropped, so one iteration online is the emulated run.
 //!
 //! A [`pmstack_simhw::FaultPlan`] can be attached with
 //! [`Coordinator::with_fault_plan`]. Faults fire at iteration boundaries
-//! inside the job platforms; the coordinator reacts at the phase boundary:
-//! dead nodes are drained through [`pmstack_rm::Scheduler::fail_node`]
-//! (their watts reclaimed into the system budget), and in online mode the
-//! surviving hosts are re-characterized and re-allocated. The whole story is recorded
-//! in [`MixRun::resilience`].
+//! inside the job platforms, each phase seeing its window's slice of the
+//! plan. After every phase the coordinator drains the dead nodes through
+//! [`pmstack_rm::Scheduler::fail_node`] (their watts reclaimed into the
+//! system budget); between phases it re-characterizes the surviving hosts
+//! and re-allocates over them. The whole story is recorded in
+//! [`MixRun::resilience`].
 //!
 //! Jobs run in parallel on the resident `pmstack_exec` pool, one runtime
 //! controller per job, mirroring the real deployment topology.
@@ -87,8 +91,8 @@ impl Agent for FixedAllocationAgent {
 /// The result of running a mix through the full stack.
 #[derive(Debug, Clone)]
 pub struct MixRun {
-    /// The allocation the policy produced (final allocation in online mode;
-    /// hosts that died mid-run report a zero cap).
+    /// The last allocation the policy produced, in the mix's shape: hosts
+    /// that died before the last re-allocation report a zero cap.
     pub allocation: Allocation,
     /// Per-job runtime reports, mix order.
     pub reports: Vec<JobReport>,
@@ -170,6 +174,9 @@ impl Coordinator {
         if mix.is_empty() {
             return Err(CoordinatorError::EmptyMix);
         }
+        if iterations == 0 {
+            return Err(CoordinatorError::NoIterations);
+        }
         let spec = self.model.spec();
         let ctx = PolicyCtx {
             system_budget: budget,
@@ -216,18 +223,6 @@ impl Coordinator {
             grants.push(host_ids);
         }
 
-        // Characterize (pre-characterization data, §IV-B) and allocate.
-        let chars: Vec<JobChar> = pmstack_exec::par_map(&setups, |s| {
-            JobChar::analytic(s.config, &self.model, &s.host_eps)
-        });
-        let allocation = policy.allocate(&ctx, &chars);
-        validate_shape(&allocation, &grants)?;
-        for (j, id) in ids.iter().enumerate() {
-            // Budget-blind policies may overcommit; the ledger records it
-            // faithfully so the violation is observable (Fig. 7 bars >100%).
-            let _ = scheduler.ledger_mut().reserve(*id, allocation.job_total(j));
-        }
-
         let mut resilience = ResilienceReport {
             injected: self
                 .fault_plan
@@ -239,163 +234,144 @@ impl Coordinator {
             ..ResilienceReport::default()
         };
 
-        match mode {
-            CoordinatorMode::Emulated => {
-                let plans: Vec<FaultPlan> = grants
-                    .iter()
-                    .map(|g| slice_plan(&self.fault_plan, g, 0, u64::MAX))
-                    .collect();
-                let (reports, alive) =
-                    self.execute_phase(&setups, &grants, &allocation, iterations, &plans);
-                // The RM learns of deaths after the fact and drains them so
-                // the ledger reflects the surviving capacity.
-                for (j, mask) in alive.iter().enumerate() {
-                    for (h, &ok) in mask.iter().enumerate() {
-                        if !ok {
-                            resilience.absorb(scheduler.fail_node(NodeId(grants[j][h])));
-                        }
-                    }
-                }
-                resilience.reserved_after = scheduler.ledger().reserved();
-                debug_assert!(resilience.reserved_after <= budget + Watts(1e-6));
-                Ok(MixRun {
-                    allocation,
-                    reports,
-                    resilience,
-                })
-            }
-            CoordinatorMode::Online => {
-                let first = (iterations / 2).max(1);
-                let second = (iterations - iterations / 2).max(1);
-                let plans1: Vec<FaultPlan> = grants
-                    .iter()
-                    .map(|g| slice_plan(&self.fault_plan, g, 0, first as u64))
-                    .collect();
-                let (mut reports, alive1) =
-                    self.execute_phase(&setups, &grants, &allocation, first, &plans1);
+        // Characterize (pre-characterization data, §IV-B) and allocate.
+        let chars: Vec<JobChar> = pmstack_exec::par_map(&setups, |s| {
+            JobChar::analytic(s.config, &self.model, &s.host_eps)
+        });
+        let mut allocation = policy.allocate(&ctx, &chars);
 
-                // Drain nodes lost in the first window: the scheduler
-                // shrinks the owner's grant and the ledger reclaims the
-                // dead share into the system budget.
-                for (j, mask) in alive1.iter().enumerate() {
-                    for (h, &ok) in mask.iter().enumerate() {
-                        if !ok {
-                            resilience.absorb(scheduler.fail_node(NodeId(grants[j][h])));
-                        }
-                    }
-                }
-
-                // Execution-time feedback over the *survivors*: measured
-                // average power becomes the new "used"; needed cannot
-                // exceed what was measured.
-                let survivors: Vec<Vec<usize>> = alive1
-                    .iter()
-                    .map(|mask| (0..mask.len()).filter(|&h| mask[h]).collect::<Vec<usize>>())
+        // The phase loop. Each phase runs the cohort — every job that still
+        // holds a live host, with those hosts (local indices into its
+        // grant) — under the current allocation; the cohort's `k`-th job is
+        // the allocation's `k`-th row.
+        let half = iterations / 2;
+        let schedule: &[usize] = match mode {
+            CoordinatorMode::Emulated => &[iterations],
+            CoordinatorMode::Online => &[half, iterations - half],
+        };
+        let mut cohort: Vec<(usize, Vec<usize>)> = grants
+            .iter()
+            .enumerate()
+            .map(|(j, g)| (j, (0..g.len()).collect()))
+            .collect();
+        let mut reports: Vec<Option<JobReport>> = vec![None; mix.len()];
+        let mut alive: Vec<Vec<bool>> = Vec::new();
+        let mut start = 0;
+        for (p, &len) in schedule.iter().filter(|&&len| len > 0).enumerate() {
+            if p > 0 {
+                // Execution-time feedback over the survivors of the last
+                // phase: measured average power becomes the new "used";
+                // needed cannot exceed what was measured.
+                cohort = cohort
+                    .into_iter()
+                    .zip(&alive)
+                    .filter_map(|((j, hosts), mask)| {
+                        let hosts: Vec<usize> = (hosts.into_iter().zip(mask))
+                            .filter_map(|(h, &ok)| ok.then_some(h))
+                            .collect();
+                        (!hosts.is_empty()).then_some((j, hosts))
+                    })
                     .collect();
-                let live_jobs: Vec<usize> = (0..mix.len())
-                    .filter(|&j| !survivors[j].is_empty())
-                    .collect();
-                if live_jobs.is_empty() {
+                if cohort.is_empty() {
                     return Err(CoordinatorError::AllHostsFailed);
                 }
-                let measured: Vec<JobChar> = live_jobs
+                let measured: Vec<JobChar> = cohort
                     .iter()
-                    .map(|&j| JobChar {
-                        hosts: survivors[j]
-                            .iter()
-                            .map(|&h| {
-                                let hr = &reports[j].hosts[h];
-                                HostChar {
-                                    used: hr.avg_power,
-                                    needed: chars[j].hosts[h].needed.min(hr.avg_power),
-                                }
-                            })
-                            .collect(),
-                        source: CharacterizationSource::Measured,
-                    })
-                    .collect();
-                let allocation2 = policy.allocate(&ctx, &measured);
-                resilience.reallocated = true;
-                let surv_grants: Vec<Vec<usize>> = live_jobs
-                    .iter()
-                    .map(|&j| survivors[j].iter().map(|&h| grants[j][h]).collect())
-                    .collect();
-                validate_shape(&allocation2, &surv_grants)?;
-                for (k, &j) in live_jobs.iter().enumerate() {
-                    let _ = scheduler
-                        .ledger_mut()
-                        .reserve(ids[j], allocation2.job_total(k));
-                }
-
-                let surv_setups: Vec<JobSetup> = live_jobs
-                    .iter()
-                    .map(|&j| JobSetup {
-                        config: setups[j].config,
-                        host_eps: survivors[j]
-                            .iter()
-                            .map(|&h| setups[j].host_eps[h])
-                            .collect(),
-                    })
-                    .collect();
-                let plans2: Vec<FaultPlan> = surv_grants
-                    .iter()
-                    .map(|g| slice_plan(&self.fault_plan, g, first as u64, second as u64))
-                    .collect();
-                let (reports2, alive2) =
-                    self.execute_phase(&surv_setups, &surv_grants, &allocation2, second, &plans2);
-                for (k, mask) in alive2.iter().enumerate() {
-                    for (h, &ok) in mask.iter().enumerate() {
-                        if !ok {
-                            resilience.absorb(scheduler.fail_node(NodeId(surv_grants[k][h])));
+                    .map(|(j, hosts)| {
+                        let report = reports[*j].as_ref().expect("every job ran phase one");
+                        let host = |h: usize| {
+                            let used = report.hosts[h].avg_power;
+                            let needed = chars[*j].hosts[h].needed.min(used);
+                            HostChar { used, needed }
+                        };
+                        JobChar {
+                            hosts: hosts.iter().map(|&h| host(h)).collect(),
+                            source: CharacterizationSource::Measured,
                         }
-                    }
-                }
-                resilience.reserved_after = scheduler.ledger().reserved();
-                debug_assert!(resilience.reserved_after <= budget + Watts(1e-6));
-
-                // Merge the phase reports; a job with no survivors keeps
-                // its phase-1 report as its whole story.
-                for (k, &j) in live_jobs.iter().enumerate() {
-                    let merged =
-                        merge_reports(reports[j].clone(), reports2[k].clone(), &survivors[j]);
-                    reports[j] = merged;
-                }
-
-                // The final allocation, expanded back to the full mix shape
-                // with zero caps on dead hosts.
-                let mut final_jobs: Vec<Vec<Watts>> =
-                    grants.iter().map(|g| vec![Watts::ZERO; g.len()]).collect();
-                for (k, &j) in live_jobs.iter().enumerate() {
-                    for (b, &h) in survivors[j].iter().enumerate() {
-                        final_jobs[j][h] = allocation2.jobs[k][b];
-                    }
-                }
-                Ok(MixRun {
-                    allocation: Allocation { jobs: final_jobs },
-                    reports,
-                    resilience,
+                    })
+                    .collect();
+                allocation = policy.allocate(&ctx, &measured);
+                resilience.reallocated = true;
+            }
+            let phase_grants: Vec<Vec<usize>> = cohort
+                .iter()
+                .map(|(j, hosts)| hosts.iter().map(|&h| grants[*j][h]).collect())
+                .collect();
+            validate_shape(&allocation, &phase_grants)?;
+            for (k, (j, _)) in cohort.iter().enumerate() {
+                // Budget-blind policies may overcommit; the ledger records
+                // it faithfully so the violation is observable (Fig. 7 bars
+                // >100%).
+                let _ = scheduler
+                    .ledger_mut()
+                    .reserve(ids[*j], allocation.job_total(k));
+            }
+            let phase_setups: Vec<JobSetup> = cohort
+                .iter()
+                .map(|(j, hosts)| JobSetup {
+                    config: setups[*j].config,
+                    host_eps: hosts.iter().map(|&h| setups[*j].host_eps[h]).collect(),
                 })
+                .collect();
+            let (phase_reports, phase_alive) =
+                self.execute_phase(&phase_setups, &phase_grants, &allocation, start, len);
+            for ((j, hosts), report) in cohort.iter().zip(phase_reports) {
+                reports[*j] = Some(match reports[*j].take() {
+                    Some(before) => merge_reports(before, report, hosts),
+                    None => report,
+                });
+            }
+            // The RM learns of deaths at the phase boundary and drains them:
+            // the scheduler shrinks the owner's grant and the ledger reclaims
+            // the dead share into the system budget.
+            for (grant, mask) in phase_grants.iter().zip(&phase_alive) {
+                for (&node, &ok) in grant.iter().zip(mask) {
+                    if !ok {
+                        resilience.absorb(scheduler.fail_node(NodeId(node)));
+                    }
+                }
+            }
+            alive = phase_alive;
+            start += len as u64;
+        }
+        resilience.reserved_after = scheduler.ledger().reserved();
+        debug_assert!(resilience.reserved_after <= budget + Watts(1e-6));
+
+        // The last allocation, expanded back to the mix's shape with zero
+        // caps on the hosts it no longer covered.
+        let mut caps: Vec<Vec<Watts>> = (grants.iter())
+            .map(|g| vec![Watts::ZERO; g.len()])
+            .collect();
+        for ((j, hosts), row) in cohort.iter().zip(allocation.jobs) {
+            for (&h, cap) in hosts.iter().zip(row) {
+                caps[*j][h] = cap;
             }
         }
+        Ok(MixRun {
+            allocation: Allocation { jobs: caps },
+            reports: reports.into_iter().flatten().collect(),
+            resilience,
+        })
     }
 
-    /// Run every job of the mix for `iterations`, fanned out over the
-    /// work-stealing pool, under the given allocation and per-job fault
-    /// plans (platform-local indices). Each job derives its jitter seed from
-    /// its mix position, so results are independent of scheduling order.
-    /// Returns the reports plus each job's per-host liveness at phase end.
+    /// Run every job of the mix for the phase window of `iterations`
+    /// starting at mix iteration `start`, fanned out over the work-stealing
+    /// pool, under the given allocation and each job's slice of the fault
+    /// plan. Each job derives its jitter seed from its position in
+    /// `setups`, so results are independent of scheduling order. Returns
+    /// the reports plus each job's per-host liveness at phase end.
     fn execute_phase(
         &self,
         setups: &[JobSetup],
         grants: &[Vec<usize>],
         allocation: &Allocation,
+        start: u64,
         iterations: usize,
-        plans: &[FaultPlan],
     ) -> (Vec<JobReport>, Vec<Vec<bool>>) {
         let results = pmstack_exec::par_map_indexed(setups, |j, setup| {
             let host_ids = &grants[j];
             let caps = allocation.jobs[j].clone();
-            let plan = plans[j].clone();
+            let plan = slice_plan(&self.fault_plan, host_ids, start, iterations as u64);
             let model = &self.model;
             let hosts: Vec<(NodeId, f64)> = (host_ids.iter().zip(&setup.host_eps))
                 .map(|(&id, &eps)| (NodeId(id), eps))
@@ -619,6 +595,26 @@ mod tests {
         // power bounds it), so it must not waste more energy.
         assert!(online.total_energy() <= emulated.total_energy() * 1.02);
         assert_eq!(online.reports[0].iterations, 40);
+    }
+
+    #[test]
+    fn each_mode_runs_exactly_the_iterations_it_is_asked_for() {
+        let c = cluster(6);
+        let coord = Coordinator::new(&c);
+        let budget = Watts(6.0 * 190.0);
+        let run = |n, mode| coord.try_run_mix(&small_mix(), &MixedAdaptive, budget, n, mode);
+        for mode in [CoordinatorMode::Emulated, CoordinatorMode::Online] {
+            assert_eq!(run(0, mode).unwrap_err(), CoordinatorError::NoIterations);
+            for n in 1..=3 {
+                let r = run(n, mode).unwrap();
+                assert!(r.reports.iter().all(|r| r.iterations == n), "{mode:?} {n}");
+                let two_phases = mode == CoordinatorMode::Online && n > 1;
+                assert_eq!(r.resilience.reallocated, two_phases, "{mode:?} {n}");
+            }
+        }
+        // One iteration online is one phase: the emulated run, bit for bit.
+        let one = |mode| format!("{:?}", run(1, mode).unwrap());
+        assert_eq!(one(CoordinatorMode::Online), one(CoordinatorMode::Emulated));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Typed failure handling for the unified stack.
 //!
-//! The coordinator's original invariants were panics: an empty mix, a mix
-//! that does not fit, a policy returning the wrong cap shape.
+//! The coordinator's original invariants were panics: an empty mix, a run
+//! of zero iterations, a mix that does not fit, a policy returning the
+//! wrong cap shape.
 //! [`crate::coordinator::Coordinator::try_run_mix`] returns a
 //! [`CoordinatorError`] for each instead of tearing the process down — the stack's
 //! answer to §I's "the system must keep operating under its power contract
@@ -21,6 +22,8 @@ use std::fmt;
 pub enum CoordinatorError {
     /// The mix had no jobs.
     EmptyMix,
+    /// The mix was asked to run zero iterations.
+    NoIterations,
     /// The scheduler could not admit every job of the mix at once.
     MixDoesNotFit {
         /// Jobs in the mix.
@@ -48,6 +51,7 @@ impl fmt::Display for CoordinatorError {
             // The wording of the first two preserves the historical panic
             // messages.
             Self::EmptyMix => write!(f, "cannot run an empty mix"),
+            Self::NoIterations => write!(f, "a mix must run at least one iteration"),
             Self::MixDoesNotFit {
                 submitted,
                 admitted,
@@ -79,7 +83,7 @@ pub struct ResilienceReport {
     /// Watts the ledger reclaimed from degraded jobs.
     pub reclaimed: Watts,
     /// True when the coordinator re-characterized and re-allocated the
-    /// surviving hosts mid-run (online mode only).
+    /// surviving hosts between phases (online mode, two iterations up).
     pub reallocated: bool,
     /// Watts the ledger still held reserved when the run ended — never
     /// above the system budget, whatever failed.
@@ -152,6 +156,9 @@ mod tests {
             hosts: 3,
         };
         assert!(e.to_string().contains("4 caps"));
+        assert!(CoordinatorError::NoIterations
+            .to_string()
+            .contains("at least one iteration"));
         assert!(CoordinatorError::AllHostsFailed
             .to_string()
             .contains("failed"));
