@@ -37,7 +37,7 @@ use crate::policy::{PolicyCtx, PowerPolicy};
 use crate::resilience::{slice_plan, CoordinatorError, ResilienceReport};
 use pmstack_kernel::KernelConfig;
 use pmstack_rm::{FifoScheduler, JobSpec, NodePool, PowerLedger, SchedulerEvent};
-use pmstack_runtime::{Agent, Controller, JobPlatform, JobReport};
+use pmstack_runtime::{Controller, FixedAllocationAgent, JobPlatform, JobReport};
 use pmstack_simhw::{Cluster, FaultPlan, NodeId, PowerModel, Watts};
 
 /// Whether the feedback loop runs once (emulated) or live (online).
@@ -47,45 +47,6 @@ pub enum CoordinatorMode {
     Emulated,
     /// Re-characterize from measured power and re-allocate mid-run.
     Online,
-}
-
-/// An agent that programs exact per-host caps decided by the RM-side policy
-/// and holds them (the emulated-feedback-loop runtime behaviour).
-#[derive(Debug, Clone)]
-pub struct FixedAllocationAgent {
-    caps: Vec<Watts>,
-}
-
-impl FixedAllocationAgent {
-    /// Hold the given per-host caps.
-    pub fn new(caps: Vec<Watts>) -> Self {
-        Self { caps }
-    }
-}
-
-impl Agent for FixedAllocationAgent {
-    fn name(&self) -> &'static str {
-        "fixed_allocation"
-    }
-
-    fn init(&mut self, platform: &mut JobPlatform) {
-        // Cap-count/host-count agreement is validated by the coordinator
-        // before any thread spawns; here a host refusing its cap (fail-stop
-        // dead, transient MSR denial) simply keeps its previous enforced
-        // limit and the run continues degraded: one batched write, resumed
-        // past each host that refused.
-        let caps = &self.caps;
-        let mut from = 0;
-        while let Err((h, _)) =
-            platform.set_host_limits(|h| caps.get(h).copied().filter(|_| h >= from))
-        {
-            from = h + 1;
-        }
-    }
-
-    fn budget(&self) -> Option<Watts> {
-        Some(self.caps.iter().copied().sum())
-    }
 }
 
 /// The result of running a mix through the full stack.
@@ -472,41 +433,6 @@ mod tests {
             ),
             ("hungry".into(), KernelConfig::balanced_ymm(8.0), 3),
         ]
-    }
-
-    /// The batched cap write leaves what one write per host left: a dead
-    /// host and a host whose MSR write glitches keep their limits, and the
-    /// hosts after each are still capped.
-    #[test]
-    fn fixed_allocation_resumes_past_each_refusing_host() {
-        use pmstack_simhw::{quartz_spec, FaultKind};
-        let platform = || {
-            let model = PowerModel::new(quartz_spec()).unwrap();
-            let hosts: Vec<(NodeId, f64)> = (0..6).map(|h| (NodeId(h), 1.0)).collect();
-            let mut p =
-                JobPlatform::from_hosts(model, &hosts, KernelConfig::balanced_ymm(8.0)).unwrap();
-            p.inject_fault(1, FaultKind::NodeDeath);
-            p.inject_fault(4, FaultKind::TransientMsrFault);
-            p
-        };
-        // Five caps for six hosts: the last host keeps its limit too.
-        let caps: Vec<Watts> = (0..5).map(|h| Watts(150.0 + 10.0 * h as f64)).collect();
-        let mut per_host = platform();
-        for (h, &cap) in caps.iter().enumerate() {
-            let _ = per_host.set_host_limit(h, cap);
-        }
-        let mut batched = platform();
-        let before = batched.host_limits();
-        FixedAllocationAgent::new(caps.clone()).init(&mut batched);
-        let after = batched.host_limits();
-        assert_eq!(after, per_host.host_limits());
-        assert_eq!(batched.host_health(), per_host.host_health());
-        for h in [1, 4, 5] {
-            assert_eq!(after[h], before[h], "host {h} keeps its limit");
-        }
-        for h in [0, 2, 3] {
-            assert_ne!(after[h], before[h], "host {h} is capped");
-        }
     }
 
     #[test]

@@ -28,8 +28,10 @@
 //!   validate the analytic evaluator. No budget is updated over the
 //!   runtime endpoint at execution time: the coordinator attaches none, and
 //!   a controller given one only reports achieved power to it (ROADMAP
-//!   item 2). `CoordinatorMode::Online` re-allocates once, mid-run, from
-//!   measured power instead.
+//!   item 2). Both modes are one loop over phase windows:
+//!   `CoordinatorMode::Emulated` runs the whole run as one phase, and
+//!   `CoordinatorMode::Online` splits it in two and re-allocates once, at
+//!   the boundary, from measured power instead.
 //! * [`resilience`] — typed coordination errors and the record of how the
 //!   stack degraded gracefully under injected hardware faults (node death,
 //!   stuck RAPL, telemetry dropout).

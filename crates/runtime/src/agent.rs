@@ -2,8 +2,8 @@
 //!
 //! GEOPM structures its optimization algorithms as *agents* — plugins that
 //! observe platform signals and adjust controls on a fixed cadence. The
-//! paper leans on two of them (monitor, power balancer); the governor is the
-//! static middle ground. Agents here are driven once per kernel iteration
+//! paper leans on two of them (monitor, power balancer); the fixed-allocation
+//! agent, which holds static caps, is the middle ground. Agents here are driven once per kernel iteration
 //! by the [`crate::controller::Controller`].
 
 use crate::platform::{IterationOutcome, JobPlatform};

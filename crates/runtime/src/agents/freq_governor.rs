@@ -64,7 +64,7 @@ impl Agent for FrequencyGovernorAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agents::PowerGovernorAgent;
+    use crate::agents::FixedAllocationAgent;
     use crate::controller::Controller;
     use pmstack_kernel::KernelConfig;
     use pmstack_simhw::{quartz_spec, Node, NodeId, PowerModel};
@@ -110,7 +110,7 @@ mod tests {
         // Translate a per-host power target into a frequency (nominal-node
         // calibration, as an EAR-style tool would), run both controllers on
         // a *varied* pair of nodes, and compare at equal energy: the
-        // power-capping governor adapts per node and finishes no slower
+        // power-capping agent adapts per node and finishes no slower
         // while respecting the budget; the DVFS governor overshoots on the
         // inefficient node.
         let target = Watts(170.0);
@@ -120,7 +120,7 @@ mod tests {
             Controller::new(platform(&[0.94, 1.07]), FrequencyGovernorAgent::new(freq)).run(80);
         let rapl = Controller::new(
             platform(&[0.94, 1.07]),
-            PowerGovernorAgent::new(Watts(2.0 * target.value())),
+            FixedAllocationAgent::new(vec![target; 2]),
         )
         .run(80);
 

@@ -2,12 +2,12 @@
 
 mod balancer;
 mod domains;
+mod fixed_allocation;
 mod freq_governor;
-mod governor;
 mod monitor;
 
 pub use balancer::{BalancerParams, HierarchicalBalancerAgent, PowerBalancerAgent};
 pub use domains::{DomainBalancer, DomainBalancerParams, DomainShift};
+pub use fixed_allocation::FixedAllocationAgent;
 pub use freq_governor::FrequencyGovernorAgent;
-pub use governor::PowerGovernorAgent;
 pub use monitor::MonitorAgent;

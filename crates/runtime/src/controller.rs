@@ -211,7 +211,7 @@ impl<A: Agent> Controller<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agents::{MonitorAgent, PowerBalancerAgent, PowerGovernorAgent};
+    use crate::agents::{FixedAllocationAgent, MonitorAgent, PowerBalancerAgent};
     use pmstack_kernel::{Imbalance, KernelConfig, VectorWidth, WaitingFraction};
     use pmstack_simhw::{quartz_spec, Node, NodeId, PowerModel};
 
@@ -250,7 +250,7 @@ mod tests {
         let config = KernelConfig::balanced_ymm(16.0);
         let p = platform(config, &[1.0, 1.0]);
         let budget = Watts(2.0 * 170.0);
-        let mut c = Controller::new(p, PowerGovernorAgent::new(budget));
+        let mut c = Controller::new(p, FixedAllocationAgent::new(vec![budget / 2.0; 2]));
         let report = c.run(60);
         // After the enforcement filter settles, average power within budget
         // (small transient at the start is expected).
@@ -276,7 +276,7 @@ mod tests {
         let budget = Watts(2.0 * 175.0);
         let gov = Controller::new(
             platform(config, &[1.0, 1.05]),
-            PowerGovernorAgent::new(budget),
+            FixedAllocationAgent::new(vec![budget / 2.0; 2]),
         )
         .run(150);
         let bal = Controller::new(

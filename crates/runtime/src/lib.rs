@@ -10,8 +10,8 @@
 //! * [`agent`] + [`agents`] — the plugin architecture and the three agents
 //!   the paper exercises:
 //!   [`agents::MonitorAgent`] (observe only),
-//!   [`agents::PowerGovernorAgent`] (uniform static
-//!   caps), and [`agents::PowerBalancerAgent`]
+//!   [`agents::FixedAllocationAgent`] (static per-host
+//!   caps, equal or as the RM's policy set them), and [`agents::PowerBalancerAgent`]
 //!   (reduce the limit where it does not impact performance, redistribute
 //!   where it does — the §III-A feedback loop).
 //! * [`controller`] — the per-job control loop driving iterations and
@@ -37,8 +37,8 @@ pub mod trace;
 
 pub use agent::Agent;
 pub use agents::{
-    DomainBalancer, DomainBalancerParams, DomainShift, FrequencyGovernorAgent,
-    HierarchicalBalancerAgent, MonitorAgent, PowerBalancerAgent, PowerGovernorAgent,
+    DomainBalancer, DomainBalancerParams, DomainShift, FixedAllocationAgent,
+    FrequencyGovernorAgent, HierarchicalBalancerAgent, MonitorAgent, PowerBalancerAgent,
 };
 pub use controller::Controller;
 pub use endpoint::{Endpoint, EndpointRm, EndpointRuntime};

@@ -13,7 +13,7 @@
 //! | [`exec`] | `pmstack-exec` | work-stealing parallel-execution substrate (`par_map`), deterministic by construction |
 //! | [`simhw`] | `pmstack-simhw` | simulated hardware: MSR/RAPL devices, power-frequency models, manufacturing variation, nodes, clusters |
 //! | [`kernel`] | `pmstack-kernel` | the arithmetic-intensity synthetic benchmark: analytic model + native executable kernel |
-//! | [`runtime`] | `pmstack-runtime` | the job runtime: platform IO, monitor/governor/balancer agents, reports, RM endpoint |
+//! | [`runtime`] | `pmstack-runtime` | the job runtime: platform IO, monitor/fixed-allocation/balancer agents, reports, RM endpoint |
 //! | [`rm`] | `pmstack-rm` | the resource manager: node pool, FIFO scheduler, power ledger |
 //! | [`core`] | `pmstack-core` | the five power policies, characterization, mix evaluation, the unified coordinator |
 //! | [`analysis`] | `pmstack-analysis` | k-means, roofline, statistics, metrics, text rendering |
