@@ -9,6 +9,8 @@
 //! integration tests check it against the full [`crate::coordinator`] runs.
 
 use crate::allocation::Allocation;
+use crate::characterization::JobChar;
+use crate::policy::{PolicyCtx, PowerPolicy};
 use pmstack_kernel::{KernelConfig, KernelLoad};
 use pmstack_simhw::{Joules, LoadModel, PowerModel, Seconds, Watts};
 use rand::Rng;
@@ -109,27 +111,34 @@ impl MixEvaluation {
     }
 }
 
-/// The execution-time effect of running each job under the *power
-/// balancer* runtime agent (what the application-aware policies do, §III).
+/// The caps a mix's hosts hold at execution time under `policy`: its
+/// allocation, through the steady-state effect of the job runtime it runs
+/// its jobs under. This is the one place that decides which runtime a
+/// policy gets.
 ///
-/// The RM-side allocation fixes each job's total power; at execution time
-/// the balancer inside the job (a) equalizes performance across the job's
-/// hosts — power flows toward hosts that need more (inefficient parts,
-/// heavier ranks) in proportion to their characterized needed power — and
-/// (b) never burns watts above a host's needed power, because it "reduces
-/// the power limit where it does not impact performance". Both behaviours
-/// are what produce the paper's marker-(a) (less power used under relaxed
-/// limits) and the min-budget time savings where the static allocation is
-/// uniform.
+/// Application-aware policies run each job under the *power balancer*
+/// runtime agent (§III). The RM-side allocation fixes each job's total
+/// power; at execution time the balancer inside the job (a) equalizes
+/// performance across the job's hosts — power flows toward hosts that need
+/// more (inefficient parts, heavier ranks) in proportion to their
+/// characterized needed power — and (b) never burns watts above a host's
+/// needed power, because it "reduces the power limit where it does not
+/// impact performance". Both behaviours are what produce the paper's
+/// marker-(a) (less power used under relaxed limits) and the min-budget
+/// time savings where the static allocation is uniform.
 ///
 /// Application-agnostic policies (`StaticCaps`, `MinimizeWaste`,
 /// `Precharacterized`) run without a managing job runtime; their hosts draw
-/// whatever their static caps allow. Do not apply this to them.
-pub fn apply_job_runtime(
-    alloc: &crate::allocation::Allocation,
-    chars: &[crate::characterization::JobChar],
-    ctx: &crate::policy::PolicyCtx,
-) -> crate::allocation::Allocation {
+/// whatever their static caps allow, so their allocation is returned as is.
+pub fn allocate_with_runtime(
+    policy: &dyn PowerPolicy,
+    ctx: &PolicyCtx,
+    chars: &[JobChar],
+) -> Allocation {
+    let alloc = policy.allocate(ctx, chars);
+    if !policy.application_aware() {
+        return alloc;
+    }
     assert_eq!(
         alloc.jobs.len(),
         chars.len(),
@@ -145,7 +154,7 @@ pub fn apply_job_runtime(
             crate::allocation::proportional_fit(&needed, job_total, ctx.min_node, ctx.tdp_node)
         })
         .collect();
-    crate::allocation::Allocation { jobs }
+    Allocation { jobs }
 }
 
 /// Evaluate a mix: jobs, their allocations, `iterations` bulk-synchronous
@@ -246,9 +255,7 @@ fn evaluate_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterization::JobChar;
     use crate::policies::{MixedAdaptive, StaticCaps};
-    use crate::policy::{PolicyCtx, PowerPolicy};
     use pmstack_kernel::{Imbalance, VectorWidth, WaitingFraction};
     use pmstack_simhw::quartz_spec;
 

@@ -50,7 +50,7 @@ pub mod resilience;
 pub use allocation::Allocation;
 pub use characterization::{CharacterizationSource, HostChar, JobChar};
 pub use coordinator::{Coordinator, CoordinatorMode, MixRun};
-pub use evaluate::{apply_job_runtime, evaluate_mix, JobOutcome, JobSetup, MixEvaluation};
+pub use evaluate::{allocate_with_runtime, evaluate_mix, JobOutcome, JobSetup, MixEvaluation};
 pub use policies::{JobAdaptive, MinimizeWaste, MixedAdaptive, Precharacterized, StaticCaps};
 pub use policy::{PolicyCtx, PolicyKind, PowerPolicy};
 pub use resilience::{CoordinatorError, ResilienceReport};

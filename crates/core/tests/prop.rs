@@ -1,7 +1,8 @@
 //! Property-based tests of the policy invariants.
 
 use pmstack_core::{
-    apply_job_runtime, policies, CharacterizationSource, HostChar, JobChar, PolicyCtx, PolicyKind,
+    allocate_with_runtime, policies, CharacterizationSource, HostChar, JobChar, PolicyCtx,
+    PolicyKind,
 };
 use pmstack_simhw::Watts;
 use proptest::prelude::*;
@@ -117,12 +118,14 @@ proptest! {
 
     /// The execution-time balancer transform conserves each job's budget,
     /// never pushes a host above its needed power, and keeps relative
-    /// ordering by needed power.
+    /// ordering by needed power; an application-agnostic policy's caps
+    /// pass through untouched.
     #[test]
     fn job_runtime_transform_invariants(jobs in arb_jobs(), per_host in 137.0f64..240.0) {
         let ctx = ctx_for(&jobs, per_host);
-        let alloc = policies::by_kind(PolicyKind::MixedAdaptive).allocate(&ctx, &jobs);
-        let eff = apply_job_runtime(&alloc, &jobs, &ctx);
+        let policy = policies::by_kind(PolicyKind::MixedAdaptive);
+        let alloc = policy.allocate(&ctx, &jobs);
+        let eff = allocate_with_runtime(policy.as_ref(), &ctx, &jobs);
         for (j, job) in jobs.iter().enumerate() {
             prop_assert!(
                 eff.job_total(j) <= alloc.job_total(j) + Watts(1e-6),
@@ -141,6 +144,11 @@ proptest! {
                 }
             }
         }
+        let agnostic = policies::by_kind(PolicyKind::StaticCaps);
+        prop_assert_eq!(
+            allocate_with_runtime(agnostic.as_ref(), &ctx, &jobs),
+            agnostic.allocate(&ctx, &jobs)
+        );
     }
 
     /// StaticCaps is invariant to the needed-power column (it is

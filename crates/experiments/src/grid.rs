@@ -15,7 +15,7 @@ use crate::testbed::Testbed;
 use pmstack_analysis::metrics::SavingsRow;
 use pmstack_analysis::stats::{ci95_half_width, mean};
 use pmstack_core::{
-    apply_job_runtime, evaluate_mix, policies, JobChar, JobSetup, MixEvaluation, PolicyCtx,
+    allocate_with_runtime, evaluate_mix, policies, JobChar, JobSetup, MixEvaluation, PolicyCtx,
     PolicyKind,
 };
 use pmstack_simhw::{Joules, Seconds, Watts};
@@ -261,13 +261,7 @@ fn eval_cell(
         min_node: spec.min_rapl_per_node(),
         tdp_node: spec.tdp_per_node(),
     };
-    let policy_impl = policies::by_kind(policy);
-    let mut alloc = policy_impl.allocate(&ctx, &prep.chars);
-    // Application-aware policies run their jobs under the power balancer
-    // at execution time; model its steady-state effect on the allocation.
-    if policy_impl.application_aware() {
-        alloc = apply_job_runtime(&alloc, &prep.chars, &ctx);
-    }
+    let alloc = allocate_with_runtime(policies::by_kind(policy).as_ref(), &ctx, &prep.chars);
     let seed = cell_seed(prep.mix.kind, level, policy);
     evaluate_mix(
         testbed.model(),

@@ -24,7 +24,7 @@
 //! The scenario is deterministic: no jitter, fixed eps spread, analytic
 //! characterization, and all rendered aggregates fold in fleet order.
 
-use pmstack_core::{apply_job_runtime, policies, Allocation, JobChar, PolicyCtx, PolicyKind};
+use pmstack_core::{allocate_with_runtime, policies, Allocation, JobChar, PolicyCtx, PolicyKind};
 use pmstack_kernel::{Imbalance, KernelConfig, KernelLoad, VectorWidth, WaitingFraction};
 use pmstack_rm::{DomainGrant, DomainLedger, JobId};
 use pmstack_runtime::DomainBalancer;
@@ -234,11 +234,7 @@ fn run_policy(
         min_node,
         tdp_node,
     };
-    let policy_impl = policies::by_kind(policy);
-    let mut alloc = policy_impl.allocate(&ctx, &chars);
-    if policy_impl.application_aware() {
-        alloc = apply_job_runtime(&alloc, &chars, &ctx);
-    }
+    let mut alloc = allocate_with_runtime(policies::by_kind(policy).as_ref(), &ctx, &chars);
     clamp_to_classes(&mut alloc, fleet);
 
     // Admission: every job's node grant splits into per-domain budgets.

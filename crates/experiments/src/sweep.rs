@@ -10,7 +10,7 @@
 
 use crate::mixes::{self, MixKind};
 use crate::testbed::Testbed;
-use pmstack_core::{apply_job_runtime, evaluate_mix, policies, JobChar, PolicyCtx, PolicyKind};
+use pmstack_core::{allocate_with_runtime, evaluate_mix, policies, JobChar, PolicyCtx, PolicyKind};
 use pmstack_simhw::Watts;
 use serde::{Deserialize, Serialize};
 
@@ -60,11 +60,8 @@ impl BudgetSweep {
                     tdp_node: spec.tdp_per_node(),
                 };
                 let eval = |kind: PolicyKind| {
-                    let policy = policies::by_kind(kind);
-                    let mut alloc = policy.allocate(&ctx, &chars);
-                    if policy.application_aware() {
-                        alloc = apply_job_runtime(&alloc, &chars, &ctx);
-                    }
+                    let alloc =
+                        allocate_with_runtime(policies::by_kind(kind).as_ref(), &ctx, &chars);
                     evaluate_mix(testbed.model(), &setups, &alloc, 1, 0.0, 0)
                 };
                 let base = eval(PolicyKind::StaticCaps);

@@ -4,7 +4,9 @@
 //! unchanged on a different part — verified here on a Skylake-SP-class
 //! node description.
 
-use powerstack::core::{evaluate_mix, policies, JobChar, JobSetup, PolicyCtx, PolicyKind};
+use powerstack::core::{
+    allocate_with_runtime, evaluate_mix, policies, JobChar, JobSetup, PolicyCtx, PolicyKind,
+};
 use powerstack::kernel::{Imbalance, KernelConfig, KernelLoad, VectorWidth, WaitingFraction};
 use powerstack::runtime::{Agent, Controller, JobPlatform, PowerBalancerAgent};
 use powerstack::simhw::machines::skylake_sp_spec;
@@ -81,11 +83,7 @@ fn policies_keep_their_ordering_on_the_other_part() {
         tdp_node: spec.tdp_per_node(),
     };
     let eval = |kind: PolicyKind| {
-        let policy = policies::by_kind(kind);
-        let mut alloc = policy.allocate(&ctx, &chars);
-        if policy.application_aware() {
-            alloc = powerstack::core::apply_job_runtime(&alloc, &chars, &ctx);
-        }
+        let alloc = allocate_with_runtime(policies::by_kind(kind).as_ref(), &ctx, &chars);
         evaluate_mix(&model, &setups, &alloc, 20, 0.0, 0)
     };
     let stat = eval(PolicyKind::StaticCaps);
