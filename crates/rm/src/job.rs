@@ -9,8 +9,11 @@ use std::fmt;
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
+    /// `job` then the number. The number takes the formatter's flags, so a
+    /// width pads the digits alone; no caller formats an id with one.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "job{}", self.0)
+        f.write_str("job")?;
+        fmt::Display::fmt(&self.0, f)
     }
 }
 
@@ -126,6 +129,15 @@ impl Job {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn job_ids_print_as_job_and_the_number() {
+        assert_eq!(JobId(0).to_string(), "job0");
+        assert_eq!(
+            format!("{} {}", JobId(42), JobId(u64::MAX)),
+            "job42 job18446744073709551615"
+        );
+    }
 
     #[test]
     fn lifecycle_happy_path() {
