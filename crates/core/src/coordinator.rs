@@ -172,17 +172,14 @@ impl Coordinator {
         }
 
         // Collect each job's granted hosts and their efficiency factors.
-        let mut setups: Vec<JobSetup> = Vec::with_capacity(mix.len());
-        let mut grants: Vec<Vec<usize>> = Vec::with_capacity(mix.len());
-        for (nodes, (_, config, _)) in started.iter().zip(mix) {
-            let host_ids: Vec<usize> = nodes.iter().map(|n| n.0).collect();
-            let host_eps: Vec<f64> = host_ids.iter().map(|&i| self.node_eps[i]).collect();
-            setups.push(JobSetup {
-                config: *config,
-                host_eps,
-            });
-            grants.push(host_ids);
-        }
+        let (setups, grants): (Vec<JobSetup>, Vec<Vec<usize>>) = (started.iter().zip(mix))
+            .map(|(nodes, (_, config, _))| {
+                let grant: Vec<usize> = nodes.iter().map(|n| n.0).collect();
+                let host_eps = grant.iter().map(|&i| self.node_eps[i]).collect();
+                let config = *config;
+                (JobSetup { config, host_eps }, grant)
+            })
+            .unzip();
 
         let mut resilience = ResilienceReport {
             injected: self
@@ -254,11 +251,7 @@ impl Coordinator {
                 allocation = policy.allocate(&ctx, &measured);
                 resilience.reallocated = true;
             }
-            let phase_grants: Vec<Vec<usize>> = cohort
-                .iter()
-                .map(|(j, hosts)| hosts.iter().map(|&h| grants[*j][h]).collect())
-                .collect();
-            validate_shape(&allocation, &phase_grants)?;
+            validate_shape(&allocation, &cohort)?;
             for (k, (j, _)) in cohort.iter().enumerate() {
                 // Budget-blind policies may overcommit; the ledger records
                 // it faithfully so the violation is observable (Fig. 7 bars
@@ -267,15 +260,8 @@ impl Coordinator {
                     .ledger_mut()
                     .reserve(ids[*j], allocation.job_total(k));
             }
-            let phase_setups: Vec<JobSetup> = cohort
-                .iter()
-                .map(|(j, hosts)| JobSetup {
-                    config: setups[*j].config,
-                    host_eps: hosts.iter().map(|&h| setups[*j].host_eps[h]).collect(),
-                })
-                .collect();
             let (phase_reports, phase_alive) =
-                self.execute_phase(&phase_setups, &phase_grants, &allocation, start, len);
+                self.execute_phase(&cohort, &setups, &grants, &allocation, start, len);
             for ((j, hosts), report) in cohort.iter().zip(phase_reports) {
                 reports[*j] = Some(match reports[*j].take() {
                     Some(before) => merge_reports(before, report, hosts),
@@ -285,10 +271,10 @@ impl Coordinator {
             // The RM learns of deaths at the phase boundary and drains them:
             // the scheduler shrinks the owner's grant and the ledger reclaims
             // the dead share into the system budget.
-            for (grant, mask) in phase_grants.iter().zip(&phase_alive) {
-                for (&node, &ok) in grant.iter().zip(mask) {
+            for ((j, hosts), mask) in cohort.iter().zip(&phase_alive) {
+                for (&h, &ok) in hosts.iter().zip(mask) {
                     if !ok {
-                        resilience.absorb(scheduler.fail_node(NodeId(node)));
+                        resilience.absorb(scheduler.fail_node(NodeId(grants[*j][h])));
                     }
                 }
             }
@@ -315,36 +301,37 @@ impl Coordinator {
         })
     }
 
-    /// Run every job of the mix for the phase window of `iterations`
-    /// starting at mix iteration `start`, fanned out over the work-stealing
-    /// pool, under the given allocation and each job's slice of the fault
-    /// plan. Each job derives its jitter seed from its position in
-    /// `setups`, so results are independent of scheduling order. Returns
-    /// the reports plus each job's per-host liveness at phase end.
+    /// Run the cohort's hosts for the phase window of `iterations` starting
+    /// at mix iteration `start`, one job per task on the work-stealing pool,
+    /// under the allocation's rows and each job's slice of the fault plan.
+    /// Each job derives its jitter seed from its position in the cohort, so
+    /// results are independent of scheduling order. Returns the reports
+    /// plus each job's per-host liveness at phase end, in cohort order.
     fn execute_phase(
         &self,
+        cohort: &[(usize, Vec<usize>)],
         setups: &[JobSetup],
         grants: &[Vec<usize>],
         allocation: &Allocation,
         start: u64,
         iterations: usize,
     ) -> (Vec<JobReport>, Vec<Vec<bool>>) {
-        let results = pmstack_exec::par_map_indexed(setups, |j, setup| {
-            let host_ids = &grants[j];
-            let caps = allocation.jobs[j].clone();
-            let plan = slice_plan(&self.fault_plan, host_ids, start, iterations as u64);
-            let model = &self.model;
-            let hosts: Vec<(NodeId, f64)> = (host_ids.iter().zip(&setup.host_eps))
-                .map(|(&id, &eps)| (NodeId(id), eps))
+        let results = pmstack_exec::par_map_indexed(cohort, |k, (j, local)| {
+            let host_ids: Vec<usize> = local.iter().map(|&h| grants[*j][h]).collect();
+            let hosts: Vec<(NodeId, f64)> = (host_ids.iter().zip(local))
+                .map(|(&id, &h)| (NodeId(id), setups[*j].host_eps[h]))
                 .collect();
-            let mut platform = JobPlatform::from_hosts(model.clone(), &hosts, setup.config)
-                .expect("eps sampled from a valid profile")
-                .with_fault_plan(plan);
+            let plan = slice_plan(&self.fault_plan, &host_ids, start, iterations as u64);
+            let mut platform =
+                JobPlatform::from_hosts(self.model.clone(), &hosts, setups[*j].config)
+                    .expect("eps sampled from a valid profile")
+                    .with_fault_plan(plan);
             platform.set_fast_forward(self.fast_forward);
             if self.jitter_sigma > 0.0 {
                 platform =
-                    platform.with_jitter(self.jitter_sigma, self.seed.wrapping_add(j as u64));
+                    platform.with_jitter(self.jitter_sigma, self.seed.wrapping_add(k as u64));
             }
+            let caps = allocation.jobs[k].clone();
             let mut controller = Controller::new(platform, FixedAllocationAgent::new(caps));
             let report = controller.run(iterations);
             let alive: Vec<bool> = (0..report.hosts.len())
@@ -356,15 +343,18 @@ impl Coordinator {
     }
 }
 
-/// Check that the policy produced one cap per granted host.
-fn validate_shape(allocation: &Allocation, grants: &[Vec<usize>]) -> Result<(), CoordinatorError> {
-    for (j, grant) in grants.iter().enumerate() {
-        let caps = allocation.jobs.get(j).map_or(0, Vec::len);
-        if caps != grant.len() {
+/// Check that the policy produced one cap per host of each cohort job.
+fn validate_shape(
+    allocation: &Allocation,
+    cohort: &[(usize, Vec<usize>)],
+) -> Result<(), CoordinatorError> {
+    for (k, (_, hosts)) in cohort.iter().enumerate() {
+        let caps = allocation.jobs.get(k).map_or(0, Vec::len);
+        if caps != hosts.len() {
             return Err(CoordinatorError::CapShapeMismatch {
-                job: j,
+                job: k,
                 caps,
-                hosts: grant.len(),
+                hosts: hosts.len(),
             });
         }
     }
