@@ -121,8 +121,9 @@ impl Coordinator {
 
     /// Run a mix of `(name, config, node_count)` jobs under `policy` and a
     /// system `budget` for `iterations` bulk-synchronous iterations each,
-    /// through the full stack. A mix that cannot be coordinated is a typed
-    /// error, not a panic.
+    /// through the full stack, in `mode`'s phase schedule. A mix that cannot
+    /// be coordinated (zero iterations included) is a typed error, not a
+    /// panic.
     pub fn try_run_mix(
         &self,
         mix: &[(String, KernelConfig, usize)],
@@ -343,16 +344,17 @@ impl Coordinator {
     }
 }
 
-/// Check that the policy produced one cap per host of each cohort job.
+/// Check that the policy produced one cap per host of each cohort job; a
+/// mismatch names the job by its mix position.
 fn validate_shape(
     allocation: &Allocation,
     cohort: &[(usize, Vec<usize>)],
 ) -> Result<(), CoordinatorError> {
-    for (k, (_, hosts)) in cohort.iter().enumerate() {
+    for (k, (j, hosts)) in cohort.iter().enumerate() {
         let caps = allocation.jobs.get(k).map_or(0, Vec::len);
         if caps != hosts.len() {
             return Err(CoordinatorError::CapShapeMismatch {
-                job: k,
+                job: *j,
                 caps,
                 hosts: hosts.len(),
             });

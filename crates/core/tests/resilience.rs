@@ -4,7 +4,10 @@
 //! (online mode) the surviving hosts are re-characterized and re-allocated.
 
 use pmstack_core::policies::by_kind;
-use pmstack_core::{Coordinator, CoordinatorError, CoordinatorMode, MixedAdaptive, PolicyKind};
+use pmstack_core::{
+    Allocation, CharacterizationSource, Coordinator, CoordinatorError, CoordinatorMode, JobChar,
+    MixedAdaptive, PolicyKind, PowerPolicy,
+};
 use pmstack_kernel::{Imbalance, KernelConfig, VectorWidth, WaitingFraction};
 use pmstack_simhw::{faults, quartz_spec, Cluster, FaultPlan, VariationProfile, Watts};
 
@@ -204,4 +207,46 @@ fn both_modes_are_pinned_bit_for_bit() {
         "Online jittered 35a0b782f9a34cff",
     ];
     assert_eq!(got, want);
+}
+
+/// StaticCaps, except that a re-allocation from measured power drops the
+/// last cap of its last job.
+struct ShortOnRealloc;
+
+impl PowerPolicy for ShortOnRealloc {
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::StaticCaps
+    }
+    fn system_aware(&self) -> bool {
+        true
+    }
+    fn application_aware(&self) -> bool {
+        false
+    }
+    fn allocate(&self, ctx: &pmstack_core::PolicyCtx, jobs: &[JobChar]) -> Allocation {
+        let mut alloc = pmstack_core::StaticCaps.allocate(ctx, jobs);
+        if jobs[0].source == CharacterizationSource::Measured {
+            alloc.jobs.last_mut().unwrap().pop();
+        }
+        alloc
+    }
+}
+
+#[test]
+fn a_bad_reallocation_names_the_job_by_its_mix_position() {
+    // The first job loses all three hosts in phase one, so the second job
+    // is the only one re-allocated: the error still calls it job 1.
+    let c = cluster(6);
+    let plan = FaultPlan::scripted((0..3).map(|h| faults::kill(h, 2)).collect());
+    let coord = Coordinator::new(&c).with_fault_plan(plan);
+    let budget = Watts(6.0 * 190.0);
+    let err = coord
+        .try_run_mix(&mix(), &ShortOnRealloc, budget, 20, CoordinatorMode::Online)
+        .unwrap_err();
+    let want = CoordinatorError::CapShapeMismatch {
+        job: 1,
+        caps: 2,
+        hosts: 3,
+    };
+    assert_eq!(err, want);
 }
