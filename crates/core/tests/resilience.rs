@@ -174,6 +174,8 @@ fn both_modes_are_pinned_bit_for_bit() {
     // 31 iterations split unevenly online (15 + 16). One death per window,
     // a dropout in the first and a stuck RAPL latch in the second, so the
     // drain, re-allocation and per-window plan slicing all show in the hash.
+    // Losing the whole first job under jitter pins the second window's
+    // seeds: each job's is the seed plus its index among the live jobs.
     let c = cluster(6);
     let budget = Watts(6.0 * 190.0);
     let faulted = FaultPlan::scripted(vec![
@@ -182,19 +184,24 @@ fn both_modes_are_pinned_bit_for_bit() {
         faults::stuck_rapl(5, 20, Watts(170.0)),
         faults::kill(0, 22),
     ]);
+    let first_job_lost = FaultPlan::scripted((0..3).map(|h| faults::kill(h, 5)).collect());
     let coords = [
-        ("clean", Coordinator::new(&c)),
-        ("faulted", Coordinator::new(&c).with_fault_plan(faulted)),
-        ("jittered", Coordinator::new(&c).with_jitter(0.01, 7)),
+        ("clean", 0, Coordinator::new(&c)),
+        ("faulted", 2, Coordinator::new(&c).with_fault_plan(faulted)),
+        ("jittered", 0, Coordinator::new(&c).with_jitter(0.01, 7)),
+        (
+            "job-lost-jittered",
+            3,
+            (Coordinator::new(&c).with_fault_plan(first_job_lost)).with_jitter(0.01, 7),
+        ),
     ];
     let mut got = Vec::new();
     for mode in [CoordinatorMode::Emulated, CoordinatorMode::Online] {
-        for (name, coord) in &coords {
+        for (name, dead, coord) in &coords {
             let run = coord
                 .try_run_mix(&mix(), &MixedAdaptive, budget, 31, mode)
                 .unwrap();
-            let dead = if *name == "faulted" { 2 } else { 0 };
-            assert_eq!(run.resilience.dead_nodes.len(), dead, "{mode:?} {name}");
+            assert_eq!(run.resilience.dead_nodes.len(), *dead, "{mode:?} {name}");
             got.push(format!("{mode:?} {name} {:016x}", digest(&run)));
         }
     }
@@ -202,9 +209,11 @@ fn both_modes_are_pinned_bit_for_bit() {
         "Emulated clean bfd1e6366f61ec5e",
         "Emulated faulted 06eb02dd69dbaf41",
         "Emulated jittered 66369745aae1f5e3",
+        "Emulated job-lost-jittered 06c5c61c2a746bf1",
         "Online clean abb61e83db0e69a8",
         "Online faulted bcca549b7600c5be",
         "Online jittered 35a0b782f9a34cff",
+        "Online job-lost-jittered c24b86746ab4beb2",
     ];
     assert_eq!(got, want);
 }
