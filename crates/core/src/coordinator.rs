@@ -5,8 +5,11 @@
 //! caps a [`crate::policy::PowerPolicy`] computed from runtime-provided
 //! characterization data.
 //!
-//! A mix runs as one loop over phase windows; the two modes differ only in
-//! the schedule:
+//! Each job of a mix gets one runtime controller for the whole run, and a
+//! mix runs as one loop over phase windows, each a stretch of every live
+//! job's run. Every window opens by posting the current allocation's caps
+//! to the jobs' agents ([`pmstack_runtime::Agent::on_boundary`]); the two
+//! modes differ only in the schedule:
 //!
 //! * [`CoordinatorMode::Emulated`] — the paper's methodology, one phase of
 //!   every iteration: policies run once at job start on pre-characterization
@@ -14,18 +17,20 @@
 //!   behavior by pre-characterizing our workloads… ahead of time", §VIII).
 //! * [`CoordinatorMode::Online`] — the future-work protocol, two phases of
 //!   `n / 2` and `n − n / 2` iterations: at the boundary the RM
-//!   re-characterizes from *measured* powers and re-allocates, exercising
-//!   the execution-time feedback loop end to end. An empty phase is
-//!   dropped, so one iteration online is the emulated run.
+//!   re-characterizes from the power *measured* since the last boundary and
+//!   re-allocates, exercising the execution-time feedback loop end to end.
+//!   An empty phase is dropped, so one iteration online is the emulated
+//!   run.
 //!
 //! A [`pmstack_simhw::FaultPlan`] can be attached with
 //! [`Coordinator::with_fault_plan`]. Faults fire at iteration boundaries
-//! inside the job platforms, each phase seeing its window's slice of the
-//! plan. After every phase the coordinator drains the dead nodes through
-//! [`pmstack_rm::Scheduler::fail_node`] (their watts reclaimed into the
-//! system budget); between phases it re-characterizes the surviving hosts
-//! and re-allocates over them. The whole story is recorded in
-//! [`MixRun::resilience`].
+//! inside the job platforms, each job's platform holding its hosts' slice
+//! of the plan for the whole run, so a latch, a dropout or a dead host
+//! outlives a phase boundary. After every phase the coordinator drains the
+//! dead nodes through [`pmstack_rm::Scheduler::fail_node`] (their watts
+//! reclaimed into the system budget); between phases it re-characterizes
+//! the surviving hosts and re-allocates over them. The whole story is
+//! recorded in [`MixRun::resilience`].
 //!
 //! Jobs run in parallel on the resident `pmstack_exec` pool, one runtime
 //! controller per job, mirroring the real deployment topology.
@@ -38,7 +43,7 @@ use crate::resilience::{slice_plan, CoordinatorError, ResilienceReport};
 use pmstack_kernel::KernelConfig;
 use pmstack_rm::{FifoScheduler, JobSpec, NodePool, PowerLedger, SchedulerEvent};
 use pmstack_runtime::{Controller, FixedAllocationAgent, JobPlatform, JobReport};
-use pmstack_simhw::{Cluster, FaultPlan, NodeId, PowerModel, Watts};
+use pmstack_simhw::{Cluster, FaultPlan, Joules, NodeId, PowerModel, Seconds, Watts};
 
 /// Whether the feedback loop runs once (emulated) or live (online).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,6 +204,16 @@ impl Coordinator {
         });
         let mut allocation = policy.allocate(&ctx, &chars);
 
+        // One runtime per job for the whole mix; a phase window is a
+        // stretch of its run.
+        let mut runtimes = pmstack_exec::par_map_indexed(&setups, |j, setup| {
+            self.job_runtime(j, setup, &grants[j], iterations)
+        });
+        // Each job's elapsed time and per-host energy at the last boundary.
+        let mut marks: Vec<(Seconds, Vec<Joules>)> = (grants.iter())
+            .map(|g| (Seconds::ZERO, vec![Joules::ZERO; g.len()]))
+            .collect();
+
         // The phase loop. Each phase runs the cohort — every job that still
         // holds a live host, with those hosts (local indices into its
         // grant) — under the current allocation; the cohort's `k`-th job is
@@ -208,38 +223,32 @@ impl Coordinator {
             CoordinatorMode::Emulated => &[iterations],
             CoordinatorMode::Online => &[half, iterations - half],
         };
-        let mut cohort: Vec<(usize, Vec<usize>)> = grants
-            .iter()
-            .enumerate()
-            .map(|(j, g)| (j, (0..g.len()).collect()))
-            .collect();
-        let mut reports: Vec<Option<JobReport>> = vec![None; mix.len()];
-        let mut alive: Vec<Vec<bool>> = Vec::new();
-        let mut start = 0;
+        let mut caps: Vec<Vec<Watts>> = Vec::new();
         for (p, &len) in schedule.iter().filter(|&&len| len > 0).enumerate() {
+            let cohort: Vec<(usize, Vec<usize>)> = (runtimes.iter().enumerate())
+                .filter_map(|(j, rt)| {
+                    let platform = rt.platform();
+                    let hosts: Vec<usize> = (0..platform.num_hosts())
+                        .filter(|&h| platform.is_host_alive(h))
+                        .collect();
+                    (!hosts.is_empty()).then_some((j, hosts))
+                })
+                .collect();
+            if cohort.is_empty() {
+                return Err(CoordinatorError::AllHostsFailed);
+            }
             if p > 0 {
-                // Execution-time feedback over the survivors of the last
-                // phase: measured average power becomes the new "used";
-                // needed cannot exceed what was measured.
-                cohort = cohort
-                    .into_iter()
-                    .zip(&alive)
-                    .filter_map(|((j, hosts), mask)| {
-                        let hosts: Vec<usize> = (hosts.into_iter().zip(mask))
-                            .filter_map(|(h, &ok)| ok.then_some(h))
-                            .collect();
-                        (!hosts.is_empty()).then_some((j, hosts))
-                    })
-                    .collect();
-                if cohort.is_empty() {
-                    return Err(CoordinatorError::AllHostsFailed);
-                }
-                let measured: Vec<JobChar> = cohort
-                    .iter()
+                // Execution-time feedback over the survivors: power measured
+                // since the last boundary becomes the new "used"; needed
+                // cannot exceed what was measured.
+                let measured: Vec<JobChar> = (cohort.iter())
                     .map(|(j, hosts)| {
-                        let report = reports[*j].as_ref().expect("every job ran phase one");
+                        let now = runtimes[*j].report();
+                        let energies = now.hosts.iter().map(|h| h.energy).collect();
+                        let (since, before) =
+                            std::mem::replace(&mut marks[*j], (now.elapsed, energies));
                         let host = |h: usize| {
-                            let used = report.hosts[h].avg_power;
+                            let used = (now.hosts[h].energy - before[h]) / (now.elapsed - since);
                             let needed = chars[*j].hosts[h].needed.min(used);
                             HostChar { used, needed }
                         };
@@ -253,6 +262,7 @@ impl Coordinator {
                 resilience.reallocated = true;
             }
             validate_shape(&allocation, &cohort)?;
+            caps = expand(&allocation, &cohort, &grants);
             for (k, (j, _)) in cohort.iter().enumerate() {
                 // Budget-blind policies may overcommit; the ledger records
                 // it faithfully so the violation is observable (Fig. 7 bars
@@ -261,87 +271,79 @@ impl Coordinator {
                     .ledger_mut()
                     .reserve(ids[*j], allocation.job_total(k));
             }
-            let (phase_reports, phase_alive) =
-                self.execute_phase(&cohort, &setups, &grants, &allocation, start, len);
-            for ((j, hosts), report) in cohort.iter().zip(phase_reports) {
-                reports[*j] = Some(match reports[*j].take() {
-                    Some(before) => merge_reports(before, report, hosts),
-                    None => report,
-                });
-            }
+            // Post the caps and run the window, one job per task on the
+            // pool; jobs outside the cohort have no live host left.
+            pmstack_exec::par_for_each_mut(&mut runtimes, |j, rt| {
+                if cohort.iter().any(|(c, _)| *c == j) {
+                    rt.boundary(Some(&caps[j]));
+                    rt.advance(len);
+                }
+            });
             // The RM learns of deaths at the phase boundary and drains them:
             // the scheduler shrinks the owner's grant and the ledger reclaims
             // the dead share into the system budget.
-            for ((j, hosts), mask) in cohort.iter().zip(&phase_alive) {
-                for (&h, &ok) in hosts.iter().zip(mask) {
-                    if !ok {
+            for (j, hosts) in &cohort {
+                for &h in hosts {
+                    if !runtimes[*j].platform().is_host_alive(h) {
                         resilience.absorb(scheduler.fail_node(NodeId(grants[*j][h])));
                     }
                 }
             }
-            alive = phase_alive;
-            start += len as u64;
         }
         resilience.reserved_after = scheduler.ledger().reserved();
         debug_assert!(resilience.reserved_after <= budget + Watts(1e-6));
 
-        // The last allocation, expanded back to the mix's shape with zero
-        // caps on the hosts it no longer covered.
-        let mut caps: Vec<Vec<Watts>> = (grants.iter())
-            .map(|g| vec![Watts::ZERO; g.len()])
-            .collect();
-        for ((j, hosts), row) in cohort.iter().zip(allocation.jobs) {
-            for (&h, cap) in hosts.iter().zip(row) {
-                caps[*j][h] = cap;
-            }
-        }
         Ok(MixRun {
             allocation: Allocation { jobs: caps },
-            reports: reports.into_iter().flatten().collect(),
+            reports: runtimes.iter().map(Controller::report).collect(),
             resilience,
         })
     }
 
-    /// Run the cohort's hosts for the phase window of `iterations` starting
-    /// at mix iteration `start`, one job per task on the work-stealing pool,
-    /// under the allocation's rows and each job's slice of the fault plan.
-    /// Each job derives its jitter seed from its position in the cohort, so
-    /// results are independent of scheduling order. Returns the reports
-    /// plus each job's per-host liveness at phase end, in cohort order.
-    fn execute_phase(
+    /// Job `j`'s runtime for the whole mix, begun for `iterations`: its
+    /// granted hosts with their slice of the fault plan and, under jitter,
+    /// a stream seeded by its mix index (so results are independent of
+    /// scheduling order and of which jobs die), held by an agent that
+    /// programs whatever caps each phase posts.
+    fn job_runtime(
         &self,
-        cohort: &[(usize, Vec<usize>)],
-        setups: &[JobSetup],
-        grants: &[Vec<usize>],
-        allocation: &Allocation,
-        start: u64,
+        j: usize,
+        setup: &JobSetup,
+        grant: &[usize],
         iterations: usize,
-    ) -> (Vec<JobReport>, Vec<Vec<bool>>) {
-        let results = pmstack_exec::par_map_indexed(cohort, |k, (j, local)| {
-            let host_ids: Vec<usize> = local.iter().map(|&h| grants[*j][h]).collect();
-            let hosts: Vec<(NodeId, f64)> = (host_ids.iter().zip(local))
-                .map(|(&id, &h)| (NodeId(id), setups[*j].host_eps[h]))
-                .collect();
-            let plan = slice_plan(&self.fault_plan, &host_ids, start, iterations as u64);
-            let mut platform =
-                JobPlatform::from_hosts(self.model.clone(), &hosts, setups[*j].config)
-                    .expect("eps sampled from a valid profile")
-                    .with_fault_plan(plan);
-            platform.set_fast_forward(self.fast_forward);
-            if self.jitter_sigma > 0.0 {
-                platform =
-                    platform.with_jitter(self.jitter_sigma, self.seed.wrapping_add(k as u64));
-            }
-            let caps = allocation.jobs[k].clone();
-            let mut controller = Controller::new(platform, FixedAllocationAgent::new(caps));
-            let report = controller.run(iterations);
-            let alive: Vec<bool> = (0..report.hosts.len())
-                .map(|h| controller.platform().is_host_alive(h))
-                .collect();
-            (report, alive)
-        });
-        results.into_iter().unzip()
+    ) -> Controller<FixedAllocationAgent> {
+        let hosts: Vec<(NodeId, f64)> = (grant.iter().zip(&setup.host_eps))
+            .map(|(&id, &eps)| (NodeId(id), eps))
+            .collect();
+        let mut platform = JobPlatform::from_hosts(self.model.clone(), &hosts, setup.config)
+            .expect("eps sampled from a valid profile")
+            .with_fault_plan(slice_plan(&self.fault_plan, grant));
+        platform.set_fast_forward(self.fast_forward);
+        if self.jitter_sigma > 0.0 {
+            platform = platform.with_jitter(self.jitter_sigma, self.seed.wrapping_add(j as u64));
+        }
+        let mut runtime = Controller::new(platform, FixedAllocationAgent::new(Vec::new()));
+        runtime.begin(iterations);
+        runtime
     }
+}
+
+/// The allocation in the mix's shape: each cohort row spread over its
+/// job's hosts, with zero caps on the hosts the cohort does not cover.
+fn expand(
+    allocation: &Allocation,
+    cohort: &[(usize, Vec<usize>)],
+    grants: &[Vec<usize>],
+) -> Vec<Vec<Watts>> {
+    let mut caps: Vec<Vec<Watts>> = (grants.iter())
+        .map(|g| vec![Watts::ZERO; g.len()])
+        .collect();
+    for ((j, hosts), row) in cohort.iter().zip(&allocation.jobs) {
+        for (&h, &cap) in hosts.iter().zip(row) {
+            caps[*j][h] = cap;
+        }
+    }
+    caps
 }
 
 /// Check that the policy produced one cap per host of each cohort job; a
@@ -361,37 +363,6 @@ fn validate_shape(
         }
     }
     Ok(())
-}
-
-/// Combine two phase reports of the same job. `survivors[b]` names the host
-/// index of report `a` that host `b` of report `b` continued as (identity
-/// when nothing died between the phases). Hosts of `a` absent from
-/// `survivors` contribute only their first-phase energy.
-fn merge_reports(mut a: JobReport, b: JobReport, survivors: &[usize]) -> JobReport {
-    assert_eq!(b.hosts.len(), survivors.len());
-    a.iterations += b.iterations;
-    a.elapsed += b.elapsed;
-    a.iteration_times.extend(b.iteration_times);
-    a.energy += b.energy;
-    a.flops += b.flops;
-    for (bi, &ai) in survivors.iter().enumerate() {
-        let ha = &mut a.hosts[ai];
-        let hb = &b.hosts[bi];
-        let total = ha.energy + hb.energy;
-        ha.energy = total;
-        ha.final_limit = hb.final_limit;
-        ha.mean_epoch = (ha.mean_epoch + hb.mean_epoch) / 2.0;
-    }
-    // Every host's average re-derives from its total energy over the
-    // combined elapsed time (dead hosts simply stop accumulating).
-    for h in &mut a.hosts {
-        h.avg_power = if a.elapsed.value() > 0.0 {
-            h.energy / a.elapsed
-        } else {
-            Watts::ZERO
-        };
-    }
-    a
 }
 
 #[cfg(test)]
@@ -573,45 +544,5 @@ mod tests {
             err,
             CoordinatorError::MixDoesNotFit { submitted: 2, .. }
         ));
-    }
-
-    #[test]
-    fn merge_with_partial_survivors_keeps_dead_host_energy() {
-        use pmstack_runtime::HostReport;
-        use pmstack_simhw::{Joules, Seconds};
-        let host = |h: usize, e: f64| HostReport {
-            host: h,
-            eps: 1.0,
-            avg_power: Watts(100.0),
-            energy: Joules(e),
-            final_limit: Watts(150.0),
-            mean_epoch: Seconds(1.0),
-        };
-        let a = JobReport {
-            agent: "fixed_allocation".into(),
-            iterations: 10,
-            elapsed: Seconds(10.0),
-            iteration_times: vec![Seconds(1.0); 10],
-            energy: Joules(3000.0),
-            flops: 1e9,
-            hosts: vec![host(0, 1000.0), host(1, 1000.0), host(2, 1000.0)],
-        };
-        let b = JobReport {
-            agent: "fixed_allocation".into(),
-            iterations: 10,
-            elapsed: Seconds(10.0),
-            iteration_times: vec![Seconds(1.0); 10],
-            energy: Joules(2000.0),
-            flops: 1e9,
-            hosts: vec![host(0, 1000.0), host(1, 1000.0)],
-        };
-        // Host 1 died between phases; b's hosts continue a's hosts 0 and 2.
-        let merged = merge_reports(a, b, &[0, 2]);
-        assert_eq!(merged.iterations, 20);
-        assert_eq!(merged.hosts[0].energy, Joules(2000.0));
-        assert_eq!(merged.hosts[1].energy, Joules(1000.0), "dead host froze");
-        assert_eq!(merged.hosts[2].energy, Joules(2000.0));
-        assert!((merged.hosts[1].avg_power.value() - 50.0).abs() < 1e-9);
-        assert_eq!(merged.energy, Joules(5000.0));
     }
 }

@@ -28,10 +28,12 @@
 //!   validate the analytic evaluator. No budget is updated over the
 //!   runtime endpoint at execution time: the coordinator attaches none, and
 //!   a controller given one only reports achieved power to it (ROADMAP
-//!   item 2). Both modes are one loop over phase windows:
+//!   item 2). Both modes are one loop over phase windows, each a stretch
+//!   of every job's one runtime controller:
 //!   `CoordinatorMode::Emulated` runs the whole run as one phase, and
 //!   `CoordinatorMode::Online` splits it in two and re-allocates once, at
-//!   the boundary, from measured power instead.
+//!   the boundary, from the power measured in the first phase instead,
+//!   posting the new caps to the jobs' agents.
 //! * [`resilience`] — typed coordination errors and the record of how the
 //!   stack degraded gracefully under injected hardware faults (node death,
 //!   stuck RAPL, telemetry dropout).

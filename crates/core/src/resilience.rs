@@ -110,24 +110,18 @@ impl ResilienceReport {
 }
 
 /// Slice a mix-wide fault plan (cluster-global host ids) into one job's
-/// platform-local plan for a phase window: keep events whose host lies in
-/// `grant` and whose iteration lies in `[start, start + len)`, remapping the
-/// host to its local index and the iteration to the window origin.
-pub(crate) fn slice_plan(plan: &FaultPlan, grant: &[usize], start: u64, len: u64) -> FaultPlan {
-    let end = start.saturating_add(len);
+/// platform-local plan: keep events whose host lies in `grant`, remapping
+/// the host to its local index. Iterations stay as they are: the job's
+/// platform runs the whole mix and times the events by its own counter.
+pub(crate) fn slice_plan(plan: &FaultPlan, grant: &[usize]) -> FaultPlan {
     let events: Vec<FaultEvent> = plan
         .events()
         .iter()
-        .filter(|e| e.at_iteration >= start && e.at_iteration < end)
         .filter_map(|e| {
             grant
                 .iter()
                 .position(|&g| g == e.host)
-                .map(|local| FaultEvent {
-                    at_iteration: e.at_iteration - start,
-                    host: local,
-                    kind: e.kind,
-                })
+                .map(|local| FaultEvent { host: local, ..*e })
         })
         .collect();
     FaultPlan::scripted(events)
@@ -167,12 +161,13 @@ mod tests {
     #[test]
     fn slicing_remaps_hosts_and_iterations() {
         let plan = FaultPlan::scripted(vec![kill(7, 2), kill(9, 12), kill(3, 14), kill(9, 30)]);
-        // Job holds global nodes 9 and 7; window is iterations [10, 25).
-        let local = slice_plan(&plan, &[9, 7], 10, 15);
-        assert_eq!(local.len(), 1);
-        let ev = local.events()[0];
-        assert_eq!(ev.host, 0, "global node 9 is the job's first host");
-        assert_eq!(ev.at_iteration, 2, "iteration rebased to the window");
+        // Job holds global nodes 9 and 7: node 3's event goes, the others
+        // stay at their iterations, which the job's platform counts.
+        let local = slice_plan(&plan, &[9, 7]);
+        let kept: Vec<(usize, u64)> = (local.events().iter())
+            .map(|e| (e.host, e.at_iteration))
+            .collect();
+        assert_eq!(kept, vec![(1, 2), (0, 12), (0, 30)], "node 9 is host 0");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use pmstack_core::policies::by_kind;
 use pmstack_core::{
     Allocation, CharacterizationSource, Coordinator, CoordinatorError, CoordinatorMode, JobChar,
-    MixedAdaptive, PolicyKind, PowerPolicy,
+    MixRun, MixedAdaptive, PolicyKind, PowerPolicy, StaticCaps,
 };
 use pmstack_kernel::{Imbalance, KernelConfig, VectorWidth, WaitingFraction};
 use pmstack_simhw::{faults, quartz_spec, Cluster, FaultPlan, VariationProfile, Watts};
@@ -71,6 +71,15 @@ fn online_mode_reallocates_survivors_after_a_node_death() {
     assert!(run.allocation.total() <= budget + Watts(1e-6));
     // The mix still made progress on every surviving host.
     assert!(run.total_energy() > 0.0);
+    // The dead host's energy froze at its death: it is what eight
+    // iterations under the same first allocation left, and its average
+    // is that energy over the whole job's elapsed time.
+    let dead = &run.reports[1].hosts[0];
+    let before_death = coord
+        .try_run_mix(&mix(), &MixedAdaptive, budget, 8, CoordinatorMode::Emulated)
+        .unwrap();
+    assert_eq!(dead.energy, before_death.reports[1].hosts[0].energy);
+    assert_eq!(dead.avg_power, dead.energy / run.reports[1].elapsed);
 }
 
 #[test]
@@ -173,9 +182,9 @@ fn digest(run: &pmstack_core::MixRun) -> u64 {
 fn both_modes_are_pinned_bit_for_bit() {
     // 31 iterations split unevenly online (15 + 16). One death per window,
     // a dropout in the first and a stuck RAPL latch in the second, so the
-    // drain, re-allocation and per-window plan slicing all show in the hash.
-    // Losing the whole first job under jitter pins the second window's
-    // seeds: each job's is the seed plus its index among the live jobs.
+    // drain, re-allocation and the per-job plan slicing all show in the
+    // hash. Losing the whole first job under jitter pins the seeds: each
+    // job's is the seed plus its mix index, one stream for the whole run.
     let c = cluster(6);
     let budget = Watts(6.0 * 190.0);
     let faulted = FaultPlan::scripted(vec![
@@ -258,4 +267,66 @@ fn a_bad_reallocation_names_the_job_by_its_mix_position() {
         hosts: 3,
     };
     assert_eq!(err, want);
+}
+
+/// The two-host probe of a latch that outlives the boundary: StaticCaps at
+/// σ = 0 for 40 iterations, host 0's RAPL stuck at 90 W from iteration 2.
+fn latch_probe(mode: CoordinatorMode) -> MixRun {
+    let c = cluster(2);
+    let plan = FaultPlan::scripted(vec![faults::stuck_rapl(0, 2, Watts(90.0))]);
+    let coord = Coordinator::new(&c).with_fault_plan(plan);
+    let job = vec![("latched".to_string(), KernelConfig::balanced_ymm(8.0), 2)];
+    coord
+        .try_run_mix(&job, &StaticCaps, Watts(2.0 * 180.0), 40, mode)
+        .unwrap()
+}
+
+#[test]
+fn a_stuck_latch_set_before_the_boundary_holds_after_it() {
+    let [emulated, online] =
+        [CoordinatorMode::Emulated, CoordinatorMode::Online].map(|m| latch_probe(m).reports);
+    let second_half = |run: &[pmstack_runtime::JobReport]| -> f64 {
+        run[0].iteration_times[20..].iter().map(|t| t.value()).sum()
+    };
+    assert_eq!(second_half(&online), second_half(&emulated));
+    assert_eq!(online[0].hosts[0].avg_power, emulated[0].hosts[0].avg_power);
+}
+
+#[test]
+fn static_caps_online_is_emulated_bit_for_bit() {
+    // A share under the 136 W floor: StaticCaps clamps every cap to the
+    // floor from pre-characterized and from measured power alike, so the
+    // boundary re-posts the caps every host already holds. A dropout and a
+    // stuck latch span the boundary of the 15 + 16 split.
+    let c = cluster(6);
+    let budget = Watts(6.0 * 120.0);
+    let floor = c.model().spec().min_rapl_per_node();
+    let spanning = FaultPlan::scripted(vec![
+        faults::stuck_rapl(4, 10, Watts(170.0)),
+        faults::telemetry_dropout(1, 12, 6),
+    ]);
+    let coords = [
+        ("clean", Coordinator::new(&c)),
+        ("jittered", Coordinator::new(&c).with_jitter(0.01, 7)),
+        ("faulted", Coordinator::new(&c).with_fault_plan(spanning)),
+    ];
+    for (name, coord) in &coords {
+        let run = |mode| {
+            coord
+                .try_run_mix(&mix(), &StaticCaps, budget, 31, mode)
+                .unwrap()
+        };
+        let emulated = run(CoordinatorMode::Emulated);
+        let mut online = run(CoordinatorMode::Online);
+        assert!(online.resilience.reallocated, "{name}");
+        assert!(emulated
+            .allocation
+            .jobs
+            .iter()
+            .flatten()
+            .all(|&cap| cap == floor));
+        assert_eq!(online.allocation.jobs, emulated.allocation.jobs, "{name}");
+        online.resilience.reallocated = false;
+        assert_eq!(format!("{online:?}"), format!("{emulated:?}"), "{name}");
+    }
 }

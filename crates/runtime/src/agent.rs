@@ -26,11 +26,13 @@ pub trait Agent {
         let _ = (platform, outcome);
     }
 
-    /// Called when a multi-phase application crosses a phase boundary;
-    /// adaptive agents reset their search state here so they re-converge
-    /// quickly on the new phase's power signature.
-    fn on_phase_change(&mut self, platform: &mut JobPlatform) {
-        let _ = platform;
+    /// Called at a boundary between two stretches of one run: a phase
+    /// change of a multi-phase application, or a re-allocation, where the
+    /// resource manager posts new per-host `caps`. Adaptive agents reset
+    /// their search state here so they re-converge quickly; agents that
+    /// hold caps re-program from the posted ones.
+    fn on_boundary(&mut self, platform: &mut JobPlatform, caps: Option<&[Watts]>) {
+        let _ = (platform, caps);
     }
 
     /// The job-level power budget this agent enforces, if any.

@@ -255,9 +255,10 @@ impl Agent for PowerBalancerAgent {
             .expect("share is clamped into the settable range");
     }
 
-    fn on_phase_change(&mut self, _platform: &mut JobPlatform) {
-        // A new phase has a new power signature: re-open every host's
-        // search at the full step so convergence is fast again.
+    fn on_boundary(&mut self, _platform: &mut JobPlatform, _caps: Option<&[Watts]>) {
+        // A new stretch may have a new power signature: re-open every
+        // host's search at the full step so convergence is fast again.
+        // Posted caps do not re-seed the targets.
         let initial = self.params.step;
         for state in &mut self.hosts {
             state.step = initial;

@@ -23,6 +23,21 @@ impl FixedAllocationAgent {
     pub fn new(caps: Vec<Watts>) -> Self {
         Self { caps }
     }
+
+    /// Program the held caps of the hosts `write` selects. A host refusing
+    /// its cap (fail-stop dead, transient MSR denial) simply keeps its
+    /// previous enforced limit and the run continues degraded: one batched
+    /// write, resumed past each host that refused. Hosts past the end of
+    /// `caps` keep their limits too.
+    fn program(&self, platform: &mut JobPlatform, write: impl Fn(usize) -> bool + Sync) {
+        let caps = &self.caps;
+        let mut from = 0;
+        while let Err((h, _)) =
+            platform.set_host_limits(|h| caps.get(h).copied().filter(|_| h >= from && write(h)))
+        {
+            from = h + 1;
+        }
+    }
 }
 
 impl Agent for FixedAllocationAgent {
@@ -31,17 +46,15 @@ impl Agent for FixedAllocationAgent {
     }
 
     fn init(&mut self, platform: &mut JobPlatform) {
-        // A host refusing its cap (fail-stop dead, transient MSR denial)
-        // simply keeps its previous enforced limit and the run continues
-        // degraded: one batched write, resumed past each host that refused.
-        // Hosts past the end of `caps` keep their limits too.
-        let caps = &self.caps;
-        let mut from = 0;
-        while let Err((h, _)) =
-            platform.set_host_limits(|h| caps.get(h).copied().filter(|_| h >= from))
-        {
-            from = h + 1;
-        }
+        self.program(platform, |_| true);
+    }
+
+    /// Hold the posted caps, writing only those that changed: re-posting
+    /// the held caps writes nothing.
+    fn on_boundary(&mut self, platform: &mut JobPlatform, caps: Option<&[Watts]>) {
+        let Some(caps) = caps else { return };
+        let held = std::mem::replace(&mut self.caps, caps.to_vec());
+        self.program(platform, |h| held.get(h) != caps.get(h));
     }
 
     fn budget(&self) -> Option<Watts> {
@@ -80,6 +93,26 @@ mod tests {
         for l in p.host_limits() {
             assert!((l.value() - 136.0).abs() < 0.5);
         }
+    }
+
+    #[test]
+    fn a_boundary_writes_only_the_caps_that_changed() {
+        let mut p = platform(3);
+        let mut agent = FixedAllocationAgent::new(vec![Watts(150.0), Watts(160.0), Watts(170.0)]);
+        agent.init(&mut p);
+        // A limit changed behind the agent's back shows which hosts a
+        // boundary writes.
+        p.set_host_limit(0, Watts(200.0)).unwrap();
+        agent.on_boundary(&mut p, None);
+        agent.on_boundary(&mut p, Some(&[Watts(150.0), Watts(160.0), Watts(180.0)]));
+        let limits = p.host_limits();
+        assert!(
+            (limits[0].value() - 200.0).abs() < 0.5,
+            "unchanged: not written"
+        );
+        assert!((limits[1].value() - 160.0).abs() < 0.5);
+        assert!((limits[2].value() - 180.0).abs() < 0.5, "changed: written");
+        assert_eq!(agent.budget(), Some(Watts(490.0)));
     }
 
     /// The batched cap write leaves what one write per host left: a dead

@@ -3,7 +3,10 @@
 //! Drives the job's iterations, lets the agent adjust limits after each one
 //! (GEOPM's controller cadence), optionally reports achieved power to a
 //! resource-manager [`crate::endpoint::Endpoint`], and assembles the
-//! [`crate::report::JobReport`].
+//! [`crate::report::JobReport`]. A run is begun once and advanced in
+//! stretches; at a boundary between stretches the workload may change and
+//! the resource manager may post new caps to the agent, and the report
+//! always covers everything run so far.
 
 use crate::agent::Agent;
 use crate::endpoint::EndpointRuntime;
@@ -45,6 +48,25 @@ pub struct Controller<A: Agent> {
     platform: JobPlatform,
     agent: A,
     endpoint: Option<EndpointRuntime>,
+    run: Option<RunState>,
+}
+
+/// What a run has accumulated since [`Controller::begin`].
+struct RunState {
+    /// Iterations from this index on add their limits to `limit_sums`.
+    tail_start: usize,
+    energy_start: Vec<Joules>,
+    iteration_times: Vec<Seconds>,
+    epoch_sums: Vec<Seconds>,
+    elapsed: Seconds,
+    /// FLOPs of the stretches run under earlier workloads, and the
+    /// iterations run under the current one.
+    flops: f64,
+    load_iterations: usize,
+    limit_sums: Vec<Watts>,
+    limit_count: usize,
+    bufs: IterationBuffers,
+    limits_buf: Vec<Watts>,
 }
 
 impl<A: Agent> Controller<A> {
@@ -54,6 +76,7 @@ impl<A: Agent> Controller<A> {
             platform,
             agent,
             endpoint: None,
+            run: None,
         }
     }
 
@@ -81,104 +104,133 @@ impl<A: Agent> Controller<A> {
     /// Run `iterations` bulk-synchronous iterations and report.
     pub fn run(&mut self, iterations: usize) -> JobReport {
         assert!(iterations > 0, "a run needs at least one iteration");
-        let _span = pmstack_obs::span!("runtime.job.secs");
-        // Steady-state limits are reported as the mean over the last
-        // quarter of the run: dynamic agents breathe around their optimum,
-        // and the time average is what pre-characterization consumes.
-        let tail_start = iterations - (iterations / 4).max(1).min(iterations);
-        self.drive(&[(None, iterations)], tail_start)
+        self.begin(iterations);
+        self.advance(iterations);
+        self.report()
     }
 
     /// Run a multi-phase application: each phase rebinds the platform's
-    /// workload, notifies the agent (adaptive agents re-open their search),
-    /// and contributes its iterations to one combined report. Limits are
-    /// reported as the mean over every iteration of every phase.
+    /// workload and, after the first, crosses a boundary without posted
+    /// caps (adaptive agents re-open their search).
     pub fn run_phased(&mut self, workload: &pmstack_kernel::PhasedWorkload) -> JobReport {
         assert!(!workload.is_empty(), "a run needs at least one phase");
-        let phases: Vec<_> = workload
-            .phases
-            .iter()
-            .map(|phase| (Some(phase.config), phase.iterations))
-            .collect();
-        self.drive(&phases, 0)
+        self.begin(workload.total_iterations());
+        for (p, phase) in workload.phases.iter().enumerate() {
+            self.set_config(phase.config);
+            if p > 0 {
+                self.boundary(None);
+            }
+            self.advance(phase.iterations);
+        }
+        self.report()
     }
 
-    /// The loop both runs share. Each phase rebinds the workload when it
-    /// carries a config and, after the first, tells the agent; limits are
-    /// averaged over the iterations from `tail_start` on, counted across
-    /// phases.
-    fn drive(&mut self, phases: &[(Option<KernelConfig>, usize)], tail_start: usize) -> JobReport {
+    /// Start a run of `planned` iterations: the agent programs its initial
+    /// control state and the accumulators restart. Steady-state limits are
+    /// reported as the mean over the last quarter of the planned run:
+    /// dynamic agents breathe around their optimum, and the time average
+    /// is what pre-characterization consumes.
+    pub fn begin(&mut self, planned: usize) {
         self.agent.init(&mut self.platform);
-
         let n = self.platform.num_hosts();
-        let total_iters: usize = phases.iter().map(|&(_, iterations)| iterations).sum();
-        let energy_start = self.platform.host_energy();
-        let mut iteration_times = Vec::with_capacity(total_iters);
-        let mut epoch_sums = vec![Seconds::ZERO; n];
-        let mut elapsed = Seconds::ZERO;
-        let mut flops = 0.0;
-        let mut limit_sums = vec![Watts::ZERO; n];
-        let mut limit_count = 0usize;
-        let mut bufs = IterationBuffers::new();
-        let mut limits_buf = Vec::with_capacity(n);
-        let mut iter = 0usize;
+        self.run = Some(RunState {
+            tail_start: planned - (planned / 4).max(1).min(planned),
+            energy_start: self.platform.host_energy(),
+            iteration_times: Vec::with_capacity(planned),
+            epoch_sums: vec![Seconds::ZERO; n],
+            elapsed: Seconds::ZERO,
+            flops: 0.0,
+            load_iterations: 0,
+            limit_sums: vec![Watts::ZERO; n],
+            limit_count: 0,
+            bufs: IterationBuffers::new(),
+            limits_buf: Vec::with_capacity(n),
+        });
+    }
 
-        for (p, &(config, iterations)) in phases.iter().enumerate() {
-            if let Some(config) = config {
-                self.platform.set_config(config);
-            }
-            if p > 0 {
-                self.agent.on_phase_change(&mut self.platform);
-            }
-            for _ in 0..iterations {
-                self.platform.run_iteration_into(&mut bufs);
-                let outcome = bufs.outcome();
-                elapsed += outcome.elapsed;
-                iteration_times.push(outcome.elapsed);
-                let segment = self.platform.segment_hosts();
-                accumulate_into(&mut epoch_sums, &outcome.host_compute_time, segment);
-                Self::mark_host_trust(&mut self.platform, outcome);
-                self.agent.adjust(&mut self.platform, outcome);
-                if iter >= tail_start {
-                    self.platform.host_limits_into(&mut limits_buf);
-                    accumulate_into(&mut limit_sums, &limits_buf, segment);
-                    limit_count += 1;
-                }
-                if let Some(ep) = &self.endpoint {
-                    ep.report_achieved(outcome.total_power());
-                }
-                iter += 1;
-            }
-            flops += self.platform.load().perf().node_flops_per_iteration()
-                * iterations as f64
-                * n as f64;
+    /// Rebind the platform to a new workload mid-run (a phase change).
+    pub fn set_config(&mut self, config: KernelConfig) {
+        if let Some(run) = &mut self.run {
+            run.flops += self.platform.load().perf().node_flops_per_iteration()
+                * run.load_iterations as f64
+                * self.platform.num_hosts() as f64;
+            run.load_iterations = 0;
         }
+        self.platform.set_config(config);
+    }
 
+    /// Cross a boundary between two stretches of the run, handing the
+    /// agent the per-host caps posted there, if any ([`Agent::on_boundary`]).
+    pub fn boundary(&mut self, caps: Option<&[Watts]>) {
+        self.agent.on_boundary(&mut self.platform, caps);
+    }
+
+    /// Run `iterations` more iterations of the run [`Self::begin`] started;
+    /// after each, the agent adjusts limits.
+    pub fn advance(&mut self, iterations: usize) {
+        let _span = pmstack_obs::span!("runtime.job.secs");
+        let Self {
+            platform,
+            agent,
+            endpoint,
+            run,
+        } = self;
+        let run = run.as_mut().expect("begin a run before advancing it");
+        for _ in 0..iterations {
+            let in_tail = run.iteration_times.len() >= run.tail_start;
+            platform.run_iteration_into(&mut run.bufs);
+            let outcome = run.bufs.outcome();
+            run.elapsed += outcome.elapsed;
+            run.iteration_times.push(outcome.elapsed);
+            let segment = platform.segment_hosts();
+            accumulate_into(&mut run.epoch_sums, &outcome.host_compute_time, segment);
+            Self::mark_host_trust(platform, outcome);
+            agent.adjust(platform, outcome);
+            if in_tail {
+                platform.host_limits_into(&mut run.limits_buf);
+                accumulate_into(&mut run.limit_sums, &run.limits_buf, segment);
+                run.limit_count += 1;
+            }
+            if let Some(ep) = endpoint {
+                ep.report_achieved(outcome.total_power());
+            }
+        }
+        run.load_iterations += iterations;
+    }
+
+    /// Report everything the run has executed so far.
+    pub fn report(&self) -> JobReport {
+        let run = self.run.as_ref().expect("begin a run before reporting it");
+        let n = self.platform.num_hosts();
+        let iterations = run.iteration_times.len();
         let energy_end = self.platform.host_energy();
         let hosts: Vec<HostReport> = (0..n)
             .map(|h| {
-                let energy = energy_end[h] - energy_start[h];
+                let energy = energy_end[h] - run.energy_start[h];
                 HostReport {
                     host: h,
                     eps: self.platform.host_eps(h),
-                    avg_power: if elapsed.value() > 0.0 {
-                        energy / elapsed
+                    avg_power: if run.elapsed.value() > 0.0 {
+                        energy / run.elapsed
                     } else {
                         Watts::ZERO
                     },
                     energy,
-                    final_limit: limit_sums[h] / limit_count.max(1) as f64,
-                    mean_epoch: epoch_sums[h] / total_iters as f64,
+                    final_limit: run.limit_sums[h] / run.limit_count.max(1) as f64,
+                    mean_epoch: run.epoch_sums[h] / iterations.max(1) as f64,
                 }
             })
             .collect();
         JobReport {
             agent: self.agent.name().to_string(),
-            iterations: total_iters,
-            elapsed,
-            iteration_times,
+            iterations,
+            elapsed: run.elapsed,
+            iteration_times: run.iteration_times.clone(),
             energy: hosts.iter().map(|h| h.energy).sum::<Joules>(),
-            flops,
+            flops: run.flops
+                + self.platform.load().perf().node_flops_per_iteration()
+                    * run.load_iterations as f64
+                    * n as f64,
             hosts,
         }
     }
