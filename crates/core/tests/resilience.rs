@@ -219,10 +219,10 @@ fn both_modes_are_pinned_bit_for_bit() {
         "Emulated faulted 06eb02dd69dbaf41",
         "Emulated jittered 66369745aae1f5e3",
         "Emulated job-lost-jittered 06c5c61c2a746bf1",
-        "Online clean abb61e83db0e69a8",
-        "Online faulted bcca549b7600c5be",
-        "Online jittered 35a0b782f9a34cff",
-        "Online job-lost-jittered c24b86746ab4beb2",
+        "Online clean 20bae8b901bf22d8",
+        "Online faulted 17523b83c16858a7",
+        "Online jittered ffa82d19ff12b0c4",
+        "Online job-lost-jittered 905f84bfc75c2759",
     ];
     assert_eq!(got, want);
 }
