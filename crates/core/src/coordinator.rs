@@ -43,7 +43,7 @@ use crate::resilience::{slice_plan, CoordinatorError, ResilienceReport};
 use pmstack_kernel::KernelConfig;
 use pmstack_rm::{FifoScheduler, JobSpec, NodePool, PowerLedger, SchedulerEvent};
 use pmstack_runtime::{Controller, FixedAllocationAgent, JobPlatform, JobReport};
-use pmstack_simhw::{Cluster, FaultPlan, Joules, NodeId, PowerModel, Seconds, Watts};
+use pmstack_simhw::{Cluster, FaultPlan, NodeId, PowerModel, Watts};
 
 /// Whether the feedback loop runs once (emulated) or live (online).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,15 +204,30 @@ impl Coordinator {
         });
         let mut allocation = policy.allocate(&ctx, &chars);
 
-        // One runtime per job for the whole mix; a phase window is a
-        // stretch of its run.
+        // One runtime per job for the whole mix, a phase window being a
+        // stretch of its run: the job's granted hosts with their slice of
+        // the fault plan and, under jitter, a stream seeded by its mix
+        // index (so results are independent of scheduling order and of
+        // which jobs die), held by an agent that programs whatever caps
+        // each phase posts.
         let mut runtimes = pmstack_exec::par_map_indexed(&setups, |j, setup| {
-            self.job_runtime(j, setup, &grants[j], iterations)
+            let hosts: Vec<(NodeId, f64)> = (grants[j].iter().zip(&setup.host_eps))
+                .map(|(&id, &eps)| (NodeId(id), eps))
+                .collect();
+            let mut platform = JobPlatform::from_hosts(self.model.clone(), &hosts, setup.config)
+                .expect("eps sampled from a valid profile")
+                .with_fault_plan(slice_plan(&self.fault_plan, &grants[j]));
+            platform.set_fast_forward(self.fast_forward);
+            if self.jitter_sigma > 0.0 {
+                platform =
+                    platform.with_jitter(self.jitter_sigma, self.seed.wrapping_add(j as u64));
+            }
+            let mut runtime = Controller::new(platform, FixedAllocationAgent::new(Vec::new()));
+            runtime.begin(iterations);
+            runtime
         });
-        // Each job's elapsed time and per-host energy at the last boundary.
-        let mut marks: Vec<(Seconds, Vec<Joules>)> = (grants.iter())
-            .map(|g| (Seconds::ZERO, vec![Joules::ZERO; g.len()]))
-            .collect();
+        // Each job's report at the last boundary.
+        let mut marks: Vec<JobReport> = runtimes.iter().map(Controller::report).collect();
 
         // The phase loop. Each phase runs the cohort — every job that still
         // holds a live host, with those hosts (local indices into its
@@ -243,12 +258,10 @@ impl Coordinator {
                 // cannot exceed what was measured.
                 let measured: Vec<JobChar> = (cohort.iter())
                     .map(|(j, hosts)| {
-                        let now = runtimes[*j].report();
-                        let energies = now.hosts.iter().map(|h| h.energy).collect();
-                        let (since, before) =
-                            std::mem::replace(&mut marks[*j], (now.elapsed, energies));
+                        let before = std::mem::replace(&mut marks[*j], runtimes[*j].report());
+                        let (now, dt) = (&marks[*j], marks[*j].elapsed - before.elapsed);
                         let host = |h: usize| {
-                            let used = (now.hosts[h].energy - before[h]) / (now.elapsed - since);
+                            let used = (now.hosts[h].energy - before.hosts[h].energy) / dt;
                             let needed = chars[*j].hosts[h].needed.min(used);
                             HostChar { used, needed }
                         };
@@ -298,33 +311,6 @@ impl Coordinator {
             reports: runtimes.iter().map(Controller::report).collect(),
             resilience,
         })
-    }
-
-    /// Job `j`'s runtime for the whole mix, begun for `iterations`: its
-    /// granted hosts with their slice of the fault plan and, under jitter,
-    /// a stream seeded by its mix index (so results are independent of
-    /// scheduling order and of which jobs die), held by an agent that
-    /// programs whatever caps each phase posts.
-    fn job_runtime(
-        &self,
-        j: usize,
-        setup: &JobSetup,
-        grant: &[usize],
-        iterations: usize,
-    ) -> Controller<FixedAllocationAgent> {
-        let hosts: Vec<(NodeId, f64)> = (grant.iter().zip(&setup.host_eps))
-            .map(|(&id, &eps)| (NodeId(id), eps))
-            .collect();
-        let mut platform = JobPlatform::from_hosts(self.model.clone(), &hosts, setup.config)
-            .expect("eps sampled from a valid profile")
-            .with_fault_plan(slice_plan(&self.fault_plan, grant));
-        platform.set_fast_forward(self.fast_forward);
-        if self.jitter_sigma > 0.0 {
-            platform = platform.with_jitter(self.jitter_sigma, self.seed.wrapping_add(j as u64));
-        }
-        let mut runtime = Controller::new(platform, FixedAllocationAgent::new(Vec::new()));
-        runtime.begin(iterations);
-        runtime
     }
 }
 

@@ -23,21 +23,6 @@ impl FixedAllocationAgent {
     pub fn new(caps: Vec<Watts>) -> Self {
         Self { caps }
     }
-
-    /// Program the held caps of the hosts `write` selects. A host refusing
-    /// its cap (fail-stop dead, transient MSR denial) simply keeps its
-    /// previous enforced limit and the run continues degraded: one batched
-    /// write, resumed past each host that refused. Hosts past the end of
-    /// `caps` keep their limits too.
-    fn program(&self, platform: &mut JobPlatform, write: impl Fn(usize) -> bool + Sync) {
-        let caps = &self.caps;
-        let mut from = 0;
-        while let Err((h, _)) =
-            platform.set_host_limits(|h| caps.get(h).copied().filter(|_| h >= from && write(h)))
-        {
-            from = h + 1;
-        }
-    }
 }
 
 impl Agent for FixedAllocationAgent {
@@ -46,15 +31,26 @@ impl Agent for FixedAllocationAgent {
     }
 
     fn init(&mut self, platform: &mut JobPlatform) {
-        self.program(platform, |_| true);
+        let caps = std::mem::take(&mut self.caps);
+        self.on_boundary(platform, Some(&caps));
     }
 
     /// Hold the posted caps, writing only those that changed: re-posting
-    /// the held caps writes nothing.
+    /// the held caps writes nothing. A host refusing its cap (fail-stop
+    /// dead, transient MSR denial) simply keeps its previous enforced limit
+    /// and the run continues degraded: one batched write, resumed past each
+    /// host that refused. Hosts past the end of `caps` keep their limits
+    /// too.
     fn on_boundary(&mut self, platform: &mut JobPlatform, caps: Option<&[Watts]>) {
         let Some(caps) = caps else { return };
         let held = std::mem::replace(&mut self.caps, caps.to_vec());
-        self.program(platform, |h| held.get(h) != caps.get(h));
+        let mut from = 0;
+        while let Err((h, _)) = platform.set_host_limits(|h| {
+            let changed = held.get(h) != caps.get(h);
+            caps.get(h).copied().filter(|_| h >= from && changed)
+        }) {
+            from = h + 1;
+        }
     }
 
     fn budget(&self) -> Option<Watts> {

@@ -52,6 +52,7 @@ pub struct Controller<A: Agent> {
 }
 
 /// What a run has accumulated since [`Controller::begin`].
+#[derive(Default)]
 struct RunState {
     /// Iterations from this index on add their limits to `limit_sums`.
     tail_start: usize,
@@ -64,9 +65,18 @@ struct RunState {
     flops: f64,
     load_iterations: usize,
     limit_sums: Vec<Watts>,
-    limit_count: usize,
     bufs: IterationBuffers,
     limits_buf: Vec<Watts>,
+}
+
+impl RunState {
+    /// Every FLOP run so far, the current workload's stretch included.
+    fn total_flops(&self, platform: &JobPlatform) -> f64 {
+        self.flops
+            + platform.load().perf().node_flops_per_iteration()
+                * self.load_iterations as f64
+                * platform.num_hosts() as f64
+    }
 }
 
 impl<A: Agent> Controller<A> {
@@ -138,22 +148,15 @@ impl<A: Agent> Controller<A> {
             energy_start: self.platform.host_energy(),
             iteration_times: Vec::with_capacity(planned),
             epoch_sums: vec![Seconds::ZERO; n],
-            elapsed: Seconds::ZERO,
-            flops: 0.0,
-            load_iterations: 0,
             limit_sums: vec![Watts::ZERO; n],
-            limit_count: 0,
-            bufs: IterationBuffers::new(),
-            limits_buf: Vec::with_capacity(n),
+            ..RunState::default()
         });
     }
 
     /// Rebind the platform to a new workload mid-run (a phase change).
     pub fn set_config(&mut self, config: KernelConfig) {
         if let Some(run) = &mut self.run {
-            run.flops += self.platform.load().perf().node_flops_per_iteration()
-                * run.load_iterations as f64
-                * self.platform.num_hosts() as f64;
+            run.flops = run.total_flops(&self.platform);
             run.load_iterations = 0;
         }
         self.platform.set_config(config);
@@ -189,7 +192,6 @@ impl<A: Agent> Controller<A> {
             if in_tail {
                 platform.host_limits_into(&mut run.limits_buf);
                 accumulate_into(&mut run.limit_sums, &run.limits_buf, segment);
-                run.limit_count += 1;
             }
             if let Some(ep) = endpoint {
                 ep.report_achieved(outcome.total_power());
@@ -203,6 +205,7 @@ impl<A: Agent> Controller<A> {
         let run = self.run.as_ref().expect("begin a run before reporting it");
         let n = self.platform.num_hosts();
         let iterations = run.iteration_times.len();
+        let tail = iterations - run.tail_start.min(iterations);
         let energy_end = self.platform.host_energy();
         let hosts: Vec<HostReport> = (0..n)
             .map(|h| {
@@ -216,7 +219,7 @@ impl<A: Agent> Controller<A> {
                         Watts::ZERO
                     },
                     energy,
-                    final_limit: run.limit_sums[h] / run.limit_count.max(1) as f64,
+                    final_limit: run.limit_sums[h] / tail.max(1) as f64,
                     mean_epoch: run.epoch_sums[h] / iterations.max(1) as f64,
                 }
             })
@@ -227,10 +230,7 @@ impl<A: Agent> Controller<A> {
             elapsed: run.elapsed,
             iteration_times: run.iteration_times.clone(),
             energy: hosts.iter().map(|h| h.energy).sum::<Joules>(),
-            flops: run.flops
-                + self.platform.load().perf().node_flops_per_iteration()
-                    * run.load_iterations as f64
-                    * n as f64,
+            flops: run.total_flops(&self.platform),
             hosts,
         }
     }
@@ -348,6 +348,27 @@ mod tests {
             bal.energy,
             gov.energy
         );
+    }
+
+    /// A run advanced in stretches, its caps re-posted unchanged at every
+    /// boundary, is the run, and each report covers what ran so far.
+    #[test]
+    fn a_run_advanced_in_stretches_is_the_whole_run() {
+        let config = KernelConfig::balanced_ymm(8.0);
+        let caps = vec![Watts(170.0), Watts(180.0)];
+        let job = || {
+            let agent = FixedAllocationAgent::new(caps.clone());
+            Controller::new(platform(config, &[1.0, 1.05]), agent)
+        };
+        let whole = job().run(30);
+        let mut c = job();
+        c.begin(30);
+        for (len, ran) in [(7, 7), (0, 7), (13, 20), (10, 30)] {
+            c.boundary(Some(&caps));
+            c.advance(len);
+            assert_eq!(c.report().iterations, ran);
+        }
+        assert_eq!(c.report(), whole);
     }
 
     #[test]
