@@ -43,7 +43,7 @@ use crate::resilience::{slice_plan, CoordinatorError, ResilienceReport};
 use pmstack_kernel::KernelConfig;
 use pmstack_rm::{FifoScheduler, JobSpec, NodePool, PowerLedger, SchedulerEvent};
 use pmstack_runtime::{Controller, FixedAllocationAgent, JobPlatform, JobReport};
-use pmstack_simhw::{Cluster, FaultPlan, NodeId, PowerModel, Watts};
+use pmstack_simhw::{Cluster, FaultPlan, Joules, NodeId, PowerModel, Seconds, Watts};
 
 /// Whether the feedback loop runs once (emulated) or live (online).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,8 +226,10 @@ impl Coordinator {
             runtime.begin(iterations);
             runtime
         });
-        // Each job's report at the last boundary.
-        let mut marks: Vec<JobReport> = runtimes.iter().map(Controller::report).collect();
+        // Each job's elapsed time and per-host energy at the last boundary.
+        let mut marks: Vec<(Seconds, Vec<Joules>)> = (grants.iter())
+            .map(|g| (Seconds::ZERO, vec![Joules::ZERO; g.len()]))
+            .collect();
 
         // The phase loop. Each phase runs the cohort — every job that still
         // holds a live host, with those hosts (local indices into its
@@ -258,10 +260,12 @@ impl Coordinator {
                 // cannot exceed what was measured.
                 let measured: Vec<JobChar> = (cohort.iter())
                     .map(|(j, hosts)| {
-                        let before = std::mem::replace(&mut marks[*j], runtimes[*j].report());
-                        let (now, dt) = (&marks[*j], marks[*j].elapsed - before.elapsed);
+                        let now = runtimes[*j].report();
+                        let energies = now.hosts.iter().map(|h| h.energy).collect();
+                        let (since, before) =
+                            std::mem::replace(&mut marks[*j], (now.elapsed, energies));
                         let host = |h: usize| {
-                            let used = (now.hosts[h].energy - before.hosts[h].energy) / dt;
+                            let used = (now.hosts[h].energy - before[h]) / (now.elapsed - since);
                             let needed = chars[*j].hosts[h].needed.min(used);
                             HostChar { used, needed }
                         };

@@ -43,6 +43,9 @@ impl Agent for FixedAllocationAgent {
     /// too.
     fn on_boundary(&mut self, platform: &mut JobPlatform, caps: Option<&[Watts]>) {
         let Some(caps) = caps else { return };
+        if self.caps == caps {
+            return;
+        }
         let held = std::mem::replace(&mut self.caps, caps.to_vec());
         let mut from = 0;
         while let Err((h, _)) = platform.set_host_limits(|h| {
