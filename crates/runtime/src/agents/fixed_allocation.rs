@@ -42,10 +42,9 @@ impl Agent for FixedAllocationAgent {
     /// host that refused. Hosts past the end of `caps` keep their limits
     /// too.
     fn on_boundary(&mut self, platform: &mut JobPlatform, caps: Option<&[Watts]>) {
-        let Some(caps) = caps else { return };
-        if self.caps == caps {
+        let Some(caps) = caps.filter(|&caps| caps != self.caps) else {
             return;
-        }
+        };
         let held = std::mem::replace(&mut self.caps, caps.to_vec());
         let mut from = 0;
         while let Err((h, _)) = platform.set_host_limits(|h| {

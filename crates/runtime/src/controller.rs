@@ -172,13 +172,8 @@ impl<A: Agent> Controller<A> {
     /// after each, the agent adjusts limits.
     pub fn advance(&mut self, iterations: usize) {
         let _span = pmstack_obs::span!("runtime.job.secs");
-        let Self {
-            platform,
-            agent,
-            endpoint,
-            run,
-        } = self;
-        let run = run.as_mut().expect("begin a run before advancing it");
+        let run = self.run.as_mut().expect("begin a run before advancing it");
+        let platform = &mut self.platform;
         for _ in 0..iterations {
             let in_tail = run.iteration_times.len() >= run.tail_start;
             platform.run_iteration_into(&mut run.bufs);
@@ -188,12 +183,12 @@ impl<A: Agent> Controller<A> {
             let segment = platform.segment_hosts();
             accumulate_into(&mut run.epoch_sums, &outcome.host_compute_time, segment);
             Self::mark_host_trust(platform, outcome);
-            agent.adjust(platform, outcome);
+            self.agent.adjust(platform, outcome);
             if in_tail {
                 platform.host_limits_into(&mut run.limits_buf);
                 accumulate_into(&mut run.limit_sums, &run.limits_buf, segment);
             }
-            if let Some(ep) = endpoint {
+            if let Some(ep) = &self.endpoint {
                 ep.report_achieved(outcome.total_power());
             }
         }
