@@ -102,6 +102,7 @@ mod tests {
         // boundary writes.
         p.set_host_limit(0, Watts(200.0)).unwrap();
         agent.on_boundary(&mut p, None);
+        agent.on_boundary(&mut p, Some(&[Watts(150.0), Watts(160.0), Watts(170.0)]));
         agent.on_boundary(&mut p, Some(&[Watts(150.0), Watts(160.0), Watts(180.0)]));
         let limits = p.host_limits();
         assert!(
