@@ -8,10 +8,11 @@
 //! ```
 
 use pmstack_experiments::cli::{self, Cli};
-use pmstack_experiments::grid::{EvaluationGrid, GridParams};
+use pmstack_experiments::grid::{self, EvaluationGrid, GridParams};
 use pmstack_experiments::{
     campaign, export, figures, hetero, megafleet, replicates, resilience, tables, Testbed,
 };
+use std::path::Path;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -89,12 +90,8 @@ fn run(cli: &Cli) {
             Ok(report) => {
                 print!("{}", pmstackd::loadgen::render(&report));
                 if let Some(dir) = &cli.out_dir {
-                    std::fs::write(
-                        dir.join("BENCH_serve.json"),
-                        pmstackd::loadgen::to_bench_json(&report),
-                    )
-                    .expect("write BENCH_serve.json");
-                    eprintln!("[repro] wrote {}", dir.join("BENCH_serve.json").display());
+                    let json = pmstackd::loadgen::to_bench_json(&report);
+                    write_out(dir, "BENCH_serve.json", json);
                 }
             }
             Err(e) => {
@@ -198,22 +195,7 @@ fn run(cli: &Cli) {
                 emit("sweep", replicates::render(&sweep));
                 if cli.timed {
                     if let Some(dir) = &cli.out_dir {
-                        let json = format!(
-                            "{{\n  \"benchmark\": \"replicate_sweep\",\n  \"mix\": \"{}\",\n  \
-                             \"replicates\": {},\n  \"nodes_per_job\": {},\n  \
-                             \"iterations\": {},\n  \"node_iterations\": {},\n  \
-                             \"wall_secs\": {:.6},\n  \"node_iters_per_sec\": {:.1}\n}}\n",
-                            sweep.mix,
-                            rp.replicates,
-                            rp.nodes_per_job,
-                            rp.iterations,
-                            sweep.node_iterations,
-                            sweep.wall_secs,
-                            sweep.throughput(),
-                        );
-                        std::fs::write(dir.join("BENCH_sweep.json"), json)
-                            .expect("write BENCH_sweep.json");
-                        eprintln!("[repro] wrote {}", dir.join("BENCH_sweep.json").display());
+                        write_out(dir, "BENCH_sweep.json", replicates::to_bench_json(&sweep));
                     }
                 }
             } else {
@@ -268,15 +250,8 @@ fn run(cli: &Cli) {
                 eprintln!("[repro] megafleet resident: {bytes:.0} bytes/host");
             }
             if let Some(dir) = &cli.out_dir {
-                std::fs::write(
-                    dir.join("BENCH_megafleet.json"),
-                    megafleet::to_bench_json(&report),
-                )
-                .expect("write BENCH_megafleet.json");
-                eprintln!(
-                    "[repro] wrote {}",
-                    dir.join("BENCH_megafleet.json").display()
-                );
+                let json = megafleet::to_bench_json(&report);
+                write_out(dir, "BENCH_megafleet.json", json);
             }
         }
     }
@@ -316,25 +291,9 @@ fn run(cli: &Cli) {
             println!("{}", export::grid_to_csv(g));
         }
         if let Some(dir) = &cli.out_dir {
-            std::fs::write(dir.join("grid.csv"), export::grid_to_csv(g)).expect("write grid CSV");
-            eprintln!("[repro] wrote {}", dir.join("grid.csv").display());
+            write_out(dir, "grid.csv", export::grid_to_csv(g));
             if let Some(t) = &grid_timing {
-                let json = format!(
-                    "{{\n  \"benchmark\": \"evaluation_grid\",\n  \"cells\": {},\n  \
-                     \"nodes_per_job\": {},\n  \"iterations\": {},\n  \"workers\": {},\n  \
-                     \"prep_secs\": {:.6},\n  \"eval_secs\": {:.6},\n  \
-                     \"assemble_secs\": {:.6},\n  \"total_secs\": {:.6}\n}}\n",
-                    g.cells.len(),
-                    params.nodes_per_job,
-                    params.iterations,
-                    t.workers,
-                    t.prep_secs,
-                    t.eval_secs,
-                    t.assemble_secs,
-                    t.total_secs,
-                );
-                std::fs::write(dir.join("BENCH_grid.json"), json).expect("write BENCH_grid.json");
-                eprintln!("[repro] wrote {}", dir.join("BENCH_grid.json").display());
+                write_out(dir, "BENCH_grid.json", grid::to_bench_json(g, params, t));
             }
         }
     }
@@ -354,4 +313,11 @@ fn run(cli: &Cli) {
             eprintln!("[repro] wrote {} and {}", path.display(), prom.display());
         }
     }
+}
+
+/// Write one `--out` file and name it on stderr.
+fn write_out(dir: &Path, name: &str, body: String) {
+    let path = dir.join(name);
+    std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    eprintln!("[repro] wrote {}", path.display());
 }

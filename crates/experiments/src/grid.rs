@@ -18,6 +18,7 @@ use pmstack_core::{
     allocate_with_runtime, evaluate_mix, policies, JobChar, JobSetup, MixEvaluation, PolicyCtx,
     PolicyKind,
 };
+use pmstack_obs::JsonWriter;
 use pmstack_simhw::{Joules, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -224,6 +225,22 @@ pub fn run_mix(testbed: &Testbed, kind: MixKind, params: GridParams) -> Vec<Grid
         assemble_level(kind, level, prep.budgets.get(level), &evals, &mut cells);
     }
     cells
+}
+
+/// Serialize one timed grid run as the BENCH_grid.json document.
+pub fn to_bench_json(grid: &EvaluationGrid, params: GridParams, timing: &GridTiming) -> String {
+    let mut w = JsonWriter::default();
+    w.begin_object().key("benchmark").str("evaluation_grid");
+    w.key("cells").usize(grid.cells.len());
+    w.key("nodes_per_job").usize(params.nodes_per_job);
+    w.key("iterations").usize(params.iterations);
+    w.key("workers").usize(timing.workers);
+    w.key("prep_secs").fixed(timing.prep_secs, 6);
+    w.key("eval_secs").fixed(timing.eval_secs, 6);
+    w.key("assemble_secs").fixed(timing.assemble_secs, 6);
+    w.key("total_secs").fixed(timing.total_secs, 6);
+    w.end_object();
+    w.finish_line()
 }
 
 /// Build a mix's shared inputs: placement, per-job characterization, and

@@ -21,6 +21,7 @@
 //! replay fraction; `repro` turns it on for this artifact.
 
 use pmstack_kernel::KernelConfig;
+use pmstack_obs::JsonWriter;
 use pmstack_runtime::{Agent, IterationBuffers, JobPlatform, PowerBalancerAgent};
 use pmstack_simhw::{quartz_spec, NodeId, PowerModel, Watts};
 use std::time::Instant;
@@ -350,40 +351,31 @@ pub fn render(report: &MegafleetReport) -> String {
 
 /// Serialize the report as the BENCH_megafleet.json document.
 pub fn to_bench_json(report: &MegafleetReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(1024);
-    let _ = write!(
-        out,
-        "{{\n  \"benchmark\": \"megafleet\",\n  \"hosts\": {},\n  \
-         \"segments\": {},\n  \"segment_hosts\": {},\n",
-        report.hosts, report.segments, report.segment_hosts
-    );
-    let _ = writeln!(out, "  \"build_secs\": {:.6},", report.build_secs);
+    let mut w = JsonWriter::default();
+    w.begin_object().key("benchmark").str("megafleet");
+    w.key("hosts").usize(report.hosts);
+    w.key("segments").usize(report.segments);
+    w.key("segment_hosts").usize(report.segment_hosts);
+    w.key("build_secs").fixed(report.build_secs, 6);
     if let Some(bytes) = report.resident_bytes_per_host {
-        let _ = writeln!(out, "  \"resident_bytes_per_host\": {bytes:.1},");
+        w.key("resident_bytes_per_host").fixed(bytes, 1);
     }
-    out.push_str("  \"phases\": {");
-    for (i, p) in report.phases.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    \"{}\": {{\"iters\": {}, \"wall_secs\": {:.6}, \
-             \"ns_per_host\": {:.3}}}",
-            p.name, p.iters, p.wall_secs, p.ns_per_host
-        );
+    w.key("phases").begin_object();
+    for p in &report.phases {
+        w.key(p.name).begin_object().key("iters").usize(p.iters);
+        w.key("wall_secs").fixed(p.wall_secs, 6);
+        w.key("ns_per_host").fixed(p.ns_per_host, 3).end_object();
     }
-    let _ = write!(
-        out,
-        "\n  }},\n  \"final_read_secs\": {:.6},\n  \"churn_invalidated\": {},\n  \
-         \"churn_replayed\": {},\n  \"churn_replay_fraction\": {:.6},\n  \
-         \"settled_under_agent\": {}\n}}\n",
-        report.final_read_secs,
-        report.churn_invalidated,
-        report.churn_replayed,
-        report.churn_replay_fraction,
-        report.settled_under_agent
-    );
-    out
+    w.end_object();
+    w.key("final_read_secs").fixed(report.final_read_secs, 6);
+    w.key("churn_invalidated").u64(report.churn_invalidated);
+    w.key("churn_replayed").u64(report.churn_replayed);
+    w.key("churn_replay_fraction")
+        .fixed(report.churn_replay_fraction, 6);
+    w.key("settled_under_agent")
+        .bool(report.settled_under_agent);
+    w.end_object();
+    w.finish_line()
 }
 
 #[cfg(test)]
@@ -455,7 +447,7 @@ mod tests {
             assert!(text.contains(name), "render missing {name}");
             assert!(json.contains(name), "json missing {name}");
         }
-        assert!(json.contains("\"hosts\": 24"));
+        assert!(json.contains("\"hosts\":24"));
         // Linux has /proc/self/status; the field is left out elsewhere.
         assert_eq!(
             json.contains("resident_bytes_per_host"),

@@ -16,6 +16,7 @@ use crate::mixes::{build_scaled, MixKind};
 use pmstack_analysis::render::table;
 use pmstack_core::policies::by_kind;
 use pmstack_core::{Coordinator, CoordinatorMode, MixRun, PolicyKind};
+use pmstack_obs::JsonWriter;
 use pmstack_simhw::{quartz_spec, Cluster, VariationProfile, Watts};
 
 /// Scale knobs of the replicate sweep.
@@ -277,6 +278,22 @@ pub fn render(sweep: &ReplicateSweep) -> String {
         sweep.node_iterations,
         sweep.throughput(),
     )
+}
+
+/// Serialize the sweep's scale and wall-clock as the BENCH_sweep.json
+/// document.
+pub fn to_bench_json(sweep: &ReplicateSweep) -> String {
+    let mut w = JsonWriter::default();
+    w.begin_object().key("benchmark").str("replicate_sweep");
+    w.key("mix").str(sweep.mix);
+    w.key("replicates").usize(sweep.params.replicates);
+    w.key("nodes_per_job").usize(sweep.params.nodes_per_job);
+    w.key("iterations").usize(sweep.params.iterations);
+    w.key("node_iterations").u64(sweep.node_iterations);
+    w.key("wall_secs").fixed(sweep.wall_secs, 6);
+    w.key("node_iters_per_sec").fixed(sweep.throughput(), 1);
+    w.end_object();
+    w.finish_line()
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
-//! Snapshot type and its exporters: hand-rolled JSON (the in-tree serde
-//! shim is a no-op marker) and Prometheus text exposition format.
+//! Snapshot type and its exporters: JSON through the crate's one writer
+//! ([`JsonWriter`]; the in-tree serde shim is a no-op marker), Prometheus
+//! text exposition format and a plain-text summary.
 
 use crate::journal::{Event, FieldValue};
+use crate::json::JsonWriter;
 use crate::metrics::HistogramSnapshot;
 use std::fmt::Write as _;
 
@@ -49,66 +51,52 @@ impl Snapshot {
 
     /// Serialize the snapshot as a self-contained JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\": {v}", json_escape(name));
+        // Under 128 bytes an event or metric (a histogram takes ~3 times
+        // that): the buffer is sized once from the document, not regrown.
+        let items = self.counters.len() + self.gauges.len() + self.events.len();
+        let mut w = JsonWriter::with_capacity(128 * (items + 3 * self.histograms.len() + 1));
+        w.begin_object().key("counters").begin_object();
+        for (name, v) in &self.counters {
+            w.key(name).u64(*v);
         }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    \"{}\": {}",
-                json_escape(name),
-                json_f64(*v)
-            );
+        w.end_object().key("gauges").begin_object();
+        for (name, v) in &self.gauges {
+            w.key(name).f64(*v);
         }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    \"{}\": {{\"total\": {}, \"sum\": {}, \"mean\": {}, \"bounds\": [",
-                json_escape(name),
-                h.total,
-                json_f64(h.sum()),
-                json_f64(h.mean())
-            );
-            for (j, b) in h.bounds.iter().enumerate() {
-                let sep = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{sep}{}", json_f64(*b));
+        w.end_object().key("histograms").begin_object();
+        for (name, h) in &self.histograms {
+            w.key(name).begin_object().key("total").u64(h.total);
+            w.key("sum").f64(h.sum()).key("mean").f64(h.mean());
+            w.key("bounds").begin_array();
+            for b in &h.bounds {
+                w.f64(*b);
             }
-            out.push_str("], \"counts\": [");
-            for (j, c) in h.counts.iter().enumerate() {
-                let sep = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{sep}{c}");
+            w.end_array().key("counts").begin_array();
+            for c in &h.counts {
+                w.u64(*c);
             }
-            out.push_str("]}");
+            w.end_array().end_object();
         }
-        let _ = write!(
-            out,
-            "\n  }},\n  \"dropped_events\": {},\n  \"events\": [",
-            self.dropped_events
-        );
-        for (i, event) in self.events.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {{\"seq\": {}, \"wall_us\": {}, \"sim_s\": {}, \"event\": \"{}\"",
-                event.seq,
-                event.wall_us,
-                json_f64(event.sim_s),
-                event.kind.name()
-            );
+        w.end_object();
+        w.key("dropped_events").u64(self.dropped_events);
+        w.key("events").begin_array();
+        for event in &self.events {
+            w.begin_object().key("seq").u64(event.seq);
+            w.key("wall_us").u64(event.wall_us);
+            w.key("sim_s").f64(event.sim_s);
+            w.key("event").str(event.kind.name());
             for (field, value) in event.kind.fields() {
-                let _ = write!(out, ", \"{field}\": {}", field_json(value));
+                w.key(field);
+                match value {
+                    FieldValue::U64(v) => w.u64(v),
+                    FieldValue::F64(v) => w.f64(v),
+                    FieldValue::Str(s) => w.str(s),
+                };
             }
-            out.push('}');
+            w.end_object();
         }
-        out.push_str("\n  ]\n}\n");
-        out
+        w.end_array().end_object();
+        w.finish_line()
     }
 
     /// Render a one-screen plain-text summary: every counter and gauge
@@ -331,16 +319,6 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// JSON-safe f64: finite values print shortest-roundtrip, non-finite
-/// (`NaN` sim-times, `inf` bounds) become `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn prom_f64(v: f64) -> String {
     if v.is_nan() {
         "NaN".to_string()
@@ -349,33 +327,6 @@ fn prom_f64(v: f64) -> String {
     } else {
         format!("{v:?}")
     }
-}
-
-fn field_json(value: FieldValue) -> String {
-    match value {
-        FieldValue::U64(v) => v.to_string(),
-        FieldValue::F64(v) => json_f64(v),
-        FieldValue::Str(s) => format!("\"{}\"", json_escape(s)),
-    }
-}
-
-/// Escape a string for embedding in a JSON document (without the quotes):
-/// quotes, backslashes and every control character, so any metric name or
-/// event field round-trips through a strict parser.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn prom_name(name: &str) -> String {
@@ -427,10 +378,10 @@ mod tests {
     #[test]
     fn json_export_is_well_formed() {
         let json = sample().to_json();
-        assert!(json.contains("\"exec.tasks.stolen\": 12"));
-        assert!(json.contains("\"rm.milliwatts.reclaimed\": 340500"));
+        assert!(json.contains("\"exec.tasks.stolen\":12"));
+        assert!(json.contains("\"rm.milliwatts.reclaimed\":340500"));
         // NaN sim-time exported as null, not NaN (invalid JSON).
-        assert!(json.contains("\"sim_s\": null"));
+        assert!(json.contains("\"sim_s\":null"));
         assert!(!json.contains("NaN"));
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(

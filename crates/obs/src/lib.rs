@@ -6,7 +6,8 @@
 //! multi-layer telemetry flowing between the resource manager, the job
 //! runtimes, and the hardware. This crate is that layer for the
 //! reproduction: every crate of the stack records what it does here, and
-//! the `repro` CLI exports the result as JSON or Prometheus text.
+//! the `repro` CLI exports the result as JSON ([`JsonWriter`], the stack's
+//! one JSON writer) or Prometheus text.
 //!
 //! Three instrument families, all behind one global [`Recorder`]:
 //!
@@ -41,13 +42,15 @@
 
 mod export;
 mod journal;
+mod json;
 mod metrics;
 
 pub use export::{
-    exporter, json_escape, validate_prometheus, Exporter, JsonExporter, PrometheusExporter,
-    Snapshot, SummaryExporter, EXPORTER_NAMES,
+    exporter, validate_prometheus, Exporter, JsonExporter, PrometheusExporter, Snapshot,
+    SummaryExporter, EXPORTER_NAMES,
 };
 pub use journal::{Event, EventKind, FieldValue};
+pub use json::{json_escape, JsonWriter};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 
 use journal::Journal;

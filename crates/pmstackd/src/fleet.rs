@@ -9,7 +9,7 @@
 
 use crate::admission::Admission;
 use pmstack_kernel::KernelConfig;
-use pmstack_obs::{StaticCounter, StaticGauge};
+use pmstack_obs::{JsonWriter, StaticCounter, StaticGauge};
 use pmstack_runtime::{FleetSnapshot, IterationBuffers, JobPlatform};
 use pmstack_simhw::{quartz_spec, NodeId, PowerModel};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -118,20 +118,17 @@ impl Fleet {
 
     /// Render one snapshot as a single JSON object (one stream frame).
     pub fn snapshot_json(snap: &FleetSnapshot, tick: u64) -> String {
-        format!(
-            "{{\"tick\":{},\"hosts\":{},\"alive\":{},\"segments\":{},\
-             \"elapsed_s\":{:.6},\"steady\":{},\"energy_j\":{:.3},\
-             \"power_w\":{:.3},\"iteration_s\":{:.6}}}",
-            tick,
-            snap.hosts,
-            snap.alive,
-            snap.segments,
-            snap.elapsed_s,
-            snap.steady,
-            snap.energy_j,
-            snap.power_w,
-            snap.iteration_s
-        )
+        let mut w = JsonWriter::with_capacity(192);
+        w.begin_object().key("tick").u64(tick);
+        w.key("hosts").usize(snap.hosts);
+        w.key("alive").usize(snap.alive);
+        w.key("segments").usize(snap.segments);
+        w.key("elapsed_s").fixed(snap.elapsed_s, 6);
+        w.key("steady").bool(snap.steady);
+        w.key("energy_j").fixed(snap.energy_j, 3);
+        w.key("power_w").fixed(snap.power_w, 3);
+        w.key("iteration_s").fixed(snap.iteration_s, 6).end_object();
+        w.finish()
     }
 
     /// Stop and join the step loop.

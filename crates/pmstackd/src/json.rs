@@ -1,10 +1,11 @@
-//! A small JSON reader/writer for the admission API.
+//! The JSON reader: a recursive-descent parser for request bodies.
 //!
 //! The workspace's `serde` dependency is an offline shim (derive markers
-//! only), so the daemon frames its own JSON: a recursive-descent parser for
-//! request bodies and an escaper for response strings. Full value grammar,
-//! UTF-8 input, `\uXXXX` escapes limited to the BMP — everything the wire
-//! protocol and its tests need.
+//! only), so the daemon parses its own JSON. Full value grammar, UTF-8
+//! input, `\uXXXX` escapes limited to the BMP — everything the wire
+//! protocol and its tests need. Every document the daemon writes goes
+//! through the stack's one writer, `pmstack_obs::JsonWriter`; [`escape`]
+//! is its string escape, kept for callers that splice a string by hand.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -7,6 +7,7 @@
 //! latency sample is kept, so the percentiles are exact rather than
 //! histogram-bucketed.
 
+use pmstack_obs::JsonWriter;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -306,25 +307,20 @@ pub fn render(report: &LoadgenReport) -> String {
 
 /// Serialize the report as the BENCH_serve.json document.
 pub fn to_bench_json(report: &LoadgenReport) -> String {
-    format!(
-        "{{\n  \"benchmark\": \"serve\",\n  \"requests\": {},\n  \
-         \"concurrency\": {},\n  \"ok\": {},\n  \"shed\": {},\n  \
-         \"unavailable\": {},\n  \"errors\": {},\n  \"wall_secs\": {:.6},\n  \
-         \"rps\": {:.1},\n  \"p50_ms\": {:.3},\n  \"p90_ms\": {:.3},\n  \
-         \"p99_ms\": {:.3},\n  \"max_ms\": {:.3}\n}}\n",
-        report.requests,
-        report.concurrency,
-        report.ok,
-        report.shed,
-        report.unavailable,
-        report.errors,
-        report.wall_secs,
-        report.rps,
-        report.p50_ms,
-        report.p90_ms,
-        report.p99_ms,
-        report.max_ms,
-    )
+    let mut w = JsonWriter::default();
+    w.begin_object().key("benchmark").str("serve");
+    w.key("requests").usize(report.requests);
+    w.key("concurrency").usize(report.concurrency);
+    w.key("ok").usize(report.ok).key("shed").usize(report.shed);
+    w.key("unavailable").usize(report.unavailable);
+    w.key("errors").usize(report.errors);
+    w.key("wall_secs").fixed(report.wall_secs, 6);
+    w.key("rps").fixed(report.rps, 1);
+    w.key("p50_ms").fixed(report.p50_ms, 3);
+    w.key("p90_ms").fixed(report.p90_ms, 3);
+    w.key("p99_ms").fixed(report.p99_ms, 3);
+    w.key("max_ms").fixed(report.max_ms, 3).end_object();
+    w.finish_line()
 }
 
 #[cfg(test)]

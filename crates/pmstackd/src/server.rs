@@ -14,7 +14,7 @@ use crate::fleet::{eps_of, Fleet, FleetConfig};
 use crate::http::{self, ParseError, Request, Response};
 use crate::json::{self, Value};
 use pmstack_exec::ServicePool;
-use pmstack_obs::StaticCounter;
+use pmstack_obs::{JsonWriter, StaticCounter};
 use pmstack_simhw::{quartz_spec, PowerModel, Watts};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -179,11 +179,8 @@ impl Daemon {
                             CONN_REJECTED.inc();
                             count_status(503);
                             if let Some(mut s) = reject_copy {
-                                let _ = Response::json(
-                                    503,
-                                    "{\"error\":\"connection queue full, retry later\"}\n",
-                                )
-                                .write_to(&mut s, true);
+                                let _ = error(503, "connection queue full, retry later")
+                                    .write_to(&mut s, true);
                             }
                         }
                     }
@@ -263,24 +260,20 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx) {
                     return;
                 }
             }
-            Err(ParseError::Eof) => return,
+            Err(ParseError::Eof | ParseError::Io(_)) => return,
             Err(ParseError::Bad(msg)) => {
-                respond_error(&mut writer, 400, &msg);
+                let _ = write_plain(&mut writer, error(400, &msg), true);
                 return;
             }
             Err(ParseError::BodyTooLarge(len)) => {
-                respond_error(
-                    &mut writer,
-                    413,
-                    &format!("body of {len} bytes exceeds {}", http::MAX_BODY_BYTES),
-                );
+                let msg = format!("body of {len} bytes exceeds {}", http::MAX_BODY_BYTES);
+                let _ = write_plain(&mut writer, error(413, &msg), true);
                 return;
             }
             Err(ParseError::HeadersTooLarge) => {
-                respond_error(&mut writer, 431, "header block too large");
+                let _ = write_plain(&mut writer, error(431, "header block too large"), true);
                 return;
             }
-            Err(ParseError::Io(_)) => return,
         }
     }
 }
@@ -293,10 +286,12 @@ fn count_status(status: u16) {
     }
 }
 
-fn respond_error(out: &mut impl Write, status: u16, msg: &str) {
-    count_status(status);
-    let body = format!("{{\"error\":\"{}\"}}\n", json::escape(msg));
-    let _ = Response::json(status, body).write_to(out, true);
+/// The `{"error":msg}` response every refusal without further fields
+/// answers with.
+fn error(status: u16, msg: &str) -> Response {
+    let mut w = JsonWriter::with_capacity(msg.len() + 16);
+    w.begin_object().key("error").str(msg).end_object();
+    Response::json(status, w.finish_line())
 }
 
 fn serve_request(
@@ -324,13 +319,13 @@ fn serve_request(
         ),
         (_, "/metrics" | "/healthz" | "/") => method_not_allowed("GET"),
         (_, "/submit") => method_not_allowed("POST"),
-        _ => Response::json(404, "{\"error\":\"no such endpoint\"}\n"),
+        _ => error(404, "no such endpoint"),
     };
     write_plain(out, response, close)
 }
 
 fn method_not_allowed(allow: &'static str) -> Response {
-    let mut resp = Response::json(405, "{\"error\":\"method not allowed\"}\n");
+    let mut resp = error(405, "method not allowed");
     resp.extra_headers
         .push(("Allow".to_string(), allow.to_string()));
     resp
@@ -344,13 +339,10 @@ fn write_plain(out: &mut impl Write, response: Response, close: bool) -> io::Res
 fn serve_metrics(req: &Request) -> Response {
     let format = req.query_param("format").unwrap_or("prometheus");
     let Some(exporter) = pmstack_obs::exporter(format) else {
-        return Response::json(
+        let names = pmstack_obs::EXPORTER_NAMES.join(", ");
+        return error(
             400,
-            format!(
-                "{{\"error\":\"unknown format {}; expected one of {}\"}}\n",
-                json::escape(format),
-                pmstack_obs::EXPORTER_NAMES.join(", ")
-            ),
+            &format!("unknown format {format}; expected one of {names}"),
         );
     };
     let snap = pmstack_obs::snapshot();
@@ -359,14 +351,13 @@ fn serve_metrics(req: &Request) -> Response {
 
 fn serve_healthz(ctx: &ServerCtx) -> Response {
     let snap = ctx.fleet.latest();
-    Response::json(
-        200,
-        format!(
-            "{{\"status\":\"ok\",\"hosts\":{},\"alive\":{},\"elapsed_s\":{:.6},\
-             \"steady\":{}}}\n",
-            snap.hosts, snap.alive, snap.elapsed_s, snap.steady
-        ),
-    )
+    let mut w = JsonWriter::with_capacity(96);
+    w.begin_object().key("status").str("ok");
+    w.key("hosts").usize(snap.hosts);
+    w.key("alive").usize(snap.alive);
+    w.key("elapsed_s").fixed(snap.elapsed_s, 6);
+    w.key("steady").bool(snap.steady).end_object();
+    Response::json(200, w.finish_line())
 }
 
 fn serve_stream(
@@ -412,15 +403,9 @@ fn parse_u64_param(
     };
     match raw.parse::<u64>() {
         Ok(v) if (min..=max).contains(&v) => Ok(v),
-        _ => Err(Response::json(
+        _ => Err(error(
             400,
-            format!(
-                "{{\"error\":\"{} must be an integer in [{}, {}], got {}\"}}\n",
-                name,
-                min,
-                max,
-                json::escape(raw)
-            ),
+            &format!("{name} must be an integer in [{min}, {max}], got {raw}"),
         )),
     }
 }
@@ -432,15 +417,13 @@ fn serve_submit(req: &Request, ctx: &ServerCtx) -> Response {
         ctx.inflight.fetch_sub(1, Ordering::AcqRel);
         SHED.inc();
         count_status(429);
-        return Response::json(429, "{\"error\":\"admission queue full, retry later\"}\n");
+        return error(429, "admission queue full, retry later");
     }
     let _guard = InflightGuard(&ctx.inflight);
 
     let parsed = match parse_submit_body(&req.body, ctx.max_nodes_per_job, &ctx.class_names) {
         Ok(parsed) => parsed,
-        Err(msg) => {
-            return Response::json(400, format!("{{\"error\":\"{}\"}}\n", json::escape(&msg)))
-        }
+        Err(msg) => return error(400, &msg),
     };
     let decision = ctx
         .admission
@@ -449,48 +432,41 @@ fn serve_submit(req: &Request, ctx: &ServerCtx) -> Response {
         .submit(&parsed);
     match decision {
         Ok(grant) => {
-            let nodes: Vec<String> = grant.nodes.iter().map(|n| n.0.to_string()).collect();
-            let caps: Vec<String> = grant
-                .caps
-                .iter()
-                .map(|c| format!("{:.1}", c.value()))
-                .collect();
-            let class = match parsed.class {
-                Some(c) => format!("\"class\":\"{}\",", json::escape(&ctx.class_names[c])),
-                None => String::new(),
-            };
-            Response::json(
-                200,
-                format!(
-                    "{{\"job\":\"{}\",\"app\":\"{}\",{}\"policy\":\"{}\",\
-                     \"granted_w\":{:.1},\"want_w\":{:.1},\"degraded\":{},\
-                     \"ttl_ticks\":{},\"nodes\":[{}],\"caps_w\":[{}]}}\n",
-                    grant.job,
-                    parsed.app.name(),
-                    class,
-                    parsed.policy,
-                    grant.granted.value(),
-                    grant.want.value(),
-                    grant.degraded,
-                    grant.ttl_ticks,
-                    nodes.join(","),
-                    caps.join(",")
-                ),
-            )
+            let mut w = JsonWriter::with_capacity(192 + 16 * grant.nodes.len());
+            w.begin_object().key("job").str(grant.job);
+            w.key("app").str(parsed.app.name());
+            if let Some(c) = parsed.class {
+                w.key("class").str(&ctx.class_names[c]);
+            }
+            w.key("policy").str(parsed.policy);
+            w.key("granted_w").fixed(grant.granted.value(), 1);
+            w.key("want_w").fixed(grant.want.value(), 1);
+            w.key("degraded").bool(grant.degraded);
+            w.key("ttl_ticks").u64(grant.ttl_ticks);
+            w.key("nodes").begin_array();
+            for node in &grant.nodes {
+                w.usize(node.0);
+            }
+            w.end_array().key("caps_w").begin_array();
+            for cap in &grant.caps {
+                w.fixed(cap.value(), 1);
+            }
+            w.end_array().end_object();
+            Response::json(200, w.finish_line())
         }
-        Err(Reject::NoNodes { free }) => Response::json(
-            503,
-            format!("{{\"error\":\"not enough free nodes\",\"free_nodes\":{free}}}\n"),
-        ),
-        Err(Reject::NoPower { available, floor }) => Response::json(
-            503,
-            format!(
-                "{{\"error\":\"power budget exhausted\",\"available_w\":{:.1},\
-                 \"floor_w\":{:.1}}}\n",
-                available.value(),
-                floor.value()
-            ),
-        ),
+        Err(Reject::NoNodes { free }) => {
+            let mut w = JsonWriter::with_capacity(64);
+            w.begin_object().key("error").str("not enough free nodes");
+            w.key("free_nodes").usize(free).end_object();
+            Response::json(503, w.finish_line())
+        }
+        Err(Reject::NoPower { available, floor }) => {
+            let mut w = JsonWriter::with_capacity(96);
+            w.begin_object().key("error").str("power budget exhausted");
+            w.key("available_w").fixed(available.value(), 1);
+            w.key("floor_w").fixed(floor.value(), 1).end_object();
+            Response::json(503, w.finish_line())
+        }
     }
 }
 
