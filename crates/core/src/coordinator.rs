@@ -260,12 +260,11 @@ impl Coordinator {
                 // cannot exceed what was measured.
                 let measured: Vec<JobChar> = (cohort.iter())
                     .map(|(j, hosts)| {
-                        let now = runtimes[*j].report();
-                        let energies = now.hosts.iter().map(|h| h.energy).collect();
-                        let (since, before) =
-                            std::mem::replace(&mut marks[*j], (now.elapsed, energies));
+                        let now = runtimes[*j].energy_since_begin();
+                        let (since, before) = std::mem::replace(&mut marks[*j], now);
+                        let (elapsed, energy) = &marks[*j];
                         let host = |h: usize| {
-                            let used = (now.hosts[h].energy - before[h]) / (now.elapsed - since);
+                            let used = (energy[h] - before[h]) / (*elapsed - since);
                             let needed = chars[*j].hosts[h].needed.min(used);
                             HostChar { used, needed }
                         };

@@ -66,7 +66,9 @@ struct RunState {
     load_iterations: usize,
     limit_sums: Vec<Watts>,
     bufs: IterationBuffers,
-    limits_buf: Vec<Watts>,
+    /// The platform's [`JobPlatform::trust_epoch`] right after the last
+    /// trust-marking pass.
+    trusted_at: Option<u64>,
 }
 
 impl RunState {
@@ -182,11 +184,15 @@ impl<A: Agent> Controller<A> {
             run.iteration_times.push(outcome.elapsed);
             let segment = platform.segment_hosts();
             accumulate_into(&mut run.epoch_sums, &outcome.host_compute_time, segment);
-            Self::mark_host_trust(platform, outcome);
+            // Nothing trust marking reads has moved since the last pass.
+            if run.trusted_at != Some(platform.trust_epoch()) {
+                Self::mark_host_trust(platform, outcome);
+                run.trusted_at = Some(platform.trust_epoch());
+            }
             self.agent.adjust(platform, outcome);
             if in_tail {
-                platform.host_limits_into(&mut run.limits_buf);
-                accumulate_into(&mut run.limit_sums, &run.limits_buf, segment);
+                let limits = platform.programmed_limits();
+                accumulate_into(&mut run.limit_sums, limits, segment);
             }
             if let Some(ep) = &self.endpoint {
                 ep.report_achieved(outcome.total_power());
@@ -195,16 +201,29 @@ impl<A: Agent> Controller<A> {
         run.load_iterations += iterations;
     }
 
+    /// The run's elapsed time and each host's energy since [`Self::begin`]:
+    /// the `elapsed` and per-host `energy` of [`Self::report`], computed as
+    /// it computes them, without building the rest of the report.
+    pub fn energy_since_begin(&self) -> (Seconds, Vec<Joules>) {
+        let run = self.run.as_ref().expect("begin a run before reading it");
+        let mut energy = Vec::new();
+        self.platform.host_energy_into(&mut energy);
+        for (e, &start) in energy.iter_mut().zip(&run.energy_start) {
+            *e -= start;
+        }
+        (run.elapsed, energy)
+    }
+
     /// Report everything the run has executed so far.
     pub fn report(&self) -> JobReport {
         let run = self.run.as_ref().expect("begin a run before reporting it");
         let n = self.platform.num_hosts();
         let iterations = run.iteration_times.len();
         let tail = iterations - run.tail_start.min(iterations);
-        let energy_end = self.platform.host_energy();
+        let (_, energy) = self.energy_since_begin();
         let hosts: Vec<HostReport> = (0..n)
             .map(|h| {
-                let energy = energy_end[h] - run.energy_start[h];
+                let energy = energy[h];
                 HostReport {
                     host: h,
                     eps: self.platform.host_eps(h),

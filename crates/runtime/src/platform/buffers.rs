@@ -116,12 +116,14 @@ impl IterationOutcome {
     }
 }
 
-/// One side of the double buffer: an outcome and, per segment, the outcome
-/// epoch its slices were last written at (0 = never).
+/// One side of the double buffer: an outcome and, per segment, the two
+/// epochs its slices were last written at (0 = never): the limit epoch and
+/// the outcome epoch (`outcome` module).
 #[derive(Debug, Default)]
 pub(super) struct BufferSide {
     pub(super) outcome: IterationOutcome,
     pub(super) stamps: Vec<u64>,
+    pub(super) outcome_stamps: Vec<u64>,
 }
 
 /// Double-buffered iteration outcomes: [`super::JobPlatform::run_iteration_into`]
@@ -162,14 +164,18 @@ impl IterationBuffers {
     pub(super) fn claim(&mut self, owner: u64, hosts: usize, segments: usize) -> &mut BufferSide {
         if self.owner != owner {
             self.owner = owner;
-            self.front.stamps.clear();
-            self.back.stamps.clear();
+            for side in [&mut self.front, &mut self.back] {
+                side.stamps.clear();
+                side.outcome_stamps.clear();
+            }
         }
         let back = &mut self.back;
         if back.stamps.len() != segments || back.outcome.host_power.len() != hosts {
             back.outcome.resize(hosts);
-            back.stamps.clear();
-            back.stamps.resize(segments, 0);
+            for stamps in [&mut back.stamps, &mut back.outcome_stamps] {
+                stamps.clear();
+                stamps.resize(segments, 0);
+            }
         }
         back
     }

@@ -24,12 +24,12 @@
 //! size + clean segments); the whole fleet fast-forwarding is simply the
 //! iteration in which no segment is dirty, and it touches no per-host
 //! column. A segment goes through four states, each one the one before it
-//! plus a condition:
+//! plus a condition, and two shortcuts that hold beside them:
 //!
-//! * **dirty** — a control write, fault or workload change touched it, or
-//!   its enforcement filters are still moving. Its operating points are
-//!   re-checked, the bank steps it, and its slices of the outcome are
-//!   rewritten.
+//! * **dirty** — a control write that changed a PL1 cell, a fault or a
+//!   workload change touched it, or its enforcement filters are still
+//!   moving. Its operating points are re-checked, the bank steps it, and
+//!   its limit slice of the outcome is rewritten.
 //! * **settled** — its last step left every filter at a bitwise fixed
 //!   point. The operating point is a pure function of bitwise-unchanged
 //!   inputs, so `ops`/`op_times` are reused and the PCU resolve is skipped.
@@ -48,11 +48,27 @@
 //!   `simhw::bank`). Nothing about a clean segment's outcome can differ
 //!   from the previous iteration's, its compute times included.
 //!
+//! * **at target** (beside stable) — every live filter of a stable segment
+//!   holds exactly its target's bits, so no `dt` moves it: under jitter the
+//!   bank steps it by its energy alone (`simhw::bank` segments), which is
+//!   where most settled jittered iterations go.
+//! * **kept outcome** (beside dirty) — a segment whose filters still move
+//!   but whose pre-step pass re-searched no host, or landed every
+//!   re-searched host on the point it held, and whose step read every live
+//!   host back fresh as the one before did: its power, lead, alive and
+//!   fresh slices and `last_power`/`last_lead` are what they were, so its
+//!   outcome epoch stays and only its limit slice is rewritten (`outcome`
+//!   module).
+//!
 //! A write or fault drops the caches of exactly the segments it touched:
-//! [`JobPlatform::set_uniform_limit`] and [`JobPlatform::set_host_limits`]
-//! are one [`NodeBank::set_power_limits`] each, after which the platform
-//! drops the caches of the segments the bank dirtied. Health marks are
-//! exempt: they never enter the operating point or the outcome.
+//! [`JobPlatform::set_host_limit`], [`JobPlatform::set_uniform_limit`] and
+//! [`JobPlatform::set_host_limits`] are one [`NodeBank::set_power_limits`]
+//! each, after which the platform drops the caches of the segments the bank
+//! dirtied — none, for a write that stored the PL1 bits its hosts held.
+//! Health marks are exempt: they never enter the operating point or the
+//! outcome. [`JobPlatform::trust_epoch`] moves with every outcome epoch,
+//! health mark and fault, so a controller marks trust only when it can
+//! change.
 //!
 //! An iteration runs four stages, each timed by a `runtime.iter.*` span:
 //! the pre-step pass (`prestep`: observed limits and operating points, the
@@ -163,12 +179,22 @@ struct SegmentState {
     ops_valid: bool,
     /// Settled and quiescent after the last step (so also `ops_valid`): the
     /// segment's limit, power, lead, alive and fresh slices cannot change at
-    /// any `dt`, so its outcome epoch stays.
+    /// any `dt`, so neither of its epochs moves.
     stable: bool,
+    /// This iteration's pre-step pass left every `ops` slot of the segment
+    /// as it was: cached, or re-resolved onto the same bits.
+    ops_kept: bool,
+    /// The content `outcome` names was written from a quiescent step (every
+    /// live host read back fresh).
+    quiet: bool,
     /// Maximum compute time over the segment's hosts, as last written.
     time: Seconds,
-    /// Names the content of the segment's outcome slices.
+    /// Names the content of the segment's limit slice (and, jitter off, its
+    /// compute-time slice).
     epoch: u64,
+    /// Names the content of the segment's power, lead, alive and fresh
+    /// slices and its `last_power`/`last_lead`.
+    outcome: u64,
 }
 
 impl SegmentState {
@@ -176,8 +202,11 @@ impl SegmentState {
     const COLD: Self = Self {
         ops_valid: false,
         stable: false,
+        ops_kept: false,
+        quiet: false,
         time: Seconds::ZERO,
         epoch: 1,
+        outcome: 1,
     };
 
     /// The state with both caches dropped; the epoch and time stay.
@@ -225,6 +254,11 @@ pub struct JobPlatform {
     /// Every segment was clean-eligible after the last iteration and nothing
     /// has been invalidated since: the next iteration steps nothing.
     steady: bool,
+    /// Moves whenever an input of trust marking may have moved: an
+    /// iteration that moved some segment's outcome epoch (its alive and
+    /// fresh slices may differ from the iteration before), a health mark, a
+    /// fault or a cache drop ([`Self::trust_epoch`]).
+    trust_epoch: u64,
     /// Ties the stamps in [`IterationBuffers`] to this platform and sharding.
     id: u64,
     /// Buffers backing the allocating [`Self::run_iteration`] wrapper.
@@ -280,6 +314,7 @@ impl JobPlatform {
             unresolved: segments,
             fast_forward: true,
             steady: false,
+            trust_epoch: 0,
             id: next_platform_id(),
             scratch: IterationBuffers::new(),
         }
@@ -345,6 +380,7 @@ impl JobPlatform {
             FFWD_INVALIDATED.inc();
         }
         self.steady = false;
+        self.trust_epoch += 1;
         self.segments.iter_mut().for_each(|s| *s = s.forget());
         self.unresolved = self.segments.len();
     }
@@ -361,22 +397,22 @@ impl JobPlatform {
             self.unresolved += 1;
         }
         self.steady = false;
+        self.trust_epoch += 1;
         *seg = seg.forget();
     }
 
     /// Drop the caches of every segment a bank write dirtied since the last
-    /// step — the partial invalidation of a batched write, one test per
-    /// segment — and leave steady state if anything was written.
-    fn forget_dirtied_segments(&mut self, wrote: bool) {
+    /// step — the partial invalidation of a limit write, one test per
+    /// segment — and leave steady state if any was. A write that stored
+    /// what its hosts held dirtied nothing, so it leaves every cache.
+    fn forget_dirtied_segments(&mut self) {
         for (sidx, seg) in self.segments.iter_mut().enumerate() {
             if seg.ops_valid && !self.bank.segment_settled(sidx) {
                 FFWD_INVALIDATED.inc();
                 self.unresolved += 1;
+                self.steady = false;
                 *seg = seg.forget();
             }
-        }
-        if wrote {
-            self.steady = false;
         }
     }
 
@@ -444,8 +480,9 @@ impl JobPlatform {
         if host >= self.bank.len() {
             return Err(SimHwError::UnknownNode(host));
         }
-        self.invalidate_host_caches(host);
-        self.bank.set_power_limit(host, limit)
+        let out = self.bank.set_power_limit(host, limit);
+        self.forget_dirtied_segments();
+        out
     }
 
     /// Program (or release) one host's frequency cap through the DVFS path.
@@ -485,7 +522,7 @@ impl JobPlatform {
         limit_of: impl Fn(usize) -> Option<Watts> + Sync,
     ) -> Result<usize, (usize, SimHwError)> {
         let out = self.bank.set_power_limits(0..self.bank.len(), limit_of);
-        self.forget_dirtied_segments(out != Ok(0));
+        self.forget_dirtied_segments();
         out
     }
 
@@ -493,17 +530,18 @@ impl JobPlatform {
     /// write. Fail-stop dead hosts are skipped (nothing left to program);
     /// other errors propagate.
     pub fn set_uniform_limit(&mut self, limit: Watts) -> Result<(), SimHwError> {
-        self.invalidate_caches();
         let n = self.bank.len();
         let mut from = 0;
-        while from < n {
+        let out = loop {
             match self.bank.set_power_limits(from..n, |_| Some(limit)) {
-                Ok(_) => break,
-                Err((h, SimHwError::NodeFailed(_))) => from = h + 1,
-                Err((_, e)) => return Err(e),
+                Ok(_) => break Ok(()),
+                Err((h, SimHwError::NodeFailed(_))) if h + 1 < n => from = h + 1,
+                Err((_, SimHwError::NodeFailed(_))) => break Ok(()),
+                Err((_, e)) => break Err(e),
             }
-        }
-        Ok(())
+        };
+        self.forget_dirtied_segments();
+        out
     }
 
     /// Program (or release) a frequency cap on every host — the DVFS
@@ -546,6 +584,7 @@ impl JobPlatform {
     pub fn mark_host_suspect(&mut self, host: usize) {
         if host < self.bank.len() {
             self.bank.mark_suspect(host);
+            self.trust_epoch += 1;
         }
     }
 
@@ -553,7 +592,19 @@ impl JobPlatform {
     pub fn mark_host_healthy(&mut self, host: usize) {
         if host < self.bank.len() {
             self.bank.mark_healthy(host);
+            self.trust_epoch += 1;
         }
+    }
+
+    /// A count that moves whenever an input of trust marking may have
+    /// moved since it was last read: an iteration whose outcome moved some
+    /// segment's alive or fresh slices, a health mark, a fault, or a change
+    /// that drops the platform's caches. While it stands still, the latest
+    /// outcome's alive and fresh slices equal the previous one's and no
+    /// host's health has changed, so a pass that marked health from the
+    /// previous outcome has nothing to mark from this one.
+    pub fn trust_epoch(&self) -> u64 {
+        self.trust_epoch
     }
 
     /// Inject a fault into one host immediately (outside any plan).
@@ -579,7 +630,12 @@ impl JobPlatform {
     /// Fill `out` with per-host programmed limits without allocating.
     pub fn host_limits_into(&self, out: &mut Vec<Watts>) {
         out.clear();
-        out.extend((0..self.bank.len()).map(|h| self.bank.power_limit(h)));
+        out.extend_from_slice(self.programmed_limits());
+    }
+
+    /// The per-host programmed limits, borrowed from the bank's column.
+    pub fn programmed_limits(&self) -> &[Watts] {
+        self.bank.power_limits()
     }
 
     /// Cumulative per-host energy.
@@ -687,6 +743,7 @@ impl JobPlatform {
         let BufferSide {
             outcome: back,
             stamps,
+            outcome_stamps,
         } = bufs.claim(self.id, n, segs);
         let ff = self.fast_forward;
         // With jitter off no draw can move a compute time this iteration.
@@ -727,7 +784,7 @@ impl JobPlatform {
         let cols = PostCols::new(
             sh,
             &mut self.segments,
-            stamps,
+            (stamps, outcome_stamps),
             (&self.ops, &self.op_times, &self.steps),
             (&mut self.last_power, &mut self.last_lead),
             back,
@@ -768,7 +825,7 @@ impl JobPlatform {
         let cols = PostCols::new(
             sh,
             &mut self.segments,
-            stamps,
+            (stamps, outcome_stamps),
             (&self.ops, &self.op_times, &self.steps),
             (&mut self.last_power, &mut self.last_lead),
             back,
@@ -781,9 +838,11 @@ impl JobPlatform {
         let OutcomePass {
             steady,
             reused,
+            moved,
             unresolved,
         } = par_segments(cols, segs, sh, n, fan_out, pass, OutcomePass::and);
         self.unresolved = unresolved;
+        self.trust_epoch += moved;
         // Zero adds are skipped: in steady state nothing is rewritten, and a
         // sweep's workers would only bounce the counter's cache line.
         if reused > 0 {

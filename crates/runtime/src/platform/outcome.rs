@@ -7,22 +7,35 @@
 //! holding last-known readings through a telemetry dropout, and arms each
 //! segment's caches for the next iteration from the bank's slots: settled
 //! arms `ops_valid` (the cache that works under jitter), settled and
-//! quiescent arms `stable`.
+//! quiescent arms `stable`, and a quiescent step (settled or not) is what
+//! lets the next iteration keep the outcome epoch.
 //!
 //! **The invariant this file owns: the epoch rule.** Each segment carries
-//! an outcome epoch naming the content of its slices of the outcome
-//! vectors, bumped by the pre-step pass on every iteration in which the
-//! segment is not stable (clean implies stable, so a steady fleet never
-//! bumps); each side of the double buffer carries, per segment, the epoch
-//! it was last written at. A segment whose back-buffer stamp equals its
-//! epoch keeps its limit, power, lead, alive and fresh slices and its
-//! `last_power`/`last_lead` untouched; any other segment is rewritten and
-//! stamped. The compute-time slice is the exception: with jitter on it is
-//! redrawn every iteration whatever the stamp, and with jitter off it is
-//! kept, with its cached maximum (the barrier is a max over S values),
-//! exactly when the other slices are. That is the double-buffer hazard
-//! handled: after a step the side that was *not* written still carries the
-//! older epoch, so the first stable iteration rewrites it — same values, no
+//! two epochs, each naming the content of some of its slices, and each
+//! side of the double buffer carries, per segment, the two epochs it was
+//! last written at. A slice whose stamp equals its epoch is left
+//! untouched; any other is rewritten and stamped.
+//!
+//! * The **limit epoch** names the limit slice (and, with jitter off, the
+//!   compute-time slice). The pre-step pass bumps it on every iteration in
+//!   which the segment is not stable (clean implies stable, so a steady
+//!   fleet never bumps) and rewrites the slice; the outcome write stamps it.
+//! * The **outcome epoch** names the power, lead, alive and fresh slices
+//!   and `last_power`/`last_lead`. Those are a function of the segment's
+//!   operating points and step results alone, so the outcome write moves it
+//!   unless the pre-step pass left every point bit for bit as it was
+//!   (cached, or re-resolved onto the same bits) and the step read every
+//!   live host back fresh, as the step the content was written from did.
+//!   A stable segment meets all three; so does a segment whose limits creep
+//!   inside its points' spans, which is most resolving iterations of a
+//!   jittered run.
+//!
+//! The compute-time slice is the exception: with jitter on it is redrawn
+//! every iteration whatever the stamps, and with jitter off it is kept,
+//! with its cached maximum (the barrier is a max over S values), exactly
+//! when the limit slice is. That is the double-buffer hazard handled: after
+//! a step the side that was *not* written still carries the older epochs,
+//! so the first iteration that keeps them rewrites it — same values, no
 //! bump — and reuse starts with the second.
 //!
 //! Both passes run over [`PostCols`], cut at segment boundaries by the
@@ -44,6 +57,7 @@ pub(super) struct PostCols<'a> {
     segment_hosts: usize,
     segments: &'a mut [SegmentState],
     stamps: &'a mut [u64],
+    outcome_stamps: &'a mut [u64],
     ops: &'a [Option<OperatingPoint>],
     op_times: &'a [f64],
     steps: &'a [HostStep],
@@ -60,7 +74,7 @@ impl<'a> PostCols<'a> {
     pub(super) fn new(
         segment_hosts: usize,
         segments: &'a mut [SegmentState],
-        stamps: &'a mut [u64],
+        (stamps, outcome_stamps): (&'a mut [u64], &'a mut [u64]),
         (ops, op_times, steps): (&'a [Option<OperatingPoint>], &'a [f64], &'a [HostStep]),
         (last_power, last_lead): (&'a mut [Watts], &'a mut [Hertz]),
         outcome: &'a mut IterationOutcome,
@@ -69,6 +83,7 @@ impl<'a> PostCols<'a> {
             segment_hosts,
             segments,
             stamps,
+            outcome_stamps,
             ops,
             op_times,
             steps,
@@ -94,6 +109,7 @@ impl SegSplit for PostCols<'_> {
             segment_hosts: self.segment_hosts,
             segments: take_front(&mut self.segments, segs),
             stamps: take_front(&mut self.stamps, segs),
+            outcome_stamps: take_front(&mut self.outcome_stamps, segs),
             ops: shared(&mut self.ops, hosts),
             op_times: shared(&mut self.op_times, hosts),
             steps: shared(&mut self.steps, hosts),
@@ -146,12 +162,13 @@ pub(super) fn compute_times(
 }
 
 /// What the outcome write reports back: whether every segment would
-/// replay, how many kept their slices, and how many left their operating
-/// points uncached.
+/// replay, how many kept their slices, how many moved their outcome epoch,
+/// and how many left their operating points uncached.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct OutcomePass {
     pub(super) steady: bool,
     pub(super) reused: u64,
+    pub(super) moved: u64,
     pub(super) unresolved: usize,
 }
 
@@ -160,6 +177,7 @@ impl OutcomePass {
         Self {
             steady: self.steady && other.steady,
             reused: self.reused + other.reused,
+            moved: self.moved + other.moved,
             unresolved: self.unresolved + other.unresolved,
         }
     }
@@ -184,32 +202,40 @@ pub(super) fn write_outcome(
     let mut pass = OutcomePass {
         steady,
         reused: 0,
+        moved: 0,
         unresolved: 0,
     };
-    for (i, (seg, stamp)) in cols
-        .segments
-        .iter_mut()
-        .zip(cols.stamps.iter_mut())
-        .enumerate()
-    {
+    let stamps = cols.stamps.iter_mut().zip(cols.outcome_stamps.iter_mut());
+    for (i, (seg, (stamp, outcome_stamp))) in cols.segments.iter_mut().zip(stamps).enumerate() {
         let sidx = first + i;
         // A segment that replays at this `dt` is settled and stable: one
-        // query answers all three for a clean segment.
+        // query answers all four for a clean segment.
         let replayable = all_replayed || bank.segment_replayable(sidx, elapsed);
-        let (settled, stable) = if replayable {
-            (true, true)
+        let (settled, stable, quiet) = if replayable {
+            (true, true, true)
         } else {
-            (bank.segment_settled(sidx), bank.segment_stable(sidx))
+            let quiet = bank.segment_quiescent(sidx);
+            (bank.segment_settled(sidx), bank.segment_stable(sidx), quiet)
         };
+        // The outcome epoch moves unless the content it names is what this
+        // iteration's points and results give again: the same points, and
+        // every live host read back fresh now as then.
+        let keep = ff && seg.ops_kept && seg.quiet && quiet;
+        seg.outcome += u64::from(!keep);
+        pass.moved += u64::from(!keep);
+        seg.quiet = quiet;
         seg.ops_valid = ff && settled;
         pass.unresolved += usize::from(!seg.ops_valid);
         seg.stable = seg.ops_valid && stable;
         pass.steady &= replayable;
-        if *stamp == seg.epoch {
+        // The limit slice (and, jitter off, the compute-time slice) is
+        // current in this side whatever happened to the others.
+        *stamp = seg.epoch;
+        if *outcome_stamp == seg.outcome {
             pass.reused += 1;
             continue;
         }
-        *stamp = seg.epoch;
+        *outcome_stamp = seg.outcome;
         let range = i * sh..((i + 1) * sh).min(n);
         let hosts = (cols.ops[range.clone()].iter())
             .zip(&cols.steps[range.clone()])

@@ -5,11 +5,14 @@
 //! whose back-buffer slices are current leaves on its first test — a clean
 //! segment always does once both sides of the double buffer hold its epoch,
 //! so the all-clean iteration pays no limit or stability work. Any other
-//! segment moves its epoch unless it is stable (the epoch rule, `outcome`
-//! module), writes its hosts' enforced limits into the back buffer once
-//! ([`Resolver::segment_enforced_limits`], at the iteration's start, before
-//! stepping advances the filters) and, unless its operating points are
-//! cached, resolves them against that slice.
+//! segment moves its limit epoch unless it is stable (the epoch rule,
+//! `outcome` module), writes its hosts' enforced limits into the back
+//! buffer once ([`Resolver::segment_enforced_limits`], at the iteration's
+//! start, before stepping advances the filters) and, unless its operating
+//! points are cached, resolves them against that slice. It records whether
+//! the segment's `ops` slots came out of the pass as they went in (cached,
+//! or every re-searched host landed on the bits it held), which is what
+//! lets the outcome write keep the outcome epoch.
 //!
 //! **The invariant this file owns: the `ops` and `op_times` slots of every
 //! segment are exact after the pass.** A settled segment's filters sat at a
@@ -88,6 +91,7 @@ pub(super) fn prestep(
     for (i, (seg, &stamp)) in segments.iter_mut().zip(stamps.iter()).enumerate() {
         let sidx = first + i;
         let stable = ff && seg.stable;
+        seg.ops_kept = seg.ops_valid;
         if stable && stamp == seg.epoch {
             continue;
         }
@@ -107,7 +111,8 @@ pub(super) fn prestep(
             // The bank re-checks each host's enforced limit against the
             // span its cached point holds over and searches only the hosts
             // that left theirs.
-            res.resolve_segment(sidx, model, load, limits, ops, store);
+            let moved = res.resolve_segment(sidx, model, load, limits, ops, store);
+            seg.ops_kept = moved == 0;
         } else {
             // The oracle: every host through the PCU search.
             for host in res.hosts(sidx) {

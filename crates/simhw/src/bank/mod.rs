@@ -367,6 +367,12 @@ impl NodeBank {
         self.programmed[h]
     }
 
+    /// Every host's [`NodeBank::power_limit`], in host order: the column
+    /// itself.
+    pub fn power_limits(&self) -> &[Watts] {
+        &self.programmed
+    }
+
     /// Apply an injected fault (routed through [`Node::inject`]).
     pub fn inject(&mut self, h: usize, kind: FaultKind) {
         self.with_node(h, |n| n.inject(kind));

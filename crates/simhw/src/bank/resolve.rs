@@ -289,7 +289,9 @@ impl<'a> Resolver<'a> {
     /// the point last written for them are re-resolved; each of those is
     /// passed to `rewrote` with its piece index and new slot, the others
     /// cost two compares. The load's candidate table is looked up once for
-    /// the segment.
+    /// the segment. Returns how many slots the pass changed, bit for bit: a
+    /// re-resolved host that lands on the point it held does not count, so
+    /// zero means every slot of the segment is what it was.
     ///
     /// `limits` holds, at each of the segment's host indices, the host's
     /// [`NodeBank::enforced_limit`] as it is now — what
@@ -309,11 +311,11 @@ impl<'a> Resolver<'a> {
         limits: &[Watts],
         ops: &mut [Option<OperatingPoint>],
         mut rewrote: impl FnMut(usize, Option<&OperatingPoint>),
-    ) {
+    ) -> usize {
         let table = load.candidates(model);
         let range = self.hosts(sidx);
         let hosts = range.len() as u64;
-        let mut searched = 0;
+        let (mut searched, mut moved) = (0, 0);
         for h in range {
             let (limit, global) = (limits[h], self.base + h);
             debug_assert_eq!(
@@ -326,15 +328,18 @@ impl<'a> Resolver<'a> {
             searched += 1;
             // Dead hosts drop out of the computation; the span dropped at
             // death stays empty, so the slot is simply rewritten each pass.
-            ops[h] = (self.input.health[global] != NodeHealth::Dead).then(|| {
+            let op = (self.input.health[global] != NodeHealth::Dead).then(|| {
                 let (op, span) = self.input.resolve_host(global, limit, model, load, table);
                 self.op_span[h] = span;
                 op
             });
+            moved += usize::from(!same_point(ops[h].as_ref(), op.as_ref()));
+            ops[h] = op;
             rewrote(h, ops[h].as_ref());
         }
         self.searched += searched;
         self.kept += hosts - searched;
+        moved
     }
 
     /// Add the piece's resolve counts. Zero adds are skipped, as for the
@@ -347,5 +352,18 @@ impl<'a> Resolver<'a> {
         if self.kept > 0 {
             RESOLVE_KEPT.add(self.kept);
         }
+    }
+}
+
+/// True when two `ops` slots hold the same point bit for bit (both `None`,
+/// or every field's bits equal).
+#[inline]
+fn same_point(a: Option<&OperatingPoint>, b: Option<&OperatingPoint>) -> bool {
+    let bits = |op: &OperatingPoint| {
+        [op.lead.value(), op.trail.value(), op.power.value()].map(f64::to_bits)
+    };
+    match (a, b) {
+        (Some(a), Some(b)) => bits(a) == bits(b),
+        (a, b) => a.is_none() && b.is_none(),
     }
 }

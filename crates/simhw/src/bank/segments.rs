@@ -5,8 +5,9 @@
 //! [`NodeBank::set_segment_hosts`]; the last segment may be ragged). Each
 //! segment carries its own cache slot recording whether its enforcement
 //! filters sat at a bitwise fixed point after the last step — and at which
-//! `dt` — so a control write or fault on one host dirties only that host's
-//! segment.
+//! `dt`, and whether exactly at their targets — and whether that step read
+//! every live host back fresh, so a control write or fault on one host
+//! dirties only that host's segment.
 //!
 //! **The invariant this file owns: a replay is a count, and only a segment
 //! whose slot proves "settled, quiescent, same `dt` bits" replays.** Every
@@ -30,10 +31,28 @@
 //!
 //! So the replay arm adds one to the segment's pending-replay count and
 //! touches no per-host column; the `accrual` module turns counts into
-//! energy. Every control write, fault and [`NodeBank::invalidate_segments`]
-//! drops the slot (counted in `simhw.bank.shard.invalidated`, whatever the
-//! write's outcome); health marks deliberately do not, since health never
-//! feeds the stepping arithmetic.
+//! energy.
+//!
+//! **At target.** A settled slot also records whether every live filter of
+//! the segment held exactly its target's bits. Such a filter's update is
+//! `held + (+0.0)·α`, a bitwise no-op for *every* α in [0, 1], so a quiescent
+//! segment at target steps at any `dt` (`dt ≥ 0`) by its energy alone: the
+//! step kernel's early exit computes each host's `op.power / sockets · dt`,
+//! adds it to the host's cells and records it as the replay delta, and
+//! leaves the filters, `last_freq`, the telemetry columns and the results as
+//! the settling step left them. It reads `op.power` and nothing else of
+//! `ops`, on the same terms as a replay. This is what a jittered run, where
+//! every iteration has a new `dt` and nothing replays, spends most settled
+//! iterations in.
+//!
+//! Every control write that changes a stored PL1 cell or consumes a
+//! one-shot MSR glitch, every cap write, every fault and
+//! [`NodeBank::invalidate_segments`] drops the slot, `at_target` with it
+//! (counted in `simhw.bank.shard.invalidated` when it was settled). A
+//! limit write that stores the bits the cells already hold leaves it: the
+//! step and the resolve read nothing it changed (the enforcement target,
+//! τ and enable are decoded from the register). Health marks deliberately
+//! do not either, since health never feeds the stepping arithmetic.
 
 use super::accrual::apply_replays;
 use super::NodeBank;
@@ -57,15 +76,24 @@ pub const DEFAULT_SEGMENT_HOSTS: usize = 1024;
 /// One segment's settled-state cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum SegCache {
-    /// Must be stepped: a control op / fault touched the segment, or its
-    /// filters were still moving after the last step.
+    /// Must be stepped: a control op / fault touched the segment since its
+    /// last step (or it was never stepped).
     Invalid,
+    /// Must be stepped: its filters were still moving after the last step.
+    /// `quiescent` as for `Settled`.
+    Moving { quiescent: bool },
     /// Every enforcement filter in the segment was at its bitwise fixed
     /// point after a step with these `dt` bits. `quiescent` records that the
     /// step neither consumed one-shot telemetry state (no host read back
     /// `Stale`) nor left any pending on a live host, so repeating it would
     /// report the same — which the replay path additionally requires.
-    Settled { dt_bits: u64, quiescent: bool },
+    /// `at_target` records that every live host's filters held exactly
+    /// their targets' bits, so a step at any `dt` moves none of them.
+    Settled {
+        dt_bits: u64,
+        quiescent: bool,
+        at_target: bool,
+    },
 }
 
 impl NodeBank {
@@ -126,6 +154,31 @@ impl NodeBank {
         )
     }
 
+    /// True when segment `sidx`'s last step read no live host back stale and
+    /// left no one-shot telemetry state on one, and nothing has touched the
+    /// segment since, whether or not its filters settled: a caller that
+    /// handed the step the same operating points as the step before, both
+    /// quiescent, got the same results back.
+    #[inline]
+    pub fn segment_quiescent(&self, sidx: usize) -> bool {
+        matches!(
+            self.seg[sidx],
+            SegCache::Moving { quiescent: true }
+                | SegCache::Settled {
+                    quiescent: true,
+                    ..
+                }
+        )
+    }
+
+    /// True when segment `sidx` is stable and every live filter of it sits
+    /// exactly at its target: [`NodeBank::step_all_partial`] steps it at
+    /// any `dt` by its energy alone (module docs).
+    #[inline]
+    pub fn segment_at_target(&self, sidx: usize) -> bool {
+        at_target(self.seg[sidx])
+    }
+
     /// True when [`NodeBank::step_all_partial`] at this `dt` would replay
     /// segment `sidx` instead of stepping it.
     #[inline]
@@ -142,7 +195,7 @@ impl NodeBank {
     /// host.
     pub fn invalidate_segments(&mut self) {
         for cache in &mut self.seg {
-            if *cache != SegCache::Invalid {
+            if matches!(cache, SegCache::Settled { .. }) {
                 SHARD_INVALIDATED.inc();
             }
             *cache = SegCache::Invalid;
@@ -206,7 +259,22 @@ impl NodeBank {
 fn replayable(cache: SegCache, dt_bits: u64) -> bool {
     matches!(
         cache,
-        SegCache::Settled { dt_bits: b, quiescent: true } if b == dt_bits
+        SegCache::Settled { dt_bits: b, quiescent: true, .. } if b == dt_bits
+    )
+}
+
+/// True when a segment's cache proves that a step at any `dt ≥ 0` changes
+/// nothing but its energy cells and replay deltas: settled, quiescent, and
+/// every live filter at its target's bits.
+#[inline]
+pub(super) fn at_target(cache: SegCache) -> bool {
+    matches!(
+        cache,
+        SegCache::Settled {
+            quiescent: true,
+            at_target: true,
+            ..
+        }
     )
 }
 
@@ -219,11 +287,18 @@ pub(super) fn steps(cache: SegCache, dt_bits: u64, allow_replay: bool) -> bool {
 
 /// The cache slot a segment earns by being stepped.
 #[inline]
-pub(super) fn cache_after_step(settled: bool, quiescent: bool, dt_bits: u64) -> SegCache {
+pub(super) fn cache_after_step(
+    (settled, quiescent, at_target): (bool, bool, bool),
+    dt_bits: u64,
+) -> SegCache {
     if settled {
-        SegCache::Settled { dt_bits, quiescent }
+        SegCache::Settled {
+            dt_bits,
+            quiescent,
+            at_target,
+        }
     } else {
-        SegCache::Invalid
+        SegCache::Moving { quiescent }
     }
 }
 

@@ -13,12 +13,18 @@
 //! stepping it.
 //!
 //! `step_span` dispatches on the socket count to `step_cells::<1>`, `::<2>`
-//! or the dynamic `::<0>`, and runs three passes over zipped columns: per
+//! or the dynamic `::<0>`. A span whose cache proves it stable and at target
+//! (`segments` module) exits after one pass that adds each host's energy
+//! delta and records it: every other column already holds what a full step
+//! would write. Any other span runs three passes over zipped columns: per
 //! host (lead, energy delta, telemetry), the energy adds (`add_per_host`,
 //! branch-free: a skipped host's delta is `+0.0`, which leaves its
 //! non-negative cells bitwise alone), and the filter updates (a skipped
 //! host's filters keep their value, which the settled flag, an `&=` of bit
-//! equalities, counts as a no-op).
+//! equalities, counts as a no-op). α is taken once per span when its
+//! packages share one τ, so the filter pass over a span with no dead host is
+//! one flat loop with no call in it; a span that settles is then asked
+//! whether its filters sit exactly at their targets.
 //!
 //! A multi-segment step fans out through the splitter once two segments are
 //! stepped (a replay is a count, no work to share); a steady iteration and
@@ -28,7 +34,7 @@
 //! `Node::try_step`, the harness also under the platform's iteration.
 
 use super::accrual::{add_per_host, apply_replays};
-use super::segments::{cache_after_step, count_applied, steps, SegCache};
+use super::segments::{at_target, cache_after_step, count_applied, steps, SegCache};
 use super::split::{par_segments, take_front, SegSplit};
 use super::NodeBank;
 use crate::faults::NodeHealth;
@@ -322,8 +328,12 @@ fn step_piece(
         let k = std::mem::take(pending);
         apply_replays(seg.energy, seg.replay_delta, seg.sockets, k);
         applied += k;
-        let (settled, quiescent) = step_span(&mut seg, lo, dt, ops, target, tau);
-        *cache = cache_after_step(settled, quiescent, dt_bits);
+        // A quiescent span at target steps its energy alone (`segments`
+        // module docs); the oracle `step_all` never takes the exit.
+        let at_target = allow_replay && at_target(*cache) && dt.value() >= 0.0;
+        let facts = step_span(&mut seg, lo, dt, ops, target, tau, at_target);
+        *cache = cache_after_step(facts, dt_bits);
+        let settled = facts.0;
         report.all_settled &= settled;
         report.segments_stepped += 1;
         lo += len;
@@ -332,10 +342,17 @@ fn step_piece(
 }
 
 /// Step every host of one span, replicating [`RaplPackage::advance`]
-/// bit-for-bit. Returns `(settled, quiescent)`: whether every filter update
-/// was a bitwise no-op, and whether no live host of the span consumed
-/// one-shot telemetry state in this step or holds any afterwards (a dead
-/// host never consumes what it holds).
+/// bit-for-bit. Returns `(settled, quiescent, at_target)`: whether every
+/// filter update was a bitwise no-op, whether no live host of the span
+/// consumed one-shot telemetry state in this step or holds any afterwards
+/// (a dead host never consumes what it holds), and whether every live
+/// host's filters now hold exactly their targets' bits.
+///
+/// `at_target` says the span's cache proved it stable and at target, with
+/// `dt ≥ 0`: then every filter update is a no-op at this `dt` too, one more
+/// step reports what the settling step reported, and `last_freq` holds the
+/// lead it latched, so the kernel exits after one pass that adds each
+/// host's energy and records its delta (`segments` module docs).
 ///
 /// Three passes over the span, each over zipped columns with the socket
 /// count fixed for the common parts: the per-host pass (lead, energy
@@ -354,15 +371,16 @@ fn step_span(
     ops: &[Option<OperatingPoint>],
     target: &[Watts],
     tau: &[f64],
-) -> (bool, bool) {
+    at_target: bool,
+) -> (bool, bool, bool) {
     let sockets = cols.sockets;
     let hosts = base..base + cols.results.len();
     let cells = hosts.start * sockets..hosts.end * sockets;
     let (ops, target, tau) = (&ops[hosts], &target[cells.clone()], &tau[cells]);
     match sockets {
-        1 => step_cells::<1>(cols, 1, dt, ops, target, tau),
-        2 => step_cells::<2>(cols, 2, dt, ops, target, tau),
-        _ => step_cells::<0>(cols, sockets, dt, ops, target, tau),
+        1 => step_cells::<1>(cols, 1, dt, ops, (target, tau), at_target),
+        2 => step_cells::<2>(cols, 2, dt, ops, (target, tau), at_target),
+        _ => step_cells::<0>(cols, sockets, dt, ops, (target, tau), at_target),
     }
 }
 
@@ -373,68 +391,161 @@ fn step_cells<const S: usize>(
     sockets: usize,
     dt: Seconds,
     ops: &[Option<OperatingPoint>],
-    target: &[Watts],
-    tau: &[f64],
-) -> (bool, bool) {
+    (target, tau): (&[Watts], &[f64]),
+    at_target: bool,
+) -> (bool, bool, bool) {
     let w = if S == 0 { sockets } else { S };
-    let mut quiescent = true;
-    let per_host = (ops.iter().zip(cols.results.iter_mut()))
-        .zip(cols.last_freq.iter_mut().zip(cols.replay_delta.iter_mut()))
-        .zip(
-            cols.telemetry_down
-                .iter_mut()
-                .zip(cols.msr_glitch.iter_mut()),
-        );
-    for (((op, result), (last_freq, delta)), (down, glitch)) in per_host {
-        *result = match op {
-            None => {
-                *delta = Joules::ZERO;
-                HostStep::Skipped
+    if at_target {
+        let hosts =
+            (ops.iter().zip(cols.replay_delta.iter_mut())).zip(cols.energy.chunks_exact_mut(w));
+        for ((op, delta), cells) in hosts {
+            *delta = op.map_or(Joules::ZERO, |op| op.power / w as f64 * dt);
+            for e in cells {
+                *e += *delta;
             }
-            Some(op) => {
-                *last_freq = op.lead;
-                *delta = op.power / w as f64 * dt;
-                if *down > 0 {
-                    *down -= 1;
-                    HostStep::Stale
-                } else if std::mem::take(glitch) {
-                    HostStep::Stale
-                } else {
-                    HostStep::Fresh
-                }
-            }
-        };
-        // A host that reads back `Stale` consumed one-shot state: the next
-        // step reports something else, so this one cannot be replayed. A
-        // dead host never steps again, so what it holds is never consumed.
-        quiescent &= *result != HostStep::Stale;
+        }
+        return (true, true, true);
     }
-
-    add_per_host(cols.energy, cols.replay_delta, w);
-
-    let mut memo_tau = f64::NAN;
-    let mut memo_alpha = 0.0;
-    let mut settled = true;
-    let filters = (cols.enforced.chunks_exact_mut(w))
-        .zip(target.chunks_exact(w).zip(tau.chunks_exact(w)))
-        .zip(cols.results.iter());
-    for ((enforced, (target, tau)), result) in filters {
-        let live = *result != HostStep::Skipped;
-        for ((held, &target), &t) in enforced.iter_mut().zip(target).zip(tau) {
+    // α is memoised on τ. A span whose packages share one time window (the
+    // common case: all of them) pays one `exp` before the pass, which then
+    // makes no call; any other span pays one per run of equal τ.
+    let tau0 = tau.first().copied().unwrap_or(f64::NAN);
+    if differing_bits(tau.iter().map(|&t| (t, tau0))) == 0 {
+        let alpha = 1.0 - (-dt.value() / tau0).exp();
+        step_hosts::<S>(cols, w, dt, ops, (target, tau), |_| alpha)
+    } else {
+        let (mut memo_tau, mut memo_alpha) = (f64::NAN, 0.0);
+        let alpha_of = |t: f64| {
             if t != memo_tau {
                 memo_alpha = 1.0 - (-dt.value() / t).exp();
                 memo_tau = t;
             }
-            let next = if live {
-                *held + (target - *held) * memo_alpha
-            } else {
-                *held
+            memo_alpha
+        };
+        step_hosts::<S>(cols, w, dt, ops, (target, tau), alpha_of)
+    }
+}
+
+/// The full step of [`step_cells`], `w` sockets wide (`w == S` unless
+/// `S == 0`), with `alpha_of(τ)` each filter's α, in three passes over
+/// zipped columns: per host the lead, the energy delta and the telemetry;
+/// the energy adds (`add_per_host`: a skipped host's delta is `+0.0`,
+/// which leaves its non-negative cells bitwise alone); and the filter
+/// updates (a skipped host's filters keep their value).
+#[inline(always)]
+fn step_hosts<const S: usize>(
+    cols: &mut SpanCols<'_>,
+    w: usize,
+    dt: Seconds,
+    ops: &[Option<OperatingPoint>],
+    (target, tau): (&[Watts], &[f64]),
+    mut alpha_of: impl FnMut(f64) -> f64,
+) -> (bool, bool, bool) {
+    let (mut quiescent, mut all_live) = (true, true);
+    let per_host = (ops.iter().zip(cols.results.iter_mut()))
+        .zip(cols.last_freq.iter_mut().zip(cols.replay_delta.iter_mut()));
+    // A span that holds no one-shot telemetry state (the common case) reads
+    // every live host back fresh and leaves the countdowns alone.
+    let calm = (cols.telemetry_down.iter()).fold(0, |acc, &d| acc | d) == 0
+        && !(cols.msr_glitch.iter()).fold(false, |acc, &g| acc | g);
+    if calm {
+        for ((op, result), (last_freq, delta)) in per_host {
+            (*result, *delta) = match op {
+                None => (HostStep::Skipped, Joules::ZERO),
+                Some(op) => {
+                    *last_freq = op.lead;
+                    (HostStep::Fresh, op.power / w as f64 * dt)
+                }
             };
-            settled &= next.value().to_bits() == held.value().to_bits();
-            *held = next;
+            all_live &= op.is_some();
+        }
+    } else {
+        let telemetry = cols
+            .telemetry_down
+            .iter_mut()
+            .zip(cols.msr_glitch.iter_mut());
+        for (((op, result), (last_freq, delta)), (down, glitch)) in per_host.zip(telemetry) {
+            *result = match op {
+                None => {
+                    *delta = Joules::ZERO;
+                    HostStep::Skipped
+                }
+                Some(op) => {
+                    *last_freq = op.lead;
+                    *delta = op.power / w as f64 * dt;
+                    if *down > 0 {
+                        *down -= 1;
+                        HostStep::Stale
+                    } else if std::mem::take(glitch) {
+                        HostStep::Stale
+                    } else {
+                        HostStep::Fresh
+                    }
+                }
+            };
+            // A host that reads back `Stale` consumed one-shot state: the
+            // next step reports something else, so this one cannot be
+            // replayed. A dead host never steps again, so what it holds is
+            // never consumed.
+            quiescent &= *result != HostStep::Stale;
+            all_live &= *result != HostStep::Skipped;
         }
     }
-    (settled, quiescent)
+
+    add_per_host(cols.energy, cols.replay_delta, w);
+
+    // Bit tests fold as `|` of `^` with no early exit, so the passes over
+    // a span with no dead host vectorize.
+    let mut moved = 0;
+    if all_live {
+        // Every filter updates: one flat pass over the cells.
+        let filters = cols.enforced.iter_mut().zip(target).zip(tau);
+        for ((held, &target), &t) in filters {
+            let next = *held + (target - *held) * alpha_of(t);
+            moved |= next.value().to_bits() ^ held.value().to_bits();
+            *held = next;
+        }
+    } else {
+        let filters = (cols.enforced.chunks_exact_mut(w))
+            .zip(target.chunks_exact(w).zip(tau.chunks_exact(w)))
+            .zip(cols.results.iter());
+        for ((enforced, (target, tau)), result) in filters {
+            let live = *result != HostStep::Skipped;
+            for ((held, &target), &t) in enforced.iter_mut().zip(target).zip(tau) {
+                let next = if live {
+                    *held + (target - *held) * alpha_of(t)
+                } else {
+                    *held
+                };
+                moved |= next.value().to_bits() ^ held.value().to_bits();
+                *held = next;
+            }
+        }
+    }
+    let settled = moved == 0;
+    // Asked only of a settled span, after the pass: a flag folded into the
+    // filter loop cost it a fifth.
+    let at_target = settled
+        && if all_live {
+            let cells = cols.enforced.iter().zip(target);
+            differing_bits(cells.map(|(held, target)| (held.value(), target.value()))) == 0
+        } else {
+            let filters = (cols.enforced.chunks_exact(w).zip(target.chunks_exact(w)))
+                .zip(cols.results.iter());
+            filters.into_iter().all(|((held, target), result)| {
+                let live = *result != HostStep::Skipped;
+                let bits = |w: &Watts| w.value().to_bits();
+                !live || held.iter().map(bits).eq(target.iter().map(bits))
+            })
+        };
+    (settled, quiescent, at_target)
+}
+
+/// The bits in which the pairs differ, or-ed together: zero when every
+/// pair is bit for bit equal.
+#[inline(always)]
+fn differing_bits(pairs: impl Iterator<Item = (f64, f64)>) -> u64 {
+    pairs.fold(0, |acc, (a, b)| acc | (a.to_bits() ^ b.to_bits()))
 }
 
 #[cfg(test)]

@@ -25,7 +25,11 @@
 //! `RaplClamp` journal. Every field of the request but the limit is a
 //! constant of the bank, encoded once, so per host the batched write is the
 //! share, its clamp, the limit field's rounding and its decode; each segment
-//! written is dirtied once, and the counters take one add per write.
+//! whose cells a write changes is dirtied once, and the counters take one
+//! add per write. A host whose write stores the PL1 bits it holds (a cap
+//! re-posted, or one that rounds to the same RAPL units) still counts as
+//! written but dirties nothing: its segment keeps replaying or stepping at
+//! target.
 //!
 //! A host whose request needs more goes through `resolve_pl1_request` on
 //! the calling thread, in host order: a dead host, a pending MSR glitch, a
@@ -73,8 +77,9 @@ type Stop = (usize, Watts, usize);
 
 impl NodeBank {
     /// Program a node-level power limit in the columns:
-    /// `set_power_limits(h..h + 1, …)`. Like every control write this
-    /// dirties the host's segment, whatever the outcome.
+    /// `set_power_limits(h..h + 1, …)`. It dirties the host's segment
+    /// unless it leaves the host's PL1 registers and one-shot MSR glitch as
+    /// they were.
     pub fn set_power_limit(&mut self, h: usize, limit: Watts) -> Result<()> {
         self.set_power_limits(h..h + 1, |_| Some(limit))
             .map(|_| ())
@@ -235,9 +240,22 @@ impl NodeBank {
     /// One host's limit write through `resolve_pl1_request`, against the
     /// host's columns: each package's raw register column is checked against
     /// the msr-safe write mask and updated, and the enforcement inputs are
-    /// re-decoded from it. Dirties the host's segment, whatever the outcome.
+    /// re-decoded from it. Dirties the host's segment, whatever the outcome,
+    /// unless it left the host's PL1 registers and its one-shot MSR glitch
+    /// as they were (the enforcement inputs are decoded from the registers).
     fn write_one(&mut self, h: usize, limit: Watts) -> Result<()> {
-        self.dirty_segment(h);
+        let s = self.sockets;
+        let cells = h * s..(h + 1) * s;
+        let before = (self.pl1_raw[cells.clone()].to_vec(), self.msr_glitch[h]);
+        let out = self.program_one(h, limit);
+        if before != (self.pl1_raw[cells].to_vec(), self.msr_glitch[h]) {
+            self.dirty_segment(h);
+        }
+        out
+    }
+
+    /// [`NodeBank::write_one`]'s write, dirtying nothing.
+    fn program_one(&mut self, h: usize, limit: Watts) -> Result<()> {
         let s = self.sockets;
         let gate = Pl1Gate {
             dead: self.health[h] == NodeHealth::Dead,
@@ -375,6 +393,20 @@ struct Pl1Program {
 }
 
 impl Pl1Program {
+    /// True when one host's package cells already hold exactly what
+    /// [`Pl1Program::store`] would store: the write changes nothing the
+    /// step or the resolve reads.
+    #[inline]
+    fn holds(self, pl1_raw: &[u64], target: &[Watts], tau: &[f64], enabled: &[bool]) -> bool {
+        let cells = pl1_raw.iter().zip(target).zip(tau).zip(enabled);
+        cells.into_iter().all(|(((&raw, target), tau), &enabled)| {
+            raw == self.raw
+                && target.value().to_bits() == self.limit.value().to_bits()
+                && tau.to_bits() == self.tau.to_bits()
+                && enabled
+        })
+    }
+
     /// Program one host's package cells; returns its node-level limit,
     /// summed as [`crate::Node::power_limit`] sums it.
     #[inline]
@@ -472,23 +504,23 @@ fn write_span(
             let Some(limit) = limit_of(h) else {
                 continue;
             };
-            if !dirtied {
-                let cache = &mut cols.seg[si];
-                tally.invalidated += u64::from(matches!(cache, SegCache::Settled { .. }));
-                *cache = SegCache::Invalid;
-                dirtied = true;
-            }
             let program = batched.then(|| fields.program(limit, health == NodeHealth::Dead));
             let Some(Some(program)) = program else {
                 return Some((h, limit));
             };
             let (i, cells) = (h - base, (h - base) * s..(h - base + 1) * s);
-            cols.programmed[i] = program.store(
+            let (raw, target) = (
                 &mut cols.pl1_raw[cells.clone()],
                 &mut cols.target[cells.clone()],
-                &mut cols.tau[cells.clone()],
-                &mut cols.enabled[cells],
             );
+            let (tau, enabled) = (&mut cols.tau[cells.clone()], &mut cols.enabled[cells]);
+            if !dirtied && !program.holds(raw, target, tau, enabled) {
+                let cache = &mut cols.seg[si];
+                tally.invalidated += u64::from(matches!(cache, SegCache::Settled { .. }));
+                *cache = SegCache::Invalid;
+                dirtied = true;
+            }
+            cols.programmed[i] = program.store(raw, target, tau, enabled);
             tally.written += 1;
         }
         (lo, si) = (seg_end, si + 1);

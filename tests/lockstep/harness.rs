@@ -236,6 +236,10 @@ pub struct Oracle {
     /// The `Node` writes record their own clamps and `RaplClamp` events;
     /// the control writes a bank counts are counted here.
     pub control_writes: u64,
+    /// The hosts whose limit writes in the last control op left every
+    /// register and the one-shot MSR glitch as they were: a bank keeps
+    /// their segments' caches.
+    pub kept: Vec<usize>,
 }
 
 impl Oracle {
@@ -259,12 +263,22 @@ impl Oracle {
             elapsed: Seconds::ZERO,
             planned: Vec::new(),
             control_writes: 0,
+            kept: Vec::new(),
         }
     }
 
     fn limit(&mut self, h: usize, w: Watts) -> Result<(), SimHwError> {
         self.control_writes += 1;
-        self.nodes[h].set_power_limit(w)
+        let registers = |n: &Node| {
+            let pkgs = n.packages().iter().map(|p| format!("{:?}", p.msrs()));
+            (pkgs.collect::<Vec<_>>(), glitched(n))
+        };
+        let before = registers(&self.nodes[h]);
+        let out = self.nodes[h].set_power_limit(w);
+        if registers(&self.nodes[h]) == before {
+            self.kept.push(h);
+        }
+        out
     }
 
     /// Apply a control op (hosts already in range); returns its reply and
@@ -434,6 +448,8 @@ impl Oracle {
             previous: Some(self.previous.clone()),
             hosts: full.map(|f| f.0.clone()),
             nodes: full.map(|f| f.1.clone()),
+            at_target: None,
+            trust_epoch: None,
         }
     }
 
@@ -617,6 +633,10 @@ pub struct Observed {
     pub snapshot: Option<FleetSnapshot>,
     pub hosts: Option<Vec<HostRow>>,
     pub nodes: Option<Vec<NodeView>>,
+    /// Facts a directed case asserts, compared with nothing: a bank's
+    /// segments at target, a platform's trust epoch.
+    pub at_target: Option<Vec<bool>>,
+    pub trust_epoch: Option<u64>,
 }
 
 /// The comparator: `Debug` for `Debug`, which tells apart every two `f64`s
@@ -863,6 +883,11 @@ impl Sut for BankSut {
             report: Some(self.report),
             segments: Some((0..b.num_segments()).map(slot).collect()),
             replays: Some(b.replays()),
+            at_target: Some(
+                (0..b.num_segments())
+                    .map(|s| b.segment_at_target(s))
+                    .collect(),
+            ),
             hosts: full.then(|| hosts.map(row).collect()),
             nodes: full.then(|| shown.iter().map(|&h| NodeView::of(&b.node(h))).collect()),
             ..Observed::default()
@@ -1000,6 +1025,7 @@ impl Sut for PlatformSut {
             outcome: current.then(|| self.bufs.outcome().clone()),
             previous: previous.then(|| self.bufs.previous().clone()),
             snapshot: current.then(|| p.fleet_snapshot(self.bufs.outcome())),
+            trust_epoch: Some(p.trust_epoch()),
             hosts: full.then(|| hosts.map(row).collect()),
             nodes: full.then(|| shown.iter().map(|&h| NodeView::of(&p.node(h))).collect()),
             ..Observed::default()
@@ -1058,6 +1084,7 @@ impl Run {
         let hazard = tracing && self.hazard();
         let ((want, mut touched), mut expect, _) = traced(tracing, || self.oracle.control(&op));
         expect.control_writes = self.oracle.control_writes - writes;
+        let kept = std::mem::take(&mut self.oracle.kept);
         for (sut, segs) in &mut self.suts {
             let (invalidated, name) = (segs.invalidated, sut.name());
             let (got, trace, fanouts) = traced(tracing, || sut.control(&op));
@@ -1066,7 +1093,10 @@ impl Run {
             let host = want.as_ref().err().and_then(|e| e.0);
             let got = got.map_err(|(h, e)| (h.or(host), e));
             same(&got, &want, true, || format!("{name}: reply to {op:?}"))?;
-            touched.iter().for_each(|&h| segs.dirty(h));
+            // A limit write that stores what the host holds dirties nothing.
+            (touched.iter())
+                .filter(|h| !kept.contains(h))
+                .for_each(|&h| segs.dirty(h));
             match op {
                 Op::Reshard(_) => segs.reshard(n, sut.segment_hosts()),
                 // A new bank has counted no replays.

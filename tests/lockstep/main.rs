@@ -134,3 +134,211 @@ proptest! {
         Run { oracle, suts, platform: true, traced: false, scoped }.run(ops)?;
     }
 }
+
+// Directed cases for the two shortcuts a jittered iteration takes, through
+// the same oracle, adapters and comparator: a stable span at target steps
+// its energy alone at any `dt` (`simhw::bank` segments), and a segment
+// whose points and results did not move keeps its outcome slices (the
+// platform's outcome epoch). Each runs a sharded bank stepped partially and
+// platforms with fast-forward on beside the references that take neither
+// shortcut: a flat bank stepping everything, a platform with fast-forward
+// off.
+
+use pmstack_simhw::{FaultKind, Seconds};
+
+/// ε of host `i` in a directed fleet.
+fn directed_eps(n: usize) -> Vec<f64> {
+    (0..n).map(|i| 0.94 + 0.01 * (i % 9) as f64).collect()
+}
+
+/// The oracle over `n` quartz hosts, jittered by `sigma`, with a sharded
+/// bank (`seg`-host segments, stepped partially) and a flat one stepping
+/// everything; with `platforms`, steps are platform iterations and a
+/// platform with fast-forward on (`seg`-host segments) and one with it off
+/// run beside the banks.
+fn directed(n: usize, seg: usize, sigma: f64, platforms: bool, ops: &[Op]) -> Run {
+    let (config, eps) = (phase(8.0, true), directed_eps(n));
+    let oracle = Oracle::new(0, &eps, config, sigma, 7);
+    let mut sharded = NodeBank::from_nodes(oracle.nodes.clone());
+    sharded.set_segment_hosts(seg);
+    let flat = NodeBank::from_nodes(oracle.nodes.clone());
+    let mut suts = vec![
+        BankSut::new(sharded, 0, config, (true, false)).paired(),
+        BankSut::new(flat, 0, config, (false, false)).paired(),
+    ];
+    if platforms {
+        let plan = fault_plan(ops, n);
+        for (ff, seg) in [(true, seg), (false, DEFAULT_SEGMENT_HOSTS)] {
+            let p = JobPlatform::new(part_model(0), oracle.nodes.clone(), config);
+            let mut p = (p.with_fault_plan(plan.clone()))
+                .with_jitter(sigma, 7)
+                .with_segment_hosts(seg);
+            p.set_fast_forward(ff);
+            let donor = donor(0, &eps, config);
+            suts.push(PlatformSut::paired(p, (ff, sigma == 0.0, false), donor));
+        }
+    }
+    Run {
+        oracle,
+        suts,
+        platform: platforms,
+        traced: false,
+        scoped: false,
+    }
+}
+
+/// Apply `ops` in order, each compared as the properties compare it.
+fn apply(run: &mut Run, ops: &[Op]) -> Checked {
+    ops.iter().try_for_each(|&op| run.apply(op))
+}
+
+/// Which segments of the run's sharded bank sit at target.
+fn at_target(run: &Run) -> Vec<bool> {
+    run.suts[0].0.observe(false, &[]).at_target.unwrap()
+}
+
+/// The trust epoch of the run's platform with fast-forward on.
+fn trust_epoch(run: &Run) -> u64 {
+    run.suts[2].0.observe(false, &[]).trust_epoch.unwrap()
+}
+
+/// (a) A jittered span whose filters all reach their targets steps its
+/// energy alone, and every way out of that — a cap write, a fault, a
+/// telemetry dropout, a workload change — is stepped in full again until
+/// the span is back at target.
+#[test]
+fn a_span_at_target_steps_its_energy_alone_until_disturbed() -> Checked {
+    use FaultKind::*;
+    let mut run = directed(6, 3, 0.01, true, &[]);
+    apply(&mut run, &[Op::Uniform(180.0), Op::Idle(120)])?;
+    prop_assert_eq!(at_target(&run), vec![true, true]);
+    let disturbances = [
+        Op::Limit(1, 150.0),
+        Op::Fault(4, TransientMsrFault, false),
+        Op::Fault(2, TelemetryDropout { iterations: 2 }, false),
+        Op::Config(6.0, false),
+    ];
+    for op in disturbances {
+        run.apply(op)?;
+        prop_assert!(
+            at_target(&run).contains(&false),
+            "{op:?} left every segment at target"
+        );
+        apply(&mut run, &[Op::Step(0.0), Op::Idle(120)])?;
+        prop_assert_eq!(
+            at_target(&run),
+            vec![true, true],
+            "not back at target after {:?}",
+            op
+        );
+    }
+    run.check_all(&"the last op")
+}
+
+/// (b) A span whose filters settled one ulp short of their targets at one
+/// `dt` is stable but not at target, so a step at a longer `dt`, which
+/// moves its filters again, takes the full arithmetic.
+#[test]
+fn a_span_settled_off_target_moves_at_another_dt() -> Checked {
+    let mut run = directed(6, 3, 0.0, false, &[]);
+    let mut ops = vec![Op::Uniform(150.0)];
+    ops.extend(std::iter::repeat_n(Op::Step(0.02), 3000));
+    apply(&mut run, &ops)?;
+    let shown = run.suts[0].0.observe(false, &[]);
+    let stable = shown.segments.unwrap().iter().all(|s| s.1 && s.2);
+    prop_assert!(stable, "the small steps did not settle every segment");
+    prop_assert!(
+        at_target(&run).contains(&false),
+        "every segment reached its target"
+    );
+    let before = run.suts[0].0.observe(true, &[]).hosts.unwrap();
+    apply(&mut run, &[Op::Step(2.0), Op::Step(2.0)])?;
+    let after = run.suts[0].0.observe(true, &[]).hosts.unwrap();
+    let moved = before
+        .iter()
+        .zip(&after)
+        .any(|(a, b)| format!("{a:?}") != format!("{b:?}"));
+    prop_assert!(moved, "the long steps moved no filter");
+    run.check_all(&Seconds(2.0))
+}
+
+/// (c) While limits creep toward a new uniform cap, a segment whose hosts
+/// all stay inside their points' spans keeps its outcome slices, beside a
+/// segment where one host's big cut leaves its span and moves its point.
+#[test]
+fn a_resolve_that_moves_no_point_keeps_the_outcome() -> Checked {
+    for sigma in [0.0, 0.01] {
+        let mut run = directed(8, 4, sigma, true, &[]);
+        apply(&mut run, &[Op::Uniform(200.0), Op::Idle(80)])?;
+        apply(
+            &mut run,
+            &[Op::Uniform(199.9), Op::Limit(5, 150.0), Op::Step(0.0)],
+        )?;
+        let mut moves = Vec::new();
+        for _ in 0..12 {
+            let before = trust_epoch(&run);
+            run.apply(Op::Step(0.0))?;
+            moves.push(trust_epoch(&run) - before);
+        }
+        // One segment of two moves while host 5's point does; the other
+        // keeps its slices throughout.
+        prop_assert!(
+            moves.iter().all(|&m| m <= 1),
+            "σ {}: moves {:?}",
+            sigma,
+            moves
+        );
+        prop_assert!(
+            moves.contains(&1),
+            "σ {}: host 5 never moved: {:?}",
+            sigma,
+            moves
+        );
+        run.check_all(&"the last op")?;
+    }
+    Ok(())
+}
+
+/// (d) Caps re-posted to a settled fleet that encode to the PL1 bits the
+/// hosts hold dirty no segment: the banks keep replaying or stepping at
+/// target and a calm platform stays steady; a cap that changes the bits
+/// still dirties its segment.
+#[test]
+fn caps_that_encode_to_the_held_bits_dirty_nothing() -> Checked {
+    for sigma in [0.0, 0.01] {
+        let mut run = directed(6, 3, sigma, true, &[]);
+        apply(&mut run, &[Op::Uniform(180.0), Op::Idle(120)])?;
+        // 90 W a socket, in RAPL's 1/8 W units, whatever the rounding.
+        let same = [
+            Op::Limit(1, 180.01),
+            Op::Uniform(179.99),
+            Op::Uniform(180.02),
+            Op::Limit(4, 180.0),
+        ];
+        for op in same {
+            run.apply(op)?;
+            let segments = run.suts[0].0.observe(false, &[]).segments.unwrap();
+            prop_assert!(
+                segments.iter().all(|s| s.1),
+                "σ {}: {:?} dirtied a segment",
+                sigma,
+                op
+            );
+            if sigma == 0.0 {
+                let steady = run.suts[2].0.observe(false, &[]).steady.unwrap();
+                prop_assert!(steady, "{op:?} took the platform out of steady state");
+            }
+            run.apply(Op::Step(0.0))?;
+        }
+        run.apply(Op::Limit(4, 181.0))?;
+        let segments = run.suts[0].0.observe(false, &[]).segments.unwrap();
+        prop_assert!(
+            !segments[1].1,
+            "σ {}: a changed cap left its segment settled",
+            sigma
+        );
+        apply(&mut run, &[Op::Idle(60)])?;
+        run.check_all(&"the last op")?;
+    }
+    Ok(())
+}
