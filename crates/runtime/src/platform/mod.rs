@@ -481,7 +481,10 @@ impl JobPlatform {
             return Err(SimHwError::UnknownNode(host));
         }
         let out = self.bank.set_power_limit(host, limit);
-        self.forget_dirtied_segments();
+        // Only the host's segment can have been dirtied.
+        if !self.bank.segment_settled(self.bank.segment_of(host)) {
+            self.invalidate_host_caches(host);
+        }
         out
     }
 
