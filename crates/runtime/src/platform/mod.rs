@@ -181,8 +181,10 @@ struct SegmentState {
     /// segment's limit, power, lead, alive and fresh slices cannot change at
     /// any `dt`, so neither of its epochs moves.
     stable: bool,
-    /// This iteration's pre-step pass left every `ops` slot of the segment
-    /// as it was: cached, or re-resolved onto the same bits.
+    /// This iteration's resolve landed every `ops` slot of the segment on
+    /// the bits it held. Written only when the segment resolves, so read
+    /// only when `ops_valid` was unset going in (a cached segment keeps its
+    /// slots by definition).
     ops_kept: bool,
     /// The content `outcome` names was written from a quiescent step (every
     /// live host read back fresh).
@@ -625,15 +627,7 @@ impl JobPlatform {
 
     /// The currently programmed per-host limits.
     pub fn host_limits(&self) -> Vec<Watts> {
-        let mut out = Vec::new();
-        self.host_limits_into(&mut out);
-        out
-    }
-
-    /// Fill `out` with per-host programmed limits without allocating.
-    pub fn host_limits_into(&self, out: &mut Vec<Watts>) {
-        out.clear();
-        out.extend_from_slice(self.programmed_limits());
+        self.programmed_limits().to_vec()
     }
 
     /// The per-host programmed limits, borrowed from the bank's column.

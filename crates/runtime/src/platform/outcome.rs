@@ -211,6 +211,15 @@ pub(super) fn write_outcome(
         // A segment that replays at this `dt` is settled and stable: one
         // query answers all four for a clean segment.
         let replayable = all_replayed || bank.segment_replayable(sidx, elapsed);
+        pass.steady &= replayable;
+        // Stable going in and replaying now: neither epoch moved (a stable
+        // segment's `quiet` is set), its caches stay armed, and the
+        // slices in this side are current.
+        if ff && seg.stable && replayable && *stamp == seg.epoch && *outcome_stamp == seg.outcome
+        {
+            pass.reused += 1;
+            continue;
+        }
         let (settled, stable, quiet) = if replayable {
             (true, true, true)
         } else {
@@ -218,16 +227,17 @@ pub(super) fn write_outcome(
             (bank.segment_settled(sidx), bank.segment_stable(sidx), quiet)
         };
         // The outcome epoch moves unless the content it names is what this
-        // iteration's points and results give again: the same points, and
-        // every live host read back fresh now as then.
-        let keep = ff && seg.ops_kept && seg.quiet && quiet;
+        // iteration's points and results give again: the same points
+        // (cached, or resolved onto the same bits), and every live host
+        // read back fresh now as then.
+        let kept = seg.ops_valid || seg.ops_kept;
+        let keep = ff && kept && seg.quiet && quiet;
         seg.outcome += u64::from(!keep);
         pass.moved += u64::from(!keep);
         seg.quiet = quiet;
         seg.ops_valid = ff && settled;
         pass.unresolved += usize::from(!seg.ops_valid);
         seg.stable = seg.ops_valid && stable;
-        pass.steady &= replayable;
         // The limit slice (and, jitter off, the compute-time slice) is
         // current in this side whatever happened to the others.
         *stamp = seg.epoch;

@@ -9,10 +9,10 @@
 //! `outcome` module), writes its hosts' enforced limits into the back
 //! buffer once ([`Resolver::segment_enforced_limits`], at the iteration's
 //! start, before stepping advances the filters) and, unless its operating
-//! points are cached, resolves them against that slice. It records whether
-//! the segment's `ops` slots came out of the pass as they went in (cached,
-//! or every re-searched host landed on the bits it held), which is what
-//! lets the outcome write keep the outcome epoch.
+//! points are cached, resolves them against that slice. A resolving segment
+//! records whether every re-searched host landed on the bits it held (a
+//! cached segment keeps its slots by definition), which is what lets the
+//! outcome write keep the outcome epoch.
 //!
 //! **The invariant this file owns: the `ops` and `op_times` slots of every
 //! segment are exact after the pass.** A settled segment's filters sat at a
@@ -91,7 +91,6 @@ pub(super) fn prestep(
     for (i, (seg, &stamp)) in segments.iter_mut().zip(stamps.iter()).enumerate() {
         let sidx = first + i;
         let stable = ff && seg.stable;
-        seg.ops_kept = seg.ops_valid;
         if stable && stamp == seg.epoch {
             continue;
         }

@@ -241,21 +241,10 @@ impl NodeBank {
     /// host's columns: each package's raw register column is checked against
     /// the msr-safe write mask and updated, and the enforcement inputs are
     /// re-decoded from it. Dirties the host's segment, whatever the outcome,
-    /// unless it left the host's PL1 registers and its one-shot MSR glitch
-    /// as they were (the enforcement inputs are decoded from the registers).
+    /// unless it left every PL1 register of the host and its one-shot MSR
+    /// glitch as they were (the enforcement inputs are decoded from the
+    /// registers).
     fn write_one(&mut self, h: usize, limit: Watts) -> Result<()> {
-        let s = self.sockets;
-        let cells = h * s..(h + 1) * s;
-        let before = (self.pl1_raw[cells.clone()].to_vec(), self.msr_glitch[h]);
-        let out = self.program_one(h, limit);
-        if before != (self.pl1_raw[cells].to_vec(), self.msr_glitch[h]) {
-            self.dirty_segment(h);
-        }
-        out
-    }
-
-    /// [`NodeBank::write_one`]'s write, dirtying nothing.
-    fn program_one(&mut self, h: usize, limit: Watts) -> Result<()> {
         let s = self.sockets;
         let gate = Pl1Gate {
             dead: self.health[h] == NodeHealth::Dead,
@@ -265,8 +254,12 @@ impl NodeBank {
             max: self.pl1_max,
             units: self.units,
         };
-        let id = self.id[h].0;
-        let write = resolve_pl1_request(&gate, &mut self.msr_glitch[h], || id, limit)?;
+        let (id, glitch) = (self.id[h].0, self.msr_glitch[h]);
+        let write = resolve_pl1_request(&gate, &mut self.msr_glitch[h], || id, limit);
+        if self.msr_glitch[h] != glitch {
+            self.dirty_segment(h);
+        }
+        let write = write?;
         let (target, tau) = enforcement_params_of(&write.limit, self.pl1_max);
         // Packages are written in order, as on the `Node`: one that refuses
         // the write leaves the ones before it reprogrammed.
@@ -279,6 +272,9 @@ impl NodeBank {
             ) {
                 self.programmed[h] = self.programmed_limit(h);
                 return Err(refused);
+            }
+            if self.pl1_raw[i] != write.raw {
+                self.dirty_segment(h);
             }
             self.pl1_raw[i] = write.raw;
             self.target[i] = target;
@@ -393,18 +389,13 @@ struct Pl1Program {
 }
 
 impl Pl1Program {
-    /// True when one host's package cells already hold exactly what
-    /// [`Pl1Program::store`] would store: the write changes nothing the
-    /// step or the resolve reads.
+    /// True when one host's package registers already hold the bits
+    /// [`Pl1Program::store`] would store: the enforcement inputs are
+    /// decoded from them, so the write changes nothing the step or the
+    /// resolve reads.
     #[inline]
-    fn holds(self, pl1_raw: &[u64], target: &[Watts], tau: &[f64], enabled: &[bool]) -> bool {
-        let cells = pl1_raw.iter().zip(target).zip(tau).zip(enabled);
-        cells.into_iter().all(|(((&raw, target), tau), &enabled)| {
-            raw == self.raw
-                && target.value().to_bits() == self.limit.value().to_bits()
-                && tau.to_bits() == self.tau.to_bits()
-                && enabled
-        })
+    fn holds(self, pl1_raw: &[u64]) -> bool {
+        pl1_raw.iter().all(|&raw| raw == self.raw)
     }
 
     /// Program one host's package cells; returns its node-level limit,
@@ -509,18 +500,18 @@ fn write_span(
                 return Some((h, limit));
             };
             let (i, cells) = (h - base, (h - base) * s..(h - base + 1) * s);
-            let (raw, target) = (
-                &mut cols.pl1_raw[cells.clone()],
-                &mut cols.target[cells.clone()],
-            );
-            let (tau, enabled) = (&mut cols.tau[cells.clone()], &mut cols.enabled[cells]);
-            if !dirtied && !program.holds(raw, target, tau, enabled) {
+            if !dirtied && !program.holds(&cols.pl1_raw[cells.clone()]) {
                 let cache = &mut cols.seg[si];
                 tally.invalidated += u64::from(matches!(cache, SegCache::Settled { .. }));
                 *cache = SegCache::Invalid;
                 dirtied = true;
             }
-            cols.programmed[i] = program.store(raw, target, tau, enabled);
+            cols.programmed[i] = program.store(
+                &mut cols.pl1_raw[cells.clone()],
+                &mut cols.target[cells.clone()],
+                &mut cols.tau[cells.clone()],
+                &mut cols.enabled[cells],
+            );
             tally.written += 1;
         }
         (lo, si) = (seg_end, si + 1);

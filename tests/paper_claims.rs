@@ -1,11 +1,12 @@
 //! Integration tests of the paper's headline claims, end to end: every
-//! marker and takeaway from the evaluation section must hold on the
-//! reproduced stack (at reduced scale for CI speed; `repro all` runs the
-//! full scale).
+//! marker and takeaway from the evaluation section (the list in
+//! `claims/mod.rs`) must hold on the reproduced stack (at reduced scale for
+//! CI speed; `repro all` runs the full scale).
 
-use powerstack::core::PolicyKind;
+mod claims;
+
 use powerstack::experiments::grid::{EvaluationGrid, GridParams};
-use powerstack::experiments::{BudgetLevel, MixKind, Testbed};
+use powerstack::experiments::Testbed;
 
 fn grid() -> EvaluationGrid {
     let tb = Testbed::new(500, 42);
@@ -19,204 +20,11 @@ fn grid() -> EvaluationGrid {
 
 #[test]
 fn headline_claims_hold() {
-    let grid = grid();
-
-    // ───────────────────────────────────────────────────────── Fig. 7 ──
-    // Precharacterized exceeds the budget at min for (almost) every mix and
-    // fits at max; budget-respecting policies never exceed 100%.
-    let mut over_at_min = 0;
-    for mix in MixKind::all() {
-        if grid
-            .cell(mix, BudgetLevel::Min, PolicyKind::Precharacterized)
-            .pct_of_budget
-            > 100.0
-        {
-            over_at_min += 1;
-        }
-        assert!(
-            grid.cell(mix, BudgetLevel::Max, PolicyKind::Precharacterized)
-                .pct_of_budget
-                <= 101.0,
-            "{mix}: Precharacterized must fit the max budget"
-        );
-    }
-    assert!(
-        over_at_min >= 5,
-        "only {over_at_min}/6 mixes over budget at min"
-    );
-
-    for c in &grid.cells {
-        if c.policy != PolicyKind::Precharacterized {
-            assert!(
-                c.pct_of_budget <= 100.5,
-                "{} {} {} exceeds budget: {:.1}%",
-                c.mix,
-                c.level,
-                c.policy,
-                c.pct_of_budget
-            );
-        }
-    }
-
-    // Marker (b): at the ideal budget, MixedAdaptive utilizes more of the
-    // budget than the siloed JobAdaptive (which strands power in low-power
-    // jobs' silos) for mixes with cross-job imbalance in needs.
-    let wasteful_mixed = grid
-        .cell(
-            MixKind::WastefulPower,
-            BudgetLevel::Ideal,
-            PolicyKind::MixedAdaptive,
-        )
-        .pct_of_budget;
-    let wasteful_job = grid
-        .cell(
-            MixKind::WastefulPower,
-            BudgetLevel::Ideal,
-            PolicyKind::JobAdaptive,
-        )
-        .pct_of_budget;
-    assert!(
-        wasteful_mixed > wasteful_job + 1.0,
-        "marker (b): MixedAdaptive {wasteful_mixed:.1}% should out-utilize JobAdaptive {wasteful_job:.1}%"
-    );
-
-    // Marker (a): at the max budget, application-aware policies draw *less*
-    // power than the static baseline (the runtime trims to needed power).
-    for mix in [
-        MixKind::WastefulPower,
-        MixKind::HighImbalance,
-        MixKind::LowPower,
-    ] {
-        let static_pct = grid
-            .cell(mix, BudgetLevel::Max, PolicyKind::StaticCaps)
-            .pct_of_budget;
-        let mixed_pct = grid
-            .cell(mix, BudgetLevel::Max, PolicyKind::MixedAdaptive)
-            .pct_of_budget;
-        assert!(
-            mixed_pct < static_pct - 1.0,
-            "marker (a) on {mix}: {mixed_pct:.1}% should be below {static_pct:.1}%"
-        );
-    }
-
-    // ───────────────────────────────────────────────────────── Fig. 8 ──
-    let savings = |mix, level, policy| {
-        grid.cell(mix, level, policy)
-            .savings
-            .expect("dynamic policies carry savings rows")
-    };
-
-    // Takeaway 1+2: energy savings grow with the budget for the
-    // application-aware policies on slack-heavy mixes.
-    for mix in [
-        MixKind::WastefulPower,
-        MixKind::LowPower,
-        MixKind::HighImbalance,
-    ] {
-        let e_min = savings(mix, BudgetLevel::Min, PolicyKind::MixedAdaptive).energy_pct;
-        let e_max = savings(mix, BudgetLevel::Max, PolicyKind::MixedAdaptive).energy_pct;
-        assert!(
-            e_max > e_min + 2.0,
-            "{mix}: energy savings should grow with budget ({e_min:.1}% → {e_max:.1}%)"
-        );
-        assert!(
-            e_max > 5.0,
-            "{mix}: expect substantial savings at max, got {e_max:.1}%"
-        );
-    }
-
-    // Marker (d): large energy savings at the max budget for WastefulPower.
-    let d = savings(
-        MixKind::WastefulPower,
-        BudgetLevel::Max,
-        PolicyKind::MixedAdaptive,
-    );
-    assert!(
-        d.energy_pct > 5.0,
-        "marker (d): WastefulPower @ max energy savings {:.1}%",
-        d.energy_pct
-    );
-
-    // Marker (c): MinimizeWaste outperforms JobAdaptive in time savings on
-    // NeedUsedPower at the ideal budget (the mix where observed power data
-    // is as good as performance-aware data, and cross-job sharing wins).
-    let mw = savings(
-        MixKind::NeedUsedPower,
-        BudgetLevel::Ideal,
-        PolicyKind::MinimizeWaste,
-    );
-    let ja = savings(
-        MixKind::NeedUsedPower,
-        BudgetLevel::Ideal,
-        PolicyKind::JobAdaptive,
-    );
-    assert!(
-        mw.time_pct > ja.time_pct + 0.5,
-        "marker (c): MinimizeWaste {:.1}% vs JobAdaptive {:.1}%",
-        mw.time_pct,
-        ja.time_pct
-    );
-
-    // Takeaway 4: NeedUsedPower offers no energy-saving opportunity — every
-    // watt consumed is needed.
-    for policy in PolicyKind::dynamic() {
-        for level in BudgetLevel::all() {
-            let s = savings(MixKind::NeedUsedPower, level, policy);
-            assert!(
-                s.energy_pct < 3.0,
-                "NeedUsedPower {level} {policy}: unexpected energy savings {:.1}%",
-                s.energy_pct
-            );
-        }
-    }
-
-    // JobAdaptive ≈ MixedAdaptive at the min and max levels (§VI-B).
-    for mix in MixKind::all() {
-        for level in [BudgetLevel::Min, BudgetLevel::Max] {
-            let ja = savings(mix, level, PolicyKind::JobAdaptive).time_pct;
-            let ma = savings(mix, level, PolicyKind::MixedAdaptive).time_pct;
-            assert!(
-                (ja - ma).abs() < 2.0,
-                "{mix} {level}: JobAdaptive {ja:.1}% vs MixedAdaptive {ma:.1}% should be similar"
-            );
-        }
-    }
-
-    // The proposed policy never meaningfully loses to the baseline on time.
-    for c in &grid.cells {
-        if c.policy == PolicyKind::MixedAdaptive {
-            let s = c.savings.unwrap();
-            assert!(
-                s.time_pct > -1.5,
-                "{} {}: MixedAdaptive lost {:.1}% time to StaticCaps",
-                c.mix,
-                c.level,
-                s.time_pct
-            );
-        }
-    }
-
-    // Headline: somewhere in the grid, MixedAdaptive achieves substantial
-    // time savings and substantial energy savings (the paper reports up to
-    // 7% and 11% respectively).
-    let best_time = grid
-        .cells
-        .iter()
-        .filter(|c| c.policy == PolicyKind::MixedAdaptive)
-        .map(|c| c.savings.unwrap().time_pct)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let best_energy = grid
-        .cells
-        .iter()
-        .filter(|c| c.policy == PolicyKind::MixedAdaptive)
-        .map(|c| c.savings.unwrap().energy_pct)
-        .fold(f64::NEG_INFINITY, f64::max);
-    assert!(
-        best_time > 3.0,
-        "best MixedAdaptive time savings {best_time:.1}%"
-    );
-    assert!(
-        best_energy > 7.0,
-        "best MixedAdaptive energy savings {best_energy:.1}%"
-    );
+    let claims = claims::claims(&grid());
+    assert_eq!(claims.len(), 12);
+    let failed: Vec<String> = (claims.iter())
+        .filter(|c| !c.holds)
+        .map(|c| format!("{} ({})", c.name, c.numbers))
+        .collect();
+    assert!(failed.is_empty(), "claims that fail: {failed:#?}");
 }

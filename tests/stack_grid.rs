@@ -11,16 +11,18 @@
 //!
 //! `paper_claims_on_the_stack` runs both at `tests/paper_claims.rs`'s scale,
 //! prints each cell's time, energy and power gap against its analytic
-//! cell, asserts every claim of `paper_claims.rs` that holds on the stack,
-//! and asserts that the claims listed in [`FAILING_ON_THE_STACK`] still fail
+//! cell, evaluates the claims `paper_claims.rs` asserts (one list, in
+//! `claims/mod.rs`), asserts every one that holds on the stack, and
+//! asserts that the ones listed in [`FAILING_ON_THE_STACK`] still fail
 //! there (EXPERIMENTS.md, "The stack grid", gives their numbers), so a
-//! change that moves either set shows here. The analytic assertions in
-//! `paper_claims.rs` stay as they are. `full_scale_stack_grid` (ignored in
+//! change that moves either set shows here. `full_scale_stack_grid` (ignored in
 //! tier-1; `cargo test --release --test stack_grid -- --ignored
 //! --nocapture`) runs the paper-scale grid and prints its gaps and its
 //! wall-clock.
 
-use powerstack::analysis::savings_pct;
+mod claims;
+
+use claims::{claims, Cells};
 use powerstack::core::{allocate_with_runtime, policies, JobChar, PolicyCtx, PolicyKind};
 use powerstack::experiments::grid::{EvaluationGrid, GridParams};
 use powerstack::experiments::{mixes, BudgetLevel, MixBudgets, MixKind, Testbed};
@@ -112,163 +114,31 @@ fn job_seed(m: usize, level: BudgetLevel, policy: PolicyKind, j: usize) -> u64 {
     0x5EED_0000 ^ ((m as u64) << 24) ^ (l << 16) ^ (p << 8) ^ j as u64
 }
 
-/// The grid's cells by key.
-struct Cells<'a>(&'a [StackCell]);
+/// The stack grid's cells by key, read as the claims read a grid.
+struct Stack<'a>(&'a [StackCell]);
 
-impl Cells<'_> {
+impl Stack<'_> {
     fn get(&self, mix: MixKind, level: BudgetLevel, policy: PolicyKind) -> &StackCell {
         (self.0.iter())
             .find(|c| c.mix == mix && c.level == level && c.policy == policy)
             .expect("the grid covers the full cross product")
     }
-
-    /// Time and energy savings against the same cell's `StaticCaps`, %.
-    fn savings(&self, mix: MixKind, level: BudgetLevel, policy: PolicyKind) -> (f64, f64) {
-        let (base, cell) = (
-            self.get(mix, level, PolicyKind::StaticCaps),
-            self.get(mix, level, policy),
-        );
-        (
-            savings_pct(base.elapsed_s, cell.elapsed_s),
-            savings_pct(base.energy_j, cell.energy_j),
-        )
-    }
 }
 
-/// The claims `tests/paper_claims.rs` asserts on the analytic grid, each
-/// evaluated on `cells`: its name, whether it holds, and the numbers it
-/// turned on.
-fn claims(cells: &[StackCell]) -> Vec<(&'static str, bool, String)> {
-    use BudgetLevel::{Ideal, Max, Min};
-    use MixKind::*;
-    use PolicyKind::*;
-    let g = Cells(cells);
-    let mut out = Vec::new();
-    let pcts = |level, policy| -> Vec<f64> {
-        (MixKind::all().iter())
-            .map(|&mix| g.get(mix, level, policy).pct_of_budget())
-            .collect()
-    };
-    let over = pcts(Min, Precharacterized);
-    let n_over = over.iter().filter(|&&p| p > 100.0).count();
-    out.push((
-        "fig7: Precharacterized over the min budget in >= 5 of 6 mixes",
-        n_over >= 5,
-        format!("{over:.1?}"),
-    ));
-    let at_max = pcts(Max, Precharacterized);
-    out.push((
-        "fig7: Precharacterized fits the max budget",
-        at_max.iter().all(|&p| p <= 101.0),
-        format!("{at_max:.1?}"),
-    ));
-    let worst = (cells.iter())
-        .filter(|c| c.policy != Precharacterized)
-        .map(StackCell::pct_of_budget)
-        .fold(f64::NEG_INFINITY, f64::max);
-    out.push((
-        "fig7: every other policy within its budget",
-        worst <= 100.5,
-        format!("max {worst:.2}%"),
-    ));
-    let (mixed, job) = (
-        g.get(WastefulPower, Ideal, MixedAdaptive).pct_of_budget(),
-        g.get(WastefulPower, Ideal, JobAdaptive).pct_of_budget(),
-    );
-    out.push((
-        "marker (b): MixedAdaptive out-utilizes JobAdaptive (WastefulPower, ideal)",
-        mixed > job + 1.0,
-        format!("{mixed:.1}% vs {job:.1}%"),
-    ));
-    let slack = [WastefulPower, HighImbalance, LowPower];
-    let a: Vec<(f64, f64)> = (slack.iter())
-        .map(|&mix| {
-            (
-                g.get(mix, Max, MixedAdaptive).pct_of_budget(),
-                g.get(mix, Max, StaticCaps).pct_of_budget(),
-            )
-        })
-        .collect();
-    out.push((
-        "marker (a): MixedAdaptive draws less than StaticCaps at max",
-        a.iter().all(|(m, s)| m < &(s - 1.0)),
-        format!("{a:.1?}"),
-    ));
-    let grow: Vec<(f64, f64)> = (slack.iter())
-        .map(|&mix| {
-            (
-                g.savings(mix, Min, MixedAdaptive).1,
-                g.savings(mix, Max, MixedAdaptive).1,
-            )
-        })
-        .collect();
-    let grows = grow.iter().all(|(lo, hi)| *hi > lo + 2.0 && *hi > 5.0);
-    out.push((
-        "takeaways 1+2: MixedAdaptive energy savings grow with the budget",
-        grows,
-        format!("{grow:.1?}"),
-    ));
-    let d = g.savings(WastefulPower, Max, MixedAdaptive).1;
-    out.push((
-        "marker (d): WastefulPower energy savings at max > 5%",
-        d > 5.0,
-        format!("{d:.1}%"),
-    ));
-    let (mw, ja) = (
-        g.savings(NeedUsedPower, Ideal, MinimizeWaste).0,
-        g.savings(NeedUsedPower, Ideal, JobAdaptive).0,
-    );
-    out.push((
-        "marker (c): MinimizeWaste beats JobAdaptive on time (NeedUsedPower, ideal)",
-        mw > ja + 0.5,
-        format!("{mw:.2}% vs {ja:.2}%"),
-    ));
-    let need_used: Vec<f64> = (PolicyKind::dynamic().iter())
-        .flat_map(|&p| BudgetLevel::all().map(|l| g.savings(NeedUsedPower, l, p).1))
-        .collect();
-    let most = need_used.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    out.push((
-        "takeaway 4: NeedUsedPower has no energy to save",
-        most < 3.0,
-        format!("max {most:.2}%"),
-    ));
-    let gaps: Vec<f64> = (MixKind::all().iter())
-        .flat_map(|&mix| {
-            [Min, Max].map(|l| {
-                (g.savings(mix, l, JobAdaptive).0 - g.savings(mix, l, MixedAdaptive).0).abs()
-            })
-        })
-        .collect();
-    let widest = gaps.iter().copied().fold(0.0, f64::max);
-    out.push((
-        "JobAdaptive ~ MixedAdaptive on time at min and max",
-        widest < 2.0,
-        format!("max gap {widest:.2} points"),
-    ));
-    let time = |c: &StackCell| g.savings(c.mix, c.level, MixedAdaptive).0;
-    let mixed_cells: Vec<&StackCell> = cells.iter().filter(|c| c.policy == MixedAdaptive).collect();
-    let least = mixed_cells
-        .iter()
-        .map(|c| time(c))
-        .fold(f64::INFINITY, f64::min);
-    out.push((
-        "MixedAdaptive never loses more than 1.5% time",
-        least > -1.5,
-        format!("worst {least:.2}%"),
-    ));
-    let best_time = mixed_cells
-        .iter()
-        .map(|c| time(c))
-        .fold(f64::NEG_INFINITY, f64::max);
-    let best_energy = (mixed_cells.iter())
-        .map(|c| g.savings(c.mix, c.level, MixedAdaptive).1)
-        .fold(f64::NEG_INFINITY, f64::max);
-    out.push((
-        "headline: best MixedAdaptive time > 3% and energy > 7%",
-        best_time > 3.0 && best_energy > 7.0,
-        format!("{best_time:.2}% / {best_energy:.2}%"),
-    ));
-    out
+impl Cells for Stack<'_> {
+    fn pct_of_budget(&self, mix: MixKind, level: BudgetLevel, policy: PolicyKind) -> f64 {
+        self.get(mix, level, policy).pct_of_budget()
+    }
+
+    fn elapsed_energy(
+        &self,
+        mix: MixKind,
+        level: BudgetLevel,
+        policy: PolicyKind,
+    ) -> (f64, f64) {
+        let c = self.get(mix, level, policy);
+        (c.elapsed_s, c.energy_j)
+    }
 }
 
 /// The claims that do not hold on the stack at `paper_claims.rs`'s scale.
@@ -308,8 +178,12 @@ fn paper_claims_on_the_stack() {
     let stack = stack_grid(&tb, params);
     assert_eq!(stack.len(), 90);
     print_gaps(&stack, &EvaluationGrid::run(&tb, params));
+    let claims = claims(&Stack(&stack));
+    for name in FAILING_ON_THE_STACK {
+        assert!(claims.iter().any(|c| c.name == *name), "no claim {name}");
+    }
     let mut wrong = Vec::new();
-    for (name, holds, numbers) in claims(&stack) {
+    for claims::Claim { name, holds, numbers } in claims {
         let expected = !FAILING_ON_THE_STACK.contains(&name);
         println!(
             "{} {name}: {numbers}",
@@ -334,7 +208,7 @@ fn full_scale_stack_grid() {
     let stack = stack_grid(&tb, params);
     let wall = start.elapsed().as_secs_f64();
     print_gaps(&stack, &EvaluationGrid::run(&tb, params));
-    for (name, holds, numbers) in claims(&stack) {
+    for claims::Claim { name, holds, numbers } in claims(&Stack(&stack)) {
         println!(
             "{} {name}: {numbers}",
             if holds { "holds " } else { "FAILS " }
