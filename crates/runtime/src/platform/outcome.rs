@@ -30,6 +30,11 @@
 //!   inside its points' spans, which is most resolving iterations of a
 //!   jittered run.
 //!
+//! A segment that went into the iteration stable and replays at its `dt`
+//! moves neither epoch and keeps every flag, so the outcome write lets it
+//! go on its two stamp tests before any other bookkeeping: a steady
+//! fleet's iteration pays per segment what it paid with one epoch.
+//!
 //! The compute-time slice is the exception: with jitter on it is redrawn
 //! every iteration whatever the stamps, and with jitter off it is kept,
 //! with its cached maximum (the barrier is a max over S values), exactly
@@ -215,8 +220,7 @@ pub(super) fn write_outcome(
         // Stable going in and replaying now: neither epoch moved (a stable
         // segment's `quiet` is set), its caches stay armed, and the
         // slices in this side are current.
-        if ff && seg.stable && replayable && *stamp == seg.epoch && *outcome_stamp == seg.outcome
-        {
+        if ff && seg.stable && replayable && *stamp == seg.epoch && *outcome_stamp == seg.outcome {
             pass.reused += 1;
             continue;
         }

@@ -13,8 +13,7 @@ pub trait Cells {
     /// Power drawn as a percentage of the cell's budget (Fig. 7).
     fn pct_of_budget(&self, mix: MixKind, level: BudgetLevel, policy: PolicyKind) -> f64;
     /// Mean job elapsed time and total mix energy.
-    fn elapsed_energy(&self, mix: MixKind, level: BudgetLevel, policy: PolicyKind)
-        -> (f64, f64);
+    fn elapsed_energy(&self, mix: MixKind, level: BudgetLevel, policy: PolicyKind) -> (f64, f64);
 
     /// Time and energy savings against the same cell's `StaticCaps`, % (the
     /// Fig. 8 rows `SavingsRow::from_absolute` computes).
@@ -30,12 +29,7 @@ impl Cells for EvaluationGrid {
         self.cell(mix, level, policy).pct_of_budget
     }
 
-    fn elapsed_energy(
-        &self,
-        mix: MixKind,
-        level: BudgetLevel,
-        policy: PolicyKind,
-    ) -> (f64, f64) {
+    fn elapsed_energy(&self, mix: MixKind, level: BudgetLevel, policy: PolicyKind) -> (f64, f64) {
         let c = self.cell(mix, level, policy);
         (c.mean_elapsed.value(), c.energy.value())
     }
@@ -56,7 +50,13 @@ pub fn claims(g: &impl Cells) -> Vec<Claim> {
     use MixKind::*;
     use PolicyKind::*;
     let mut out = Vec::new();
-    let mut claim = |name, holds, numbers| out.push(Claim { name, holds, numbers });
+    let mut claim = |name, holds, numbers| {
+        out.push(Claim {
+            name,
+            holds,
+            numbers,
+        })
+    };
     let every = || {
         (MixKind::all().into_iter()).flat_map(|mix| {
             (BudgetLevel::all().into_iter())

@@ -130,12 +130,7 @@ impl Cells for Stack<'_> {
         self.get(mix, level, policy).pct_of_budget()
     }
 
-    fn elapsed_energy(
-        &self,
-        mix: MixKind,
-        level: BudgetLevel,
-        policy: PolicyKind,
-    ) -> (f64, f64) {
+    fn elapsed_energy(&self, mix: MixKind, level: BudgetLevel, policy: PolicyKind) -> (f64, f64) {
         let c = self.get(mix, level, policy);
         (c.elapsed_s, c.energy_j)
     }
@@ -183,7 +178,12 @@ fn paper_claims_on_the_stack() {
         assert!(claims.iter().any(|c| c.name == *name), "no claim {name}");
     }
     let mut wrong = Vec::new();
-    for claims::Claim { name, holds, numbers } in claims {
+    for claims::Claim {
+        name,
+        holds,
+        numbers,
+    } in claims
+    {
         let expected = !FAILING_ON_THE_STACK.contains(&name);
         println!(
             "{} {name}: {numbers}",
@@ -208,7 +208,12 @@ fn full_scale_stack_grid() {
     let stack = stack_grid(&tb, params);
     let wall = start.elapsed().as_secs_f64();
     print_gaps(&stack, &EvaluationGrid::run(&tb, params));
-    for claims::Claim { name, holds, numbers } in claims(&Stack(&stack)) {
+    for claims::Claim {
+        name,
+        holds,
+        numbers,
+    } in claims(&Stack(&stack))
+    {
         println!(
             "{} {name}: {numbers}",
             if holds { "holds " } else { "FAILS " }
